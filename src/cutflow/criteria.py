@@ -19,6 +19,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .flow import _gather
 
+# criteria that depend on the geometry alone, never on a flow or species state
+GEOMETRIC_KINDS = ("volume_fluid", "surface_area")
+
 
 @dataclass
 class CriterionSpec:

@@ -103,9 +103,6 @@ class CutModel:
     tri_points: int = 3
     seg_points: int = 2
 
-    def fluid_pieces(self, e):
-        return [p for p in self.pieces.get(e, []) if p.phase == FLUID]
-
     def fluid_volume(self):
         return sum(
             p.area for plist in self.pieces.values() for p in plist if p.phase == FLUID

@@ -149,6 +149,8 @@ def run_optimization(cfg, outdir=None, restart=None):
                "objective_history": [], "constraint_history": []}
     warm_design_values = design.values.copy()
 
+    # a checkpoint of a finished run leaves no iteration to take
+    Z, feasible = Z_prev, None
     it = start_iter
     max_outer = cfg.gcmma.max_outer
     while it < max_outer:

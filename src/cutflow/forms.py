@@ -54,11 +54,6 @@ def shape_q1(mesh, elems, x):
     return N, gx, gy, d2
 
 
-def interp(table_N, dofs, vec):
-    """Interpolate a scalar dof vector at the block's quadrature points."""
-    return np.einsum("qa,qa->q", table_N, vec[dofs])
-
-
 @dataclass
 class SurfaceBlock:
     """Batched surface quadrature with basis tables (boundary or interface)."""
@@ -140,6 +135,29 @@ def _cover_along_axis(piece_cover, side):
     return out
 
 
+def _edge_cover_rules(pieces, side, a, b, span, npts):
+    """Quadrature of the fluid part of one boundary edge a-b on a mesh side.
+
+    Yields (piece, points, weights) for every fluid piece's cover interval
+    of the edge, clipped to span (a physical interval along the side axis,
+    or None).
+    """
+    axis = _SIDE_AXIS[side]
+    for piece in pieces:
+        if piece.phase != FLUID:
+            continue
+        for (s0, s1) in _cover_along_axis(piece.edge_cover, side):
+            lo = a[axis] + s0 * (b[axis] - a[axis])
+            hi = a[axis] + s1 * (b[axis] - a[axis])
+            if span is not None:
+                lo, hi = max(lo, span[0]), min(hi, span[1])
+                if hi - lo < 1e-14:
+                    continue
+            p0, p1 = a.copy(), b.copy()
+            p0[axis], p1[axis] = lo, hi
+            yield (piece, *segment_rule(p0, p1, npts))
+
+
 def boundary_quadrature(cm: CutModel, side, span=None, npts=2):
     """Fluid-portion quadrature of one mesh side, optionally span-limited.
 
@@ -149,7 +167,6 @@ def boundary_quadrature(cm: CutModel, side, span=None, npts=2):
     mesh = cm.mesh
     edges = mesh.boundary_edges[side]
     owners = mesh.boundary_edge_elems[side]
-    axis = _SIDE_AXIS[side]
     nrm = _SIDE_NORMAL[side]
     xs, ws, elems, dofs = [], [], [], []
     for idx in range(edges.shape[0]):
@@ -158,23 +175,11 @@ def boundary_quadrature(cm: CutModel, side, span=None, npts=2):
             continue
         a = mesh.nodes[edges[idx, 0]]
         b = mesh.nodes[edges[idx, 1]]
-        for pi, piece in enumerate(cm.pieces[e]):
-            if piece.phase != FLUID:
-                continue
-            for (s0, s1) in _cover_along_axis(piece.edge_cover, side):
-                lo = a[axis] + s0 * (b[axis] - a[axis])
-                hi = a[axis] + s1 * (b[axis] - a[axis])
-                if span is not None:
-                    lo, hi = max(lo, span[0]), min(hi, span[1])
-                    if hi - lo < 1e-14:
-                        continue
-                p0, p1 = a.copy(), b.copy()
-                p0[axis], p1[axis] = lo, hi
-                pts, w = segment_rule(p0, p1, npts)
-                xs.append(pts)
-                ws.append(w)
-                elems.append(np.full(len(w), e, dtype=np.int64))
-                dofs.append(np.tile(piece.dofs, (len(w), 1)))
+        for piece, pts, w in _edge_cover_rules(cm.pieces[e], side, a, b, span, npts):
+            xs.append(pts)
+            ws.append(w)
+            elems.append(np.full(len(w), e, dtype=np.int64))
+            dofs.append(np.tile(piece.dofs, (len(w), 1)))
     if not xs:
         z = np.zeros
         return (z((0, 2)), z(0), z(0, dtype=np.int64), z((0, 4), dtype=np.int64),
@@ -355,30 +360,17 @@ def element_context(cm: CutModel, e, phi4, regions=(), side_of_elem=None):
     # boundary sub-segments owned by this element
     if side_of_elem:
         for region in regions:
-            entries = side_of_elem.get(region.name, ())
             xs, ws, elems, dofs = [], [], [], []
-            for (side, a, b, axis) in entries:
-                for pi, piece in enumerate(plist):
-                    if piece.phase != FLUID:
-                        continue
-                    for (s0, s1) in _cover_along_axis(piece.edge_cover, side):
-                        lo = a[axis] + s0 * (b[axis] - a[axis])
-                        hi = a[axis] + s1 * (b[axis] - a[axis])
-                        if region.span is not None:
-                            lo = max(lo, region.span[0])
-                            hi = min(hi, region.span[1])
-                            if hi - lo < 1e-14:
-                                continue
-                        p0, p1 = a.copy(), b.copy()
-                        p0[axis], p1[axis] = lo, hi
-                        pts, w = segment_rule(p0, p1, cm.seg_points)
-                        xs.append(pts)
-                        ws.append(w)
-                        elems.append(np.full(len(w), e, dtype=np.int64))
-                        dofs.append(np.tile(loc(piece.dofs), (len(w), 1)))
+            for (side, a, b) in side_of_elem.get(region.name, ()):
+                for piece, pts, w in _edge_cover_rules(plist, side, a, b, region.span,
+                                                       cm.seg_points):
+                    xs.append(pts)
+                    ws.append(w)
+                    elems.append(np.full(len(w), e, dtype=np.int64))
+                    dofs.append(np.tile(loc(piece.dofs), (len(w), 1)))
             if xs:
                 x = np.vstack(xs)
-                nrm = np.tile(_SIDE_NORMAL[side], (x.shape[0], 1))
+                nrm = np.tile(_SIDE_NORMAL[region.side], (x.shape[0], 1))
                 ctx.boundary.append(_surface_block(
                     mesh, x, np.concatenate(ws), np.concatenate(elems),
                     np.vstack(dofs), nrm, region=region
@@ -392,13 +384,12 @@ def element_context(cm: CutModel, e, phi4, regions=(), side_of_elem=None):
 
 
 def element_boundary_edges(mesh, e):
-    """(region-agnostic) boundary sides owned by element e: (side, a, b, axis)."""
+    """(region-agnostic) boundary sides owned by element e: (side, a, b)."""
     out = []
     for side in ("left", "right", "bottom", "top"):
         owners = mesh.boundary_edge_elems[side]
         hits = np.nonzero(owners == e)[0]
         for idx in hits:
             na, nb = mesh.boundary_edges[side][idx]
-            out.append((side, mesh.nodes[na].copy(), mesh.nodes[nb].copy(),
-                        _SIDE_AXIS[side]))
+            out.append((side, mesh.nodes[na].copy(), mesh.nodes[nb].copy()))
     return out

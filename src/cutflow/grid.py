@@ -176,20 +176,3 @@ def node_support(mesh: BackgroundMesh, node) -> np.ndarray:
             if 0 <= ei < mx and 0 <= ej < my:
                 elems.append(ej * mx + ei)
     return np.asarray(sorted(elems), dtype=np.int64)
-
-
-def node_supports(mesh: BackgroundMesh) -> list:
-    """node_support for every node, as a list indexed by node id."""
-    mx, my = mesh.divisions
-    nx = mx + 1
-    out = []
-    for node in range(mesh.n_nodes):
-        i, j = node % nx, node // nx
-        elems = []
-        for dj in (-1, 0):
-            for di in (-1, 0):
-                ei, ej = i + di, j + dj
-                if 0 <= ei < mx and 0 <= ej < my:
-                    elems.append(ej * mx + ei)
-        out.append(np.asarray(sorted(elems), dtype=np.int64))
-    return out

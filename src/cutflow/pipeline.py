@@ -15,7 +15,7 @@ import numpy as np
 
 from . import flow as flow_mod
 from . import transport as transport_mod
-from .criteria import evaluate_criterion
+from .criteria import GEOMETRIC_KINDS, evaluate_criterion
 from .cut import build_cut_model
 from .errors import ConfigurationError
 from .forms import build_context
@@ -77,18 +77,28 @@ class ForwardModel:
     # -- indicator ----------------------------------------------------------
     def _indicator(self, ctx):
         scope = self.physics.pressure_penalty_scope
-        nq = ctx.vol_w.shape[0] if ctx.vol_w is not None else 0
         if scope == "off" or self.physics.flow.k_pressure == 0.0:
             return None, None
-        if scope == "whole":
-            return None, np.ones(nq)
-        psi = transport_mod.solve_indicator(
-            ctx, self.physics.indicator,
-            lambda A, b: linear_solve(A, b, self.solve_config.linear_method,
-                                      self.solve_config.linear_tol),
-        )
-        psibar = transport_mod.indicator_at_volume_qp(ctx, psi, self.physics.indicator)
-        return psi, psibar
+        psi = None
+        if scope == "indicator":
+            psi = transport_mod.solve_indicator(
+                ctx, self.physics.indicator,
+                lambda A, b: linear_solve(A, b, self.solve_config.linear_method,
+                                          self.solve_config.linear_tol),
+            )
+        return psi, self.penalty_weights(ctx, psi)
+
+    def penalty_weights(self, ctx, psi):
+        """Pressure-penalty weights psibar at ctx's volume points.
+
+        'whole' weights every point by one; otherwise the weights follow the
+        indicator psi (scalar dofs of ctx), and no psi means no penalty.
+        """
+        if self.physics.pressure_penalty_scope == "whole":
+            return np.ones(ctx.vol_w.shape[0])
+        if psi is None:
+            return None
+        return transport_mod.indicator_at_volume_qp(ctx, psi, self.physics.indicator)
 
     def _needs_species(self):
         return any(c.kind == "ks_target" for c in self.criteria)
@@ -169,7 +179,7 @@ class ForwardModel:
             step_values = {}
             for spec in self.criteria:
                 sampling = getattr(spec, "time_sampling", "final")
-                if spec.kind in ("volume_fluid", "surface_area"):
+                if spec.kind in GEOMETRIC_KINDS:
                     cv = evaluate_criterion(spec, result.ctx, params)
                     values[spec.name] = cv.value
                     partials[spec.name] = cv

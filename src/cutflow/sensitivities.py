@@ -3,16 +3,28 @@
 The forward pipeline is level set -> cut geometry -> indicator -> flow ->
 species -> criteria. Adjoints are solved in reverse block order (species,
 flow, indicator), each block reusing one transposed factorization for all
-functionals. Geometric partials of residuals and criteria are computed
-semi-analytically: per intersected element, central finite differences
-w.r.t. each corner level set value re-cut that element locally with the
-enrichment frozen and re-evaluate the same integrand kernels the global
-assembly uses. Ghost-penalty terms integrate over full facets and carry
-no geometric dependence, so they drop out of the partials.
+functionals. The BDF2-marched flow has one backward sweep,
+`adjoint_transient`, which carries every functional as one column of a
+right-hand-side block, so each step is factorized once.
 
-The velocity-dependent penalty factors are frozen identically in the
-forward linearization and here, so each adjoint operator is the exact
-transpose of the forward one.
+Geometric partials of residuals and criteria are computed
+semi-analytically by one engine, `_recut_partials`. Per intersected
+element and corner it re-cuts that element locally with the enrichment
+frozen and re-evaluates a caller's payload, built from the same integrand
+kernels the global assembly uses. The steady gradient, the transient
+gradient and the residual audit matrix differ only in their payloads.
+Each corner's partial is found by the first of these that succeeds:
+
+1. a central difference with step FD_STEP_FRACTION times the mesh size;
+2. the same with the step halved, up to MAX_STEP_HALVINGS times, while a
+   re-cut flips a corner sign or changes the pieces (ValueError);
+3. a one-sided full step away from the sign change; the node is flagged;
+4. none: the node is flagged and contributes nothing.
+
+Ghost-penalty terms integrate over full facets and carry no geometric
+dependence, so they drop out of the partials. The velocity-dependent
+penalty factors are frozen identically in the forward linearization and
+here, so each adjoint operator is the exact transpose of the forward one.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ import scipy.sparse.linalg as spla
 
 from . import flow as flow_mod
 from . import transport as transport_mod
-from .criteria import evaluate_criterion, ks_local_sum
+from .criteria import GEOMETRIC_KINDS, evaluate_criterion, ks_local_sum
 from .forms import element_boundary_edges, element_context
 from .cut import CUT
 from .solve import bdf_slot
@@ -132,139 +144,124 @@ def _local_region_entries(model, e):
     return out
 
 
-class _LocalEvaluator:
-    """Evaluates sum_k(lambda_k . R_local + dF_k/dcrit . crit_local)(phi4)."""
+def _local_psi(result, ids):
+    return None if result.psi is None else result.psi[ids]
 
-    def __init__(self, model, result, adjoints, criteria_chains):
-        self.model = model
-        self.result = result
-        self.adjoints = adjoints
-        self.chains = criteria_chains  # list per functional: {crit name: weight}
-        self.n = result.ctx.n
-        self.params = model.physics.flow
-        self.has_species = result.species_state is not None
-        self.has_psi = result.psi is not None
-        self.scope = model.physics.pressure_penalty_scope
-        # frozen shift for KS criteria (not element-separable)
-        self.ks_aux = {
-            spec.name: (spec, result.crit_partials[spec.name].aux)
-            for spec in model.criteria if spec.kind == "ks_target"
-        }
 
-    def __call__(self, e, phi4, side_entries):
-        cm = self.result.cm
-        ctx = element_context(cm, e, phi4, regions=self.model.regions,
+def _recut_partials(model, result, payload, report=None):
+    """Yield (node, partial) for each corner of each cut element, in order.
+
+    payload(e, phi4, side_entries) evaluates element e re-cut at the corner
+    level set values phi4 with its enrichment frozen; partial is its
+    derivative w.r.t. the corner's value. A re-cut that flips a corner
+    sign or changes the pieces raises ValueError, so the central step is
+    halved up to MAX_STEP_HALVINGS times; after that the corner takes a
+    one-sided step away from the sign change and is flagged in report.
+    A corner whose one-sided step fails too is flagged and yields nothing.
+    """
+    cm = result.cm
+    h = model.mesh.h
+    step = FD_STEP_FRACTION * h
+    for e in np.nonzero(cm.classification == CUT)[0]:
+        e = int(e)
+        side_entries = _local_region_entries(model, e)
+        nodes = model.mesh.elements[e]
+        base = cm.phi[nodes].astype(float)
+
+        def at(c, delta):
+            phi4 = base.copy()
+            phi4[c] += delta
+            return payload(e, phi4, side_entries)
+
+        for c in range(4):
+            delta = step
+            for _ in range(MAX_STEP_HALVINGS + 1):
+                try:
+                    partial = (at(c, delta) - at(c, -delta)) / (2 * delta)
+                    break
+                except ValueError:
+                    delta *= 0.5
+            else:
+                if report is not None:
+                    report.flagged_nodes.append(int(nodes[c]))
+                sgn = 1.0 if base[c] > 0 else -1.0
+                try:
+                    partial = sgn * (at(c, sgn * step)
+                                     - payload(e, base, side_entries)) / step
+                except ValueError:
+                    continue
+            yield int(nodes[c]), partial
+
+
+def geometry_gradient(model, result, adjoints, report=None):
+    """d(functionals)/d(nodal phi) via local recut finite differences.
+
+    Each re-cut element contributes sum_k(lambda_k . R_local +
+    dF_k/dcrit . crit_local). Returns an array (n_functionals, n_mesh_nodes).
+    """
+    cm = result.cm
+    n = result.ctx.n
+    params = model.physics.flow
+    has_species = result.species_state is not None
+    # frozen shift for KS criteria (not element-separable)
+    ks_aux = {spec.name: result.crit_partials[spec.name].aux
+              for spec in model.criteria if spec.kind == "ks_target"}
+
+    def payload(e, phi4, side_entries):
+        ctx = element_context(cm, e, phi4, regions=model.regions,
                               side_of_elem=side_entries)
-        vals = np.zeros(len(self.adjoints))
-        if ctx is None:
-            return vals
         ids = ctx.scalar_ids
-        n = self.n
-        U_loc = _restrict(self.result.flow_state, ids, 3, n)
-        if self.scope == "whole":
-            psibar = np.ones(ctx.vol_w.shape[0])
-        elif self.scope == "indicator" and self.has_psi:
-            psibar = transport_mod.indicator_at_volume_qp(
-                ctx, self.result.psi[ids], self.model.physics.indicator
-            )
-        else:
-            psibar = None
+        U_loc = _restrict(result.flow_state, ids, 3, n)
         r_f, _ = flow_mod.assemble_flow(
-            ctx, self.params, U_loc, coeff_state=U_loc, psibar=psibar,
+            ctx, params, U_loc, coeff_state=U_loc,
+            psibar=model.penalty_weights(ctx, _local_psi(result, ids)),
             want_matrix=False,
         )
         r_c = None
-        if self.has_species:
-            c_loc = self.result.species_state[ids]
+        if has_species:
             r_c, _ = transport_mod.assemble_species(
-                ctx, self.model.physics.transport, c_loc, U_loc, want_matrix=False
+                ctx, model.physics.transport, result.species_state[ids], U_loc,
+                want_matrix=False,
             )
         r_psi = None
-        if self.has_psi:
+        if result.psi is not None:
             r_psi, _ = transport_mod.assemble_indicator(
-                ctx, self.model.physics.indicator, self.result.psi[ids],
-                want_matrix=False,
+                ctx, model.physics.indicator, result.psi[ids], want_matrix=False,
             )
 
         crit_local = {}
-        for spec in self.model.criteria:
+        for spec in model.criteria:
             if spec.kind == "ks_target":
-                _, aux = self.ks_aux[spec.name]
-                shift, total = aux
-                contrib = ks_local_sum(spec, ctx, self.params,
-                                       self.result.species_state[ids], shift)
+                shift, total = ks_aux[spec.name]
+                contrib = ks_local_sum(spec, ctx, params,
+                                       result.species_state[ids], shift)
                 # chain d(criterion)/d(local sum) = 1 / (beta * total)
                 crit_local[spec.name] = contrib / (spec.beta_ks * total)
             else:
                 crit_local[spec.name] = evaluate_criterion(
-                    spec, ctx, self.params,
+                    spec, ctx, params,
                     flow_state=U_loc,
-                    species_state=(self.result.species_state[ids]
-                                   if self.has_species else None),
+                    species_state=(result.species_state[ids]
+                                   if has_species else None),
                     allow_empty=True,
                 ).value
 
-        for k, adj in enumerate(self.adjoints):
+        vals = np.zeros(len(adjoints))
+        for k, adj in enumerate(adjoints):
             total = float(adj.lam_flow[np.concatenate([ids, ids + n, ids + 2 * n])]
                           @ r_f) if adj.lam_flow is not None else 0.0
             if r_c is not None and adj.lam_species is not None:
                 total += float(adj.lam_species[ids] @ r_c)
             if r_psi is not None and adj.lam_psi is not None:
                 total += float(adj.lam_psi[ids] @ r_psi)
-            for name, w in self.chains[k].items():
+            for name, w in adj.dcrit.items():
                 total += w * crit_local.get(name, 0.0)
             vals[k] = total
         return vals
 
-
-def geometry_gradient(model, result, adjoints, report=None):
-    """d(functionals)/d(nodal phi) via local recut finite differences.
-
-    Returns an array (n_functionals, n_mesh_nodes).
-    """
-    cm = result.cm
-    mesh = model.mesh
-    h = mesh.h
-    chains = [adj.dcrit for adj in adjoints]
-    evaluator = _LocalEvaluator(model, result, adjoints, chains)
-    grad = np.zeros((len(adjoints), mesh.n_nodes))
-    cut_elems = np.nonzero(cm.classification == CUT)[0]
-    for e in cut_elems:
-        e = int(e)
-        side_entries = _local_region_entries(model, e)
-        nodes = mesh.elements[e]
-        base = cm.phi[nodes].astype(float)
-        for c in range(4):
-            delta = FD_STEP_FRACTION * h
-            done = False
-            for _ in range(MAX_STEP_HALVINGS + 1):
-                try:
-                    pp = base.copy()
-                    pp[c] += delta
-                    vp = evaluator(e, pp, side_entries)
-                    pm = base.copy()
-                    pm[c] -= delta
-                    vm = evaluator(e, pm, side_entries)
-                    grad[:, nodes[c]] += (vp - vm) / (2 * delta)
-                    done = True
-                    break
-                except ValueError:
-                    delta *= 0.5
-            if not done:
-                # one-sided step away from the sign change
-                delta = FD_STEP_FRACTION * h
-                sgn = 1.0 if base[c] > 0 else -1.0
-                try:
-                    pp = base.copy()
-                    pp[c] += sgn * delta
-                    vp = evaluator(e, pp, side_entries)
-                    v0 = evaluator(e, base, side_entries)
-                    grad[:, nodes[c]] += sgn * (vp - v0) / delta
-                    if report is not None:
-                        report.flagged_nodes.append(int(nodes[c]))
-                except ValueError:
-                    if report is not None:
-                        report.flagged_nodes.append(int(nodes[c]))
+    grad = np.zeros((len(adjoints), model.mesh.n_nodes))
+    for node, partial in _recut_partials(model, result, payload, report):
+        grad[:, node] += partial
     return grad
 
 
@@ -295,70 +292,42 @@ def total_design_gradient(model, result, problem, design, domain_area, iteration
 def residual_phi_matrix(model, result, block="flow"):
     """Materialized sparse d(residual)/d(nodal phi) for audits and tests."""
     cm = result.cm
-    mesh = model.mesh
-    h = mesh.h
     n = result.ctx.n
     blocks = {"flow": 3, "species": 1, "indicator": 1}[block]
+    gids = None  # rows of the element the engine last re-cut
+
+    def payload(e, phi4, side_entries):
+        nonlocal gids
+        ctx = element_context(cm, e, phi4, regions=model.regions,
+                              side_of_elem=side_entries)
+        ids = ctx.scalar_ids
+        gids = np.concatenate([ids + b * n for b in range(blocks)])
+        U_loc = _restrict(result.flow_state, ids, 3, n)
+        if block == "flow":
+            r, _ = flow_mod.assemble_flow(
+                ctx, model.physics.flow, U_loc, coeff_state=U_loc,
+                psibar=model.penalty_weights(ctx, _local_psi(result, ids)),
+                want_matrix=False)
+        elif block == "species":
+            r, _ = transport_mod.assemble_species(
+                ctx, model.physics.transport, result.species_state[ids],
+                U_loc, want_matrix=False)
+        else:
+            r, _ = transport_mod.assemble_indicator(
+                ctx, model.physics.indicator, result.psi[ids],
+                want_matrix=False)
+        return r
+
     rows, cols, vals = [], [], []
-    cut_elems = np.nonzero(cm.classification == CUT)[0]
-    for e in cut_elems:
-        e = int(e)
-        side_entries = _local_region_entries(model, e)
-        nodes = mesh.elements[e]
-        base = cm.phi[nodes].astype(float)
-
-        def local_residual(phi4):
-            ctx = element_context(cm, e, phi4, regions=model.regions,
-                                  side_of_elem=side_entries)
-            if ctx is None:
-                return None, None
-            ids = ctx.scalar_ids
-            U_loc = _restrict(result.flow_state, ids, 3, n)
-            if block == "flow":
-                scope = model.physics.pressure_penalty_scope
-                if scope == "whole":
-                    psibar = np.ones(ctx.vol_w.shape[0])
-                elif scope == "indicator" and result.psi is not None:
-                    psibar = transport_mod.indicator_at_volume_qp(
-                        ctx, result.psi[ids], model.physics.indicator)
-                else:
-                    psibar = None
-                r, _ = flow_mod.assemble_flow(
-                    ctx, model.physics.flow, U_loc, coeff_state=U_loc,
-                    psibar=psibar, want_matrix=False)
-            elif block == "species":
-                r, _ = transport_mod.assemble_species(
-                    ctx, model.physics.transport, result.species_state[ids],
-                    U_loc, want_matrix=False)
-            else:
-                r, _ = transport_mod.assemble_indicator(
-                    ctx, model.physics.indicator, result.psi[ids],
-                    want_matrix=False)
-            gids = np.concatenate([ids + b * n for b in range(blocks)])
-            return r, gids
-
-        for c in range(4):
-            delta = FD_STEP_FRACTION * h
-            try:
-                pp = base.copy()
-                pp[c] += delta
-                rp, gids = local_residual(pp)
-                pm = base.copy()
-                pm[c] -= delta
-                rm, _ = local_residual(pm)
-            except ValueError:
-                continue
-            if rp is None:
-                continue
-            dr = (rp - rm) / (2 * delta)
-            rows.append(gids)
-            cols.append(np.full(gids.shape[0], nodes[c], dtype=np.int64))
-            vals.append(dr)
+    for node, partial in _recut_partials(model, result, payload):
+        rows.append(gids)
+        cols.append(np.full(gids.shape[0], node, dtype=np.int64))
+        vals.append(partial)
     if not rows:
-        return sp.csr_matrix((blocks * n, mesh.n_nodes))
+        return sp.csr_matrix((blocks * n, model.mesh.n_nodes))
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(blocks * n, mesh.n_nodes),
+        shape=(blocks * n, model.mesh.n_nodes),
     )
 
 
@@ -371,8 +340,6 @@ def transient_total_gradient(model, result, problem, design, domain_area,
     final-step values. Species transport is steady-only and not supported
     on the transient path.
     """
-    cfg = model.solve_config
-    dt = cfg.dt
     history = result.flow_history
     n_steps = len(history) - 1
     ctx = result.ctx
@@ -387,73 +354,56 @@ def transient_total_gradient(model, result, problem, design, domain_area,
         g, dg = con.evaluate(values, domain_area, iteration)
         g_values.append(g)
         chains.append(dg)
-    n_func = len(chains)
 
-    static_kinds = ("volume_fluid", "surface_area")
     spec_of = {spec.name: spec for spec in model.criteria}
 
     def step_weight(spec, step):
-        if spec.kind in static_kinds:
+        if spec.kind in GEOMETRIC_KINDS:
             return 0.0  # handled as a static (geometry-only) contribution
         if spec.time_sampling == "average":
             return 1.0 / n_steps
         return 1.0 if step == n_steps else 0.0
 
-    # per-step criterion partials, combined into per-functional dF/du^n
-    lams = [[None] * (n_steps + 1) for _ in range(n_func)]
-    mats_M = {}
-
-    def M(step):
-        if step not in mats_M:
-            slot = bdf_slot(step, dt, history[:step])
-            mats_M[step] = flow_mod.flow_time_matrix(ctx, params, history[step], slot)
-        return mats_M[step]
-
-    C_fpsi_acc = [np.zeros(n) for _ in range(n_func)] if result.psi is not None else None
-
-    for step in range(n_steps, 0, -1):
-        slot = bdf_slot(step, dt, history[:step])
+    def assemble_at(step, slot):
         _, J = flow_mod.assemble_flow(
             ctx, params, history[step], coeff_state=history[step], slot=slot,
             psibar=result.psibar_qp,
         )
-        lu = spla.splu(J.T.tocsc())
-        part = {}
-        for name, spec in spec_of.items():
-            if spec.kind in static_kinds:
-                continue
-            part[name] = evaluate_criterion(
-                spec, ctx, params, flow_state=history[step], want_partials=True
-            )
-        C = None
-        if C_fpsi_acc is not None:
+        return spla.splu(J.T.tocsc()).solve
+
+    def time_matrix_at(step, slot):
+        return flow_mod.flow_time_matrix(ctx, params, history[step], slot)
+
+    def dz_du(step):
+        """Per-functional dF/du^step, one column per functional."""
+        part = {
+            name: evaluate_criterion(spec, ctx, params, flow_state=history[step],
+                                     want_partials=True)
+            for name, spec in spec_of.items() if spec.kind not in GEOMETRIC_KINDS
+        }
+        dz = np.zeros((3 * n, len(chains)))
+        for k, chain in enumerate(chains):
+            for name, w in chain.items():
+                sw = step_weight(spec_of[name], step)
+                if sw and part[name].d_flow is not None:
+                    dz[:, k] += w * sw * part[name].d_flow
+        return dz
+
+    lams = adjoint_transient(assemble_at, time_matrix_at, history,
+                             model.solve_config.dt, dz_du, 3 * n)
+
+    adjoints = [FunctionalAdjoint(dcrit=dict(chain)) for chain in chains]
+    if result.psi is not None:
+        C_fpsi = np.zeros((n, len(chains)))
+        for step in range(n_steps, 0, -1):
             C = flow_mod.flow_indicator_jacobian(
                 ctx, params, history[step], result.psi, model.physics.indicator)
-        for k, chain in enumerate(chains):
-            rhs = np.zeros(3 * n)
-            for name, w in chain.items():
-                spec = spec_of[name]
-                sw = step_weight(spec, step)
-                if sw and part[name].d_flow is not None:
-                    rhs -= w * sw * part[name].d_flow
-            if step + 1 <= n_steps:
-                rhs -= (-2.0 / dt) * (M(step + 1).T @ lams[k][step + 1])
-            if step + 2 <= n_steps:
-                rhs -= (0.5 / dt) * (M(step + 2).T @ lams[k][step + 2])
-            lams[k][step] = lu.solve(rhs)
-            if C is not None:
-                C_fpsi_acc[k] += C.T @ lams[k][step]
-        mats_M.pop(step + 2, None)  # only two history levels needed
-
-    adjoints = []
-    if result.psi is not None:
+            C_fpsi += C.T @ lams[step]
         _, J_psi = transport_mod.assemble_indicator(
             ctx, model.physics.indicator, result.psi)
-        lu_psi = spla.splu(J_psi.T.tocsc())
-    for k, chain in enumerate(chains):
-        adj = FunctionalAdjoint(dcrit=dict(chain))
-        adj.lam_psi = lu_psi.solve(-C_fpsi_acc[k]) if result.psi is not None else None
-        adjoints.append(adj)
+        lam_psi = spla.splu(J_psi.T.tocsc()).solve(-C_fpsi)
+        for k, adj in enumerate(adjoints):
+            adj.lam_psi = lam_psi[:, k]
 
     dphi = _transient_geometry_gradient(model, result, chains, lams, adjoints,
                                         spec_of, step_weight, report)
@@ -466,35 +416,26 @@ def transient_total_gradient(model, result, problem, design, domain_area,
 
 def _transient_geometry_gradient(model, result, chains, lams, adjoints, spec_of,
                                  step_weight, report):
-    """Per-node level set partials accumulated over all time steps."""
+    """Per-node level set partials accumulated over all time steps.
+
+    lams[step] holds the flow adjoints of that step, one column per
+    functional (index 0 unused).
+    """
     cm = result.cm
-    mesh = model.mesh
-    h = mesh.h
-    cfg = model.solve_config
-    dt = cfg.dt
+    dt = model.solve_config.dt
     history = result.flow_history
     n_steps = len(history) - 1
     n = result.ctx.n
     n_func = len(chains)
     params = model.physics.flow
-    grad = np.zeros((n_func, mesh.n_nodes))
-    static_kinds = ("volume_fluid", "surface_area")
 
     def payload(e, phi4, side_entries):
         ctx = element_context(cm, e, phi4, regions=model.regions,
                               side_of_elem=side_entries)
         vals = np.zeros(n_func)
-        if ctx is None:
-            return vals
         ids = ctx.scalar_ids
         gids = np.concatenate([ids, ids + n, ids + 2 * n])
-        if model.physics.pressure_penalty_scope == "whole":
-            psibar = np.ones(ctx.vol_w.shape[0])
-        elif result.psi is not None:
-            psibar = transport_mod.indicator_at_volume_qp(
-                ctx, result.psi[ids], model.physics.indicator)
-        else:
-            psibar = None
+        psibar = model.penalty_weights(ctx, _local_psi(result, ids))
         for step in range(1, n_steps + 1):
             slot = bdf_slot(step, dt, history[:step])
             slot_loc = type(slot)(alpha=slot.alpha, hist=slot.hist[gids],
@@ -505,19 +446,19 @@ def _transient_geometry_gradient(model, result, chains, lams, adjoints, spec_of,
                 psibar=psibar, want_matrix=False)
             crit_loc = {}
             for name, spec in spec_of.items():
-                if spec.kind in static_kinds:
+                if spec.kind in GEOMETRIC_KINDS:
                     continue
                 crit_loc[name] = evaluate_criterion(
                     spec, ctx, params, flow_state=U_loc, allow_empty=True).value
+            vals += r_f @ lams[step][gids]
             for k in range(n_func):
-                vals[k] += float(lams[k][step][gids] @ r_f)
                 for name, w in chains[k].items():
                     sw = step_weight(spec_of[name], step)
                     if sw:
                         vals[k] += w * sw * crit_loc.get(name, 0.0)
         # static geometry criteria and the indicator residual
         for name, spec in spec_of.items():
-            if spec.kind not in static_kinds:
+            if spec.kind not in GEOMETRIC_KINDS:
                 continue
             v = evaluate_criterion(spec, ctx, params, allow_empty=True).value
             for k in range(n_func):
@@ -532,30 +473,9 @@ def _transient_geometry_gradient(model, result, chains, lams, adjoints, spec_of,
                     vals[k] += float(adj.lam_psi[ids] @ r_psi)
         return vals
 
-    cut_elems = np.nonzero(cm.classification == CUT)[0]
-    for e in cut_elems:
-        e = int(e)
-        side_entries = _local_region_entries(model, e)
-        nodes = mesh.elements[e]
-        base = cm.phi[nodes].astype(float)
-        for c in range(4):
-            delta = FD_STEP_FRACTION * h
-            done = False
-            for _ in range(MAX_STEP_HALVINGS + 1):
-                try:
-                    pp = base.copy()
-                    pp[c] += delta
-                    vp = payload(e, pp, side_entries)
-                    pm = base.copy()
-                    pm[c] -= delta
-                    vm = payload(e, pm, side_entries)
-                    grad[:, nodes[c]] += (vp - vm) / (2 * delta)
-                    done = True
-                    break
-                except ValueError:
-                    delta *= 0.5
-            if not done:
-                report.flagged_nodes.append(int(nodes[c]))
+    grad = np.zeros((n_func, model.mesh.n_nodes))
+    for node, partial in _recut_partials(model, result, payload, report):
+        grad[:, node] += partial
     return grad
 
 
@@ -569,8 +489,11 @@ def adjoint_transient(assemble_at, time_matrix_at, history, dt, dz_du, n_dofs):
     assemble_at(step, slot) -> transposed-solve factorization of dR^step/du.
     time_matrix_at(step, slot) -> dR^step/d(du/dt slot) sparse matrix.
     history: states [u0 .. uN]; dz_du(step) -> partial of the objective
-    w.r.t. the state at that step (zero array when absent).
-    Returns the list of adjoint vectors [lam_1 .. lam_N] (index 0 unused).
+    w.r.t. the state at that step (zero array when absent), either a vector
+    or a block with one column per functional; each step factorizes once
+    for the whole block.
+    Returns the list of adjoints [lam_1 .. lam_N] (index 0 unused), shaped
+    like dz_du's values.
     """
     n_steps = len(history) - 1
     lams = [None] * (n_steps + 1)
@@ -582,13 +505,15 @@ def adjoint_transient(assemble_at, time_matrix_at, history, dt, dz_du, n_dofs):
             mats[step] = time_matrix_at(step, slot)
         return mats[step]
 
+    # step >= 1, so the steps after it are BDF2 steps: u^step enters the
+    # next residual with -2/dt and the one after with 0.5/dt
     for step in range(n_steps, 0, -1):
         rhs = -np.asarray(dz_du(step), dtype=float)
         if step + 1 <= n_steps:
-            coef = -1.0 / dt if step + 1 == 1 else -2.0 / dt
-            rhs -= coef * (M(step + 1).T @ lams[step + 1])
-        if step + 2 <= n_steps and step + 2 >= 2:
+            rhs -= (-2.0 / dt) * (M(step + 1).T @ lams[step + 1])
+        if step + 2 <= n_steps:
             rhs -= (0.5 / dt) * (M(step + 2).T @ lams[step + 2])
+        mats.pop(step + 2, None)  # no earlier step couples to it
         slot = bdf_slot(step, dt, history[:step])
         lams[step] = assemble_at(step, slot)(rhs)
     return lams

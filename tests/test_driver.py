@@ -282,6 +282,29 @@ def test_optimization_runs_and_restart_reproduces(tmp_path):
     assert row_b == full_rows[3]  # bit-identical third (index 2) iteration
 
 
+def test_restart_from_finished_run_takes_no_iteration(tmp_path):
+    from cutflow.output import read_checkpoint
+    path = _write(tmp_path, OPT_CFG)
+    cfg = parse_config(path)
+    cfg.gcmma.max_outer = 1
+    out_a = str(tmp_path / "a")
+    run_optimization(cfg, outdir=out_a)
+    ckpt = os.path.join(out_a, "checkpoint.json")
+    z_prev = read_checkpoint(ckpt)["extra"]["Z_prev"]
+    assert z_prev is not None
+
+    cfg2 = parse_config(path)
+    cfg2.gcmma.max_outer = 1
+    out_b = str(tmp_path / "b")
+    summary = run_optimization(cfg2, outdir=out_b, restart=ckpt)
+    assert summary["iterations"] == 0
+    assert summary["objective"] == z_prev
+    assert summary["feasible"] is None
+    rows = open(os.path.join(out_b, "history.csv")).read().splitlines()
+    assert len(rows) == 1  # header only
+    assert read_checkpoint(os.path.join(out_b, "checkpoint.json"))["iteration"] == 1
+
+
 def test_optimization_determinism_bitwise(tmp_path):
     path = _write(tmp_path, OPT_CFG)
     out1, out2 = str(tmp_path / "d1"), str(tmp_path / "d2")

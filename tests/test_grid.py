@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cutflow.errors import ConfigurationError
-from cutflow.grid import build_mesh, node_support, node_supports
+from cutflow.grid import build_mesh, node_support
 
 
 def test_single_element():
@@ -39,7 +39,7 @@ def test_node_support_2x2():
     assert list(node_support(m, 0)) == [0]  # corner
     assert list(node_support(m, 4)) == [0, 1, 2, 3]  # center node
     assert list(node_support(m, 1)) == [0, 1]  # edge midside
-    sizes = {len(s) for s in node_supports(m)}
+    sizes = {len(node_support(m, k)) for k in range(m.n_nodes)}
     assert sizes == {1, 2, 4}
 
 

@@ -267,3 +267,85 @@ def test_transient_gradient_reduces_to_steady_for_huge_dt():
     assert abs(Zt - Zs) / abs(Zs) < 1e-8
     denom = np.linalg.norm(dZs)
     assert np.linalg.norm(dZt - dZs) / denom < 1e-6
+
+
+# --- fallback of the re-cut finite differences ---------------------------------
+
+def _volume_gradient_at(model, design, node, value):
+    """Vf geometry gradient with the nodal level set at `node` set to value.
+
+    Returns (gradient row, flagged nodes, Vf(phi) callable over nodal phi).
+    The flow state is zero: a geometry-only functional needs no solve.
+    """
+    from cutflow.cut import build_cut_model
+    from cutflow.forms import build_context
+    from cutflow.pipeline import ForwardResult
+    from cutflow.sensitivities import FunctionalAdjoint, GradientReport
+    phi = model.lsmap.build(design).phi.copy()
+    phi[node] = value
+    cm = build_cut_model(model.mesh, phi)
+    ctx = build_context(cm, model.regions)
+    result = ForwardResult(phi=None, cm=cm, ctx=ctx, flow_state=np.zeros(3 * ctx.n),
+                           crit_partials={})
+    report = GradientReport()
+    grad = geometry_gradient(model, result,
+                             [FunctionalAdjoint(dcrit={"Vf": 1.0})], report)
+    return grad[0], report.flagged_nodes, phi
+
+
+def _near_interface_node(model, design):
+    """An interior node whose mesh edge to a neighbour crosses the interface.
+
+    Returns the node and the sign of its level set value.
+    """
+    mesh = model.mesh
+    phi = model.lsmap.build(design).phi
+    mx, my = mesh.divisions
+    nx = mx + 1
+    for j in range(1, my):
+        for i in range(1, mx):
+            node = j * nx + i
+            nbrs = (node - 1, node + 1, node - nx, node + nx)
+            if any(phi[k] * phi[node] < 0 for k in nbrs):
+                return node, (1.0 if phi[node] > 0 else -1.0)
+    raise AssertionError("no interior node next to the interface")
+
+
+def _fluid_volume(mesh, phi):
+    from cutflow.cut import build_cut_model
+    return build_cut_model(mesh, phi).fluid_volume()
+
+
+def test_recut_step_halving_matches_global_fd():
+    # |phi| below the first central step: the re-cut flips the corner's sign
+    # until the step is halved twice; the node is not flagged
+    from cutflow.sensitivities import FD_STEP_FRACTION
+    model, _, design = bend_model(divisions=(20, 20))
+    node, sgn = _near_interface_node(model, design)
+    value = sgn * 0.3 * FD_STEP_FRACTION * model.mesh.h
+    grad, flagged, phi = _volume_gradient_at(model, design, node, value)
+    assert node not in flagged
+    step = 0.1 * abs(value)
+    pp, pm = phi.copy(), phi.copy()
+    pp[node] += step
+    pm[node] -= step
+    fd = (_fluid_volume(model.mesh, pp) - _fluid_volume(model.mesh, pm)) / (2 * step)
+    assert fd != 0.0
+    assert abs(grad[node] - fd) / abs(fd) < 1e-4
+
+
+def test_recut_one_sided_fallback_is_flagged():
+    # |phi| ~ 1e-12 h: every halved central step flips the sign, so the
+    # corner takes a one-sided step away from the interface and is flagged
+    from cutflow.sensitivities import FD_STEP_FRACTION
+    model, _, design = bend_model(divisions=(20, 20))
+    node, sgn = _near_interface_node(model, design)
+    grad, flagged, phi = _volume_gradient_at(model, design, node,
+                                             sgn * 1e-12 * model.mesh.h)
+    assert node in flagged
+    step = FD_STEP_FRACTION * model.mesh.h
+    pp = phi.copy()
+    pp[node] += sgn * step
+    fd = sgn * (_fluid_volume(model.mesh, pp) - _fluid_volume(model.mesh, phi)) / step
+    assert fd != 0.0
+    assert abs(grad[node] - fd) / abs(fd) < 1e-3
