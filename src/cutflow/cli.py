@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: analyze, optimize, gradcheck, sweep. Exit codes: 0 success,
-2 configuration error, 3 nonconvergence, 4 output/I-O error. Assembly is
-strictly ordered (sequential) by construction, so --strict-order is
-accepted for compatibility and --threads only affects the BLAS backend.
+2 configuration error, 3 solver failure (nonconvergence, singular linear
+system or enrichment capacity exceeded; diagnostic.txt is written to
+--output), 4 output/I-O error (including an unreadable checkpoint).
 """
 
 from __future__ import annotations
@@ -14,16 +14,13 @@ import sys
 
 from .config import parse_config
 from .driver import run_analysis, run_gradcheck, run_optimization, run_sweep
-from .errors import ConfigurationError, NonconvergenceError, OutputError
+from .errors import (CapacityError, ConfigurationError, NonconvergenceError,
+                     OutputError, SolverError)
 
 
 def _common(sub):
     sub.add_argument("--config", required=True, help="run configuration file")
     sub.add_argument("--output", default=None, help="output directory")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="BLAS thread count (assembly itself is sequential)")
-    sub.add_argument("--strict-order", action="store_true",
-                     help="force strictly ordered assembly (always on)")
 
 
 def main(argv=None):
@@ -53,15 +50,6 @@ def main(argv=None):
                    help="comma-separated parameter values")
 
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-        try:  # cap already-loaded BLAS pools too
-            import threadpoolctl
-            threadpoolctl.threadpool_limits(args.threads)
-        except ImportError:
-            pass
-
     try:
         cfg = parse_config(args.config)
         if args.command == "analyze":
@@ -87,13 +75,14 @@ def main(argv=None):
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except NonconvergenceError as exc:
-        print(f"nonconvergence: {exc}", file=sys.stderr)
+    except (NonconvergenceError, SolverError, CapacityError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         if args.output:
             try:
                 os.makedirs(args.output, exist_ok=True)
                 with open(os.path.join(args.output, "diagnostic.txt"), "w") as f:
-                    f.write(f"{exc}\ntrace = {exc.trace!r}\nstep = {exc.step!r}\n")
+                    f.write(f"{exc}\ntrace = {getattr(exc, 'trace', None)!r}\n"
+                            f"step = {getattr(exc, 'step', None)!r}\n")
             except OSError:
                 pass
         return 3

@@ -398,11 +398,13 @@ def _parse(cp) -> RunConfig:
     )
 
     so = cp["solve"] if cp.has_section("solve") else {}
+    if so.get("linear_method", "direct") != "direct":
+        raise ConfigurationError(
+            f"linear_method = {so['linear_method']}: only the sparse direct "
+            "solver exists")
     solve = SolveConfig(
         newton_tol=float(so.get("newton_tol", 1e-6)),
         max_newton=int(so.get("max_newton", 30)),
-        linear_method=str(so.get("linear_method", "direct")),
-        linear_tol=float(so.get("linear_tol", 1e-6)),
         dt=(float(so["dt"]) if "dt" in so else None),
         n_steps=int(so.get("n_steps", 0)),
         scheme=str(so.get("scheme", "steady")),
@@ -520,7 +522,6 @@ def dump_config(cfg: RunConfig) -> str:
                   ("tol_feasibility", g.tol_feasibility)])
     s = cfg.solve
     sec("solve", [("newton_tol", s.newton_tol), ("max_newton", s.max_newton),
-                  ("linear_method", s.linear_method), ("linear_tol", s.linear_tol),
                   ("dt", s.dt), ("n_steps", s.n_steps), ("scheme", s.scheme)])
     o = cfg.output
     sec("output", [("directory", o.directory), ("field_every", o.field_every),

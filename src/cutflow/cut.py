@@ -6,7 +6,8 @@ level set along each edge, so an edge is crossed at most once). Fluid
 regions that are disconnected inside a node's support get separate
 enrichment levels so their interpolations never couple. Ghost facets are
 the interior facets next to the interface used by the face-oriented
-penalty terms.
+penalty terms. This module holds classification, decomposition,
+enrichment and ghost pairs only; quadrature lives in `forms`.
 
 Conventions: phase -1 is fluid, +1 is solid; interface normals point
 toward the solid (phi increasing); element corners are counterclockwise
@@ -15,22 +16,17 @@ from the lower-left, edge k runs from corner k to corner k+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError
+from .errors import CapacityError
 from .grid import BackgroundMesh
 
 FLUID, SOLID, CUT = -1, 1, 0
 
 MAX_ENRICHMENT_LEVELS = 8  # audited 2D bound; overflow raises CapacityError
 SLIVER_REL_AREA = 1e-12  # subcells below this x h^2 carry no quadrature
-
-_EDGE_OF_SIDE = {"bottom": 0, "right": 1, "top": 2, "left": 3}
-
-# Gauss points on [0,1]
-_G2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 
 @dataclass
@@ -72,20 +68,8 @@ class GhostPair:
 
 
 @dataclass
-class QuadBlock:
-    """Batched quadrature points sharing the array layout."""
-
-    x: np.ndarray  # (nq, 2)
-    w: np.ndarray  # (nq,)
-    elem: np.ndarray  # (nq,) parent element
-    dofs: np.ndarray  # (nq, 4) scalar-space dof per corner
-    normal: np.ndarray = None  # (nq, 2) for surface blocks
-    owner: np.ndarray = None  # (nq,) segment / edge index
-
-
-@dataclass
 class CutModel:
-    """Classification, subcells, enrichment and quadrature for one geometry."""
+    """Classification, subcells, enrichment and ghost pairs for one geometry."""
 
     mesh: BackgroundMesh
     phi: np.ndarray
@@ -98,10 +82,6 @@ class CutModel:
     node_levels: dict  # node -> number of enrichment levels
     dof_of: dict  # (node, level) -> scalar dof id
     n_regions: int
-    volume_qp: QuadBlock = None
-    interface_qp: QuadBlock = None
-    tri_points: int = 3
-    seg_points: int = 2
 
     def fluid_volume(self):
         return sum(
@@ -117,19 +97,6 @@ class CutModel:
 
     def surface_length(self):
         return sum(s.length for s in self.segments)
-
-    def boundary_cover(self, side, edge_index):
-        """Fluid sub-intervals (t0, t1, piece_local_idx) of one boundary edge."""
-        e = self.mesh.boundary_edge_elems[side][edge_index]
-        local_edge = _EDGE_OF_SIDE[side]
-        out = []
-        for pi, piece in enumerate(self.pieces.get(e, [])):
-            if piece.phase != FLUID:
-                continue
-            for (k, t0, t1) in piece.edge_cover:
-                if k == local_edge and t1 - t0 > 1e-14:
-                    out.append((t0, t1, pi))
-        return out
 
 
 def classify_elements(mesh: BackgroundMesh, phi) -> np.ndarray:
@@ -394,8 +361,8 @@ def _piece_facet_intervals(mesh, e, piece, local_edge):
     return out
 
 
-def build_cut_model(mesh: BackgroundMesh, phi, tri_points=3, seg_points=2) -> CutModel:
-    """Classify, decompose, enrich and build quadrature for a level set field."""
+def build_cut_model(mesh: BackgroundMesh, phi) -> CutModel:
+    """Classify, decompose and enrich for a level set field."""
     phi = np.asarray(phi, dtype=float)
     classification = classify_elements(mesh, phi)
     h = mesh.h
@@ -547,7 +514,7 @@ def build_cut_model(mesh: BackgroundMesh, phi, tri_points=3, seg_points=2) -> Cu
                 GhostPair(facet=f, elems=(e1, e2), dofs1=p1.dofs, dofs2=p2.dofs, region=g)
             )
 
-    cm = CutModel(
+    return CutModel(
         mesh=mesh,
         phi=phi,
         classification=classification,
@@ -559,110 +526,7 @@ def build_cut_model(mesh: BackgroundMesh, phi, tri_points=3, seg_points=2) -> Cu
         node_levels=node_levels,
         dof_of=dof_of,
         n_regions=n_regions,
-        tri_points=tri_points,
-        seg_points=seg_points,
     )
-    cm.volume_qp = _build_volume_quadrature(cm)
-    cm.interface_qp = _build_interface_quadrature(cm)
-    return cm
-
-
-def triangle_rule(tris, npts=3):
-    """Quadrature points/weights for a batch of triangles (degree-2 default)."""
-    if tris.shape[0] == 0:
-        return np.zeros((0, 2)), np.zeros(0)
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    area = 0.5 * np.abs(
-        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-        - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
-    )
-    if npts == 1:
-        pts = (a + b + c) / 3.0
-        return pts, area
-    if npts == 3:
-        mids = np.stack([(a + b) / 2, (b + c) / 2, (c + a) / 2], axis=1)  # (m,3,2)
-        w = np.repeat(area / 3.0, 3)
-        return mids.reshape(-1, 2), w
-    raise ConfigurationError(f"unsupported triangle rule with {npts} points")
-
-
-def _build_volume_quadrature(cm: CutModel) -> QuadBlock:
-    mesh = cm.mesh
-    h = mesh.h
-    xs, ws, elems, dofs = [], [], [], []
-    # uncut fluid elements: tensor 2x2 rule
-    g = np.array(_G2)
-    ref = np.array([[gx, gy] for gy in g for gx in g])  # (4,2)
-    wref = np.full(4, 0.25 * h * h)
-    for e, plist in cm.pieces.items():
-        origin = mesh.element_origin(e)
-        for p in plist:
-            if p.phase != FLUID:
-                continue
-            if p.full:
-                xs.append(origin[None, :] + ref * h)
-                ws.append(wref)
-                elems.append(np.full(4, e, dtype=np.int64))
-                dofs.append(np.tile(p.dofs, (4, 1)))
-            elif p.triangles.shape[0]:
-                pts, w = triangle_rule(p.triangles, cm.tri_points)
-                xs.append(pts)
-                ws.append(w)
-                elems.append(np.full(len(w), e, dtype=np.int64))
-                dofs.append(np.tile(p.dofs, (len(w), 1)))
-    if not xs:
-        return QuadBlock(
-            x=np.zeros((0, 2)), w=np.zeros(0),
-            elem=np.zeros(0, dtype=np.int64), dofs=np.zeros((0, 4), dtype=np.int64),
-        )
-    return QuadBlock(
-        x=np.vstack(xs), w=np.concatenate(ws),
-        elem=np.concatenate(elems), dofs=np.vstack(dofs),
-    )
-
-
-def segment_rule(a, b, npts=2):
-    """Gauss points/weights along a straight segment (physical measure)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    length = np.hypot(*(b - a))
-    if npts == 1:
-        return (0.5 * (a + b))[None, :], np.array([length])
-    ts = np.array(_G2) if npts == 2 else np.linspace(0, 1, npts + 2)[1:-1]
-    pts = a[None, :] + ts[:, None] * (b - a)[None, :]
-    return pts, np.full(len(ts), length / len(ts))
-
-
-def _build_interface_quadrature(cm: CutModel) -> QuadBlock:
-    xs, ws, elems, dofs, normals, owner = [], [], [], [], [], []
-    for si, seg in enumerate(cm.segments):
-        pts, w = segment_rule(seg.a, seg.b, cm.seg_points)
-        piece = cm.pieces[seg.element][seg.piece]
-        xs.append(pts)
-        ws.append(w)
-        elems.append(np.full(len(w), seg.element, dtype=np.int64))
-        dofs.append(np.tile(piece.dofs, (len(w), 1)))
-        normals.append(np.tile(seg.normal, (len(w), 1)))
-        owner.append(np.full(len(w), si, dtype=np.int64))
-    if not xs:
-        z = np.zeros
-        return QuadBlock(x=z((0, 2)), w=z(0), elem=z(0, dtype=np.int64),
-                         dofs=z((0, 4), dtype=np.int64), normal=z((0, 2)),
-                         owner=z(0, dtype=np.int64))
-    return QuadBlock(
-        x=np.vstack(xs), w=np.concatenate(ws), elem=np.concatenate(elems),
-        dofs=np.vstack(dofs), normal=np.vstack(normals), owner=np.concatenate(owner),
-    )
-
-
-def element_quadrature(cm: CutModel, e):
-    """Fluid-volume and interface rules restricted to one element."""
-    vol = cm.volume_qp
-    mask = vol.elem == e
-    surf = cm.interface_qp
-    smask = surf.elem == e if surf.x.shape[0] else np.zeros(0, dtype=bool)
-    return (vol.x[mask], vol.w[mask]), (surf.x[smask] if surf.x.shape[0] else surf.x,
-                                        surf.w[smask] if surf.w.shape[0] else surf.w)
 
 
 def collect_ghost_facets(mesh, classification, pieces=None) -> np.ndarray:

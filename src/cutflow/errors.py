@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Exit-code mapping used by the CLI: ConfigurationError -> 2,
-NonconvergenceError -> 3, OutputError -> 4.
+Exit-code mapping used by the CLI: ConfigurationError -> 2;
+NonconvergenceError, SolverError and CapacityError -> 3, with a
+diagnostic.txt in the output directory; OutputError -> 4.
 """
 
 

@@ -1,13 +1,21 @@
-"""Shape functions and batched integration contexts.
+"""Shape functions, quadrature rules and batched integration contexts.
 
 Everything is bilinear Q1 on axis-aligned squares, so basis values at
 arbitrary physical points reduce to closed forms; the same expressions
 extend an element's polynomial beyond its own square, which is what the
 ghost-penalty jumps integrate. An IntegrationContext packages quadrature
 points, basis tables and scalar-space dof maps for one geometry so the
-flow/species/indicator assemblers stay data-driven; a compact per-element
-variant of the same structure backs the semi-analytic geometric
-sensitivities.
+flow/species/indicator assemblers stay data-driven.
+
+This is the only module that knows a quadrature rule: uncut fluid
+elements take the tensor 2x2 Gauss rule, subcell triangles the 3-point
+edge-midpoint rule, and interface chords, boundary edge covers and ghost
+facets the 2-point Gauss rule. One routine, `_assemble_context`, turns
+cut pieces, chords, boundary edges and ghost pairs into a context.
+`build_context` calls it on the whole cut model; `element_context` calls
+it on one element re-cut at perturbed corner values with its enrichment
+frozen, which backs the semi-analytic geometric sensitivities. At the
+stored level set the two give bitwise the same rows for that element.
 """
 
 from __future__ import annotations
@@ -16,17 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cut import (
-    CUT,
-    FLUID,
-    CutModel,
-    QuadBlock,
-    _EDGE_OF_SIDE,
-    decompose_cell,
-    segment_rule,
-    triangle_rule,
-)
+from .cut import FLUID, CutModel, decompose_cell
 
+# Gauss points on [0,1]
+_G2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+# tensor 2x2 Gauss points on the unit square, x fastest
+_G2X2 = np.array([[gx, gy] for gy in _G2 for gx in _G2])
+
+_EDGE_OF_SIDE = {"bottom": 0, "right": 1, "top": 2, "left": 3}
 _SIDE_NORMAL = {
     "left": np.array([-1.0, 0.0]),
     "right": np.array([1.0, 0.0]),
@@ -54,6 +59,34 @@ def shape_q1(mesh, elems, x):
     return N, gx, gy, d2
 
 
+def triangle_rule(tris):
+    """Edge-midpoint rule (degree 2) on a batch of triangles.
+
+    tris is (m, 3, 2); returns (3m, 2) points and (3m,) weights, three
+    per triangle in order.
+    """
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    area = 0.5 * np.abs(
+        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+        - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])
+    )
+    mids = np.stack([(a + b) / 2, (b + c) / 2, (c + a) / 2], axis=1)  # (m,3,2)
+    return mids.reshape(-1, 2), np.repeat(area / 3.0, 3)
+
+
+def segment_rule(a, b):
+    """2-point Gauss rule on a batch of straight segments a[i]-b[i].
+
+    a and b are (k, 2); returns (2k, 2) points and (2k,) weights (physical
+    measure), two per segment in order.
+    """
+    d = b - a
+    length = np.hypot(d[:, 0], d[:, 1])
+    t = np.array(_G2)
+    pts = a[:, None, :] + t[None, :, None] * d[:, None, :]
+    return pts.reshape(-1, 2), np.repeat(length / 2, 2)
+
+
 @dataclass
 class SurfaceBlock:
     """Batched surface quadrature with basis tables (boundary or interface)."""
@@ -67,7 +100,6 @@ class SurfaceBlock:
     gx: np.ndarray
     gy: np.ndarray
     region: object = None  # BoundaryRegion for external blocks
-    owner: np.ndarray = None
 
     @property
     def nq(self):
@@ -135,12 +167,12 @@ def _cover_along_axis(piece_cover, side):
     return out
 
 
-def _edge_cover_rules(pieces, side, a, b, span, npts):
-    """Quadrature of the fluid part of one boundary edge a-b on a mesh side.
+def _edge_cover(pieces, side, a, b, span):
+    """Fluid parts of one boundary edge a-b on a mesh side.
 
-    Yields (piece, points, weights) for every fluid piece's cover interval
-    of the edge, clipped to span (a physical interval along the side axis,
-    or None).
+    Yields (piece, p0, p1) for every fluid piece's cover interval of the
+    edge, clipped to span (a physical interval along the side axis, or
+    None).
     """
     axis = _SIDE_AXIS[side]
     for piece in pieces:
@@ -155,120 +187,135 @@ def _edge_cover_rules(pieces, side, a, b, span, npts):
                     continue
             p0, p1 = a.copy(), b.copy()
             p0[axis], p1[axis] = lo, hi
-            yield (piece, *segment_rule(p0, p1, npts))
+            yield piece, p0, p1
 
 
-def boundary_quadrature(cm: CutModel, side, span=None, npts=2):
-    """Fluid-portion quadrature of one mesh side, optionally span-limited.
+def _repeat_rows(values, counts, width):
+    """Per-group rows (one per group) repeated counts times, as (sum, width)."""
+    return np.repeat(np.asarray(values).reshape(-1, width), counts, axis=0)
 
-    Returns arrays (x, w, elem, dofs, normal). span is a physical interval
-    along the face axis.
-    """
-    mesh = cm.mesh
-    edges = mesh.boundary_edges[side]
-    owners = mesh.boundary_edge_elems[side]
-    nrm = _SIDE_NORMAL[side]
-    xs, ws, elems, dofs = [], [], [], []
-    for idx in range(edges.shape[0]):
-        e = int(owners[idx])
-        if e not in cm.pieces:
-            continue
-        a = mesh.nodes[edges[idx, 0]]
-        b = mesh.nodes[edges[idx, 1]]
-        for piece, pts, w in _edge_cover_rules(cm.pieces[e], side, a, b, span, npts):
-            xs.append(pts)
+
+def _volume_rows(mesh, pieces, scalar_ids):
+    """Fluid-volume (x, w, elem, dofs) over every fluid piece, in order."""
+    h = mesh.h
+    full_x, full_w = _G2X2 * h, np.full(4, 0.25 * h * h)
+    xs, ws, elems, dofs, counts = [np.zeros((0, 2))], [np.zeros(0)], [], [], []
+    for e, plist in pieces.items():
+        for p in plist:
+            if p.phase != FLUID:
+                continue
+            if p.full:
+                x, w = mesh.element_origin(e) + full_x, full_w
+            elif p.triangles.shape[0]:
+                x, w = triangle_rule(p.triangles)
+            else:
+                continue  # sliver: no quadrature
+            xs.append(x)
             ws.append(w)
-            elems.append(np.full(len(w), e, dtype=np.int64))
-            dofs.append(np.tile(piece.dofs, (len(w), 1)))
-    if not xs:
-        z = np.zeros
-        return (z((0, 2)), z(0), z(0, dtype=np.int64), z((0, 4), dtype=np.int64),
-                np.tile(nrm, (0, 1)))
-    x = np.vstack(xs)
-    return (x, np.concatenate(ws), np.concatenate(elems), np.vstack(dofs),
-            np.tile(nrm, (x.shape[0], 1)))
+            elems.append(e)
+            dofs.append(p.dofs)
+            counts.append(w.shape[0])
+    return (np.vstack(xs), np.concatenate(ws),
+            np.repeat(np.asarray(elems, dtype=np.int64), counts),
+            np.searchsorted(scalar_ids, _repeat_rows(dofs, counts, 4)))
 
 
-def _surface_block(mesh, x, w, elem, dofs, normal, region=None, owner=None):
-    if x.shape[0]:
-        N, gx, gy, _ = shape_q1(mesh, elem, x)
-    else:
-        N = gx = gy = np.zeros((0, 4))
+def _surface_block(mesh, scalar_ids, chords, region=None):
+    """2-point Gauss block on chords [(element, dofs, a, b, normal), ...]."""
+    elem = np.array([c[0] for c in chords], dtype=np.int64)
+    a = np.array([c[2] for c in chords], dtype=float).reshape(-1, 2)
+    b = np.array([c[3] for c in chords], dtype=float).reshape(-1, 2)
+    x, w = segment_rule(a, b)
+    elem = np.repeat(elem, 2)
+    dofs = np.searchsorted(scalar_ids, _repeat_rows([c[1] for c in chords], 2, 4))
+    normal = _repeat_rows([c[4] for c in chords], 2, 2)
+    N, gx, gy, _ = shape_q1(mesh, elem, x)
     return SurfaceBlock(x=x, w=w, elem=elem, dofs=dofs, normal=normal,
-                        N=N, gx=gx, gy=gy, region=region, owner=owner)
+                        N=N, gx=gx, gy=gy, region=region)
 
 
-def _ghost_block(cm: CutModel):
-    mesh = cm.mesh
-    pairs = cm.ghost_pairs
-    if not pairs:
-        z = np.zeros
-        return GhostBlock(w=z(0), x=z((0, 2)), normal=z((0, 2)),
-                          dofs1=z((0, 4), dtype=np.int64), dofs2=z((0, 4), dtype=np.int64),
-                          N1=z((0, 4)), N2=z((0, 4)), gn1=z((0, 4)), gn2=z((0, 4)))
-    xs, ws, nrms, d1, d2, e1s, e2s = [], [], [], [], [], [], []
-    for gp in pairs:
-        n1, n2 = mesh.facet_nodes[gp.facet]
-        pts, w = segment_rule(mesh.nodes[n1], mesh.nodes[n2], 2)
-        nrm = mesh.facet_normals[gp.facet]
-        xs.append(pts)
-        ws.append(w)
-        nrms.append(np.tile(nrm, (len(w), 1)))
-        d1.append(np.tile(gp.dofs1, (len(w), 1)))
-        d2.append(np.tile(gp.dofs2, (len(w), 1)))
-        e1s.append(np.full(len(w), gp.elems[0], dtype=np.int64))
-        e2s.append(np.full(len(w), gp.elems[1], dtype=np.int64))
-    x = np.vstack(xs)
-    w = np.concatenate(ws)
-    normal = np.vstack(nrms)
-    e1s = np.concatenate(e1s)
-    e2s = np.concatenate(e2s)
-    N1, gx1, gy1, _ = shape_q1(mesh, e1s, x)
-    N2, gx2, gy2, _ = shape_q1(mesh, e2s, x)
+def _ghost_block(mesh, scalar_ids, pairs):
+    """2-point Gauss jump block on the full facet of each ghost pair."""
+    facets = np.array([gp.facet for gp in pairs], dtype=np.int64)
+    ends = mesh.facet_nodes[facets]
+    x, w = segment_rule(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]])
+    normal = np.repeat(mesh.facet_normals[facets], 2, axis=0)
+    e1 = np.repeat(np.array([gp.elems[0] for gp in pairs], dtype=np.int64), 2)
+    e2 = np.repeat(np.array([gp.elems[1] for gp in pairs], dtype=np.int64), 2)
+    dofs1 = np.searchsorted(scalar_ids, _repeat_rows([gp.dofs1 for gp in pairs], 2, 4))
+    dofs2 = np.searchsorted(scalar_ids, _repeat_rows([gp.dofs2 for gp in pairs], 2, 4))
+    N1, gx1, gy1, _ = shape_q1(mesh, e1, x)
+    N2, gx2, gy2, _ = shape_q1(mesh, e2, x)
     gn1 = gx1 * normal[:, :1] + gy1 * normal[:, 1:]
     gn2 = gx2 * normal[:, :1] + gy2 * normal[:, 1:]
-    return GhostBlock(w=w, x=x, normal=normal, dofs1=np.vstack(d1), dofs2=np.vstack(d2),
+    return GhostBlock(w=w, x=x, normal=normal, dofs1=dofs1, dofs2=dofs2,
                       N1=N1, N2=N2, gn1=gn1, gn2=gn2)
 
 
-def build_context(cm: CutModel, regions=()) -> IntegrationContext:
-    """Global integration context: volume + interface + boundary + ghost data."""
-    mesh = cm.mesh
-    vol = cm.volume_qp
-    ctx = IntegrationContext(
-        mesh=mesh, n=cm.n_dofs,
-        scalar_ids=np.arange(cm.n_dofs, dtype=np.int64), h=mesh.h,
-    )
-    ctx.vol_x, ctx.vol_w, ctx.vol_elem, ctx.vol_dofs = vol.x, vol.w, vol.elem, vol.dofs
-    if vol.x.shape[0]:
-        ctx.vol_N, ctx.vol_gx, ctx.vol_gy, ctx.vol_d2 = shape_q1(mesh, vol.elem, vol.x)
-    else:
-        ctx.vol_N = ctx.vol_gx = ctx.vol_gy = ctx.vol_d2 = np.zeros((0, 4))
-    ifc = cm.interface_qp
-    ctx.interface = _surface_block(mesh, ifc.x, ifc.w, ifc.elem, ifc.dofs,
-                                   ifc.normal, owner=ifc.owner)
-    for region in regions:
-        x, w, elem, dofs, normal = boundary_quadrature(
-            cm, region.side, span=region.span, npts=cm.seg_points
-        )
-        ctx.boundary.append(_surface_block(mesh, x, w, elem, dofs, normal, region=region))
-    ctx.ghost = _ghost_block(cm)
+def _assemble_context(mesh, pieces, segments, boundary, ghost_pairs, scalar_ids):
+    """The one builder of an IntegrationContext.
+
+    pieces maps element -> its pieces in element order (fluid pieces carry
+    quadrature); segments are interface chords whose `piece` indexes
+    pieces[seg.element]; boundary lists (region, indices into
+    mesh.boundary_edges[region.side]) and yields one block per entry, empty
+    when no fluid lies on those edges; ghost_pairs are the facet pairs of
+    the ghost penalties (none: no ghost block). Dofs are renumbered to
+    their positions in the sorted scalar_ids, one lookup per block.
+    """
+    ctx = IntegrationContext(mesh=mesh, n=len(scalar_ids), scalar_ids=scalar_ids,
+                             h=mesh.h)
+    x, w, elem, ctx.vol_dofs = _volume_rows(mesh, pieces, scalar_ids)
+    ctx.vol_x, ctx.vol_w, ctx.vol_elem = x, w, elem
+    ctx.vol_N, ctx.vol_gx, ctx.vol_gy, ctx.vol_d2 = shape_q1(mesh, elem, x)
+
+    ctx.interface = _surface_block(mesh, scalar_ids, [
+        (seg.element, pieces[seg.element][seg.piece].dofs, seg.a, seg.b, seg.normal)
+        for seg in segments
+    ])
+    for region, edge_ids in boundary:
+        side = region.side
+        edges = mesh.boundary_edges[side]
+        owners = mesh.boundary_edge_elems[side]
+        chords = []
+        for idx in edge_ids:
+            e = int(owners[idx])
+            if e not in pieces:
+                continue
+            a, b = mesh.nodes[edges[idx, 0]], mesh.nodes[edges[idx, 1]]
+            for piece, p0, p1 in _edge_cover(pieces[e], side, a, b, region.span):
+                chords.append((e, piece.dofs, p0, p1, _SIDE_NORMAL[side]))
+        ctx.boundary.append(_surface_block(mesh, scalar_ids, chords, region=region))
+    if ghost_pairs:
+        ctx.ghost = _ghost_block(mesh, scalar_ids, ghost_pairs)
     return ctx
 
 
-def element_context(cm: CutModel, e, phi4, regions=(), side_of_elem=None):
+def build_context(cm: CutModel, regions=()) -> IntegrationContext:
+    """Global integration context: volume + interface + boundary + ghost data.
+
+    Every region gets a boundary block, empty when no fluid reaches it.
+    """
+    mesh = cm.mesh
+    boundary = [(region, range(mesh.boundary_edges[region.side].shape[0]))
+                for region in regions]
+    return _assemble_context(mesh, cm.pieces, cm.segments, boundary, cm.ghost_pairs,
+                             np.arange(cm.n_dofs, dtype=np.int64))
+
+
+def element_context(cm: CutModel, e, phi4, regions=()):
     """Compact context for one element with (possibly perturbed) corner phi.
 
     Reuses the frozen enrichment: pieces of the re-cut must appear in the
-    same order and phases as the stored decomposition. Ghost terms are
-    geometry-independent and excluded. Returns None if the element has no
-    fluid. Raises ValueError when the perturbation changes the corner sign
-    pattern (classification flip).
+    same order and phases as the stored decomposition. Boundary blocks
+    cover the regions on the mesh sides the element touches; ghost terms
+    are geometry-independent and excluded. Returns None if the element has
+    no fluid. Raises ValueError when the perturbation changes the corner
+    sign pattern (classification flip) or the pieces.
     """
     mesh = cm.mesh
-    h = mesh.h
-    stored = cm.pieces.get(int(e), [])
-    origin = mesh.element_origin(e)
+    e = int(e)
+    stored = cm.pieces.get(e, [])
     phi4 = np.asarray(phi4, dtype=float)
     stored_signs = np.where(cm.phi[mesh.elements[e]] > 0, 1, -1)
     new_signs = np.where(phi4 > 0, 1, -1)
@@ -278,11 +325,9 @@ def element_context(cm: CutModel, e, phi4, regions=(), side_of_elem=None):
     if np.all(new_signs > 0):
         return None
     if np.all(new_signs < 0):
-        pieces = [stored[0]]
-        segs = []
-        plist = pieces
+        plist, segs = stored, []
     else:
-        plist, segs = decompose_cell(phi4, origin, h, element=int(e))
+        plist, segs = decompose_cell(phi4, mesh.element_origin(e), mesh.h, element=e)
         if len(plist) != len(stored):
             raise ValueError("piece count changed under level set perturbation")
         for p_new, p_old in zip(plist, stored):
@@ -291,105 +336,10 @@ def element_context(cm: CutModel, e, phi4, regions=(), side_of_elem=None):
             p_new.dofs = p_old.dofs
             p_new.region = p_old.region
 
-    used = sorted({int(d) for p in plist if p.phase == FLUID for d in p.dofs})
-    local = {g: i for i, g in enumerate(used)}
-    ctx = IntegrationContext(
-        mesh=mesh, n=len(used),
-        scalar_ids=np.asarray(used, dtype=np.int64), h=h,
-    )
-
-    def loc(dofs):
-        return np.vectorize(local.__getitem__, otypes=[np.int64])(dofs)
-
-    xs, ws, elems, dofs = [], [], [], []
-    ref_g = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
-    ref = np.array([[gx_, gy_] for gy_ in ref_g for gx_ in ref_g])
-    for p in plist:
-        if p.phase != FLUID:
-            continue
-        if p.full:
-            xs.append(origin[None, :] + ref * h)
-            ws.append(np.full(4, 0.25 * h * h))
-            elems.append(np.full(4, e, dtype=np.int64))
-            dofs.append(np.tile(loc(p.dofs), (4, 1)))
-        elif p.triangles.shape[0]:
-            pts, w = triangle_rule(p.triangles, cm.tri_points)
-            xs.append(pts)
-            ws.append(w)
-            elems.append(np.full(len(w), e, dtype=np.int64))
-            dofs.append(np.tile(loc(p.dofs), (len(w), 1)))
-    if xs:
-        ctx.vol_x = np.vstack(xs)
-        ctx.vol_w = np.concatenate(ws)
-        ctx.vol_elem = np.concatenate(elems)
-        ctx.vol_dofs = np.vstack(dofs)
-        ctx.vol_N, ctx.vol_gx, ctx.vol_gy, ctx.vol_d2 = shape_q1(
-            mesh, ctx.vol_elem, ctx.vol_x
-        )
-    else:
-        z = np.zeros
-        ctx.vol_x, ctx.vol_w = z((0, 2)), z(0)
-        ctx.vol_elem, ctx.vol_dofs = z(0, dtype=np.int64), z((0, 4), dtype=np.int64)
-        ctx.vol_N = ctx.vol_gx = ctx.vol_gy = ctx.vol_d2 = z((0, 4))
-
-    # interface chords of this element
-    xs, ws, elems, dofs, nrms = [], [], [], [], []
-    for seg in segs:
-        pts, w = segment_rule(seg.a, seg.b, cm.seg_points)
-        piece = plist[seg.piece]
-        if piece.phase != FLUID:  # chord stored against fluid side by construction
-            continue
-        xs.append(pts)
-        ws.append(w)
-        elems.append(np.full(len(w), e, dtype=np.int64))
-        dofs.append(np.tile(loc(piece.dofs), (len(w), 1)))
-        nrms.append(np.tile(seg.normal, (len(w), 1)))
-    if xs:
-        x = np.vstack(xs)
-        ctx.interface = _surface_block(
-            mesh, x, np.concatenate(ws), np.concatenate(elems), np.vstack(dofs),
-            np.vstack(nrms)
-        )
-    else:
-        z = np.zeros
-        ctx.interface = _surface_block(
-            mesh, z((0, 2)), z(0), z(0, dtype=np.int64), z((0, 4), dtype=np.int64),
-            z((0, 2))
-        )
-
-    # boundary sub-segments owned by this element
-    if side_of_elem:
-        for region in regions:
-            xs, ws, elems, dofs = [], [], [], []
-            for (side, a, b) in side_of_elem.get(region.name, ()):
-                for piece, pts, w in _edge_cover_rules(plist, side, a, b, region.span,
-                                                       cm.seg_points):
-                    xs.append(pts)
-                    ws.append(w)
-                    elems.append(np.full(len(w), e, dtype=np.int64))
-                    dofs.append(np.tile(loc(piece.dofs), (len(w), 1)))
-            if xs:
-                x = np.vstack(xs)
-                nrm = np.tile(_SIDE_NORMAL[region.side], (x.shape[0], 1))
-                ctx.boundary.append(_surface_block(
-                    mesh, x, np.concatenate(ws), np.concatenate(elems),
-                    np.vstack(dofs), nrm, region=region
-                ))
-    z = np.zeros
-    ctx.ghost = GhostBlock(w=z(0), x=z((0, 2)), normal=z((0, 2)),
-                           dofs1=z((0, 4), dtype=np.int64),
-                           dofs2=z((0, 4), dtype=np.int64),
-                           N1=z((0, 4)), N2=z((0, 4)), gn1=z((0, 4)), gn2=z((0, 4)))
-    return ctx
-
-
-def element_boundary_edges(mesh, e):
-    """(region-agnostic) boundary sides owned by element e: (side, a, b)."""
-    out = []
-    for side in ("left", "right", "bottom", "top"):
-        owners = mesh.boundary_edge_elems[side]
-        hits = np.nonzero(owners == e)[0]
-        for idx in hits:
-            na, nb = mesh.boundary_edges[side][idx]
-            out.append((side, mesh.nodes[na].copy(), mesh.nodes[nb].copy()))
-    return out
+    boundary = []
+    for region in regions:
+        edge_ids = np.nonzero(mesh.boundary_edge_elems[region.side] == e)[0]
+        if edge_ids.size:
+            boundary.append((region, edge_ids))
+    ids = np.unique(np.concatenate([p.dofs for p in plist if p.phase == FLUID]))
+    return _assemble_context(mesh, {e: plist}, segs, boundary, (), ids)

@@ -163,7 +163,7 @@ def read_checkpoint(path):
     try:
         with open(path) as f:
             return json.load(f)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # unreadable, truncated or not JSON
         raise OutputError(f"cannot read checkpoint {path}: {exc}") from exc
 
 

@@ -82,10 +82,7 @@ class ForwardModel:
         psi = None
         if scope == "indicator":
             psi = transport_mod.solve_indicator(
-                ctx, self.physics.indicator,
-                lambda A, b: linear_solve(A, b, self.solve_config.linear_method,
-                                          self.solve_config.linear_tol),
-            )
+                ctx, self.physics.indicator, linear_solve)
         return psi, self.penalty_weights(ctx, psi)
 
     def penalty_weights(self, ctx, psi):
@@ -98,7 +95,7 @@ class ForwardModel:
             return np.ones(ctx.vol_w.shape[0])
         if psi is None:
             return None
-        return transport_mod.indicator_at_volume_qp(ctx, psi, self.physics.indicator)
+        return transport_mod.indicator_at_volume_points(ctx, psi, self.physics.indicator)
 
     def _needs_species(self):
         return any(c.kind == "ks_target" for c in self.criteria)
@@ -145,8 +142,6 @@ class ForwardModel:
             assemble, np.zeros(ctx.n),
             tol=self.solve_config.newton_tol,
             max_iter=self.solve_config.max_newton,
-            linear_method=self.solve_config.linear_method,
-            linear_tol=self.solve_config.linear_tol,
         )
         return c
 

@@ -38,7 +38,7 @@ import scipy.sparse.linalg as spla
 from . import flow as flow_mod
 from . import transport as transport_mod
 from .criteria import GEOMETRIC_KINDS, evaluate_criterion, ks_local_sum
-from .forms import element_boundary_edges, element_context
+from .forms import element_context
 from .cut import CUT
 from .solve import bdf_slot
 
@@ -131,19 +131,6 @@ def _restrict(vec, ids, blocks, n):
     return np.concatenate([vec[b * n + ids] for b in range(blocks)])
 
 
-def _local_region_entries(model, e):
-    """Boundary edges of element e grouped per region name."""
-    edges = element_boundary_edges(model.mesh, e)
-    if not edges:
-        return {}
-    out = {}
-    for region in model.regions:
-        entries = [ent for ent in edges if ent[0] == region.side]
-        if entries:
-            out[region.name] = entries
-    return out
-
-
 def _local_psi(result, ids):
     return None if result.psi is None else result.psi[ids]
 
@@ -151,27 +138,27 @@ def _local_psi(result, ids):
 def _recut_partials(model, result, payload, report=None):
     """Yield (node, partial) for each corner of each cut element, in order.
 
-    payload(e, phi4, side_entries) evaluates element e re-cut at the corner
-    level set values phi4 with its enrichment frozen; partial is its
-    derivative w.r.t. the corner's value. A re-cut that flips a corner
-    sign or changes the pieces raises ValueError, so the central step is
-    halved up to MAX_STEP_HALVINGS times; after that the corner takes a
-    one-sided step away from the sign change and is flagged in report.
-    A corner whose one-sided step fails too is flagged and yields nothing.
+    payload(e, phi4) evaluates element e re-cut at the corner level set
+    values phi4 with its enrichment frozen; partial is its derivative
+    w.r.t. the corner's value. A re-cut that flips a corner sign or
+    changes the pieces raises ValueError, so the central step is halved up
+    to MAX_STEP_HALVINGS times; after that the corner takes a one-sided
+    step away from the sign change and is flagged in report, once per
+    node however many cut elements share it. A corner whose one-sided
+    step fails too is flagged and yields nothing.
     """
     cm = result.cm
     h = model.mesh.h
     step = FD_STEP_FRACTION * h
     for e in np.nonzero(cm.classification == CUT)[0]:
         e = int(e)
-        side_entries = _local_region_entries(model, e)
         nodes = model.mesh.elements[e]
         base = cm.phi[nodes].astype(float)
 
         def at(c, delta):
             phi4 = base.copy()
             phi4[c] += delta
-            return payload(e, phi4, side_entries)
+            return payload(e, phi4)
 
         for c in range(4):
             delta = step
@@ -182,12 +169,11 @@ def _recut_partials(model, result, payload, report=None):
                 except ValueError:
                     delta *= 0.5
             else:
-                if report is not None:
+                if report is not None and int(nodes[c]) not in report.flagged_nodes:
                     report.flagged_nodes.append(int(nodes[c]))
                 sgn = 1.0 if base[c] > 0 else -1.0
                 try:
-                    partial = sgn * (at(c, sgn * step)
-                                     - payload(e, base, side_entries)) / step
+                    partial = sgn * (at(c, sgn * step) - payload(e, base)) / step
                 except ValueError:
                     continue
             yield int(nodes[c]), partial
@@ -207,9 +193,8 @@ def geometry_gradient(model, result, adjoints, report=None):
     ks_aux = {spec.name: result.crit_partials[spec.name].aux
               for spec in model.criteria if spec.kind == "ks_target"}
 
-    def payload(e, phi4, side_entries):
-        ctx = element_context(cm, e, phi4, regions=model.regions,
-                              side_of_elem=side_entries)
+    def payload(e, phi4):
+        ctx = element_context(cm, e, phi4, regions=model.regions)
         ids = ctx.scalar_ids
         U_loc = _restrict(result.flow_state, ids, 3, n)
         r_f, _ = flow_mod.assemble_flow(
@@ -296,10 +281,9 @@ def residual_phi_matrix(model, result, block="flow"):
     blocks = {"flow": 3, "species": 1, "indicator": 1}[block]
     gids = None  # rows of the element the engine last re-cut
 
-    def payload(e, phi4, side_entries):
+    def payload(e, phi4):
         nonlocal gids
-        ctx = element_context(cm, e, phi4, regions=model.regions,
-                              side_of_elem=side_entries)
+        ctx = element_context(cm, e, phi4, regions=model.regions)
         ids = ctx.scalar_ids
         gids = np.concatenate([ids + b * n for b in range(blocks)])
         U_loc = _restrict(result.flow_state, ids, 3, n)
@@ -429,9 +413,8 @@ def _transient_geometry_gradient(model, result, chains, lams, adjoints, spec_of,
     n_func = len(chains)
     params = model.physics.flow
 
-    def payload(e, phi4, side_entries):
-        ctx = element_context(cm, e, phi4, regions=model.regions,
-                              side_of_elem=side_entries)
+    def payload(e, phi4):
+        ctx = element_context(cm, e, phi4, regions=model.regions)
         vals = np.zeros(n_func)
         ids = ctx.scalar_ids
         gids = np.concatenate([ids, ids + n, ids + 2 * n])

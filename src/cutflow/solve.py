@@ -1,10 +1,10 @@
 """Nonlinear, linear and temporal solution drivers.
 
 Newton iterations with relative-residual control wrap a sparse direct
-solve by default (an ILU-preconditioned GMRES mode exists for parity);
-transient problems march with BDF2 after a single backward-Euler startup
-step. The steady driver falls back to pseudo-transient continuation with
-a growing step when a cold Newton start diverges.
+(LU) solve; transient problems march with BDF2 after a single
+backward-Euler startup step. The steady driver falls back to
+pseudo-transient continuation with a growing step when a cold Newton
+start diverges.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ class SolveConfig:
     newton_tol: float = 1e-6
     newton_abs_floor: float = 1e-14
     max_newton: int = 30
-    linear_method: str = "direct"  # 'direct' | 'iterative'
-    linear_tol: float = 1e-6
     dt: float = None
     n_steps: int = 0
     scheme: str = "steady"  # 'steady' | 'bdf2'
@@ -50,16 +48,16 @@ class SolveConfig:
     pseudo_steps: int = 8
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.linear_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.newton_tol <= 0:
+            raise ValueError("newton_tol must be positive")
         if self.scheme == "bdf2" and (self.dt is None or self.dt <= 0):
             raise ValueError("transient mode requires a positive dt")
 
 
-def linear_solve(A, b, method="direct", tol=1e-6):
-    """Solve A x = b; sparse direct by default.
+def linear_solve(A, b):
+    """Solve A x = b by dense or sparse LU.
 
-    Raises SolverError on singular systems or iterative breakdown.
+    Raises SolverError on singular systems.
     """
     b = np.asarray(b, dtype=float)
     if not sp.issparse(A):
@@ -68,31 +66,17 @@ def linear_solve(A, b, method="direct", tol=1e-6):
             return np.linalg.solve(A, b)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"dense solve failed: {exc}") from exc
-    A = A.tocsc()
-    if method == "direct":
-        try:
-            lu = spla.splu(A)
-        except RuntimeError as exc:
-            raise SolverError(f"sparse LU failed: {exc}") from exc
-        x = lu.solve(b)
-        if not np.all(np.isfinite(x)):
-            raise SolverError("sparse LU produced non-finite values (singular system)")
-        return x
-    if method == "iterative":
-        try:
-            ilu = spla.spilu(A, drop_tol=1e-5, fill_factor=20)
-        except RuntimeError as exc:
-            raise SolverError(f"ILU factorization failed: {exc}") from exc
-        M = spla.LinearOperator(A.shape, ilu.solve)
-        x, info = spla.gmres(A, b, rtol=tol, atol=0.0, M=M, restart=100, maxiter=2000)
-        if info != 0:
-            raise SolverError(f"GMRES did not converge (info={info})")
-        return x
-    raise ValueError(f"unknown linear method {method!r}")
+    try:
+        lu = spla.splu(A.tocsc())
+    except RuntimeError as exc:
+        raise SolverError(f"sparse LU failed: {exc}") from exc
+    x = lu.solve(b)
+    if not np.all(np.isfinite(x)):
+        raise SolverError("sparse LU produced non-finite values (singular system)")
+    return x
 
 
-def newton_solve(assemble, x0, tol=1e-6, abs_floor=1e-14, max_iter=30,
-                 linear_method="direct", linear_tol=1e-6):
+def newton_solve(assemble, x0, tol=1e-6, abs_floor=1e-14, max_iter=30):
     """Newton iteration on assemble(x) -> (R, J).
 
     Converges when ||R|| / max(||R0||, floor/tol... ) drops below tol, with
@@ -112,7 +96,7 @@ def newton_solve(assemble, x0, tol=1e-6, abs_floor=1e-14, max_iter=30,
             return x, trace
         if not np.isfinite(norm) or norm > 1e3 * max(r0, 1.0) + 1e12:
             raise NonconvergenceError("Newton diverged", trace=trace)
-        dx = linear_solve(J, R, method=linear_method, tol=linear_tol)
+        dx = linear_solve(J, R)
         x -= dx
     raise NonconvergenceError(
         f"Newton did not converge in {max_iter} iterations", trace=trace
@@ -149,8 +133,7 @@ def march(make_assemble, u0, config: SolveConfig):
             u, trace = newton_solve(
                 make_assemble(slot), states[-1],
                 tol=config.newton_tol, abs_floor=config.newton_abs_floor,
-                max_iter=config.max_newton, linear_method=config.linear_method,
-                linear_tol=config.linear_tol,
+                max_iter=config.max_newton,
             )
         except NonconvergenceError as exc:
             raise NonconvergenceError(
@@ -168,8 +151,7 @@ def steady_solve(make_assemble, warm, config: SolveConfig, final_time=0.0):
         return newton_solve(
             make_assemble(steady), warm,
             tol=config.newton_tol, abs_floor=config.newton_abs_floor,
-            max_iter=config.max_newton, linear_method=config.linear_method,
-            linear_tol=config.linear_tol,
+            max_iter=config.max_newton,
         )
     except (NonconvergenceError, SolverError):
         pass  # cold Newton diverged (possibly into a singular Jacobian)
@@ -182,8 +164,7 @@ def steady_solve(make_assemble, warm, config: SolveConfig, final_time=0.0):
             u, trace = newton_solve(
                 make_assemble(slot), u,
                 tol=max(config.newton_tol, 1e-4), abs_floor=config.newton_abs_floor,
-                max_iter=config.max_newton, linear_method=config.linear_method,
-                linear_tol=config.linear_tol,
+                max_iter=config.max_newton,
             )
             combined.extend(trace)
         except NonconvergenceError:
@@ -194,8 +175,7 @@ def steady_solve(make_assemble, warm, config: SolveConfig, final_time=0.0):
         x, trace = newton_solve(
             make_assemble(steady), u,
             tol=config.newton_tol, abs_floor=config.newton_abs_floor,
-            max_iter=config.max_newton, linear_method=config.linear_method,
-            linear_tol=config.linear_tol,
+            max_iter=config.max_newton,
         )
         return x, combined + trace
     except NonconvergenceError as exc:

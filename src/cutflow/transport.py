@@ -263,7 +263,7 @@ def project_indicator(psi_values, params):
     return 0.5 + 0.5 * np.tanh(arg)
 
 
-def indicator_at_volume_qp(ctx, psi, params):
+def indicator_at_volume_points(ctx, psi, params):
     """Projected indicator evaluated at the context's volume points."""
     if ctx.vol_w is None or not ctx.vol_w.shape[0]:
         return np.zeros(0)

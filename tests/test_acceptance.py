@@ -23,7 +23,7 @@ from cutflow.gcmma import GCMMA, GcmmaConfig
 from cutflow.grid import build_mesh
 from cutflow.sensitivities import total_design_gradient
 from cutflow.solve import SolveConfig, linear_solve, march, steady_solve
-from cutflow.transport import (IndicatorParams, indicator_at_volume_qp,
+from cutflow.transport import (IndicatorParams, indicator_at_volume_points,
                                solve_indicator)
 
 from fixtures_common import bend_model, channel_regions, perturb
@@ -139,7 +139,7 @@ def _bent_channel_mismatch(k_pressure, scope):
     else:
         psi = solve_indicator(ctx, IndicatorParams(),
                               lambda A, b: linear_solve(A, b))
-        psibar = indicator_at_volume_qp(ctx, psi, IndicatorParams())
+        psibar = indicator_at_volume_points(ctx, psi, IndicatorParams())
     make = lambda slot: (lambda x: assemble_flow(ctx, params, x, coeff_state=x,
                                                  slot=slot, psibar=psibar))
     U, _ = steady_solve(make, np.zeros(3 * n),
@@ -198,7 +198,7 @@ def test_acceptance_4_indicator_classification():
         ])
         ctx = build_context(cm, regions)
         psi = solve_indicator(ctx, params, lambda A, b: linear_solve(A, b))
-        psibar = indicator_at_volume_qp(ctx, psi, params)
+        psibar = indicator_at_volume_points(ctx, psi, params)
         reachable = set()
         for blk in ctx.boundary:
             if not blk.region.port:
@@ -796,8 +796,7 @@ def test_acceptance_10_determinism(tmp_path):
     f1 = open(os.path.join(out1, "fields_000000.vtk"), "rb").read()
     f2 = open(os.path.join(out2, "fields_000000.vtk"), "rb").read()
     _verdict(10, identical and f1 == f2,
-             "strict-order reruns reproduce history CSV and field files "
-             "bit-identically")
+             "reruns reproduce history CSV and field files bit-identically")
 
 
 def test_zzz_report():

@@ -3,8 +3,9 @@ import pytest
 
 import cutflow.cut as cut
 from cutflow.cut import (CUT, FLUID, SOLID, build_cut_model, classify_elements,
-                         collect_ghost_facets, decompose_cell, element_quadrature)
+                         collect_ghost_facets, decompose_cell)
 from cutflow.errors import CapacityError
+from cutflow.forms import build_context
 from cutflow.grid import build_mesh
 
 from fixtures_common import perturb
@@ -135,15 +136,17 @@ def _circle_model(n=8, r=0.22):
 
 def test_quadrature_uncut_weights():
     m = _mesh(2)
-    cm = build_cut_model(m, -np.ones(m.n_nodes))
-    (xv, wv), _ = element_quadrature(cm, 0)
+    ctx = build_context(build_cut_model(m, -np.ones(m.n_nodes)), ())
+    wv = ctx.vol_w[ctx.vol_elem == 0]
     assert wv.sum() == pytest.approx(0.25, abs=1e-14)  # element area (h=1/2)
 
 
 def test_quadrature_cut_weights_match_subcell_area():
     m, cm = _circle_model()
+    ctx = build_context(cm, ())
     for e in np.nonzero(cm.classification == CUT)[0]:
-        (xv, wv), (xs, ws) = element_quadrature(cm, int(e))
+        wv = ctx.vol_w[ctx.vol_elem == e]
+        ws = ctx.interface.w[ctx.interface.elem == e]
         fluid_area = sum(p.area for p in cm.pieces[int(e)] if p.phase == FLUID)
         assert abs(wv.sum() - fluid_area) < 1e-12
         seg_len = sum(s.length for s in cm.segments if s.element == e)
@@ -152,7 +155,8 @@ def test_quadrature_cut_weights_match_subcell_area():
 
 def test_global_fluid_volume_matches_quadrature():
     m, cm = _circle_model()
-    assert abs(cm.volume_qp.w.sum() - cm.fluid_volume()) < 1e-12 * cm.fluid_volume()
+    vol_w = build_context(cm, ()).vol_w
+    assert abs(vol_w.sum() - cm.fluid_volume()) < 1e-12 * cm.fluid_volume()
 
 
 def test_interface_normals_unit_and_toward_solid():
@@ -165,7 +169,6 @@ def test_interface_normals_unit_and_toward_solid():
 
 
 def test_partition_of_unity_at_fluid_points():
-    from cutflow.forms import build_context
     m, cm = _circle_model()
     ctx = build_context(cm, ())
     np.testing.assert_allclose(ctx.vol_N.sum(axis=1), 1.0, atol=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from cutflow.cli import main as cli_main
 from cutflow.config import dump_config, parse_config
 from cutflow.driver import run_analysis, run_optimization, transfer_flow_state
-from cutflow.errors import ConfigurationError
+from cutflow.errors import CapacityError, ConfigurationError, SolverError
 
 CHANNEL_CFG = """
 [mesh]
@@ -229,8 +229,7 @@ def test_analysis_determinism_bitwise(tmp_path):
 def test_cli_analyze_and_exit_codes(tmp_path, capsys):
     path = _write(tmp_path, CHANNEL_CFG)
     out = str(tmp_path / "cli_out")
-    rc = cli_main(["analyze", "--config", path, "--output", out,
-                   "--strict-order"])
+    rc = cli_main(["analyze", "--config", path, "--output", out])
     assert rc == 0
     assert "cd" in capsys.readouterr().out
     # configuration error -> exit 2
@@ -257,6 +256,47 @@ def test_cli_nonconvergence_exit_code(tmp_path):
                    "--output", out])
     assert rc == 3
     assert os.path.exists(os.path.join(out, "diagnostic.txt"))
+
+
+def test_config_rejects_iterative_linear_method(tmp_path):
+    # only the sparse direct solver exists; a run may not switch silently
+    path = _write(tmp_path, CHANNEL_CFG.replace(
+        "max_newton = 25", "max_newton = 25\nlinear_method = iterative"))
+    with pytest.raises(ConfigurationError):
+        parse_config(path)
+    assert cli_main(["analyze", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("error", [
+    SolverError("sparse LU failed: singular matrix"),
+    CapacityError("node 7 needs 9 enrichment levels (cap 8)", node=7),
+], ids=["solver", "capacity"])
+def test_cli_solver_failures_exit_3_with_diagnostic(tmp_path, monkeypatch, error):
+    def fail(cfg, outdir=None):
+        raise error
+    monkeypatch.setattr("cutflow.cli.run_analysis", fail)
+    out = str(tmp_path / "o")
+    rc = cli_main(["analyze", "--config", _write(tmp_path, CHANNEL_CFG),
+                   "--output", out])
+    assert rc == 3
+    text = open(os.path.join(out, "diagnostic.txt")).read()
+    assert str(error) in text
+    assert "trace = None" in text and "step = None" in text
+
+
+def test_cli_truncated_checkpoint_is_output_error(tmp_path):
+    path = _write(tmp_path, OPT_CFG)
+    cfg = parse_config(path)
+    cfg.gcmma.max_outer = 1
+    out_a = str(tmp_path / "a")
+    run_optimization(cfg, outdir=out_a)
+    ckpt = os.path.join(out_a, "checkpoint.json")
+    text = open(ckpt).read()
+    with open(ckpt, "w") as f:
+        f.write(text[: len(text) // 2])
+    rc = cli_main(["optimize", "--config", path, "--output", str(tmp_path / "b"),
+                   "--restart", ckpt])
+    assert rc == 4
 
 
 def test_optimization_runs_and_restart_reproduces(tmp_path):

@@ -101,9 +101,7 @@ def test_movable_two_port_fixture(tmp_path):
     assert design.n == model.mesh.n_nodes + 4  # two ports x (center, radius)
     # the port level-set actually carves fluid at the right face
     phi, cm, ctx = model.geometry(design)
-    cover = []
-    for idx in range(model.mesh.boundary_edges["right"].shape[0]):
-        cover.extend(cm.boundary_cover("right", idx))
+    cover = [blk for blk in ctx.boundary if blk.region.side == "right" and blk.nq]
     assert cover  # fluid openings exist on the port face
     s = run_optimization(cfg, outdir=str(tmp_path / "out"))
     assert s["iterations"] >= 1

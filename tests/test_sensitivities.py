@@ -343,9 +343,47 @@ def test_recut_one_sided_fallback_is_flagged():
     grad, flagged, phi = _volume_gradient_at(model, design, node,
                                              sgn * 1e-12 * model.mesh.h)
     assert node in flagged
+    assert flagged.count(node) == 1  # once, however many cut elements share it
     step = FD_STEP_FRACTION * model.mesh.h
     pp = phi.copy()
     pp[node] += sgn * step
     fd = sgn * (_fluid_volume(model.mesh, pp) - _fluid_volume(model.mesh, phi)) / step
     assert fd != 0.0
     assert abs(grad[node] - fd) / abs(fd) < 1e-3
+
+
+def _bitwise(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_element_context_matches_global_rows():
+    # at the stored level set, each cut element's re-cut context carries
+    # bitwise the global context's rows of that element; inclusions on the
+    # left and bottom walls give some cut elements boundary blocks
+    from cutflow.forms import element_context
+    model, _, design = bend_model(
+        divisions=(20, 20),
+        inclusions=((0.0, 0.5, 0.15), (0.5, 0.0, 0.15), (0.6, 0.6, 0.1)))
+    _, cm, ctx = model.geometry(design)
+    with_boundary = 0
+    for e in np.nonzero(cm.classification == CUT)[0]:
+        loc = element_context(cm, e, cm.phi[model.mesh.elements[e]], model.regions)
+        ids = loc.scalar_ids
+        rows = ctx.vol_elem == e
+        for k in ("vol_x", "vol_w", "vol_N", "vol_gx", "vol_gy", "vol_d2"):
+            assert _bitwise(getattr(loc, k), getattr(ctx, k)[rows])
+        assert _bitwise(ids[loc.vol_dofs], ctx.vol_dofs[rows])
+        local_blocks = {blk.region.name: blk for blk in loc.boundary}
+        pairs = [(loc.interface, ctx.interface)]
+        for blk in ctx.boundary:
+            if blk.region.name in local_blocks:
+                pairs.append((local_blocks[blk.region.name], blk))
+            else:
+                assert not np.any(blk.elem == e)
+        for lb, gb in pairs:
+            rows = gb.elem == e
+            for k in ("x", "w", "normal", "N"):
+                assert _bitwise(getattr(lb, k), getattr(gb, k)[rows])
+            assert _bitwise(ids[lb.dofs], gb.dofs[rows])
+        with_boundary += sum(1 for blk in loc.boundary if blk.nq)
+    assert with_boundary >= 1

@@ -10,7 +10,7 @@ from cutflow.forms import build_context
 from cutflow.grid import build_mesh
 from cutflow.solve import SolveConfig, linear_solve, newton_solve, steady_solve
 from cutflow.transport import (IndicatorParams, TransportParams, assemble_indicator,
-                               assemble_species, indicator_at_volume_qp,
+                               assemble_species, indicator_at_volume_points,
                                project_indicator, solve_indicator,
                                species_flow_jacobian)
 
@@ -196,7 +196,7 @@ def test_mixed_regions_classified_end_to_end():
     ctx = build_context(cm, regions)
     p = IndicatorParams()
     psi = solve_indicator(ctx, p, lambda A, b: linear_solve(A, b))
-    psibar = indicator_at_volume_qp(ctx, psi, p)
+    psibar = indicator_at_volume_points(ctx, psi, p)
     # flood-fill oracle: reachable regions = those whose pieces cover a port
     reachable = set()
     for blk in ctx.boundary:
