@@ -3,7 +3,8 @@
 Subcommands: analyze, optimize, gradcheck, sweep. Exit codes: 0 success,
 2 configuration error, 3 solver failure (nonconvergence, singular linear
 system or enrichment capacity exceeded; diagnostic.txt is written to
---output), 4 output/I-O error (including an unreadable checkpoint).
+--output, or to the configured output directory without it), 4 output/I-O
+error (including an unreadable checkpoint).
 """
 
 from __future__ import annotations
@@ -77,14 +78,14 @@ def main(argv=None):
         return 2
     except (NonconvergenceError, SolverError, CapacityError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        if args.output:
-            try:
-                os.makedirs(args.output, exist_ok=True)
-                with open(os.path.join(args.output, "diagnostic.txt"), "w") as f:
-                    f.write(f"{exc}\ntrace = {getattr(exc, 'trace', None)!r}\n"
-                            f"step = {getattr(exc, 'step', None)!r}\n")
-            except OSError:
-                pass
+        outdir = args.output or cfg.output.directory
+        try:
+            os.makedirs(outdir, exist_ok=True)
+            with open(os.path.join(outdir, "diagnostic.txt"), "w") as f:
+                f.write(f"{exc}\ntrace = {getattr(exc, 'trace', None)!r}\n"
+                        f"step = {getattr(exc, 'step', None)!r}\n")
+        except OSError:
+            pass
         return 3
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)

@@ -3,15 +3,18 @@
 INI-style sections mirror the run blocks: [mesh], [flow], [transport],
 [indicator], [boundary.<tag>], [design], [port.<tag>], [criterion.<tag>],
 [objective], [constraint.<tag>], [gcmma], [solve], [output]. All physical
-values are in self-consistent units. parse -> dump -> parse round-trips
-exactly (floats are written with repr).
+values are in self-consistent units. One key table (_SECTIONS) maps each
+section to the dataclass it builds; the keys, their types and defaults are
+that dataclass's fields. Unknown sections and keys are errors. parse ->
+dump -> parse round-trips exactly (floats are written with repr).
 """
 
 from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -75,7 +78,7 @@ class RunConfig:
     extent: tuple
     divisions: tuple
     flow: FlowParams
-    indicator: IndicatorParams
+    indicator: IndicatorParams = field(default_factory=IndicatorParams)
     transport: TransportParams = None
     pressure_penalty_scope: str = "indicator"
     regions: list = field(default_factory=list)
@@ -84,9 +87,9 @@ class RunConfig:
     criteria: list = field(default_factory=list)
     objective: list = field(default_factory=list)
     constraints: list = field(default_factory=list)
-    gcmma: GcmmaConfig = None
-    solve: SolveConfig = None
-    output: OutputConfig = None
+    gcmma: GcmmaConfig = field(default_factory=GcmmaConfig)
+    solve: SolveConfig = field(default_factory=SolveConfig)
+    output: OutputConfig = field(default_factory=OutputConfig)
 
     # -- builders -----------------------------------------------------------
     def build_mesh(self):
@@ -192,22 +195,11 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# the key table: parse_config, dump_config and the key checks all read it
 # ---------------------------------------------------------------------------
 
 def _floats(s):
     return tuple(float(v) for v in s.split())
-
-
-def _get(sec, key, conv, default=None, required=False):
-    if key not in sec:
-        if required:
-            raise ConfigurationError(f"missing key {key!r} in [{sec.name}]")
-        return default
-    try:
-        return conv(sec[key])
-    except ValueError as exc:
-        raise ConfigurationError(f"bad value for {key!r} in [{sec.name}]: {exc}") from exc
 
 
 def _bool(s):
@@ -219,311 +211,240 @@ def _bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def parse_config(path) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
-    if not read:
-        raise ConfigurationError(f"cannot read config file {path}")
-    try:
-        return _parse(cp)
-    except (KeyError, configparser.Error) as exc:
-        raise ConfigurationError(f"invalid configuration: {exc}") from exc
+# text -> value by the annotated field type; a tuple is whitespace-separated floats
+_READ = {"float": float, "int": int, "bool": _bool, "str": str, "tuple": _floats}
 
 
-def _parse(cp) -> RunConfig:
-    mesh = cp["mesh"]
-    extent = ((_get(mesh, "x0", float, required=True), _get(mesh, "y0", float, required=True)),
-              (_get(mesh, "x1", float, required=True), _get(mesh, "y1", float, required=True)))
-    divisions = (_get(mesh, "nx", int, required=True), _get(mesh, "ny", int, required=True))
+@dataclass(frozen=True)
+class _Codec:
+    """A field stored under keys of its own or in a text form of its own."""
 
-    fl = cp["flow"]
-    flow = FlowParams(
-        rho=_get(fl, "rho", float, 1.0), mu=_get(fl, "mu", float, 1.0),
-        alpha_nitsche=_get(fl, "alpha_nitsche", float, 100.0),
-        alpha_gp_mu=_get(fl, "alpha_gp_mu", float, 0.05),
-        alpha_gp_p=_get(fl, "alpha_gp_p", float, 0.005),
-        alpha_gp_u=_get(fl, "alpha_gp_u", float, 0.05),
-        k_pressure=_get(fl, "k_pressure", float, 1.0),
-        tau_time_term=_get(fl, "tau_time_term", _bool, True),
-    )
-    scope = _get(fl, "pressure_penalty_scope", str, "indicator")
+    keys: tuple
+    read: Callable  # {key: text} of the keys present -> field value
+    write: Callable  # field value -> one value per key
 
-    transport = None
-    if cp.has_section("transport"):
-        tr = cp["transport"]
-        transport = TransportParams(
-            diffusivity=_get(tr, "diffusivity", float, 1.0),
-            alpha_nitsche=_get(tr, "alpha_nitsche", float, 1.0),
-            alpha_gp=_get(tr, "alpha_gp", float, 0.05),
-            source=_get(tr, "source", float, 0.0),
-        )
 
-    ind = cp["indicator"] if cp.has_section("indicator") else {}
-    indicator = IndicatorParams(
-        reaction=float(ind.get("reaction", 0.01)),
-        psi_ref=float(ind.get("psi_ref", 1.0)),
-        alpha_nitsche=float(ind.get("alpha_nitsche", 1.0)),
-        alpha_gp=float(ind.get("alpha_gp", 0.05)),
-        k_sharpness=float(ind.get("k_sharpness", 1000.0)),
-        k_threshold=float(ind.get("k_threshold", 0.99)),
-    )
+@dataclass(frozen=True)
+class _Section:
+    """One [name] section, or the [name.<tag>] family when tagged.
 
-    regions = []
-    for name in cp.sections():
-        if not name.startswith("boundary."):
-            continue
-        sec = cp[name]
-        regions.append(BoundaryRegion(
-            name=name.split(".", 1)[1],
-            side=_get(sec, "side", str, required=True),
-            kind=_get(sec, "kind", str, required=True),
-            span=_get(sec, "span", _floats),
-            profile=_get(sec, "profile", str, "uniform"),
-            velocity=_get(sec, "velocity", _floats, (0.0, 0.0)),
-            amplitude=_get(sec, "amplitude", float, 0.0),
-            traction=_get(sec, "traction", _floats, (0.0, 0.0)),
-            frequency=_get(sec, "frequency", float, 0.0),
-            port=_get(sec, "port", _bool, False),
-            species_value=_get(sec, "species_value", float),
-        ))
+    Its keys are the fields of `cls` (built into RunConfig.<attr>; a tagged
+    family gives a list, with the tag as the `name` field), then the
+    RunConfig fields in `run_fields`. Each field is one key named after it
+    unless `codecs` names its codec. Fields in `fixed` are not settable.
+    """
 
-    de = cp["design"]
-    shapes = []
-    if "shapes" in de:
-        for part in de["shapes"].split("|"):
-            toks = part.split()
-            if not toks:
-                continue
-            shapes.append((toks[0], *(float(v) for v in toks[1:])))
-    design = DesignConfig(
-        lower=_get(de, "lower", float, required=True),
-        upper=_get(de, "upper", float, required=True),
-        filter_radius_h=_get(de, "filter_radius_h", float, 2.4),
-        initial=_get(de, "initial", str, "constant"),
-        initial_value=_get(de, "initial_value", float),
-        inclusions=(int(de.get("inclusions_nx", 0)), int(de.get("inclusions_ny", 0))),
-        inclusions_radius=float(de.get("inclusions_radius", 0.0)),
-        inclusions_margin=float(de.get("inclusions_margin", 0.0)),
-        shapes=shapes,
-    )
+    name: str
+    cls: type = None
+    attr: str = None
+    tagged: bool = False
+    required: bool = False
+    run_fields: tuple = ()
+    codecs: dict = field(default_factory=dict)
+    fixed: tuple = ()
 
-    ports = []
-    for name in cp.sections():
-        if not name.startswith("port."):
-            continue
-        sec = cp[name]
-        ports.append(PortConfig(
-            name=name.split(".", 1)[1],
-            face=_get(sec, "face", str, required=True),
-            center=_get(sec, "center", _floats, required=True),
-            radius=_get(sec, "radius", float, required=True),
-            slab_elements=_get(sec, "slab_elements", int, 2),
-            optimize_center=_get(sec, "optimize_center", _bool, False),
-            optimize_radius=_get(sec, "optimize_radius", _bool, False),
-            center_bounds=_get(sec, "center_bounds", _floats),
-            radius_bounds=_get(sec, "radius_bounds", _floats),
-        ))
 
-    criteria = []
-    for name in cp.sections():
-        if not name.startswith("criterion."):
-            continue
-        sec = cp[name]
-        criteria.append(CriterionSpec(
-            name=name.split(".", 1)[1],
-            kind=_get(sec, "kind", str, required=True),
-            surface=_get(sec, "surface", str, "interface"),
-            direction=_get(sec, "direction", _floats, (1.0, 0.0)),
-            u_char=_get(sec, "u_char", float, 1.0),
-            l_char=_get(sec, "l_char", float, 1.0),
-            beta_ks=_get(sec, "beta_ks", float, 400.0),
-            c_ref=_get(sec, "c_ref", float, 0.5),
-            time_sampling=_get(sec, "time_sampling", str, "final"),
-        ))
-
+def _read_terms(raw):
     objective = []
-    if cp.has_section("objective"):
-        terms = cp["objective"].get("terms", "")
-        for part in terms.split("|"):
-            part = part.strip()
-            if not part:
-                continue
-            weight_s, expr = part.split(":", 1)
-            parts = []
-            for tok in re.findall(r"[+-]?[^+-]+", expr.replace(" ", "")):
-                coef = 1.0
-                if tok.startswith("-"):
-                    coef, tok = -1.0, tok[1:]
-                elif tok.startswith("+"):
-                    tok = tok[1:]
-                if not tok:
-                    raise ConfigurationError(f"bad objective term {part!r}")
-                parts.append((coef, tok))
-            objective.append(ObjectiveTerm(weight=float(weight_s), parts=parts))
-
-    constraints = []
-    for name in cp.sections():
-        if not name.startswith("constraint."):
+    for part in raw["terms"].split("|"):
+        part = part.strip()
+        if not part:
             continue
-        sec = cp[name]
-        kind = _get(sec, "kind", str, required=True)
+        weight_s, expr = part.split(":", 1)
         parts = []
-        if "parts" in sec:
-            for tok in sec["parts"].split("|"):
-                coef_s, crit = tok.split(":")
-                parts.append((float(coef_s), crit.strip()))
-        constraints.append(ConstraintSpec(
-            name=name.split(".", 1)[1], kind=kind,
-            criterion=_get(sec, "criterion", str, ""),
-            inlets=tuple(sec.get("inlets", "").split()),
-            frac=_get(sec, "frac", float, 0.0),
-            tol=_get(sec, "tol", float, 0.0),
-            tol_initial=_get(sec, "tol_initial", float),
-            continuation_steps=_get(sec, "continuation_steps", int, 0),
-            reference=_get(sec, "reference", float, 1.0),
-            parts=parts,
-        ))
+        for tok in re.findall(r"[+-]?[^+-]+", expr.replace(" ", "")):
+            coef = 1.0
+            if tok.startswith("-"):
+                coef, tok = -1.0, tok[1:]
+            elif tok.startswith("+"):
+                tok = tok[1:]
+            if not tok:
+                raise ConfigurationError(f"bad objective term {part!r}")
+            parts.append((coef, tok))
+        objective.append(ObjectiveTerm(weight=float(weight_s), parts=parts))
+    return objective
 
-    gc = cp["gcmma"] if cp.has_section("gcmma") else {}
-    gcmma = GcmmaConfig(
-        move=float(gc.get("move", 0.04)),
-        asy_decrease=float(gc.get("asy_decrease", 0.5)),
-        asy_init=float(gc.get("asy_init", 0.7)),
-        asy_increase=float(gc.get("asy_increase", 1.43)),
-        constraint_penalty=float(gc.get("constraint_penalty", 100.0)),
-        max_outer=int(gc.get("max_outer", 200)),
-        max_inner=int(gc.get("max_inner", 15)),
-        tol_objective=float(gc.get("tol_objective", 1e-6)),
-        tol_feasibility=float(gc.get("tol_feasibility", 1e-6)),
-    )
 
-    so = cp["solve"] if cp.has_section("solve") else {}
-    if so.get("linear_method", "direct") != "direct":
-        raise ConfigurationError(
-            f"linear_method = {so['linear_method']}: only the sparse direct "
-            "solver exists")
-    solve = SolveConfig(
-        newton_tol=float(so.get("newton_tol", 1e-6)),
-        max_newton=int(so.get("max_newton", 30)),
-        dt=(float(so["dt"]) if "dt" in so else None),
-        n_steps=int(so.get("n_steps", 0)),
-        scheme=str(so.get("scheme", "steady")),
-    )
+def _write_terms(objective):
+    return (" | ".join(
+        repr(t.weight) + ": " + " ".join(
+            ("-" if coef < 0 else ("+" if j else "")) + name
+            for j, (coef, name) in enumerate(t.parts))
+        for t in objective),)
 
-    ou = cp["output"] if cp.has_section("output") else {}
-    output = OutputConfig(
-        directory=str(ou.get("directory", "out")),
-        field_every=int(ou.get("field_every", 10)),
-        checkpoint_every=int(ou.get("checkpoint_every", 10)),
-    )
 
-    return RunConfig(
-        extent=extent, divisions=divisions, flow=flow, indicator=indicator,
-        transport=transport, pressure_penalty_scope=scope, regions=regions,
-        design=design, ports=ports, criteria=criteria, objective=objective,
-        constraints=constraints, gcmma=gcmma, solve=solve, output=output,
-    )
+def _read_inclusions(raw):
+    nx, ny = DesignConfig.inclusions
+    return (int(raw.get("inclusions_nx", nx)), int(raw.get("inclusions_ny", ny)))
+
+
+_SECTIONS = (
+    _Section("mesh", required=True, run_fields=("extent", "divisions"), codecs={
+        "extent": _Codec(
+            ("x0", "y0", "x1", "y1"),
+            lambda raw: ((float(raw["x0"]), float(raw["y0"])),
+                         (float(raw["x1"]), float(raw["y1"]))),
+            lambda extent: (*extent[0], *extent[1])),
+        "divisions": _Codec(("nx", "ny"),
+                            lambda raw: (int(raw["nx"]), int(raw["ny"])), tuple),
+    }),
+    _Section("flow", FlowParams, "flow", required=True,
+             run_fields=("pressure_penalty_scope",)),
+    _Section("transport", TransportParams, "transport"),
+    _Section("indicator", IndicatorParams, "indicator"),
+    _Section("boundary", BoundaryRegion, "regions", tagged=True),
+    _Section("design", DesignConfig, "design", required=True, codecs={
+        "inclusions": _Codec(("inclusions_nx", "inclusions_ny"), _read_inclusions,
+                             tuple),
+        "shapes": _Codec(
+            ("shapes",),
+            lambda raw: [(toks[0], *(float(v) for v in toks[1:]))
+                         for toks in (p.split() for p in raw["shapes"].split("|"))
+                         if toks],
+            lambda shapes: (" | ".join(
+                " ".join([op[0]] + [repr(float(v)) for v in op[1:]])
+                for op in shapes),)),
+    }),
+    _Section("port", PortConfig, "ports", tagged=True),
+    _Section("criterion", CriterionSpec, "criteria", tagged=True),
+    _Section("objective", run_fields=("objective",), codecs={
+        "objective": _Codec(("terms",), _read_terms, _write_terms),
+    }),
+    _Section("constraint", ConstraintSpec, "constraints", tagged=True, codecs={
+        "inlets": _Codec(("inlets",), lambda raw: tuple(raw["inlets"].split()),
+                         lambda inlets: (" ".join(inlets),)),
+        "parts": _Codec(
+            ("parts",),
+            lambda raw: [(float(coef), crit.strip()) for coef, crit in
+                         (tok.split(":") for tok in raw["parts"].split("|"))],
+            lambda parts: (" | ".join(f"{float(coef)!r}: {name}"
+                                      for coef, name in parts),)),
+    }),
+    _Section("gcmma", GcmmaConfig, "gcmma"),
+    # the pseudo-transient start step is set by code only
+    _Section("solve", SolveConfig, "solve", fixed=("pseudo_dt0",)),
+    _Section("output", OutputConfig, "output"),
+)
+
+
+def _keys(spec):
+    """(field, belongs to spec.cls, codec) for each field a section stores."""
+    run = {f.name: f for f in fields(RunConfig)}
+    own = [] if spec.cls is None else [
+        (f, True) for f in fields(spec.cls)
+        if f.name not in spec.fixed and not (spec.tagged and f.name == "name")]
+    return [(f, is_own, spec.codecs.get(f.name) or _plain(f))
+            for f, is_own in own + [(run[n], False) for n in spec.run_fields]]
+
+
+def _plain(f):
+    """The codec of a field stored as one key named after it."""
+    conv = _READ[f.type]
+    return _Codec((f.name,), lambda raw: conv(raw[f.name]), lambda value: (value,))
+
+
+_KEYS = {spec.name: _keys(spec) for spec in _SECTIONS}
+
+
+def _section_of(title):
+    for spec in _SECTIONS:
+        if (title.startswith(spec.name + ".") if spec.tagged else title == spec.name):
+            return spec
+    raise ConfigurationError(f"unknown section [{title}]")
+
+
+def _read_section(spec, sec, run):
+    """The spec.cls instance read from one section (None without a class).
+
+    Values of RunConfig fields go into `run`.
+    """
+    own, known, text = {}, set(), dict(sec)
+    for f, is_own, codec in _KEYS[spec.name]:
+        known.update(codec.keys)
+        raw = {k: text[k] for k in codec.keys if k in text}
+        if not raw:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigurationError(
+                    f"missing key {codec.keys[0]!r} in [{sec.name}]")
+            continue
+        try:
+            value = codec.read(raw)
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"missing key {exc.args[0]!r} in [{sec.name}]") from exc
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"bad value for {', '.join(map(repr, raw))} in [{sec.name}]: {exc}"
+            ) from exc
+        (own if is_own else run)[f.name] = value
+    unknown = [k for k in text if k not in known]
+    if unknown:
+        raise ConfigurationError(f"unknown key {unknown[0]!r} in [{sec.name}]")
+    if spec.cls is None:
+        return None
+    if spec.tagged:
+        own["name"] = sec.name.split(".", 1)[1]
+    try:
+        return spec.cls(**own)
+    except ValueError as exc:
+        raise ConfigurationError(f"[{sec.name}]: {exc}") from exc
+
+
+def parse_config(path) -> RunConfig:
+    """Read a run configuration; any unknown section or key, missing
+    required key or bad value raises ConfigurationError."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    try:
+        if not cp.read(path):
+            raise ConfigurationError(f"cannot read config file {path}")
+        titles = {spec.name: [] for spec in _SECTIONS}
+        for title in cp.sections():
+            titles[_section_of(title).name].append(title)
+        run = {}
+        for spec in _SECTIONS:
+            found = titles[spec.name]
+            if spec.required and not found:
+                raise ConfigurationError(f"missing section [{spec.name}]")
+            built = [_read_section(spec, cp[t], run) for t in found]
+            if spec.cls is not None and found:
+                run[spec.attr] = built if spec.tagged else built[0]
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"invalid configuration: {exc}") from exc
+    return RunConfig(**run)
+
+
+def _text(v):
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (tuple, list)) and v and isinstance(v[0], (int, float)):
+        return " ".join(repr(float(x)) for x in v)
+    return str(v)
 
 
 def dump_config(cfg: RunConfig) -> str:
-    """Serialize back to the sectioned text form (round-trips exactly)."""
+    """Serialize back to the sectioned text form (round-trips exactly).
+
+    A None or empty-text value is not written; reading it back gives the
+    field default. A section with nothing to write is left out.
+    """
     out = []
-
-    def sec(name, pairs):
-        out.append(f"[{name}]")
-        for k, v in pairs:
-            if v is None:
+    for spec in _SECTIONS:
+        if spec.cls is None:
+            items = [(spec.name, cfg)]
+        elif spec.tagged:
+            items = [(f"{spec.name}.{obj.name}", obj) for obj in getattr(cfg, spec.attr)]
+        else:
+            items = [(spec.name, getattr(cfg, spec.attr))]
+        for title, obj in items:
+            if obj is None:
                 continue
-            if isinstance(v, float):
-                v = repr(v)
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            elif isinstance(v, (tuple, list)) and v and isinstance(v[0], (int, float)):
-                v = " ".join(repr(float(x)) for x in v)
-            out.append(f"{k} = {v}")
-        out.append("")
-
-    (x0, y0), (x1, y1) = cfg.extent
-    sec("mesh", [("x0", x0), ("y0", y0), ("x1", x1), ("y1", y1),
-                 ("nx", cfg.divisions[0]), ("ny", cfg.divisions[1])])
-    f = cfg.flow
-    sec("flow", [("rho", f.rho), ("mu", f.mu), ("alpha_nitsche", f.alpha_nitsche),
-                 ("alpha_gp_mu", f.alpha_gp_mu), ("alpha_gp_p", f.alpha_gp_p),
-                 ("alpha_gp_u", f.alpha_gp_u), ("k_pressure", f.k_pressure),
-                 ("tau_time_term", f.tau_time_term),
-                 ("pressure_penalty_scope", cfg.pressure_penalty_scope)])
-    if cfg.transport is not None:
-        t = cfg.transport
-        sec("transport", [("diffusivity", t.diffusivity),
-                          ("alpha_nitsche", t.alpha_nitsche),
-                          ("alpha_gp", t.alpha_gp), ("source", t.source)])
-    i = cfg.indicator
-    sec("indicator", [("reaction", i.reaction), ("psi_ref", i.psi_ref),
-                      ("alpha_nitsche", i.alpha_nitsche), ("alpha_gp", i.alpha_gp),
-                      ("k_sharpness", i.k_sharpness), ("k_threshold", i.k_threshold)])
-    for r in cfg.regions:
-        sec(f"boundary.{r.name}", [
-            ("side", r.side), ("kind", r.kind), ("span", r.span),
-            ("profile", r.profile), ("velocity", r.velocity),
-            ("amplitude", r.amplitude), ("traction", r.traction),
-            ("frequency", r.frequency), ("port", r.port),
-            ("species_value", r.species_value),
-        ])
-    d = cfg.design
-    shapes = " | ".join(
-        " ".join([op[0]] + [repr(float(v)) for v in op[1:]]) for op in d.shapes
-    )
-    sec("design", [("lower", d.lower), ("upper", d.upper),
-                   ("filter_radius_h", d.filter_radius_h), ("initial", d.initial),
-                   ("initial_value", d.initial_value),
-                   ("inclusions_nx", d.inclusions[0]), ("inclusions_ny", d.inclusions[1]),
-                   ("inclusions_radius", d.inclusions_radius),
-                   ("inclusions_margin", d.inclusions_margin),
-                   ("shapes", shapes if shapes else None)])
-    for p in cfg.ports:
-        sec(f"port.{p.name}", [
-            ("face", p.face), ("center", p.center), ("radius", p.radius),
-            ("slab_elements", p.slab_elements),
-            ("optimize_center", p.optimize_center),
-            ("optimize_radius", p.optimize_radius),
-            ("center_bounds", p.center_bounds), ("radius_bounds", p.radius_bounds),
-        ])
-    for c in cfg.criteria:
-        sec(f"criterion.{c.name}", [
-            ("kind", c.kind), ("surface", c.surface), ("direction", c.direction),
-            ("u_char", c.u_char), ("l_char", c.l_char),
-            ("beta_ks", c.beta_ks), ("c_ref", c.c_ref),
-            ("time_sampling", c.time_sampling),
-        ])
-    if cfg.objective:
-        terms = " | ".join(
-            repr(t.weight) + ": " + " ".join(
-                ("-" if coef < 0 else ("+" if j else "")) + name
-                for j, (coef, name) in enumerate(t.parts)
-            )
-            for t in cfg.objective
-        )
-        sec("objective", [("terms", terms)])
-    for c in cfg.constraints:
-        parts = " | ".join(f"{repr(float(coef))}: {name}" for coef, name in c.parts)
-        sec(f"constraint.{c.name}", [
-            ("kind", c.kind), ("criterion", c.criterion or None),
-            ("inlets", " ".join(c.inlets) if c.inlets else None),
-            ("frac", c.frac), ("tol", c.tol), ("tol_initial", c.tol_initial),
-            ("continuation_steps", c.continuation_steps),
-            ("reference", c.reference), ("parts", parts if parts else None),
-        ])
-    g = cfg.gcmma
-    sec("gcmma", [("move", g.move), ("asy_decrease", g.asy_decrease),
-                  ("asy_init", g.asy_init), ("asy_increase", g.asy_increase),
-                  ("constraint_penalty", g.constraint_penalty),
-                  ("max_outer", g.max_outer), ("max_inner", g.max_inner),
-                  ("tol_objective", g.tol_objective),
-                  ("tol_feasibility", g.tol_feasibility)])
-    s = cfg.solve
-    sec("solve", [("newton_tol", s.newton_tol), ("max_newton", s.max_newton),
-                  ("dt", s.dt), ("n_steps", s.n_steps), ("scheme", s.scheme)])
-    o = cfg.output
-    sec("output", [("directory", o.directory), ("field_every", o.field_every),
-                   ("checkpoint_every", o.checkpoint_every)])
+            lines = []
+            for f, is_own, codec in _KEYS[spec.name]:
+                values = codec.write(getattr(obj if is_own else cfg, f.name))
+                lines += [f"{k} = {_text(v)}" for k, v in zip(codec.keys, values)
+                          if v is not None and v != ""]
+            if lines:
+                out += [f"[{title}]", *lines, ""]
     return "\n".join(out)

@@ -527,26 +527,3 @@ def build_cut_model(mesh: BackgroundMesh, phi) -> CutModel:
         dof_of=dof_of,
         n_regions=n_regions,
     )
-
-
-def collect_ghost_facets(mesh, classification, pieces=None) -> np.ndarray:
-    """Interior facets adjacent to >=1 cut element with fluid on both sides.
-
-    Standalone variant of the Xi construction used by build_cut_model;
-    with pieces omitted, "fluid support" means the element is not solid.
-    """
-    out = []
-    is_cut = classification == CUT
-    for f in range(mesh.n_facets):
-        e1, e2 = mesh.facet_elems[f]
-        if not (is_cut[e1] or is_cut[e2]):
-            continue
-        if classification[e1] == SOLID or classification[e2] == SOLID:
-            continue
-        if pieces is not None:
-            if not any(p.phase == FLUID for p in pieces.get(int(e1), [])):
-                continue
-            if not any(p.phase == FLUID for p in pieces.get(int(e2), [])):
-                continue
-        out.append(f)
-    return np.asarray(out, dtype=np.int64)

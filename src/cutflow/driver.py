@@ -122,8 +122,9 @@ def run_optimization(cfg, outdir=None, restart=None):
             first_feasible_Z = float(extra["first_feasible_Z"])
 
     names = [c.name for c in cfg.criteria]
+    # a restart into the same directory keeps the rows before the checkpoint
     hist = HistoryWriter(os.path.join(outdir, "history.csv"), names,
-                         len(cfg.constraints))
+                         len(cfg.constraints), keep_below=start_iter)
 
     def forward(dv):
         if transient:
@@ -148,6 +149,17 @@ def run_optimization(cfg, outdir=None, restart=None):
                "objective": None, "first_feasible_objective": None,
                "objective_history": [], "constraint_history": []}
     warm_design_values = design.values.copy()
+
+    def checkpoint():
+        write_checkpoint(
+            os.path.join(outdir, "checkpoint.json"), design, state,
+            problem.normalization, it,
+            extra={
+                "warm_state": None if warm["U"] is None else warm["U"].tolist(),
+                "warm_design": warm_design_values.tolist(),
+                "Z_prev": Z_prev,
+                "first_feasible_Z": first_feasible_Z,
+            })
 
     # a checkpoint of a finished run leaves no iteration to take
     Z, feasible = Z_prev, None
@@ -206,29 +218,13 @@ def run_optimization(cfg, outdir=None, restart=None):
         # checkpoint after the step: a restart resumes with the identical
         # warm state, so the continuation is reproducible
         if cfg.output.checkpoint_every and it % cfg.output.checkpoint_every == 0:
-            write_checkpoint(
-                os.path.join(outdir, "checkpoint.json"), design, state,
-                problem.normalization, it,
-                extra={
-                    "warm_state": None if warm["U"] is None else warm["U"].tolist(),
-                    "warm_design": warm_design_values.tolist(),
-                    "Z_prev": Z_prev,
-                    "first_feasible_Z": first_feasible_Z,
-                })
+            checkpoint()
 
     summary["iterations"] = it - start_iter
     summary["objective"] = Z
     summary["feasible"] = feasible
     summary["first_feasible_objective"] = first_feasible_Z
-    write_checkpoint(
-        os.path.join(outdir, "checkpoint.json"), design, state,
-        problem.normalization, it,
-        extra={
-            "warm_state": None if warm["U"] is None else warm["U"].tolist(),
-            "warm_design": warm_design_values.tolist(),
-            "Z_prev": Z_prev,
-            "first_feasible_Z": first_feasible_Z,
-        })
+    checkpoint()
     return summary
 
 

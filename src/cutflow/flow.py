@@ -49,9 +49,6 @@ class FlowParams:
     # stabilization step-size independent (useful for temporal order studies
     # and for very small steps, where a dt-scaled tau starves the PSPG term)
     tau_time_term: bool = True
-    # adjoint-consistency signs: skew pressure, symmetric viscous (fixed)
-    beta_pressure: float = -1.0
-    beta_viscous: float = 1.0
 
     def __post_init__(self):
         if self.rho <= 0 or self.mu <= 0:
@@ -62,6 +59,8 @@ class FlowParams:
 
 
 STEADY = STEADY_SLOT
+# adjoint-consistency sign of the Nitsche pressure term (skew-symmetric)
+BETA_PRESSURE = -1.0
 
 
 class _Coo:
@@ -105,7 +104,7 @@ def _tau(params, slot, speed2, h):
     """Stabilization time scale and its derivative factor wrt velocity."""
     nu = params.mu / params.rho
     a = (4.0 * nu / (h * h)) ** 2
-    if slot.dt is not None and getattr(params, "tau_time_term", True):
+    if slot.dt is not None and params.tau_time_term:
         a = a + (2.0 / slot.dt) ** 2
     tau = 1.0 / np.sqrt(a + 4.0 * speed2 / (h * h))
     dtau_fac = -4.0 * tau**3 / (h * h)  # d(tau)/d(u_e) = dtau_fac * u_e
@@ -294,7 +293,7 @@ def _nitsche_gamma(ctx, params, blk, Uc):
 def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, coo):
     n = ctx.n
     mu = params.mu
-    bp = params.beta_pressure
+    bp = BETA_PRESSURE
     N, gx, gy = blk.N, blk.gx, blk.gy
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
     dofs = blk.dofs
@@ -369,7 +368,7 @@ def _nitsche_symmetry(ctx, params, U, Uc, blk, R, coo):
     """Weak u.n = 0 with free tangential traction."""
     n = ctx.n
     mu = params.mu
-    bp = params.beta_pressure
+    bp = BETA_PRESSURE
     N, gx, gy = blk.N, blk.gx, blk.gy
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
     dofs = blk.dofs

@@ -21,6 +21,9 @@ import numpy as np
 
 from .errors import SolverError
 
+ALBEFA = 0.1  # move-limit fraction of the distance to each asymptote
+RAA_EPS = 1e-6  # floor of the initial conservatism parameters
+
 
 @dataclass
 class GcmmaConfig:
@@ -33,8 +36,6 @@ class GcmmaConfig:
     max_inner: int = 15
     tol_objective: float = 1e-6  # relative objective change
     tol_feasibility: float = 1e-6
-    albefa: float = 0.1
-    raa_eps: float = 1e-6
 
     def __post_init__(self):
         if not (0 < self.asy_decrease <= self.asy_init <= self.asy_increase):
@@ -106,10 +107,10 @@ class GCMMA:
         cfg = self.config
         span = self.upper - self.lower
         alfa = np.maximum.reduce([
-            self.lower, low + cfg.albefa * (x - low), x - cfg.move * span
+            self.lower, low + ALBEFA * (x - low), x - cfg.move * span
         ])
         beta = np.minimum.reduce([
-            self.upper, upp - cfg.albefa * (upp - x), x + cfg.move * span
+            self.upper, upp - ALBEFA * (upp - x), x + cfg.move * span
         ])
         return alfa, beta
 
@@ -153,7 +154,7 @@ class GCMMA:
         grads = np.vstack([df0s[None, :], dfdx]) if m else df0s[None, :]
         span = np.maximum(self.upper - self.lower, 1e-12)
         rho = np.maximum(
-            cfg.raa_eps, 0.1 * (np.abs(grads) * span[None, :]).sum(axis=1) / self.n
+            RAA_EPS, 0.1 * (np.abs(grads) * span[None, :]).sum(axis=1) / self.n
         )
         fvals_all = np.concatenate([[f0s], fval]) if m else np.array([f0s])
 

@@ -116,18 +116,30 @@ def write_vtk_fields(path, cm, flow_state=None, species_state=None, psi=None,
 
 
 class HistoryWriter:
-    """Append-only CSV of per-iteration optimization or analysis records."""
+    """Append-only CSV of per-iteration optimization or analysis records.
 
-    def __init__(self, path, criteria_names, n_constraints):
+    The file starts with the header alone, unless keep_below > 0: then the
+    rows of iterations below it are kept from an existing file with the
+    same header (a restart into the run's own directory).
+    """
+
+    def __init__(self, path, criteria_names, n_constraints, keep_below=0):
         self.path = path
         self.criteria_names = list(criteria_names)
         self.n_constraints = n_constraints
-        header = (["iteration", "objective"]
-                  + [f"g_{i + 1}" for i in range(n_constraints)]
-                  + list(self.criteria_names) + ["newton_iters", "feasible"])
+        header = ",".join(
+            ["iteration", "objective"] + [f"g_{i + 1}" for i in range(n_constraints)]
+            + list(self.criteria_names) + ["newton_iters", "feasible"]) + "\n"
+        rows = []
         try:
+            if keep_below and os.path.exists(path):
+                with open(path) as f:
+                    lines = f.readlines()
+                if lines[:1] == [header]:
+                    rows = [r for r in lines[1:]
+                            if int(r.split(",", 1)[0]) < keep_below]
             with open(path, "w") as f:
-                f.write(",".join(header) + "\n")
+                f.write(header + "".join(rows))
         except OSError as exc:
             raise OutputError(f"cannot write history file {path}: {exc}") from exc
 
@@ -143,7 +155,7 @@ class HistoryWriter:
 
 def write_checkpoint(path, design, optimizer_state, normalization, iteration,
                      extra=None):
-    """JSON checkpoint; floats round-trip exactly through repr."""
+    """JSON checkpoint, replaced atomically; floats round-trip exactly."""
     payload = {
         "iteration": int(iteration),
         "design": design.values.tolist(),
@@ -152,11 +164,20 @@ def write_checkpoint(path, design, optimizer_state, normalization, iteration,
                           else {str(k): v for k, v in normalization.items()}),
         "extra": extra or {},
     }
+    # write a temporary file beside it and rename it into place, so an
+    # interrupted write leaves the previous checkpoint whole
+    tmp = f"{path}.tmp"
     try:
-        with open(path, "w") as f:
+        with open(tmp, "w") as f:
             json.dump(payload, f)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
     except OSError as exc:
         raise OutputError(f"cannot write checkpoint {path}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_checkpoint(path):

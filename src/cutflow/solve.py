@@ -17,6 +17,9 @@ import scipy.sparse.linalg as spla
 
 from .errors import NonconvergenceError, SolverError
 
+NEWTON_ABS_FLOOR = 1e-14  # residual norm that counts as converged outright
+PSEUDO_STEPS = 8  # pseudo-transient continuation steps before the final solve
+
 
 @dataclass
 class TimeSlot:
@@ -39,13 +42,11 @@ STEADY_SLOT = TimeSlot()
 @dataclass
 class SolveConfig:
     newton_tol: float = 1e-6
-    newton_abs_floor: float = 1e-14
     max_newton: int = 30
     dt: float = None
     n_steps: int = 0
     scheme: str = "steady"  # 'steady' | 'bdf2'
     pseudo_dt0: float = 0.1
-    pseudo_steps: int = 8
 
     def __post_init__(self):
         if self.newton_tol <= 0:
@@ -132,7 +133,7 @@ def march(make_assemble, u0, config: SolveConfig):
         try:
             u, trace = newton_solve(
                 make_assemble(slot), states[-1],
-                tol=config.newton_tol, abs_floor=config.newton_abs_floor,
+                tol=config.newton_tol, abs_floor=NEWTON_ABS_FLOOR,
                 max_iter=config.max_newton,
             )
         except NonconvergenceError as exc:
@@ -150,7 +151,7 @@ def steady_solve(make_assemble, warm, config: SolveConfig, final_time=0.0):
     try:
         return newton_solve(
             make_assemble(steady), warm,
-            tol=config.newton_tol, abs_floor=config.newton_abs_floor,
+            tol=config.newton_tol, abs_floor=NEWTON_ABS_FLOOR,
             max_iter=config.max_newton,
         )
     except (NonconvergenceError, SolverError):
@@ -158,12 +159,12 @@ def steady_solve(make_assemble, warm, config: SolveConfig, final_time=0.0):
     u = np.array(warm, dtype=float)
     dt = config.pseudo_dt0
     combined = []
-    for _ in range(config.pseudo_steps):
+    for _ in range(PSEUDO_STEPS):
         slot = TimeSlot(alpha=1.0 / dt, hist=-u / dt, dt=dt, t=final_time)
         try:
             u, trace = newton_solve(
                 make_assemble(slot), u,
-                tol=max(config.newton_tol, 1e-4), abs_floor=config.newton_abs_floor,
+                tol=max(config.newton_tol, 1e-4), abs_floor=NEWTON_ABS_FLOOR,
                 max_iter=config.max_newton,
             )
             combined.extend(trace)
@@ -174,7 +175,7 @@ def steady_solve(make_assemble, warm, config: SolveConfig, final_time=0.0):
     try:
         x, trace = newton_solve(
             make_assemble(steady), u,
-            tol=config.newton_tol, abs_floor=config.newton_abs_floor,
+            tol=config.newton_tol, abs_floor=NEWTON_ABS_FLOOR,
             max_iter=config.max_newton,
         )
         return x, combined + trace

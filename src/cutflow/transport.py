@@ -31,7 +31,6 @@ class TransportParams:
     alpha_nitsche: float = 1.0
     alpha_gp: float = 0.05
     source: float = 0.0  # volumetric species source
-    tau_time_term: bool = True  # include (2/dt)^2 in the SUPG time scale
 
     def __post_init__(self):
         if self.diffusivity <= 0:
@@ -57,7 +56,7 @@ class IndicatorParams:
 def _tau_species(params, slot, speed2, h):
     k = params.diffusivity
     a = (4.0 * k / (h * h)) ** 2
-    if slot is not None and slot.dt is not None and params.tau_time_term:
+    if slot is not None and slot.dt is not None:
         a = a + (2.0 / slot.dt) ** 2
     tau = 1.0 / np.sqrt(a + 4.0 * speed2 / (h * h))
     dtau_fac = -4.0 * tau**3 / (h * h)

@@ -3,7 +3,7 @@ import pytest
 
 import cutflow.cut as cut
 from cutflow.cut import (CUT, FLUID, SOLID, build_cut_model, classify_elements,
-                         collect_ghost_facets, decompose_cell)
+                         decompose_cell)
 from cutflow.errors import CapacityError
 from cutflow.forms import build_context
 from cutflow.grid import build_mesh
@@ -238,6 +238,21 @@ def test_enrichment_capacity_error(monkeypatch):
 
 
 # --- ghost facets --------------------------------------------------------------
+
+def collect_ghost_facets(mesh, classification):
+    """Oracle for the ghost set: interior facets next to at least one cut
+    element with no solid element on either side."""
+    out = []
+    is_cut = classification == CUT
+    for f in range(mesh.n_facets):
+        e1, e2 = mesh.facet_elems[f]
+        if not (is_cut[e1] or is_cut[e2]):
+            continue
+        if classification[e1] == SOLID or classification[e2] == SOLID:
+            continue
+        out.append(f)
+    return np.asarray(out, dtype=np.int64)
+
 
 def test_ghost_empty_without_cuts():
     m = _mesh(4)

@@ -1,4 +1,6 @@
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +191,43 @@ def test_config_defaults_from_tables(tmp_path):
     assert cfg2.solve == cfg.solve
 
 
+@pytest.mark.parametrize("edit, named", [
+    (("max_newton = 25", "max_newton = 25\nnewton_tl = 1e-12"), ("newton_tl", "[solve]")),
+    (("[output]", "[solver]\nnewton_tol = 1e-12\n\n[output]"), ("[solver]",)),
+], ids=["key", "section"])
+def test_config_rejects_unknown_keys_and_sections(tmp_path, edit, named):
+    # a typo must not leave the run on a default without a word
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config(_write(tmp_path, CHANNEL_CFG.replace(*edit)))
+    assert all(n in str(exc.value) for n in named)
+
+
+@pytest.mark.parametrize("edit", [
+    ("rho = 1.0", "rho = -1.0"),
+    ("[output]", "[gcmma]\nasy_init = 0.3\n\n[output]"),
+    ("max_newton = 25", "max_newton = abc"),
+    ("max_newton = 25", "max_newton = 25\nscheme = bdf2"),
+], ids=["rho", "asy_init", "max_newton", "bdf2_without_dt"])
+def test_cli_bad_config_values_exit_2(tmp_path, capsys, edit):
+    path = _write(tmp_path, CHANNEL_CFG.replace(*edit))
+    assert cli_main(["analyze", "--config", path]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_shipped_configs_parse_strictly_and_round_trip(tmp_path):
+    # the README example and every benchmark config hold only known keys
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    texts = {"README.md": re.search(r"```ini\n(.*?)```", readme, re.S).group(1)}
+    for p in sorted((root / "bench" / "configs").glob("*.cfg")):
+        texts[p.name] = p.read_text().replace("{radius}", "0.1")
+    assert len(texts) == 5
+    for name, text in texts.items():
+        cfg = parse_config(_write(tmp_path, text, "a.cfg"))
+        dumped = dump_config(cfg)
+        assert parse_config(_write(tmp_path, dumped, "b.cfg")) == cfg, name
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigurationError):
         parse_config("/nonexistent/run.cfg")
@@ -267,17 +306,20 @@ def test_config_rejects_iterative_linear_method(tmp_path):
     assert cli_main(["analyze", "--config", path]) == 2
 
 
-@pytest.mark.parametrize("error", [
-    SolverError("sparse LU failed: singular matrix"),
-    CapacityError("node 7 needs 9 enrichment levels (cap 8)", node=7),
-], ids=["solver", "capacity"])
-def test_cli_solver_failures_exit_3_with_diagnostic(tmp_path, monkeypatch, error):
+@pytest.mark.parametrize("error, with_output", [
+    (SolverError("sparse LU failed: singular matrix"), True),
+    (CapacityError("node 7 needs 9 enrichment levels (cap 8)", node=7), True),
+    (SolverError("sparse LU failed: singular matrix"), False),
+], ids=["solver", "capacity", "no_output"])
+def test_cli_solver_failures_exit_3_with_diagnostic(tmp_path, monkeypatch, error,
+                                                    with_output):
     def fail(cfg, outdir=None):
         raise error
     monkeypatch.setattr("cutflow.cli.run_analysis", fail)
-    out = str(tmp_path / "o")
-    rc = cli_main(["analyze", "--config", _write(tmp_path, CHANNEL_CFG),
-                   "--output", out])
+    monkeypatch.chdir(tmp_path)  # the configured directory "out" is relative
+    argv = ["analyze", "--config", _write(tmp_path, CHANNEL_CFG)]
+    out = str(tmp_path / ("o" if with_output else "out"))
+    rc = cli_main(argv + ["--output", out] if with_output else argv)
     assert rc == 3
     text = open(os.path.join(out, "diagnostic.txt")).read()
     assert str(error) in text
@@ -320,6 +362,34 @@ def test_optimization_runs_and_restart_reproduces(tmp_path):
                      restart=os.path.join(out_a, "checkpoint.json"))
     row_b = open(os.path.join(out_b, "history.csv")).read().splitlines()[1]
     assert row_b == full_rows[3]  # bit-identical third (index 2) iteration
+
+    # a restart into the run's own directory keeps the rows before the
+    # checkpoint, so the file matches the uninterrupted run's byte for byte
+    cfg4 = parse_config(path)
+    cfg4.gcmma.max_outer = 3
+    run_optimization(cfg4, outdir=out_a,
+                     restart=os.path.join(out_a, "checkpoint.json"))
+    assert open(os.path.join(out_a, "history.csv"), "rb").read() == \
+        open(os.path.join(out_full, "history.csv"), "rb").read()
+
+
+def test_interrupted_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
+    import cutflow.output as output
+    from cutflow.design import DesignVector
+    from cutflow.errors import OutputError
+    design = DesignVector(values=np.arange(3.0), lower=np.zeros(3),
+                          upper=np.full(3, 2.0), n_nodal=3)
+    path = str(tmp_path / "checkpoint.json")
+    output.write_checkpoint(path, design, None, None, 1)
+
+    def dump_then_fail(payload, f):
+        f.write('{"iteration": ')
+        raise OSError("no space left on device")
+    monkeypatch.setattr(output.json, "dump", dump_then_fail)
+    with pytest.raises(OutputError):
+        output.write_checkpoint(path, design, None, None, 2)
+    assert output.read_checkpoint(path)["iteration"] == 1
+    assert os.listdir(tmp_path) == ["checkpoint.json"]
 
 
 def test_restart_from_finished_run_takes_no_iteration(tmp_path):
