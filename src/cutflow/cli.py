@@ -19,6 +19,15 @@ from .errors import (CapacityError, ConfigurationError, NonconvergenceError,
                      OutputError, SolverError)
 
 
+def _float_list(text):
+    """argparse type: comma-separated numbers."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {text!r}") from None
+
+
 def _common(sub):
     sub.add_argument("--config", required=True, help="run configuration file")
     sub.add_argument("--output", default=None, help="output directory")
@@ -47,7 +56,7 @@ def main(argv=None):
     _common(s)
     s.add_argument("--parameter", required=True,
                    choices=("k_pressure", "alpha_nitsche"))
-    s.add_argument("--values", required=True,
+    s.add_argument("--values", required=True, type=_float_list,
                    help="comma-separated parameter values")
 
     args = parser.parse_args(argv)
@@ -71,8 +80,7 @@ def main(argv=None):
                 print(f"s[{idx}]: adjoint={an!r} fd={fd!r} rel={rel:.3e}")
             print(f"worst rel error = {worst:.3e}")
         elif args.command == "sweep":
-            values = [float(v) for v in args.values.split(",")]
-            run_sweep(cfg, args.parameter, values, outdir=args.output)
+            run_sweep(cfg, args.parameter, args.values, outdir=args.output)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -52,6 +52,14 @@ class PortConfig:
     center_bounds: tuple = None
     radius_bounds: tuple = None
 
+    def __post_init__(self):
+        for param in ("center", "radius"):
+            bounds = getattr(self, f"{param}_bounds")
+            if getattr(self, f"optimize_{param}") and (
+                    bounds is None or len(bounds) != 2 or bounds[0] > bounds[1]):
+                raise ValueError(f"optimize_{param} requires {param}_bounds = lo hi "
+                                 f"with lo <= hi, got {bounds!r}")
+
 
 @dataclass
 class DesignConfig:

@@ -88,13 +88,6 @@ class CutModel:
             p.area for plist in self.pieces.values() for p in plist if p.phase == FLUID
         )
 
-    def solid_volume(self):
-        total = abs(
-            (self.mesh.extent[1][0] - self.mesh.extent[0][0])
-            * (self.mesh.extent[1][1] - self.mesh.extent[0][1])
-        )
-        return total - self.fluid_volume()
-
     def surface_length(self):
         return sum(s.length for s in self.segments)
 

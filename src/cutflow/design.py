@@ -172,15 +172,19 @@ def ks_min(values, beta) -> float:
         raise ValueError("ks_min of an empty sequence")
     if beta <= 0:
         raise ValueError(f"ks_min sharpness must be positive, got {beta}")
-    m = values.min()
-    return float(m - np.log(np.exp(-beta * (values - m)).sum()) / beta)
+    return float(_ks_min_rows(values[None, :], beta)[0][0])
 
 
-def _ks_min_weights(values, beta):
-    """Softmin weights d(ks_min)/dv_j; nonnegative, sum to one."""
-    values = np.asarray(values, dtype=float)
-    e = np.exp(-beta * (values - values.min()))
-    return e / e.sum()
+def _ks_min_rows(values, beta):
+    """Row-wise smooth minimum of a 2D array and its softmin weights.
+
+    Returns (ks, weights): ks[i] = -(1/beta) ln sum_j exp(-beta v_ij), and
+    weights[i, j] = d(ks[i])/d(v_ij), nonnegative and summing to one per row.
+    """
+    m = values.min(axis=1, keepdims=True)
+    e = np.exp(-beta * (values - m))
+    total = e.sum(axis=1, keepdims=True)
+    return (m - np.log(total) / beta).ravel(), e / total
 
 
 @dataclass
@@ -236,10 +240,7 @@ class LevelSetMap:
         ports = self._ports_with_params(design)
         xs = self.mesh.nodes[self._port_nodes]
         vals = np.column_stack([port_signed_distance(p, xs) for p in ports])
-        m = vals.min(axis=1, keepdims=True)
-        phi[self._port_nodes] = (
-            m.ravel() - np.log(np.exp(-self.ks_beta * (vals - m)).sum(axis=1)) / self.ks_beta
-        )
+        phi[self._port_nodes] = _ks_min_rows(vals, self.ks_beta)[0]
 
     def _ports_with_params(self, design):
         """Ports with optimization-variable parameters substituted in."""
@@ -287,9 +288,7 @@ class LevelSetMap:
             ports = self._ports_with_params(design)
             xs = self.mesh.nodes[self._port_nodes]
             vals = np.column_stack([port_signed_distance(p, xs) for p in ports])
-            m = vals.min(axis=1, keepdims=True)
-            e = np.exp(-self.ks_beta * (vals - m))
-            wts = e / e.sum(axis=1, keepdims=True)  # (n_slab_nodes, n_ports)
+            wts = _ks_min_rows(vals, self.ks_beta)[1]  # (n_slab_nodes, n_ports)
             for k, (pi, param) in enumerate(design.port_layout):
                 port = ports[pi]
                 col = design.n_nodal + k

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .solve import STEADY_SLOT, TimeSlot  # noqa: F401  (re-exported for callers)
+from .solve import STEADY_SLOT
 
 GALERKIN = "galerkin"
 STABILIZATION = "stabilization"

@@ -51,7 +51,6 @@ class ForwardResult:
     crit_values: dict = None
     crit_partials: dict = None  # name -> CriterionValue (with partials)
     newton_trace: list = None
-    step_crit_values: dict = None  # transient: name -> per-step values
 
 
 class ForwardModel:
@@ -168,42 +167,28 @@ class ForwardModel:
 
     # -- criteria -----------------------------------------------------------
     def _evaluate_criteria(self, result):
+        """Criterion values and state partials over the run's flow states.
+
+        A steady run is a history of one state, a march the states of steps
+        1..N (the initial condition excluded). Partials and final samples
+        come from the last state; 'average' sampling of a state-dependent
+        criterion takes the mean over all of them.
+        """
         params = self.physics.flow
+        states = ([result.flow_state] if result.flow_history is None
+                  else result.flow_history[1:])
         values, partials = {}, {}
-        if result.flow_history is not None:
-            step_values = {}
-            for spec in self.criteria:
-                sampling = getattr(spec, "time_sampling", "final")
-                if spec.kind in GEOMETRIC_KINDS:
-                    cv = evaluate_criterion(spec, result.ctx, params)
-                    values[spec.name] = cv.value
-                    partials[spec.name] = cv
-                    continue
-                per_step = [
-                    evaluate_criterion(spec, result.ctx, params,
-                                       flow_state=u,
-                                       species_state=result.species_state).value
-                    for u in result.flow_history[1:]
-                ]
-                step_values[spec.name] = per_step
-                if sampling == "average":
-                    values[spec.name] = float(np.mean(per_step))
-                else:
-                    values[spec.name] = per_step[-1]
-                partials[spec.name] = evaluate_criterion(
-                    spec, result.ctx, params, flow_state=result.flow_history[-1],
-                    species_state=result.species_state, want_partials=True,
-                )
-            result.step_crit_values = step_values
-        else:
-            for spec in self.criteria:
-                cv = evaluate_criterion(
-                    spec, result.ctx, params,
-                    flow_state=result.flow_state,
-                    species_state=result.species_state,
-                    want_partials=True,
-                )
-                values[spec.name] = cv.value
-                partials[spec.name] = cv
+        for spec in self.criteria:
+            cv = evaluate_criterion(
+                spec, result.ctx, params, flow_state=states[-1],
+                species_state=result.species_state, want_partials=True,
+            )
+            values[spec.name] = cv.value
+            partials[spec.name] = cv
+            if spec.time_sampling == "average" and spec.kind not in GEOMETRIC_KINDS:
+                earlier = [evaluate_criterion(spec, result.ctx, params, flow_state=u,
+                                              species_state=result.species_state).value
+                           for u in states[:-1]]
+                values[spec.name] = float(np.mean(earlier + [cv.value]))
         result.crit_values = values
         result.crit_partials = partials

@@ -5,15 +5,20 @@ species -> criteria. Adjoints are solved in reverse block order (species,
 flow, indicator), each block reusing one transposed factorization for all
 functionals. The BDF2-marched flow has one backward sweep,
 `adjoint_transient`, which carries every functional as one column of a
-right-hand-side block, so each step is factorized once.
+right-hand-side block, so each step is factorized once. Only the adjoint
+solves differ between steady and BDF2 runs: the chain weights, the
+geometric partials and the contraction with d(phi)/d(s) are shared.
 
 Geometric partials of residuals and criteria are computed
-semi-analytically by one engine, `_recut_partials`. Per intersected
-element and corner it re-cuts that element locally with the enrichment
-frozen and re-evaluates a caller's payload, built from the same integrand
-kernels the global assembly uses. The steady gradient, the transient
-gradient and the residual audit matrix differ only in their payloads.
-Each corner's partial is found by the first of these that succeeds:
+semi-analytically. A steady analysis is a history of one flow state, a
+BDF2 march a history of steps 1..N; one re-cut payload,
+`_recut_gradient`, pairs each state's local flow residual with that
+state's adjoints and adds the species and indicator residuals and the
+geometric criteria once. One finite-difference loop, `_recut_partials`,
+re-cuts each intersected element locally with the enrichment frozen, per
+corner, and re-evaluates the payload from the same integrand kernels the
+global assembly uses. Each corner's partial is found by the first of
+these that succeeds:
 
 1. a central difference with step FD_STEP_FRACTION times the mesh size;
 2. the same with the step halved, up to MAX_STEP_HALVINGS times, while a
@@ -29,10 +34,10 @@ here, so each adjoint operator is the exact transpose of the forward one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import flow as flow_mod
@@ -40,7 +45,7 @@ from . import transport as transport_mod
 from .criteria import GEOMETRIC_KINDS, evaluate_criterion, ks_local_sum
 from .forms import element_context
 from .cut import CUT
-from .solve import bdf_slot
+from .solve import STEADY_SLOT, TimeSlot, bdf_slot
 
 FD_STEP_FRACTION = 1e-4  # geometric FD step, as a fraction of h
 MAX_STEP_HALVINGS = 4
@@ -126,15 +131,6 @@ def steady_adjoints(model, result, functionals):
     return out
 
 
-def _restrict(vec, ids, blocks, n):
-    """Restrict a block vector (blocks * n) to local scalar ids."""
-    return np.concatenate([vec[b * n + ids] for b in range(blocks)])
-
-
-def _local_psi(result, ids):
-    return None if result.psi is None else result.psi[ids]
-
-
 def _recut_partials(model, result, payload, report=None):
     """Yield (node, partial) for each corner of each cut element, in order.
 
@@ -179,68 +175,93 @@ def _recut_partials(model, result, payload, report=None):
             yield int(nodes[c]), partial
 
 
-def geometry_gradient(model, result, adjoints, report=None):
-    """d(functionals)/d(nodal phi) via local recut finite differences.
+class _Step(NamedTuple):
+    """One flow state of an analysis, as the re-cut payload sees it."""
 
-    Each re-cut element contributes sum_k(lambda_k . R_local +
-    dF_k/dcrit . crit_local). Returns an array (n_functionals, n_mesh_nodes).
+    slot: TimeSlot  # time slot of the state's residual (full-length hist)
+    state: np.ndarray  # flow state (3 n)
+    lams: list  # per functional: flow adjoint at this state, or None
+    weight: dict  # state-dependent criterion name -> sampling weight
+
+
+def _recut_gradient(model, result, steps, adjoints, report):
+    """d(functionals)/d(nodal phi) over the flow states in steps.
+
+    Each re-cut element contributes, per functional, the flow residual of
+    every step paired with that step's flow adjoint, the species and
+    indicator residuals paired with their adjoints, the geometric criteria
+    once and every other criterion once per step with the step's weight.
+    ks_target is not element-separable: its local part is the sum at the
+    frozen global shift, chained through 1 / (beta * total). Returns an
+    array (n_functionals, n_mesh_nodes).
     """
     cm = result.cm
     n = result.ctx.n
     params = model.physics.flow
-    has_species = result.species_state is not None
-    # frozen shift for KS criteria (not element-separable)
+    species = result.species_state
+    geometric = [spec for spec in model.criteria if spec.kind in GEOMETRIC_KINDS]
+    stateful = [spec for spec in model.criteria if spec.kind not in GEOMETRIC_KINDS]
     ks_aux = {spec.name: result.crit_partials[spec.name].aux
-              for spec in model.criteria if spec.kind == "ks_target"}
+              for spec in stateful if spec.kind == "ks_target"}
 
     def payload(e, phi4):
         ctx = element_context(cm, e, phi4, regions=model.regions)
         ids = ctx.scalar_ids
-        U_loc = _restrict(result.flow_state, ids, 3, n)
-        r_f, _ = flow_mod.assemble_flow(
-            ctx, params, U_loc, coeff_state=U_loc,
-            psibar=model.penalty_weights(ctx, _local_psi(result, ids)),
-            want_matrix=False,
-        )
+        gids = np.concatenate([ids, ids + n, ids + 2 * n])
+        psibar = model.penalty_weights(
+            ctx, None if result.psi is None else result.psi[ids])
+        c_loc = None if species is None else species[ids]
+        crit_once = {spec.name: evaluate_criterion(spec, ctx, params,
+                                                   allow_empty=True).value
+                     for spec in geometric}
+        per_step = []
+        for step in steps:
+            U_loc = step.state[gids]
+            slot = step.slot
+            if slot.hist is not None:
+                slot = replace(slot, hist=slot.hist[gids])
+            r_f, _ = flow_mod.assemble_flow(
+                ctx, params, U_loc, coeff_state=U_loc, slot=slot,
+                psibar=psibar, want_matrix=False)
+            crit = {}
+            for spec in stateful:
+                if spec.kind == "ks_target":
+                    shift, total = ks_aux[spec.name]
+                    crit[spec.name] = (ks_local_sum(spec, ctx, params, c_loc, shift)
+                                       / (spec.beta_ks * total))
+                else:
+                    crit[spec.name] = evaluate_criterion(
+                        spec, ctx, params, flow_state=U_loc, species_state=c_loc,
+                        allow_empty=True).value
+            per_step.append((r_f, crit))
         r_c = None
-        if has_species:
+        if species is not None:
             r_c, _ = transport_mod.assemble_species(
-                ctx, model.physics.transport, result.species_state[ids], U_loc,
-                want_matrix=False,
-            )
+                ctx, model.physics.transport, c_loc, result.flow_state[gids],
+                want_matrix=False)
         r_psi = None
         if result.psi is not None:
             r_psi, _ = transport_mod.assemble_indicator(
-                ctx, model.physics.indicator, result.psi[ids], want_matrix=False,
-            )
-
-        crit_local = {}
-        for spec in model.criteria:
-            if spec.kind == "ks_target":
-                shift, total = ks_aux[spec.name]
-                contrib = ks_local_sum(spec, ctx, params,
-                                       result.species_state[ids], shift)
-                # chain d(criterion)/d(local sum) = 1 / (beta * total)
-                crit_local[spec.name] = contrib / (spec.beta_ks * total)
-            else:
-                crit_local[spec.name] = evaluate_criterion(
-                    spec, ctx, params,
-                    flow_state=U_loc,
-                    species_state=(result.species_state[ids]
-                                   if has_species else None),
-                    allow_empty=True,
-                ).value
+                ctx, model.physics.indicator, result.psi[ids], want_matrix=False)
 
         vals = np.zeros(len(adjoints))
         for k, adj in enumerate(adjoints):
-            total = float(adj.lam_flow[np.concatenate([ids, ids + n, ids + 2 * n])]
-                          @ r_f) if adj.lam_flow is not None else 0.0
+            total = 0.0
+            for step, (r_f, _) in zip(steps, per_step):
+                if step.lams[k] is not None:
+                    total += float(step.lams[k][gids] @ r_f)
             if r_c is not None and adj.lam_species is not None:
                 total += float(adj.lam_species[ids] @ r_c)
             if r_psi is not None and adj.lam_psi is not None:
                 total += float(adj.lam_psi[ids] @ r_psi)
             for name, w in adj.dcrit.items():
-                total += w * crit_local.get(name, 0.0)
+                if name in crit_once:
+                    total += w * crit_once[name]
+                    continue
+                for step, (_, crit) in zip(steps, per_step):
+                    sw = step.weight.get(name, 0.0)
+                    if sw:
+                        total += w * sw * crit[name]
             vals[k] = total
         return vals
 
@@ -250,6 +271,56 @@ def geometry_gradient(model, result, adjoints, report=None):
     return grad
 
 
+def geometry_gradient(model, result, adjoints, report=None):
+    """d(functionals)/d(nodal phi) of a steady analysis, a one-step history.
+
+    Returns an array (n_functionals, n_mesh_nodes).
+    """
+    weight = {spec.name: 1.0 for spec in model.criteria
+              if spec.kind not in GEOMETRIC_KINDS}
+    step = _Step(STEADY_SLOT, result.flow_state, [adj.lam_flow for adj in adjoints],
+                 weight)
+    return _recut_gradient(model, result, [step], adjoints, report)
+
+
+def _transient_geometry_gradient(model, result, lams, adjoints, weights, report):
+    """d(functionals)/d(nodal phi) of a BDF2 march over steps 1..N.
+
+    lams[step] holds the flow adjoints of that step, one column per
+    functional; weights[step] maps each state-dependent criterion to its
+    sampling weight at that step (index 0 unused in both).
+    """
+    history = result.flow_history
+    dt = model.solve_config.dt
+    steps = [_Step(bdf_slot(step, dt, history[:step]), history[step],
+                   list(lams[step].T), weights[step])
+             for step in range(1, len(history))]
+    return _recut_gradient(model, result, steps, adjoints, report)
+
+
+def _chains(problem, values, domain_area, iteration):
+    """Chain weights d(F)/d(criterion) of the objective and each constraint,
+    and the constraint values g."""
+    chains = [problem.objective_dcrit(values)]
+    g_values = []
+    for con in problem.constraints:
+        g, dg = con.evaluate(values, domain_area, iteration)
+        g_values.append(g)
+        chains.append(dg)
+    return chains, np.asarray(g_values)
+
+
+def _design_totals(model, problem, design, values, g_values, dphi, report):
+    """Contract nodal level set derivatives with J_s = d(phi)/d(s).
+
+    Returns (Z, g_values, dZ_ds, dg_ds, report).
+    """
+    J_s = model.lsmap.jacobian(design)  # (n_nodes, n_design)
+    dZ_ds = J_s.T @ dphi[0]
+    dg_ds = np.array([J_s.T @ dphi[1 + i] for i in range(len(problem.constraints))])
+    return problem.objective_value(values), g_values, dZ_ds, dg_ds, report
+
+
 def total_design_gradient(model, result, problem, design, domain_area, iteration=0):
     """Objective/constraint values and their total design derivatives.
 
@@ -257,62 +328,10 @@ def total_design_gradient(model, result, problem, design, domain_area, iteration
     """
     values = result.crit_values
     report = GradientReport()
-
-    chains = [problem.objective_dcrit(values)]
-    g_values = []
-    for con in problem.constraints:
-        g, dg = con.evaluate(values, domain_area, iteration)
-        g_values.append(g)
-        chains.append(dg)
-
+    chains, g_values = _chains(problem, values, domain_area, iteration)
     adjoints = steady_adjoints(model, result, chains)
     dphi = geometry_gradient(model, result, adjoints, report)
-    J_s = model.lsmap.jacobian(design)  # (n_nodes, n_design)
-    dZ_ds = J_s.T @ dphi[0]
-    dg_ds = np.array([J_s.T @ dphi[1 + i] for i in range(len(problem.constraints))])
-    Z = problem.objective_value(values)
-    return Z, np.asarray(g_values), dZ_ds, dg_ds, report
-
-
-def residual_phi_matrix(model, result, block="flow"):
-    """Materialized sparse d(residual)/d(nodal phi) for audits and tests."""
-    cm = result.cm
-    n = result.ctx.n
-    blocks = {"flow": 3, "species": 1, "indicator": 1}[block]
-    gids = None  # rows of the element the engine last re-cut
-
-    def payload(e, phi4):
-        nonlocal gids
-        ctx = element_context(cm, e, phi4, regions=model.regions)
-        ids = ctx.scalar_ids
-        gids = np.concatenate([ids + b * n for b in range(blocks)])
-        U_loc = _restrict(result.flow_state, ids, 3, n)
-        if block == "flow":
-            r, _ = flow_mod.assemble_flow(
-                ctx, model.physics.flow, U_loc, coeff_state=U_loc,
-                psibar=model.penalty_weights(ctx, _local_psi(result, ids)),
-                want_matrix=False)
-        elif block == "species":
-            r, _ = transport_mod.assemble_species(
-                ctx, model.physics.transport, result.species_state[ids],
-                U_loc, want_matrix=False)
-        else:
-            r, _ = transport_mod.assemble_indicator(
-                ctx, model.physics.indicator, result.psi[ids],
-                want_matrix=False)
-        return r
-
-    rows, cols, vals = [], [], []
-    for node, partial in _recut_partials(model, result, payload):
-        rows.append(gids)
-        cols.append(np.full(gids.shape[0], node, dtype=np.int64))
-        vals.append(partial)
-    if not rows:
-        return sp.csr_matrix((blocks * n, model.mesh.n_nodes))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(blocks * n, model.mesh.n_nodes),
-    )
+    return _design_totals(model, problem, design, values, g_values, dphi, report)
 
 
 def transient_total_gradient(model, result, problem, design, domain_area,
@@ -331,22 +350,13 @@ def transient_total_gradient(model, result, problem, design, domain_area,
     params = model.physics.flow
     values = result.crit_values
     report = GradientReport()
+    chains, g_values = _chains(problem, values, domain_area, iteration)
 
-    chains = [problem.objective_dcrit(values)]
-    g_values = []
-    for con in problem.constraints:
-        g, dg = con.evaluate(values, domain_area, iteration)
-        g_values.append(g)
-        chains.append(dg)
-
-    spec_of = {spec.name: spec for spec in model.criteria}
-
-    def step_weight(spec, step):
-        if spec.kind in GEOMETRIC_KINDS:
-            return 0.0  # handled as a static (geometry-only) contribution
-        if spec.time_sampling == "average":
-            return 1.0 / n_steps
-        return 1.0 if step == n_steps else 0.0
+    stateful = [spec for spec in model.criteria if spec.kind not in GEOMETRIC_KINDS]
+    weights = [None] + [
+        {spec.name: (1.0 / n_steps if spec.time_sampling == "average"
+                     else float(step == n_steps)) for spec in stateful}
+        for step in range(1, n_steps + 1)]
 
     def assemble_at(step, slot):
         _, J = flow_mod.assemble_flow(
@@ -360,15 +370,14 @@ def transient_total_gradient(model, result, problem, design, domain_area,
 
     def dz_du(step):
         """Per-functional dF/du^step, one column per functional."""
-        part = {
-            name: evaluate_criterion(spec, ctx, params, flow_state=history[step],
-                                     want_partials=True)
-            for name, spec in spec_of.items() if spec.kind not in GEOMETRIC_KINDS
-        }
+        part = {spec.name: evaluate_criterion(spec, ctx, params,
+                                              flow_state=history[step],
+                                              want_partials=True)
+                for spec in stateful}
         dz = np.zeros((3 * n, len(chains)))
         for k, chain in enumerate(chains):
             for name, w in chain.items():
-                sw = step_weight(spec_of[name], step)
+                sw = weights[step].get(name, 0.0)
                 if sw and part[name].d_flow is not None:
                     dz[:, k] += w * sw * part[name].d_flow
         return dz
@@ -389,77 +398,9 @@ def transient_total_gradient(model, result, problem, design, domain_area,
         for k, adj in enumerate(adjoints):
             adj.lam_psi = lam_psi[:, k]
 
-    dphi = _transient_geometry_gradient(model, result, chains, lams, adjoints,
-                                        spec_of, step_weight, report)
-    J_s = model.lsmap.jacobian(design)
-    dZ_ds = J_s.T @ dphi[0]
-    dg_ds = np.array([J_s.T @ dphi[1 + i] for i in range(len(problem.constraints))])
-    Z = problem.objective_value(values)
-    return Z, np.asarray(g_values), dZ_ds, dg_ds, report
-
-
-def _transient_geometry_gradient(model, result, chains, lams, adjoints, spec_of,
-                                 step_weight, report):
-    """Per-node level set partials accumulated over all time steps.
-
-    lams[step] holds the flow adjoints of that step, one column per
-    functional (index 0 unused).
-    """
-    cm = result.cm
-    dt = model.solve_config.dt
-    history = result.flow_history
-    n_steps = len(history) - 1
-    n = result.ctx.n
-    n_func = len(chains)
-    params = model.physics.flow
-
-    def payload(e, phi4):
-        ctx = element_context(cm, e, phi4, regions=model.regions)
-        vals = np.zeros(n_func)
-        ids = ctx.scalar_ids
-        gids = np.concatenate([ids, ids + n, ids + 2 * n])
-        psibar = model.penalty_weights(ctx, _local_psi(result, ids))
-        for step in range(1, n_steps + 1):
-            slot = bdf_slot(step, dt, history[:step])
-            slot_loc = type(slot)(alpha=slot.alpha, hist=slot.hist[gids],
-                                  dt=slot.dt, t=slot.t)
-            U_loc = history[step][gids]
-            r_f, _ = flow_mod.assemble_flow(
-                ctx, params, U_loc, coeff_state=U_loc, slot=slot_loc,
-                psibar=psibar, want_matrix=False)
-            crit_loc = {}
-            for name, spec in spec_of.items():
-                if spec.kind in GEOMETRIC_KINDS:
-                    continue
-                crit_loc[name] = evaluate_criterion(
-                    spec, ctx, params, flow_state=U_loc, allow_empty=True).value
-            vals += r_f @ lams[step][gids]
-            for k in range(n_func):
-                for name, w in chains[k].items():
-                    sw = step_weight(spec_of[name], step)
-                    if sw:
-                        vals[k] += w * sw * crit_loc.get(name, 0.0)
-        # static geometry criteria and the indicator residual
-        for name, spec in spec_of.items():
-            if spec.kind not in GEOMETRIC_KINDS:
-                continue
-            v = evaluate_criterion(spec, ctx, params, allow_empty=True).value
-            for k in range(n_func):
-                w = chains[k].get(name, 0.0)
-                if w:
-                    vals[k] += w * v
-        if result.psi is not None:
-            r_psi, _ = transport_mod.assemble_indicator(
-                ctx, model.physics.indicator, result.psi[ids], want_matrix=False)
-            for k, adj in enumerate(adjoints):
-                if adj.lam_psi is not None:
-                    vals[k] += float(adj.lam_psi[ids] @ r_psi)
-        return vals
-
-    grad = np.zeros((n_func, model.mesh.n_nodes))
-    for node, partial in _recut_partials(model, result, payload, report):
-        grad[:, node] += partial
-    return grad
+    dphi = _transient_geometry_gradient(model, result, lams, adjoints, weights,
+                                        report)
+    return _design_totals(model, problem, design, values, g_values, dphi, report)
 
 
 # ---------------------------------------------------------------------------

@@ -145,12 +145,11 @@ def march(make_assemble, u0, config: SolveConfig):
     return states, traces
 
 
-def steady_solve(make_assemble, warm, config: SolveConfig, final_time=0.0):
+def steady_solve(make_assemble, warm, config: SolveConfig):
     """Steady solve with optional pseudo-transient continuation fallback."""
-    steady = TimeSlot(t=final_time)
     try:
         return newton_solve(
-            make_assemble(steady), warm,
+            make_assemble(STEADY_SLOT), warm,
             tol=config.newton_tol, abs_floor=NEWTON_ABS_FLOOR,
             max_iter=config.max_newton,
         )
@@ -160,7 +159,7 @@ def steady_solve(make_assemble, warm, config: SolveConfig, final_time=0.0):
     dt = config.pseudo_dt0
     combined = []
     for _ in range(PSEUDO_STEPS):
-        slot = TimeSlot(alpha=1.0 / dt, hist=-u / dt, dt=dt, t=final_time)
+        slot = TimeSlot(alpha=1.0 / dt, hist=-u / dt, dt=dt)
         try:
             u, trace = newton_solve(
                 make_assemble(slot), u,
@@ -174,7 +173,7 @@ def steady_solve(make_assemble, warm, config: SolveConfig, final_time=0.0):
         dt *= 2.0
     try:
         x, trace = newton_solve(
-            make_assemble(steady), u,
+            make_assemble(STEADY_SLOT), u,
             tol=config.newton_tol, abs_floor=NEWTON_ABS_FLOOR,
             max_iter=config.max_newton,
         )

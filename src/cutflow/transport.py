@@ -53,23 +53,20 @@ class IndicatorParams:
             raise ValueError("projection threshold factor must be in (0, 1)")
 
 
-def _tau_species(params, slot, speed2, h):
+def _tau_species(params, speed2, h):
     k = params.diffusivity
     a = (4.0 * k / (h * h)) ** 2
-    if slot is not None and slot.dt is not None:
-        a = a + (2.0 / slot.dt) ** 2
     tau = 1.0 / np.sqrt(a + 4.0 * speed2 / (h * h))
     dtau_fac = -4.0 * tau**3 / (h * h)
     return tau, dtau_fac
 
 
-def assemble_species(ctx, params, state, flow_state, slot=None, terms=ALL_TERMS,
+def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
                      want_matrix=True):
-    """Residual (and Jacobian wrt c) of the species system.
+    """Residual (and Jacobian wrt c) of the steady species system.
 
     state: scalar dof vector c (ctx.n). flow_state: flow vector (3 ctx.n)
-    providing the advection velocity. slot: TimeSlot with a scalar-space
-    hist vector, or None for steady.
+    providing the advection velocity.
     """
     n = ctx.n
     c = np.asarray(state, dtype=float)
@@ -77,9 +74,6 @@ def assemble_species(ctx, params, state, flow_state, slot=None, terms=ALL_TERMS,
     k = params.diffusivity
     R = np.zeros(n)
     coo = _Coo() if want_matrix else None
-    alpha = 0.0 if slot is None else slot.alpha
-    hist = None if slot is None else slot.hist
-    t = 0.0 if slot is None else slot.t
 
     if ctx.vol_w is not None and ctx.vol_w.shape[0]:
         N, gx, gy = ctx.vol_N, ctx.vol_gx, ctx.vol_gy
@@ -87,33 +81,29 @@ def assemble_species(ctx, params, state, flow_state, slot=None, terms=ALL_TERMS,
         W = ctx.vol_w
         nq = W.shape[0]
         ce = _gather(c, dofs)
-        cv = (N * ce).sum(1)
         cx = (gx * ce).sum(1)
         cy = (gy * ce).sum(1)
         ux = (N * _gather(U[0:n], dofs)).sum(1)
         uy = (N * _gather(U[n:2 * n], dofs)).sum(1)
-        hv = (N * _gather(hist, dofs)).sum(1) if hist is not None else 0.0
-        ct = alpha * cv + hv
         adv = ux * cx + uy * cy
         udotgN = ux[:, None] * gx + uy[:, None] * gy
 
         r = np.zeros((nq, 4))
         J = np.zeros((nq, 4, 4)) if want_matrix else None
         if GALERKIN in terms:
-            r += N * (ct + adv - params.source)[:, None] \
+            r += N * (adv - params.source)[:, None] \
                 + k * (gx * cx[:, None] + gy * cy[:, None])
             if want_matrix:
-                J += N[:, :, None] * (alpha * N + udotgN)[:, None, :] \
+                J += N[:, :, None] * udotgN[:, None, :] \
                     + k * (gx[:, :, None] * gx[:, None, :]
                            + gy[:, :, None] * gy[:, None, :])
         if STABILIZATION in terms:
-            tau, _ = _tau_species(params, slot, ux * ux + uy * uy, ctx.h)
+            tau, _ = _tau_species(params, ux * ux + uy * uy, ctx.h)
             # strong diffusion term vanishes exactly for bilinear elements
-            strong = ct + adv - params.source
+            strong = adv - params.source
             r += tau[:, None] * udotgN * strong[:, None]
             if want_matrix:
-                J += tau[:, None, None] * udotgN[:, :, None] \
-                    * (alpha * N + udotgN)[:, None, :]
+                J += tau[:, None, None] * udotgN[:, :, None] * udotgN[:, None, :]
         _scatter_block(R, coo, dofs, r, J, W)
 
     if NITSCHE in terms:
@@ -165,30 +155,25 @@ def _scalar_ghost(ctx, R, coo, c, gamma_eff):
         coo.add(rows, cols, vals)
 
 
-def species_flow_jacobian(ctx, params, state, flow_state, slot=None):
+def species_flow_jacobian(ctx, params, state, flow_state):
     """d(species residual)/d(flow state): advection and SUPG couplings."""
     n = ctx.n
     c = np.asarray(state, dtype=float)
     U = np.asarray(flow_state, dtype=float)
     coo = _Coo()
-    alpha = 0.0 if slot is None else slot.alpha
-    hist = None if slot is None else slot.hist
     if ctx.vol_w is not None and ctx.vol_w.shape[0]:
         N, gx, gy = ctx.vol_N, ctx.vol_gx, ctx.vol_gy
         dofs = ctx.vol_dofs
         W = ctx.vol_w
         nq = W.shape[0]
         ce = _gather(c, dofs)
-        cv = (N * ce).sum(1)
         cx = (gx * ce).sum(1)
         cy = (gy * ce).sum(1)
         ux = (N * _gather(U[0:n], dofs)).sum(1)
         uy = (N * _gather(U[n:2 * n], dofs)).sum(1)
-        hv = (N * _gather(hist, dofs)).sum(1) if hist is not None else 0.0
-        ct = alpha * cv + hv
-        strong = ct + ux * cx + uy * cy - params.source
+        strong = ux * cx + uy * cy - params.source
         udotgN = ux[:, None] * gx + uy[:, None] * gy
-        tau, dtau_fac = _tau_species(params, slot, ux * ux + uy * uy, ctx.h)
+        tau, dtau_fac = _tau_species(params, ux * ux + uy * uy, ctx.h)
 
         def outer(a, b):
             return a[:, :, None] * b[:, None, :]

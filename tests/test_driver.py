@@ -228,6 +228,22 @@ def test_shipped_configs_parse_strictly_and_round_trip(tmp_path):
         assert parse_config(_write(tmp_path, dumped, "b.cfg")) == cfg, name
 
 
+@pytest.mark.parametrize("port", [
+    "optimize_center = true",
+    "optimize_radius = true",
+    "optimize_radius = true\nradius_bounds = 0.08 0.02",
+], ids=["center_no_bounds", "radius_no_bounds", "radius_bounds_reversed"])
+def test_cli_port_optimization_needs_bounds_exit_2(tmp_path, capsys, port):
+    text = CHANNEL_CFG.replace("[criterion.cd]", "[port.exit]\nface = right\n"
+                               "center = 1.6 0.2\nradius = 0.05\n"
+                               f"{port}\n\n[criterion.cd]")
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigurationError, match="port.exit"):
+        parse_config(path)
+    assert cli_main(["analyze", "--config", path]) == 2
+    assert "_bounds" in capsys.readouterr().err
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigurationError):
         parse_config("/nonexistent/run.cfg")
@@ -457,6 +473,16 @@ def test_sweep_driver(tmp_path):
     assert results[0]["criteria"]["cd"] == pytest.approx(
         results[1]["criteria"]["cd"], rel=1e-12)
     assert os.path.exists(os.path.join(str(tmp_path / "sw"), "sweep.csv"))
+
+
+def test_cli_sweep_non_numeric_values_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, CHANNEL_CFG)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "--config", path, "--parameter", "k_pressure",
+                  "--values", "1,abc", "--output", str(tmp_path / "sw")])
+    assert exc.value.code == 2
+    assert "'1,abc'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "sw")
 
 
 def test_gradcheck_driver(tmp_path):

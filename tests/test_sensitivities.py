@@ -7,12 +7,61 @@ from cutflow.criteria import CriterionSpec, ObjectiveTerm, ProblemSpec
 from cutflow.cut import CUT
 from cutflow.design import DesignVector
 from cutflow.grid import node_support
-from cutflow.sensitivities import (adjoint_transient, geometry_gradient,
-                                   residual_phi_matrix, steady_adjoints,
+from cutflow import flow as flow_mod
+from cutflow import transport as transport_mod
+from cutflow.forms import element_context
+from cutflow.sensitivities import (_recut_partials, adjoint_transient,
+                                   geometry_gradient, steady_adjoints,
                                    total_design_gradient)
 from cutflow.solve import bdf_slot
 
 from fixtures_common import bend_model
+
+
+def _restrict(vec, ids, blocks, n):
+    """Restrict a block vector (blocks * n) to local scalar ids."""
+    return np.concatenate([vec[b * n + ids] for b in range(blocks)])
+
+
+def residual_phi_matrix(model, result, block="flow"):
+    """Materialized sparse d(residual)/d(nodal phi), by the re-cut engine."""
+    cm = result.cm
+    n = result.ctx.n
+    blocks = {"flow": 3, "species": 1, "indicator": 1}[block]
+    gids = None  # rows of the element the engine last re-cut
+
+    def payload(e, phi4):
+        nonlocal gids
+        ctx = element_context(cm, e, phi4, regions=model.regions)
+        ids = ctx.scalar_ids
+        gids = np.concatenate([ids + b * n for b in range(blocks)])
+        U_loc = _restrict(result.flow_state, ids, 3, n)
+        if block == "flow":
+            psi = None if result.psi is None else result.psi[ids]
+            r, _ = flow_mod.assemble_flow(
+                ctx, model.physics.flow, U_loc, coeff_state=U_loc,
+                psibar=model.penalty_weights(ctx, psi), want_matrix=False)
+        elif block == "species":
+            r, _ = transport_mod.assemble_species(
+                ctx, model.physics.transport, result.species_state[ids],
+                U_loc, want_matrix=False)
+        else:
+            r, _ = transport_mod.assemble_indicator(
+                ctx, model.physics.indicator, result.psi[ids],
+                want_matrix=False)
+        return r
+
+    rows, cols, vals = [], [], []
+    for node, partial in _recut_partials(model, result, payload):
+        rows.append(gids)
+        cols.append(np.full(gids.shape[0], node, dtype=np.int64))
+        vals.append(partial)
+    if not rows:
+        return sp.csr_matrix((blocks * n, model.mesh.n_nodes))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(blocks * n, model.mesh.n_nodes),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +318,38 @@ def test_transient_gradient_reduces_to_steady_for_huge_dt():
     assert np.linalg.norm(dZt - dZs) / denom < 1e-6
 
 
+def test_transient_gradient_matches_global_fd():
+    # the BDF2 re-cut payload against central differences of the march: an
+    # outlet total pressure averaged over the steps, an inlet one at the end
+    from dataclasses import replace
+    from cutflow.sensitivities import transient_total_gradient
+    from cutflow.solve import SolveConfig
+    model, problem, design = bend_model(divisions=(12, 12))
+    sampling = {"to": "average", "ti": "final"}
+    model.criteria = [replace(c, time_sampling=sampling.get(c.name, c.time_sampling))
+                      for c in model.criteria]
+    problem.criteria = model.criteria
+    model.solve_config = SolveConfig(scheme="bdf2", dt=0.05, n_steps=4,
+                                     newton_tol=1e-12)
+    result = model.solve_transient(design)
+    problem.capture_normalization(result.crit_values)
+    Z, g, dZ, dg, rep = transient_total_gradient(model, result, problem, design, 1.0)
+    assert not rep.flagged_nodes
+    rng = np.random.default_rng(3)
+    mag = np.abs(dZ)
+    pick = rng.choice(np.nonzero(mag > 0.05 * mag.max())[0], size=5, replace=False)
+    step = 1e-5
+    for idx in pick:
+        dv = DesignVector(values=design.values.copy(), lower=design.lower,
+                          upper=design.upper, n_nodal=design.n_nodal)
+        dv.values[idx] += step
+        Zp = problem.objective_value(model.solve_transient(dv).crit_values)
+        dv.values[idx] -= 2 * step
+        Zm = problem.objective_value(model.solve_transient(dv).crit_values)
+        fd = (Zp - Zm) / (2 * step)
+        assert abs(fd - dZ[idx]) / max(abs(fd), abs(dZ[idx])) < 1e-3
+
+
 # --- fallback of the re-cut finite differences ---------------------------------
 
 def _volume_gradient_at(model, design, node, value):
@@ -360,7 +441,6 @@ def test_element_context_matches_global_rows():
     # at the stored level set, each cut element's re-cut context carries
     # bitwise the global context's rows of that element; inclusions on the
     # left and bottom walls give some cut elements boundary blocks
-    from cutflow.forms import element_context
     model, _, design = bend_model(
         divisions=(20, 20),
         inclusions=((0.0, 0.5, 0.15), (0.5, 0.0, 0.15), (0.6, 0.6, 0.1)))
