@@ -1,9 +1,10 @@
 """Design criteria and their composition into objectives and constraints.
 
 Every criterion is an integral over one of the context's quadrature
-blocks (interface, a tagged boundary region, or the fluid volume), so the
-same evaluation code serves the global problem and the per-element
-contexts used by the geometric sensitivities. State partials are exact.
+blocks (interface, a tagged boundary region, or the fluid volume). One
+integrand, `criterion_terms`, gives its per-point terms: the global
+evaluation sums them, and the geometric sensitivities sum them per
+re-cut element of a stacked context. State partials are exact.
 
 Criteria kinds: drag coefficient, mass flow rate, total pressure, fluid
 volume, interface surface area, and a smooth-maximum (KS) measure of the
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .flow import _gather
+from .flow import _flow_fields, _gather
 
 # criteria that depend on the geometry alone, never on a flow or species state
 GEOMETRIC_KINDS = ("volume_fluid", "surface_area")
@@ -54,163 +55,144 @@ class CriterionValue:
     aux: tuple = None  # ks_target: (max shift m, shifted integral T)
 
 
-class _EmptyBlock:
-    nq = 0
-
-
-def _surface_block(ctx, spec, allow_empty=False):
+def _surface_block(ctx, spec):
     if spec.surface == "interface":
-        return ctx.interface if ctx.interface is not None else _EmptyBlock()
-    try:
-        return ctx.boundary_block(spec.surface)
-    except KeyError:
-        if allow_empty:
-            return _EmptyBlock()
-        raise
+        return ctx.interface
+    return ctx.boundary_block(spec.surface)
 
 
-def evaluate_criterion(spec, ctx, params, flow_state=None, species_state=None,
-                       want_partials=False, allow_empty=False):
-    """Evaluate one criterion on an integration context.
+def _ks_points(ctx, spec):
+    """(N, dofs, w) of the block a ks_target criterion integrates over."""
+    if spec.surface == "volume":
+        return ctx.vol_N, ctx.vol_dofs, ctx.vol_w
+    blk = _surface_block(ctx, spec)
+    return blk.N, blk.dofs, blk.w
 
-    allow_empty=True returns 0 for empty surfaces (used by the per-element
-    local contributions of the geometric sensitivities). Note the KS
-    criterion is not element-separable; its local contribution is the
-    shifted sum handled by the caller.
+
+def _ks_deviation(spec, N, dofs, species_state):
+    """Concentration and its squared deviation from c_ref at each point."""
+    cq = (N * _gather(np.asarray(species_state, dtype=float), dofs)).sum(1)
+    return cq, (cq - spec.c_ref) ** 2
+
+
+def criterion_scale(spec, params):
+    """Factor between a criterion's value and the sum of its terms."""
+    if spec.kind != "drag":
+        return 1.0
+    ex, ey = spec.direction
+    return -2.0 * ex_ey_norm(ex, ey) / (params.rho * spec.u_char**2 * spec.l_char)
+
+
+def criterion_terms(spec, ctx, params, flow_state=None, species_state=None,
+                    shift=None):
+    """Per-quadrature-point terms of a criterion and the dof rows they sit on.
+
+    Returns (q, dofs). Every kind but ks_target has the value
+    criterion_scale * sum(q), so a context that stacks several elements
+    gives each element's part as a sum over its own points. ks_target is
+    not element-separable: its terms are w exp(beta (dev^2 - shift)) at a
+    given shift, and the criterion is shift + log(sum q) / beta with shift
+    the largest dev^2 of the global block.
     """
     n = ctx.n
     if spec.kind == "volume_fluid":
-        w = ctx.vol_w if ctx.vol_w is not None else np.zeros(0)
-        return CriterionValue(value=float(w.sum()))
+        return ctx.vol_w, ctx.vol_dofs
     if spec.kind == "surface_area":
-        blk = ctx.interface
-        return CriterionValue(value=float(blk.w.sum()) if blk is not None else 0.0)
+        return ctx.interface.w, ctx.interface.dofs
+    if spec.kind == "ks_target":
+        N, dofs, w = _ks_points(ctx, spec)
+        _, dev2 = _ks_deviation(spec, N, dofs, species_state)
+        return w * np.exp(spec.beta_ks * (dev2 - shift)), dofs
+
+    blk = _surface_block(ctx, spec)
+    w, nx, ny = blk.w, blk.normal[:, 0], blk.normal[:, 1]
+    _, _, _, ux, uy, p, uxx, uxy, uyx, uyy = _flow_fields(
+        np.asarray(flow_state, dtype=float), n, blk.dofs, blk.N, blk.gx, blk.gy)
+    if spec.kind == "mass_flow":
+        return w * params.rho * (ux * nx + uy * ny), blk.dofs
+    if spec.kind == "total_pressure":
+        return w * (p + 0.5 * params.rho * (ux * ux + uy * uy)), blk.dofs
+    # drag: traction along the drag direction
+    mu = params.mu
+    ex, ey = spec.direction
+    exy = 0.5 * (uxy + uyx)
+    tx = -p * nx + 2 * mu * (uxx * nx + exy * ny)
+    ty = -p * ny + 2 * mu * (exy * nx + uyy * ny)
+    return w * (ex * tx + ey * ty), blk.dofs
+
+
+def evaluate_criterion(spec, ctx, params, flow_state=None, species_state=None,
+                       want_partials=False):
+    """Evaluate one criterion on an integration context.
+
+    Raises ConfigurationError when a state-dependent criterion's surface
+    (or ks_target's volume) holds no quadrature points.
+    """
+    n = ctx.n
+    if spec.kind in GEOMETRIC_KINDS:
+        q, _ = criterion_terms(spec, ctx, params)
+        return CriterionValue(value=float(q.sum()))
 
     if spec.kind == "ks_target":
-        if spec.surface == "volume":
-            if ctx.vol_w is None or not ctx.vol_w.shape[0]:
-                if allow_empty:
-                    return CriterionValue(value=0.0)
-                raise ConfigurationError("ks_target over an empty fluid volume")
-            N, dofs, w = ctx.vol_N, ctx.vol_dofs, ctx.vol_w
-        else:
-            blk = _surface_block(ctx, spec, allow_empty)
-            if not blk.nq:
-                if allow_empty:
-                    return CriterionValue(value=0.0)
-                raise ConfigurationError(f"criterion surface {spec.surface!r} is empty")
-            N, dofs, w = blk.N, blk.dofs, blk.w
-        c = np.asarray(species_state, dtype=float)
-        cq = (N * _gather(c, dofs)).sum(1)
-        beta = spec.beta_ks
-        dev2 = (cq - spec.c_ref) ** 2
+        N, dofs, w = _ks_points(ctx, spec)
+        if not w.shape[0]:
+            raise ConfigurationError(f"ks_target over an empty {spec.surface!r}")
+        cq, dev2 = _ks_deviation(spec, N, dofs, species_state)
         m = dev2.max()
-        expo = np.exp(beta * (dev2 - m))
-        total = float((w * expo).sum())
-        value = m + np.log(total) / beta
+        q, _ = criterion_terms(spec, ctx, params, species_state=species_state, shift=m)
+        total = float(q.sum())
+        value = m + np.log(total) / spec.beta_ks
         out = CriterionValue(value=float(value), aux=(float(m), total))
         if want_partials:
             ds = np.zeros(n)
-            coef = w * expo * 2.0 * (cq - spec.c_ref) / total
+            coef = q * 2.0 * (cq - spec.c_ref) / total
             np.add.at(ds, dofs, N * coef[:, None])
             out.d_species = ds
         return out
 
-    blk = _surface_block(ctx, spec, allow_empty)
+    blk = _surface_block(ctx, spec)
     if not blk.nq:
-        if allow_empty:
-            return CriterionValue(value=0.0)
         raise ConfigurationError(f"criterion surface {spec.surface!r} is empty")
-    U = np.asarray(flow_state, dtype=float)
+    q, _ = criterion_terms(spec, ctx, params, flow_state=flow_state)
+    scale = criterion_scale(spec, params)
+    out = CriterionValue(value=scale * float(q.sum()))
+    if not want_partials:
+        return out
+    rho, mu = params.rho, params.mu
     N, gx, gy, w = blk.N, blk.gx, blk.gy, blk.w
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
     dofs = blk.dofs
-    ux = (N * _gather(U[0:n], dofs)).sum(1)
-    uy = (N * _gather(U[n:2 * n], dofs)).sum(1)
-    p = (N * _gather(U[2 * n:3 * n], dofs)).sum(1)
-
+    d = np.zeros(3 * n)
     if spec.kind == "mass_flow":
-        rho = params.rho
-        value = float((w * rho * (ux * nx + uy * ny)).sum())
-        out = CriterionValue(value=value)
-        if want_partials:
-            d = np.zeros(3 * n)
-            np.add.at(d, dofs, N * (w * rho * nx)[:, None])
-            np.add.at(d, dofs + n, N * (w * rho * ny)[:, None])
-            out.d_flow = d
-        return out
-
-    if spec.kind == "total_pressure":
-        rho = params.rho
-        value = float((w * (p + 0.5 * rho * (ux * ux + uy * uy))).sum())
-        out = CriterionValue(value=value)
-        if want_partials:
-            d = np.zeros(3 * n)
-            np.add.at(d, dofs, N * (w * rho * ux)[:, None])
-            np.add.at(d, dofs + n, N * (w * rho * uy)[:, None])
-            np.add.at(d, dofs + 2 * n, N * w[:, None])
-            out.d_flow = d
-        return out
-
-    if spec.kind == "drag":
-        rho, mu = params.rho, params.mu
+        np.add.at(d, dofs, N * (w * rho * nx)[:, None])
+        np.add.at(d, dofs + n, N * (w * rho * ny)[:, None])
+    elif spec.kind == "total_pressure":
+        _, _, _, ux, uy = _flow_fields(np.asarray(flow_state, dtype=float), n,
+                                       dofs, N, gx, gy)[:5]
+        np.add.at(d, dofs, N * (w * rho * ux)[:, None])
+        np.add.at(d, dofs + n, N * (w * rho * uy)[:, None])
+        np.add.at(d, dofs + 2 * n, N * w[:, None])
+    else:  # drag
         ex, ey = spec.direction
-        scale = -2.0 * ex_ey_norm(ex, ey) / (rho * spec.u_char**2 * spec.l_char)
-        uxe = _gather(U[0:n], dofs)
-        uye = _gather(U[n:2 * n], dofs)
-        uxx = (gx * uxe).sum(1)
-        uxy = (gy * uxe).sum(1)
-        uyx = (gx * uye).sum(1)
-        uyy = (gy * uye).sum(1)
-        exy = 0.5 * (uxy + uyx)
-        tx = -p * nx + 2 * mu * (uxx * nx + exy * ny)
-        ty = -p * ny + 2 * mu * (exy * nx + uyy * ny)
-        value = scale * float((w * (ex * tx + ey * ty)).sum())
-        out = CriterionValue(value=value)
-        if want_partials:
-            gnN = gx * nx[:, None] + gy * ny[:, None]
-            # d(eps n)_x / dux_b etc., as in the Nitsche kernel
-            dex_dux = 0.5 * (gnN + nx[:, None] * gx)
-            dex_duy = 0.5 * ny[:, None] * gx
-            dey_dux = 0.5 * nx[:, None] * gy
-            dey_duy = 0.5 * (gnN + ny[:, None] * gy)
-            d = np.zeros(3 * n)
-            np.add.at(d, dofs, 2 * mu * scale
-                      * (ex * dex_dux + ey * dey_dux) * w[:, None])
-            np.add.at(d, dofs + n, 2 * mu * scale
-                      * (ex * dex_duy + ey * dey_duy) * w[:, None])
-            np.add.at(d, dofs + 2 * n, -scale * N * (w * (ex * nx + ey * ny))[:, None])
-            out.d_flow = d
-        return out
-
-    raise AssertionError(spec.kind)
+        gnN = gx * nx[:, None] + gy * ny[:, None]
+        # d(eps n)_x / dux_b etc., as in the Nitsche kernel
+        dex_dux = 0.5 * (gnN + nx[:, None] * gx)
+        dex_duy = 0.5 * ny[:, None] * gx
+        dey_dux = 0.5 * nx[:, None] * gy
+        dey_duy = 0.5 * (gnN + ny[:, None] * gy)
+        np.add.at(d, dofs, 2 * mu * scale
+                  * (ex * dex_dux + ey * dey_dux) * w[:, None])
+        np.add.at(d, dofs + n, 2 * mu * scale
+                  * (ex * dex_duy + ey * dey_duy) * w[:, None])
+        np.add.at(d, dofs + 2 * n, -scale * N * (w * (ex * nx + ey * ny))[:, None])
+    out.d_flow = d
+    return out
 
 
 def ex_ey_norm(ex, ey):
     # the drag direction is a unit vector; tolerate unnormalized input
     nrm = float(np.hypot(ex, ey))
     return 1.0 / nrm if nrm > 0 else 1.0
-
-
-def ks_local_sum(spec, ctx, params, species_state, shift):
-    """Element-separable part of ks_target: sum w exp(beta (dev^2 - shift)).
-
-    The full criterion is shift + log(total)/beta over the global block;
-    per-element geometric sensitivities chain through 1/(beta * total).
-    """
-    if spec.surface == "volume":
-        if ctx.vol_w is None or not ctx.vol_w.shape[0]:
-            return 0.0
-        N, dofs, w = ctx.vol_N, ctx.vol_dofs, ctx.vol_w
-    else:
-        blk = _surface_block(ctx, spec, allow_empty=True)
-        if not blk.nq:
-            return 0.0
-        N, dofs, w = blk.N, blk.dofs, blk.w
-    c = np.asarray(species_state, dtype=float)
-    cq = (N * _gather(c, dofs)).sum(1)
-    dev2 = (cq - spec.c_ref) ** 2
-    return float((w * np.exp(spec.beta_ks * (dev2 - shift))).sum())
 
 
 # ---------------------------------------------------------------------------

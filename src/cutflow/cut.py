@@ -2,11 +2,14 @@
 
 Cut elements are split into single-phase triangle subcells with straight
 interface chords (edge crossings from the linear trace of the bilinear
-level set along each edge, so an edge is crossed at most once). Fluid
-regions that are disconnected inside a node's support get separate
-enrichment levels so their interpolations never couple. Ghost facets are
-the interior facets next to the interface used by the face-oriented
-penalty terms. This module holds classification, decomposition,
+level set along each edge, so an edge is crossed at most once). One
+routine, `decompose_cells`, splits any batch of cells at once, grouped by
+cut pattern; the cut model and the sensitivities' local re-cuts both use
+it. Fluid regions that are disconnected inside a node's support get
+separate enrichment levels so their interpolations never couple; regions
+and levels are connected components of the fluid pieces' facet contacts.
+Ghost facets are the interior facets next to the interface used by the
+face-oriented penalty terms. This module holds classification, decomposition,
 enrichment and ghost pairs only; quadrature lives in `forms`.
 
 Conventions: phase -1 is fluid, +1 is solid; interface normals point
@@ -16,9 +19,12 @@ from the lower-left, edge k runs from corner k to corner k+1.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import CapacityError
 from .grid import BackgroundMesh
@@ -105,253 +111,225 @@ def classify_elements(mesh: BackgroundMesh, phi) -> np.ndarray:
     return out
 
 
-def _corner_coords(origin, h):
-    x0, y0 = origin
-    return np.array(
-        [[x0, y0], [x0 + h, y0], [x0 + h, y0 + h], [x0, y0 + h]], dtype=float
-    )
+def cell_patterns(phi4s):
+    """Cut pattern of each cell from its corner values (m, 4).
+
+    The pattern is the corner sign code (bit k set when corner k is
+    solid), plus 16 for a saddle whose bilinear centre value is positive.
+    It fixes the pieces, their phases and the chords of the cell.
+    """
+    phi4s = np.asarray(phi4s, dtype=float).reshape(-1, 4)
+    code = (phi4s > 0.0) @ np.array([1, 2, 4, 8])
+    saddle = (code == 5) | (code == 10)
+    return code + 16 * (saddle & (phi4s.mean(axis=1) > 0.0))
+
+
+def _corner_coords(origins, h):
+    """(m, 4, 2) corners of the cells with lower-left corners origins (m, 2)."""
+    x0, y0 = origins[:, 0], origins[:, 1]
+    return np.stack([np.stack(xy, axis=1) for xy in
+                     ((x0, y0), (x0 + h, y0), (x0 + h, y0 + h), (x0, y0 + h))], axis=1)
 
 
 def _polygon_area(pts):
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    """Shoelace area of polygons (..., k, 2), positive when CCW."""
+    x, y = pts[..., 0], pts[..., 1]
+    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y,
+                        axis=-1)
 
 
 def _fan_triangulate(poly_pts, first_cross_idx):
-    """Fan triangulation, rotated so a crossing vertex (if any) leads."""
+    """Fan triangulation of polygons (..., k, 2), rotated so that vertex
+    first_cross_idx (a crossing, if any) leads. Returns the rotated
+    polygons and the triangles (..., k - 2, 3, 2)."""
     pts = np.asarray(poly_pts, dtype=float)
-    if first_cross_idx is not None and first_cross_idx != 0:
-        pts = np.roll(pts, -first_cross_idx, axis=0)
-    tris = np.stack(
-        [np.stack([pts[0], pts[i], pts[i + 1]]) for i in range(1, len(pts) - 1)]
-    )
-    return pts, tris
+    if first_cross_idx:
+        pts = np.roll(pts, -first_cross_idx, axis=-2)
+    apex = np.broadcast_to(pts[..., :1, :], pts[..., 2:, :].shape)
+    return pts, np.stack([apex, pts[..., 1:-1, :], pts[..., 2:, :]], axis=-2)
 
 
-def _grad_bilinear(phi4, origin, h, x):
-    """Gradient of the bilinear interpolant at physical point x."""
-    xi = (x[0] - origin[0]) / h
-    eta = (x[1] - origin[1]) / h
-    dxi = np.array([-(1 - eta), (1 - eta), eta, -eta])
-    deta = np.array([-(1 - xi), -xi, xi, (1 - xi)])
-    return np.array([dxi @ phi4 / h, deta @ phi4 / h])
+def _ref_edges(ref):
+    """Cell edges a walk vertex lies on: corner c on edges c and c - 1,
+    the crossing 4 + k on edge k."""
+    return {ref - 4} if ref >= 4 else {ref, (ref - 1) % 4}
 
 
-def _build_piece(vert_pts, vert_edges, vert_kinds, phase, h):
-    """Assemble a Piece from walk vertices with edge metadata."""
-    pts = np.asarray(vert_pts, dtype=float)
-    area = _polygon_area(pts)
-    cover = []
-    nvert = len(pts)
-    for i in range(nvert):
-        j = (i + 1) % nvert
-        shared = vert_edges[i] & vert_edges[j]
-        if shared:
-            k = shared.pop()
-            t_i = vert_edges_param(vert_kinds[i], vert_edges[i], k)
-            t_j = vert_edges_param(vert_kinds[j], vert_edges[j], k)
-            lo, hi = min(t_i, t_j), max(t_i, t_j)
-            if hi - lo > 1e-14:
-                cover.append((k, lo, hi))
-    first_cross = None
-    for i, kind in enumerate(vert_kinds):
-        if kind[0] == "cross":
-            first_cross = i
-            break
-    _, tris = _fan_triangulate(pts, first_cross)
-    if area < SLIVER_REL_AREA * h * h:
-        tris = np.zeros((0, 3, 2))
-    return Piece(
-        phase=phase,
-        polygon=pts,
-        triangles=tris,
-        edge_cover=cover,
-        area=float(area),
-    )
+def _pattern_layout(pattern):
+    """Pieces and chords of one cut pattern, as boundary-walk vertices.
 
-
-def vert_edges_param(kind, edges, edge_id):
-    """Edge parameter t for a walk vertex on the given edge."""
-    tag, val = kind
-    if tag == "cross":
-        return val
-    # corner c lies at t=0 on edge c and t=1 on edge (c-1) mod 4
-    corner = val
-    return 0.0 if edge_id == corner else 1.0
-
-
-def decompose_cell(phi4, origin, h, element=-1):
-    """Split one cut element into single-phase pieces plus interface chords.
-
-    Returns (pieces, segments). Requires mixed corner signs. The saddle
-    case (alternating signs) is resolved by the bilinear value at the
-    element center: the crossings are paired so the center keeps its phase.
+    The walk visits the corners counterclockwise from the lower left and
+    inserts the crossing of every edge whose ends differ in sign; walk
+    vertex k is corner k and 4 + k the crossing on edge k. Returns
+    (pieces, chords). A piece is (phase, refs, lead, cover): its polygon
+    in walk order, the position of its first crossing (the fan apex), and
+    its (edge, ref, ref) boundary spans. A chord is (ref_a, ref_b, local
+    index of its fluid piece). A saddle keeps the centre's phase in one
+    piece and cuts the other two corners off as triangles.
     """
-    phi4 = np.asarray(phi4, dtype=float)
-    P = _corner_coords(origin, h)
-    sign = np.where(phi4 > 0.0, 1, -1)
-    if np.all(sign < 0) or np.all(sign > 0):
-        raise ValueError("decompose_cell called on an uncut element")
-
-    saddle = sign[0] == sign[2] and sign[1] == sign[3] and sign[0] != sign[1]
-
-    # boundary walk with crossings inserted
-    verts, edges_of, kinds = [], [], []
-    cross_pos = []
+    code = pattern % 16
+    signs = [1 if code >> k & 1 else -1 for k in range(4)]
+    walk = []
     for k in range(4):
-        verts.append(P[k])
-        edges_of.append({k, (k - 1) % 4})
-        kinds.append(("corner", k))
+        walk.append(k)
+        if signs[k] != signs[(k + 1) % 4]:
+            walk.append(4 + k)
+    polys, chords = [], []
+    if code not in (5, 10):
+        p1, p2 = [i for i, ref in enumerate(walk) if ref >= 4]
+        for refs in (walk[p1:p2 + 1], walk[p2:] + walk[:p1 + 1]):
+            polys.append((next(signs[ref] for ref in refs if ref < 4), refs))
+        chords.append((walk[p1], walk[p2], 0 if polys[0][0] < 0 else 1))
+    else:
+        center = 1 if pattern >= 16 else -1
+        polys.append((center, [ref for ref in walk if ref >= 4 or signs[ref] == center]))
+        for c in range(4):
+            if signs[c] != center:
+                i = walk.index(c)
+                refs = [walk[i - 1], c, walk[(i + 1) % len(walk)]]
+                chords.append((refs[0], refs[2], len(polys) if signs[c] < 0 else 0))
+                polys.append((signs[c], refs))
+    pieces = []
+    for sign, refs in polys:
+        lead = next(i for i, ref in enumerate(refs) if ref >= 4)
+        cover = []
+        for i, ref in enumerate(refs):
+            nxt = refs[(i + 1) % len(refs)]
+            shared = _ref_edges(ref) & _ref_edges(nxt)
+            if shared:
+                cover.append((shared.pop(), ref, nxt))
+        pieces.append((FLUID if sign < 0 else SOLID, refs, lead, cover))
+    return pieces, chords
+
+
+@dataclass
+class CellCuts:
+    """Pieces, interface chords and edge covers of a batch of cut cells.
+
+    Piece rows are ordered by cell, then by their local index within the
+    cell; triangles and cover intervals point at piece rows and chords at
+    cells, each in the same per-cell order.
+    """
+
+    cell: np.ndarray  # (P,) batch row of each piece
+    local: np.ndarray  # (P,) index of the piece within its cell
+    phase: np.ndarray  # (P,) FLUID / SOLID
+    area: np.ndarray  # (P,)
+    polygon: np.ndarray  # (P, 6, 2) CCW vertices, padded after n_vert
+    n_vert: np.ndarray  # (P,)
+    tri_piece: np.ndarray  # (T,) piece row of each fan triangle; slivers have none
+    triangles: np.ndarray  # (T, 3, 2)
+    cover_piece: np.ndarray  # (C,) piece row of each boundary interval
+    cover_edge: np.ndarray  # (C,) local edge id
+    cover_t: np.ndarray  # (C, 2) edge parameters t0 < t1
+    seg_cell: np.ndarray  # (S,) batch row of each interface chord
+    seg_piece: np.ndarray  # (S,) local index of the chord's fluid piece
+    seg_a: np.ndarray  # (S, 2)
+    seg_b: np.ndarray  # (S, 2)
+    seg_normal: np.ndarray  # (S, 2) unit, toward solid
+    seg_length: np.ndarray  # (S,)
+
+
+def decompose_cells(phi4s, origins, h):
+    """Split cut cells into single-phase pieces and interface chords at once.
+
+    phi4s (m, 4) are corner values with mixed signs and origins (m, 2) the
+    cells' lower-left corners. Cells are grouped by cut pattern (12
+    non-saddle sign patterns and 2 saddles, split by the centre's sign) and
+    each group is evaluated as arrays; edge k is crossed at
+    t = phi_k / (phi_k - phi_k+1). Pieces below SLIVER_REL_AREA * h^2 get
+    no triangles, covers shorter than 1e-14 and chords shorter than
+    1e-14 h are dropped. Returns a CellCuts.
+    """
+    phi4s = np.asarray(phi4s, dtype=float).reshape(-1, 4)
+    origins = np.asarray(origins, dtype=float).reshape(-1, 2)
+    patterns = cell_patterns(phi4s)
+    if np.any((patterns == 0) | (patterns == 15)):
+        raise ValueError("decompose_cells called on an uncut cell")
+    corners = _corner_coords(origins, h)
+    verts = np.concatenate([corners, np.zeros_like(corners)], axis=1)  # walk refs
+    t = np.zeros((phi4s.shape[0], 8))
+    for k in range(4):
         k2 = (k + 1) % 4
-        if sign[k] != sign[k2]:
-            t = phi4[k] / (phi4[k] - phi4[k2])
-            t = min(max(t, 0.0), 1.0)
-            verts.append(P[k] + t * (P[k2] - P[k]))
-            edges_of.append({k})
-            kinds.append(("cross", t))
-            cross_pos.append(len(verts) - 1)
+        rows = (phi4s[:, k] > 0.0) != (phi4s[:, k2] > 0.0)
+        tk = phi4s[rows, k] / (phi4s[rows, k] - phi4s[rows, k2])
+        tk = np.minimum(np.maximum(tk, 0.0), 1.0)
+        t[rows, 4 + k] = tk
+        verts[rows, 4 + k] = corners[rows, k] + tk[:, None] * (
+            corners[rows, k2] - corners[rows, k])
 
-    pieces, segments = [], []
+    def param(ref, edge, rows):
+        # corner c sits at t = 0 on edge c and at t = 1 on edge c - 1
+        if ref >= 4:
+            return t[rows, ref]
+        return np.full(rows.shape[0], 0.0 if edge == ref else 1.0)
 
-    def add_segment(a, b, fluid_piece_idx):
-        d = b - a
-        length = float(np.hypot(d[0], d[1]))
-        if length < 1e-14 * h:
-            return
-        n = np.array([d[1], -d[0]]) / length
-        mid = 0.5 * (a + b)
-        if n @ _grad_bilinear(phi4, origin, h, mid) < 0.0:
-            n = -n
-        segments.append(
-            Segment(element=element, a=a.copy(), b=b.copy(), normal=n,
-                    piece=fluid_piece_idx, length=length)
-        )
+    parts = defaultdict(list)
+    for pattern in np.unique(patterns):
+        rows = np.nonzero(patterns == pattern)[0]
+        pieces, chords = _pattern_layout(int(pattern))
+        for j, (phase, refs, lead, cover) in enumerate(pieces):
+            pkey = 3 * rows + j
+            pts = verts[rows][:, refs]
+            area = _polygon_area(pts)
+            parts["pkey"].append(pkey)
+            parts["phase"].append(np.full(rows.shape[0], phase))
+            parts["area"].append(area)
+            parts["poly"].append(np.pad(pts, ((0, 0), (0, 6 - len(refs)), (0, 0))))
+            parts["nv"].append(np.full(rows.shape[0], len(refs)))
+            full = ~(area < SLIVER_REL_AREA * h * h)
+            _, tris = _fan_triangulate(pts[full], lead)
+            parts["tkey"].append((4 * pkey[full, None] + np.arange(len(refs) - 2)).ravel())
+            parts["tris"].append(tris.reshape(-1, 3, 2))
+            for i, (edge, ra, rb) in enumerate(cover):
+                ta, tb = param(ra, edge, rows), param(rb, edge, rows)
+                lo, hi = np.minimum(ta, tb), np.maximum(ta, tb)
+                keep = hi - lo > 1e-14
+                parts["ckey"].append(8 * pkey[keep] + i)
+                parts["cedge"].append(np.full(np.count_nonzero(keep), edge))
+                parts["ct"].append(np.stack([lo[keep], hi[keep]], axis=1))
+        for i, (ra, rb, fluid) in enumerate(chords):
+            a, b = verts[rows, ra], verts[rows, rb]
+            d = b - a
+            length = np.hypot(d[:, 0], d[:, 1])
+            keep = ~(length < 1e-14 * h)
+            a, b, d, length = a[keep], b[keep], d[keep], length[keep]
+            normal = np.stack([d[:, 1], -d[:, 0]], axis=1) / length[:, None]
+            # orient toward the solid: along the bilinear gradient at the midpoint
+            mid = 0.5 * (a + b)
+            xi = (mid[:, 0] - origins[rows[keep], 0]) / h
+            eta = (mid[:, 1] - origins[rows[keep], 1]) / h
+            p = phi4s[rows[keep]]
+            gx = ((1 - eta) * (p[:, 1] - p[:, 0]) + eta * (p[:, 2] - p[:, 3])) / h
+            gy = ((1 - xi) * (p[:, 3] - p[:, 0]) + xi * (p[:, 2] - p[:, 1])) / h
+            flip = normal[:, 0] * gx + normal[:, 1] * gy < 0.0
+            normal[flip] = -normal[flip]
+            parts["skey"].append(2 * rows[keep] + i)
+            parts["spiece"].append(np.full(rows[keep].shape[0], fluid))
+            parts["sa"].append(a)
+            parts["sb"].append(b)
+            parts["sn"].append(normal)
+            parts["slen"].append(length)
 
-    if not saddle:
-        p1, p2 = cross_pos
-        nv = len(verts)
-        idx_a = list(range(p1, p2 + 1))
-        idx_b = list(range(p2, nv)) + list(range(0, p1 + 1))
-        for idx in (idx_a, idx_b):
-            corner_sign = next(sign[kinds[i][1]] for i in idx if kinds[i][0] == "corner")
-            pieces.append(
-                _build_piece(
-                    [verts[i] for i in idx],
-                    [set(edges_of[i]) for i in idx],
-                    [kinds[i] for i in idx],
-                    FLUID if corner_sign < 0 else SOLID,
-                    h,
-                )
-            )
-        fluid_idx = 0 if pieces[0].phase == FLUID else 1
-        add_segment(verts[p1], verts[p2], fluid_idx)
-    else:
-        center_sign = 1 if phi4.mean() > 0.0 else -1
-        # corners sharing the center's sign stay in the big piece
-        keep = [c for c in range(4) if sign[c] == center_sign]
-        cut_off = [c for c in range(4) if sign[c] != center_sign]
-        nv = len(verts)  # 8: corner, cross alternating
+    def cat(name, shape=(), dtype=float):
+        return np.concatenate(parts[name] + [np.zeros((0,) + shape, dtype=dtype)])
 
-        def walk_index(kind, val):
-            for i, (tag, v) in enumerate(kinds):
-                if tag == kind and (tag == "corner" and v == val):
-                    return i
-            raise AssertionError
-
-        big_idx = []
-        for i in range(nv):
-            tag, v = kinds[i]
-            if tag == "cross" or v in keep:
-                big_idx.append(i)
-        pieces.append(
-            _build_piece(
-                [verts[i] for i in big_idx],
-                [set(edges_of[i]) for i in big_idx],
-                [kinds[i] for i in big_idx],
-                FLUID if center_sign < 0 else SOLID,
-                h,
-            )
-        )
-        tri_first = len(pieces)
-        for c in cut_off:
-            ci = walk_index("corner", c)
-            prev_i = (ci - 1) % nv
-            next_i = (ci + 1) % nv
-            idx = [prev_i, ci, next_i]
-            pieces.append(
-                _build_piece(
-                    [verts[i] for i in idx],
-                    [set(edges_of[i]) for i in idx],
-                    [kinds[i] for i in idx],
-                    FLUID if sign[c] < 0 else SOLID,
-                    h,
-                )
-            )
-        # chords cut off the minority corners; adjacent fluid side depends on phase
-        for j, c in enumerate(cut_off):
-            ci = walk_index("corner", c)
-            a, b = verts[(ci - 1) % nv], verts[(ci + 1) % nv]
-            fluid_idx = (tri_first + j) if sign[c] < 0 else 0
-            add_segment(np.asarray(a), np.asarray(b), fluid_idx)
-
-    return pieces, segments
-
-
-def _full_piece(origin, h):
-    pts = _corner_coords(origin, h)
-    tris = np.stack([np.stack([pts[0], pts[1], pts[2]]), np.stack([pts[0], pts[2], pts[3]])])
-    return Piece(
-        phase=FLUID,
-        polygon=pts,
-        triangles=tris,
-        edge_cover=[(0, 0.0, 1.0), (1, 0.0, 1.0), (2, 0.0, 1.0), (3, 0.0, 1.0)],
-        area=h * h,
-        full=True,
+    int64 = np.int64
+    pkey, tkey, ckey, skey = (cat(k, dtype=int64) for k in ("pkey", "tkey", "ckey", "skey"))
+    po, to, co, so = (np.argsort(k, kind="stable") for k in (pkey, tkey, ckey, skey))
+    pkey = pkey[po]
+    return CellCuts(
+        cell=pkey // 3, local=pkey % 3, phase=cat("phase", dtype=int64)[po],
+        area=cat("area")[po], polygon=cat("poly", (6, 2))[po],
+        n_vert=cat("nv", dtype=int64)[po],
+        tri_piece=np.searchsorted(pkey, tkey[to] // 4),
+        triangles=cat("tris", (3, 2))[to],
+        cover_piece=np.searchsorted(pkey, ckey[co] // 8),
+        cover_edge=cat("cedge", dtype=int64)[co], cover_t=cat("ct", (2,))[co],
+        seg_cell=skey[so] // 2, seg_piece=cat("spiece", dtype=int64)[so],
+        seg_a=cat("sa", (2,))[so], seg_b=cat("sb", (2,))[so],
+        seg_normal=cat("sn", (2,))[so], seg_length=cat("slen")[so],
     )
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-# local edge seen from each side of a facet: (axis, lower side edge, upper side edge)
-_FACET_EDGES = {0: (1, 3), 1: (2, 0)}  # axis 0: right/left, axis 1: top/bottom
-
-
-def _edge_interval_physical(mesh, e, local_edge, t0, t1):
-    """Physical coordinate range along the facet axis for an edge interval."""
-    origin = mesh.element_origin(e)
-    h = mesh.h
-    # edge 0: bottom, +x; edge 1: right, +y; edge 2: top, -x; edge 3: left, -y
-    if local_edge == 0:
-        lo, hi = origin[0] + t0 * h, origin[0] + t1 * h
-    elif local_edge == 1:
-        lo, hi = origin[1] + t0 * h, origin[1] + t1 * h
-    elif local_edge == 2:
-        lo, hi = origin[0] + (1 - t1) * h, origin[0] + (1 - t0) * h
-    else:
-        lo, hi = origin[1] + (1 - t1) * h, origin[1] + (1 - t0) * h
-    return lo, hi
-
-
-def _piece_facet_intervals(mesh, e, piece, local_edge):
-    out = []
-    for (k, t0, t1) in piece.edge_cover:
-        if k == local_edge:
-            out.append(_edge_interval_physical(mesh, e, k, t0, t1))
-    return out
 
 
 def build_cut_model(mesh: BackgroundMesh, phi) -> CutModel:
@@ -360,138 +338,111 @@ def build_cut_model(mesh: BackgroundMesh, phi) -> CutModel:
     classification = classify_elements(mesh, phi)
     h = mesh.h
 
+    cut_elems = np.nonzero(classification == CUT)[0]
+    cuts = decompose_cells(phi[mesh.elements[cut_elems]],
+                           mesh.nodes[mesh.elements[cut_elems, 0]], h)
+    covers = [[] for _ in range(cuts.phase.shape[0])]
+    for p, k, (t0, t1) in zip(cuts.cover_piece.tolist(), cuts.cover_edge.tolist(),
+                              cuts.cover_t.tolist()):
+        covers[p].append((k, t0, t1))
+    tris = np.split(cuts.triangles, np.searchsorted(
+        cuts.tri_piece, np.arange(1, cuts.phase.shape[0])))
+    cut_pieces = [[] for _ in range(cut_elems.shape[0])]
+    for p, (c, phase, area, nv) in enumerate(zip(
+            cuts.cell.tolist(), cuts.phase.tolist(), cuts.area.tolist(),
+            cuts.n_vert.tolist())):
+        cut_pieces[c].append(Piece(phase=phase, polygon=cuts.polygon[p, :nv],
+                                   triangles=tris[p], edge_cover=covers[p], area=area))
+    segments = [Segment(element=int(cut_elems[c]), a=a, b=b, normal=n, piece=p,
+                        length=length)
+                for c, p, a, b, n, length in zip(
+                    cuts.seg_cell.tolist(), cuts.seg_piece.tolist(), cuts.seg_a,
+                    cuts.seg_b, cuts.seg_normal, cuts.seg_length.tolist())]
+
+    fluid_elems = np.nonzero(classification == FLUID)[0]
+    squares = _corner_coords(mesh.nodes[mesh.elements[fluid_elems, 0]], h)
+    _, square_tris = _fan_triangulate(squares, 0)
+    full = iter(zip(squares, square_tris))
+    cut_rows = iter(cut_pieces)
     pieces = {}
-    segments = []
-    for e in range(mesh.n_elems):
-        if classification[e] == SOLID:
-            continue
-        origin = mesh.element_origin(e)
-        if classification[e] == FLUID:
-            pieces[e] = [_full_piece(origin, h)]
-        else:
-            phi4 = phi[mesh.elements[e]]
-            plist, segs = decompose_cell(phi4, origin, h, element=e)
-            pieces[e] = plist
-            segments.extend(segs)
+    for e, cls in enumerate(classification.tolist()):
+        if cls == FLUID:
+            polygon, triangles = next(full)
+            pieces[e] = [Piece(phase=FLUID, polygon=polygon, triangles=triangles,
+                               edge_cover=[(k, 0.0, 1.0) for k in range(4)],
+                               area=h * h, full=True)]
+        elif cls == CUT:
+            pieces[e] = next(cut_rows)
 
-    # ---- fluid piece adjacency across facets ---------------------------------
-    piece_ids = {}  # (element, piece_idx) -> linear id
-    for e, plist in pieces.items():
-        for pi, p in enumerate(plist):
-            if p.phase == FLUID:
-                piece_ids[(e, pi)] = len(piece_ids)
-    uf_global = _UnionFind(len(piece_ids))
-    adjacency = [[] for _ in range(len(piece_ids))]  # linear id -> neighbor ids
+    # ---- fluid regions and enrichment levels ----------------------------------
+    # fluid pieces touch across a facet when their boundary intervals on it
+    # overlap; regions are the connected pieces, and a node gets one
+    # enrichment level per connected set of the pieces in its support
+    fluid = [(e, p) for e, plist in pieces.items() for p in plist if p.phase == FLUID]
+    elem = np.array([e for e, _ in fluid], dtype=np.int64)
+    cover = np.array([(lid, k, t0, t1) for lid, (_, p) in enumerate(fluid)
+                      for k, t0, t1 in p.edge_cover], dtype=float).reshape(-1, 4)
+    lid, edge = cover[:, 0].astype(np.int64), cover[:, 1].astype(np.int64)
+    flip = edge >= 2  # edges 2 and 3 run against their axis
+    s0 = np.where(flip, 1 - cover[:, 3], cover[:, 2])
+    s1 = np.where(flip, 1 - cover[:, 2], cover[:, 3])
+    start = mesh.nodes[mesh.elements[elem[lid], 0], edge % 2]
+    lo, hi = start + s0 * h, start + s1 * h
+    # pair the intervals on each facet's two sides: (right, left) or (top, bottom)
+    key = 4 * elem[lid] + edge
+    order = np.argsort(key, kind="stable")
+    axis = mesh.facet_axis
+    sides = [4 * mesh.facet_elems[:, 0] + np.where(axis == 0, 1, 2),
+             4 * mesh.facet_elems[:, 1] + np.where(axis == 0, 3, 0)]
+    first = [np.searchsorted(key[order], s) for s in sides]
+    count = [np.searchsorted(key[order], s, side="right") - f for s, f in zip(sides, first)]
+    pairs = count[0] * count[1]
+    facet = np.repeat(np.arange(mesh.n_facets), pairs)
+    q = np.arange(facet.shape[0]) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    i = order[first[0][facet] + q // count[1][facet]]
+    j = order[first[1][facet] + q % count[1][facet]]
+    touch = np.minimum(hi[i], hi[j]) - np.maximum(lo[i], lo[j]) > 1e-12 * h
+    a, b, facet = lid[i][touch], lid[j][touch], facet[touch]
 
-    tol = 1e-12 * h
-    for f in range(mesh.n_facets):
-        e1, e2 = mesh.facet_elems[f]
-        if e1 not in pieces or e2 not in pieces:
-            continue
-        axis = mesh.facet_axis[f]
-        edge1, edge2 = _FACET_EDGES[int(axis)]
-        for pi1, p1 in enumerate(pieces[e1]):
-            if p1.phase != FLUID:
-                continue
-            iv1 = _piece_facet_intervals(mesh, e1, p1, edge1)
-            if not iv1:
-                continue
-            for pi2, p2 in enumerate(pieces[e2]):
-                if p2.phase != FLUID:
-                    continue
-                iv2 = _piece_facet_intervals(mesh, e2, p2, edge2)
-                overlap = 0.0
-                for (a0, a1) in iv1:
-                    for (b0, b1) in iv2:
-                        overlap = max(overlap, min(a1, b1) - max(a0, b0))
-                if overlap > tol:
-                    ia = piece_ids[(e1, pi1)]
-                    ib = piece_ids[(e2, pi2)]
-                    uf_global.union(ia, ib)
-                    adjacency[ia].append(ib)
-                    adjacency[ib].append(ia)
+    def components(n, u, v):
+        graph = sp.coo_matrix((np.ones(u.shape[0]), (u, v)), shape=(n, n))
+        return connected_components(graph, directed=False)
 
-    # global fluid regions
-    roots = {}
-    for key, lid in piece_ids.items():
-        r = uf_global.find(lid)
-        roots.setdefault(r, len(roots))
-    for (e, pi), lid in piece_ids.items():
-        pieces[e][pi].region = roots[uf_global.find(lid)]
-    n_regions = len(roots)
-
-    # ---- per-node support components -> enrichment levels --------------------
-    id_list = list(piece_ids.keys())
-    node_levels = {}
-    dof_of = {}
-    mx, my = mesh.divisions
-    nx = mx + 1
-
-    # collect fluid pieces per node support
-    support_pieces = {}  # node -> list of linear piece ids
-    for (e, pi), lid in piece_ids.items():
-        for node in mesh.elements[e]:
-            support_pieces.setdefault(int(node), []).append(lid)
-
-    level_of = {}  # (node, linear piece id) -> level
-    for node, plids in sorted(support_pieces.items()):
-        plset = set(plids)
-        uf = _UnionFind(len(plids))
-        index = {lid: i for i, lid in enumerate(plids)}
-        for lid in plids:
-            for nb in adjacency[lid]:
-                if nb in plset:
-                    uf.union(index[lid], index[nb])
-        comp_key = {}
-        for lid in plids:
-            root = uf.find(index[lid])
-            comp_key.setdefault(root, min(
-                id_list[l] for l in plids if uf.find(index[l]) == root
-            ))
-        ordered = sorted(set(comp_key.values()))
-        comp_level = {key: lvl for lvl, key in enumerate(ordered)}
-        if len(ordered) > MAX_ENRICHMENT_LEVELS:
-            raise CapacityError(
-                f"node {node} needs {len(ordered)} enrichment levels "
-                f"(cap {MAX_ENRICHMENT_LEVELS})",
-                node=node,
-            )
-        node_levels[node] = len(ordered)
-        for lid in plids:
-            level_of[(node, lid)] = comp_level[comp_key[uf.find(index[lid])]]
-
-    n_dofs = 0
-    for node in sorted(node_levels):
-        for lvl in range(node_levels[node]):
-            dof_of[(node, lvl)] = n_dofs
-            n_dofs += 1
-
-    for (e, pi), lid in piece_ids.items():
-        p = pieces[e][pi]
-        levels = np.zeros(4, dtype=np.int64)
-        dofs = np.zeros(4, dtype=np.int64)
-        for c, node in enumerate(mesh.elements[e]):
-            lvl = level_of[(int(node), lid)]
-            levels[c] = lvl
-            dofs[c] = dof_of[(int(node), lvl)]
-        p.levels = levels
-        p.dofs = dofs
+    n_regions, region = components(len(fluid), a, b)
+    # support graph: vertex 4 lid + c is piece lid seen from its corner c;
+    # the corners (lower element, upper element) of a facet's two nodes
+    shared = np.array([[[1, 0], [2, 3]], [[3, 0], [2, 1]]])[axis[facet]]
+    n_dofs, comp = components(4 * len(fluid),
+                              (4 * a[:, None] + shared[:, :, 0]).ravel(),
+                              (4 * b[:, None] + shared[:, :, 1]).ravel())
+    comp_node = np.zeros(n_dofs, dtype=np.int64)
+    comp_node[comp] = mesh.elements[elem].ravel()
+    # dofs by node, then level: the levels of a node follow its smallest piece
+    dof = np.empty(n_dofs, dtype=np.int64)
+    dof[np.lexsort((np.arange(n_dofs), comp_node))] = np.arange(n_dofs)
+    levels_at = np.bincount(comp_node, minlength=mesh.n_nodes)
+    over = np.nonzero(levels_at > MAX_ENRICHMENT_LEVELS)[0]
+    if over.size:
+        raise CapacityError(f"node {over[0]} needs {levels_at[over[0]]} enrichment "
+                            f"levels (cap {MAX_ENRICHMENT_LEVELS})", node=int(over[0]))
+    level = dof - (np.cumsum(levels_at) - levels_at)[comp_node]
+    node_levels = {node: int(levels_at[node]) for node in np.nonzero(levels_at)[0].tolist()}
+    dof_of = {(node, lvl): d for node, lvl, d in sorted(
+        zip(comp_node.tolist(), level.tolist(), dof.tolist()), key=lambda r: r[2])}
+    for k, (_, p) in enumerate(fluid):
+        p.region = int(region[k])
+        p.levels = level[comp[4 * k:4 * k + 4]]
+        p.dofs = dof[comp[4 * k:4 * k + 4]]
 
     # ---- ghost facets and pairs ----------------------------------------------
-    ghost_facets = []
+    # interior facets next to a cut element with fluid on both sides
+    cls = classification[mesh.facet_elems]
+    ghost_facets = np.nonzero(np.any(cls == CUT, axis=1) & np.all(cls != SOLID, axis=1))[0]
     ghost_pairs = []
-    is_cut = classification == CUT
-    for f in range(mesh.n_facets):
-        e1, e2 = (int(v) for v in mesh.facet_elems[f])
-        if not (is_cut[e1] or is_cut[e2]):
-            continue
-        if e1 not in pieces or e2 not in pieces:
-            continue
+    for f in ghost_facets.tolist():
+        e1, e2 = mesh.facet_elems[f].tolist()
         fl1 = [(pi, p) for pi, p in enumerate(pieces[e1]) if p.phase == FLUID]
         fl2 = [(pi, p) for pi, p in enumerate(pieces[e2]) if p.phase == FLUID]
-        if not fl1 or not fl2:
-            continue
-        ghost_facets.append(f)
         n1, n2 = mesh.facet_nodes[f]
         fmid = 0.5 * (mesh.nodes[n1] + mesh.nodes[n2])
         regions = sorted({p.region for _, p in fl1} & {p.region for _, p in fl2})
@@ -513,7 +464,7 @@ def build_cut_model(mesh: BackgroundMesh, phi) -> CutModel:
         classification=classification,
         pieces=pieces,
         segments=segments,
-        ghost_facets=np.asarray(ghost_facets, dtype=np.int64),
+        ghost_facets=ghost_facets,
         ghost_pairs=ghost_pairs,
         n_dofs=n_dofs,
         node_levels=node_levels,

@@ -278,7 +278,10 @@ class LevelSetMap:
         sensitivity (the override discards the filtered value there).
         """
         n_nodes = self.mesh.n_nodes
-        J = self.filt.weights.tolil(copy=True)
+        # tolil sorts the indices of the matrix it converts in place; a copy
+        # keeps the filter's summation order, so a design's level set is the
+        # same before and after a Jacobian (a restart depends on it)
+        J = self.filt.weights.copy().tolil()
         if self.ports:
             J[self._port_nodes, :] = 0.0
         J = sp.hstack(

@@ -248,16 +248,24 @@ def _steady_on_geometry(model, phi, cm, ctx, warm_state):
 
 
 def run_gradcheck(cfg, outdir=None, n_vars=5, step=1e-5, seed=7):
-    """Adjoint gradients vs global central FD on random design variables."""
+    """Adjoint gradients vs global central FD on random design variables.
+
+    Both follow the configured scheme: a steady solve, or a BDF2 march
+    with its transient adjoint.
+    """
     outdir = outdir or cfg.output.directory
     ensure_dir(outdir)
     model, problem = build_model(cfg)
     design = cfg.initial_design(model.mesh)
     area = cfg.domain_area()
-    result = model.solve_steady(design)
+    if cfg.solve.scheme == "bdf2":
+        solve, gradient = model.solve_transient, transient_total_gradient
+    else:
+        solve, gradient = model.solve_steady, total_design_gradient
+    result = solve(design)
     if problem.normalization is None:
         problem.capture_normalization(result.crit_values)
-    Z, g, dZ, dg, report = total_design_gradient(model, result, problem, design, area)
+    Z, g, dZ, dg, report = gradient(model, result, problem, design, area)
 
     rng = np.random.default_rng(seed)
     # prefer variables whose gradient is significant (near cut elements)
@@ -274,9 +282,9 @@ def run_gradcheck(cfg, outdir=None, n_vars=5, step=1e-5, seed=7):
                           upper=design.upper, n_nodal=design.n_nodal,
                           port_layout=design.port_layout)
         dv.values[idx] += step
-        Zp = problem.objective_value(model.solve_steady(dv).crit_values)
+        Zp = problem.objective_value(solve(dv).crit_values)
         dv.values[idx] -= 2 * step
-        Zm = problem.objective_value(model.solve_steady(dv).crit_values)
+        Zm = problem.objective_value(solve(dv).crit_values)
         fd = (Zp - Zm) / (2 * step)
         an = dZ[idx]
         rel = abs(fd - an) / max(abs(fd), abs(an), 1e-30)

@@ -166,6 +166,16 @@ def _gather(vec, dofs):
     return vec[dofs]
 
 
+def _flow_fields(U, n, dofs, N, gx, gy):
+    """Element values (ux, uy, p) and, at the points, ux, uy, p and the
+    velocity gradient (d_x ux, d_y ux, d_x uy, d_y uy)."""
+    uxe = _gather(U[0:n], dofs)
+    uye = _gather(U[n:2 * n], dofs)
+    pe = _gather(U[2 * n:3 * n], dofs)
+    return (uxe, uye, pe, (N * uxe).sum(1), (N * uye).sum(1), (N * pe).sum(1),
+            (gx * uxe).sum(1), (gy * uxe).sum(1), (gx * uye).sum(1), (gy * uye).sum(1))
+
+
 def _volume_terms(ctx, params, U, Uc, hist, slot, psibar, terms, R, coo):
     n = ctx.n
     rho, mu = params.rho, params.mu
@@ -175,16 +185,7 @@ def _volume_terms(ctx, params, U, Uc, hist, slot, psibar, terms, R, coo):
     nq = W.shape[0]
     want_j = coo is not None
 
-    uxe = _gather(U[0:n], dofs)
-    uye = _gather(U[n:2 * n], dofs)
-    pe = _gather(U[2 * n:3 * n], dofs)
-    ux = (N * uxe).sum(1)
-    uy = (N * uye).sum(1)
-    p = (N * pe).sum(1)
-    uxx = (gx * uxe).sum(1)
-    uxy = (gy * uxe).sum(1)
-    uyx = (gx * uye).sum(1)
-    uyy = (gy * uye).sum(1)
+    uxe, uye, pe, ux, uy, p, uxx, uxy, uyx, uyy = _flow_fields(U, n, dofs, N, gx, gy)
     px = (gx * pe).sum(1)
     py = (gy * pe).sum(1)
     d2x = (d2 * uxe).sum(1)  # d2(ux)/dxdy
@@ -300,16 +301,7 @@ def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, coo):
     nq = blk.nq
     want_j = coo is not None
 
-    uxe = _gather(U[0:n], dofs)
-    uye = _gather(U[n:2 * n], dofs)
-    pe = _gather(U[2 * n:3 * n], dofs)
-    ux = (N * uxe).sum(1)
-    uy = (N * uye).sum(1)
-    p = (N * pe).sum(1)
-    uxx = (gx * uxe).sum(1)
-    uxy = (gy * uxe).sum(1)
-    uyx = (gx * uye).sum(1)
-    uyy = (gy * uye).sum(1)
+    _, _, _, ux, uy, p, uxx, uxy, uyx, uyy = _flow_fields(U, n, dofs, N, gx, gy)
     exy = 0.5 * (uxy + uyx)
     dux = ux - uhat[:, 0]
     duy = uy - uhat[:, 1]
@@ -375,16 +367,7 @@ def _nitsche_symmetry(ctx, params, U, Uc, blk, R, coo):
     nq = blk.nq
     want_j = coo is not None
 
-    uxe = _gather(U[0:n], dofs)
-    uye = _gather(U[n:2 * n], dofs)
-    pe = _gather(U[2 * n:3 * n], dofs)
-    ux = (N * uxe).sum(1)
-    uy = (N * uye).sum(1)
-    p = (N * pe).sum(1)
-    uxx = (gx * uxe).sum(1)
-    uxy = (gy * uxe).sum(1)
-    uyx = (gx * uye).sum(1)
-    uyy = (gy * uye).sum(1)
+    _, _, _, ux, uy, p, uxx, uxy, uyx, uyy = _flow_fields(U, n, dofs, N, gx, gy)
     exy = 0.5 * (uxy + uyx)
     un = ux * nx + uy * ny
     nen = uxx * nx * nx + 2 * exy * nx * ny + uyy * ny * ny

@@ -11,11 +11,13 @@ This is the only module that knows a quadrature rule: uncut fluid
 elements take the tensor 2x2 Gauss rule, subcell triangles the 3-point
 edge-midpoint rule, and interface chords, boundary edge covers and ghost
 facets the 2-point Gauss rule. One routine, `_assemble_context`, turns
-cut pieces, chords, boundary edges and ghost pairs into a context.
-`build_context` calls it on the whole cut model; `element_context` calls
-it on one element re-cut at perturbed corner values with its enrichment
-frozen, which backs the semi-analytic geometric sensitivities. At the
-stored level set the two give bitwise the same rows for that element.
+quadrature rows, chords and ghost pairs into a context. `build_context`
+feeds it the whole cut model; `element_context` feeds it a batch of
+elements re-cut at perturbed corner values by one `decompose_cells` call,
+with the enrichment frozen: one stacked context in which each re-cut owns
+a disjoint block of dofs, which backs the semi-analytic geometric
+sensitivities. At the stored level set an element's rows are bitwise the
+global context's rows of that element.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cut import FLUID, CutModel, decompose_cell
+from .cut import FLUID, CutModel, cell_patterns, decompose_cells
 
 # Gauss points on [0,1]
 _G2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
@@ -145,6 +147,7 @@ class IntegrationContext:
     interface: SurfaceBlock = None
     boundary: list = field(default_factory=list)  # list[SurfaceBlock]
     ghost: GhostBlock = None
+    owner: np.ndarray = None  # stacked re-cut contexts: local dof -> batch row
 
     def boundary_block(self, name):
         for blk in self.boundary:
@@ -153,49 +156,40 @@ class IntegrationContext:
         raise KeyError(f"no boundary region named {name!r}")
 
 
-def _cover_along_axis(piece_cover, side):
-    """Convert edge-local cover intervals to the +axis face parameter."""
-    edge = _EDGE_OF_SIDE[side]
-    out = []
-    for (k, t0, t1) in piece_cover:
-        if k != edge:
-            continue
-        if side in ("top", "left"):  # edges 2 and 3 run against the axis
-            out.append((1.0 - t1, 1.0 - t0))
-        else:
-            out.append((t0, t1))
-    return out
+def _boundary_chords(mesh, region, covers):
+    """Fluid parts of the mesh edges on a region's side, as chords.
 
-
-def _edge_cover(pieces, side, a, b, span):
-    """Fluid parts of one boundary edge a-b on a mesh side.
-
-    Yields (piece, p0, p1) for every fluid piece's cover interval of the
-    edge, clipped to span (a physical interval along the side axis, or
-    None).
+    covers is (elem, dofs, edge, t): the boundary intervals of fluid pieces
+    on their element's local edges, in parameters t (k, 2) along each edge.
+    Returns chords (elem, dofs, a, b, normal) in edge order along the side
+    and per edge in cover order, clipped to the region's span.
     """
+    elem, dofs, edge, t = covers
+    side = region.side
+    owners = mesh.boundary_edge_elems[side]
+    edge_at = np.full(mesh.n_elems, -1)
+    edge_at[owners] = np.arange(owners.shape[0])
+    idx = edge_at[elem]
+    rows = np.nonzero((edge == _EDGE_OF_SIDE[side]) & (idx >= 0))[0]
+    rows = rows[np.argsort(idx[rows], kind="stable")]
+    s0, s1 = t[rows, 0], t[rows, 1]
+    if side in ("top", "left"):  # edges 2 and 3 run against the axis
+        s0, s1 = 1.0 - s1, 1.0 - s0
+    ends = mesh.boundary_edges[side][idx[rows]]
+    a, b = mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]]
     axis = _SIDE_AXIS[side]
-    for piece in pieces:
-        if piece.phase != FLUID:
-            continue
-        for (s0, s1) in _cover_along_axis(piece.edge_cover, side):
-            lo = a[axis] + s0 * (b[axis] - a[axis])
-            hi = a[axis] + s1 * (b[axis] - a[axis])
-            if span is not None:
-                lo, hi = max(lo, span[0]), min(hi, span[1])
-                if hi - lo < 1e-14:
-                    continue
-            p0, p1 = a.copy(), b.copy()
-            p0[axis], p1[axis] = lo, hi
-            yield piece, p0, p1
+    lo = a[:, axis] + s0 * (b[:, axis] - a[:, axis])
+    hi = a[:, axis] + s1 * (b[:, axis] - a[:, axis])
+    if region.span is not None:
+        lo, hi = np.maximum(lo, region.span[0]), np.minimum(hi, region.span[1])
+        keep = ~(hi - lo < 1e-14)
+        rows, a, b, lo, hi = rows[keep], a[keep], b[keep], lo[keep], hi[keep]
+    a[:, axis], b[:, axis] = lo, hi  # a and b are gathered copies
+    normal = np.broadcast_to(_SIDE_NORMAL[side], a.shape)
+    return elem[rows], dofs[rows], a, b, normal
 
 
-def _repeat_rows(values, counts, width):
-    """Per-group rows (one per group) repeated counts times, as (sum, width)."""
-    return np.repeat(np.asarray(values).reshape(-1, width), counts, axis=0)
-
-
-def _volume_rows(mesh, pieces, scalar_ids):
+def _volume_rows(mesh, pieces):
     """Fluid-volume (x, w, elem, dofs) over every fluid piece, in order."""
     h = mesh.h
     full_x, full_w = _G2X2 * h, np.full(4, 0.25 * h * h)
@@ -217,24 +211,21 @@ def _volume_rows(mesh, pieces, scalar_ids):
             counts.append(w.shape[0])
     return (np.vstack(xs), np.concatenate(ws),
             np.repeat(np.asarray(elems, dtype=np.int64), counts),
-            np.searchsorted(scalar_ids, _repeat_rows(dofs, counts, 4)))
+            np.repeat(np.asarray(dofs, dtype=np.int64).reshape(-1, 4), counts, axis=0))
 
 
-def _surface_block(mesh, scalar_ids, chords, region=None):
-    """2-point Gauss block on chords [(element, dofs, a, b, normal), ...]."""
-    elem = np.array([c[0] for c in chords], dtype=np.int64)
-    a = np.array([c[2] for c in chords], dtype=float).reshape(-1, 2)
-    b = np.array([c[3] for c in chords], dtype=float).reshape(-1, 2)
+def _surface_block(mesh, chords, region=None):
+    """2-point Gauss block on chords (elem, dofs, a, b, normal), one row each."""
+    elem, dofs, a, b, normal = chords
     x, w = segment_rule(a, b)
     elem = np.repeat(elem, 2)
-    dofs = np.searchsorted(scalar_ids, _repeat_rows([c[1] for c in chords], 2, 4))
-    normal = _repeat_rows([c[4] for c in chords], 2, 2)
     N, gx, gy, _ = shape_q1(mesh, elem, x)
-    return SurfaceBlock(x=x, w=w, elem=elem, dofs=dofs, normal=normal,
-                        N=N, gx=gx, gy=gy, region=region)
+    return SurfaceBlock(x=x, w=w, elem=elem, dofs=np.repeat(dofs, 2, axis=0),
+                        normal=np.repeat(normal, 2, axis=0), N=N, gx=gx, gy=gy,
+                        region=region)
 
 
-def _ghost_block(mesh, scalar_ids, pairs):
+def _ghost_block(mesh, pairs):
     """2-point Gauss jump block on the full facet of each ghost pair."""
     facets = np.array([gp.facet for gp in pairs], dtype=np.int64)
     ends = mesh.facet_nodes[facets]
@@ -242,8 +233,8 @@ def _ghost_block(mesh, scalar_ids, pairs):
     normal = np.repeat(mesh.facet_normals[facets], 2, axis=0)
     e1 = np.repeat(np.array([gp.elems[0] for gp in pairs], dtype=np.int64), 2)
     e2 = np.repeat(np.array([gp.elems[1] for gp in pairs], dtype=np.int64), 2)
-    dofs1 = np.searchsorted(scalar_ids, _repeat_rows([gp.dofs1 for gp in pairs], 2, 4))
-    dofs2 = np.searchsorted(scalar_ids, _repeat_rows([gp.dofs2 for gp in pairs], 2, 4))
+    dofs1 = np.repeat(np.array([gp.dofs1 for gp in pairs], dtype=np.int64), 2, axis=0)
+    dofs2 = np.repeat(np.array([gp.dofs2 for gp in pairs], dtype=np.int64), 2, axis=0)
     N1, gx1, gy1, _ = shape_q1(mesh, e1, x)
     N2, gx2, gy2, _ = shape_q1(mesh, e2, x)
     gn1 = gx1 * normal[:, :1] + gy1 * normal[:, 1:]
@@ -252,42 +243,27 @@ def _ghost_block(mesh, scalar_ids, pairs):
                       N1=N1, N2=N2, gn1=gn1, gn2=gn2)
 
 
-def _assemble_context(mesh, pieces, segments, boundary, ghost_pairs, scalar_ids):
+def _assemble_context(mesh, scalar_ids, volume, interface, boundary, ghost_pairs=(),
+                      owner=None):
     """The one builder of an IntegrationContext.
 
-    pieces maps element -> its pieces in element order (fluid pieces carry
-    quadrature); segments are interface chords whose `piece` indexes
-    pieces[seg.element]; boundary lists (region, indices into
-    mesh.boundary_edges[region.side]) and yields one block per entry, empty
-    when no fluid lies on those edges; ghost_pairs are the facet pairs of
-    the ghost penalties (none: no ghost block). Dofs are renumbered to
-    their positions in the sorted scalar_ids, one lookup per block.
+    volume holds the fluid quadrature rows (x, w, elem, dofs); interface
+    and each entry of boundary, a (region, chords) pair, hold chords
+    (elem, dofs, a, b, normal) that get the 2-point Gauss rule; ghost_pairs
+    are the facet pairs of the ghost penalties (none: no ghost block).
+    Dofs are already in the context's numbering, scalar_ids[dof] being the
+    global scalar dof.
     """
     ctx = IntegrationContext(mesh=mesh, n=len(scalar_ids), scalar_ids=scalar_ids,
-                             h=mesh.h)
-    x, w, elem, ctx.vol_dofs = _volume_rows(mesh, pieces, scalar_ids)
-    ctx.vol_x, ctx.vol_w, ctx.vol_elem = x, w, elem
-    ctx.vol_N, ctx.vol_gx, ctx.vol_gy, ctx.vol_d2 = shape_q1(mesh, elem, x)
-
-    ctx.interface = _surface_block(mesh, scalar_ids, [
-        (seg.element, pieces[seg.element][seg.piece].dofs, seg.a, seg.b, seg.normal)
-        for seg in segments
-    ])
-    for region, edge_ids in boundary:
-        side = region.side
-        edges = mesh.boundary_edges[side]
-        owners = mesh.boundary_edge_elems[side]
-        chords = []
-        for idx in edge_ids:
-            e = int(owners[idx])
-            if e not in pieces:
-                continue
-            a, b = mesh.nodes[edges[idx, 0]], mesh.nodes[edges[idx, 1]]
-            for piece, p0, p1 in _edge_cover(pieces[e], side, a, b, region.span):
-                chords.append((e, piece.dofs, p0, p1, _SIDE_NORMAL[side]))
-        ctx.boundary.append(_surface_block(mesh, scalar_ids, chords, region=region))
+                             h=mesh.h, owner=owner)
+    ctx.vol_x, ctx.vol_w, ctx.vol_elem, ctx.vol_dofs = volume
+    ctx.vol_N, ctx.vol_gx, ctx.vol_gy, ctx.vol_d2 = shape_q1(mesh, ctx.vol_elem,
+                                                             ctx.vol_x)
+    ctx.interface = _surface_block(mesh, interface)
+    ctx.boundary = [_surface_block(mesh, chords, region=region)
+                    for region, chords in boundary]
     if ghost_pairs:
-        ctx.ghost = _ghost_block(mesh, scalar_ids, ghost_pairs)
+        ctx.ghost = _ghost_block(mesh, ghost_pairs)
     return ctx
 
 
@@ -297,49 +273,80 @@ def build_context(cm: CutModel, regions=()) -> IntegrationContext:
     Every region gets a boundary block, empty when no fluid reaches it.
     """
     mesh = cm.mesh
-    boundary = [(region, range(mesh.boundary_edges[region.side].shape[0]))
-                for region in regions]
-    return _assemble_context(mesh, cm.pieces, cm.segments, boundary, cm.ghost_pairs,
-                             np.arange(cm.n_dofs, dtype=np.int64))
+    segs = cm.segments
+    interface = (np.array([s.element for s in segs], dtype=np.int64),
+                 np.array([cm.pieces[s.element][s.piece].dofs for s in segs],
+                          dtype=np.int64).reshape(-1, 4),
+                 *(np.array([getattr(s, k) for s in segs], dtype=float).reshape(-1, 2)
+                   for k in ("a", "b", "normal")))
+    covers = [(e, p.dofs, k, t0, t1)
+              for e in np.unique(np.concatenate(list(mesh.boundary_edge_elems.values())))
+              for p in cm.pieces.get(int(e), ()) if p.phase == FLUID
+              for (k, t0, t1) in p.edge_cover]
+    covers = (np.array([c[0] for c in covers], dtype=np.int64),
+              np.array([c[1] for c in covers], dtype=np.int64).reshape(-1, 4),
+              np.array([c[2] for c in covers], dtype=np.int64),
+              np.array([c[3:] for c in covers], dtype=float).reshape(-1, 2))
+    boundary = [(region, _boundary_chords(mesh, region, covers)) for region in regions]
+    return _assemble_context(mesh, np.arange(cm.n_dofs, dtype=np.int64),
+                             _volume_rows(mesh, cm.pieces), interface, boundary,
+                             cm.ghost_pairs)
 
 
-def element_context(cm: CutModel, e, phi4, regions=()):
-    """Compact context for one element with (possibly perturbed) corner phi.
+def element_context(cm: CutModel, elems, phi4s, regions=()):
+    """One stacked context for a batch of cut elements re-cut at new corner values.
 
-    Reuses the frozen enrichment: pieces of the re-cut must appear in the
-    same order and phases as the stored decomposition. Boundary blocks
-    cover the regions on the mesh sides the element touches; ghost terms
-    are geometry-independent and excluded. Returns None if the element has
-    no fluid. Raises ValueError when the perturbation changes the corner
-    sign pattern (classification flip) or the pieces.
+    Row i re-cuts element elems[i] (cut at the stored level set) at corner
+    values phi4s[i] with its enrichment frozen. Each row owns a disjoint
+    block of local dofs, the element's scalar dofs in sorted order
+    (ctx.owner maps a local dof to its row), and its quadrature rows come
+    in the order a one-row call gives them. Boundary blocks cover every
+    region, empty where no row's fluid reaches it; ghost terms are
+    geometry-independent and excluded. Returns (ctx, invalid): invalid
+    marks the rows whose re-cut changes the cut pattern (a corner sign or
+    the phase of a saddle centre), which own no dofs and no quadrature.
     """
     mesh = cm.mesh
-    e = int(e)
-    stored = cm.pieces.get(e, [])
-    phi4 = np.asarray(phi4, dtype=float)
-    stored_signs = np.where(cm.phi[mesh.elements[e]] > 0, 1, -1)
-    new_signs = np.where(phi4 > 0, 1, -1)
-    if not np.array_equal(stored_signs, new_signs):
-        raise ValueError("classification flip under level set perturbation")
+    elems = np.asarray(elems, dtype=np.int64)
+    phi4s = np.asarray(phi4s, dtype=float).reshape(-1, 4)
+    invalid = cell_patterns(phi4s) != cell_patterns(cm.phi[mesh.elements[elems]])
+    rows = np.nonzero(~invalid)[0]
 
-    if np.all(new_signs > 0):
-        return None
-    if np.all(new_signs < 0):
-        plist, segs = stored, []
-    else:
-        plist, segs = decompose_cell(phi4, mesh.element_origin(e), mesh.h, element=e)
-        if len(plist) != len(stored):
-            raise ValueError("piece count changed under level set perturbation")
-        for p_new, p_old in zip(plist, stored):
-            if p_new.phase != p_old.phase:
-                raise ValueError("piece phase changed under level set perturbation")
-            p_new.dofs = p_old.dofs
-            p_new.region = p_old.region
+    # frozen enrichment: per distinct element, its sorted scalar dofs and
+    # the position of each fluid piece's corner dofs among them
+    uniq, which = np.unique(elems[rows], return_inverse=True)
+    ids, pos = [], np.zeros((uniq.shape[0], 3, 4), dtype=np.int64)
+    for i, e in enumerate(uniq.tolist()):
+        fluid = [(j, p.dofs) for j, p in enumerate(cm.pieces[e]) if p.phase == FLUID]
+        ids.append(np.unique(np.concatenate([d for _, d in fluid])))
+        for j, d in fluid:
+            pos[i, j] = np.searchsorted(ids[-1], d)
+    counts = np.zeros(elems.shape[0], dtype=np.int64)
+    counts[rows] = [ids[i].shape[0] for i in which.tolist()]
+    first = np.cumsum(counts) - counts
+    scalar_ids = np.concatenate([np.zeros(0, dtype=np.int64)]
+                                + [ids[i] for i in which.tolist()])
+    owner = np.repeat(np.arange(elems.shape[0]), counts)
 
-    boundary = []
-    for region in regions:
-        edge_ids = np.nonzero(mesh.boundary_edge_elems[region.side] == e)[0]
-        if edge_ids.size:
-            boundary.append((region, edge_ids))
-    ids = np.unique(np.concatenate([p.dofs for p in plist if p.phase == FLUID]))
-    return _assemble_context(mesh, {e: plist}, segs, boundary, (), ids)
+    cuts = decompose_cells(phi4s[rows], mesh.nodes[mesh.elements[elems[rows], 0]],
+                           mesh.h)
+    piece_row = rows[cuts.cell]
+    piece_dofs = first[piece_row, None] + pos[which[cuts.cell], cuts.local]
+
+    tri = np.nonzero(cuts.phase[cuts.tri_piece] == FLUID)[0]
+    x, w = triangle_rule(cuts.triangles[tri])
+    tp = cuts.tri_piece[tri]
+    volume = (x, w, np.repeat(elems[piece_row[tp]], 3),
+              np.repeat(piece_dofs[tp], 3, axis=0))
+
+    seg_row = rows[cuts.seg_cell]
+    seg_piece = np.searchsorted(piece_row * 3 + cuts.local, seg_row * 3 + cuts.seg_piece)
+    interface = (elems[seg_row], piece_dofs[seg_piece], cuts.seg_a, cuts.seg_b,
+                 cuts.seg_normal)
+    cov = np.nonzero(cuts.phase[cuts.cover_piece] == FLUID)[0]
+    cp = cuts.cover_piece[cov]
+    covers = (elems[piece_row[cp]], piece_dofs[cp], cuts.cover_edge[cov],
+              cuts.cover_t[cov])
+    boundary = [(region, _boundary_chords(mesh, region, covers)) for region in regions]
+    ctx = _assemble_context(mesh, scalar_ids, volume, interface, boundary, owner=owner)
+    return ctx, invalid

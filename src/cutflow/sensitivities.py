@@ -15,14 +15,15 @@ BDF2 march a history of steps 1..N; one re-cut payload,
 `_recut_gradient`, pairs each state's local flow residual with that
 state's adjoints and adds the species and indicator residuals and the
 geometric criteria once. One finite-difference loop, `_recut_partials`,
-re-cuts each intersected element locally with the enrichment frozen, per
-corner, and re-evaluates the payload from the same integrand kernels the
-global assembly uses. Each corner's partial is found by the first of
-these that succeeds:
+re-cuts the intersected elements locally with the enrichment frozen,
+every (element, corner, +-step) at once: the re-cuts form one stacked
+context, each kernel and criterion integrand runs once on it, residual
+only, and the products with the adjoints are summed per re-cut. Each
+corner's partial is found by the first of these that succeeds:
 
 1. a central difference with step FD_STEP_FRACTION times the mesh size;
 2. the same with the step halved, up to MAX_STEP_HALVINGS times, while a
-   re-cut flips a corner sign or changes the pieces (ValueError);
+   re-cut flips a corner sign or a saddle centre (only those pairs rerun);
 3. a one-sided full step away from the sign change; the node is flagged;
 4. none: the node is flagged and contributes nothing.
 
@@ -42,7 +43,8 @@ import scipy.sparse.linalg as spla
 
 from . import flow as flow_mod
 from . import transport as transport_mod
-from .criteria import GEOMETRIC_KINDS, evaluate_criterion, ks_local_sum
+from .criteria import (GEOMETRIC_KINDS, criterion_scale, criterion_terms,
+                       evaluate_criterion)
 from .forms import element_context
 from .cut import CUT
 from .solve import STEADY_SLOT, TimeSlot, bdf_slot
@@ -132,47 +134,69 @@ def steady_adjoints(model, result, functionals):
 
 
 def _recut_partials(model, result, payload, report=None):
-    """Yield (node, partial) for each corner of each cut element, in order.
+    """Partials of a re-cut payload w.r.t. every corner of every cut element.
 
-    payload(e, phi4) evaluates element e re-cut at the corner level set
-    values phi4 with its enrichment frozen; partial is its derivative
-    w.r.t. the corner's value. A re-cut that flips a corner sign or
-    changes the pieces raises ValueError, so the central step is halved up
-    to MAX_STEP_HALVINGS times; after that the corner takes a one-sided
-    step away from the sign change and is flagged in report, once per
-    node however many cut elements share it. A corner whose one-sided
-    step fails too is flagged and yields nothing.
+    payload(elems, phi4s) evaluates a batch of cut elements, each re-cut at
+    its row of corner level set values with the enrichment frozen, and
+    returns (values, invalid): one row of values per element, and a mask
+    of the re-cuts that change the cut pattern. Every central difference
+    of step FD_STEP_FRACTION * h is evaluated in one batch. The pairs with
+    an invalid side are halved and rerun alone, up to MAX_STEP_HALVINGS
+    times; after that such a corner takes a one-sided step away from the
+    sign change and is flagged in report, once per node however many cut
+    elements share it. A corner whose one-sided step fails too is flagged
+    and gets no partial. Returns (elems, nodes, partials), one row per
+    corner that has a partial, in (element, corner) order.
     """
     cm = result.cm
-    h = model.mesh.h
-    step = FD_STEP_FRACTION * h
-    for e in np.nonzero(cm.classification == CUT)[0]:
-        e = int(e)
-        nodes = model.mesh.elements[e]
-        base = cm.phi[nodes].astype(float)
+    mesh = model.mesh
+    step = FD_STEP_FRACTION * mesh.h
+    elems = np.repeat(np.nonzero(cm.classification == CUT)[0], 4)
+    corner = np.tile(np.arange(4), elems.shape[0] // 4)
+    nodes = mesh.elements[elems, corner]
+    base = cm.phi[mesh.elements[elems]]
 
-        def at(c, delta):
-            phi4 = base.copy()
-            phi4[c] += delta
-            return payload(e, phi4)
+    def differences(rows, plus, minus):
+        """payload at (plus) minus payload at (minus) offsets of each row's
+        corner, and the rows where both re-cuts are valid."""
+        both = np.concatenate([rows, rows])
+        phi4s = base[both]
+        phi4s[np.arange(both.shape[0]), corner[both]] += np.concatenate([plus, minus])
+        values, invalid = payload(elems[both], phi4s)
+        m = rows.shape[0]
+        ok = ~(invalid[:m] | invalid[m:])
+        return (values[:m] - values[m:])[ok], ok
 
-        for c in range(4):
-            delta = step
-            for _ in range(MAX_STEP_HALVINGS + 1):
-                try:
-                    partial = (at(c, delta) - at(c, -delta)) / (2 * delta)
-                    break
-                except ValueError:
-                    delta *= 0.5
-            else:
-                if report is not None and int(nodes[c]) not in report.flagged_nodes:
-                    report.flagged_nodes.append(int(nodes[c]))
-                sgn = 1.0 if base[c] > 0 else -1.0
-                try:
-                    partial = sgn * (at(c, sgn * step) - payload(e, base)) / step
-                except ValueError:
-                    continue
-            yield int(nodes[c]), partial
+    found = np.zeros(elems.shape[0], dtype=bool)
+    partials = None
+
+    def store(rows, values):
+        nonlocal partials
+        if partials is None:
+            partials = np.zeros((elems.shape[0], values.shape[1]))
+        partials[rows] = values
+        found[rows] = True
+
+    todo = np.arange(elems.shape[0])
+    delta = np.full(todo.shape[0], step)
+    for _ in range(MAX_STEP_HALVINGS + 1):
+        if not todo.size:
+            break
+        diff, ok = differences(todo, delta[todo], -delta[todo])
+        store(todo[ok], diff / (2 * delta[todo[ok]])[:, None])
+        todo = todo[~ok]
+        delta[todo] *= 0.5
+    if todo.size:
+        if report is not None:
+            for node in nodes[todo].tolist():
+                if node not in report.flagged_nodes:
+                    report.flagged_nodes.append(node)
+        sgn = np.where(base[todo, corner[todo]] > 0, 1.0, -1.0)
+        diff, ok = differences(todo, sgn * step, np.zeros(todo.shape[0]))
+        store(todo[ok], sgn[ok, None] * diff / step)
+    rows = np.nonzero(found)[0]
+    return elems[rows], nodes[rows], (np.zeros((0, 0)) if partials is None
+                                      else partials[rows])
 
 
 class _Step(NamedTuple):
@@ -192,8 +216,10 @@ def _recut_gradient(model, result, steps, adjoints, report):
     indicator residuals paired with their adjoints, the geometric criteria
     once and every other criterion once per step with the step's weight.
     ks_target is not element-separable: its local part is the sum at the
-    frozen global shift, chained through 1 / (beta * total). Returns an
-    array (n_functionals, n_mesh_nodes).
+    frozen global shift, chained through 1 / (beta * total). A batch of
+    re-cuts is one stacked context: each kernel runs once on it, residual
+    only, and the products with the adjoints and the criterion terms are
+    summed per re-cut. Returns an array (n_functionals, n_mesh_nodes).
     """
     cm = result.cm
     n = result.ctx.n
@@ -204,16 +230,25 @@ def _recut_gradient(model, result, steps, adjoints, report):
     ks_aux = {spec.name: result.crit_partials[spec.name].aux
               for spec in stateful if spec.kind == "ks_target"}
 
-    def payload(e, phi4):
-        ctx = element_context(cm, e, phi4, regions=model.regions)
+    def payload(elems, phi4s):
+        ctx, invalid = element_context(cm, elems, phi4s, regions=model.regions)
+        m = elems.shape[0]
         ids = ctx.scalar_ids
         gids = np.concatenate([ids, ids + n, ids + 2 * n])
+        owner = ctx.owner
+        owner3 = np.concatenate([owner, owner, owner])
+
+        def per_row(values, rows):
+            return np.bincount(rows, values, minlength=m)
+
+        def crit_sum(spec, **states):
+            q, dofs = criterion_terms(spec, ctx, params, **states)
+            return per_row(q, owner[dofs[:, 0]])
+
         psibar = model.penalty_weights(
             ctx, None if result.psi is None else result.psi[ids])
         c_loc = None if species is None else species[ids]
-        crit_once = {spec.name: evaluate_criterion(spec, ctx, params,
-                                                   allow_empty=True).value
-                     for spec in geometric}
+        crit_once = {spec.name: crit_sum(spec) for spec in geometric}
         per_step = []
         for step in steps:
             U_loc = step.state[gids]
@@ -227,12 +262,11 @@ def _recut_gradient(model, result, steps, adjoints, report):
             for spec in stateful:
                 if spec.kind == "ks_target":
                     shift, total = ks_aux[spec.name]
-                    crit[spec.name] = (ks_local_sum(spec, ctx, params, c_loc, shift)
+                    crit[spec.name] = (crit_sum(spec, species_state=c_loc, shift=shift)
                                        / (spec.beta_ks * total))
                 else:
-                    crit[spec.name] = evaluate_criterion(
-                        spec, ctx, params, flow_state=U_loc, species_state=c_loc,
-                        allow_empty=True).value
+                    crit[spec.name] = criterion_scale(spec, params) * crit_sum(
+                        spec, flow_state=U_loc)
             per_step.append((r_f, crit))
         r_c = None
         if species is not None:
@@ -244,16 +278,16 @@ def _recut_gradient(model, result, steps, adjoints, report):
             r_psi, _ = transport_mod.assemble_indicator(
                 ctx, model.physics.indicator, result.psi[ids], want_matrix=False)
 
-        vals = np.zeros(len(adjoints))
+        values = np.zeros((m, len(adjoints)))
         for k, adj in enumerate(adjoints):
-            total = 0.0
+            total = np.zeros(m)
             for step, (r_f, _) in zip(steps, per_step):
                 if step.lams[k] is not None:
-                    total += float(step.lams[k][gids] @ r_f)
+                    total += per_row(step.lams[k][gids] * r_f, owner3)
             if r_c is not None and adj.lam_species is not None:
-                total += float(adj.lam_species[ids] @ r_c)
+                total += per_row(adj.lam_species[ids] * r_c, owner)
             if r_psi is not None and adj.lam_psi is not None:
-                total += float(adj.lam_psi[ids] @ r_psi)
+                total += per_row(adj.lam_psi[ids] * r_psi, owner)
             for name, w in adj.dcrit.items():
                 if name in crit_once:
                     total += w * crit_once[name]
@@ -262,11 +296,12 @@ def _recut_gradient(model, result, steps, adjoints, report):
                     sw = step.weight.get(name, 0.0)
                     if sw:
                         total += w * sw * crit[name]
-            vals[k] = total
-        return vals
+            values[:, k] = total
+        return values, invalid
 
     grad = np.zeros((len(adjoints), model.mesh.n_nodes))
-    for node, partial in _recut_partials(model, result, payload, report):
+    _, nodes, partials = _recut_partials(model, result, payload, report)
+    for node, partial in zip(nodes.tolist(), partials):
         grad[:, node] += partial
     return grad
 

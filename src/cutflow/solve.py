@@ -4,7 +4,8 @@ Newton iterations with relative-residual control wrap a sparse direct
 (LU) solve; transient problems march with BDF2 after a single
 backward-Euler startup step. The steady driver falls back to
 pseudo-transient continuation with a growing step when a cold Newton
-start diverges.
+start diverges; a pseudo step that diverges or meets a singular
+Jacobian is retried with a smaller step.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def steady_solve(make_assemble, warm, config: SolveConfig):
                 max_iter=config.max_newton,
             )
             combined.extend(trace)
-        except NonconvergenceError:
+        except (NonconvergenceError, SolverError):
             dt *= 0.25  # retreat and try a smaller pseudo step
             continue
         dt *= 2.0

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import cutflow.cut as cut
-from cutflow.cut import (CUT, FLUID, SOLID, build_cut_model, classify_elements,
-                         decompose_cell)
+from cutflow.cut import (CUT, FLUID, SOLID, build_cut_model, cell_patterns,
+                         classify_elements, decompose_cells)
 from cutflow.errors import CapacityError
 from cutflow.forms import build_context
 from cutflow.grid import build_mesh
@@ -37,68 +37,67 @@ def test_classify_rejects_zero_values():
 
 # --- decomposition -----------------------------------------------------------
 
+def _decompose(phi4, origin=(0.0, 0.0), h=1.0):
+    """decompose_cells on one cell: piece and chord arrays of that cell."""
+    return decompose_cells(np.asarray(phi4, dtype=float)[None],
+                           np.asarray(origin, dtype=float)[None], h)
+
+
 def test_decompose_three_one_corner():
     # corners (-1,-1,-1,+1): solid triangle with legs 0.5, area 0.125
-    pieces, segs = decompose_cell(np.array([-1.0, -1.0, -1.0, 1.0]),
-                                  np.array([0.0, 0.0]), 1.0)
-    areas = {p.phase: p.area for p in pieces}
+    cuts = _decompose([-1.0, -1.0, -1.0, 1.0])
+    areas = dict(zip(cuts.phase.tolist(), cuts.area.tolist()))
     assert areas[SOLID] == pytest.approx(0.125, abs=1e-14)
     assert areas[FLUID] == pytest.approx(0.875, abs=1e-14)
-    assert len(segs) == 1
-    assert segs[0].length == pytest.approx(np.hypot(0.5, 0.5), abs=1e-14)
+    assert cuts.seg_length.shape == (1,)
+    assert cuts.seg_length[0] == pytest.approx(np.hypot(0.5, 0.5), abs=1e-14)
     # normal points toward solid (top-left corner)
-    assert segs[0].normal @ np.array([-1.0, 1.0]) > 0
+    assert cuts.seg_normal[0] @ np.array([-1.0, 1.0]) > 0
 
 
 def test_decompose_half_split():
     # corners (-1,-1,+1,+1): vertical... bottom fluid, top solid, straight chord
-    pieces, segs = decompose_cell(np.array([-1.0, -1.0, 1.0, 1.0]),
-                                  np.array([0.0, 0.0]), 1.0)
-    areas = {p.phase: p.area for p in pieces}
+    cuts = _decompose([-1.0, -1.0, 1.0, 1.0])
+    areas = dict(zip(cuts.phase.tolist(), cuts.area.tolist()))
     assert areas[FLUID] == pytest.approx(0.5, abs=1e-14)
     assert areas[SOLID] == pytest.approx(0.5, abs=1e-14)
-    assert len(segs) == 1
-    assert segs[0].length == pytest.approx(1.0, abs=1e-14)
-    np.testing.assert_allclose(segs[0].normal, [0.0, 1.0], atol=1e-14)
+    assert cuts.seg_length.shape == (1,)
+    assert cuts.seg_length[0] == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_allclose(cuts.seg_normal[0], [0.0, 1.0], atol=1e-14)
 
 
 def test_decompose_linear_field_analytic_areas():
     # phi(x, y) = x - 0.3: solid where x > 0.3
-    phi4 = np.array([-0.3, 0.7, 0.7, -0.3])
-    pieces, segs = decompose_cell(phi4, np.array([0.0, 0.0]), 1.0)
-    areas = {p.phase: p.area for p in pieces}
+    cuts = _decompose([-0.3, 0.7, 0.7, -0.3])
+    areas = dict(zip(cuts.phase.tolist(), cuts.area.tolist()))
     assert areas[FLUID] == pytest.approx(0.3, abs=1e-12)
     assert areas[SOLID] == pytest.approx(0.7, abs=1e-12)
     # diagonal: phi = x + y - 0.7, fluid triangle area 0.7^2/2
-    phi4 = np.array([-0.7, 0.3, 1.3, 0.3])
-    pieces, _ = decompose_cell(phi4, np.array([0.0, 0.0]), 1.0)
-    areas = {p.phase: p.area for p in pieces}
+    cuts = _decompose([-0.7, 0.3, 1.3, 0.3])
+    areas = dict(zip(cuts.phase.tolist(), cuts.area.tolist()))
     assert areas[FLUID] == pytest.approx(0.245, abs=1e-12)
 
 
 def test_decompose_saddle_center_solid():
     # corners (-1, 3, -1, 3): center mean = 1 > 0, solid keeps the center;
     # fluid = two corner triangles with legs 0.25 (crossings at t = 1/4, 3/4)
-    pieces, segs = decompose_cell(np.array([-1.0, 3.0, -1.0, 3.0]),
-                                  np.array([0.0, 0.0]), 1.0)
-    fluid = [p for p in pieces if p.phase == FLUID]
-    solid = [p for p in pieces if p.phase == SOLID]
+    cuts = _decompose([-1.0, 3.0, -1.0, 3.0])
+    fluid = cuts.area[cuts.phase == FLUID]
+    solid = cuts.area[cuts.phase == SOLID]
     assert len(fluid) == 2 and len(solid) == 1
-    for p in fluid:
-        assert p.area == pytest.approx(0.03125, abs=1e-14)
-    assert solid[0].area == pytest.approx(1 - 0.0625, abs=1e-14)
-    assert len(segs) == 2
-    for seg in segs:
-        assert pieces[seg.piece].phase == FLUID
+    for area in fluid:
+        assert area == pytest.approx(0.03125, abs=1e-14)
+    assert solid[0] == pytest.approx(1 - 0.0625, abs=1e-14)
+    assert cuts.seg_length.shape == (2,)
+    assert np.all(cuts.phase[cuts.seg_piece] == FLUID)
 
 
 def test_decompose_saddle_center_fluid():
-    pieces, segs = decompose_cell(np.array([1.0, -3.0, 1.0, -3.0]),
-                                  np.array([0.0, 0.0]), 1.0)
-    fluid = [p for p in pieces if p.phase == FLUID]
-    solid = [p for p in pieces if p.phase == SOLID]
+    cuts = _decompose([1.0, -3.0, 1.0, -3.0])
+    fluid = cuts.area[cuts.phase == FLUID]
+    solid = cuts.area[cuts.phase == SOLID]
     assert len(fluid) == 1 and len(solid) == 2
-    assert fluid[0].area == pytest.approx(1 - 0.0625, abs=1e-14)
+    assert fluid[0] == pytest.approx(1 - 0.0625, abs=1e-14)
 
 
 def test_fluid_plus_solid_equals_element_area():
@@ -108,9 +107,43 @@ def test_fluid_plus_solid_equals_element_area():
         if np.all(phi4 > 0) or np.all(phi4 < 0) or np.any(phi4 == 0):
             continue
         h = rng.uniform(0.1, 2.0)
-        pieces, _ = decompose_cell(phi4, rng.normal(size=2), h)
-        total = sum(p.area for p in pieces)
+        total = _decompose(phi4, rng.normal(size=2), h).area.sum()
         assert abs(total - h * h) < 1e-12 * h * h + 1e-15
+
+
+def test_batched_decomposition_equals_one_cell_calls():
+    # every cut pattern, saddles of both centre phases and near-corner
+    # crossings in one batch: each cell's rows are bitwise a one-row call's
+    rng = np.random.default_rng(1)
+    phi4s = rng.normal(size=(400, 4))
+    phi4s[::7, 1] = 1e-15
+    phi4s[::11] = [[-1.0, 3.0, -1.0, 3.0]] * len(phi4s[::11])
+    phi4s[::13] = [[1.0, -3.0, 1.0, -3.0]] * len(phi4s[::13])
+    phi4s = phi4s[np.any(phi4s > 0, axis=1) & np.any(phi4s <= 0, axis=1)]
+    patterns = set(cell_patterns(phi4s).tolist())
+    assert len(patterns) == 16  # 12 non-saddles, 2 saddles x 2 centre phases
+    origins = rng.normal(size=(phi4s.shape[0], 2))
+    h = 0.3
+    batch = decompose_cells(phi4s, origins, h)
+
+    def same(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for i in range(phi4s.shape[0]):
+        one = decompose_cells(phi4s[i:i + 1], origins[i:i + 1], h)
+        pieces = np.nonzero(batch.cell == i)[0]
+        for name in ("local", "phase", "area", "polygon", "n_vert"):
+            assert same(getattr(batch, name)[pieces], getattr(one, name))
+        tris = np.isin(batch.tri_piece, pieces)
+        assert same(batch.triangles[tris], one.triangles)
+        assert same(batch.tri_piece[tris] - pieces[0], one.tri_piece)
+        cover = np.isin(batch.cover_piece, pieces)
+        assert same(batch.cover_t[cover], one.cover_t)
+        assert same(batch.cover_edge[cover], one.cover_edge)
+        assert same(batch.cover_piece[cover] - pieces[0], one.cover_piece)
+        segs = batch.seg_cell == i
+        for name in ("seg_piece", "seg_a", "seg_b", "seg_normal", "seg_length"):
+            assert same(getattr(batch, name)[segs], getattr(one, name))
 
 
 def test_triangulation_choice_does_not_change_area():

@@ -271,3 +271,19 @@ def test_levelset_jacobian_matches_fd():
         an = J @ ds
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(fd - an) / denom < 1e-5
+
+
+def test_levelset_build_unchanged_by_jacobian():
+    # the Jacobian reads the filter matrix without changing how later level
+    # sets are summed, so a design's level set is the same before and after
+    # (a restart rebuilds a warm geometry before any Jacobian is taken)
+    m = _mesh(14)
+    lm = _lsmap(m)
+    rng = np.random.default_rng(5)
+    d = DesignVector(values=rng.uniform(-0.02, 0.02, m.n_nodes),
+                     lower=np.full(m.n_nodes, -0.03),
+                     upper=np.full(m.n_nodes, 0.03), n_nodal=m.n_nodes)
+    before = lm.build(d).phi
+    lm.jacobian(d)
+    after = lm.build(d).phi
+    assert before.tobytes() == after.tobytes()

@@ -494,3 +494,32 @@ def test_gradcheck_driver(tmp_path):
     for _, an, fd, rel in rows:
         assert rel < 1e-3
     assert os.path.exists(os.path.join(str(tmp_path / "gc"), "gradcheck.csv"))
+
+
+def test_gradcheck_follows_bdf2_scheme(tmp_path):
+    # a BDF2 config is checked against central differences of the march:
+    # both the adjoint column and the FD column are transient derivatives
+    from cutflow.design import DesignVector
+    from cutflow.driver import build_model, run_gradcheck
+    # three short steps from rest stay far from the steady state (the
+    # steady gradient differs by about 3%)
+    text = OPT_CFG.replace("[output]", "[solve]\nscheme = bdf2\ndt = 0.01\n"
+                           "n_steps = 3\nnewton_tol = 1e-10\n\n[output]")
+    text = text.replace("surface = outlet\n", "surface = outlet\ntime_sampling = average\n", 1)
+    cfg = parse_config(_write(tmp_path, text))
+    step = 1e-5
+    rows = run_gradcheck(cfg, outdir=str(tmp_path / "gc"), n_vars=3, step=step)
+    model, problem = build_model(cfg)
+    design = cfg.initial_design(model.mesh)
+    problem.capture_normalization(model.solve_transient(design).crit_values)
+    for idx, an, fd, rel in rows:
+        assert rel < 1e-3
+        dv = DesignVector(values=design.values.copy(), lower=design.lower,
+                          upper=design.upper, n_nodal=design.n_nodal,
+                          port_layout=design.port_layout)
+        dv.values[idx] += step
+        Zp = problem.objective_value(model.solve_transient(dv).crit_values)
+        dv.values[idx] -= 2 * step
+        Zm = problem.objective_value(model.solve_transient(dv).crit_values)
+        march_fd = (Zp - Zm) / (2 * step)
+        assert abs(an - march_fd) / max(abs(an), abs(march_fd)) < 1e-3

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cutflow.criteria import CriterionSpec, ObjectiveTerm, ProblemSpec
-from cutflow.cut import CUT
+from cutflow.cut import CUT, FLUID
 from cutflow.design import DesignVector
 from cutflow.grid import node_support
 from cutflow import flow as flow_mod
@@ -28,13 +28,11 @@ def residual_phi_matrix(model, result, block="flow"):
     cm = result.cm
     n = result.ctx.n
     blocks = {"flow": 3, "species": 1, "indicator": 1}[block]
-    gids = None  # rows of the element the engine last re-cut
+    width = 8  # scalar dofs of one element: at most two fluid pieces of four
 
-    def payload(e, phi4):
-        nonlocal gids
-        ctx = element_context(cm, e, phi4, regions=model.regions)
+    def payload(elems, phi4s):
+        ctx, invalid = element_context(cm, elems, phi4s, regions=model.regions)
         ids = ctx.scalar_ids
-        gids = np.concatenate([ids + b * n for b in range(blocks)])
         U_loc = _restrict(result.flow_state, ids, 3, n)
         if block == "flow":
             psi = None if result.psi is None else result.psi[ids]
@@ -49,13 +47,22 @@ def residual_phi_matrix(model, result, block="flow"):
             r, _ = transport_mod.assemble_indicator(
                 ctx, model.physics.indicator, result.psi[ids],
                 want_matrix=False)
-        return r
+        # each row's residual, field by field, in its own dof order
+        local = np.arange(ctx.n) - np.searchsorted(ctx.owner, ctx.owner)
+        out = np.zeros((len(elems), blocks, width))
+        for b in range(blocks):
+            out[ctx.owner, b, local] = r[b * ctx.n:(b + 1) * ctx.n]
+        return out.reshape(len(elems), -1), invalid
 
     rows, cols, vals = [], [], []
-    for node, partial in _recut_partials(model, result, payload):
-        rows.append(gids)
-        cols.append(np.full(gids.shape[0], node, dtype=np.int64))
-        vals.append(partial)
+    elems, nodes, partials = _recut_partials(model, result, payload)
+    for e, node, partial in zip(elems.tolist(), nodes.tolist(), partials):
+        ids = np.unique(np.concatenate([p.dofs for p in cm.pieces[e]
+                                        if p.phase == FLUID]))
+        partial = partial.reshape(blocks, width)[:, :ids.shape[0]]
+        rows.append((np.arange(blocks)[:, None] * n + ids).ravel())
+        cols.append(np.full(partial.size, node, dtype=np.int64))
+        vals.append(partial.ravel())
     if not rows:
         return sp.csr_matrix((blocks * n, model.mesh.n_nodes))
     return sp.csr_matrix(
@@ -437,17 +444,32 @@ def _bitwise(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_element_context_matches_global_rows():
-    # at the stored level set, each cut element's re-cut context carries
-    # bitwise the global context's rows of that element; inclusions on the
-    # left and bottom walls give some cut elements boundary blocks
+def _inclusion_bend():
+    # inclusions on the left and bottom walls give some cut elements
+    # boundary blocks
     model, _, design = bend_model(
         divisions=(20, 20),
         inclusions=((0.0, 0.5, 0.15), (0.5, 0.0, 0.15), (0.6, 0.6, 0.1)))
     _, cm, ctx = model.geometry(design)
+    return model, cm, ctx
+
+
+def _row_blocks(ctx, row):
+    """(name, block, mask of one batch row's points) for each block."""
+    yield "vol", ctx, ctx.owner[ctx.vol_dofs[:, 0]] == row
+    for blk in [ctx.interface] + ctx.boundary:
+        yield blk.region and blk.region.name, blk, ctx.owner[blk.dofs[:, 0]] == row
+
+
+def test_element_context_matches_global_rows():
+    # at the stored level set, each cut element's re-cut context carries
+    # bitwise the global context's rows of that element
+    model, cm, ctx = _inclusion_bend()
     with_boundary = 0
     for e in np.nonzero(cm.classification == CUT)[0]:
-        loc = element_context(cm, e, cm.phi[model.mesh.elements[e]], model.regions)
+        loc, invalid = element_context(cm, [e], cm.phi[model.mesh.elements[e]],
+                                       model.regions)
+        assert not invalid.any()
         ids = loc.scalar_ids
         rows = ctx.vol_elem == e
         for k in ("vol_x", "vol_w", "vol_N", "vol_gx", "vol_gy", "vol_d2"):
@@ -467,3 +489,127 @@ def test_element_context_matches_global_rows():
             assert _bitwise(ids[lb.dofs], gb.dofs[rows])
         with_boundary += sum(1 for blk in loc.boundary if blk.nq)
     assert with_boundary >= 1
+
+
+def test_stacked_context_rows_match_one_row_calls():
+    # one batch of every cut element at the stored level set and at +-delta
+    # on each corner: each row owns its dofs and carries bitwise the rows
+    # of a one-row call
+    from cutflow.sensitivities import FD_STEP_FRACTION
+    model, cm, _ = _inclusion_bend()
+    delta = FD_STEP_FRACTION * model.mesh.h
+    cut = np.nonzero(cm.classification == CUT)[0]
+    elems = np.repeat(cut, 9)
+    phi4s = cm.phi[model.mesh.elements[elems]]
+    for k in range(8):  # rows 9 i keep the stored values
+        phi4s[k + 1::9, k // 2] += delta if k % 2 == 0 else -delta
+    ctx, invalid = element_context(cm, elems, phi4s, model.regions)
+    assert not invalid.any()
+    assert np.all(np.diff(ctx.owner) >= 0)
+    with_boundary = 0
+    for i in range(elems.shape[0]):
+        one, bad = element_context(cm, elems[i:i + 1], phi4s[i], model.regions)
+        assert not bad.any()
+        assert _bitwise(ctx.scalar_ids[ctx.owner == i], one.scalar_ids)
+        for (name, blk, rows), (name1, blk1, rows1) in zip(_row_blocks(ctx, i),
+                                                            _row_blocks(one, 0)):
+            assert name == name1 and rows1.all()
+            prefix = "vol_" if name == "vol" else ""
+            for k in ("x", "w", "N") + (("normal",) if prefix == "" else ()):
+                assert _bitwise(getattr(blk, prefix + k)[rows],
+                                getattr(blk1, prefix + k))
+            dofs = "vol_dofs" if name == "vol" else "dofs"
+            assert _bitwise(ctx.scalar_ids[getattr(blk, dofs)[rows]],
+                            one.scalar_ids[getattr(blk1, dofs)])
+            with_boundary += name not in ("vol", None) and rows.any()
+    assert with_boundary >= 1
+
+
+def _capture_payload(monkeypatch, model, result, adjoints):
+    """The batched payload that geometry_gradient hands to _recut_partials."""
+    import cutflow.sensitivities as sens
+    original, seen = sens._recut_partials, []
+
+    def spy(*args, **kwargs):
+        seen.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sens, "_recut_partials", spy)
+    geometry_gradient(model, result, adjoints)
+    return seen[0]
+
+
+def test_batched_payload_rows_do_not_leak(bend, monkeypatch):
+    # a mixed batch (stored values, +-delta, a sign flip) gives each valid
+    # row bitwise the values of a one-row call
+    from cutflow.sensitivities import FD_STEP_FRACTION
+    model, problem, design, result = bend
+    chains = [problem.objective_dcrit(result.crit_values), {"Vf": 1.0, "S": 0.5}]
+    payload = _capture_payload(monkeypatch, model, result,
+                               steady_adjoints(model, result, chains))
+    cm = result.cm
+    cut = np.nonzero(cm.classification == CUT)[0][:12]
+    elems = np.repeat(cut, 3)
+    phi4s = cm.phi[model.mesh.elements[elems]]
+    delta = FD_STEP_FRACTION * model.mesh.h
+    phi4s[1::3, 0] += delta
+    phi4s[2::3, 2] -= delta
+    phi4s[4, 1] = -2 * phi4s[4, 1]  # flips a sign: invalid
+    values, invalid = payload(elems, phi4s)
+    assert invalid.tolist() == [i == 4 for i in range(elems.shape[0])]
+    assert np.all(values[4] == 0.0)
+    assert np.any(values != 0.0)
+    for i in np.nonzero(~invalid)[0]:
+        one, bad = payload(elems[i:i + 1], phi4s[i:i + 1])
+        assert not bad.any()
+        assert _bitwise(values[i], one[0])
+
+
+def test_recut_retries_only_failed_rows_and_flags_in_order():
+    # two nodes within a rounding error of the interface: only their
+    # corners' pairs are rerun with halved steps, and the one-sided
+    # fallback flags them in (element, corner) order, once each
+    from cutflow.cut import build_cut_model, cell_patterns
+    from cutflow.pipeline import ForwardResult
+    from cutflow.sensitivities import GradientReport
+    model, _, design = bend_model(divisions=(20, 20))
+    mesh = model.mesh
+    phi = model.lsmap.build(design).phi.copy()
+    cm0 = build_cut_model(mesh, phi)
+    cut = np.nonzero(cm0.classification == CUT)[0]
+    # two interior nodes of cut elements, picked from the last element back
+    # so that the flagging order is not the picking order
+    picks = []
+    for e in cut[::-1]:
+        for node in mesh.elements[e]:
+            i, j = node % (mesh.divisions[0] + 1), node // (mesh.divisions[0] + 1)
+            if 0 < i < mesh.divisions[0] and 0 < j < mesh.divisions[1] \
+                    and node not in picks and len(picks) < 2:
+                picks.append(int(node))
+    for node in picks:
+        phi[node] = np.sign(phi[node]) * 1e-12 * mesh.h
+    cm = build_cut_model(mesh, phi)
+    result = ForwardResult(phi=None, cm=cm, ctx=None, crit_partials={})
+    batches = []
+
+    def payload(elems, phi4s):
+        batches.append(np.array(elems))
+        return phi4s.sum(axis=1, keepdims=True), (
+            cell_patterns(phi4s) != cell_patterns(cm.phi[mesh.elements[elems]]))
+
+    report = GradientReport()
+    elems, nodes, partials = _recut_partials(model, result, payload, report)
+    n_cut = np.count_nonzero(cm.classification == CUT)
+    assert batches[0].shape[0] == 8 * n_cut
+    touching = [e for e in np.nonzero(cm.classification == CUT)[0]
+                if set(mesh.elements[e]) & set(picks)]
+    corners = sum(len(set(mesh.elements[e]) & set(picks)) for e in touching)
+    for retry in batches[1:]:
+        assert retry.shape[0] == 2 * corners
+        assert set(retry.tolist()) == set(touching)
+    order = [int(node) for e in np.nonzero(cm.classification == CUT)[0]
+             for node in mesh.elements[e] if node in picks]
+    assert report.flagged_nodes == list(dict.fromkeys(order))
+    # the payload is linear in phi4s: every partial is one
+    np.testing.assert_allclose(partials, 1.0, rtol=1e-6)
+    assert nodes.shape[0] == 4 * n_cut

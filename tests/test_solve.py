@@ -144,6 +144,34 @@ def test_steady_solve_pseudo_transient_fallback():
     assert abs(x[0]) < 1e-10
 
 
+def test_steady_solve_retreats_from_singular_pseudo_step():
+    # x^3 = 8 from x0 = 0: the steady Jacobian 3 x^2 is singular at the
+    # start, and the pseudo-time term (alpha - 1/dt0)(x - u) vanishes at the
+    # first pseudo step, so that step is singular too; a smaller step works
+    dt0 = 0.1
+    steps = []
+
+    def make(slot):
+        def assemble(x):
+            r = np.array([x[0] ** 3 - 8.0])
+            j = np.array([[3.0 * x[0] ** 2]])
+            if slot.alpha:
+                steps.append(slot.dt)
+                u = -slot.hist * slot.dt  # the previous pseudo state
+                r = r + (slot.alpha - 1.0 / dt0) * (x - u)
+                j = j + np.array([[slot.alpha - 1.0 / dt0]])
+            return r, j
+        return assemble
+
+    r, j = make(TimeSlot(alpha=1.0 / dt0, hist=np.zeros(1), dt=dt0))(np.zeros(1))
+    with pytest.raises(SolverError):
+        linear_solve(j, r)
+    steps.clear()
+    x, trace = steady_solve(make, np.zeros(1), SolveConfig(pseudo_dt0=dt0))
+    assert abs(x[0] - 2.0) < 1e-10
+    assert steps[0] == dt0 and dt0 * 0.25 in steps
+
+
 def test_stokes_cavity_converges_in_a_couple_iterations():
     # creeping lid-driven cavity: convection negligible, frozen penalties
     # keep Newton essentially linear
