@@ -21,7 +21,10 @@ from .gcmma import GCMMA
 from .output import (HistoryWriter, ensure_dir, read_checkpoint, write_checkpoint,
                      write_vtk_fields)
 from .pipeline import ForwardModel
-from .sensitivities import total_design_gradient, transient_total_gradient
+from .sensitivities import total_design_gradient
+
+# bench/spans.py wraps this name; it goes when stage timers replace the wrappers
+transient_total_gradient = total_design_gradient
 
 
 def build_model(cfg):
@@ -56,10 +59,7 @@ def run_analysis(cfg, outdir=None):
     ensure_dir(outdir)
     model, problem = build_model(cfg)
     design = cfg.initial_design(model.mesh)
-    if cfg.solve.scheme == "bdf2":
-        result = model.solve_transient(design)
-    else:
-        result = model.solve_steady(design)
+    result = model.analyze(design)
     write_vtk_fields(
         os.path.join(outdir, "fields_000000.vtk"), result.cm,
         flow_state=result.flow_state, species_state=result.species_state,
@@ -127,13 +127,11 @@ def run_optimization(cfg, outdir=None, restart=None):
                          len(cfg.constraints), keep_below=start_iter)
 
     def forward(dv):
-        if transient:
-            return model.solve_transient(dv)
-        if warm["cm"] is not None:
+        if warm["cm"] is not None:  # steady runs only
             phi, cm, ctx = model.geometry(dv)
             w = transfer_flow_state(warm["cm"], cm, warm["U"])
             return _steady_on_geometry(model, phi, cm, ctx, w)
-        return model.solve_steady(dv)
+        return model.analyze(dv)
 
     def evaluate_values(x):
         dv = DesignVector(values=np.array(x, dtype=float), lower=design.lower,
@@ -182,12 +180,8 @@ def run_optimization(cfg, outdir=None, restart=None):
         if problem.normalization is None:
             problem.capture_normalization(values)
 
-        if transient:
-            Z, g, dZ, dg, report = transient_total_gradient(
-                model, result, problem, design, area, iteration=it)
-        else:
-            Z, g, dZ, dg, report = total_design_gradient(
-                model, result, problem, design, area, iteration=it)
+        Z, g, dZ, dg, report = total_design_gradient(
+            model, result, problem, design, area, iteration=it)
 
         feasible = bool(np.all(g <= cfg.gcmma.tol_feasibility))
         if feasible and first_feasible_Z is None:
@@ -229,22 +223,9 @@ def run_optimization(cfg, outdir=None, restart=None):
 
 
 def _steady_on_geometry(model, phi, cm, ctx, warm_state):
-    """model.solve_steady but reusing an already-built geometry."""
-    from .pipeline import ForwardResult
-    from .solve import steady_solve
-
-    psi, psibar = model._indicator(ctx)
-    n = ctx.n
-    if warm_state is None or warm_state.shape[0] != 3 * n:
-        warm_state = np.zeros(3 * n)
-    make = model._flow_assemble_factory(ctx, psibar)
-    U, trace = steady_solve(make, warm_state, model.solve_config)
-    result = ForwardResult(phi=phi, cm=cm, ctx=ctx, psi=psi, psibar_qp=psibar,
-                           flow_state=U, newton_trace=trace)
-    if model._needs_species():
-        result.species_state = model._solve_species(ctx, U)
-    model._evaluate_criteria(result)
-    return result
+    """model.solve_steady on an already built geometry (bench/spans.py
+    times the warm-started forward through this name)."""
+    return model.solve_steady(None, warm_state, geometry=(phi, cm, ctx))
 
 
 def run_gradcheck(cfg, outdir=None, n_vars=5, step=1e-5, seed=7):
@@ -258,14 +239,10 @@ def run_gradcheck(cfg, outdir=None, n_vars=5, step=1e-5, seed=7):
     model, problem = build_model(cfg)
     design = cfg.initial_design(model.mesh)
     area = cfg.domain_area()
-    if cfg.solve.scheme == "bdf2":
-        solve, gradient = model.solve_transient, transient_total_gradient
-    else:
-        solve, gradient = model.solve_steady, total_design_gradient
-    result = solve(design)
+    result = model.analyze(design)
     if problem.normalization is None:
         problem.capture_normalization(result.crit_values)
-    Z, g, dZ, dg, report = gradient(model, result, problem, design, area)
+    Z, g, dZ, dg, report = total_design_gradient(model, result, problem, design, area)
 
     rng = np.random.default_rng(seed)
     # prefer variables whose gradient is significant (near cut elements)
@@ -282,9 +259,9 @@ def run_gradcheck(cfg, outdir=None, n_vars=5, step=1e-5, seed=7):
                           upper=design.upper, n_nodal=design.n_nodal,
                           port_layout=design.port_layout)
         dv.values[idx] += step
-        Zp = problem.objective_value(solve(dv).crit_values)
+        Zp = problem.objective_value(model.analyze(dv).crit_values)
         dv.values[idx] -= 2 * step
-        Zm = problem.objective_value(solve(dv).crit_values)
+        Zm = problem.objective_value(model.analyze(dv).crit_values)
         fd = (Zp - Zm) / (2 * step)
         an = dZ[idx]
         rel = abs(fd - an) / max(abs(fd), abs(an), 1e-30)

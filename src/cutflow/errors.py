@@ -19,7 +19,14 @@ class CapacityError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """Linear solver failure (structural or numerical singularity)."""
+    """Linear solver failure (structural or numerical singularity).
+
+    Carries, for transient runs, the failing step.
+    """
+
+    def __init__(self, message, step=None):
+        super().__init__(message)
+        self.step = step
 
 
 class NonconvergenceError(RuntimeError):

@@ -112,8 +112,17 @@ class ForwardModel:
 
         return make
 
-    def solve_steady(self, design, warm=None):
-        phi, cm, ctx = self.geometry(design)
+    def analyze(self, design):
+        """Forward analysis of design by solve_config.scheme: a steady solve
+        or a BDF2 march."""
+        if self.solve_config.scheme == "bdf2":
+            return self.solve_transient(design)
+        return self.solve_steady(design)
+
+    def solve_steady(self, design, warm=None, geometry=None):
+        """Steady analysis of design, or of its already built geometry
+        (phi, cm, ctx), from the warm flow state when its size fits."""
+        phi, cm, ctx = self.geometry(design) if geometry is None else geometry
         psi, psibar = self._indicator(ctx)
         n = ctx.n
         if warm is None or warm.shape[0] != 3 * n:

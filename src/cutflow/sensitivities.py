@@ -1,25 +1,25 @@
 """Discrete adjoints and total design derivatives.
 
 The forward pipeline is level set -> cut geometry -> indicator -> flow ->
-species -> criteria. Adjoints are solved in reverse block order (species,
-flow, indicator), each block reusing one transposed factorization for all
-functionals. The BDF2-marched flow has one backward sweep,
-`adjoint_transient`, which carries every functional as one column of a
-right-hand-side block, so each step is factorized once. Only the adjoint
-solves differ between steady and BDF2 runs: the chain weights, the
-geometric partials and the contraction with d(phi)/d(s) are shared.
+species -> criteria. Every analysis is a list of flow steps, each a time
+slot and a state (`analysis_steps`): a steady run is one step, a BDF2
+march its steps 1..N. One gradient, `total_design_gradient`, serves both.
+Adjoints are solved in reverse block order (species, flow, indicator),
+each block reusing one transposed factorization for all functionals. The
+flow has one backward sweep, `adjoint_transient`, which carries every
+functional as one column of a right-hand-side block, so each step is
+factorized once; a steady run is a sweep of one step.
 
 Geometric partials of residuals and criteria are computed
-semi-analytically. A steady analysis is a history of one flow state, a
-BDF2 march a history of steps 1..N; one re-cut payload,
-`_recut_gradient`, pairs each state's local flow residual with that
-state's adjoints and adds the species and indicator residuals and the
-geometric criteria once. One finite-difference loop, `_recut_partials`,
-re-cuts the intersected elements locally with the enrichment frozen,
-every (element, corner, +-step) at once: the re-cuts form one stacked
-context, each kernel and criterion integrand runs once on it, residual
-only, and the products with the adjoints are summed per re-cut. Each
-corner's partial is found by the first of these that succeeds:
+semi-analytically. One re-cut payload, in `geometry_gradient`, pairs each
+step's local flow residual with that step's adjoints and adds the species
+and indicator residuals and the geometric criteria once. One
+finite-difference loop, `_recut_partials`, re-cuts the intersected
+elements locally with the enrichment frozen, every (element, corner,
++-step) at once: the re-cuts form one stacked context, each kernel and
+criterion integrand runs once on it, residual only, and the products with
+the adjoints are summed per re-cut. Each corner's partial is found by the
+first of these that succeeds:
 
 1. a central difference with step FD_STEP_FRACTION times the mesh size;
 2. the same with the step halved, up to MAX_STEP_HALVINGS times, while a
@@ -58,7 +58,7 @@ class FunctionalAdjoint:
     """Adjoint vectors of one functional (objective or constraint)."""
 
     dcrit: dict  # d(functional)/d(criterion value)
-    lam_flow: np.ndarray = None
+    lam_flow: np.ndarray = None  # at the analysis's last (a steady run's only) step
     lam_species: np.ndarray = None
     lam_psi: np.ndarray = None
 
@@ -68,69 +68,113 @@ class GradientReport:
     flagged_nodes: list = field(default_factory=list)
 
 
-def _functional_state_partials(functional_dcrit, crit_partials, n):
-    """Assemble dF/du and dF/dc from criterion chain weights."""
-    dflow = np.zeros(3 * n)
-    dspecies = np.zeros(n)
-    for name, w in functional_dcrit.items():
-        cv = crit_partials[name]
-        if cv.d_flow is not None:
-            dflow += w * cv.d_flow
-        if cv.d_species is not None:
-            dspecies += w * cv.d_species
-    return dflow, dspecies
+class _Step(NamedTuple):
+    """One flow state of an analysis."""
+
+    slot: TimeSlot  # time slot of the state's residual (full-length hist)
+    state: np.ndarray  # flow state (3 n)
+    weight: dict  # state-dependent criterion name -> sampling weight
 
 
-def steady_adjoints(model, result, functionals):
-    """Solve the adjoint cascade for a list of functionals.
+def analysis_steps(model, result):
+    """The flow states of an analysis, first to last, as _Steps.
 
-    functionals: list of dicts mapping criterion name -> dF/d(criterion).
-    Returns a list of FunctionalAdjoint in the same order.
+    A steady analysis is one step at STEADY_SLOT, a BDF2 march its steps
+    1..N (the initial condition excluded). A criterion sampled 'average'
+    weighs 1/N at every step, one sampled 'final' 1 at the last. This is
+    the only place that knows the scheme.
+    """
+    history = result.flow_history
+    if history is None:
+        states = [(STEADY_SLOT, result.flow_state)]
+    else:
+        dt = model.solve_config.dt
+        states = [(bdf_slot(k, dt, history[:k]), history[k])
+                  for k in range(1, len(history))]
+    n = len(states)
+    stateful = [spec for spec in model.criteria if spec.kind not in GEOMETRIC_KINDS]
+    return [_Step(slot, state, {spec.name: (1.0 / n if spec.time_sampling == "average"
+                                            else float(k == n - 1))
+                                for spec in stateful})
+            for k, (slot, state) in enumerate(states)]
+
+
+def solve_adjoints(model, result, chains):
+    """Adjoints of the functionals whose criterion chain weights are chains.
+
+    Reverse block order: the species adjoint (steady-only, so it couples to
+    the last step), one backward sweep over the flow steps with one column
+    per functional, then the indicator adjoint from the sum over the steps
+    of C_fpsi^T lam. The last step's criterion partials are the run's own;
+    an earlier step evaluates only the criteria sampled there. Returns
+    (lams, adjoints): lams[k] holds step k's flow adjoints, one column per
+    functional, and each FunctionalAdjoint's lam_flow is its last-step column.
     """
     ctx = result.ctx
     n = ctx.n
     params = model.physics.flow
-    _, J_f = flow_mod.assemble_flow(
-        ctx, params, result.flow_state, coeff_state=result.flow_state,
-        psibar=result.psibar_qp,
-    )
-    lu_f = spla.splu(J_f.T.tocsc())
+    steps = analysis_steps(model, result)
+    last = len(steps) - 1
+    specs = {spec.name: spec for spec in model.criteria}
 
-    has_species = result.species_state is not None
-    if has_species:
+    def chained(partials, weight, attr, rows):
+        """Sum of w * sampling weight * partial, one column per functional."""
+        out = np.zeros((rows, len(chains)))
+        for k, chain in enumerate(chains):
+            for name, w in chain.items():
+                sw = weight.get(name, 0.0)
+                d = getattr(partials[name], attr) if sw else None
+                if d is not None:
+                    out[:, k] += w * sw * d
+        return out
+
+    lam_c = None
+    if result.species_state is not None:
         tparams = model.physics.transport
         _, J_c = transport_mod.assemble_species(
-            ctx, tparams, result.species_state, result.flow_state
-        )
-        lu_c = spla.splu(J_c.T.tocsc())
+            ctx, tparams, result.species_state, result.flow_state)
+        dc = chained(result.crit_partials, steps[last].weight, "d_species", n)
+        lam_c = spla.splu(J_c.T.tocsc()).solve(-dc)
         C_cu = transport_mod.species_flow_jacobian(
-            ctx, tparams, result.species_state, result.flow_state
-        )
+            ctx, tparams, result.species_state, result.flow_state)
 
-    has_psi = result.psi is not None
-    if has_psi:
-        _, J_psi = transport_mod.assemble_indicator(ctx, model.physics.indicator,
-                                                    result.psi)
-        lu_psi = spla.splu(J_psi.T.tocsc())
-        C_fpsi = flow_mod.flow_indicator_jacobian(
-            ctx, params, result.flow_state, result.psi, model.physics.indicator
-        )
+    def rhs_at(k):
+        step = steps[k]
+        partials = result.crit_partials if k == last else {
+            name: evaluate_criterion(specs[name], ctx, params, flow_state=step.state,
+                                     want_partials=True)
+            for name, sw in step.weight.items() if sw}
+        rhs = -chained(partials, step.weight, "d_flow", 3 * n)
+        if k == last and lam_c is not None:
+            rhs -= C_cu.T @ lam_c
+        return rhs
 
-    out = []
-    for dcrit in functionals:
-        adj = FunctionalAdjoint(dcrit=dict(dcrit))
-        dflow, dspecies = _functional_state_partials(dcrit, result.crit_partials, n)
-        if has_species:
-            adj.lam_species = lu_c.solve(-dspecies)
-            rhs_flow = -dflow - C_cu.T @ adj.lam_species
-        else:
-            adj.lam_species = None
-            rhs_flow = -dflow
-        adj.lam_flow = lu_f.solve(rhs_flow)
-        if has_psi:
-            adj.lam_psi = lu_psi.solve(-(C_fpsi.T @ adj.lam_flow))
-        out.append(adj)
-    return out
+    def solve_at(k):
+        slot, state, _ = steps[k]
+        _, J = flow_mod.assemble_flow(ctx, params, state, coeff_state=state,
+                                      slot=slot, psibar=result.psibar_qp)
+        return spla.splu(J.T.tocsc()).solve
+
+    def time_matrix_at(k):
+        return flow_mod.flow_time_matrix(ctx, params, steps[k].state, steps[k].slot)
+
+    lams = adjoint_transient([step.slot for step in steps], solve_at,
+                             time_matrix_at, rhs_at)
+    lam_psi = None
+    if result.psi is not None:
+        C_fpsi = np.zeros((n, len(chains)))
+        for k in range(last, -1, -1):
+            C = flow_mod.flow_indicator_jacobian(
+                ctx, params, steps[k].state, result.psi, model.physics.indicator)
+            C_fpsi += C.T @ lams[k]
+        _, J_psi = transport_mod.assemble_indicator(
+            ctx, model.physics.indicator, result.psi)
+        lam_psi = spla.splu(J_psi.T.tocsc()).solve(-C_fpsi)
+    return lams, [FunctionalAdjoint(
+        dcrit=dict(chain), lam_flow=lams[last][:, k],
+        lam_species=None if lam_c is None else lam_c[:, k],
+        lam_psi=None if lam_psi is None else lam_psi[:, k])
+        for k, chain in enumerate(chains)]
 
 
 def _recut_partials(model, result, payload, report=None):
@@ -199,22 +243,15 @@ def _recut_partials(model, result, payload, report=None):
                                       else partials[rows])
 
 
-class _Step(NamedTuple):
-    """One flow state of an analysis, as the re-cut payload sees it."""
+def geometry_gradient(model, result, lams, adjoints, report=None):
+    """d(functionals)/d(nodal phi) over the flow states of an analysis.
 
-    slot: TimeSlot  # time slot of the state's residual (full-length hist)
-    state: np.ndarray  # flow state (3 n)
-    lams: list  # per functional: flow adjoint at this state, or None
-    weight: dict  # state-dependent criterion name -> sampling weight
-
-
-def _recut_gradient(model, result, steps, adjoints, report):
-    """d(functionals)/d(nodal phi) over the flow states in steps.
-
-    Each re-cut element contributes, per functional, the flow residual of
-    every step paired with that step's flow adjoint, the species and
-    indicator residuals paired with their adjoints, the geometric criteria
-    once and every other criterion once per step with the step's weight.
+    lams[k] holds the flow adjoints of analysis step k, one column per
+    functional. Each re-cut element contributes, per functional, the flow
+    residual of every step paired with that step's flow adjoint, the
+    species and indicator residuals paired with their adjoints, the
+    geometric criteria once and every other criterion once per step with
+    the step's weight.
     ks_target is not element-separable: its local part is the sum at the
     frozen global shift, chained through 1 / (beta * total). A batch of
     re-cuts is one stacked context: each kernel runs once on it, residual
@@ -229,6 +266,7 @@ def _recut_gradient(model, result, steps, adjoints, report):
     stateful = [spec for spec in model.criteria if spec.kind not in GEOMETRIC_KINDS]
     ks_aux = {spec.name: result.crit_partials[spec.name].aux
               for spec in stateful if spec.kind == "ks_target"}
+    steps = analysis_steps(model, result)
 
     def payload(elems, phi4s):
         ctx, invalid = element_context(cm, elems, phi4s, regions=model.regions)
@@ -281,9 +319,8 @@ def _recut_gradient(model, result, steps, adjoints, report):
         values = np.zeros((m, len(adjoints)))
         for k, adj in enumerate(adjoints):
             total = np.zeros(m)
-            for step, (r_f, _) in zip(steps, per_step):
-                if step.lams[k] is not None:
-                    total += per_row(step.lams[k][gids] * r_f, owner3)
+            for lam, (r_f, _) in zip(lams, per_step):
+                total += per_row(lam[gids, k] * r_f, owner3)
             if r_c is not None and adj.lam_species is not None:
                 total += per_row(adj.lam_species[ids] * r_c, owner)
             if r_psi is not None and adj.lam_psi is not None:
@@ -306,173 +343,67 @@ def _recut_gradient(model, result, steps, adjoints, report):
     return grad
 
 
-def geometry_gradient(model, result, adjoints, report=None):
-    """d(functionals)/d(nodal phi) of a steady analysis, a one-step history.
+# bench/spans.py wraps this name; it goes when stage timers replace the wrappers
+_transient_geometry_gradient = geometry_gradient
 
-    Returns an array (n_functionals, n_mesh_nodes).
+
+def total_design_gradient(model, result, problem, design, domain_area, iteration=0):
+    """Objective/constraint values and their total design derivatives.
+
+    The one gradient of any analysis, steady or BDF2: chain weights
+    d(F)/d(criterion) of the objective and each constraint, their adjoints,
+    their nodal level set derivatives, and the contraction with
+    J_s = d(phi)/d(s). Constraints use the final criterion values.
+    Returns (Z, g_values, dZ_ds, dg_ds, report).
     """
-    weight = {spec.name: 1.0 for spec in model.criteria
-              if spec.kind not in GEOMETRIC_KINDS}
-    step = _Step(STEADY_SLOT, result.flow_state, [adj.lam_flow for adj in adjoints],
-                 weight)
-    return _recut_gradient(model, result, [step], adjoints, report)
-
-
-def _transient_geometry_gradient(model, result, lams, adjoints, weights, report):
-    """d(functionals)/d(nodal phi) of a BDF2 march over steps 1..N.
-
-    lams[step] holds the flow adjoints of that step, one column per
-    functional; weights[step] maps each state-dependent criterion to its
-    sampling weight at that step (index 0 unused in both).
-    """
-    history = result.flow_history
-    dt = model.solve_config.dt
-    steps = [_Step(bdf_slot(step, dt, history[:step]), history[step],
-                   list(lams[step].T), weights[step])
-             for step in range(1, len(history))]
-    return _recut_gradient(model, result, steps, adjoints, report)
-
-
-def _chains(problem, values, domain_area, iteration):
-    """Chain weights d(F)/d(criterion) of the objective and each constraint,
-    and the constraint values g."""
+    values = result.crit_values
+    report = GradientReport()
     chains = [problem.objective_dcrit(values)]
     g_values = []
     for con in problem.constraints:
         g, dg = con.evaluate(values, domain_area, iteration)
         g_values.append(g)
         chains.append(dg)
-    return chains, np.asarray(g_values)
-
-
-def _design_totals(model, problem, design, values, g_values, dphi, report):
-    """Contract nodal level set derivatives with J_s = d(phi)/d(s).
-
-    Returns (Z, g_values, dZ_ds, dg_ds, report).
-    """
+    lams, adjoints = solve_adjoints(model, result, chains)
+    dphi = geometry_gradient(model, result, lams, adjoints, report)
     J_s = model.lsmap.jacobian(design)  # (n_nodes, n_design)
     dZ_ds = J_s.T @ dphi[0]
     dg_ds = np.array([J_s.T @ dphi[1 + i] for i in range(len(problem.constraints))])
-    return problem.objective_value(values), g_values, dZ_ds, dg_ds, report
-
-
-def total_design_gradient(model, result, problem, design, domain_area, iteration=0):
-    """Objective/constraint values and their total design derivatives.
-
-    Returns (Z, g_values, dZ_ds, dg_ds, report).
-    """
-    values = result.crit_values
-    report = GradientReport()
-    chains, g_values = _chains(problem, values, domain_area, iteration)
-    adjoints = steady_adjoints(model, result, chains)
-    dphi = geometry_gradient(model, result, adjoints, report)
-    return _design_totals(model, problem, design, values, g_values, dphi, report)
-
-
-def transient_total_gradient(model, result, problem, design, domain_area,
-                             iteration=0):
-    """Total design derivatives for a BDF2-marched flow problem.
-
-    Criteria sampled per their time_sampling ('final' or 'average' over
-    steps 1..N, the initial condition excluded); constraints always use
-    final-step values. Species transport is steady-only and not supported
-    on the transient path.
-    """
-    history = result.flow_history
-    n_steps = len(history) - 1
-    ctx = result.ctx
-    n = ctx.n
-    params = model.physics.flow
-    values = result.crit_values
-    report = GradientReport()
-    chains, g_values = _chains(problem, values, domain_area, iteration)
-
-    stateful = [spec for spec in model.criteria if spec.kind not in GEOMETRIC_KINDS]
-    weights = [None] + [
-        {spec.name: (1.0 / n_steps if spec.time_sampling == "average"
-                     else float(step == n_steps)) for spec in stateful}
-        for step in range(1, n_steps + 1)]
-
-    def assemble_at(step, slot):
-        _, J = flow_mod.assemble_flow(
-            ctx, params, history[step], coeff_state=history[step], slot=slot,
-            psibar=result.psibar_qp,
-        )
-        return spla.splu(J.T.tocsc()).solve
-
-    def time_matrix_at(step, slot):
-        return flow_mod.flow_time_matrix(ctx, params, history[step], slot)
-
-    def dz_du(step):
-        """Per-functional dF/du^step, one column per functional."""
-        part = {spec.name: evaluate_criterion(spec, ctx, params,
-                                              flow_state=history[step],
-                                              want_partials=True)
-                for spec in stateful}
-        dz = np.zeros((3 * n, len(chains)))
-        for k, chain in enumerate(chains):
-            for name, w in chain.items():
-                sw = weights[step].get(name, 0.0)
-                if sw and part[name].d_flow is not None:
-                    dz[:, k] += w * sw * part[name].d_flow
-        return dz
-
-    lams = adjoint_transient(assemble_at, time_matrix_at, history,
-                             model.solve_config.dt, dz_du, 3 * n)
-
-    adjoints = [FunctionalAdjoint(dcrit=dict(chain)) for chain in chains]
-    if result.psi is not None:
-        C_fpsi = np.zeros((n, len(chains)))
-        for step in range(n_steps, 0, -1):
-            C = flow_mod.flow_indicator_jacobian(
-                ctx, params, history[step], result.psi, model.physics.indicator)
-            C_fpsi += C.T @ lams[step]
-        _, J_psi = transport_mod.assemble_indicator(
-            ctx, model.physics.indicator, result.psi)
-        lam_psi = spla.splu(J_psi.T.tocsc()).solve(-C_fpsi)
-        for k, adj in enumerate(adjoints):
-            adj.lam_psi = lam_psi[:, k]
-
-    dphi = _transient_geometry_gradient(model, result, lams, adjoints, weights,
-                                        report)
-    return _design_totals(model, problem, design, values, g_values, dphi, report)
+    return (problem.objective_value(values), np.asarray(g_values), dZ_ds, dg_ds,
+            report)
 
 
 # ---------------------------------------------------------------------------
-# transient adjoint (generic single-block system, used for the flow march)
+# backward adjoint sweep (generic single-block system; a steady run is one step)
 # ---------------------------------------------------------------------------
 
-def adjoint_transient(assemble_at, time_matrix_at, history, dt, dz_du, n_dofs):
-    """Backward BDF2 adjoint sweep for one time-marched system.
+def adjoint_transient(slots, solve_at, time_matrix_at, rhs_at):
+    """Backward adjoint sweep over the steps of one time-marched system.
 
-    assemble_at(step, slot) -> transposed-solve factorization of dR^step/du.
-    time_matrix_at(step, slot) -> dR^step/d(du/dt slot) sparse matrix.
-    history: states [u0 .. uN]; dz_du(step) -> partial of the objective
-    w.r.t. the state at that step (zero array when absent), either a vector
-    or a block with one column per functional; each step factorizes once
-    for the whole block.
-    Returns the list of adjoints [lam_1 .. lam_N] (index 0 unused), shaped
-    like dz_du's values.
+    slots[k] is the time slot of step k's residual R^k; a steady analysis
+    is one step. Every step after the first is a BDF2 step, so u^k enters
+    R^(k+1) through its history with -2/dt and R^(k+2) with 0.5/dt.
+    solve_at(k) -> transposed solve with dR^k/du^k; time_matrix_at(k) ->
+    dR^k/d(du/dt slot), a sparse matrix; rhs_at(k) -> minus the
+    functional's partial w.r.t. u^k, a vector or a block with one column
+    per functional. Each step factorizes once for the whole block.
+    Returns [lam_0 .. lam_(N-1)], shaped like rhs_at's values.
     """
-    n_steps = len(history) - 1
-    lams = [None] * (n_steps + 1)
+    n_steps = len(slots)
+    lams = [None] * n_steps
     mats = {}
 
-    def M(step):
-        if step not in mats:
-            slot = bdf_slot(step, dt, history[:step])
-            mats[step] = time_matrix_at(step, slot)
-        return mats[step]
+    def M(k):
+        if k not in mats:
+            mats[k] = time_matrix_at(k)
+        return mats[k]
 
-    # step >= 1, so the steps after it are BDF2 steps: u^step enters the
-    # next residual with -2/dt and the one after with 0.5/dt
-    for step in range(n_steps, 0, -1):
-        rhs = -np.asarray(dz_du(step), dtype=float)
-        if step + 1 <= n_steps:
-            rhs -= (-2.0 / dt) * (M(step + 1).T @ lams[step + 1])
-        if step + 2 <= n_steps:
-            rhs -= (0.5 / dt) * (M(step + 2).T @ lams[step + 2])
-        mats.pop(step + 2, None)  # no earlier step couples to it
-        slot = bdf_slot(step, dt, history[:step])
-        lams[step] = assemble_at(step, slot)(rhs)
+    for k in range(n_steps - 1, -1, -1):
+        rhs = np.asarray(rhs_at(k), dtype=float)
+        if k + 1 < n_steps:
+            rhs -= (-2.0 / slots[k + 1].dt) * (M(k + 1).T @ lams[k + 1])
+        if k + 2 < n_steps:
+            rhs -= (0.5 / slots[k + 2].dt) * (M(k + 2).T @ lams[k + 2])
+        mats.pop(k + 2, None)  # no earlier step couples to it
+        lams[k] = solve_at(k)(rhs)
     return lams

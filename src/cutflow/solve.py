@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import NonconvergenceError, SolverError
 
-NEWTON_ABS_FLOOR = 1e-14  # residual norm that counts as converged outright
+EPS = np.finfo(float).eps
 PSEUDO_STEPS = 8  # pseudo-transient continuation steps before the final solve
 
 
@@ -78,11 +78,12 @@ def linear_solve(A, b):
     return x
 
 
-def newton_solve(assemble, x0, tol=1e-6, abs_floor=1e-14, max_iter=30):
+def newton_solve(assemble, x0, tol=1e-6, max_iter=30):
     """Newton iteration on assemble(x) -> (R, J).
 
-    Converges when ||R|| / max(||R0||, floor/tol... ) drops below tol, with
-    an absolute floor for problems that start essentially converged.
+    Converges when ||R|| drops below tol * ||R0||, or below the rounding
+    level eps * || |J| |x| || of the residual at x: no Newton step can take
+    ||R|| further down than that, whatever tol asks for.
     Returns (x, trace); trace holds the residual norms per iteration.
     """
     x = np.array(x0, dtype=float)
@@ -94,7 +95,7 @@ def newton_solve(assemble, x0, tol=1e-6, abs_floor=1e-14, max_iter=30):
         trace.append(norm)
         if r0 is None:
             r0 = norm
-        if norm <= max(tol * r0, abs_floor):
+        if norm <= tol * r0 or norm <= EPS * np.linalg.norm(abs(J) @ np.abs(x)):
             return x, trace
         if not np.isfinite(norm) or norm > 1e3 * max(r0, 1.0) + 1e12:
             raise NonconvergenceError("Newton diverged", trace=trace)
@@ -134,13 +135,14 @@ def march(make_assemble, u0, config: SolveConfig):
         try:
             u, trace = newton_solve(
                 make_assemble(slot), states[-1],
-                tol=config.newton_tol, abs_floor=NEWTON_ABS_FLOOR,
-                max_iter=config.max_newton,
+                tol=config.newton_tol, max_iter=config.max_newton,
             )
         except NonconvergenceError as exc:
             raise NonconvergenceError(
                 f"time step {step} failed: {exc}", trace=exc.trace, step=step
             ) from exc
+        except SolverError as exc:
+            raise SolverError(f"time step {step} failed: {exc}", step=step) from exc
         states.append(u)
         traces.append(trace)
     return states, traces
@@ -151,8 +153,7 @@ def steady_solve(make_assemble, warm, config: SolveConfig):
     try:
         return newton_solve(
             make_assemble(STEADY_SLOT), warm,
-            tol=config.newton_tol, abs_floor=NEWTON_ABS_FLOOR,
-            max_iter=config.max_newton,
+            tol=config.newton_tol, max_iter=config.max_newton,
         )
     except (NonconvergenceError, SolverError):
         pass  # cold Newton diverged (possibly into a singular Jacobian)
@@ -164,8 +165,7 @@ def steady_solve(make_assemble, warm, config: SolveConfig):
         try:
             u, trace = newton_solve(
                 make_assemble(slot), u,
-                tol=max(config.newton_tol, 1e-4), abs_floor=NEWTON_ABS_FLOOR,
-                max_iter=config.max_newton,
+                tol=max(config.newton_tol, 1e-4), max_iter=config.max_newton,
             )
             combined.extend(trace)
         except (NonconvergenceError, SolverError):
@@ -175,8 +175,7 @@ def steady_solve(make_assemble, warm, config: SolveConfig):
     try:
         x, trace = newton_solve(
             make_assemble(STEADY_SLOT), u,
-            tol=config.newton_tol, abs_floor=NEWTON_ABS_FLOOR,
-            max_iter=config.max_newton,
+            tol=config.newton_tol, max_iter=config.max_newton,
         )
         return x, combined + trace
     except NonconvergenceError as exc:

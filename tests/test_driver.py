@@ -523,3 +523,27 @@ def test_gradcheck_follows_bdf2_scheme(tmp_path):
         Zm = problem.objective_value(model.solve_transient(dv).crit_values)
         march_fd = (Zp - Zm) / (2 * step)
         assert abs(an - march_fd) / max(abs(an), abs(march_fd)) < 1e-3
+
+
+def test_bdf2_optimization_with_tight_newton_tol(tmp_path, monkeypatch):
+    # at newton_tol 1e-12 the fourth step starts so close to its solution
+    # that tol * r0 sits below the residual's rounding noise; the Newton
+    # floor follows that noise, so no step stalls or fails
+    import cutflow.solve as solve_mod
+    text = OPT_CFG.replace("[output]", "[solve]\nscheme = bdf2\ndt = 0.05\n"
+                           "n_steps = 4\nnewton_tol = 1e-12\n\n[output]")
+    cfg = parse_config(_write(tmp_path, text))
+    traces = []
+    newton = solve_mod.newton_solve
+
+    def recording(*args, **kwargs):
+        x, trace = newton(*args, **kwargs)
+        traces.append(trace)
+        return x, trace
+
+    monkeypatch.setattr(solve_mod, "newton_solve", recording)
+    summary = run_optimization(cfg, outdir=str(tmp_path / "o"))
+    assert summary["iterations"] == 3
+    assert len(traces) >= 3 * 4
+    assert max(len(t) - 1 for t in traces) <= 6
+

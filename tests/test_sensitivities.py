@@ -11,7 +11,7 @@ from cutflow import flow as flow_mod
 from cutflow import transport as transport_mod
 from cutflow.forms import element_context
 from cutflow.sensitivities import (_recut_partials, adjoint_transient,
-                                   geometry_gradient, steady_adjoints,
+                                   geometry_gradient, solve_adjoints,
                                    total_design_gradient)
 from cutflow.solve import bdf_slot
 
@@ -81,7 +81,7 @@ def bend():
 
 def test_state_independent_functional_has_zero_adjoints(bend):
     model, problem, design, result = bend
-    adj = steady_adjoints(model, result, [{"Vf": 1.0}])[0]
+    adj = solve_adjoints(model, result, [{"Vf": 1.0}])[1][0]
     assert np.linalg.norm(adj.lam_flow) < 1e-12
     if adj.lam_psi is not None:
         assert np.linalg.norm(adj.lam_psi) < 1e-12
@@ -182,7 +182,7 @@ def test_adjoint_is_exact_transpose_of_forward_linearization(bend):
     ctx = result.ctx
     _, J = assemble_flow(ctx, model.physics.flow, result.flow_state,
                          coeff_state=result.flow_state, psibar=result.psibar_qp)
-    adj = steady_adjoints(model, result, [{"ti": 1.0}])[0]
+    adj = solve_adjoints(model, result, [{"ti": 1.0}])[1][0]
     dflow = result.crit_partials["ti"].d_flow
     resid = J.T @ adj.lam_flow + dflow
     assert np.linalg.norm(resid) / np.linalg.norm(dflow) < 1e-9
@@ -224,7 +224,7 @@ def test_species_only_criterion_drives_flow_adjoint_through_cross_term():
                           upper=np.full(mesh.n_nodes, 0.02),
                           n_nodal=mesh.n_nodes)
     result = model.solve_steady(design)
-    adj = steady_adjoints(model, result, [{"K": 1.0}])[0]
+    adj = solve_adjoints(model, result, [{"K": 1.0}])[1][0]
     assert np.linalg.norm(adj.lam_species) > 0
     # dF/du is identically zero for a species criterion: the flow adjoint
     # solves J_f^T lam_f = -C_cu^T lam_c exactly
@@ -264,23 +264,24 @@ def test_transient_adjoint_heat_toy_matches_bruteforce():
 
     states = march(theta)
     cost = 0.5 * np.linalg.norm(states[-1] - target) ** 2
+    slots = [bdf_slot(step, dt, states[:step]) for step in range(1, n_steps + 1)]
 
-    def assemble_at(step, slot):
-        A = (slot.alpha * sp.eye(n) + K).tocsc()
+    def solve_at(k):
+        A = (slots[k].alpha * sp.eye(n) + K).tocsc()
         lu = spla.splu(A.T.tocsc())
         return lu.solve
 
-    def time_matrix_at(step, slot):
+    def time_matrix_at(k):
         return sp.eye(n).tocsc()
 
-    def dz_du(step):
-        if step == n_steps:
-            return states[-1] - target
+    def rhs_at(k):
+        if k == n_steps - 1:
+            return -(states[-1] - target)
         return np.zeros(n)
 
-    lams = adjoint_transient(assemble_at, time_matrix_at, states, dt, dz_du, n)
+    lams = adjoint_transient(slots, solve_at, time_matrix_at, rhs_at)
     # R^step = alpha u + hist + K u - theta * source: dR/dtheta = -source
-    grad = sum(lams[s] @ (-source) for s in range(1, n_steps + 1))
+    grad = sum(lams[k] @ (-source) for k in range(n_steps))
     eps = 1e-6
     cp = 0.5 * np.linalg.norm(march(theta + eps)[-1] - target) ** 2
     cm_ = 0.5 * np.linalg.norm(march(theta - eps)[-1] - target) ** 2
@@ -296,18 +297,19 @@ def test_transient_adjoint_terminal_only_source():
     states = [np.zeros(n), np.ones(n)]
     dt = 1.0
 
-    def assemble_at(step, slot):
-        A = (slot.alpha * sp.eye(n) + K).tocsc()
+    slots = [bdf_slot(1, dt, states[:1])]
+
+    def solve_at(k):
+        A = (slots[k].alpha * sp.eye(n) + K).tocsc()
         lu = spla.splu(A.T.tocsc())
         return lu.solve
 
-    lams = adjoint_transient(assemble_at, lambda s, sl: sp.eye(n).tocsc(),
-                             states, dt, lambda s: np.ones(n), n)
-    assert np.linalg.norm(lams[1]) > 0
+    lams = adjoint_transient(slots, solve_at, lambda k: sp.eye(n).tocsc(),
+                             lambda k: -np.ones(n))
+    assert np.linalg.norm(lams[0]) > 0
 
 
 def test_transient_gradient_reduces_to_steady_for_huge_dt():
-    from cutflow.sensitivities import transient_total_gradient
     from cutflow.solve import SolveConfig
     model, problem, design = bend_model(divisions=(12, 12))
     model.solve_config = SolveConfig(newton_tol=1e-12)
@@ -318,8 +320,7 @@ def test_transient_gradient_reduces_to_steady_for_huge_dt():
     model.solve_config = SolveConfig(scheme="bdf2", dt=1e9, n_steps=3,
                                      newton_tol=1e-12)
     res_t = model.solve_transient(design)
-    Zt, gt, dZt, dgt, _ = transient_total_gradient(model, res_t, problem,
-                                                   design, 1.0)
+    Zt, gt, dZt, dgt, _ = total_design_gradient(model, res_t, problem, design, 1.0)
     assert abs(Zt - Zs) / abs(Zs) < 1e-8
     denom = np.linalg.norm(dZs)
     assert np.linalg.norm(dZt - dZs) / denom < 1e-6
@@ -329,7 +330,6 @@ def test_transient_gradient_matches_global_fd():
     # the BDF2 re-cut payload against central differences of the march: an
     # outlet total pressure averaged over the steps, an inlet one at the end
     from dataclasses import replace
-    from cutflow.sensitivities import transient_total_gradient
     from cutflow.solve import SolveConfig
     model, problem, design = bend_model(divisions=(12, 12))
     sampling = {"to": "average", "ti": "final"}
@@ -340,7 +340,7 @@ def test_transient_gradient_matches_global_fd():
                                      newton_tol=1e-12)
     result = model.solve_transient(design)
     problem.capture_normalization(result.crit_values)
-    Z, g, dZ, dg, rep = transient_total_gradient(model, result, problem, design, 1.0)
+    Z, g, dZ, dg, rep = total_design_gradient(model, result, problem, design, 1.0)
     assert not rep.flagged_nodes
     rng = np.random.default_rng(3)
     mag = np.abs(dZ)
@@ -376,7 +376,7 @@ def _volume_gradient_at(model, design, node, value):
     result = ForwardResult(phi=None, cm=cm, ctx=ctx, flow_state=np.zeros(3 * ctx.n),
                            crit_partials={})
     report = GradientReport()
-    grad = geometry_gradient(model, result,
+    grad = geometry_gradient(model, result, [np.zeros((3 * ctx.n, 1))],
                              [FunctionalAdjoint(dcrit={"Vf": 1.0})], report)
     return grad[0], report.flagged_nodes, phi
 
@@ -525,7 +525,7 @@ def test_stacked_context_rows_match_one_row_calls():
     assert with_boundary >= 1
 
 
-def _capture_payload(monkeypatch, model, result, adjoints):
+def _capture_payload(monkeypatch, model, result, lams, adjoints):
     """The batched payload that geometry_gradient hands to _recut_partials."""
     import cutflow.sensitivities as sens
     original, seen = sens._recut_partials, []
@@ -535,7 +535,7 @@ def _capture_payload(monkeypatch, model, result, adjoints):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sens, "_recut_partials", spy)
-    geometry_gradient(model, result, adjoints)
+    geometry_gradient(model, result, lams, adjoints)
     return seen[0]
 
 
@@ -546,7 +546,7 @@ def test_batched_payload_rows_do_not_leak(bend, monkeypatch):
     model, problem, design, result = bend
     chains = [problem.objective_dcrit(result.crit_values), {"Vf": 1.0, "S": 0.5}]
     payload = _capture_payload(monkeypatch, model, result,
-                               steady_adjoints(model, result, chains))
+                               *solve_adjoints(model, result, chains))
     cm = result.cm
     cut = np.nonzero(cm.classification == CUT)[0][:12]
     elems = np.repeat(cut, 3)

@@ -34,12 +34,29 @@ def test_newton_scalar_quadratic():
     def assemble(x):
         return np.array([x[0] ** 2 - 4.0]), np.array([[2.0 * x[0]]])
 
-    x, trace = newton_solve(assemble, np.array([3.0]), tol=1e-14,
-                            abs_floor=1e-13)
+    x, trace = newton_solve(assemble, np.array([3.0]), tol=1e-14)
     assert abs(x[0] - 2.0) < 1e-12
     assert len(trace) <= 6  # ~5 iterations for 1e-12
     # strictly decreasing residuals after the first iterate
     assert all(trace[i + 1] < trace[i] for i in range(1, len(trace) - 1))
+
+
+def test_newton_stops_at_the_residual_rounding_level():
+    # c (x^3 + x) = b with c = 1e4: the residual of the best float x is
+    # rounding noise of about 1e-11, far above a fixed 1e-14 floor, and a
+    # start near the root makes tol * r0 ask for less than that noise
+    c = 1.0e4
+    b = c * np.array([math.pi, math.e, math.sqrt(2.0)])
+
+    def assemble(x):
+        return c * (x ** 3 + x) - b, np.diag(c * (3.0 * x ** 2 + 1.0))
+
+    root, _ = newton_solve(assemble, np.ones(3), tol=1e-8)
+    x, trace = newton_solve(assemble, root + 1e-3, tol=1e-14)
+    assert len(trace) <= 5
+    R, J = assemble(x)
+    assert trace[-1] <= np.finfo(float).eps * np.linalg.norm(np.abs(J) @ np.abs(x))
+    np.testing.assert_allclose(x ** 3 + x, b / c, rtol=1e-14)
 
 
 def test_newton_nonconvergence_carries_trace():
@@ -123,6 +140,23 @@ def test_march_abort_reports_step():
     with pytest.raises(NonconvergenceError) as exc:
         march(make, np.array([1.0]), cfg)
     assert exc.value.step == 3
+
+
+def test_march_singular_step_reports_step():
+    # the third step's Jacobian is exactly singular: the SolverError names
+    # the step, as a nonconverged step does
+    def make(slot):
+        def assemble(x):
+            if slot.t > 0.25:
+                return np.array([1.0]), np.array([[0.0]])
+            return slot.alpha * x + slot.hist + x, np.array([[slot.alpha + 1.0]])
+        return assemble
+
+    cfg = SolveConfig(dt=0.1, n_steps=10, scheme="bdf2")
+    with pytest.raises(SolverError) as exc:
+        march(make, np.array([1.0]), cfg)
+    assert exc.value.step == 3
+    assert str(exc.value).startswith("time step 3 failed: ")
 
 
 def test_steady_solve_pseudo_transient_fallback():
