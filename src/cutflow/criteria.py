@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .flow import _flow_fields, _gather
+from .flow import _flow_fields
 
 # criteria that depend on the geometry alone, never on a flow or species state
 GEOMETRIC_KINDS = ("volume_fluid", "surface_area")
@@ -71,7 +71,7 @@ def _ks_points(ctx, spec):
 
 def _ks_deviation(spec, N, dofs, species_state):
     """Concentration and its squared deviation from c_ref at each point."""
-    cq = (N * _gather(np.asarray(species_state, dtype=float), dofs)).sum(1)
+    cq = (N * np.asarray(species_state, dtype=float)[dofs]).sum(1)
     return cq, (cq - spec.c_ref) ** 2
 
 

@@ -9,8 +9,14 @@ it. Fluid regions that are disconnected inside a node's support get
 separate enrichment levels so their interpolations never couple; regions
 and levels are connected components of the fluid pieces' facet contacts.
 Ghost facets are the interior facets next to the interface used by the
-face-oriented penalty terms. This module holds classification, decomposition,
-enrichment and ghost pairs only; quadrature lives in `forms`.
+face-oriented penalty terms.
+
+`CutModel` holds all of this as flat arrays: one piece table for cut and
+uncut elements alike (an uncut fluid element is one full piece), the cut
+pieces' triangles, covers and chords as `decompose_cells` returns them,
+the ghost pairs, and the (node, level) of every scalar dof. This module
+holds classification, decomposition, enrichment and ghost pairs only;
+quadrature lives in `forms`.
 
 Conventions: phase -1 is fluid, +1 is solid; interface normals point
 toward the solid (phi increasing); element corners are counterclockwise
@@ -33,69 +39,6 @@ FLUID, SOLID, CUT = -1, 1, 0
 
 MAX_ENRICHMENT_LEVELS = 8  # audited 2D bound; overflow raises CapacityError
 SLIVER_REL_AREA = 1e-12  # subcells below this x h^2 carry no quadrature
-
-
-@dataclass
-class Piece:
-    """Single-phase polygon inside one element."""
-
-    phase: int
-    polygon: np.ndarray  # (k, 2) physical vertices, CCW
-    triangles: np.ndarray  # (m, 3, 2); empty for dropped slivers
-    edge_cover: list  # list of (edge_id, t0, t1) boundary intervals
-    area: float
-    full: bool = False  # covers the whole (uncut) element
-    levels: np.ndarray = None  # (4,) enrichment level per corner node
-    region: int = -1  # global fluid component id
-    dofs: np.ndarray = None  # (4,) scalar-space dof per corner
-
-
-@dataclass
-class Segment:
-    """Straight interface chord inside one element."""
-
-    element: int
-    a: np.ndarray
-    b: np.ndarray
-    normal: np.ndarray  # unit, toward solid
-    piece: int  # local index of adjacent fluid piece
-    length: float
-
-
-@dataclass
-class GhostPair:
-    """One facet-region pairing for the ghost penalties."""
-
-    facet: int
-    elems: tuple  # (e1, e2), lower id first
-    dofs1: np.ndarray  # (4,) scalar dofs on side 1
-    dofs2: np.ndarray
-    region: int
-
-
-@dataclass
-class CutModel:
-    """Classification, subcells, enrichment and ghost pairs for one geometry."""
-
-    mesh: BackgroundMesh
-    phi: np.ndarray
-    classification: np.ndarray  # (n_elems,) FLUID / SOLID / CUT
-    pieces: dict  # element -> list[Piece] (fluid and solid pieces)
-    segments: list  # list[Segment]
-    ghost_facets: np.ndarray  # facet ids in Xi
-    ghost_pairs: list  # list[GhostPair]
-    n_dofs: int
-    node_levels: dict  # node -> number of enrichment levels
-    dof_of: dict  # (node, level) -> scalar dof id
-    n_regions: int
-
-    def fluid_volume(self):
-        return sum(
-            p.area for plist in self.pieces.values() for p in plist if p.phase == FLUID
-        )
-
-    def surface_length(self):
-        return sum(s.length for s in self.segments)
 
 
 def classify_elements(mesh: BackgroundMesh, phi) -> np.ndarray:
@@ -229,6 +172,17 @@ class CellCuts:
     seg_normal: np.ndarray  # (S, 2) unit, toward solid
     seg_length: np.ndarray  # (S,)
 
+    @property
+    def seg_row(self):
+        """(S,) piece row of each chord's fluid piece."""
+        return np.searchsorted(self.cell, self.seg_cell) + self.seg_piece
+
+
+def concat_ranges(start, count):
+    """Concatenated aranges start[i] .. start[i] + count[i] - 1."""
+    offset = np.repeat(np.cumsum(count) - count, count)
+    return np.repeat(start, count) + np.arange(offset.shape[0]) - offset
+
 
 def decompose_cells(phi4s, origins, h):
     """Split cut cells into single-phase pieces and interface chords at once.
@@ -260,9 +214,7 @@ def decompose_cells(phi4s, origins, h):
 
     def param(ref, edge, rows):
         # corner c sits at t = 0 on edge c and at t = 1 on edge c - 1
-        if ref >= 4:
-            return t[rows, ref]
-        return np.full(rows.shape[0], 0.0 if edge == ref else 1.0)
+        return t[rows, ref] if ref >= 4 else np.full(rows.shape[0], float(edge != ref))
 
     parts = defaultdict(list)
     for pattern in np.unique(patterns):
@@ -332,6 +284,75 @@ def decompose_cells(phi4s, origins, h):
     )
 
 
+def fluid_covers(cuts, piece_full):
+    """Boundary intervals (table row, local edge, edge parameters t (k, 2)) of
+    the fluid cut pieces, then the four whole edges of every full piece."""
+    full = np.flatnonzero(piece_full)
+    cov = np.flatnonzero(cuts.phase[cuts.cover_piece] == FLUID)
+    return (np.concatenate([np.flatnonzero(~piece_full)[cuts.cover_piece[cov]],
+                            np.repeat(full, 4)]),
+            np.concatenate([cuts.cover_edge[cov], np.tile(np.arange(4), full.shape[0])]),
+            np.concatenate([cuts.cover_t[cov], np.tile([0.0, 1.0], (4 * full.shape[0], 1))]))
+
+
+@dataclass
+class CutModel:
+    """Classification, pieces, enrichment and ghost pairs for one geometry.
+
+    The piece table has a row per single-phase piece in (element, local
+    piece) order: one full piece per uncut fluid element, the fluid and solid
+    pieces of a cut element's pattern. The cut rows are the rows of `cuts`,
+    in order, which holds their triangles, edge covers and chords. Scalar
+    dofs are numbered by node, then enrichment level.
+    """
+
+    mesh: BackgroundMesh
+    phi: np.ndarray
+    classification: np.ndarray  # (n_elems,) FLUID / SOLID / CUT
+    piece_elem: np.ndarray  # (P,) element of each piece
+    piece_phase: np.ndarray  # (P,) FLUID / SOLID
+    piece_full: np.ndarray  # (P,) covers its whole (uncut) element
+    piece_area: np.ndarray  # (P,)
+    piece_dofs: np.ndarray  # (P, 4) scalar dof per corner, -1 on solid pieces
+    piece_region: np.ndarray  # (P,) fluid region, -1 on solid pieces
+    cuts: CellCuts  # cell c is the c-th cut element
+    ghost_facets: np.ndarray  # facet ids in Xi
+    pair_facet: np.ndarray  # (G,) ghost pairs, by facet, then region
+    pair_dofs: np.ndarray  # (G, 2, 4) corner dofs on the lower, upper element
+    n_dofs: int
+    dof_node: np.ndarray  # (n_dofs,) node of each scalar dof
+    dof_level: np.ndarray  # (n_dofs,) enrichment level of each scalar dof
+    n_regions: int
+
+    @property
+    def cut_rows(self):
+        """Table row of each piece row of cuts."""
+        return np.flatnonzero(~self.piece_full)
+
+    def dof_table(self):
+        """(n_nodes, MAX_ENRICHMENT_LEVELS) dof of each (node, level), -1 if none."""
+        table = np.full((self.mesh.n_nodes, MAX_ENRICHMENT_LEVELS), -1, dtype=np.int64)
+        table[self.dof_node, self.dof_level] = np.arange(self.n_dofs)
+        return table
+
+    def triangles(self):
+        """Every piece's triangles as (row, (T, 3, 2)) in table order; a full
+        piece is its square split along the diagonal from corner 0."""
+        full = np.flatnonzero(self.piece_full)
+        corners = self.mesh.nodes[self.mesh.elements[self.piece_elem[full], 0]]
+        _, squares = _fan_triangulate(_corner_coords(corners, self.mesh.h), 0)
+        row = np.concatenate([np.repeat(full, 2), self.cut_rows[self.cuts.tri_piece]])
+        order = np.argsort(row, kind="stable")
+        return row[order], np.concatenate([squares.reshape(-1, 3, 2),
+                                           self.cuts.triangles])[order]
+
+    def fluid_volume(self):
+        return float(self.piece_area[self.piece_phase == FLUID].sum())
+
+    def surface_length(self):
+        return float(self.cuts.seg_length.sum())
+
+
 def build_cut_model(mesh: BackgroundMesh, phi) -> CutModel:
     """Classify, decompose and enrich for a level set field."""
     phi = np.asarray(phi, dtype=float)
@@ -341,55 +362,34 @@ def build_cut_model(mesh: BackgroundMesh, phi) -> CutModel:
     cut_elems = np.nonzero(classification == CUT)[0]
     cuts = decompose_cells(phi[mesh.elements[cut_elems]],
                            mesh.nodes[mesh.elements[cut_elems, 0]], h)
-    covers = [[] for _ in range(cuts.phase.shape[0])]
-    for p, k, (t0, t1) in zip(cuts.cover_piece.tolist(), cuts.cover_edge.tolist(),
-                              cuts.cover_t.tolist()):
-        covers[p].append((k, t0, t1))
-    tris = np.split(cuts.triangles, np.searchsorted(
-        cuts.tri_piece, np.arange(1, cuts.phase.shape[0])))
-    cut_pieces = [[] for _ in range(cut_elems.shape[0])]
-    for p, (c, phase, area, nv) in enumerate(zip(
-            cuts.cell.tolist(), cuts.phase.tolist(), cuts.area.tolist(),
-            cuts.n_vert.tolist())):
-        cut_pieces[c].append(Piece(phase=phase, polygon=cuts.polygon[p, :nv],
-                                   triangles=tris[p], edge_cover=covers[p], area=area))
-    segments = [Segment(element=int(cut_elems[c]), a=a, b=b, normal=n, piece=p,
-                        length=length)
-                for c, p, a, b, n, length in zip(
-                    cuts.seg_cell.tolist(), cuts.seg_piece.tolist(), cuts.seg_a,
-                    cuts.seg_b, cuts.seg_normal, cuts.seg_length.tolist())]
-
     fluid_elems = np.nonzero(classification == FLUID)[0]
-    squares = _corner_coords(mesh.nodes[mesh.elements[fluid_elems, 0]], h)
-    _, square_tris = _fan_triangulate(squares, 0)
-    full = iter(zip(squares, square_tris))
-    cut_rows = iter(cut_pieces)
-    pieces = {}
-    for e, cls in enumerate(classification.tolist()):
-        if cls == FLUID:
-            polygon, triangles = next(full)
-            pieces[e] = [Piece(phase=FLUID, polygon=polygon, triangles=triangles,
-                               edge_cover=[(k, 0.0, 1.0) for k in range(4)],
-                               area=h * h, full=True)]
-        elif cls == CUT:
-            pieces[e] = next(cut_rows)
+    n_full = fluid_elems.shape[0]
+    # the piece table: the cut pieces, merged by element with one full piece
+    # per uncut fluid element
+    order = np.argsort(np.concatenate([cut_elems[cuts.cell], fluid_elems]), kind="stable")
+
+    def table(cut_column, full_column):
+        return np.concatenate([cut_column, full_column])[order]
+
+    piece_elem = table(cut_elems[cuts.cell], fluid_elems)
+    piece_phase = table(cuts.phase, np.full(n_full, FLUID))
+    piece_full = table(np.zeros(cuts.phase.shape[0], dtype=bool), np.ones(n_full, dtype=bool))
+    piece_area = table(cuts.area, np.full(n_full, h * h))
 
     # ---- fluid regions and enrichment levels ----------------------------------
     # fluid pieces touch across a facet when their boundary intervals on it
     # overlap; regions are the connected pieces, and a node gets one
     # enrichment level per connected set of the pieces in its support
-    fluid = [(e, p) for e, plist in pieces.items() for p in plist if p.phase == FLUID]
-    elem = np.array([e for e, _ in fluid], dtype=np.int64)
-    cover = np.array([(lid, k, t0, t1) for lid, (_, p) in enumerate(fluid)
-                      for k, t0, t1 in p.edge_cover], dtype=float).reshape(-1, 4)
-    lid, edge = cover[:, 0].astype(np.int64), cover[:, 1].astype(np.int64)
+    fluid = np.flatnonzero(piece_phase == FLUID)
+    row, edge, t = fluid_covers(cuts, piece_full)
+    lid = (np.cumsum(piece_phase == FLUID) - 1)[row]  # rank among the fluid pieces
     flip = edge >= 2  # edges 2 and 3 run against their axis
-    s0 = np.where(flip, 1 - cover[:, 3], cover[:, 2])
-    s1 = np.where(flip, 1 - cover[:, 2], cover[:, 3])
-    start = mesh.nodes[mesh.elements[elem[lid], 0], edge % 2]
+    s0 = np.where(flip, 1 - t[:, 1], t[:, 0])
+    s1 = np.where(flip, 1 - t[:, 0], t[:, 1])
+    start = mesh.nodes[mesh.elements[piece_elem[row], 0], edge % 2]
     lo, hi = start + s0 * h, start + s1 * h
     # pair the intervals on each facet's two sides: (right, left) or (top, bottom)
-    key = 4 * elem[lid] + edge
+    key = 4 * piece_elem[row] + edge
     order = np.argsort(key, kind="stable")
     axis = mesh.facet_axis
     sides = [4 * mesh.facet_elems[:, 0] + np.where(axis == 0, 1, 2),
@@ -408,66 +408,61 @@ def build_cut_model(mesh: BackgroundMesh, phi) -> CutModel:
         graph = sp.coo_matrix((np.ones(u.shape[0]), (u, v)), shape=(n, n))
         return connected_components(graph, directed=False)
 
-    n_regions, region = components(len(fluid), a, b)
+    n_regions, region = components(fluid.shape[0], a, b)
     # support graph: vertex 4 lid + c is piece lid seen from its corner c;
     # the corners (lower element, upper element) of a facet's two nodes
     shared = np.array([[[1, 0], [2, 3]], [[3, 0], [2, 1]]])[axis[facet]]
-    n_dofs, comp = components(4 * len(fluid),
+    n_dofs, comp = components(4 * fluid.shape[0],
                               (4 * a[:, None] + shared[:, :, 0]).ravel(),
                               (4 * b[:, None] + shared[:, :, 1]).ravel())
     comp_node = np.zeros(n_dofs, dtype=np.int64)
-    comp_node[comp] = mesh.elements[elem].ravel()
+    comp_node[comp] = mesh.elements[piece_elem[fluid]].ravel()
     # dofs by node, then level: the levels of a node follow its smallest piece
-    dof = np.empty(n_dofs, dtype=np.int64)
-    dof[np.lexsort((np.arange(n_dofs), comp_node))] = np.arange(n_dofs)
+    by_node = np.argsort(comp_node, kind="stable")
+    dof = np.argsort(by_node)  # the inverse permutation
     levels_at = np.bincount(comp_node, minlength=mesh.n_nodes)
     over = np.nonzero(levels_at > MAX_ENRICHMENT_LEVELS)[0]
     if over.size:
         raise CapacityError(f"node {over[0]} needs {levels_at[over[0]]} enrichment "
                             f"levels (cap {MAX_ENRICHMENT_LEVELS})", node=int(over[0]))
-    level = dof - (np.cumsum(levels_at) - levels_at)[comp_node]
-    node_levels = {node: int(levels_at[node]) for node in np.nonzero(levels_at)[0].tolist()}
-    dof_of = {(node, lvl): d for node, lvl, d in sorted(
-        zip(comp_node.tolist(), level.tolist(), dof.tolist()), key=lambda r: r[2])}
-    for k, (_, p) in enumerate(fluid):
-        p.region = int(region[k])
-        p.levels = level[comp[4 * k:4 * k + 4]]
-        p.dofs = dof[comp[4 * k:4 * k + 4]]
+    dof_node = comp_node[by_node]
+    dof_level = np.arange(n_dofs) - (np.cumsum(levels_at) - levels_at)[dof_node]
+    piece_dofs = np.full((piece_elem.shape[0], 4), -1, dtype=np.int64)
+    piece_dofs[fluid] = dof[comp].reshape(-1, 4)
+    piece_region = np.full(piece_elem.shape[0], -1, dtype=np.int64)
+    piece_region[fluid] = region
 
     # ---- ghost facets and pairs ----------------------------------------------
-    # interior facets next to a cut element with fluid on both sides
+    # interior facets next to a cut element with fluid on both sides; per
+    # region with fluid on both sides of a facet, a pair takes on each side
+    # the piece of that region whose vertex mean is nearest the facet
+    # midpoint (ties: the lower local index)
     cls = classification[mesh.facet_elems]
     ghost_facets = np.nonzero(np.any(cls == CUT, axis=1) & np.all(cls != SOLID, axis=1))[0]
-    ghost_pairs = []
-    for f in ghost_facets.tolist():
-        e1, e2 = mesh.facet_elems[f].tolist()
-        fl1 = [(pi, p) for pi, p in enumerate(pieces[e1]) if p.phase == FLUID]
-        fl2 = [(pi, p) for pi, p in enumerate(pieces[e2]) if p.phase == FLUID]
-        n1, n2 = mesh.facet_nodes[f]
-        fmid = 0.5 * (mesh.nodes[n1] + mesh.nodes[n2])
-        regions = sorted({p.region for _, p in fl1} & {p.region for _, p in fl2})
-        for g in regions:
-            def closest(flist):
-                cands = [(np.linalg.norm(p.polygon.mean(axis=0) - fmid), pi, p)
-                         for pi, p in flist if p.region == g]
-                cands.sort(key=lambda t: (t[0], t[1]))
-                return cands[0][2]
-            p1 = closest(fl1)
-            p2 = closest(fl2)
-            ghost_pairs.append(
-                GhostPair(facet=f, elems=(e1, e2), dofs1=p1.dofs, dofs2=p2.dofs, region=g)
-            )
-
+    side_elem = mesh.facet_elems[ghost_facets].ravel()  # slot 2 k + side
+    first = np.searchsorted(piece_elem, side_elem)
+    count = np.searchsorted(piece_elem, side_elem, side="right") - first
+    slot = np.repeat(np.arange(side_elem.shape[0]), count)
+    row = concat_ranges(first, count)
+    keep = piece_phase[row] == FLUID
+    slot, row = slot[keep], row[keep]
+    pair = slot // 2 * n_regions + piece_region[row]  # (facet, region)
+    # an uncut element has one piece, so only cut pieces need a distance
+    dist = np.zeros(row.shape[0])
+    cut = np.flatnonzero(~piece_full[row])
+    p = (np.cumsum(~piece_full) - 1)[row[cut]]
+    ends = mesh.facet_nodes[ghost_facets[slot[cut] // 2]]
+    d = (cuts.polygon[p].sum(axis=1) / cuts.n_vert[p, None]
+         - 0.5 * (mesh.nodes[ends[:, 0]] + mesh.nodes[ends[:, 1]]))
+    dist[cut] = np.sqrt((d[:, None] @ d[:, :, None]).ravel())  # as np.linalg.norm
+    best = np.lexsort((row, dist, slot % 2, pair))
+    win = best[np.unique((2 * pair + slot % 2)[best], return_index=True)[1]]
+    both = np.flatnonzero(pair[win[1:]] == pair[win[:-1]])  # sides 0 and 1
+    lower, upper = win[both], win[both + 1]
     return CutModel(
-        mesh=mesh,
-        phi=phi,
-        classification=classification,
-        pieces=pieces,
-        segments=segments,
-        ghost_facets=ghost_facets,
-        ghost_pairs=ghost_pairs,
-        n_dofs=n_dofs,
-        node_levels=node_levels,
-        dof_of=dof_of,
-        n_regions=n_regions,
-    )
+        mesh=mesh, phi=phi, classification=classification, piece_elem=piece_elem,
+        piece_phase=piece_phase, piece_full=piece_full, piece_area=piece_area,
+        piece_dofs=piece_dofs, piece_region=piece_region, cuts=cuts,
+        ghost_facets=ghost_facets, pair_facet=ghost_facets[slot[lower] // 2],
+        pair_dofs=np.stack([piece_dofs[row[lower]], piece_dofs[row[upper]]], axis=1),
+        n_dofs=n_dofs, dof_node=dof_node, dof_level=dof_level, n_regions=n_regions)

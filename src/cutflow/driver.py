@@ -39,18 +39,18 @@ def build_model(cfg):
 
 
 def transfer_flow_state(old_cm, new_cm, U_old):
-    """Map a flow state between enrichment tables (warm starts)."""
-    n_old, n_new = old_cm.n_dofs, new_cm.n_dofs
-    U_new = np.zeros(3 * n_new)
-    for (node, lvl), d_new in new_cm.dof_of.items():
-        d_old = old_cm.dof_of.get((node, lvl))
-        if d_old is None:
-            d_old = old_cm.dof_of.get((node, 0))
-        if d_old is None:
-            continue
-        for b in range(3):
-            U_new[b * n_new + d_new] = U_old[b * n_old + d_old]
-    return U_new
+    """Map a flow state between enrichment tables (warm starts).
+
+    Each new dof takes the old value at its (node, level), else at the
+    node's level 0, else zero.
+    """
+    table = old_cm.dof_table()
+    d_old = table[new_cm.dof_node, new_cm.dof_level]
+    d_old = np.where(d_old < 0, table[new_cm.dof_node, 0], d_old)
+    found = d_old >= 0
+    U_new = np.zeros((3, new_cm.n_dofs))
+    U_new[:, found] = np.asarray(U_old).reshape(3, old_cm.n_dofs)[:, d_old[found]]
+    return U_new.ravel()
 
 
 def run_analysis(cfg, outdir=None):

@@ -162,16 +162,17 @@ def assemble_flow(ctx, params, state, coeff_state=None, slot=STEADY,
     return R, J
 
 
-def _gather(vec, dofs):
-    return vec[dofs]
+def _outer(a, b):
+    """Outer product of each row pair: (nq, m) and (nq, k) -> (nq, m, k)."""
+    return a[:, :, None] * b[:, None, :]
 
 
 def _flow_fields(U, n, dofs, N, gx, gy):
     """Element values (ux, uy, p) and, at the points, ux, uy, p and the
     velocity gradient (d_x ux, d_y ux, d_x uy, d_y uy)."""
-    uxe = _gather(U[0:n], dofs)
-    uye = _gather(U[n:2 * n], dofs)
-    pe = _gather(U[2 * n:3 * n], dofs)
+    uxe = U[0:n][dofs]
+    uye = U[n:2 * n][dofs]
+    pe = U[2 * n:3 * n][dofs]
     return (uxe, uye, pe, (N * uxe).sum(1), (N * uye).sum(1), (N * pe).sum(1),
             (gx * uxe).sum(1), (gy * uxe).sum(1), (gx * uye).sum(1), (gy * uye).sum(1))
 
@@ -191,8 +192,8 @@ def _volume_terms(ctx, params, U, Uc, hist, slot, psibar, terms, R, coo):
     d2x = (d2 * uxe).sum(1)  # d2(ux)/dxdy
     d2y = (d2 * uye).sum(1)
 
-    hx = (N * _gather(hist[0:n], dofs)).sum(1)
-    hy = (N * _gather(hist[n:2 * n], dofs)).sum(1)
+    hx = (N * hist[0:n][dofs]).sum(1)
+    hy = (N * hist[n:2 * n][dofs]).sum(1)
     alpha = slot.alpha
     utx = alpha * ux + hx
     uty = alpha * uy + hy
@@ -255,29 +256,26 @@ def _volume_terms(ctx, params, U, Uc, hist, slot, psibar, terms, R, coo):
             dtau_x = (dtau_fac * ux)[:, None] * N  # (nq, 4b)
             dtau_y = (dtau_fac * uy)[:, None] * N
 
-            def outer(a, b):
-                return a[:, :, None] * b[:, None, :]
-
             # velocity-test rows
             for rows, S, dS_dux, dS_duy, gdir in (
                 (X, Sx, dSx_dux, dSx_duy, gx),
                 (Y, Sy, dSy_dux, dSy_duy, gy),
             ):
-                J[:, rows, X] += outer(udotgN * S[:, None], dtau_x) \
+                J[:, rows, X] += _outer(udotgN * S[:, None], dtau_x) \
                     + tau[:, None, None] * (
-                        outer(gx, N) * S[:, None, None] + outer(udotgN, dS_dux))
-                J[:, rows, Y] += outer(udotgN * S[:, None], dtau_y) \
+                        _outer(gx, N) * S[:, None, None] + _outer(udotgN, dS_dux))
+                J[:, rows, Y] += _outer(udotgN * S[:, None], dtau_y) \
                     + tau[:, None, None] * (
-                        outer(gy, N) * S[:, None, None] + outer(udotgN, dS_duy))
-                J[:, rows, P] += tau[:, None, None] * outer(udotgN, gdir)
+                        _outer(gy, N) * S[:, None, None] + _outer(udotgN, dS_duy))
+                J[:, rows, P] += tau[:, None, None] * _outer(udotgN, gdir)
             # pressure-test rows
             gS = gx * Sx[:, None] + gy * Sy[:, None]
-            J[:, P, X] += outer(gS, dtau_x) / rho + (tau / rho)[:, None, None] * (
-                outer(gx, dSx_dux) + outer(gy, dSy_dux))
-            J[:, P, Y] += outer(gS, dtau_y) / rho + (tau / rho)[:, None, None] * (
-                outer(gx, dSx_duy) + outer(gy, dSy_duy))
+            J[:, P, X] += _outer(gS, dtau_x) / rho + (tau / rho)[:, None, None] * (
+                _outer(gx, dSx_dux) + _outer(gy, dSy_dux))
+            J[:, P, Y] += _outer(gS, dtau_y) / rho + (tau / rho)[:, None, None] * (
+                _outer(gx, dSx_duy) + _outer(gy, dSy_duy))
             J[:, P, P] += (tau / rho)[:, None, None] * (
-                outer(gx, gx) + outer(gy, gy))
+                _outer(gx, gx) + _outer(gy, gy))
 
     _scatter_block(R, coo, dref, r, J, W)
 
@@ -285,8 +283,8 @@ def _volume_terms(ctx, params, U, Uc, hist, slot, psibar, terms, R, coo):
 def _nitsche_gamma(ctx, params, blk, Uc):
     """Frozen Nitsche velocity penalty at surface quadrature points."""
     n = ctx.n
-    ucx = (blk.N * _gather(Uc[0:n], blk.dofs)).sum(1)
-    ucy = (blk.N * _gather(Uc[n:2 * n], blk.dofs)).sum(1)
+    ucx = (blk.N * Uc[0:n][blk.dofs]).sum(1)
+    ucy = (blk.N * Uc[n:2 * n][blk.dofs]).sum(1)
     uinf = np.maximum(np.abs(ucx), np.abs(ucy))
     return params.alpha_nitsche * (params.mu / ctx.h + params.rho * uinf / 6.0)
 
@@ -329,29 +327,26 @@ def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, coo):
     if want_j:
         J = np.zeros((nq, 12, 12))
 
-        def outer(a, b):
-            return a[:, :, None] * b[:, None, :]
-
         # d(eps n)_x/dux_b = 0.5(gnN_b + nx gx_b); /duy_b = 0.5 ny gx_b
         dex_dux = 0.5 * (gnN + nx[:, None] * gx)
         dex_duy = 0.5 * ny[:, None] * gx
         dey_dux = 0.5 * nx[:, None] * gy
         dey_duy = 0.5 * (gnN + ny[:, None] * gy)
 
-        J[:, X, P] += outer(N * nx[:, None], N)
-        J[:, Y, P] += outer(N * ny[:, None], N)
-        J[:, X, X] += -2 * mu * outer(N, dex_dux) \
-            - mu * (outer(gnN, N) + nx[:, None, None] * outer(gx, N)) \
-            + gamma[:, None, None] * outer(N, N)
-        J[:, X, Y] += -2 * mu * outer(N, dex_duy) \
-            - mu * nx[:, None, None] * outer(gy, N)
-        J[:, Y, X] += -2 * mu * outer(N, dey_dux) \
-            - mu * ny[:, None, None] * outer(gx, N)
-        J[:, Y, Y] += -2 * mu * outer(N, dey_duy) \
-            - mu * (outer(gnN, N) + ny[:, None, None] * outer(gy, N)) \
-            + gamma[:, None, None] * outer(N, N)
-        J[:, P, X] += bp * outer(N * nx[:, None], N)
-        J[:, P, Y] += bp * outer(N * ny[:, None], N)
+        J[:, X, P] += _outer(N * nx[:, None], N)
+        J[:, Y, P] += _outer(N * ny[:, None], N)
+        J[:, X, X] += -2 * mu * _outer(N, dex_dux) \
+            - mu * (_outer(gnN, N) + nx[:, None, None] * _outer(gx, N)) \
+            + gamma[:, None, None] * _outer(N, N)
+        J[:, X, Y] += -2 * mu * _outer(N, dex_duy) \
+            - mu * nx[:, None, None] * _outer(gy, N)
+        J[:, Y, X] += -2 * mu * _outer(N, dey_dux) \
+            - mu * ny[:, None, None] * _outer(gx, N)
+        J[:, Y, Y] += -2 * mu * _outer(N, dey_duy) \
+            - mu * (_outer(gnN, N) + ny[:, None, None] * _outer(gy, N)) \
+            + gamma[:, None, None] * _outer(N, N)
+        J[:, P, X] += bp * _outer(N * nx[:, None], N)
+        J[:, P, Y] += bp * _outer(N * ny[:, None], N)
 
     _scatter_block(R, coo, dref, r, J, blk.w)
 
@@ -388,21 +383,18 @@ def _nitsche_symmetry(ctx, params, U, Uc, blk, R, coo):
     if want_j:
         J = np.zeros((nq, 12, 12))
 
-        def outer(a, b):
-            return a[:, :, None] * b[:, None, :]
-
         dnen_dux = (nx * nx)[:, None] * gx + (nx * ny)[:, None] * gy
         dnen_duy = (ny * ny)[:, None] * gy + (nx * ny)[:, None] * gx
         for rows, nd in ((X, nx), (Y, ny)):
-            J[:, rows, P] += outer(N * nd[:, None], N)
-            J[:, rows, X] += -2 * mu * outer(N * nd[:, None], dnen_dux) \
-                - 2 * mu * outer(nd[:, None] * gnN, N * nx[:, None]) \
-                + gamma[:, None, None] * outer(N * nd[:, None], N * nx[:, None])
-            J[:, rows, Y] += -2 * mu * outer(N * nd[:, None], dnen_duy) \
-                - 2 * mu * outer(nd[:, None] * gnN, N * ny[:, None]) \
-                + gamma[:, None, None] * outer(N * nd[:, None], N * ny[:, None])
-        J[:, P, X] += bp * outer(N, N * nx[:, None])
-        J[:, P, Y] += bp * outer(N, N * ny[:, None])
+            J[:, rows, P] += _outer(N * nd[:, None], N)
+            J[:, rows, X] += -2 * mu * _outer(N * nd[:, None], dnen_dux) \
+                - 2 * mu * _outer(nd[:, None] * gnN, N * nx[:, None]) \
+                + gamma[:, None, None] * _outer(N * nd[:, None], N * nx[:, None])
+            J[:, rows, Y] += -2 * mu * _outer(N * nd[:, None], dnen_duy) \
+                - 2 * mu * _outer(nd[:, None] * gnN, N * ny[:, None]) \
+                + gamma[:, None, None] * _outer(N * nd[:, None], N * ny[:, None])
+        J[:, P, X] += bp * _outer(N, N * nx[:, None])
+        J[:, P, Y] += bp * _outer(N, N * ny[:, None])
 
     _scatter_block(R, coo, dref, r, J, blk.w)
 
@@ -415,10 +407,10 @@ def _ghost_terms(ctx, params, U, Uc, R, coo):
     want_j = coo is not None
 
     # frozen convective / inf-norm velocities from the coefficient state
-    uc1x = (g.N1 * _gather(Uc[0:n], g.dofs1)).sum(1)
-    uc1y = (g.N1 * _gather(Uc[n:2 * n], g.dofs1)).sum(1)
-    uc2x = (g.N2 * _gather(Uc[0:n], g.dofs2)).sum(1)
-    uc2y = (g.N2 * _gather(Uc[n:2 * n], g.dofs2)).sum(1)
+    uc1x = (g.N1 * Uc[0:n][g.dofs1]).sum(1)
+    uc1y = (g.N1 * Uc[n:2 * n][g.dofs1]).sum(1)
+    uc2x = (g.N2 * Uc[0:n][g.dofs2]).sum(1)
+    uc2y = (g.N2 * Uc[n:2 * n][g.dofs2]).sum(1)
     ucx = 0.5 * (uc1x + uc2x)
     ucy = 0.5 * (uc1y + uc2y)
     un = ucx * g.normal[:, 0] + ucy * g.normal[:, 1]
@@ -428,12 +420,12 @@ def _ghost_terms(ctx, params, U, Uc, R, coo):
         + params.alpha_gp_u * params.rho * np.abs(un) * h * h
     gamma_p = params.alpha_gp_p * h * h / (params.mu / h + params.rho * uinf / 6.0)
 
-    jump_ux = (g.gn1 * _gather(U[0:n], g.dofs1)).sum(1) \
-        - (g.gn2 * _gather(U[0:n], g.dofs2)).sum(1)
-    jump_uy = (g.gn1 * _gather(U[n:2 * n], g.dofs1)).sum(1) \
-        - (g.gn2 * _gather(U[n:2 * n], g.dofs2)).sum(1)
-    jump_p = (g.gn1 * _gather(U[2 * n:3 * n], g.dofs1)).sum(1) \
-        - (g.gn2 * _gather(U[2 * n:3 * n], g.dofs2)).sum(1)
+    jump_ux = (g.gn1 * U[0:n][g.dofs1]).sum(1) \
+        - (g.gn2 * U[0:n][g.dofs2]).sum(1)
+    jump_uy = (g.gn1 * U[n:2 * n][g.dofs1]).sum(1) \
+        - (g.gn2 * U[n:2 * n][g.dofs2]).sum(1)
+    jump_p = (g.gn1 * U[2 * n:3 * n][g.dofs1]).sum(1) \
+        - (g.gn2 * U[2 * n:3 * n][g.dofs2]).sum(1)
 
     gvec = np.concatenate([g.gn1, -g.gn2], axis=1)  # (nq, 8)
     dref8 = np.concatenate([g.dofs1, g.dofs2], axis=1)
@@ -466,8 +458,8 @@ def flow_time_matrix(ctx, params, state, slot=STEADY):
         N, gx, gy = ctx.vol_N, ctx.vol_gx, ctx.vol_gy
         dofs = ctx.vol_dofs
         W = ctx.vol_w
-        uxe = _gather(U[0:n], dofs)
-        uye = _gather(U[n:2 * n], dofs)
+        uxe = U[0:n][dofs]
+        uye = U[n:2 * n][dofs]
         ux = (N * uxe).sum(1)
         uy = (N * uye).sum(1)
         tau, _ = _tau(params, slot, ux * ux + uy * uy, ctx.h)
@@ -477,15 +469,12 @@ def flow_time_matrix(ctx, params, state, slot=STEADY):
         J = np.zeros((nq, 12, 12))
         X, Y, P = slice(0, 4), slice(4, 8), slice(8, 12)
 
-        def outer(a, b):
-            return a[:, :, None] * b[:, None, :]
-
-        galerkin = rho * outer(N, N)
-        supg = rho * tau[:, None, None] * outer(udotgN, N)
+        galerkin = rho * _outer(N, N)
+        supg = rho * tau[:, None, None] * _outer(udotgN, N)
         J[:, X, X] += galerkin + supg
         J[:, Y, Y] += galerkin + supg
-        J[:, P, X] += tau[:, None, None] * outer(gx, N)
-        J[:, P, Y] += tau[:, None, None] * outer(gy, N)
+        J[:, P, X] += tau[:, None, None] * _outer(gx, N)
+        J[:, P, Y] += tau[:, None, None] * _outer(gy, N)
         jw = J * W[:, None, None]
         rows = np.broadcast_to(dref[:, :, None], (nq, 12, 12))
         cols = np.broadcast_to(dref[:, None, :], (nq, 12, 12))
@@ -499,8 +488,8 @@ def flow_indicator_jacobian(ctx, params, state, psi, indicator_params):
     coo = _Coo()
     if ctx.vol_w is not None and ctx.vol_w.shape[0] and params.k_pressure != 0.0:
         U = np.asarray(state, dtype=float)
-        psi_q = (ctx.vol_N * _gather(np.asarray(psi, dtype=float), ctx.vol_dofs)).sum(1)
-        pe = _gather(U[2 * n:3 * n], ctx.vol_dofs)
+        psi_q = (ctx.vol_N * np.asarray(psi, dtype=float)[ctx.vol_dofs]).sum(1)
+        pe = U[2 * n:3 * n][ctx.vol_dofs]
         p = (ctx.vol_N * pe).sum(1)
         kw, kt, pinf = (indicator_params.k_sharpness, indicator_params.k_threshold,
                         indicator_params.psi_ref)

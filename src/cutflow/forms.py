@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cut import FLUID, CutModel, cell_patterns, decompose_cells
+from .cut import (FLUID, CutModel, cell_patterns, concat_ranges, decompose_cells,
+                  fluid_covers)
 
 # Gauss points on [0,1]
 _G2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
@@ -189,29 +190,21 @@ def _boundary_chords(mesh, region, covers):
     return elem[rows], dofs[rows], a, b, normal
 
 
-def _volume_rows(mesh, pieces):
-    """Fluid-volume (x, w, elem, dofs) over every fluid piece, in order."""
-    h = mesh.h
-    full_x, full_w = _G2X2 * h, np.full(4, 0.25 * h * h)
-    xs, ws, elems, dofs, counts = [np.zeros((0, 2))], [np.zeros(0)], [], [], []
-    for e, plist in pieces.items():
-        for p in plist:
-            if p.phase != FLUID:
-                continue
-            if p.full:
-                x, w = mesh.element_origin(e) + full_x, full_w
-            elif p.triangles.shape[0]:
-                x, w = triangle_rule(p.triangles)
-            else:
-                continue  # sliver: no quadrature
-            xs.append(x)
-            ws.append(w)
-            elems.append(e)
-            dofs.append(p.dofs)
-            counts.append(w.shape[0])
-    return (np.vstack(xs), np.concatenate(ws),
-            np.repeat(np.asarray(elems, dtype=np.int64), counts),
-            np.repeat(np.asarray(dofs, dtype=np.int64).reshape(-1, 4), counts, axis=0))
+def _volume_rows(cm):
+    """Fluid-volume (x, w, elem, dofs) in piece-table order: the tensor 2x2
+    Gauss rule on full pieces, the triangle rule on the triangles of fluid
+    cut pieces (slivers have none)."""
+    mesh, cuts, h = cm.mesh, cm.cuts, cm.mesh.h
+    full = np.flatnonzero(cm.piece_full)
+    x_full = mesh.nodes[mesh.elements[cm.piece_elem[full], 0]][:, None] + _G2X2 * h
+    tri = np.flatnonzero(cuts.phase[cuts.tri_piece] == FLUID)
+    x_tri, w_tri = triangle_rule(cuts.triangles[tri])
+    row = np.concatenate([np.repeat(full, 4), np.repeat(cm.cut_rows[cuts.tri_piece[tri]], 3)])
+    order = np.argsort(row, kind="stable")
+    row = row[order]
+    return (np.concatenate([x_full.reshape(-1, 2), x_tri])[order],
+            np.concatenate([np.full(4 * full.shape[0], 0.25 * h * h), w_tri])[order],
+            cm.piece_elem[row], cm.piece_dofs[row])
 
 
 def _surface_block(mesh, chords, region=None):
@@ -225,16 +218,14 @@ def _surface_block(mesh, chords, region=None):
                         region=region)
 
 
-def _ghost_block(mesh, pairs):
-    """2-point Gauss jump block on the full facet of each ghost pair."""
-    facets = np.array([gp.facet for gp in pairs], dtype=np.int64)
+def _ghost_block(mesh, facets, dofs):
+    """2-point Gauss jump block on the full facets of ghost pairs with
+    corner dofs (G, 2, 4) on the lower and upper element."""
     ends = mesh.facet_nodes[facets]
     x, w = segment_rule(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]])
     normal = np.repeat(mesh.facet_normals[facets], 2, axis=0)
-    e1 = np.repeat(np.array([gp.elems[0] for gp in pairs], dtype=np.int64), 2)
-    e2 = np.repeat(np.array([gp.elems[1] for gp in pairs], dtype=np.int64), 2)
-    dofs1 = np.repeat(np.array([gp.dofs1 for gp in pairs], dtype=np.int64), 2, axis=0)
-    dofs2 = np.repeat(np.array([gp.dofs2 for gp in pairs], dtype=np.int64), 2, axis=0)
+    e1, e2 = (np.repeat(mesh.facet_elems[facets, k], 2) for k in (0, 1))
+    dofs1, dofs2 = (np.repeat(dofs[:, k], 2, axis=0) for k in (0, 1))
     N1, gx1, gy1, _ = shape_q1(mesh, e1, x)
     N2, gx2, gy2, _ = shape_q1(mesh, e2, x)
     gn1 = gx1 * normal[:, :1] + gy1 * normal[:, 1:]
@@ -243,14 +234,14 @@ def _ghost_block(mesh, pairs):
                       N1=N1, N2=N2, gn1=gn1, gn2=gn2)
 
 
-def _assemble_context(mesh, scalar_ids, volume, interface, boundary, ghost_pairs=(),
+def _assemble_context(mesh, scalar_ids, volume, interface, boundary, ghost=None,
                       owner=None):
     """The one builder of an IntegrationContext.
 
     volume holds the fluid quadrature rows (x, w, elem, dofs); interface
     and each entry of boundary, a (region, chords) pair, hold chords
-    (elem, dofs, a, b, normal) that get the 2-point Gauss rule; ghost_pairs
-    are the facet pairs of the ghost penalties (none: no ghost block).
+    (elem, dofs, a, b, normal) that get the 2-point Gauss rule; ghost holds
+    the (facets, dofs) of the ghost pairs (none, or no pairs: no ghost block).
     Dofs are already in the context's numbering, scalar_ids[dof] being the
     global scalar dof.
     """
@@ -262,8 +253,8 @@ def _assemble_context(mesh, scalar_ids, volume, interface, boundary, ghost_pairs
     ctx.interface = _surface_block(mesh, interface)
     ctx.boundary = [_surface_block(mesh, chords, region=region)
                     for region, chords in boundary]
-    if ghost_pairs:
-        ctx.ghost = _ghost_block(mesh, ghost_pairs)
+    if ghost is not None and ghost[0].size:
+        ctx.ghost = _ghost_block(mesh, *ghost)
     return ctx
 
 
@@ -272,25 +263,15 @@ def build_context(cm: CutModel, regions=()) -> IntegrationContext:
 
     Every region gets a boundary block, empty when no fluid reaches it.
     """
-    mesh = cm.mesh
-    segs = cm.segments
-    interface = (np.array([s.element for s in segs], dtype=np.int64),
-                 np.array([cm.pieces[s.element][s.piece].dofs for s in segs],
-                          dtype=np.int64).reshape(-1, 4),
-                 *(np.array([getattr(s, k) for s in segs], dtype=float).reshape(-1, 2)
-                   for k in ("a", "b", "normal")))
-    covers = [(e, p.dofs, k, t0, t1)
-              for e in np.unique(np.concatenate(list(mesh.boundary_edge_elems.values())))
-              for p in cm.pieces.get(int(e), ()) if p.phase == FLUID
-              for (k, t0, t1) in p.edge_cover]
-    covers = (np.array([c[0] for c in covers], dtype=np.int64),
-              np.array([c[1] for c in covers], dtype=np.int64).reshape(-1, 4),
-              np.array([c[2] for c in covers], dtype=np.int64),
-              np.array([c[3:] for c in covers], dtype=float).reshape(-1, 2))
+    mesh, cuts = cm.mesh, cm.cuts
+    seg = cm.cut_rows[cuts.seg_row]
+    interface = (cm.piece_elem[seg], cm.piece_dofs[seg], cuts.seg_a, cuts.seg_b,
+                 cuts.seg_normal)
+    row, edge, t = fluid_covers(cuts, cm.piece_full)
+    covers = (cm.piece_elem[row], cm.piece_dofs[row], edge, t)
     boundary = [(region, _boundary_chords(mesh, region, covers)) for region in regions]
-    return _assemble_context(mesh, np.arange(cm.n_dofs, dtype=np.int64),
-                             _volume_rows(mesh, cm.pieces), interface, boundary,
-                             cm.ghost_pairs)
+    return _assemble_context(mesh, np.arange(cm.n_dofs, dtype=np.int64), _volume_rows(cm),
+                             interface, boundary, (cm.pair_facet, cm.pair_dofs))
 
 
 def element_context(cm: CutModel, elems, phi4s, regions=()):
@@ -313,19 +294,22 @@ def element_context(cm: CutModel, elems, phi4s, regions=()):
     rows = np.nonzero(~invalid)[0]
 
     # frozen enrichment: per distinct element, its sorted scalar dofs and
-    # the position of each fluid piece's corner dofs among them
+    # the position among them of each piece's corner dofs (dofs is -1 on a
+    # solid or absent piece)
     uniq, which = np.unique(elems[rows], return_inverse=True)
-    ids, pos = [], np.zeros((uniq.shape[0], 3, 4), dtype=np.int64)
-    for i, e in enumerate(uniq.tolist()):
-        fluid = [(j, p.dofs) for j, p in enumerate(cm.pieces[e]) if p.phase == FLUID]
-        ids.append(np.unique(np.concatenate([d for _, d in fluid])))
-        for j, d in fluid:
-            pos[i, j] = np.searchsorted(ids[-1], d)
+    first = np.searchsorted(cm.piece_elem, uniq)
+    local = np.arange(3)
+    has = local < (np.searchsorted(cm.piece_elem, uniq, side="right") - first)[:, None]
+    dofs = np.where(has[:, :, None], cm.piece_dofs[np.where(has, first[:, None] + local, 0)], -1)
+    flat = np.sort(dofs.reshape(-1, 12), axis=1)
+    new = flat >= 0
+    new[:, 1:] &= flat[:, 1:] != flat[:, :-1]
+    pos = np.sum(new[:, None, None] & (flat[:, None, None] < dofs[..., None]), axis=-1)
+    n_ids = np.count_nonzero(new, axis=1)
     counts = np.zeros(elems.shape[0], dtype=np.int64)
-    counts[rows] = [ids[i].shape[0] for i in which.tolist()]
+    counts[rows] = n_ids[which]
     first = np.cumsum(counts) - counts
-    scalar_ids = np.concatenate([np.zeros(0, dtype=np.int64)]
-                                + [ids[i] for i in which.tolist()])
+    scalar_ids = flat[new][concat_ranges((np.cumsum(n_ids) - n_ids)[which], n_ids[which])]
     owner = np.repeat(np.arange(elems.shape[0]), counts)
 
     cuts = decompose_cells(phi4s[rows], mesh.nodes[mesh.elements[elems[rows], 0]],
@@ -339,10 +323,8 @@ def element_context(cm: CutModel, elems, phi4s, regions=()):
     volume = (x, w, np.repeat(elems[piece_row[tp]], 3),
               np.repeat(piece_dofs[tp], 3, axis=0))
 
-    seg_row = rows[cuts.seg_cell]
-    seg_piece = np.searchsorted(piece_row * 3 + cuts.local, seg_row * 3 + cuts.seg_piece)
-    interface = (elems[seg_row], piece_dofs[seg_piece], cuts.seg_a, cuts.seg_b,
-                 cuts.seg_normal)
+    interface = (elems[rows[cuts.seg_cell]], piece_dofs[cuts.seg_row], cuts.seg_a,
+                 cuts.seg_b, cuts.seg_normal)
     cov = np.nonzero(cuts.phase[cuts.cover_piece] == FLUID)[0]
     cp = cuts.cover_piece[cov]
     covers = (elems[piece_row[cp]], piece_dofs[cp], cuts.cover_edge[cov],

@@ -61,10 +61,6 @@ class BackgroundMesh:
     def n_facets(self):
         return self.facet_elems.shape[0]
 
-    def element_origin(self, e):
-        """Lower-left corner coordinates of element e."""
-        return self.nodes[self.elements[e, 0]]
-
 
 def build_mesh(extent, divisions) -> BackgroundMesh:
     """Build the background mesh for a rectangular box.

@@ -35,33 +35,19 @@ def write_vtk_fields(path, cm, flow_state=None, species_state=None, psi=None,
     """Write the subcell triangulation with per-corner field values."""
     mesh = cm.mesh
     n = cm.n_dofs
-    points, tris, phases, regions = [], [], [], []
-    samples = []  # (element, dofs or None) per point batch
-    for e, plist in sorted(cm.pieces.items()):
-        for p in plist:
-            if p.triangles.shape[0] == 0:
-                continue
-            for tri in p.triangles:
-                base = len(points)
-                points.extend(tri.tolist())
-                tris.append((base, base + 1, base + 2))
-                phases.append(int(p.phase))
-                regions.append(int(p.region))
-                samples.extend([(e, p.dofs if p.phase == FLUID else None)] * 3)
-
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    row, tris = cm.triangles()
+    points = tris.reshape(-1, 2)
     npts = points.shape[0]
+    at = np.repeat(row, 3)  # piece of each point
+    elems = cm.piece_elem[at]
+    fluid = cm.piece_phase[at] == FLUID
+    N = shape_q1(mesh, elems, points)[0]
 
-    def field_at_points(vec, block=0, nblocks=1):
+    def field_at_points(vec, block=0):
         out = np.zeros(npts)
-        if vec is None:
-            return out
-        elems = np.array([s[0] for s in samples], dtype=np.int64)
-        N, _, _, _ = shape_q1(mesh, elems, points)
-        for i, (e, dofs) in enumerate(samples):
-            if dofs is None:
-                continue
-            out[i] = N[i] @ vec[block * n + dofs]
+        if vec is not None:
+            vals = vec[block * n + cm.piece_dofs[at[fluid]]]
+            out[fluid] = (N[fluid][:, None] @ vals[:, :, None]).ravel()
         return out
 
     ux = field_at_points(flow_state, 0)
@@ -69,48 +55,38 @@ def write_vtk_fields(path, cm, flow_state=None, species_state=None, psi=None,
     pr = field_at_points(flow_state, 2)
     cc = field_at_points(species_state)
     ps = field_at_points(psi)
+    psb = np.zeros(npts)
     if psi is not None and indicator_params is not None:
-        psb = np.where(
-            np.array([s[1] is not None for s in samples]),
-            project_indicator(ps, indicator_params), 0.0,
-        )
-    else:
-        psb = np.zeros(npts)
+        psb = np.where(fluid, project_indicator(ps, indicator_params), 0.0)
     # nodal level set interpolated at the duplicated points
-    elems = np.array([s[0] for s in samples], dtype=np.int64) if samples else \
-        np.zeros(0, dtype=np.int64)
-    if npts:
-        N, _, _, _ = shape_q1(mesh, elems, points)
-        phi_pts = np.einsum("qa,qa->q", N, cm.phi[mesh.elements[elems]])
-    else:
-        phi_pts = np.zeros(0)
+    phi_pts = np.einsum("qa,qa->q", N, cm.phi[mesh.elements[elems]])
 
+    def lines(fmt, *columns):
+        return "".join(fmt.format(*v) for v in zip(*(c.tolist() for c in columns)))
+
+    cells = np.arange(npts).reshape(-1, 3)
     try:
         with open(path, "w") as f:
             f.write("# vtk DataFile Version 3.0\n")
             f.write("cutflow fields\nASCII\nDATASET UNSTRUCTURED_GRID\n")
             f.write(f"POINTS {npts} double\n")
-            for x, y in points:
-                f.write(f"{_r(x)} {_r(y)} 0.0\n")
-            f.write(f"CELLS {len(tris)} {4 * len(tris)}\n")
-            for a, b, c in tris:
-                f.write(f"3 {a} {b} {c}\n")
-            f.write(f"CELL_TYPES {len(tris)}\n")
-            f.write("5\n" * len(tris))
-            f.write(f"CELL_DATA {len(tris)}\n")
+            f.write(lines("{!r} {!r} 0.0\n", points[:, 0], points[:, 1]))
+            f.write(f"CELLS {len(cells)} {4 * len(cells)}\n")
+            f.write(lines("3 {} {} {}\n", *cells.T))
+            f.write(f"CELL_TYPES {len(cells)}\n")
+            f.write("5\n" * len(cells))
+            f.write(f"CELL_DATA {len(cells)}\n")
             f.write("SCALARS phase int 1\nLOOKUP_TABLE default\n")
-            f.write("\n".join(str(p) for p in phases) + ("\n" if phases else ""))
+            f.write(lines("{}\n", cm.piece_phase[row]))
             f.write("SCALARS region int 1\nLOOKUP_TABLE default\n")
-            f.write("\n".join(str(r) for r in regions) + ("\n" if regions else ""))
+            f.write(lines("{}\n", cm.piece_region[row]))
             f.write(f"POINT_DATA {npts}\n")
             f.write("VECTORS velocity double\n")
-            for i in range(npts):
-                f.write(f"{_r(ux[i])} {_r(uy[i])} 0.0\n")
+            f.write(lines("{!r} {!r} 0.0\n", ux, uy))
             for name, arr in (("p", pr), ("c", cc), ("psi", ps),
                               ("psibar", psb), ("phi", phi_pts)):
                 f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                for v in arr:
-                    f.write(f"{_r(v)}\n")
+                f.write(lines("{!r}\n", arr))
     except OSError as exc:
         raise OutputError(f"cannot write field file {path}: {exc}") from exc
 

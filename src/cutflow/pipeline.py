@@ -19,7 +19,7 @@ from .criteria import GEOMETRIC_KINDS, evaluate_criterion
 from .cut import build_cut_model
 from .errors import ConfigurationError
 from .forms import build_context
-from .solve import SolveConfig, linear_solve, march, newton_solve, steady_solve
+from .solve import SolveConfig, march, newton_solve, steady_solve
 
 
 @dataclass
@@ -80,8 +80,7 @@ class ForwardModel:
             return None, None
         psi = None
         if scope == "indicator":
-            psi = transport_mod.solve_indicator(
-                ctx, self.physics.indicator, linear_solve)
+            psi = transport_mod.solve_indicator(ctx, self.physics.indicator)
         return psi, self.penalty_weights(ctx, psi)
 
     def penalty_weights(self, ctx, psi):

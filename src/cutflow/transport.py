@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import _Coo, _gather, _scatter_block
+from .flow import _Coo, _outer, _scatter_block
+from .solve import linear_solve
 
 GALERKIN = "galerkin"
 STABILIZATION = "stabilization"
@@ -79,11 +80,11 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
         dofs = ctx.vol_dofs
         W = ctx.vol_w
         nq = W.shape[0]
-        ce = _gather(c, dofs)
+        ce = c[dofs]
         cx = (gx * ce).sum(1)
         cy = (gy * ce).sum(1)
-        ux = (N * _gather(U[0:n], dofs)).sum(1)
-        uy = (N * _gather(U[n:2 * n], dofs)).sum(1)
+        ux = (N * U[0:n][dofs]).sum(1)
+        uy = (N * U[n:2 * n][dofs]).sum(1)
         adv = ux * cx + uy * cy
         udotgN = ux[:, None] * gx + uy[:, None] * gy
 
@@ -124,7 +125,7 @@ def _scalar_nitsche(ctx, R, coo, blk, c, k, alpha, chat):
     """Nitsche Dirichlet terms for a scalar diffusive field."""
     N, gx, gy = blk.N, blk.gx, blk.gy
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
-    ce = _gather(c, blk.dofs)
+    ce = c[blk.dofs]
     cv = (N * ce).sum(1)
     cn = ((gx * ce).sum(1) * nx + (gy * ce).sum(1) * ny)  # grad c . n
     gnN = gx * nx[:, None] + gy * ny[:, None]
@@ -143,7 +144,7 @@ def _scalar_ghost(ctx, R, coo, c, gamma_eff):
     """Facet jump penalty gamma_eff * [[grad w . n]] [[grad c . n]]."""
     g = ctx.ghost
     nq = g.nq
-    jump = (g.gn1 * _gather(c, g.dofs1)).sum(1) - (g.gn2 * _gather(c, g.dofs2)).sum(1)
+    jump = (g.gn1 * c[g.dofs1]).sum(1) - (g.gn2 * c[g.dofs2]).sum(1)
     gvec = np.concatenate([g.gn1, -g.gn2], axis=1)
     dref = np.concatenate([g.dofs1, g.dofs2], axis=1)
     np.add.at(R, dref, gvec * (gamma_eff * jump * g.w)[:, None])
@@ -165,27 +166,24 @@ def species_flow_jacobian(ctx, params, state, flow_state):
         dofs = ctx.vol_dofs
         W = ctx.vol_w
         nq = W.shape[0]
-        ce = _gather(c, dofs)
+        ce = c[dofs]
         cx = (gx * ce).sum(1)
         cy = (gy * ce).sum(1)
-        ux = (N * _gather(U[0:n], dofs)).sum(1)
-        uy = (N * _gather(U[n:2 * n], dofs)).sum(1)
+        ux = (N * U[0:n][dofs]).sum(1)
+        uy = (N * U[n:2 * n][dofs]).sum(1)
         strong = ux * cx + uy * cy - params.source
         udotgN = ux[:, None] * gx + uy[:, None] * gy
         tau, dtau_fac = _tau_species(params, ux * ux + uy * uy, ctx.h)
 
-        def outer(a, b):
-            return a[:, :, None] * b[:, None, :]
-
         # galerkin advection + SUPG (test-op, tau, strong-residual chains)
-        JX = outer(N, N) * cx[:, None, None] \
-            + outer(udotgN * strong[:, None], N) * dtau_fac[:, None, None] * ux[:, None, None] \
-            + tau[:, None, None] * (outer(gx, N) * strong[:, None, None]
-                                    + outer(udotgN, N) * cx[:, None, None])
-        JY = outer(N, N) * cy[:, None, None] \
-            + outer(udotgN * strong[:, None], N) * dtau_fac[:, None, None] * uy[:, None, None] \
-            + tau[:, None, None] * (outer(gy, N) * strong[:, None, None]
-                                    + outer(udotgN, N) * cy[:, None, None])
+        JX = _outer(N, N) * cx[:, None, None] \
+            + _outer(udotgN * strong[:, None], N) * dtau_fac[:, None, None] * ux[:, None, None] \
+            + tau[:, None, None] * (_outer(gx, N) * strong[:, None, None]
+                                    + _outer(udotgN, N) * cx[:, None, None])
+        JY = _outer(N, N) * cy[:, None, None] \
+            + _outer(udotgN * strong[:, None], N) * dtau_fac[:, None, None] * uy[:, None, None] \
+            + tau[:, None, None] * (_outer(gy, N) * strong[:, None, None]
+                                    + _outer(udotgN, N) * cy[:, None, None])
         JX *= W[:, None, None]
         JY *= W[:, None, None]
         rows = np.broadcast_to(dofs[:, :, None], (nq, 4, 4))
@@ -208,7 +206,7 @@ def assemble_indicator(ctx, params, state, want_matrix=True):
         N, gx, gy = ctx.vol_N, ctx.vol_gx, ctx.vol_gy
         dofs = ctx.vol_dofs
         W = ctx.vol_w
-        pe = _gather(psi, dofs)
+        pe = psi[dofs]
         pv = (N * pe).sum(1)
         px = (gx * pe).sum(1)
         py = (gy * pe).sum(1)
@@ -231,7 +229,7 @@ def assemble_indicator(ctx, params, state, want_matrix=True):
     return R, J
 
 
-def solve_indicator(ctx, params, linear_solve):
+def solve_indicator(ctx, params):
     """Single linear solve for the nodal indicator field."""
     n = ctx.n
     psi0 = np.zeros(n)
@@ -250,5 +248,5 @@ def indicator_at_volume_points(ctx, psi, params):
     """Projected indicator evaluated at the context's volume points."""
     if ctx.vol_w is None or not ctx.vol_w.shape[0]:
         return np.zeros(0)
-    psi_q = (ctx.vol_N * _gather(np.asarray(psi, dtype=float), ctx.vol_dofs)).sum(1)
+    psi_q = (ctx.vol_N * np.asarray(psi, dtype=float)[ctx.vol_dofs]).sum(1)
     return project_indicator(psi_q, params)

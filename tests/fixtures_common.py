@@ -89,11 +89,7 @@ def bend_model(divisions=(24, 24), mu=1.0, k_pressure=1.0,
 
 def scalar_dof_coords(cm):
     """Coordinates of every scalar dof's node (for building analytic states)."""
-    mesh = cm.mesh
-    out = np.zeros((cm.n_dofs, 2))
-    for (node, _lvl), d in cm.dof_of.items():
-        out[d] = mesh.nodes[node]
-    return out
+    return cm.mesh.nodes[cm.dof_node]
 
 
 def linear_flow_state(cm, coeffs_ux, coeffs_uy, coeffs_p):

@@ -22,7 +22,7 @@ from cutflow.forms import build_context
 from cutflow.gcmma import GCMMA, GcmmaConfig
 from cutflow.grid import build_mesh
 from cutflow.sensitivities import total_design_gradient
-from cutflow.solve import SolveConfig, linear_solve, march, steady_solve
+from cutflow.solve import SolveConfig, march, steady_solve
 from cutflow.transport import (IndicatorParams, indicator_at_volume_points,
                                solve_indicator)
 
@@ -137,8 +137,7 @@ def _bent_channel_mismatch(k_pressure, scope):
     if scope == "whole":
         psibar = np.ones(nq)
     else:
-        psi = solve_indicator(ctx, IndicatorParams(),
-                              lambda A, b: linear_solve(A, b))
+        psi = solve_indicator(ctx, IndicatorParams())
         psibar = indicator_at_volume_points(ctx, psi, IndicatorParams())
     make = lambda slot: (lambda x: assemble_flow(ctx, params, x, coeff_state=x,
                                                  slot=slot, psibar=psibar))
@@ -197,7 +196,7 @@ def test_acceptance_4_indicator_classification():
             BoundaryRegion(name="pr", side="right", kind="traction", port=True),
         ])
         ctx = build_context(cm, regions)
-        psi = solve_indicator(ctx, params, lambda A, b: linear_solve(A, b))
+        psi = solve_indicator(ctx, params)
         psibar = indicator_at_volume_points(ctx, psi, params)
         reachable = set()
         for blk in ctx.boundary:
@@ -205,16 +204,17 @@ def test_acceptance_4_indicator_classification():
                 continue
             for q in range(blk.nq):
                 e = int(blk.elem[q])
-                for piece in cm.pieces[e]:
-                    if piece.phase == FLUID and np.array_equal(piece.dofs,
-                                                               blk.dofs[q]):
-                        reachable.add(piece.region)
+                for row in np.flatnonzero(cm.piece_elem == e):
+                    if cm.piece_phase[row] == FLUID and np.array_equal(
+                            cm.piece_dofs[row], blk.dofs[q]):
+                        reachable.add(int(cm.piece_region[row]))
         for q in range(ctx.vol_w.shape[0]):
             e = int(ctx.vol_elem[q])
-            piece = next(p for p in cm.pieces[e] if p.phase == FLUID
-                         and np.array_equal(p.dofs, ctx.vol_dofs[q]))
+            row = next(r for r in np.flatnonzero(cm.piece_elem == e)
+                       if cm.piece_phase[r] == FLUID
+                       and np.array_equal(cm.piece_dofs[r], ctx.vol_dofs[q]))
             count += 1
-            if piece.region in reachable:
+            if cm.piece_region[row] in reachable:
                 failures += psibar[q] > 0.001
             else:
                 failures += psibar[q] < 0.999

@@ -180,9 +180,10 @@ def test_quadrature_cut_weights_match_subcell_area():
     for e in np.nonzero(cm.classification == CUT)[0]:
         wv = ctx.vol_w[ctx.vol_elem == e]
         ws = ctx.interface.w[ctx.interface.elem == e]
-        fluid_area = sum(p.area for p in cm.pieces[int(e)] if p.phase == FLUID)
+        fluid_area = cm.piece_area[(cm.piece_elem == e) & (cm.piece_phase == FLUID)].sum()
         assert abs(wv.sum() - fluid_area) < 1e-12
-        seg_len = sum(s.length for s in cm.segments if s.element == e)
+        seg_elem = cm.piece_elem[cm.cut_rows[cm.cuts.seg_row]]
+        seg_len = cm.cuts.seg_length[seg_elem == e].sum()
         assert abs(ws.sum() - seg_len) < 1e-12
 
 
@@ -194,11 +195,13 @@ def test_global_fluid_volume_matches_quadrature():
 
 def test_interface_normals_unit_and_toward_solid():
     m, cm = _circle_model()
-    for seg in cm.segments:
-        assert abs(np.linalg.norm(seg.normal) - 1.0) < 1e-12
-        mid = 0.5 * (seg.a + seg.b)
+    cuts = cm.cuts
+    assert cuts.seg_normal.shape[0] > 0
+    for a, b, normal in zip(cuts.seg_a, cuts.seg_b, cuts.seg_normal):
+        assert abs(np.linalg.norm(normal) - 1.0) < 1e-12
+        mid = 0.5 * (a + b)
         outward = mid - np.array([0.5, 0.5])  # solid disk center
-        assert seg.normal @ outward < 0  # toward the solid interior
+        assert normal @ outward < 0  # toward the solid interior
 
 
 def test_partition_of_unity_at_fluid_points():
@@ -230,7 +233,7 @@ def test_enrichment_single_channel_one_level():
     phi = perturb(np.maximum(0.25 - y, y - 0.75), m.h)
     cm = build_cut_model(m, phi)
     assert cm.n_regions == 1
-    assert all(v == 1 for v in cm.node_levels.values())
+    assert np.all(np.bincount(cm.dof_node)[cm.dof_node] == 1)
 
 
 def test_enrichment_two_channels_two_levels_between():
@@ -241,16 +244,16 @@ def test_enrichment_two_channels_two_levels_between():
                  if abs(m.nodes[i, 1] - 4.0 * h) < 1e-12]
     assert mid_nodes
     # nodes inside the separating band see both channels in their support
-    assert all(cm.node_levels.get(i, 0) == 2 for i in mid_nodes)
+    levels = np.bincount(cm.dof_node, minlength=m.n_nodes)
+    assert all(levels[i] == 2 for i in mid_nodes)
 
 
 def test_enrichment_disconnected_dof_sets_disjoint():
     m, cm = _two_channel_model()
     dofs_by_region = {}
-    for e, plist in cm.pieces.items():
-        for p in plist:
-            if p.phase == FLUID:
-                dofs_by_region.setdefault(p.region, set()).update(p.dofs.tolist())
+    fluid = cm.piece_phase == FLUID
+    for region, dofs in zip(cm.piece_region[fluid], cm.piece_dofs[fluid]):
+        dofs_by_region.setdefault(int(region), set()).update(dofs.tolist())
     r0, r1 = sorted(dofs_by_region)
     assert not (dofs_by_region[r0] & dofs_by_region[r1])
 
@@ -260,7 +263,7 @@ def test_enrichment_fully_solid_empty():
     cm = build_cut_model(m, np.ones(m.n_nodes))
     assert cm.n_dofs == 0
     assert cm.n_regions == 0
-    assert not cm.dof_of
+    assert cm.dof_node.size == 0 and cm.dof_level.size == 0
 
 
 def test_enrichment_capacity_error(monkeypatch):
@@ -328,6 +331,47 @@ def test_ghost_set_matches_bruteforce_definition():
         if (CUT in (cm.classification[e1], cm.classification[e2])
                 and SOLID not in (cm.classification[e1], cm.classification[e2])):
             assert f in xi
+
+
+def test_ghost_pairs_take_the_nearest_piece_of_each_region():
+    # loop oracle: per ghost facet and region with fluid on both sides, the
+    # piece of that region whose vertex mean is nearest the facet midpoint
+    # on each side, ties to the lower local index. Nodal noise makes saddles
+    # whose two fluid corners share a region.
+    rng = np.random.default_rng(4)
+    m = _mesh(9)
+    cm = build_cut_model(m, rng.normal(size=m.n_nodes) - 0.3)
+    cuts, cut_rows = cm.cuts, cm.cut_rows
+
+    def fluid_pieces(e):
+        out = []
+        for local, row in enumerate(np.flatnonzero(cm.piece_elem == e)):
+            if cm.piece_phase[row] != FLUID:
+                continue
+            if cm.piece_full[row]:
+                poly = m.nodes[m.elements[e]]
+            else:
+                p = np.searchsorted(cut_rows, row)
+                poly = cuts.polygon[p, :cuts.n_vert[p]]
+            out.append((local, int(cm.piece_region[row]), poly.mean(axis=0),
+                        cm.piece_dofs[row]))
+        return out
+
+    expect, competed = [], 0
+    for f in cm.ghost_facets.tolist():
+        sides = [fluid_pieces(e) for e in m.facet_elems[f]]
+        mid = m.nodes[m.facet_nodes[f]].mean(axis=0)
+        for g in sorted({r for _, r, _, _ in sides[0]} & {r for _, r, _, _ in sides[1]}):
+            picks = []
+            for pieces in sides:
+                cands = sorted((np.linalg.norm(c - mid), local, dofs)
+                               for local, r, c, dofs in pieces if r == g)
+                competed += len(cands) > 1
+                picks.append(cands[0][2])
+            expect.append((f, picks[0], picks[1]))
+    assert competed > 0
+    np.testing.assert_array_equal(cm.pair_facet, [f for f, _, _ in expect])
+    np.testing.assert_array_equal(cm.pair_dofs, [[d1, d2] for _, d1, d2 in expect])
 
 
 def test_ghost_excludes_solid_neighbors():

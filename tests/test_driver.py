@@ -444,6 +444,28 @@ def test_transfer_flow_state_between_geometries():
     from cutflow.cut import build_cut_model
     from cutflow.grid import build_mesh
     from fixtures_common import perturb
+
+    def dof_of(cm):
+        return {(int(node), int(lvl)): d
+                for d, (node, lvl) in enumerate(zip(cm.dof_node, cm.dof_level))}
+
+    def check(cm1, cm2, U1):
+        """Every block of every new dof against a per-dof oracle; returns
+        how many dofs took their own level, level 0 and zero."""
+        U2 = transfer_flow_state(cm1, cm2, U1)
+        assert U2.shape[0] == 3 * cm2.n_dofs
+        n1, n2 = cm1.n_dofs, cm2.n_dofs
+        old = dof_of(cm1)
+        cases = [0, 0, 0]
+        for (node, lvl), d2 in dof_of(cm2).items():
+            d1 = old.get((node, lvl), old.get((node, 0)))
+            cases[0 if (node, lvl) in old else 1 if d1 is not None else 2] += 1
+            for b in range(3):  # ux, uy, p
+                expect = 0.0 if d1 is None else U1[b * n1 + d1]
+                assert U2[b * n2 + d2] == expect
+        return cases
+
+    rng = np.random.default_rng(0)
     mesh = build_mesh(((0, 0), (1, 1)), (8, 8))
     phi1 = perturb(0.2 - np.hypot(mesh.nodes[:, 0] - 0.4,
                                   mesh.nodes[:, 1] - 0.5), mesh.h)
@@ -451,15 +473,24 @@ def test_transfer_flow_state_between_geometries():
                                   mesh.nodes[:, 1] - 0.5), mesh.h)
     cm1 = build_cut_model(mesh, phi1)
     cm2 = build_cut_model(mesh, phi2)
-    rng = np.random.default_rng(0)
     U1 = rng.normal(size=3 * cm1.n_dofs)
-    U2 = transfer_flow_state(cm1, cm2, U1)
-    assert U2.shape[0] == 3 * cm2.n_dofs
     # values at nodes present in both carry over
-    for (node, lvl), d2 in cm2.dof_of.items():
-        if (node, lvl) in cm1.dof_of:
-            d1 = cm1.dof_of[(node, lvl)]
-            assert U2[d2] == U1[d1]
+    assert check(cm1, cm2, U1)[0] > 0
+    assert np.array_equal(transfer_flow_state(cm1, cm1, U1), U1)
+
+    # one channel to two channels split by a solid band on the node row
+    # y = 4h: those nodes gain a level 1 that falls back to level 0, and
+    # the rows below the old channel start from zero
+    mesh = build_mesh(((0, 0), (1, 1)), (9, 9))
+    y, h = mesh.nodes[:, 1], mesh.h
+    one = build_cut_model(mesh, perturb(np.maximum(2.5 * h - y, y - 6.5 * h), h))
+    two = build_cut_model(mesh, perturb(np.minimum(np.maximum(1.5 * h - y, y - 3.5 * h),
+                                                   np.maximum(4.5 * h - y, y - 6.5 * h)), h))
+    assert two.dof_level.max() == 1 and one.dof_level.max() == 0
+    U1 = rng.normal(size=3 * one.n_dofs)
+    assert all(k > 0 for k in check(one, two, U1))
+    U2 = rng.normal(size=3 * two.n_dofs)
+    assert np.array_equal(transfer_flow_state(two, two, U2), U2)
 
 
 def test_sweep_driver(tmp_path):

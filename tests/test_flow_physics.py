@@ -109,7 +109,7 @@ def test_supg_single_element_closed_form():
     Gx = np.array([-0.5, 0.5, 0.5, -0.5])
     Gy = np.array([-0.5, -0.5, 0.5, 0.5])
     expect = np.zeros(3 * n)
-    dofs = cm.pieces[0][0].dofs
+    dofs = cm.piece_dofs[np.searchsorted(cm.piece_elem, 0)]
     expect[dofs] = 3 * tau * (0.2 * Gx - 0.1 * Gy)
     expect[2 * n + dofs] = 3 * tau / rho * Gx
     assert np.max(np.abs(R - expect)) < 1e-10
@@ -169,7 +169,7 @@ def test_nitsche_inlet_matches_independent_integration():
         na, nb = mesh.boundary_edges["left"][idx]
         e = int(mesh.boundary_edge_elems["left"][idx])
         a, b = mesh.nodes[na], mesh.nodes[nb]
-        dofs = cm.pieces[e][0].dofs
+        dofs = cm.piece_dofs[np.searchsorted(cm.piece_elem, e)]
         for gp, gw in zip(gpts, gwts):
             x = a + (0.5 + 0.5 * gp) * (b - a)
             w = 0.5 * np.linalg.norm(b - a) * gw
@@ -253,7 +253,7 @@ def test_neumann_linear_traction_exact_edge_integral():
     assert -R[0:n].sum() == pytest.approx(1.5, abs=1e-13)
     # consistent nodal load at the top-right corner node: its basis on the
     # edge y in [1/2, 1] is 2y - 1, so int 3y (2y - 1) dy = 0.625
-    corner = cm.dof_of[(mesh.elements[mesh.boundary_edge_elems["right"][1]][2], 0)]
+    corner = cm.dof_table()[mesh.elements[mesh.boundary_edge_elems["right"][1]][2], 0]
     assert -R[corner] == pytest.approx(0.625, abs=1e-12)
 
 
@@ -307,7 +307,7 @@ def test_ghost_single_facet_hand_integral():
     mesh = build_mesh(((0, 0), (2, 1)), (2, 1))
     phi = perturb(mesh.nodes[:, 0] - 1.6, mesh.h)
     cm = build_cut_model(mesh, phi)
-    assert len(cm.ghost_pairs) == 1
+    assert cm.pair_facet.shape[0] == 1
     ctx = build_context(cm, ())
     n = ctx.n
     rng = np.random.default_rng(1)
@@ -319,8 +319,8 @@ def test_ghost_single_facet_hand_integral():
 
     # independent integration of the jump terms on x = 1 with the scheme's
     # own 2-point rule (the frozen gammas are not polynomial in position)
-    gp = cm.ghost_pairs[0]
-    d1, d2 = gp.dofs1, gp.dofs2
+    d1, d2 = cm.pair_dofs[0]
+    e1, e2 = mesh.facet_elems[cm.pair_facet[0]]
     h = mesh.h
     R2 = np.zeros(3 * n)
     gpts, gwts = np.polynomial.legendre.leggauss(2)
@@ -328,8 +328,8 @@ def test_ghost_single_facet_hand_integral():
         y = 0.5 + 0.5 * t
         w = 0.5 * wgt  # facet length 1
         x = np.array([[1.0, y]])
-        N1, gx1, _, _ = shape_q1(mesh, np.array([gp.elems[0]]), x)
-        N2, gx2, _, _ = shape_q1(mesh, np.array([gp.elems[1]]), x)
+        N1, gx1, _, _ = shape_q1(mesh, np.array([e1]), x)
+        N2, gx2, _, _ = shape_q1(mesh, np.array([e2]), x)
         g1, g2 = gx1[0], gx2[0]  # normal = +x
         uc = 0.5 * (N1[0] @ U[d1] + N2[0] @ U[d2]), \
             0.5 * (N1[0] @ U[n + d1] + N2[0] @ U[n + d2])

@@ -57,8 +57,7 @@ def residual_phi_matrix(model, result, block="flow"):
     rows, cols, vals = [], [], []
     elems, nodes, partials = _recut_partials(model, result, payload)
     for e, node, partial in zip(elems.tolist(), nodes.tolist(), partials):
-        ids = np.unique(np.concatenate([p.dofs for p in cm.pieces[e]
-                                        if p.phase == FLUID]))
+        ids = np.unique(cm.piece_dofs[(cm.piece_elem == e) & (cm.piece_phase == FLUID)])
         partial = partial.reshape(blocks, width)[:, :ids.shape[0]]
         rows.append((np.arange(blocks)[:, None] * n + ids).ravel())
         cols.append(np.full(partial.size, node, dtype=np.int64))
@@ -168,9 +167,8 @@ def test_residual_phi_sparsity_audit(bend):
             continue
         allowed = set()
         for e in node_support(mesh, node):
-            for p in cm.pieces.get(int(e), []):
-                if p.dofs is not None:
-                    allowed.update(p.dofs.tolist())
+            fluid = (cm.piece_elem == e) & (cm.piece_phase == FLUID)
+            allowed.update(cm.piece_dofs[fluid].ravel().tolist())
         for row in col.nonzero()[0]:
             assert (row % n) in allowed
 

@@ -8,7 +8,7 @@ from cutflow.cut import FLUID, build_cut_model
 from cutflow.flow import FlowParams, assemble_flow
 from cutflow.forms import build_context
 from cutflow.grid import build_mesh
-from cutflow.solve import SolveConfig, linear_solve, newton_solve, steady_solve
+from cutflow.solve import SolveConfig, newton_solve, steady_solve
 from cutflow.transport import (IndicatorParams, TransportParams, assemble_indicator,
                                assemble_species, indicator_at_volume_points,
                                project_indicator, solve_indicator,
@@ -164,7 +164,7 @@ def test_isolated_puddle_relaxes_to_reference_exactly():
     cm = build_cut_model(mesh, phi)
     regions = wall_regions(mesh, [])  # no ports anywhere
     ctx = build_context(cm, regions)
-    psi = solve_indicator(ctx, IndicatorParams(), lambda A, b: linear_solve(A, b))
+    psi = solve_indicator(ctx, IndicatorParams())
     np.testing.assert_allclose(psi, 1.0, atol=1e-10)
 
 
@@ -174,7 +174,7 @@ def test_connected_channel_stays_far_below_threshold():
     regions = channel_regions(mesh, 1.0)
     ctx = build_context(cm, regions)
     p = IndicatorParams()
-    psi = solve_indicator(ctx, p, lambda A, b: linear_solve(A, b))
+    psi = solve_indicator(ctx, p)
     assert np.max(np.abs(psi)) < 0.1 * p.k_threshold * p.psi_ref
 
 
@@ -195,7 +195,7 @@ def test_mixed_regions_classified_end_to_end():
     ])
     ctx = build_context(cm, regions)
     p = IndicatorParams()
-    psi = solve_indicator(ctx, p, lambda A, b: linear_solve(A, b))
+    psi = solve_indicator(ctx, p)
     psibar = indicator_at_volume_points(ctx, psi, p)
     # flood-fill oracle: reachable regions = those whose pieces cover a port
     reachable = set()
@@ -204,15 +204,17 @@ def test_mixed_regions_classified_end_to_end():
             continue
         for q in range(blk.nq):
             e = int(blk.elem[q])
-            for piece in cm.pieces[e]:
-                if piece.phase == FLUID and np.array_equal(piece.dofs, blk.dofs[q]):
-                    reachable.add(piece.region)
+            for row in np.flatnonzero(cm.piece_elem == e):
+                if cm.piece_phase[row] == FLUID and np.array_equal(cm.piece_dofs[row],
+                                                                   blk.dofs[q]):
+                    reachable.add(int(cm.piece_region[row]))
     assert reachable == {1} or reachable == {0}
     for q in range(ctx.vol_w.shape[0]):
         e = int(ctx.vol_elem[q])
-        piece = next(pp for pp in cm.pieces[e]
-                     if pp.phase == FLUID and np.array_equal(pp.dofs, ctx.vol_dofs[q]))
-        if piece.region in reachable:
+        row = next(r for r in np.flatnonzero(cm.piece_elem == e)
+                   if cm.piece_phase[r] == FLUID
+                   and np.array_equal(cm.piece_dofs[r], ctx.vol_dofs[q]))
+        if cm.piece_region[row] in reachable:
             assert psibar[q] <= 0.001
         else:
             assert psibar[q] >= 0.999
