@@ -2,14 +2,16 @@
 
 Cut elements are split into single-phase triangle subcells with straight
 interface chords (edge crossings from the linear trace of the bilinear
-level set along each edge, so an edge is crossed at most once). One
-routine, `decompose_cells`, splits any batch of cells at once, grouped by
-cut pattern; the cut model and the sensitivities' local re-cuts both use
-it. Fluid regions that are disconnected inside a node's support get
-separate enrichment levels so their interpolations never couple; regions
-and levels are connected components of the fluid pieces' facet contacts.
-Ghost facets are the interior facets next to the interface used by the
-face-oriented penalty terms.
+level set along each edge, so an edge is crossed at most once). The 16
+cut patterns are fixed, so, as in marching squares, their layouts are a
+table built at import; one routine, `decompose_cells`, splits any batch of
+cells at once by gathering from it, and the cut model and the
+sensitivities' local re-cuts both use it. Fluid regions that are
+disconnected inside a node's support get separate enrichment levels so
+their interpolations never couple; regions and levels are connected
+components of the fluid pieces' facet contacts. Ghost facets are the
+interior facets next to the interface used by the face-oriented penalty
+terms.
 
 `CutModel` holds all of this as flat arrays: one piece table for cut and
 uncut elements alike (an uncut fluid element is one full piece), the cut
@@ -20,12 +22,13 @@ quadrature lives in `forms`.
 
 Conventions: phase -1 is fluid, +1 is solid; interface normals point
 toward the solid (phi increasing); element corners are counterclockwise
-from the lower-left, edge k runs from corner k to corner k+1.
+from the lower-left, edge k runs from corner k to corner k+1; a boundary
+cover's parameters run along its edge's axis (x or y), so on edges 2 and 3
+they are 1 - t of the crossing parameter t.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,75 +77,70 @@ def _corner_coords(origins, h):
                      ((x0, y0), (x0 + h, y0), (x0 + h, y0 + h), (x0, y0 + h))], axis=1)
 
 
-def _polygon_area(pts):
-    """Shoelace area of polygons (..., k, 2), positive when CCW."""
-    x, y = pts[..., 0], pts[..., 1]
-    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y,
-                        axis=-1)
-
-
-def _fan_triangulate(poly_pts, first_cross_idx):
-    """Fan triangulation of polygons (..., k, 2), rotated so that vertex
-    first_cross_idx (a crossing, if any) leads. Returns the rotated
-    polygons and the triangles (..., k - 2, 3, 2)."""
-    pts = np.asarray(poly_pts, dtype=float)
-    if first_cross_idx:
-        pts = np.roll(pts, -first_cross_idx, axis=-2)
-    apex = np.broadcast_to(pts[..., :1, :], pts[..., 2:, :].shape)
-    return pts, np.stack([apex, pts[..., 1:-1, :], pts[..., 2:, :]], axis=-2)
-
-
-def _ref_edges(ref):
-    """Cell edges a walk vertex lies on: corner c on edges c and c - 1,
-    the crossing 4 + k on edge k."""
-    return {ref - 4} if ref >= 4 else {ref, (ref - 1) % 4}
-
-
-def _pattern_layout(pattern):
-    """Pieces and chords of one cut pattern, as boundary-walk vertices.
+def _layout_table():
+    """Layouts of the cut patterns (see cell_patterns) as arrays indexed by
+    pattern, built once at import.
 
     The walk visits the corners counterclockwise from the lower left and
-    inserts the crossing of every edge whose ends differ in sign; walk
-    vertex k is corner k and 4 + k the crossing on edge k. Returns
-    (pieces, chords). A piece is (phase, refs, lead, cover): its polygon
-    in walk order, the position of its first crossing (the fan apex), and
-    its (edge, ref, ref) boundary spans. A chord is (ref_a, ref_b, local
-    index of its fluid piece). A saddle keeps the centre's phase in one
-    piece and cuts the other two corners off as triangles.
+    inserts the crossing of every edge whose ends differ in sign: walk
+    vertex k is corner k and 4 + k the crossing on edge k. Rows are padded
+    with vertex 8, the point 0, and covers with the parameter 0, so padded
+    triangles, covers and chords have zero size. A saddle keeps the centre's phase in one piece and cuts
+    the other two corners off as triangles; an uncut pattern is one whole
+    piece. Returns, per pattern:
+      phase (32, 3): each local piece's phase, 0 where there is none;
+      refs, succ (32, 3, 6): its polygon in walk order, and each vertex's
+        successor around it;
+      tris (32, 3, 4, 3): its fan triangles, from its first crossing;
+      covers (32, 3, 4, 3): its (edge, a, b) boundary spans, a and b
+        indexing the edge parameters [0, 1, t_4 .. t_7] (corner c sits at
+        0 on edge c and at 1 on edge c - 1);
+      chords (32, 2, 3): (ref, ref, local index of the fluid piece).
     """
-    code = pattern % 16
-    signs = [1 if code >> k & 1 else -1 for k in range(4)]
-    walk = []
-    for k in range(4):
-        walk.append(k)
-        if signs[k] != signs[(k + 1) % 4]:
-            walk.append(4 + k)
-    polys, chords = [], []
-    if code not in (5, 10):
-        p1, p2 = [i for i, ref in enumerate(walk) if ref >= 4]
-        for refs in (walk[p1:p2 + 1], walk[p2:] + walk[:p1 + 1]):
-            polys.append((next(signs[ref] for ref in refs if ref < 4), refs))
-        chords.append((walk[p1], walk[p2], 0 if polys[0][0] < 0 else 1))
-    else:
-        center = 1 if pattern >= 16 else -1
-        polys.append((center, [ref for ref in walk if ref >= 4 or signs[ref] == center]))
-        for c in range(4):
-            if signs[c] != center:
-                i = walk.index(c)
-                refs = [walk[i - 1], c, walk[(i + 1) % len(walk)]]
-                chords.append((refs[0], refs[2], len(polys) if signs[c] < 0 else 0))
-                polys.append((signs[c], refs))
-    pieces = []
-    for sign, refs in polys:
-        lead = next(i for i, ref in enumerate(refs) if ref >= 4)
-        cover = []
-        for i, ref in enumerate(refs):
-            nxt = refs[(i + 1) % len(refs)]
-            shared = _ref_edges(ref) & _ref_edges(nxt)
-            if shared:
-                cover.append((shared.pop(), ref, nxt))
-        pieces.append((FLUID if sign < 0 else SOLID, refs, lead, cover))
-    return pieces, chords
+    phase = np.zeros((32, 3), dtype=np.int64)
+    refs, succ = np.full((2, 32, 3, 6), 8)
+    tris, covers = np.full((32, 3, 4, 3), 8), np.zeros((32, 3, 4, 3), dtype=np.int64)
+    chords = np.full((32, 2, 3), 8)
+    on = [{0, 3}, {0, 1}, {1, 2}, {2, 3}, {0}, {1}, {2}, {3}]  # edges of each vertex
+    for pattern in [*range(16), 21, 26]:
+        code = pattern % 16
+        signs = [1 if code >> k & 1 else -1 for k in range(4)]
+        walk = []
+        for k in range(4):
+            walk.append(k)
+            if signs[k] != signs[(k + 1) % 4]:
+                walk.append(4 + k)
+        polys, segs = [(signs[0], walk)], []
+        if code in (5, 10):
+            center = 1 if pattern >= 16 else -1
+            polys = [(center, [ref for ref in walk if ref >= 4 or signs[ref] == center])]
+            for c in range(4):
+                if signs[c] != center:
+                    i = walk.index(c)
+                    tri = [walk[i - 1], c, walk[(i + 1) % len(walk)]]
+                    segs.append((tri[0], tri[2], len(polys) if signs[c] < 0 else 0))
+                    polys.append((signs[c], tri))
+        elif code not in (0, 15):
+            p1, p2 = [i for i, ref in enumerate(walk) if ref >= 4]
+            polys = [(next(signs[ref] for ref in poly if ref < 4), poly)
+                     for poly in (walk[p1:p2 + 1], walk[p2:] + walk[:p1 + 1])]
+            segs.append((walk[p1], walk[p2], 0 if polys[0][0] < 0 else 1))
+        chords[pattern, :len(segs)] = np.reshape(segs, (-1, 3))
+        for j, (sign, poly) in enumerate(polys):
+            k, nxt = len(poly), poly[1:] + poly[:1]
+            lead = next((i for i, ref in enumerate(poly) if ref >= 4), 0)
+            fan = poly[lead:] + poly[:lead]
+            spans = [((on[a] & on[b]).pop(), a, b) for a, b in zip(poly, nxt) if on[a] & on[b]]
+            phase[pattern, j] = FLUID if sign < 0 else SOLID
+            refs[pattern, j, :k], succ[pattern, j, :k] = poly, nxt
+            tris[pattern, j, :k - 2] = [(fan[0], fan[i], fan[i + 1]) for i in range(1, k - 1)]
+            covers[pattern, j, :len(spans)] = [
+                (e, *(ref - 2 if ref >= 4 else int(e != ref) for ref in (a, b)))
+                for e, a, b in spans]
+    return phase, refs, succ, tris, covers, chords
+
+
+_PHASE, _REFS, _SUCC, _TRIS, _COVERS, _CHORDS = _layout_table()
 
 
 @dataclass
@@ -164,7 +162,7 @@ class CellCuts:
     triangles: np.ndarray  # (T, 3, 2)
     cover_piece: np.ndarray  # (C,) piece row of each boundary interval
     cover_edge: np.ndarray  # (C,) local edge id
-    cover_t: np.ndarray  # (C, 2) edge parameters t0 < t1
+    cover_t: np.ndarray  # (C, 2) t0 < t1 along the edge's axis (x on edges 0, 2; y on 1, 3)
     seg_cell: np.ndarray  # (S,) batch row of each interface chord
     seg_piece: np.ndarray  # (S,) local index of the chord's fluid piece
     seg_a: np.ndarray  # (S, 2)
@@ -188,100 +186,70 @@ def decompose_cells(phi4s, origins, h):
     """Split cut cells into single-phase pieces and interface chords at once.
 
     phi4s (m, 4) are corner values with mixed signs and origins (m, 2) the
-    cells' lower-left corners. Cells are grouped by cut pattern (12
-    non-saddle sign patterns and 2 saddles, split by the centre's sign) and
-    each group is evaluated as arrays; edge k is crossed at
-    t = phi_k / (phi_k - phi_k+1). Pieces below SLIVER_REL_AREA * h^2 get
-    no triangles, covers shorter than 1e-14 and chords shorter than
-    1e-14 h are dropped. Returns a CellCuts.
+    cells' lower-left corners. Every cell reads its pieces, triangles,
+    covers and chords from its pattern's row of the layout table in one
+    gather; edge k is crossed at t = phi_k / (phi_k - phi_k+1). Pieces below
+    SLIVER_REL_AREA * h^2 get no triangles, covers shorter than 1e-14 and
+    chords shorter than 1e-14 h are dropped. Returns a CellCuts.
     """
     phi4s = np.asarray(phi4s, dtype=float).reshape(-1, 4)
     origins = np.asarray(origins, dtype=float).reshape(-1, 2)
     patterns = cell_patterns(phi4s)
     if np.any((patterns == 0) | (patterns == 15)):
         raise ValueError("decompose_cells called on an uncut cell")
+    m = phi4s.shape[0]
     corners = _corner_coords(origins, h)
-    verts = np.concatenate([corners, np.zeros_like(corners)], axis=1)  # walk refs
-    t = np.zeros((phi4s.shape[0], 8))
-    for k in range(4):
-        k2 = (k + 1) % 4
-        rows = (phi4s[:, k] > 0.0) != (phi4s[:, k2] > 0.0)
-        tk = phi4s[rows, k] / (phi4s[rows, k] - phi4s[rows, k2])
-        tk = np.minimum(np.maximum(tk, 0.0), 1.0)
-        t[rows, 4 + k] = tk
-        verts[rows, 4 + k] = corners[rows, k] + tk[:, None] * (
-            corners[rows, k2] - corners[rows, k])
+    nxt = np.roll(phi4s, -1, axis=1)
+    cross = (phi4s > 0.0) != (nxt > 0.0)
+    tk = np.minimum(np.maximum(np.divide(phi4s, phi4s - nxt, out=np.zeros_like(phi4s),
+                                         where=cross), 0.0), 1.0)
+    t = np.concatenate([np.zeros((m, 1)), np.ones((m, 1)), tk], axis=1)  # cover params
+    # walk vertices; those of uncrossed edges are never referenced
+    verts = np.concatenate([corners, np.zeros((m, 5, 2))], axis=1)
+    verts[:, 4:8] = corners + tk[:, :, None] * (np.roll(corners, -1, axis=1) - corners)
+    cell = np.arange(m)[:, None, None]
 
-    def param(ref, edge, rows):
-        # corner c sits at t = 0 on edge c and at t = 1 on edge c - 1
-        return t[rows, ref] if ref >= 4 else np.full(rows.shape[0], float(edge != ref))
-
-    parts = defaultdict(list)
-    for pattern in np.unique(patterns):
-        rows = np.nonzero(patterns == pattern)[0]
-        pieces, chords = _pattern_layout(int(pattern))
-        for j, (phase, refs, lead, cover) in enumerate(pieces):
-            pkey = 3 * rows + j
-            pts = verts[rows][:, refs]
-            area = _polygon_area(pts)
-            parts["pkey"].append(pkey)
-            parts["phase"].append(np.full(rows.shape[0], phase))
-            parts["area"].append(area)
-            parts["poly"].append(np.pad(pts, ((0, 0), (0, 6 - len(refs)), (0, 0))))
-            parts["nv"].append(np.full(rows.shape[0], len(refs)))
-            full = ~(area < SLIVER_REL_AREA * h * h)
-            _, tris = _fan_triangulate(pts[full], lead)
-            parts["tkey"].append((4 * pkey[full, None] + np.arange(len(refs) - 2)).ravel())
-            parts["tris"].append(tris.reshape(-1, 3, 2))
-            for i, (edge, ra, rb) in enumerate(cover):
-                ta, tb = param(ra, edge, rows), param(rb, edge, rows)
-                lo, hi = np.minimum(ta, tb), np.maximum(ta, tb)
-                keep = hi - lo > 1e-14
-                parts["ckey"].append(8 * pkey[keep] + i)
-                parts["cedge"].append(np.full(np.count_nonzero(keep), edge))
-                parts["ct"].append(np.stack([lo[keep], hi[keep]], axis=1))
-        for i, (ra, rb, fluid) in enumerate(chords):
-            a, b = verts[rows, ra], verts[rows, rb]
-            d = b - a
-            length = np.hypot(d[:, 0], d[:, 1])
-            keep = ~(length < 1e-14 * h)
-            a, b, d, length = a[keep], b[keep], d[keep], length[keep]
-            normal = np.stack([d[:, 1], -d[:, 0]], axis=1) / length[:, None]
-            # orient toward the solid: along the bilinear gradient at the midpoint
-            mid = 0.5 * (a + b)
-            xi = (mid[:, 0] - origins[rows[keep], 0]) / h
-            eta = (mid[:, 1] - origins[rows[keep], 1]) / h
-            p = phi4s[rows[keep]]
-            gx = ((1 - eta) * (p[:, 1] - p[:, 0]) + eta * (p[:, 2] - p[:, 3])) / h
-            gy = ((1 - xi) * (p[:, 3] - p[:, 0]) + xi * (p[:, 2] - p[:, 1])) / h
-            flip = normal[:, 0] * gx + normal[:, 1] * gy < 0.0
-            normal[flip] = -normal[flip]
-            parts["skey"].append(2 * rows[keep] + i)
-            parts["spiece"].append(np.full(rows[keep].shape[0], fluid))
-            parts["sa"].append(a)
-            parts["sb"].append(b)
-            parts["sn"].append(normal)
-            parts["slen"].append(length)
-
-    def cat(name, shape=(), dtype=float):
-        return np.concatenate(parts[name] + [np.zeros((0,) + shape, dtype=dtype)])
-
-    int64 = np.int64
-    pkey, tkey, ckey, skey = (cat(k, dtype=int64) for k in ("pkey", "tkey", "ckey", "skey"))
-    po, to, co, so = (np.argsort(k, kind="stable") for k in (pkey, tkey, ckey, skey))
-    pkey = pkey[po]
+    # gather each cell's row of the table; np.nonzero over a (cell, local,
+    # slot) grid gives (cell, local) order, and padded covers and chords
+    # have zero length, so the length tests drop them
+    x, y = verts[..., 0], verts[..., 1]
+    refs, succ = _REFS[patterns], _SUCC[patterns]
+    area = 0.5 * np.sum(x[cell, refs] * y[cell, succ] - x[cell, succ] * y[cell, refs], axis=-1)
+    present = _PHASE[patterns] != 0
+    piece = np.cumsum(present).reshape(m, 3) - 1  # piece row of each (cell, local)
+    c, j = np.nonzero(present)
+    tris = _TRIS[patterns]
+    ct, jt, it = np.nonzero((tris[..., 0] < 8) & ~(area < SLIVER_REL_AREA * h * h)[..., None])
+    cov = _COVERS[patterns]
+    ta, tb = t[cell, cov[..., 1]], t[cell, cov[..., 2]]
+    lo, hi = np.minimum(ta, tb), np.maximum(ta, tb)
+    cc, jc, ic = np.nonzero(hi - lo > 1e-14)
+    lo, hi, edge = lo[cc, jc, ic], hi[cc, jc, ic], cov[cc, jc, ic, 0]
+    flip = edge >= 2  # edges 2 and 3 run against their axis
+    lo, hi = np.where(flip, 1 - hi, lo), np.where(flip, 1 - lo, hi)
+    chords = _CHORDS[patterns]
+    a, b = verts[cell[..., 0], chords[..., 0]], verts[cell[..., 0], chords[..., 1]]
+    d = b - a
+    length = np.hypot(d[..., 0], d[..., 1])
+    cs, i = np.nonzero(~(length < 1e-14 * h))
+    a, b, d, length = a[cs, i], b[cs, i], d[cs, i], length[cs, i]
+    normal = np.stack([d[:, 1], -d[:, 0]], axis=1) / length[:, None]
+    # orient toward the solid: along the bilinear gradient at the midpoint
+    mid = 0.5 * (a + b)
+    xi = (mid[:, 0] - origins[cs, 0]) / h
+    eta = (mid[:, 1] - origins[cs, 1]) / h
+    p = phi4s[cs]
+    gx = ((1 - eta) * (p[:, 1] - p[:, 0]) + eta * (p[:, 2] - p[:, 3])) / h
+    gy = ((1 - xi) * (p[:, 3] - p[:, 0]) + xi * (p[:, 2] - p[:, 1])) / h
+    flip = normal[:, 0] * gx + normal[:, 1] * gy < 0.0
+    normal[flip] = -normal[flip]
     return CellCuts(
-        cell=pkey // 3, local=pkey % 3, phase=cat("phase", dtype=int64)[po],
-        area=cat("area")[po], polygon=cat("poly", (6, 2))[po],
-        n_vert=cat("nv", dtype=int64)[po],
-        tri_piece=np.searchsorted(pkey, tkey[to] // 4),
-        triangles=cat("tris", (3, 2))[to],
-        cover_piece=np.searchsorted(pkey, ckey[co] // 8),
-        cover_edge=cat("cedge", dtype=int64)[co], cover_t=cat("ct", (2,))[co],
-        seg_cell=skey[so] // 2, seg_piece=cat("spiece", dtype=int64)[so],
-        seg_a=cat("sa", (2,))[so], seg_b=cat("sb", (2,))[so],
-        seg_normal=cat("sn", (2,))[so], seg_length=cat("slen")[so],
-    )
+        cell=c, local=j, phase=_PHASE[patterns[c], j], area=area[c, j],
+        polygon=verts[c[:, None], refs[c, j]], n_vert=np.count_nonzero(refs[c, j] < 8, axis=1),
+        tri_piece=piece[ct, jt], triangles=verts[ct[:, None], tris[ct, jt, it]],
+        cover_piece=piece[cc, jc], cover_edge=edge, cover_t=np.stack([lo, hi], axis=1),
+        seg_cell=cs, seg_piece=chords[cs, i, 2], seg_a=a, seg_b=b, seg_normal=normal,
+        seg_length=length)
 
 
 def fluid_covers(cuts, piece_full):
@@ -340,7 +308,7 @@ class CutModel:
         piece is its square split along the diagonal from corner 0."""
         full = np.flatnonzero(self.piece_full)
         corners = self.mesh.nodes[self.mesh.elements[self.piece_elem[full], 0]]
-        _, squares = _fan_triangulate(_corner_coords(corners, self.mesh.h), 0)
+        squares = _corner_coords(corners, self.mesh.h)[:, _TRIS[0, 0, :2]]
         row = np.concatenate([np.repeat(full, 2), self.cut_rows[self.cuts.tri_piece]])
         order = np.argsort(row, kind="stable")
         return row[order], np.concatenate([squares.reshape(-1, 3, 2),
@@ -383,11 +351,8 @@ def build_cut_model(mesh: BackgroundMesh, phi) -> CutModel:
     fluid = np.flatnonzero(piece_phase == FLUID)
     row, edge, t = fluid_covers(cuts, piece_full)
     lid = (np.cumsum(piece_phase == FLUID) - 1)[row]  # rank among the fluid pieces
-    flip = edge >= 2  # edges 2 and 3 run against their axis
-    s0 = np.where(flip, 1 - t[:, 1], t[:, 0])
-    s1 = np.where(flip, 1 - t[:, 0], t[:, 1])
     start = mesh.nodes[mesh.elements[piece_elem[row], 0], edge % 2]
-    lo, hi = start + s0 * h, start + s1 * h
+    lo, hi = start + t[:, 0] * h, start + t[:, 1] * h
     # pair the intervals on each facet's two sides: (right, left) or (top, bottom)
     key = 4 * piece_elem[row] + edge
     order = np.argsort(key, kind="stable")

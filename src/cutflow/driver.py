@@ -276,19 +276,20 @@ def run_gradcheck(cfg, outdir=None, n_vars=5, step=1e-5, seed=7):
 
 
 def run_sweep(cfg, parameter, values, outdir=None):
-    """Re-run the analysis for each value of a named flow parameter."""
+    """Re-run the analysis for each value of a named flow parameter, each in
+    its own directory <parameter>_<value:g>."""
+    if parameter not in ("k_pressure", "alpha_nitsche"):
+        raise ConfigurationError(f"sweep parameter {parameter!r} not supported")
+    dirs = [f"{parameter}_{v:g}" for v in values]
+    repeated = sorted({d for d in dirs if dirs.count(d) > 1})
+    if repeated:
+        raise ConfigurationError(f"sweep values share a run directory: {', '.join(repeated)}")
     outdir = outdir or cfg.output.directory
     ensure_dir(outdir)
     results = []
-    for v in values:
-        if parameter == "k_pressure":
-            flow = replace(cfg.flow, k_pressure=float(v))
-        elif parameter == "alpha_nitsche":
-            flow = replace(cfg.flow, alpha_nitsche=float(v))
-        else:
-            raise ConfigurationError(f"sweep parameter {parameter!r} not supported")
-        sub = replace(cfg, flow=flow)
-        summary = run_analysis(sub, outdir=os.path.join(outdir, f"{parameter}_{v:g}"))
+    for v, d in zip(values, dirs):
+        sub = replace(cfg, flow=replace(cfg.flow, **{parameter: float(v)}))
+        summary = run_analysis(sub, outdir=os.path.join(outdir, d))
         summary["parameter"] = float(v)
         results.append(summary)
     path = os.path.join(outdir, "sweep.csv")

@@ -161,7 +161,8 @@ def _boundary_chords(mesh, region, covers):
     """Fluid parts of the mesh edges on a region's side, as chords.
 
     covers is (elem, dofs, edge, t): the boundary intervals of fluid pieces
-    on their element's local edges, in parameters t (k, 2) along each edge.
+    on their element's local edges, in parameters t (k, 2) along each
+    edge's axis.
     Returns chords (elem, dofs, a, b, normal) in edge order along the side
     and per edge in cover order, clipped to the region's span.
     """
@@ -174,8 +175,6 @@ def _boundary_chords(mesh, region, covers):
     rows = np.nonzero((edge == _EDGE_OF_SIDE[side]) & (idx >= 0))[0]
     rows = rows[np.argsort(idx[rows], kind="stable")]
     s0, s1 = t[rows, 0], t[rows, 1]
-    if side in ("top", "left"):  # edges 2 and 3 run against the axis
-        s0, s1 = 1.0 - s1, 1.0 - s0
     ends = mesh.boundary_edges[side][idx[rows]]
     a, b = mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]]
     axis = _SIDE_AXIS[side]
@@ -325,10 +324,8 @@ def element_context(cm: CutModel, elems, phi4s, regions=()):
 
     interface = (elems[rows[cuts.seg_cell]], piece_dofs[cuts.seg_row], cuts.seg_a,
                  cuts.seg_b, cuts.seg_normal)
-    cov = np.nonzero(cuts.phase[cuts.cover_piece] == FLUID)[0]
-    cp = cuts.cover_piece[cov]
-    covers = (elems[piece_row[cp]], piece_dofs[cp], cuts.cover_edge[cov],
-              cuts.cover_t[cov])
+    cp, edge, t = fluid_covers(cuts, np.zeros(cuts.cell.shape[0], dtype=bool))
+    covers = (elems[piece_row[cp]], piece_dofs[cp], edge, t)
     boundary = [(region, _boundary_chords(mesh, region, covers)) for region in regions]
     ctx = _assemble_context(mesh, scalar_ids, volume, interface, boundary, owner=owner)
     return ctx, invalid

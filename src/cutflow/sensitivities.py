@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import flow as flow_mod
 from . import transport as transport_mod
@@ -47,7 +46,7 @@ from .criteria import (GEOMETRIC_KINDS, criterion_scale, criterion_terms,
                        evaluate_criterion)
 from .forms import element_context
 from .cut import CUT
-from .solve import STEADY_SLOT, TimeSlot, bdf_slot
+from .solve import STEADY_SLOT, TimeSlot, bdf_slot, linear_solve
 
 FD_STEP_FRACTION = 1e-4  # geometric FD step, as a fraction of h
 MAX_STEP_HALVINGS = 4
@@ -109,6 +108,8 @@ def solve_adjoints(model, result, chains):
     an earlier step evaluates only the criteria sampled there. Returns
     (lams, adjoints): lams[k] holds step k's flow adjoints, one column per
     functional, and each FunctionalAdjoint's lam_flow is its last-step column.
+    Every block is solved by `linear_solve`, so a singular or non-finite
+    adjoint raises SolverError.
     """
     ctx = result.ctx
     n = ctx.n
@@ -134,7 +135,7 @@ def solve_adjoints(model, result, chains):
         _, J_c = transport_mod.assemble_species(
             ctx, tparams, result.species_state, result.flow_state)
         dc = chained(result.crit_partials, steps[last].weight, "d_species", n)
-        lam_c = spla.splu(J_c.T.tocsc()).solve(-dc)
+        lam_c = linear_solve(J_c.T, -dc)
         C_cu = transport_mod.species_flow_jacobian(
             ctx, tparams, result.species_state, result.flow_state)
 
@@ -153,7 +154,7 @@ def solve_adjoints(model, result, chains):
         slot, state, _ = steps[k]
         _, J = flow_mod.assemble_flow(ctx, params, state, coeff_state=state,
                                       slot=slot, psibar=result.psibar_qp)
-        return spla.splu(J.T.tocsc()).solve
+        return lambda b: linear_solve(J.T, b)
 
     def time_matrix_at(k):
         return flow_mod.flow_time_matrix(ctx, params, steps[k].state, steps[k].slot)
@@ -169,7 +170,7 @@ def solve_adjoints(model, result, chains):
             C_fpsi += C.T @ lams[k]
         _, J_psi = transport_mod.assemble_indicator(
             ctx, model.physics.indicator, result.psi)
-        lam_psi = spla.splu(J_psi.T.tocsc()).solve(-C_fpsi)
+        lam_psi = linear_solve(J_psi.T, -C_fpsi)
     return lams, [FunctionalAdjoint(
         dcrit=dict(chain), lam_flow=lams[last][:, k],
         lam_species=None if lam_c is None else lam_c[:, k],

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cutflow.cut as cut
 from cutflow.cut import (CUT, FLUID, SOLID, build_cut_model, cell_patterns,
@@ -146,17 +148,82 @@ def test_batched_decomposition_equals_one_cell_calls():
             assert same(getattr(batch, name)[segs], getattr(one, name))
 
 
+def _triangle_areas(tris):
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    return 0.5 * np.abs((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                        - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
+
+
 def test_triangulation_choice_does_not_change_area():
-    # fan from different start vertices gives identical polygon area
-    from cutflow.cut import _fan_triangulate, _polygon_area
-    poly = np.array([[0.0, 0.0], [1.0, 0.0], [1.2, 0.8], [0.5, 1.3], [-0.1, 0.7]])
-    area = _polygon_area(poly)
-    for start in range(len(poly)):
-        _, tris = _fan_triangulate(poly, start)
-        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-        tot = 0.5 * np.abs((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                           - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1])).sum()
-        assert tot == pytest.approx(area, rel=1e-14)
+    # each piece's fan from its first crossing, a fan from any other vertex
+    # of its polygon, and the whole-square split of an uncut piece all give
+    # the piece's area
+    rng = np.random.default_rng(2)
+    phi4s = rng.normal(size=(60, 4))
+    phi4s[::11] = [-1.0, 3.0, -1.0, 3.0]
+    phi4s[::13] = [1.0, -3.0, 1.0, -3.0]
+    phi4s = phi4s[np.any(phi4s > 0, axis=1) & np.any(phi4s < 0, axis=1)]
+    cuts = decompose_cells(phi4s, rng.normal(size=(phi4s.shape[0], 2)), 0.3)
+    fans = np.bincount(cuts.tri_piece, _triangle_areas(cuts.triangles),
+                       minlength=cuts.area.shape[0])
+    has = np.isin(np.arange(cuts.area.shape[0]), cuts.tri_piece)
+    assert has.mean() > 0.9
+    np.testing.assert_allclose(fans[has], cuts.area[has], rtol=1e-12, atol=1e-15)
+    for p in range(cuts.area.shape[0]):
+        poly = cuts.polygon[p, :cuts.n_vert[p]]
+        for start in range(poly.shape[0]):
+            pts = np.roll(poly, -start, axis=0)
+            tris = np.stack([np.broadcast_to(pts[0], pts[2:].shape), pts[1:-1], pts[2:]],
+                            axis=1)
+            assert _triangle_areas(tris).sum() == pytest.approx(cuts.area[p], rel=1e-12,
+                                                                abs=1e-15)
+    mesh, cm = _circle_model()
+    row, tris = cm.triangles()
+    np.testing.assert_allclose(np.bincount(row, _triangle_areas(tris))[cm.piece_full],
+                               mesh.h ** 2, rtol=1e-14)
+
+
+def _corner_magnitudes():
+    # down to 1e-8 of the largest, so some crossings sit next to a corner
+    return st.lists(st.floats(1e-8, 1.0), min_size=4, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 14), _corner_magnitudes()), min_size=1,
+                max_size=8),
+       st.floats(1e-2, 1.0), st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_covers_tile_each_edge_along_its_axis(cells, h, origin):
+    # every sign code but the uncut ones; a saddle's centre takes the sign of
+    # the mean, so both centres occur. Edge k runs from corner k to k + 1,
+    # and a cover's parameters run along the edge's axis: from corner k on
+    # edges 0 and 1, from corner k + 1 on edges 2 and 3
+    signs = np.array([[1.0 if code >> k & 1 else -1.0 for k in range(4)] for code, _ in cells])
+    phi4s = signs * np.array([mags for _, mags in cells])
+    origins = np.tile(origin, (phi4s.shape[0], 1))
+    cuts = decompose_cells(phi4s, origins, h)
+    corners = origins[:, None] + h * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    for i, phi in enumerate(phi4s):
+        pieces = np.flatnonzero(cuts.cell == i)
+        for edge in range(4):
+            lo_corner, hi_corner = (edge, (edge + 1) % 4) if edge < 2 else ((edge + 1) % 4, edge)
+            cov = np.flatnonzero(np.isin(cuts.cover_piece, pieces) & (cuts.cover_edge == edge))
+            t = cuts.cover_t[cov[np.argsort(cuts.cover_t[cov, 0])]]
+            assert np.all((0.0 <= t[:, 0]) & (t[:, 0] < t[:, 1]) & (t[:, 1] <= 1.0))
+            assert np.all(t[:-1, 1] <= t[1:, 0])  # no overlap
+            assert abs(np.sum(t[:, 1] - t[:, 0]) - 1.0) < 1e-12
+            # each piece's covers lie where the edge's linear trace has its sign
+            s = 0.5 * (cuts.cover_t[cov, 0] + cuts.cover_t[cov, 1])
+            trace = (1.0 - s) * phi[lo_corner] + s * phi[hi_corner]
+            assert np.all(np.sign(trace) == cuts.phase[cuts.cover_piece[cov]])
+        # each chord runs between the crossings of two different edges
+        crossed = np.flatnonzero((phi > 0) != (np.roll(phi, -1) > 0))
+        tk = phi[crossed] / (phi[crossed] - np.roll(phi, -1)[crossed])
+        at = corners[i, crossed] + tk[:, None] * (
+            corners[i, (crossed + 1) % 4] - corners[i, crossed])
+        dist = [np.linalg.norm(end[cuts.seg_cell == i][:, None] - at[None], axis=2)
+                for end in (cuts.seg_a, cuts.seg_b)]
+        assert all(np.all(d.min(axis=1) < 1e-12) for d in dist)
+        assert np.all(dist[0].argmin(axis=1) != dist[1].argmin(axis=1))
 
 
 # --- quadrature ---------------------------------------------------------------

@@ -506,6 +506,26 @@ def test_sweep_driver(tmp_path):
     assert os.path.exists(os.path.join(str(tmp_path / "sw"), "sweep.csv"))
 
 
+def test_sweep_rejects_values_that_share_a_run_directory(tmp_path, capsys):
+    # run directories are named <parameter>_<value:g>: values that print
+    # alike would overwrite each other's fields and summary
+    from cutflow.driver import run_sweep
+    path = _write(tmp_path, CHANNEL_CFG)
+    cfg = parse_config(path)
+    for values, name in (([1e-07, 1.0000001e-07], "k_pressure_1e-07"),
+                         ([2.0, 1.0, 2.0], "k_pressure_2")):
+        with pytest.raises(ConfigurationError, match=name):
+            run_sweep(cfg, "k_pressure", values, outdir=str(tmp_path / "sw"))
+    with pytest.raises(ConfigurationError, match="'mu' not supported"):
+        run_sweep(cfg, "mu", [1.0], outdir=str(tmp_path / "sw"))
+    assert not os.path.exists(tmp_path / "sw")
+    assert cli_main(["sweep", "--config", path, "--parameter", "k_pressure",
+                     "--values", "1e-07,1.0000001e-07", "--output",
+                     str(tmp_path / "sw")]) == 2
+    assert "k_pressure_1e-07" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "sw")
+
+
 def test_cli_sweep_non_numeric_values_exit_2(tmp_path, capsys):
     path = _write(tmp_path, CHANNEL_CFG)
     with pytest.raises(SystemExit) as exc:

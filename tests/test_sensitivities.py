@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 from cutflow.criteria import CriterionSpec, ObjectiveTerm, ProblemSpec
 from cutflow.cut import CUT, FLUID
 from cutflow.design import DesignVector
+from cutflow.errors import SolverError
 from cutflow.grid import node_support
 from cutflow import flow as flow_mod
 from cutflow import transport as transport_mod
@@ -184,6 +185,26 @@ def test_adjoint_is_exact_transpose_of_forward_linearization(bend):
     dflow = result.crit_partials["ti"].d_flow
     resid = J.T @ adj.lam_flow + dflow
     assert np.linalg.norm(resid) / np.linalg.norm(dflow) < 1e-9
+
+
+@pytest.mark.parametrize("module, name, bad", [
+    (flow_mod, "assemble_flow", 0.0),  # singular flow adjoint
+    (transport_mod, "assemble_indicator", 0.0),  # singular indicator adjoint
+    (flow_mod, "assemble_flow", np.nan),  # non-finite flow adjoint
+], ids=["singular-flow", "singular-indicator", "nan-flow"])
+def test_failed_adjoint_solve_raises_solver_error(bend, monkeypatch, module, name, bad):
+    # a singular or non-finite adjoint is a SolverError (exit 3), not a
+    # bare RuntimeError or a gradient of NaNs
+    model, problem, design, result = bend
+    assemble = getattr(module, name)
+
+    def broken(*args, **kwargs):
+        R, J = assemble(*args, **kwargs)
+        return R, J * bad
+
+    monkeypatch.setattr(module, name, broken)
+    with pytest.raises(SolverError):
+        solve_adjoints(model, result, [{"ti": 1.0}])
 
 
 def test_species_only_criterion_drives_flow_adjoint_through_cross_term():
