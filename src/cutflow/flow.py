@@ -59,29 +59,60 @@ class FlowParams:
 
 
 STEADY = STEADY_SLOT
+VOLUME_BATCH = 4096  # volume points per Jacobian batch (bounds its temporaries)
 # adjoint-consistency sign of the Nitsche pressure term (skew-symmetric)
 BETA_PRESSURE = -1.0
 
 
-class _Coo:
-    """Triplet accumulator for one assembly pass."""
+class _Triplets:
+    """The Jacobian entries of one assembly pass, summed into CSR.
+
+    add(rows, cols, vals) puts vals[k, i, j] at (rows[k, i], cols[k, j]);
+    consecutive points with equal row and column dofs (the points of one
+    piece, chord or facet) are summed into one block first. The first
+    matrix of a kind on a context builds its CSR plan, each triplet's slot
+    in a fixed indptr/indices, and caches it on the context; every later
+    one is a single bincount into those slots.
+    """
 
     def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
+        self.blocks = []
 
     def add(self, rows, cols, vals):
-        self.rows.append(np.asarray(rows, dtype=np.int64).ravel())
-        self.cols.append(np.asarray(cols, dtype=np.int64).ravel())
-        self.vals.append(np.asarray(vals, dtype=np.float64).ravel())
+        new = np.ones(rows.shape[0], dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(1) | (cols[1:] != cols[:-1]).any(1)
+        if not new.all():
+            starts = np.flatnonzero(new)
+            rows, cols = rows[starts], cols[starts]
+            vals = np.add.reduceat(vals, starts, axis=0)
+        self.blocks.append((rows, cols, vals))
 
-    def matrix(self, shape):
-        if not self.rows:
+    def matrix(self, ctx, kind, shape):
+        """The CSR matrix of the triplets; kind names the matrix (and its
+        terms) among those assembled on ctx."""
+        if not self.blocks:
             return sp.csr_matrix(shape)
-        return sp.csr_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=shape,
-        )
+        vals = np.concatenate([v.ravel() for _, _, v in self.blocks])
+        plan = ctx.csr_plans.get(kind)
+        if plan is None or plan[0].shape[0] != vals.shape[0]:
+            plan = ctx.csr_plans[kind] = _csr_plan(self.blocks, shape)
+        slot, indices, indptr = plan
+        data = np.bincount(slot, vals, minlength=indices.shape[0])
+        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=shape)
+
+
+def _csr_plan(blocks, shape):
+    """(slot, indices, indptr): the CSR pattern of the blocks' triplets,
+    with sorted column indices, and each triplet's position in it."""
+    rows = np.concatenate([np.broadcast_to(r[:, :, None], v.shape).ravel()
+                           for r, _, v in blocks]).astype(np.int64)
+    cols = np.concatenate([np.broadcast_to(c[:, None, :], v.shape).ravel()
+                           for _, c, v in blocks])
+    keys, slot = np.unique(rows * shape[1] + cols, return_inverse=True)
+    index = np.int32 if max(keys.shape[0], shape[1]) < 2**31 else np.int64
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(np.bincount(keys // shape[1], minlength=shape[0]), out=indptr[1:])
+    return slot, (keys % shape[1]).astype(index), indptr
 
 
 def _block_dofs(dofs, n):
@@ -89,15 +120,13 @@ def _block_dofs(dofs, n):
     return np.concatenate([dofs, dofs + n, dofs + 2 * n], axis=1)
 
 
-def _scatter_block(R, coo, dref, r_local, j_local, w):
-    """Apply weights and scatter a local residual/Jacobian batch."""
+def _scatter_block(R, tri, dref, r_local, j_local, w):
+    """Apply weights and scatter a local residual/Jacobian batch (j_local
+    is weighted in place)."""
     np.add.at(R, dref, r_local * w[:, None])
-    if coo is not None and j_local is not None:
-        jw = j_local * w[:, None, None]
-        nq, nd, _ = jw.shape
-        rows = np.broadcast_to(dref[:, :, None], (nq, nd, nd))
-        cols = np.broadcast_to(dref[:, None, :], (nq, nd, nd))
-        coo.add(rows, cols, jw)
+    if tri is not None and j_local is not None:
+        j_local *= w[:, None, None]
+        tri.add(dref, dref, j_local)
 
 
 def _tau(params, slot, speed2, h):
@@ -123,27 +152,27 @@ def assemble_flow(ctx, params, state, coeff_state=None, slot=STEADY,
     U = np.asarray(state, dtype=float)
     Uc = U if coeff_state is None else np.asarray(coeff_state, dtype=float)
     R = np.zeros(3 * n)
-    coo = _Coo() if want_matrix else None
+    tri = _Triplets() if want_matrix else None
 
     hist = slot.hist if slot.hist is not None else np.zeros(3 * n)
 
     if ctx.vol_w is not None and ctx.vol_w.shape[0]:
-        _volume_terms(ctx, params, U, Uc, hist, slot, psibar, terms, R, coo)
+        _volume_terms(ctx, params, U, hist, slot, psibar, terms, R, tri)
 
     if NITSCHE in terms:
         blk = ctx.interface
         if blk is not None and blk.nq:
             uhat = np.zeros((blk.nq, 2))  # no-slip interface default
-            _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, coo)
+            _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, tri)
         for blk in ctx.boundary:
             if not blk.nq:
                 continue
             region = blk.region
             if region.kind == "velocity":
                 uhat = region.velocity_at(blk.x, slot.t)
-                _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, coo)
+                _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, tri)
             elif region.kind == "symmetry":
-                _nitsche_symmetry(ctx, params, U, Uc, blk, R, coo)
+                _nitsche_symmetry(ctx, params, U, Uc, blk, R, tri)
 
     if NEUMANN in terms:
         for blk in ctx.boundary:
@@ -156,9 +185,9 @@ def assemble_flow(ctx, params, state, coeff_state=None, slot=STEADY,
                 np.add.at(R, dref, r * blk.w[:, None])
 
     if GHOST in terms and ctx.ghost is not None and ctx.ghost.nq:
-        _ghost_terms(ctx, params, U, Uc, R, coo)
+        _ghost_terms(ctx, params, U, Uc, R, tri)
 
-    J = coo.matrix((3 * n, 3 * n)) if want_matrix else None
+    J = tri.matrix(ctx, ("flow", terms), (3 * n, 3 * n)) if want_matrix else None
     return R, J
 
 
@@ -177,14 +206,26 @@ def _flow_fields(U, n, dofs, N, gx, gy):
             (gx * uxe).sum(1), (gy * uxe).sum(1), (gx * uye).sum(1), (gy * uye).sum(1))
 
 
-def _volume_terms(ctx, params, U, Uc, hist, slot, psibar, terms, R, coo):
+def _volume_terms(ctx, params, U, hist, slot, psibar, terms, R, tri):
+    """Volume terms, with the Jacobian in batches of VOLUME_BATCH points
+    (its per-point 12x12 blocks and their temporaries are the largest
+    arrays of an assembly); the residual alone takes one batch."""
+    nq = ctx.vol_w.shape[0]
+    step = nq if tri is None else VOLUME_BATCH
+    for start in range(0, nq, step):
+        pts = slice(start, start + step)
+        _volume_batch(ctx, params, U, hist, slot,
+                      None if psibar is None else psibar[pts], terms, R, tri, pts)
+
+
+def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, pts):
     n = ctx.n
     rho, mu = params.rho, params.mu
-    N, gx, gy, d2 = ctx.vol_N, ctx.vol_gx, ctx.vol_gy, ctx.vol_d2
-    dofs = ctx.vol_dofs
-    W = ctx.vol_w
+    N, gx, gy, d2 = ctx.vol_N[pts], ctx.vol_gx[pts], ctx.vol_gy[pts], ctx.vol_d2[pts]
+    dofs = ctx.vol_dofs[pts]
+    W = ctx.vol_w[pts]
     nq = W.shape[0]
-    want_j = coo is not None
+    want_j = tri is not None
 
     uxe, uye, pe, ux, uy, p, uxx, uxy, uyx, uyy = _flow_fields(U, n, dofs, N, gx, gy)
     px = (gx * pe).sum(1)
@@ -277,7 +318,7 @@ def _volume_terms(ctx, params, U, Uc, hist, slot, psibar, terms, R, coo):
             J[:, P, P] += (tau / rho)[:, None, None] * (
                 _outer(gx, gx) + _outer(gy, gy))
 
-    _scatter_block(R, coo, dref, r, J, W)
+    _scatter_block(R, tri, dref, r, J, W)
 
 
 def _nitsche_gamma(ctx, params, blk, Uc):
@@ -289,7 +330,7 @@ def _nitsche_gamma(ctx, params, blk, Uc):
     return params.alpha_nitsche * (params.mu / ctx.h + params.rho * uinf / 6.0)
 
 
-def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, coo):
+def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, tri):
     n = ctx.n
     mu = params.mu
     bp = BETA_PRESSURE
@@ -297,7 +338,7 @@ def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, coo):
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
     dofs = blk.dofs
     nq = blk.nq
-    want_j = coo is not None
+    want_j = tri is not None
 
     _, _, _, ux, uy, p, uxx, uxy, uyx, uyy = _flow_fields(U, n, dofs, N, gx, gy)
     exy = 0.5 * (uxy + uyx)
@@ -348,10 +389,10 @@ def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, coo):
         J[:, P, X] += bp * _outer(N * nx[:, None], N)
         J[:, P, Y] += bp * _outer(N * ny[:, None], N)
 
-    _scatter_block(R, coo, dref, r, J, blk.w)
+    _scatter_block(R, tri, dref, r, J, blk.w)
 
 
-def _nitsche_symmetry(ctx, params, U, Uc, blk, R, coo):
+def _nitsche_symmetry(ctx, params, U, Uc, blk, R, tri):
     """Weak u.n = 0 with free tangential traction."""
     n = ctx.n
     mu = params.mu
@@ -360,7 +401,7 @@ def _nitsche_symmetry(ctx, params, U, Uc, blk, R, coo):
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
     dofs = blk.dofs
     nq = blk.nq
-    want_j = coo is not None
+    want_j = tri is not None
 
     _, _, _, ux, uy, p, uxx, uxy, uyx, uyy = _flow_fields(U, n, dofs, N, gx, gy)
     exy = 0.5 * (uxy + uyx)
@@ -396,15 +437,14 @@ def _nitsche_symmetry(ctx, params, U, Uc, blk, R, coo):
         J[:, P, X] += bp * _outer(N, N * nx[:, None])
         J[:, P, Y] += bp * _outer(N, N * ny[:, None])
 
-    _scatter_block(R, coo, dref, r, J, blk.w)
+    _scatter_block(R, tri, dref, r, J, blk.w)
 
 
-def _ghost_terms(ctx, params, U, Uc, R, coo):
+def _ghost_terms(ctx, params, U, Uc, R, tri):
     n = ctx.n
     g = ctx.ghost
     h = ctx.h
-    nq = g.nq
-    want_j = coo is not None
+    want_j = tri is not None
 
     # frozen convective / inf-norm velocities from the coefficient state
     uc1x = (g.N1 * Uc[0:n][g.dofs1]).sum(1)
@@ -439,9 +479,7 @@ def _ghost_terms(ctx, params, U, Uc, R, coo):
         np.add.at(R, dref8 + offset, r)
         if want_j:
             jmat = (gamma * g.w)[:, None, None] * gvec[:, :, None] * gvec[:, None, :]
-            rows = np.broadcast_to((dref8 + offset)[:, :, None], (nq, 8, 8))
-            cols = np.broadcast_to((dref8 + offset)[:, None, :], (nq, 8, 8))
-            coo.add(rows, cols, jmat)
+            tri.add(dref8 + offset, dref8 + offset, jmat)
 
 
 def flow_time_matrix(ctx, params, state, slot=STEADY):
@@ -452,7 +490,7 @@ def flow_time_matrix(ctx, params, state, slot=STEADY):
     """
     n = ctx.n
     rho = params.rho
-    coo = _Coo()
+    tri = _Triplets()
     if ctx.vol_w is not None and ctx.vol_w.shape[0]:
         U = np.asarray(state, dtype=float)
         N, gx, gy = ctx.vol_N, ctx.vol_gx, ctx.vol_gy
@@ -464,7 +502,6 @@ def flow_time_matrix(ctx, params, state, slot=STEADY):
         uy = (N * uye).sum(1)
         tau, _ = _tau(params, slot, ux * ux + uy * uy, ctx.h)
         udotgN = ux[:, None] * gx + uy[:, None] * gy
-        dref = _block_dofs(dofs, n)
         nq = W.shape[0]
         J = np.zeros((nq, 12, 12))
         X, Y, P = slice(0, 4), slice(4, 8), slice(8, 12)
@@ -475,17 +512,15 @@ def flow_time_matrix(ctx, params, state, slot=STEADY):
         J[:, Y, Y] += galerkin + supg
         J[:, P, X] += tau[:, None, None] * _outer(gx, N)
         J[:, P, Y] += tau[:, None, None] * _outer(gy, N)
-        jw = J * W[:, None, None]
-        rows = np.broadcast_to(dref[:, :, None], (nq, 12, 12))
-        cols = np.broadcast_to(dref[:, None, :], (nq, 12, 12))
-        coo.add(rows, cols, jw)
-    return coo.matrix((3 * n, 3 * n))
+        dref = _block_dofs(dofs, n)
+        tri.add(dref, dref, J * W[:, None, None])
+    return tri.matrix(ctx, ("time",), (3 * n, 3 * n))
 
 
 def flow_indicator_jacobian(ctx, params, state, psi, indicator_params):
     """d(flow residual)/d(psi): the pressure penalty's indicator coupling."""
     n = ctx.n
-    coo = _Coo()
+    tri = _Triplets()
     if ctx.vol_w is not None and ctx.vol_w.shape[0] and params.k_pressure != 0.0:
         U = np.asarray(state, dtype=float)
         psi_q = (ctx.vol_N * np.asarray(psi, dtype=float)[ctx.vol_dofs]).sum(1)
@@ -497,7 +532,5 @@ def flow_indicator_jacobian(ctx, params, state, psi, indicator_params):
         dproj = 0.5 * kw * (1.0 - th * th)
         vals = (params.k_pressure * p * dproj * ctx.vol_w)[:, None, None] \
             * ctx.vol_N[:, :, None] * ctx.vol_N[:, None, :]
-        rows = np.broadcast_to((ctx.vol_dofs + 2 * n)[:, :, None], vals.shape)
-        cols = np.broadcast_to(ctx.vol_dofs[:, None, :], vals.shape)
-        coo.add(rows, cols, vals)
-    return coo.matrix((3 * n, n))
+        tri.add(ctx.vol_dofs + 2 * n, ctx.vol_dofs, vals)
+    return tri.matrix(ctx, ("flow_indicator",), (3 * n, n))

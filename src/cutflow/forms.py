@@ -149,6 +149,8 @@ class IntegrationContext:
     boundary: list = field(default_factory=list)  # list[SurfaceBlock]
     ghost: GhostBlock = None
     owner: np.ndarray = None  # stacked re-cut contexts: local dof -> batch row
+    # matrix kind -> CSR plan of its Jacobians on this context (flow._Triplets)
+    csr_plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def boundary_block(self, name):
         for blk in self.boundary:

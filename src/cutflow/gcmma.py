@@ -23,6 +23,7 @@ from .errors import SolverError
 
 ALBEFA = 0.1  # move-limit fraction of the distance to each asymptote
 RAA_EPS = 1e-6  # floor of the initial conservatism parameters
+SUBPROBLEM_NEWTON = 200  # Newton steps per barrier level of the subproblem
 
 
 @dataclass
@@ -159,16 +160,17 @@ class GCMMA:
         fvals_all = np.concatenate([[f0s], fval]) if m else np.array([f0s])
 
         diagnostics = {"inner_iterations": 0, "rho_increased": False,
-                       "conservative": True}
+                       "conservative": True, "subproblem_converged": True}
         x_new = None
         for inner in range(cfg.max_inner + 1):
             p, q = self._pq(x, low, upp, grads, rho)
             base = (p / (upp - x)[None, :] + q / (x - low)[None, :]).sum(axis=1)
             r = fvals_all - base
-            x_new, lam = _subsolve(
+            x_new, lam, converged = _subsolve(
                 m, self.n, low, upp, alfa, beta, p[0], q[0], p[1:], q[1:],
                 -r[1:], cfg.constraint_penalty,
             )
+            diagnostics["subproblem_converged"] &= converged
             if evaluate is None or inner == cfg.max_inner:
                 if inner == cfg.max_inner:
                     diagnostics["conservative"] = False
@@ -207,13 +209,15 @@ def _subsolve(m, n, low, upp, alfa, beta, p0, q0, P, Q, b, penalty):
     minimize  sum(p0/(upp-x) + q0/(x-low)) + sum(c y + 0.5 y^2)
     s.t.      sum(P/(upp-x) + Q/(x-low)) - y - b <= 0, alfa <= x <= beta,
               y >= 0.
-    Returns (x, lambda). The barrier parameter tightens to 1e-10 so the
-    subproblem KKT conditions hold to < 1e-9.
+    Returns (x, lambda, converged). The barrier parameter tightens to 1e-10
+    so the subproblem KKT conditions hold to < 1e-9; converged tells
+    whether every barrier level met its residual target (max |residual|
+    <= 0.9 epsi) within SUBPROBLEM_NEWTON steps.
     """
     if m == 0:
         # separable unconstrained case: stationary point per variable
         x = _stationary_point(low, upp, alfa, beta, p0, q0)
-        return x, np.zeros(0)
+        return x, np.zeros(0), True
 
     c = np.full(m, penalty)
     een = np.ones(n)
@@ -244,9 +248,10 @@ def _subsolve(m, n, low, upp, alfa, beta, p0, q0, P, Q, b, penalty):
         flat = np.concatenate([rex, rey, relam, rexsi, reeta, remu, res])
         return float(np.sqrt(flat @ flat)), float(np.max(np.abs(flat)))
 
+    converged = True
     while epsi > 1e-10:
         residunorm, residumax = residuals(x, y, lam, xsi, eta, mu, s, epsi)
-        for _ in range(200):
+        for _ in range(SUBPROBLEM_NEWTON):
             if residumax <= 0.9 * epsi:
                 break
             ux1 = upp - x
@@ -303,8 +308,9 @@ def _subsolve(m, n, low, upp, alfa, beta, p0, q0, P, Q, b, penalty):
                 resinew, residumax = residuals(x, y, lam, xsi, eta, mu, s, epsi)
                 steg /= 2
             residunorm = resinew
+        converged &= residumax <= 0.9 * epsi
         epsi *= 0.1
-    return x, lam
+    return x, lam, converged
 
 
 def _stationary_point(low, upp, alfa, beta, p0, q0):

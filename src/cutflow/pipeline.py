@@ -4,7 +4,9 @@ One geometry evaluation runs: design vector -> nodal level set -> cut
 model -> integration context -> indicator solve (when the pressure
 penalty is indicator-gated) -> flow solve (steady or BDF2 transient) ->
 species solve (when any criterion needs it) -> criteria. The result
-bundle carries everything the adjoint needs.
+bundle carries everything the adjoint needs, the factors of the last flow
+Jacobian Newton stepped from and of the indicator and species matrices
+included.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ class ForwardResult:
     crit_values: dict = None
     crit_partials: dict = None  # name -> CriterionValue (with partials)
     newton_trace: list = None
+    # SuperLU factors the adjoint reuses and then drops (None: none kept)
+    flow_factor: object = None  # the last Jacobian Newton stepped from
+    indicator_factor: object = None
+    species_factor: object = None
 
 
 class ForwardModel:
@@ -75,13 +81,14 @@ class ForwardModel:
 
     # -- indicator ----------------------------------------------------------
     def _indicator(self, ctx):
+        """(psi, psibar, the indicator matrix's factors) of ctx."""
         scope = self.physics.pressure_penalty_scope
         if scope == "off" or self.physics.flow.k_pressure == 0.0:
-            return None, None
-        psi = None
+            return None, None, None
+        psi = lu = None
         if scope == "indicator":
-            psi = transport_mod.solve_indicator(ctx, self.physics.indicator)
-        return psi, self.penalty_weights(ctx, psi)
+            psi, lu = transport_mod.solve_indicator(ctx, self.physics.indicator)
+        return psi, self.penalty_weights(ctx, psi), lu
 
     def penalty_weights(self, ctx, psi):
         """Pressure-penalty weights psibar at ctx's volume points.
@@ -103,9 +110,10 @@ class ForwardModel:
         params = self.physics.flow
 
         def make(slot):
-            def assemble(x):
+            def assemble(x, want_matrix):
                 return flow_mod.assemble_flow(
-                    ctx, params, x, coeff_state=x, slot=slot, psibar=psibar
+                    ctx, params, x, coeff_state=x, slot=slot, psibar=psibar,
+                    want_matrix=want_matrix,
                 )
             return assemble
 
@@ -122,18 +130,19 @@ class ForwardModel:
         """Steady analysis of design, or of its already built geometry
         (phi, cm, ctx), from the warm flow state when its size fits."""
         phi, cm, ctx = self.geometry(design) if geometry is None else geometry
-        psi, psibar = self._indicator(ctx)
+        psi, psibar, psi_lu = self._indicator(ctx)
         n = ctx.n
         if warm is None or warm.shape[0] != 3 * n:
             warm = np.zeros(3 * n)
         make = self._flow_assemble_factory(ctx, psibar)
-        U, trace = steady_solve(make, warm, self.solve_config)
+        U, trace, flow_lu = steady_solve(make, warm, self.solve_config)
         result = ForwardResult(
             phi=phi, cm=cm, ctx=ctx, psi=psi, psibar_qp=psibar,
-            flow_state=U, newton_trace=trace,
+            flow_state=U, newton_trace=trace, flow_factor=flow_lu,
+            indicator_factor=psi_lu,
         )
         if self._needs_species():
-            result.species_state = self._solve_species(ctx, U)
+            result.species_state, result.species_factor = self._solve_species(ctx, U)
         self._evaluate_criteria(result)
         return result
 
@@ -142,15 +151,16 @@ class ForwardModel:
         if tparams is None:
             raise ConfigurationError("species criterion present but transport disabled")
 
-        def assemble(c):
-            return transport_mod.assemble_species(ctx, tparams, c, U)
+        def assemble(c, want_matrix):
+            return transport_mod.assemble_species(ctx, tparams, c, U,
+                                                  want_matrix=want_matrix)
 
-        c, _ = newton_solve(
+        c, _, lu = newton_solve(
             assemble, np.zeros(ctx.n),
             tol=self.solve_config.newton_tol,
             max_iter=self.solve_config.max_newton,
         )
-        return c
+        return c, lu
 
     def solve_transient(self, design):
         cfg = self.solve_config
@@ -161,14 +171,15 @@ class ForwardModel:
                 "species transport is steady-only; transient runs cannot "
                 "evaluate ks_target criteria")
         phi, cm, ctx = self.geometry(design)
-        psi, psibar = self._indicator(ctx)
+        psi, psibar, psi_lu = self._indicator(ctx)
         n = ctx.n
         make = self._flow_assemble_factory(ctx, psibar)
-        history, traces = march(make, np.zeros(3 * n), cfg)
+        history, traces, flow_lu = march(make, np.zeros(3 * n), cfg)
         result = ForwardResult(
             phi=phi, cm=cm, ctx=ctx, psi=psi, psibar_qp=psibar,
             flow_state=history[-1], flow_history=history,
             newton_trace=[t for tr in traces for t in tr],
+            flow_factor=flow_lu, indicator_factor=psi_lu,
         )
         self._evaluate_criteria(result)
         return result

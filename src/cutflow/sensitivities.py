@@ -5,10 +5,15 @@ species -> criteria. Every analysis is a list of flow steps, each a time
 slot and a state (`analysis_steps`): a steady run is one step, a BDF2
 march its steps 1..N. One gradient, `total_design_gradient`, serves both.
 Adjoints are solved in reverse block order (species, flow, indicator),
-each block reusing one transposed factorization for all functionals. The
-flow has one backward sweep, `adjoint_transient`, which carries every
-functional as one column of a right-hand-side block, so each step is
-factorized once; a steady run is a sweep of one step.
+each block solving for all functionals at once. The flow has one
+backward sweep, `adjoint_transient`, which carries every functional as
+one column of a right-hand-side block; a steady run is a sweep of one
+step. The adjoints reuse the forward's factorizations and then drop them:
+the linear species and indicator systems solve on their forward LUs
+(trans='T'), and the last step's flow adjoint iteratively refines on
+J(x*)^T, preconditioned by Newton's last LU, to its rounding level. Only
+an earlier BDF2 step, a missing factor or a refinement that stalls
+factors a matrix here.
 
 Geometric partials of residuals and criteria are computed
 semi-analytically. One re-cut payload, in `geometry_gradient`, pairs each
@@ -46,7 +51,7 @@ from .criteria import (GEOMETRIC_KINDS, criterion_scale, criterion_terms,
                        evaluate_criterion)
 from .forms import element_context
 from .cut import CUT
-from .solve import STEADY_SLOT, TimeSlot, bdf_slot, linear_solve
+from .solve import EPS, STEADY_SLOT, TimeSlot, bdf_slot, linear_solve, lu_solve
 
 FD_STEP_FRACTION = 1e-4  # geometric FD step, as a fraction of h
 MAX_STEP_HALVINGS = 4
@@ -108,8 +113,12 @@ def solve_adjoints(model, result, chains):
     an earlier step evaluates only the criteria sampled there. Returns
     (lams, adjoints): lams[k] holds step k's flow adjoints, one column per
     functional, and each FunctionalAdjoint's lam_flow is its last-step column.
-    Every block is solved by `linear_solve`, so a singular or non-finite
-    adjoint raises SolverError.
+
+    The blocks solve on the factors the forward kept (result's
+    *_factor fields; the module docstring says how) and take them off
+    result, so they go when this returns and a second call factors
+    afresh; a block without kept factors is assembled and factored here.
+    A singular or non-finite adjoint raises SolverError.
     """
     ctx = result.ctx
     n = ctx.n
@@ -117,6 +126,9 @@ def solve_adjoints(model, result, chains):
     steps = analysis_steps(model, result)
     last = len(steps) - 1
     specs = {spec.name: spec for spec in model.criteria}
+    flow_lu, psi_lu, species_lu = (result.flow_factor, result.indicator_factor,
+                                   result.species_factor)
+    result.flow_factor = result.indicator_factor = result.species_factor = None
 
     def chained(partials, weight, attr, rows):
         """Sum of w * sampling weight * partial, one column per functional."""
@@ -132,10 +144,10 @@ def solve_adjoints(model, result, chains):
     lam_c = None
     if result.species_state is not None:
         tparams = model.physics.transport
-        _, J_c = transport_mod.assemble_species(
-            ctx, tparams, result.species_state, result.flow_state)
         dc = chained(result.crit_partials, steps[last].weight, "d_species", n)
-        lam_c = linear_solve(J_c.T, -dc)
+        lam_c = _transposed_solve(
+            species_lu, -dc, lambda: transport_mod.assemble_species(
+                ctx, tparams, result.species_state, result.flow_state)[1])
         C_cu = transport_mod.species_flow_jacobian(
             ctx, tparams, result.species_state, result.flow_state)
 
@@ -154,7 +166,16 @@ def solve_adjoints(model, result, chains):
         slot, state, _ = steps[k]
         _, J = flow_mod.assemble_flow(ctx, params, state, coeff_state=state,
                                       slot=slot, psibar=result.psibar_qp)
-        return lambda b: linear_solve(J.T, b)
+        if k < last or flow_lu is None:
+            return lambda b: linear_solve(J.T, b)
+
+        def solve(b):
+            nonlocal flow_lu
+            lu, flow_lu = flow_lu, None
+            lam = _refined_solve(J, lu, b)
+            del lu  # gone before a fresh factorization
+            return linear_solve(J.T, b) if lam is None else lam
+        return solve
 
     def time_matrix_at(k):
         return flow_mod.flow_time_matrix(ctx, params, steps[k].state, steps[k].slot)
@@ -168,14 +189,47 @@ def solve_adjoints(model, result, chains):
             C = flow_mod.flow_indicator_jacobian(
                 ctx, params, steps[k].state, result.psi, model.physics.indicator)
             C_fpsi += C.T @ lams[k]
-        _, J_psi = transport_mod.assemble_indicator(
-            ctx, model.physics.indicator, result.psi)
-        lam_psi = linear_solve(J_psi.T, -C_fpsi)
+        lam_psi = _transposed_solve(
+            psi_lu, -C_fpsi, lambda: transport_mod.assemble_indicator(
+                ctx, model.physics.indicator, result.psi)[1])
     return lams, [FunctionalAdjoint(
         dcrit=dict(chain), lam_flow=lams[last][:, k],
         lam_species=None if lam_c is None else lam_c[:, k],
         lam_psi=None if lam_psi is None else lam_psi[:, k])
         for k, chain in enumerate(chains)]
+
+
+def _refined_solve(J, lu, b):
+    """Solve J^T x = b (a block, one column per functional) by iterative
+    refinement preconditioned by lu, the factors of a nearby matrix, through
+    trans='T'.
+
+    A column is done when its residual reaches the rounding level
+    eps * || |J^T| |x| ||. Returns None when a step fails to halve the
+    residual of a column that is not done.
+    """
+    JT = J.T
+    absJT = abs(JT)
+    x = lu_solve(lu, b, trans="T")
+    prev = np.full(x.shape[1], np.inf)
+    while True:
+        r = b - JT @ x
+        norm = np.linalg.norm(r, axis=0)
+        todo = ~(norm <= EPS * np.linalg.norm(absJT @ np.abs(x), axis=0))
+        if not todo.any():
+            return x
+        if not np.all(norm[todo] <= 0.5 * prev[todo]):
+            return None
+        prev = norm
+        x[:, todo] += lu_solve(lu, r[:, todo], trans="T")
+
+
+def _transposed_solve(lu, b, matrix):
+    """Solve A^T x = b on A's factors lu, or, with lu None, on a fresh
+    factorization of A = matrix()."""
+    if lu is None:
+        return linear_solve(matrix().T, b)
+    return lu_solve(lu, b, trans="T")
 
 
 def _recut_partials(model, result, payload, report=None):

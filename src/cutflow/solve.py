@@ -1,10 +1,12 @@
 """Nonlinear, linear and temporal solution drivers.
 
 Newton iterations with relative-residual control wrap a sparse direct
-(LU) solve; transient problems march with BDF2 after a single
-backward-Euler startup step. The steady driver falls back to
-pseudo-transient continuation with a growing step when a cold Newton
-start diverges; a pseudo step that diverges or meets a singular
+(LU) solve. Newton assembles a Jacobian only on the iterates it steps
+from (a converged check costs one residual), holds one LU at a time and
+returns its last, which the adjoint reuses. Transient problems march with
+BDF2 after a single backward-Euler startup step. The steady driver falls
+back to pseudo-transient continuation with a growing step when a cold
+Newton start diverges; a pseudo step that diverges or meets a singular
 Jacobian is retried with a smaller step.
 """
 
@@ -56,51 +58,67 @@ class SolveConfig:
             raise ValueError("transient mode requires a positive dt")
 
 
-def linear_solve(A, b):
-    """Solve A x = b by dense or sparse LU.
+def factorize(A):
+    """SuperLU factors of the sparse (or dense) matrix A.
 
-    Raises SolverError on singular systems.
+    Raises SolverError when A is singular.
     """
-    b = np.asarray(b, dtype=float)
-    if not sp.issparse(A):
-        A = np.asarray(A, dtype=float)
-        try:
-            return np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"dense solve failed: {exc}") from exc
     try:
-        lu = spla.splu(A.tocsc())
+        return spla.splu(sp.csc_matrix(A))
     except RuntimeError as exc:
         raise SolverError(f"sparse LU failed: {exc}") from exc
-    x = lu.solve(b)
+
+
+def lu_solve(lu, b, trans="N"):
+    """Solve A x = b (A^T x = b with trans='T') on A's factors lu.
+
+    Raises SolverError when x is not finite (a singular system).
+    """
+    x = lu.solve(np.asarray(b, dtype=float), trans=trans)
     if not np.all(np.isfinite(x)):
         raise SolverError("sparse LU produced non-finite values (singular system)")
     return x
 
 
+def linear_solve(A, b):
+    """Solve A x = b by sparse LU; SolverError on singular systems."""
+    return lu_solve(factorize(A), b)
+
+
 def newton_solve(assemble, x0, tol=1e-6, max_iter=30):
-    """Newton iteration on assemble(x) -> (R, J).
+    """Newton iteration on assemble(x, want_matrix) -> (R, J or None).
 
     Converges when ||R|| drops below tol * ||R0||, or below the rounding
     level eps * || |J| |x| || of the residual at x: no Newton step can take
-    ||R|| further down than that, whatever tol asks for.
-    Returns (x, trace); trace holds the residual norms per iteration.
+    ||R|| further down than that, whatever tol asks for. J is asked for
+    only when the first test fails (the first iterate gets R and J in one
+    call), so a converged check costs one residual. Each LU is freed
+    before the next is made.
+    Returns (x, trace, lu): trace holds the residual norms per iteration,
+    lu the factors of the Jacobian of the last step taken (None when x0
+    needed no step).
     """
     x = np.array(x0, dtype=float)
     trace = []
     r0 = None
+    lu = None
     for _ in range(max_iter + 1):
-        R, J = assemble(x)
+        R, J = assemble(x, r0 is None)
         norm = float(np.linalg.norm(R))
         trace.append(norm)
         if r0 is None:
             r0 = norm
-        if norm <= tol * r0 or norm <= EPS * np.linalg.norm(abs(J) @ np.abs(x)):
-            return x, trace
+        if norm <= tol * r0:
+            return x, trace, lu
+        if J is None:
+            J = assemble(x, True)[1]
+        if norm <= EPS * np.linalg.norm(abs(J) @ np.abs(x)):
+            return x, trace, lu
         if not np.isfinite(norm) or norm > 1e3 * max(r0, 1.0) + 1e12:
             raise NonconvergenceError("Newton diverged", trace=trace)
-        dx = linear_solve(J, R)
-        x -= dx
+        lu = None  # the previous factors go before the next are made
+        lu = factorize(J)
+        x -= lu_solve(lu, R)
     raise NonconvergenceError(
         f"Newton did not converge in {max_iter} iterations", trace=trace
     )
@@ -121,10 +139,12 @@ def bdf_slot(step, dt, states, t=None):
 
 
 def march(make_assemble, u0, config: SolveConfig):
-    """Time marching; returns (state history, per-step Newton traces).
+    """Time marching; returns (state history, per-step Newton traces, lu).
 
-    make_assemble(slot) must return an assemble(x) -> (R, J) callable for
-    that step's time slot. History includes the initial condition.
+    make_assemble(slot) must return an assemble(x, want_matrix) callable
+    for that step's time slot, as newton_solve takes. History includes the
+    initial condition; lu is the last step's newton_solve factors (each
+    step's go before the next step starts).
     """
     if config.dt is None or config.dt <= 0 or config.n_steps < 1:
         raise ValueError("march requires dt > 0 and n_steps >= 1")
@@ -132,8 +152,9 @@ def march(make_assemble, u0, config: SolveConfig):
     traces = []
     for step in range(1, config.n_steps + 1):
         slot = bdf_slot(step, config.dt, states)
+        lu = None
         try:
-            u, trace = newton_solve(
+            u, trace, lu = newton_solve(
                 make_assemble(slot), states[-1],
                 tol=config.newton_tol, max_iter=config.max_newton,
             )
@@ -145,11 +166,16 @@ def march(make_assemble, u0, config: SolveConfig):
             raise SolverError(f"time step {step} failed: {exc}", step=step) from exc
         states.append(u)
         traces.append(trace)
-    return states, traces
+    return states, traces, lu
 
 
 def steady_solve(make_assemble, warm, config: SolveConfig):
-    """Steady solve with optional pseudo-transient continuation fallback."""
+    """Steady solve with optional pseudo-transient continuation fallback.
+
+    Returns (x, trace, lu) as newton_solve does; after a fallback, trace
+    joins the pseudo steps' traces and lu comes from the final steady
+    Newton.
+    """
     try:
         return newton_solve(
             make_assemble(STEADY_SLOT), warm,
@@ -166,18 +192,18 @@ def steady_solve(make_assemble, warm, config: SolveConfig):
             u, trace = newton_solve(
                 make_assemble(slot), u,
                 tol=max(config.newton_tol, 1e-4), max_iter=config.max_newton,
-            )
+            )[:2]
             combined.extend(trace)
         except (NonconvergenceError, SolverError):
             dt *= 0.25  # retreat and try a smaller pseudo step
             continue
         dt *= 2.0
     try:
-        x, trace = newton_solve(
+        x, trace, lu = newton_solve(
             make_assemble(STEADY_SLOT), u,
             tol=config.newton_tol, max_iter=config.max_newton,
         )
-        return x, combined + trace
+        return x, combined + trace, lu
     except NonconvergenceError as exc:
         raise NonconvergenceError(
             "steady solve failed after pseudo-transient continuation",

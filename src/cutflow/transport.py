@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import _Coo, _outer, _scatter_block
-from .solve import linear_solve
+from .flow import _outer, _scatter_block, _Triplets
+from .solve import factorize, lu_solve
 
 GALERKIN = "galerkin"
 STABILIZATION = "stabilization"
@@ -73,7 +73,7 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
     U = np.asarray(flow_state, dtype=float)
     k = params.diffusivity
     R = np.zeros(n)
-    coo = _Coo() if want_matrix else None
+    tri = _Triplets() if want_matrix else None
 
     if ctx.vol_w is not None and ctx.vol_w.shape[0]:
         N, gx, gy = ctx.vol_N, ctx.vol_gx, ctx.vol_gy
@@ -104,24 +104,24 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
             r += tau[:, None] * udotgN * strong[:, None]
             if want_matrix:
                 J += tau[:, None, None] * udotgN[:, :, None] * udotgN[:, None, :]
-        _scatter_block(R, coo, dofs, r, J, W)
+        _scatter_block(R, tri, dofs, r, J, W)
 
     if NITSCHE in terms:
         for blk in ctx.boundary:
             region = blk.region
             if not blk.nq or region.species_value is None:
                 continue
-            _scalar_nitsche(ctx, R, coo, blk, c, k, params.alpha_nitsche,
+            _scalar_nitsche(ctx, R, tri, blk, c, k, params.alpha_nitsche,
                             chat=region.species_value)
 
     if GHOST in terms and ctx.ghost is not None and ctx.ghost.nq:
-        _scalar_ghost(ctx, R, coo, c, params.alpha_gp * ctx.h * k)
+        _scalar_ghost(ctx, R, tri, c, params.alpha_gp * ctx.h * k)
 
-    J = coo.matrix((n, n)) if want_matrix else None
+    J = tri.matrix(ctx, ("species", terms), (n, n)) if want_matrix else None
     return R, J
 
 
-def _scalar_nitsche(ctx, R, coo, blk, c, k, alpha, chat):
+def _scalar_nitsche(ctx, R, tri, blk, c, k, alpha, chat):
     """Nitsche Dirichlet terms for a scalar diffusive field."""
     N, gx, gy = blk.N, blk.gx, blk.gy
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
@@ -133,26 +133,23 @@ def _scalar_nitsche(ctx, R, coo, blk, c, k, alpha, chat):
     pen = alpha / ctx.h
     r = -N * (k * cn)[:, None] + k * gnN * dc[:, None] + pen * N * dc[:, None]
     J = None
-    if coo is not None:
+    if tri is not None:
         J = (-k * N[:, :, None] * gnN[:, None, :]
              + k * gnN[:, :, None] * N[:, None, :]
              + pen * N[:, :, None] * N[:, None, :])
-    _scatter_block(R, coo, blk.dofs, r, J, blk.w)
+    _scatter_block(R, tri, blk.dofs, r, J, blk.w)
 
 
-def _scalar_ghost(ctx, R, coo, c, gamma_eff):
+def _scalar_ghost(ctx, R, tri, c, gamma_eff):
     """Facet jump penalty gamma_eff * [[grad w . n]] [[grad c . n]]."""
     g = ctx.ghost
-    nq = g.nq
     jump = (g.gn1 * c[g.dofs1]).sum(1) - (g.gn2 * c[g.dofs2]).sum(1)
     gvec = np.concatenate([g.gn1, -g.gn2], axis=1)
     dref = np.concatenate([g.dofs1, g.dofs2], axis=1)
     np.add.at(R, dref, gvec * (gamma_eff * jump * g.w)[:, None])
-    if coo is not None:
+    if tri is not None:
         vals = (gamma_eff * g.w)[:, None, None] * gvec[:, :, None] * gvec[:, None, :]
-        rows = np.broadcast_to(dref[:, :, None], (nq, 8, 8))
-        cols = np.broadcast_to(dref[:, None, :], (nq, 8, 8))
-        coo.add(rows, cols, vals)
+        tri.add(dref, dref, vals)
 
 
 def species_flow_jacobian(ctx, params, state, flow_state):
@@ -160,12 +157,11 @@ def species_flow_jacobian(ctx, params, state, flow_state):
     n = ctx.n
     c = np.asarray(state, dtype=float)
     U = np.asarray(flow_state, dtype=float)
-    coo = _Coo()
+    tri = _Triplets()
     if ctx.vol_w is not None and ctx.vol_w.shape[0]:
         N, gx, gy = ctx.vol_N, ctx.vol_gx, ctx.vol_gy
         dofs = ctx.vol_dofs
         W = ctx.vol_w
-        nq = W.shape[0]
         ce = c[dofs]
         cx = (gx * ce).sum(1)
         cy = (gy * ce).sum(1)
@@ -186,10 +182,9 @@ def species_flow_jacobian(ctx, params, state, flow_state):
                                     + _outer(udotgN, N) * cy[:, None, None])
         JX *= W[:, None, None]
         JY *= W[:, None, None]
-        rows = np.broadcast_to(dofs[:, :, None], (nq, 4, 4))
-        coo.add(rows, np.broadcast_to(dofs[:, None, :], (nq, 4, 4)), JX)
-        coo.add(rows, np.broadcast_to((dofs + n)[:, None, :], (nq, 4, 4)), JY)
-    return coo.matrix((n, 3 * n))
+        tri.add(dofs, dofs, JX)
+        tri.add(dofs, dofs + n, JY)
+    return tri.matrix(ctx, ("species_flow",), (n, 3 * n))
 
 
 def assemble_indicator(ctx, params, state, want_matrix=True):
@@ -201,7 +196,7 @@ def assemble_indicator(ctx, params, state, want_matrix=True):
     n = ctx.n
     psi = np.asarray(state, dtype=float)
     R = np.zeros(n)
-    coo = _Coo() if want_matrix else None
+    tri = _Triplets() if want_matrix else None
     if ctx.vol_w is not None and ctx.vol_w.shape[0]:
         N, gx, gy = ctx.vol_N, ctx.vol_gx, ctx.vol_gy
         dofs = ctx.vol_dofs
@@ -216,25 +211,29 @@ def assemble_indicator(ctx, params, state, want_matrix=True):
         if want_matrix:
             J = (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
                  - params.reaction * N[:, :, None] * N[:, None, :])
-        _scatter_block(R, coo, dofs, r, J, W)
+        _scatter_block(R, tri, dofs, r, J, W)
 
     for blk in ctx.boundary:
         if blk.nq and getattr(blk.region, "port", False):
-            _scalar_nitsche(ctx, R, coo, blk, psi, 1.0, params.alpha_nitsche, chat=0.0)
+            _scalar_nitsche(ctx, R, tri, blk, psi, 1.0, params.alpha_nitsche, chat=0.0)
 
     if ctx.ghost is not None and ctx.ghost.nq:
-        _scalar_ghost(ctx, R, coo, psi, params.alpha_gp * ctx.h)
+        _scalar_ghost(ctx, R, tri, psi, params.alpha_gp * ctx.h)
 
-    J = coo.matrix((n, n)) if want_matrix else None
+    J = tri.matrix(ctx, ("indicator",), (n, n)) if want_matrix else None
     return R, J
 
 
 def solve_indicator(ctx, params):
-    """Single linear solve for the nodal indicator field."""
-    n = ctx.n
-    psi0 = np.zeros(n)
+    """Single linear solve for the nodal indicator field.
+
+    Returns (psi, lu), lu the factors of the system's matrix, which the
+    adjoint reuses (the system is linear).
+    """
+    psi0 = np.zeros(ctx.n)
     R0, J = assemble_indicator(ctx, params, psi0, want_matrix=True)
-    return psi0 - linear_solve(J.tocsc(), R0)
+    lu = factorize(J)
+    return psi0 - lu_solve(lu, R0), lu
 
 
 def project_indicator(psi_values, params):

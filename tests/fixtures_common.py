@@ -1,6 +1,9 @@
 """Shared fixture builders for the test suite."""
 
+import weakref
+
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from cutflow.conditions import BoundaryRegion, wall_regions
 from cutflow.criteria import ConstraintSpec, CriterionSpec, ObjectiveTerm, ProblemSpec
@@ -100,3 +103,38 @@ def linear_flow_state(cm, coeffs_ux, coeffs_uy, coeffs_p):
     for block, (a, b, c) in enumerate((coeffs_ux, coeffs_uy, coeffs_p)):
         U[block * n:(block + 1) * n] = a + b * xy[:, 0] + c * xy[:, 1]
     return U
+
+
+class _Factor:
+    """A SuperLU stand-in that, unlike SuperLU, takes weak references."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, *args, **kwargs):
+        return self._lu.solve(*args, **kwargs)
+
+    def __getattr__(self, attr):
+        return getattr(self._lu, attr)
+
+
+class LiveFactors:
+    """Patches scipy's splu to count factorizations: made (calls), alive
+    now (live, through weakref.finalize) and alive at most at once (peak)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = self.live = self.peak = 0
+        splu = spla.splu
+
+        def counting(A, *args, **kwargs):
+            lu = _Factor(splu(A, *args, **kwargs))
+            self.calls += 1
+            self.live += 1
+            self.peak = max(self.peak, self.live)
+            weakref.finalize(lu, self._freed)
+            return lu
+
+        monkeypatch.setattr(spla, "splu", counting)
+
+    def _freed(self):
+        self.live -= 1

@@ -58,9 +58,9 @@ def _circle_solve(h, alpha):
     n = ctx.n
     params = FlowParams(rho=1.0, mu=1.6e-3, alpha_nitsche=alpha,
                         alpha_gp_mu=0.05, alpha_gp_p=0.005, alpha_gp_u=0.05)
-    make = lambda slot: (lambda x: assemble_flow(ctx, params, x, coeff_state=x,
-                                                 slot=slot))
-    U, _ = steady_solve(make, np.zeros(3 * n),
+    make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
+        ctx, params, x, coeff_state=x, slot=slot))
+    U, _, _ = steady_solve(make, np.zeros(3 * n),
                         SolveConfig(newton_tol=1e-10, max_newton=40))
     gv = lambda kind, surf, **kw: evaluate_criterion(
         CriterionSpec(name="x", kind=kind, surface=surf, **kw), ctx, params,
@@ -137,11 +137,11 @@ def _bent_channel_mismatch(k_pressure, scope):
     if scope == "whole":
         psibar = np.ones(nq)
     else:
-        psi = solve_indicator(ctx, IndicatorParams())
+        psi, _ = solve_indicator(ctx, IndicatorParams())
         psibar = indicator_at_volume_points(ctx, psi, IndicatorParams())
-    make = lambda slot: (lambda x: assemble_flow(ctx, params, x, coeff_state=x,
-                                                 slot=slot, psibar=psibar))
-    U, _ = steady_solve(make, np.zeros(3 * n),
+    make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
+        ctx, params, x, coeff_state=x, slot=slot, psibar=psibar))
+    U, _, _ = steady_solve(make, np.zeros(3 * n),
                         SolveConfig(newton_tol=1e-10, max_newton=40))
     gv = lambda surf: evaluate_criterion(
         CriterionSpec(name="m", kind="mass_flow", surface=surf), ctx, params,
@@ -196,7 +196,7 @@ def test_acceptance_4_indicator_classification():
             BoundaryRegion(name="pr", side="right", kind="traction", port=True),
         ])
         ctx = build_context(cm, regions)
-        psi = solve_indicator(ctx, params)
+        psi, _ = solve_indicator(ctx, params)
         psibar = indicator_at_volume_points(ctx, psi, params)
         reachable = set()
         for blk in ctx.boundary:
@@ -361,9 +361,9 @@ def test_acceptance_7_bdf2_temporal_order():
     for dt in (0.05, 0.025, 0.0125):
         cfg = SolveConfig(scheme="bdf2", dt=dt, n_steps=round(T / dt),
                           newton_tol=1e-10, max_newton=40)
-        make = lambda slot: (lambda x: assemble_flow(
+        make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
             ctx, params, x, coeff_state=x, slot=slot))
-        states, _ = march(make, np.zeros(3 * n), cfg)
+        states, _, _ = march(make, np.zeros(3 * n), cfg)
         finals.append(states[-1])
     e1 = np.linalg.norm(finals[0] - finals[1])
     e2 = np.linalg.norm(finals[1] - finals[2])
@@ -374,9 +374,9 @@ def test_acceptance_7_bdf2_temporal_order():
     errs = []
     for dt in (0.1, 0.05):
         cfg = SolveConfig(dt=dt, n_steps=round(1.0 / dt), scheme="bdf2")
-        ode = lambda slot: (lambda x: (slot.alpha * x + slot.hist + x,
-                                       np.array([[slot.alpha + 1.0]])))
-        st, _ = march(ode, np.array([1.0]), cfg)
+        ode = lambda slot: (lambda x, want_matrix=True: (
+            slot.alpha * x + slot.hist + x, np.array([[slot.alpha + 1.0]])))
+        st, _, _ = march(ode, np.array([1.0]), cfg)
         errs.append(abs(st[-1][0] - math.exp(-1.0)))
     ode_order = np.log2(errs[0] / errs[1])
     _verdict(7, ok and 1.8 <= ode_order <= 2.2,

@@ -1,0 +1,152 @@
+"""Jacobians through each context's cached CSR plan against scipy's
+COO -> CSR of the same triplets: the same pattern, the same entries."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from cutflow import flow as flow_mod
+from cutflow.conditions import BoundaryRegion, wall_regions
+from cutflow.cut import build_cut_model
+from cutflow.flow import (ALL_TERMS, GALERKIN, GHOST, NITSCHE, STABILIZATION,
+                          FlowParams, assemble_flow, flow_indicator_jacobian,
+                          flow_time_matrix)
+from cutflow.forms import build_context
+from cutflow.grid import build_mesh
+from cutflow.solve import bdf_slot
+from cutflow.transport import ALL_TERMS as SPECIES_TERMS
+from cutflow.transport import (IndicatorParams, TransportParams, assemble_indicator,
+                               assemble_species, species_flow_jacobian)
+
+from fixtures_common import perturb
+
+
+def _context(cut):
+    """A 12x12 channel with species ports, around a solid disk when cut."""
+    mesh = build_mesh(((0, 0), (1, 1)), (12, 12))
+    xy = mesh.nodes
+    phi = -np.ones(mesh.n_nodes)
+    if cut:
+        phi = perturb(0.2 - np.hypot(xy[:, 0] - 0.45, xy[:, 1] - 0.5), mesh.h)
+    regions = wall_regions(mesh, [
+        BoundaryRegion(name="inlet", side="left", kind="velocity", span=(0.2, 0.8),
+                       profile="parabola", amplitude=1.0, port=True,
+                       species_value=1.0),
+        BoundaryRegion(name="outlet", side="right", kind="traction", port=True),
+        BoundaryRegion(name="lid", side="top", kind="symmetry"),
+    ])
+    ctx = build_context(build_cut_model(mesh, phi), regions)
+    assert (ctx.ghost is not None) == cut
+    assert (ctx.interface is not None and ctx.interface.nq > 0) == cut
+    return ctx
+
+
+@pytest.fixture(scope="module", params=["cut", "uncut"])
+def ctx(request):
+    return _context(request.param == "cut")
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """(matrix, scipy's COO -> CSR of the same triplets) of every matrix."""
+    seen = []
+    matrix = flow_mod._Triplets.matrix
+
+    def recording(self, ctx, kind, shape):
+        M = matrix(self, ctx, kind, shape)
+        rows = [np.broadcast_to(r[:, :, None], v.shape).ravel() for r, _, v in self.blocks]
+        cols = [np.broadcast_to(c[:, None, :], v.shape).ravel() for _, c, v in self.blocks]
+        vals = [v.ravel() for _, _, v in self.blocks]
+        seen.append((M, sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=shape).tocsr()))
+        return M
+
+    monkeypatch.setattr(flow_mod._Triplets, "matrix", recording)
+    return seen
+
+
+def _states(ctx, blocks):
+    rng = np.random.default_rng(ctx.n)
+    return [0.3 * rng.normal(size=blocks * ctx.n) for _ in range(2)]
+
+
+def _check(ctx, built, kind, assemble, states):
+    """The first state's matrix builds the plan, the second's reuses it;
+    both match scipy's conversion of their triplets."""
+    ctx.csr_plans.pop(kind, None)
+    assemble(states[0])
+    plan = ctx.csr_plans[kind]
+    assemble(states[1])
+    assert ctx.csr_plans[kind] is plan
+    assert len(built) == 2
+    for M, C in built:
+        assert C.nnz > 0
+        np.testing.assert_array_equal(M.indptr, C.indptr)
+        np.testing.assert_array_equal(M.indices, C.indices)
+        assert abs(M - C).max() <= 1e-14 * abs(C).max()
+
+
+@pytest.mark.parametrize("terms", [ALL_TERMS, frozenset((GALERKIN, STABILIZATION)),
+                                   frozenset((NITSCHE, GHOST))],
+                         ids=["all", "volume", "nitsche-ghost"])
+def test_flow_jacobian_plan(ctx, built, terms):
+    params = FlowParams(rho=1.0, mu=0.1)
+    psibar = np.linspace(0.0, 1.0, ctx.vol_w.shape[0])
+    slot = bdf_slot(2, 0.1, [np.zeros(3 * ctx.n)] * 2)
+    _check(ctx, built, ("flow", terms), lambda U: assemble_flow(
+        ctx, params, U, coeff_state=U, slot=slot, psibar=psibar, terms=terms),
+        _states(ctx, 3))
+
+
+def test_species_jacobian_plan(ctx, built):
+    params = TransportParams(diffusivity=0.05, source=0.5)
+    U = _states(ctx, 3)[0]
+    _check(ctx, built, ("species", SPECIES_TERMS),
+           lambda c: assemble_species(ctx, params, c, U), _states(ctx, 1))
+
+
+def test_species_flow_jacobian_plan(ctx, built):
+    params = TransportParams(diffusivity=0.05)
+    c = _states(ctx, 1)[0]
+    _check(ctx, built, ("species_flow",),
+           lambda U: species_flow_jacobian(ctx, params, c, U), _states(ctx, 3))
+
+
+def test_indicator_jacobian_plan(ctx, built):
+    _check(ctx, built, ("indicator",),
+           lambda psi: assemble_indicator(ctx, IndicatorParams(), psi),
+           _states(ctx, 1))
+
+
+def test_time_matrix_plan(ctx, built):
+    params = FlowParams(rho=1.0, mu=0.1)
+    slot = bdf_slot(1, 0.1, [np.zeros(3 * ctx.n)])
+    _check(ctx, built, ("time",), lambda U: flow_time_matrix(ctx, params, U, slot),
+           _states(ctx, 3))
+
+
+def test_flow_indicator_jacobian_plan(ctx, built):
+    params = FlowParams(rho=1.0, mu=0.1)
+    # psi near the projection threshold, so the tanh derivative is not zero
+    psi = 0.99 + 0.001 * _states(ctx, 1)[0]
+    _check(ctx, built, ("flow_indicator",), lambda U: flow_indicator_jacobian(
+        ctx, params, U, psi, IndicatorParams()), _states(ctx, 3))
+
+
+def test_batched_volume_jacobian_matches_one_batch(ctx, monkeypatch):
+    # the Jacobian's volume points go in batches of VOLUME_BATCH; batches
+    # that split pieces give the same matrix and a bitwise equal residual
+    params = FlowParams(rho=1.0, mu=0.1)
+    psibar = np.linspace(0.0, 1.0, ctx.vol_w.shape[0])
+    U = _states(ctx, 3)[0]
+
+    def assemble():
+        return assemble_flow(ctx, params, U, coeff_state=U, psibar=psibar)
+
+    R, J = assemble()
+    monkeypatch.setattr(flow_mod, "VOLUME_BATCH", 7)
+    R7, J7 = assemble()
+    assert R7.tobytes() == R.tobytes()
+    np.testing.assert_array_equal(J7.indices, J.indices)
+    assert abs(J7 - J).max() <= 1e-14 * abs(J).max()

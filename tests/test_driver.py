@@ -588,9 +588,9 @@ def test_bdf2_optimization_with_tight_newton_tol(tmp_path, monkeypatch):
     newton = solve_mod.newton_solve
 
     def recording(*args, **kwargs):
-        x, trace = newton(*args, **kwargs)
+        x, trace, lu = newton(*args, **kwargs)
         traces.append(trace)
-        return x, trace
+        return x, trace, lu
 
     monkeypatch.setattr(solve_mod, "newton_solve", recording)
     summary = run_optimization(cfg, outdir=str(tmp_path / "o"))

@@ -165,9 +165,24 @@ def test_subproblem_kkt_and_complementary_slackness():
     P = np.abs(rng.normal(size=(m, n))) * 0.1
     Q = np.abs(rng.normal(size=(m, n))) * 0.1
     b = np.array([1e3, 0.4])  # first constraint hugely slack
-    x, lam = _subsolve(m, n, low, upp, alfa, beta, p0, q0, P, Q, b, 100.0)
+    x, lam, _ = _subsolve(m, n, low, upp, alfa, beta, p0, q0, P, Q, b, 100.0)
     assert np.all(x >= alfa - 1e-12) and np.all(x <= beta + 1e-12)
     assert lam[0] < 1e-9  # complementary slackness on the inactive constraint
+
+
+def test_subproblem_reports_convergence(monkeypatch):
+    # a constrained step reports whether its subproblem reached every barrier
+    # level's target; with one Newton step per level it cannot
+    import cutflow.gcmma as gcmma_mod
+    opt = GCMMA(np.full(2, -1.0), np.full(2, 1.0))
+    state = opt.init_state(np.array([0.5, -0.2]))
+    x = state.x
+    args = (float(x @ x), 2 * x, np.array([x.sum() - 0.1]), np.ones((1, 2)))
+    _, diag = opt.step(state, *args)
+    assert diag["subproblem_converged"] is True
+    monkeypatch.setattr(gcmma_mod, "SUBPROBLEM_NEWTON", 1)
+    _, diag = opt.step(state, *args)
+    assert diag["subproblem_converged"] is False
 
 
 def test_binding_move_limit():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -187,24 +189,141 @@ def test_adjoint_is_exact_transpose_of_forward_linearization(bend):
     assert np.linalg.norm(resid) / np.linalg.norm(dflow) < 1e-9
 
 
-@pytest.mark.parametrize("module, name, bad", [
-    (flow_mod, "assemble_flow", 0.0),  # singular flow adjoint
-    (transport_mod, "assemble_indicator", 0.0),  # singular indicator adjoint
-    (flow_mod, "assemble_flow", np.nan),  # non-finite flow adjoint
-], ids=["singular-flow", "singular-indicator", "nan-flow"])
-def test_failed_adjoint_solve_raises_solver_error(bend, monkeypatch, module, name, bad):
+@pytest.mark.parametrize("case", ["singular-flow", "singular-indicator", "nan-flow"])
+def test_failed_adjoint_solve_raises_solver_error(bend, monkeypatch, case):
     # a singular or non-finite adjoint is a SolverError (exit 3), not a
     # bare RuntimeError or a gradient of NaNs
     model, problem, design, result = bend
-    assemble = getattr(module, name)
+    if case == "singular-indicator":
+        # the indicator adjoint solves on the forward's own factors, so the
+        # case needs a result of its own: a non-finite indicator there makes
+        # the reused solve non-finite
+        result = model.solve_steady(design)
+        assert result.indicator_factor is not None
+        result.psi = np.full_like(result.psi, np.nan)
+    else:
+        assemble = flow_mod.assemble_flow
+        bad = 0.0 if case == "singular-flow" else np.nan
 
-    def broken(*args, **kwargs):
-        R, J = assemble(*args, **kwargs)
-        return R, J * bad
+        def broken(*args, **kwargs):
+            R, J = assemble(*args, **kwargs)
+            return R, J * bad
 
-    monkeypatch.setattr(module, name, broken)
+        monkeypatch.setattr(flow_mod, "assemble_flow", broken)
     with pytest.raises(SolverError):
         solve_adjoints(model, result, [{"ti": 1.0}])
+
+
+# --- adjoints on the forward's factors -------------------------------------------
+
+def _without_factors(result):
+    return replace(result, flow_factor=None, indicator_factor=None,
+                   species_factor=None)
+
+
+def _assert_close(a, b, rtol=1e-10):
+    assert np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
+
+
+def _check_reuse_matches_fresh(model, problem, design, result):
+    """Adjoints and design gradients on the forward's factors against the
+    same on fresh factorizations (a copy of result without factors)."""
+    fresh = _without_factors(result)
+    chains = [problem.objective_dcrit(result.crit_values), {"Vf": 1.0, "ti": 0.5}]
+    _, reused = solve_adjoints(model, replace(result), chains)
+    _, again = solve_adjoints(model, fresh, chains)
+    for a, b in zip(reused, again):
+        for attr in ("lam_flow", "lam_psi", "lam_species"):
+            if getattr(b, attr) is not None:
+                _assert_close(getattr(a, attr), getattr(b, attr))
+    reuse = total_design_gradient(model, result, problem, design, 1.0)
+    fresh = total_design_gradient(model, fresh, problem, design, 1.0)
+    _assert_close(reuse[2], fresh[2])
+    _assert_close(reuse[3], fresh[3])
+    return reused
+
+
+@pytest.mark.parametrize("scope", ["indicator", "whole"])
+def test_adjoints_on_forward_factors_match_fresh_ones(scope):
+    from cutflow.transport import IndicatorParams
+    model, problem, design = bend_model(divisions=(20, 20), pressure_scope=scope)
+    # a soft projection, so that the indicator adjoint is not zero
+    model.physics.indicator = IndicatorParams(k_sharpness=5.0)
+    result = model.solve_steady(design)
+    problem.capture_normalization(result.crit_values)
+    assert result.flow_factor is not None
+    assert (result.indicator_factor is not None) == (scope == "indicator")
+    adjoints = _check_reuse_matches_fresh(model, problem, design, result)
+    if scope == "indicator":
+        assert all(np.linalg.norm(adj.lam_psi) > 0 for adj in adjoints)
+
+
+def test_species_adjoint_on_forward_factors_matches_fresh_one(tmp_path):
+    from cutflow.config import parse_config
+    from cutflow.driver import build_model
+    from test_fixtures import MIXER_CFG
+    path = tmp_path / "mix.cfg"
+    path.write_text(MIXER_CFG)
+    cfg = parse_config(str(path))
+    model, problem = build_model(cfg)
+    design = cfg.initial_design(model.mesh)
+    result = model.solve_steady(design)
+    problem.capture_normalization(result.crit_values)
+    assert result.species_factor is not None and result.flow_factor is not None
+    fresh = _without_factors(result)
+    chains = [problem.objective_dcrit(result.crit_values)]
+    _, (reused,) = solve_adjoints(model, replace(result), chains)
+    _, (again,) = solve_adjoints(model, fresh, chains)
+    _assert_close(reused.lam_species, again.lam_species)
+    _assert_close(reused.lam_flow, again.lam_flow)
+    area = cfg.domain_area()
+    reuse = total_design_gradient(model, result, problem, design, area)
+    fresh = total_design_gradient(model, fresh, problem, design, area)
+    _assert_close(reuse[2], fresh[2])
+    _assert_close(reuse[3], fresh[3])
+
+
+def test_bdf2_adjoint_on_last_step_factors_matches_fresh_one():
+    from cutflow.solve import SolveConfig
+    model, problem, design = bend_model(divisions=(12, 12))
+    model.solve_config = SolveConfig(scheme="bdf2", dt=0.05, n_steps=4,
+                                     newton_tol=1e-12)
+    result = model.solve_transient(design)
+    problem.capture_normalization(result.crit_values)
+    assert result.flow_factor is not None
+    _check_reuse_matches_fresh(model, problem, design, result)
+
+
+def test_adjoint_factors_afresh_when_newton_took_no_step(bend):
+    from cutflow.solve import SolveConfig
+    model, problem, design, result = bend
+    # a warm start at the solution with tol 1 converges before any step
+    model.solve_config = SolveConfig(newton_tol=1.0)
+    try:
+        warm = model.solve_steady(design, warm=result.flow_state)
+    finally:
+        model.solve_config = SolveConfig()
+    assert warm.flow_factor is None and len(warm.newton_trace) == 1
+    assert warm.indicator_factor is not None
+    _check_reuse_matches_fresh(model, problem, design, warm)
+
+
+def test_steady_gradient_factors_nothing_and_keeps_no_factor(monkeypatch):
+    # a steady indicator-scope gradient whose Newton stepped solves every
+    # adjoint on the forward's factors, and lets them all go
+    from fixtures_common import LiveFactors
+    model, problem, design = bend_model(divisions=(20, 20))
+    live = LiveFactors(monkeypatch)
+    result = model.solve_steady(design)
+    problem.capture_normalization(result.crit_values)
+    assert len(result.newton_trace) > 1
+    assert live.live == 2  # the flow and indicator factors
+    calls = live.calls
+    total_design_gradient(model, result, problem, design, 1.0)
+    assert live.calls == calls
+    assert live.live == 0
+    assert (result.flow_factor, result.indicator_factor, result.species_factor) == \
+        (None, None, None)
 
 
 def test_species_only_criterion_drives_flow_adjoint_through_cross_term():

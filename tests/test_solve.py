@@ -21,20 +21,20 @@ def test_newton_linear_problem_one_iteration():
     A = np.array([[2.0, 1.0], [1.0, 3.0]])
     b = np.array([1.0, -2.0])
 
-    def assemble(x):
+    def assemble(x, want_matrix=True):
         return A @ x - b, A
 
-    x, trace = newton_solve(assemble, np.zeros(2))
+    x, trace, _ = newton_solve(assemble, np.zeros(2))
     np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-12)
     assert len(trace) == 2  # initial residual + converged check
 
 
 def test_newton_scalar_quadratic():
     # x^2 - 4 = 0 from x0 = 3: quadratic convergence to 2
-    def assemble(x):
+    def assemble(x, want_matrix=True):
         return np.array([x[0] ** 2 - 4.0]), np.array([[2.0 * x[0]]])
 
-    x, trace = newton_solve(assemble, np.array([3.0]), tol=1e-14)
+    x, trace, _ = newton_solve(assemble, np.array([3.0]), tol=1e-14)
     assert abs(x[0] - 2.0) < 1e-12
     assert len(trace) <= 6  # ~5 iterations for 1e-12
     # strictly decreasing residuals after the first iterate
@@ -48,19 +48,85 @@ def test_newton_stops_at_the_residual_rounding_level():
     c = 1.0e4
     b = c * np.array([math.pi, math.e, math.sqrt(2.0)])
 
-    def assemble(x):
+    def assemble(x, want_matrix=True):
         return c * (x ** 3 + x) - b, np.diag(c * (3.0 * x ** 2 + 1.0))
 
-    root, _ = newton_solve(assemble, np.ones(3), tol=1e-8)
-    x, trace = newton_solve(assemble, root + 1e-3, tol=1e-14)
+    root, _, _ = newton_solve(assemble, np.ones(3), tol=1e-8)
+    x, trace, _ = newton_solve(assemble, root + 1e-3, tol=1e-14)
     assert len(trace) <= 5
     R, J = assemble(x)
     assert trace[-1] <= np.finfo(float).eps * np.linalg.norm(np.abs(J) @ np.abs(x))
     np.testing.assert_allclose(x ** 3 + x, b / c, rtol=1e-14)
 
 
+def _eager_newton(assemble, x0, tol):
+    """Newton with R and J at every iterate, on the same LU solve."""
+    x = np.array(x0, dtype=float)
+    trace = []
+    r0 = None
+    while True:
+        R, J = assemble(x, True)
+        norm = float(np.linalg.norm(R))
+        trace.append(norm)
+        if r0 is None:
+            r0 = norm
+        if norm <= tol * r0 or norm <= np.finfo(float).eps * np.linalg.norm(
+                abs(J) @ np.abs(x)):
+            return x, trace
+        x -= linear_solve(sp.csc_matrix(J), R)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-14], ids=["relative", "rounding-floor"])
+def test_newton_asks_for_the_jacobian_only_where_it_steps(tol):
+    # the same cubic system as above; at 1e-14 the last check needs the
+    # rounding floor, so J is also asked for at the converged iterate
+    c = 1.0e4
+    b = c * np.array([math.pi, math.e, math.sqrt(2.0)])
+    calls = []
+
+    def assemble(x, want_matrix):
+        calls.append((x.tobytes(), want_matrix))
+        J = sp.diags(c * (3.0 * x ** 2 + 1.0)).tocsr()
+        return c * (x ** 3 + x) - b, J if want_matrix else None
+
+    x0 = np.ones(3)
+    if tol == 1e-14:  # a start near the root, as in the test above
+        x0 = newton_solve(assemble, x0, tol=1e-8)[0] + 1e-3
+        calls.clear()
+    x, trace, lu = newton_solve(assemble, x0, tol=tol)
+    lazy = calls[:]
+    x_ref, trace_ref = _eager_newton(assemble, x0, tol)
+    assert x.tobytes() == x_ref.tobytes()
+    assert trace == trace_ref
+    iterates = list(dict.fromkeys(key for key, _ in lazy))
+    assert len(iterates) == len(trace) > 1
+    # J at every iterate Newton stepped from, and at the last one only when
+    # the relative test failed there and the rounding floor had to decide
+    floor_decided = trace[-1] > tol * trace[0]
+    assert floor_decided == (tol == 1e-14)
+    with_j = [key for key, want in lazy if want]
+    assert with_j == iterates[:-1] + iterates[-1:] * floor_decided
+    # one call per iterate, two where the residual check failed
+    assert len(lazy) == 2 * len(trace) - 1 - (not floor_decided)
+    assert lu is not None
+
+
+def test_newton_holds_one_factorization_at_a_time(monkeypatch):
+    from fixtures_common import LiveFactors
+    live = LiveFactors(monkeypatch)
+
+    def assemble(x, want_matrix=True):
+        return np.array([x[0] ** 2 - 4.0]), np.array([[2.0 * x[0]]])
+
+    x, trace, lu = newton_solve(assemble, np.array([30.0]), tol=1e-14)
+    assert live.calls == len(trace) - 1 >= 5
+    assert live.peak == 1 and live.live == 1
+    del lu
+    assert live.live == 0
+
+
 def test_newton_nonconvergence_carries_trace():
-    def assemble(x):
+    def assemble(x, want_matrix=True):
         return np.array([1.0]), np.array([[1e-30]])
 
     with pytest.raises(NonconvergenceError) as exc:
@@ -98,7 +164,7 @@ def test_linear_singular_raises():
 
 def _ode_make(slot):
     # du/dt = -u as a residual: alpha u + hist + u = 0
-    def assemble(x):
+    def assemble(x, want_matrix=True):
         return slot.alpha * x + slot.hist + x, np.array([[slot.alpha + 1.0]])
     return assemble
 
@@ -107,7 +173,7 @@ def test_march_matches_exponential_second_order():
     errs = []
     for dt in (0.1, 0.05, 0.025):
         cfg = SolveConfig(dt=dt, n_steps=round(1.0 / dt), scheme="bdf2")
-        states, traces = march(_ode_make, np.array([1.0]), cfg)
+        states, traces, _ = march(_ode_make, np.array([1.0]), cfg)
         errs.append(abs(states[-1][0] - math.exp(-1.0)))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for order in orders:
@@ -117,10 +183,11 @@ def test_march_matches_exponential_second_order():
 def test_march_constant_solution_exact():
     # du/dt = 0: residual alpha u + hist
     def make(slot):
-        return lambda x: (slot.alpha * x + slot.hist, np.array([[slot.alpha]]))
+        return lambda x, want_matrix=True: (slot.alpha * x + slot.hist,
+                                            np.array([[slot.alpha]]))
 
     cfg = SolveConfig(dt=0.2, n_steps=7, scheme="bdf2")
-    states, _ = march(make, np.array([0.73]), cfg)
+    states, _, _ = march(make, np.array([0.73]), cfg)
     for s in states:
         assert s[0] == pytest.approx(0.73, abs=1e-14)
 
@@ -129,7 +196,7 @@ def test_march_abort_reports_step():
     calls = {"n": 0}
 
     def make(slot):
-        def assemble(x):
+        def assemble(x, want_matrix=True):
             calls["n"] += 1
             if slot.t > 0.25:  # third step fails
                 return np.array([1.0]), np.array([[1e-30]])
@@ -146,7 +213,7 @@ def test_march_singular_step_reports_step():
     # the third step's Jacobian is exactly singular: the SolverError names
     # the step, as a nonconverged step does
     def make(slot):
-        def assemble(x):
+        def assemble(x, want_matrix=True):
             if slot.t > 0.25:
                 return np.array([1.0]), np.array([[0.0]])
             return slot.alpha * x + slot.hist + x, np.array([[slot.alpha + 1.0]])
@@ -162,7 +229,7 @@ def test_march_singular_step_reports_step():
 def test_steady_solve_pseudo_transient_fallback():
     # arctan(x) = 0 from x0 = 2: plain Newton diverges, continuation converges
     def make(slot):
-        def assemble(x):
+        def assemble(x, want_matrix=True):
             with np.errstate(over="ignore"):  # divergent iterates overflow x^2
                 r = np.array([math.atan(x[0])])
                 j = np.array([[1.0 / (1.0 + x[0] ** 2)]])
@@ -174,7 +241,7 @@ def test_steady_solve_pseudo_transient_fallback():
 
     with pytest.raises((NonconvergenceError, SolverError)):
         newton_solve(make(TimeSlot()), np.array([2.0]), max_iter=20)
-    x, trace = steady_solve(make, np.array([2.0]), SolveConfig(pseudo_dt0=0.5))
+    x, trace, _ = steady_solve(make, np.array([2.0]), SolveConfig(pseudo_dt0=0.5))
     assert abs(x[0]) < 1e-10
 
 
@@ -186,7 +253,7 @@ def test_steady_solve_retreats_from_singular_pseudo_step():
     steps = []
 
     def make(slot):
-        def assemble(x):
+        def assemble(x, want_matrix=True):
             r = np.array([x[0] ** 3 - 8.0])
             j = np.array([[3.0 * x[0] ** 2]])
             if slot.alpha:
@@ -201,7 +268,7 @@ def test_steady_solve_retreats_from_singular_pseudo_step():
     with pytest.raises(SolverError):
         linear_solve(j, r)
     steps.clear()
-    x, trace = steady_solve(make, np.zeros(1), SolveConfig(pseudo_dt0=dt0))
+    x, trace, _ = steady_solve(make, np.zeros(1), SolveConfig(pseudo_dt0=dt0))
     assert abs(x[0] - 2.0) < 1e-10
     assert steps[0] == dt0 and dt0 * 0.25 in steps
 
@@ -221,9 +288,9 @@ def test_stokes_cavity_converges_in_a_couple_iterations():
     ctx = build_context(cm, regions)
     n = ctx.n
     params = FlowParams(rho=1.0, mu=10.0)
-    make = lambda slot: (lambda x: assemble_flow(ctx, params, x, coeff_state=x,
-                                                 slot=slot))
-    U, trace = steady_solve(make, np.zeros(3 * n), SolveConfig())
+    make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
+        ctx, params, x, coeff_state=x, slot=slot))
+    U, trace, _ = steady_solve(make, np.zeros(3 * n), SolveConfig())
     assert len(trace) <= 4  # residual evals: initial + <= 2 corrections + final
 
 
@@ -233,10 +300,10 @@ def test_warm_start_at_solution_converges_immediately():
     ctx = build_context(cm, channel_regions(mesh, 1.0))
     n = ctx.n
     params = FlowParams(rho=1.0, mu=0.5)
-    make = lambda slot: (lambda x: assemble_flow(ctx, params, x, coeff_state=x,
-                                                 slot=slot))
-    U, t1 = steady_solve(make, np.zeros(3 * n), SolveConfig())
-    U2, t2 = steady_solve(make, U, SolveConfig())
+    make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
+        ctx, params, x, coeff_state=x, slot=slot))
+    U, t1, _ = steady_solve(make, np.zeros(3 * n), SolveConfig())
+    U2, t2, _ = steady_solve(make, U, SolveConfig())
     # warm start at the solution: at most a couple of corrections (the
     # convergence test is relative to the warm residual, so it polishes)
     assert len(t2) <= 3

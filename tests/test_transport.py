@@ -55,10 +55,10 @@ def test_linear_diffusion_profile_between_dirichlet_walls():
     params = TransportParams(diffusivity=0.3)
     U = np.zeros(3 * n)
 
-    def assemble(c):
+    def assemble(c, want_matrix=True):
         return assemble_species(ctx, params, c, U)
 
-    c, _ = newton_solve(assemble, np.zeros(n), tol=1e-12)
+    c, _, _ = newton_solve(assemble, np.zeros(n), tol=1e-12)
     xy = scalar_dof_coords(cm)
     np.testing.assert_allclose(c, xy[:, 0] / W, atol=1e-10)
 
@@ -136,11 +136,11 @@ def test_species_maximum_principle_envelope():
     ctx = build_context(cm, regions)
     n = ctx.n
     fparams = FlowParams(rho=1.0, mu=0.5)
-    make = lambda slot: (lambda x: assemble_flow(ctx, fparams, x, coeff_state=x,
-                                                 slot=slot))
-    U, _ = steady_solve(make, np.zeros(3 * n), SolveConfig())
+    make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
+        ctx, fparams, x, coeff_state=x, slot=slot))
+    U, _, _ = steady_solve(make, np.zeros(3 * n), SolveConfig())
     tparams = TransportParams(diffusivity=0.02)
-    c, _ = newton_solve(lambda c: assemble_species(ctx, tparams, c, U),
+    c, _, _ = newton_solve(lambda c, want_matrix=True: assemble_species(ctx, tparams, c, U),
                         np.zeros(n))
     assert c.min() > -0.05
     assert c.max() < 1.05
@@ -164,7 +164,7 @@ def test_isolated_puddle_relaxes_to_reference_exactly():
     cm = build_cut_model(mesh, phi)
     regions = wall_regions(mesh, [])  # no ports anywhere
     ctx = build_context(cm, regions)
-    psi = solve_indicator(ctx, IndicatorParams())
+    psi, _ = solve_indicator(ctx, IndicatorParams())
     np.testing.assert_allclose(psi, 1.0, atol=1e-10)
 
 
@@ -174,7 +174,7 @@ def test_connected_channel_stays_far_below_threshold():
     regions = channel_regions(mesh, 1.0)
     ctx = build_context(cm, regions)
     p = IndicatorParams()
-    psi = solve_indicator(ctx, p)
+    psi, _ = solve_indicator(ctx, p)
     assert np.max(np.abs(psi)) < 0.1 * p.k_threshold * p.psi_ref
 
 
@@ -195,7 +195,7 @@ def test_mixed_regions_classified_end_to_end():
     ])
     ctx = build_context(cm, regions)
     p = IndicatorParams()
-    psi = solve_indicator(ctx, p)
+    psi, _ = solve_indicator(ctx, p)
     psibar = indicator_at_volume_points(ctx, psi, p)
     # flood-fill oracle: reachable regions = those whose pieces cover a port
     reachable = set()
