@@ -1,13 +1,17 @@
 """Nonlinear, linear and temporal solution drivers.
 
 Newton iterations with relative-residual control wrap a sparse direct
-(LU) solve. Newton assembles a Jacobian only on the iterates it steps
-from (a converged check costs one residual), holds one LU at a time and
-returns its last, which the adjoint reuses. Transient problems march with
-BDF2 after a single backward-Euler startup step. The steady driver falls
-back to pseudo-transient continuation with a growing step when a cold
-Newton start diverges; a pseudo step that diverges or meets a singular
-Jacobian is retried with a smaller step.
+(LU) solve. Every matrix is factored through `factorize`: first without
+pivoting, on a minimum-degree ordering of A + A^T (the flow, indicator and
+species matrices have a nonzero diagonal and a nearly symmetric pattern),
+and by SuperLU's COLAMD with partial pivoting when that factor meets a
+zero pivot or fails its check solve. Newton assembles a Jacobian only on
+the iterates it steps from (a converged check costs one residual), holds
+one LU at a time and returns its last, which the adjoint reuses.
+Transient problems march with BDF2 after a single backward-Euler startup
+step. The steady driver falls back to pseudo-transient continuation with a
+growing step when a cold Newton start diverges; a pseudo step that diverges
+or meets a singular Jacobian is retried with a smaller step.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from .errors import NonconvergenceError, SolverError
 
 EPS = np.finfo(float).eps
 PSEUDO_STEPS = 8  # pseudo-transient continuation steps before the final solve
+BACKWARD_ERROR_BOUND = 1e-10  # largest accepted check-solve error, pivot-free LU
+lu_fallbacks = 0  # pivot-free factors rejected for COLAMD with pivoting
 
 
 @dataclass
@@ -61,12 +67,42 @@ class SolveConfig:
 def factorize(A):
     """SuperLU factors of the sparse (or dense) matrix A.
 
-    Raises SolverError when A is singular.
+    The first try factors without pivoting (diagonal pivots only), in
+    symmetric mode on a minimum-degree ordering of A + A^T. It is rejected
+    when a diagonal pivot is zero (SuperLU raises, or leaves the diagonal)
+    or when the check solve of A x = b, b a fixed pseudo-random vector, is
+    not finite or has a componentwise backward error
+    max |A x - b| / (|A||x| + |b|) above BACKWARD_ERROR_BOUND. Then the
+    rejected factor is dropped, lu_fallbacks counts one, and A is factored
+    by COLAMD with partial pivoting. Raises SolverError when A is singular.
     """
+    global lu_fallbacks
+    A = sp.csc_matrix(A)
+    lu = _pivot_free_lu(A)
+    if lu is not None:
+        return lu
+    lu_fallbacks += 1
     try:
-        return spla.splu(sp.csc_matrix(A))
+        return spla.splu(A)
     except RuntimeError as exc:
         raise SolverError(f"sparse LU failed: {exc}") from exc
+
+
+def _pivot_free_lu(A):
+    """factorize's first try on the CSC matrix A; None when rejected."""
+    try:
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None  # a zero diagonal pivot made SuperLU pivot off it
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    x = lu.solve(b)
+    if not np.all(np.isfinite(x)):
+        return None
+    error = np.abs(A @ x - b) / (abs(A) @ np.abs(x) + np.abs(b))
+    return lu if error.max() <= BACKWARD_ERROR_BOUND else None
 
 
 def lu_solve(lu, b, trans="N"):

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from cutflow import solve
 from cutflow.cut import build_cut_model
 from cutflow.errors import NonconvergenceError, SolverError
 from cutflow.flow import FlowParams, assemble_flow
 from cutflow.forms import build_context
 from cutflow.grid import build_mesh
-from cutflow.solve import (SolveConfig, TimeSlot, linear_solve, march,
-                           newton_solve, steady_solve)
+from cutflow.sensitivities import total_design_gradient
+from cutflow.solve import (SolveConfig, TimeSlot, factorize, linear_solve,
+                           lu_solve, march, newton_solve, steady_solve)
 
-from fixtures_common import channel_regions
+from fixtures_common import LiveFactors, bend_model, channel_regions, circle_channel
 
 
 # --- newton -------------------------------------------------------------------
@@ -112,7 +114,6 @@ def test_newton_asks_for_the_jacobian_only_where_it_steps(tol):
 
 
 def test_newton_holds_one_factorization_at_a_time(monkeypatch):
-    from fixtures_common import LiveFactors
     live = LiveFactors(monkeypatch)
 
     def assemble(x, want_matrix=True):
@@ -156,8 +157,83 @@ def test_linear_random_sparse_spd():
 
 def test_linear_singular_raises():
     A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    fallbacks = solve.lu_fallbacks
     with pytest.raises(SolverError):
         linear_solve(A, np.array([1.0, 0.0]))
+    assert solve.lu_fallbacks == fallbacks + 1  # both factorizations tried
+
+
+def _backward_error(A, x, b):
+    """Componentwise backward error max |A x - b| / (|A||x| + |b|)."""
+    A = np.asarray(A)
+    return np.max(np.abs(A @ x - b) / (np.abs(A) @ np.abs(x) + np.abs(b)))
+
+
+@pytest.mark.parametrize("A", [
+    [[0.0, 2.0], [3.0, 0.0]],                       # permuted: zero diagonal
+    [[4.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 0.0]],  # saddle block
+    [[1e-300, 1e10], [1e10, 1.0]],                  # growth 1e310: backward error
+    [[1.0, 1e10], [1e10, 1e-300]],                  # overflow: non-finite check solve
+], ids=["permuted", "saddle", "growth", "overflow"])
+def test_pivot_free_lu_falls_back_to_pivoting(A):
+    A = np.array(A)
+    b = np.arange(1.0, len(A) + 1.0)
+    fallbacks = solve.lu_fallbacks
+    lu = factorize(A)
+    assert solve.lu_fallbacks == fallbacks + 1
+    assert _backward_error(A, lu_solve(lu, b), b) <= 1e-14
+    assert _backward_error(A.T, lu_solve(lu, b, trans="T"), b) <= 1e-14
+
+
+def test_newton_fallback_holds_one_factorization_at_a_time(monkeypatch):
+    # every Jacobian has a zero diagonal, so each factorization is a
+    # rejected pivot-free factor and a COLAMD one: the first goes before
+    # the second is made
+    live = LiveFactors(monkeypatch)
+
+    def assemble(x, want_matrix=True):
+        R = np.array([x[1] ** 3 + x[1] - 2.0, x[0] ** 3 + x[0] - 2.0])
+        return R, np.array([[0.0, 3.0 * x[1] ** 2 + 1.0],
+                            [3.0 * x[0] ** 2 + 1.0, 0.0]])
+
+    fallbacks = solve.lu_fallbacks
+    x, trace, lu = newton_solve(assemble, np.array([3.0, -2.0]), tol=1e-14)
+    np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-14)
+    steps = len(trace) - 1
+    assert steps >= 4 and solve.lu_fallbacks == fallbacks + steps
+    assert live.calls == 2 * steps
+    assert live.peak == 1 and live.live == 1
+
+
+def test_bend_fixture_factors_without_fallback(monkeypatch):
+    # the indicator, Newton and adjoint factors of a design and its gradient
+    # all keep the pivot-free LU: one splu call per factorization
+    live = LiveFactors(monkeypatch)
+    model, problem, design = bend_model(divisions=(16, 16))
+    fallbacks = solve.lu_fallbacks
+    result = model.solve_steady(design)
+    problem.capture_normalization(result.crit_values)
+    total_design_gradient(model, result, problem, design, 1.0)
+    assert live.calls >= 3 and solve.lu_fallbacks == fallbacks
+
+
+def test_re200_circle_jacobian_solves_accurately_or_falls_back():
+    # the circle channel at Re 200, the paper's upper bound (mu a tenth of
+    # the Re-20 default), reached by continuation in Re from the Re-20 flow
+    mesh, cm, ctx, regions, params = circle_channel(0.04)
+    U = np.zeros(3 * ctx.n)
+    for re in (20.0, 50.0, 100.0, 200.0):
+        params.mu = 1.6e-3 * 20.0 / re
+        make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
+            ctx, params, x, coeff_state=x, slot=slot))
+        U = steady_solve(make, U, SolveConfig(newton_tol=1e-10, max_newton=40))[0]
+    J = assemble_flow(ctx, params, U, coeff_state=U)[1]
+    fallbacks = solve.lu_fallbacks
+    lu = factorize(J)
+    b = np.random.default_rng(1).standard_normal(J.shape[0])
+    errors = [_backward_error(M.toarray(), lu_solve(lu, b, trans), b)
+              for M, trans in ((J, "N"), (J.T, "T"))]
+    assert solve.lu_fallbacks == fallbacks + 1 or max(errors) <= 1e-12
 
 
 # --- time marching ---------------------------------------------------------------
