@@ -7,6 +7,15 @@ external boundaries and on the immersed interface, Neumann tractions, the
 indicator-gated average-pressure penalty, and the viscous / pressure /
 convective ghost penalties on the facet set next to the interface.
 
+Every volume and Nitsche Jacobian term pairs one of three test functions,
+N_a, d_x N_a or d_y N_a, with a trial row: the SUPG test u.grad N_a and the PSPG test
+grad N_a . S fold into the two gradient rows. So at a quadrature point q the
+12x12 block is T_q^T C_q, with T_q = [N; d_x N; d_y N] (3 x 4) and C_q the
+trial rows (3 tests x 3 row blocks [ux, uy, p] x 12 trial entries), and the
+block of a piece (or of a run of chords with equal dofs) is
+sum_q w_q T_q^T C_q: one small matmul over its points, batched over the
+pieces with the same point count. No per-point 12x12 block is formed.
+
 The stabilization time scale tau is evaluated from the current state and
 differentiated exactly. The velocity-dependent penalty factors (Nitsche
 gamma, pressure and convective ghost gammas) are evaluated from a frozen
@@ -69,10 +78,11 @@ class _Triplets:
 
     add(rows, cols, vals) puts vals[k, i, j] at (rows[k, i], cols[k, j]);
     consecutive points with equal row and column dofs (the points of one
-    piece, chord or facet) are summed into one block first. The first
-    matrix of a kind on a context builds its CSR plan, each triplet's slot
-    in a fixed indptr/indices, and caches it on the context; every later
-    one is a single bincount into those slots.
+    ghost facet, or of one species piece or chord) are summed into one
+    block first; the flow's volume and Nitsche blocks come summed already.
+    The first matrix of a kind on a context builds its CSR plan, each
+    triplet's slot in a fixed indptr/indices, and caches it on the context;
+    every later one is a single bincount into those slots.
     """
 
     def __init__(self):
@@ -95,38 +105,88 @@ class _Triplets:
         vals = np.concatenate([v.ravel() for _, _, v in self.blocks])
         plan = ctx.csr_plans.get(kind)
         if plan is None or plan[0].shape[0] != vals.shape[0]:
-            plan = ctx.csr_plans[kind] = _csr_plan(self.blocks, shape)
+            plan = ctx.csr_plans[kind] = _csr_plan(self.blocks, shape, ctx.n)
         slot, indices, indptr = plan
         data = np.bincount(slot, vals, minlength=indices.shape[0])
         return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=shape)
 
 
-def _csr_plan(blocks, shape):
+def _fields(dofs, n):
+    """(scalar dofs (k, p), fields) of dofs (k, f p) that are f chunks of the
+    same scalar dofs, each chunk in one field (dof = field n + scalar dof);
+    None for any other layout."""
+    field = dofs[0] // n
+    fields = field[np.flatnonzero(np.diff(field, prepend=-1))]
+    p = dofs.shape[1] // fields.shape[0]
+    scalar = dofs[:, :p] - fields[0] * n
+    if not np.array_equal(dofs, np.tile(scalar, fields.shape[0]) + np.repeat(fields * n, p)):
+        return None
+    return scalar, fields
+
+
+def _csr_plan(blocks, shape, n):
     """(slot, indices, indptr): the CSR pattern of the blocks' triplets,
-    with sorted column indices, and each triplet's position in it."""
-    rows = np.concatenate([np.broadcast_to(r[:, :, None], v.shape).ravel()
-                           for r, _, v in blocks]).astype(np.int64)
-    cols = np.concatenate([np.broadcast_to(c[:, None, :], v.shape).ravel()
-                           for _, c, v in blocks])
-    keys, slot = np.unique(rows * shape[1] + cols, return_inverse=True)
-    index = np.int32 if max(keys.shape[0], shape[1]) < 2**31 else np.int64
+    with sorted column indices, and each triplet's position in it.
+
+    Every block of this module is chunks of the same scalar dofs, one field
+    per chunk (_fields), so the plan is a unique over scalar dof pairs (a, b),
+    a ninth of a flow matrix's triplets, each with the field pairs (f, g) it
+    couples: all nine in a [ux, uy, p] block, like fields in a ghost block.
+    A block of another layout makes the whole plan treat each side as one
+    field.
+    """
+    blocks = [b for b in blocks if b[2].size]
+    for n_r, n_c in ((n, n), shape):
+        forms = [(_fields(r, n_r), _fields(c, n_c)) for r, c, _ in blocks]
+        if shape[0] % n_r == shape[1] % n_c == 0 and None not in sum(forms, ()):
+            break
+    key = np.int32 if n_r * n_c < 2**31 else np.int64
+    keys, pair = np.unique(np.concatenate([(a[:, :, None] * n_c + b[:, None, :]).ravel()
+                                           for (a, _), (b, _) in forms]).astype(key),
+                           return_inverse=True)
+    cuts = np.cumsum([0] + [a.size * b.shape[1] for (a, _), (b, _) in forms])
+    parts = [(pair[lo:hi], tuple((f, g) for f in F for g in G))
+             for ((_, F), (_, G)), lo, hi in zip(forms, cuts, cuts[1:])]
+    fp = sorted({fg for _, fgs in parts for fg in fgs})  # the field pairs, row-major
+    col = {fg: j for j, fg in enumerate(fp)}
+    present = np.zeros((len(fp), keys.shape[0]), dtype=bool)
+    for fgs in {fgs for _, fgs in parts}:
+        mark = np.zeros(keys.shape[0], dtype=bool)
+        mark[np.concatenate([pr for pr, fgs2 in parts if fgs2 == fgs])] = True
+        present[[col[fg] for fg in fgs]] |= mark
+
+    # CSR row f n_r + a holds its pairs of field g = 0, 1, ... with b ascending
+    a, b = np.divmod(keys, n_c)
+    first = np.searchsorted(a, np.arange(n_r + 1))  # each scalar row's run of keys
+    rank = np.zeros((len(fp), keys.shape[0] + 1), dtype=np.int64)
+    np.cumsum(present, axis=1, out=rank[:, 1:])
+    count = rank[:, first[1:]] - rank[:, first[:-1]]  # (field pairs, n_r)
+    rowlen = np.zeros((shape[0] // n_r, n_r), dtype=np.int64)
+    offset = np.empty_like(count)  # entries of the row's lower fields g
+    for j, (f, _) in enumerate(fp):
+        offset[j] = rowlen[f]
+        rowlen[f] += count[j]
+    index = np.int32 if max(shape[1], int(rowlen.sum())) < 2**31 else np.int64
     indptr = np.zeros(shape[0] + 1, dtype=index)
-    np.cumsum(np.bincount(keys // shape[1], minlength=shape[0]), out=indptr[1:])
-    return slot, (keys % shape[1]).astype(index), indptr
+    np.cumsum(rowlen.ravel(), out=indptr[1:])
+    start = indptr[:-1].reshape(-1, n_r)[[f for f, _ in fp]] + offset - rank[:, first[:-1]]
+    table = np.take(start, a, axis=1) + rank[:, :-1]  # (field pairs, pairs) -> slot
+    indices = np.empty(int(indptr[-1]), dtype=index)
+    indices[table[present]] = (b + n_c * np.array([g for _, g in fp])[:, None])[present]
+    by_pair = table.T.copy()
+    slot = []
+    for (pr, fgs), ((rs, F), (cs, G)) in zip(parts, forms):
+        s = np.take(by_pair, pr, axis=0)
+        if list(fgs) != fp:
+            s = s[:, [col[fg] for fg in fgs]]
+        slot.append(s.reshape(-1, rs.shape[1], cs.shape[1], F.shape[0], G.shape[0])
+                    .transpose(0, 3, 1, 4, 2).ravel())
+    return np.concatenate(slot), indices, indptr
 
 
 def _block_dofs(dofs, n):
     """12-slot dof layout [ux, uy, p] for one quadrature batch (nq, 4)."""
     return np.concatenate([dofs, dofs + n, dofs + 2 * n], axis=1)
-
-
-def _scatter_block(R, tri, dref, r_local, j_local, w):
-    """Apply weights and scatter a local residual/Jacobian batch (j_local
-    is weighted in place)."""
-    np.add.at(R, dref, r_local * w[:, None])
-    if tri is not None and j_local is not None:
-        j_local *= w[:, None, None]
-        tri.add(dref, dref, j_local)
 
 
 def _tau(params, slot, speed2, h):
@@ -191,11 +251,6 @@ def assemble_flow(ctx, params, state, coeff_state=None, slot=STEADY,
     return R, J
 
 
-def _outer(a, b):
-    """Outer product of each row pair: (nq, m) and (nq, k) -> (nq, m, k)."""
-    return a[:, :, None] * b[:, None, :]
-
-
 def _flow_fields(U, n, dofs, N, gx, gy):
     """Element values (ux, uy, p) and, at the points, ux, uy, p and the
     velocity gradient (d_x ux, d_y ux, d_x uy, d_y uy)."""
@@ -208,17 +263,69 @@ def _flow_fields(U, n, dofs, N, gx, gy):
 
 def _volume_terms(ctx, params, U, hist, slot, psibar, terms, R, tri):
     """Volume terms, with the Jacobian in batches of VOLUME_BATCH points
-    (its per-point 12x12 blocks and their temporaries are the largest
-    arrays of an assembly); the residual alone takes one batch."""
+    (its trial rows C and their per-piece gathers are the largest arrays of
+    an assembly); the residual alone takes one batch."""
     nq = ctx.vol_w.shape[0]
-    step = nq if tri is None else VOLUME_BATCH
-    for start in range(0, nq, step):
-        pts = slice(start, start + step)
+    for pts in _batches(nq, nq if tri is None else VOLUME_BATCH):
         _volume_batch(ctx, params, U, hist, slot,
                       None if psibar is None else psibar[pts], terms, R, tri, pts)
 
 
+def _batches(nq, step):
+    return (slice(start, start + step) for start in range(0, nq, step))
+
+
+def _piece_blocks(T, C, w, dofs):
+    """Per-piece sums of w_q T_q^T C_q over a batch of quadrature points.
+
+    T (k, 4, nq) holds k test functions of the four corner bases, C
+    (k, m, c, nq) the trial row that each test multiplies in each of m row
+    blocks, c trial entries long; C is weighted by w in place. A piece is a
+    run of points with equal dofs (nq, 4): a volume piece, or chords. The pieces with L points are one
+    batched (4 x kL) . (kL x mc) matmul. Returns the pieces' dofs
+    (pieces, 4) and blocks (pieces, 4m, c), rows grouped by row block.
+    """
+    k, m, c, nq = C.shape
+    C *= w
+    new = np.ones(nq, dtype=bool)
+    new[1:] = (dofs[1:] != dofs[:-1]).any(1)
+    starts = np.flatnonzero(new)
+    count = np.diff(starts, append=nq)
+    # points-first views; the gathers below are the one transpose
+    Cq, Tq = C.reshape(k * m * c, nq).T, T.transpose(2, 0, 1)
+    out = np.empty((starts.shape[0], 4, m * c))
+    for L in np.unique(count):
+        sel = np.flatnonzero(count == L)
+        pts = starts[sel, None] + np.arange(L)
+        A = Tq[pts].reshape(-1, L * k, 4).transpose(0, 2, 1)
+        out[sel] = A @ Cq[pts].reshape(-1, L * k, m * c)
+    blocks = out.reshape(-1, 4, m, c).transpose(0, 2, 1, 3).reshape(-1, 4 * m, c)
+    return dofs[starts], blocks
+
+
+def _add_flow_blocks(tri, n, T, C, w, dofs):
+    """Scatter the per-piece blocks of a (3, 3, 12, nq) trial table C."""
+    dofs, blocks = _piece_blocks(T, C, w, dofs)
+    dref = _block_dofs(dofs, n)
+    tri.add(dref, dref, blocks)
+
+
+def _tests(N, gx, gy):
+    """Trial-side basis rows (4, nq) and the test table T = [N; gx; gy]."""
+    NT, gxT, gyT = (np.ascontiguousarray(a.T) for a in (N, gx, gy))
+    return NT, gxT, gyT, np.stack([NT, gxT, gyT])
+
+
 def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, pts):
+    """Volume residual and Jacobian of one batch of points.
+
+    Every Jacobian term pairs a test function N_a, d_x N_a or d_y N_a with a
+    trial row (the SUPG test u.grad N_a and the PSPG test grad N_a . S fold
+    into the gradient rows). So a point's 12x12 block is T_q^T C_q, with
+    T_q = [N; d_x N; d_y N] (3 x 4) and C_q (3 tests, 3 row blocks
+    [ux, uy, p], 12 trial entries), and a piece's block is one matmul over
+    its points (_piece_blocks).
+    """
     n = ctx.n
     rho, mu = params.rho, params.mu
     N, gx, gy, d2 = ctx.vol_N[pts], ctx.vol_gx[pts], ctx.vol_gy[pts], ctx.vol_d2[pts]
@@ -246,8 +353,14 @@ def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, pts):
     dref = _block_dofs(dofs, n)
     X, Y, P = slice(0, 4), slice(4, 8), slice(8, 12)
     r = np.zeros((nq, 12))
-    J = np.zeros((nq, 12, 12)) if want_j else None
     udotgN = ux[:, None] * gx + uy[:, None] * gy
+    if want_j:
+        # trial rows with the points last: C[test, row block, trial entry]
+        NT, gxT, gyT, T = _tests(N, gx, gy)
+        C = np.zeros((3, 3, 12, nq))
+        aN = alpha * NT + ux * gxT + uy * gyT  # (alpha + u.grad) N_b
+        dSx_dux = rho * (aN + uxx * NT)
+        dSy_duy = rho * (aN + uyy * NT)
 
     if GALERKIN in terms:
         r[:, X] += N * (rho * (utx + conv_x))[:, None] \
@@ -256,31 +369,26 @@ def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, pts):
             + 2 * mu * (exy[:, None] * gx + uyy[:, None] * gy) - p[:, None] * gy
         r[:, P] += N * (uxx + uyy)[:, None]
         if want_j:
-            NaNb = N[:, :, None] * N[:, None, :]
-            J[:, X, X] += rho * N[:, :, None] * (
-                alpha * N + udotgN + uxx[:, None] * N
-            )[:, None, :] + 2 * mu * (
-                gx[:, :, None] * gx[:, None, :] + 0.5 * gy[:, :, None] * gy[:, None, :]
-            )
-            J[:, X, Y] += rho * uxy[:, None, None] * NaNb \
-                + mu * gy[:, :, None] * gx[:, None, :]
-            J[:, X, P] += -gx[:, :, None] * N[:, None, :]
-            J[:, Y, X] += rho * uyx[:, None, None] * NaNb \
-                + mu * gx[:, :, None] * gy[:, None, :]
-            J[:, Y, Y] += rho * N[:, :, None] * (
-                alpha * N + udotgN + uyy[:, None] * N
-            )[:, None, :] + 2 * mu * (
-                gy[:, :, None] * gy[:, None, :] + 0.5 * gx[:, :, None] * gx[:, None, :]
-            )
-            J[:, Y, P] += -gy[:, :, None] * N[:, None, :]
-            J[:, P, X] += N[:, :, None] * gx[:, None, :]
-            J[:, P, Y] += N[:, :, None] * gy[:, None, :]
+            C[0, 0, X] += dSx_dux
+            C[0, 0, Y] += rho * uxy * NT
+            C[0, 1, X] += rho * uyx * NT
+            C[0, 1, Y] += dSy_duy
+            C[1, 0, X] += 2 * mu * gxT
+            C[2, 0, X] += mu * gyT
+            C[2, 0, Y] += mu * gxT
+            C[1, 1, X] += mu * gyT
+            C[1, 1, Y] += mu * gxT
+            C[2, 1, Y] += 2 * mu * gyT
+            C[1, 0, P] -= NT
+            C[2, 1, P] -= NT
+            C[0, 2, X] += gxT
+            C[0, 2, Y] += gyT
 
     if PRESSURE_PENALTY in terms and psibar is not None and params.k_pressure != 0.0:
         kp = params.k_pressure
         r[:, P] += (kp * psibar * p)[:, None] * N
         if want_j:
-            J[:, P, P] += (kp * psibar)[:, None, None] * N[:, :, None] * N[:, None, :]
+            C[0, 2, P] += kp * psibar * NT
 
     if STABILIZATION in terms:
         tau, dtau_fac = _tau(params, slot, ux * ux + uy * uy, ctx.h)
@@ -290,35 +398,32 @@ def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, pts):
         r[:, Y] += tau[:, None] * udotgN * Sy[:, None]
         r[:, P] += (tau / rho)[:, None] * (gx * Sx[:, None] + gy * Sy[:, None])
         if want_j:
-            dSx_dux = rho * (alpha * N + udotgN + uxx[:, None] * N)
-            dSx_duy = rho * uxy[:, None] * N - mu * d2
-            dSy_dux = rho * uyx[:, None] * N - mu * d2
-            dSy_duy = rho * (alpha * N + udotgN + uyy[:, None] * N)
-            dtau_x = (dtau_fac * ux)[:, None] * N  # (nq, 4b)
-            dtau_y = (dtau_fac * uy)[:, None] * N
+            d2T = np.ascontiguousarray(d2.T)
+            dSx_duy = rho * uxy * NT - mu * d2T
+            dSy_dux = rho * uyx * NT - mu * d2T
+            dtau_x = dtau_fac * ux * NT
+            dtau_y = dtau_fac * uy * NT
+            for b, S, dS_dux, dS_duy, gdir in ((0, Sx, dSx_dux, dSx_duy, gxT),
+                                               (1, Sy, dSy_dux, dSy_duy, gyT)):
+                # d(tau S)/du_b: the SUPG test u.grad N_a splits into ux, uy
+                # times the gradient rows, and so does the PSPG test grad N_a . S
+                Vx = S * dtau_x + tau * dS_dux
+                Vy = S * dtau_y + tau * dS_duy
+                tS = tau * S * NT  # d(u.grad N_a)/du_b times tau S
+                C[1, b, X] += ux * Vx + tS
+                C[2, b, X] += uy * Vx
+                C[1, b, Y] += ux * Vy
+                C[2, b, Y] += uy * Vy + tS
+                C[1, b, P] += ux * tau * gdir
+                C[2, b, P] += uy * tau * gdir
+                C[1 + b, 2, X] += Vx / rho
+                C[1 + b, 2, Y] += Vy / rho
+            C[1, 2, P] += tau / rho * gxT
+            C[2, 2, P] += tau / rho * gyT
 
-            # velocity-test rows
-            for rows, S, dS_dux, dS_duy, gdir in (
-                (X, Sx, dSx_dux, dSx_duy, gx),
-                (Y, Sy, dSy_dux, dSy_duy, gy),
-            ):
-                J[:, rows, X] += _outer(udotgN * S[:, None], dtau_x) \
-                    + tau[:, None, None] * (
-                        _outer(gx, N) * S[:, None, None] + _outer(udotgN, dS_dux))
-                J[:, rows, Y] += _outer(udotgN * S[:, None], dtau_y) \
-                    + tau[:, None, None] * (
-                        _outer(gy, N) * S[:, None, None] + _outer(udotgN, dS_duy))
-                J[:, rows, P] += tau[:, None, None] * _outer(udotgN, gdir)
-            # pressure-test rows
-            gS = gx * Sx[:, None] + gy * Sy[:, None]
-            J[:, P, X] += _outer(gS, dtau_x) / rho + (tau / rho)[:, None, None] * (
-                _outer(gx, dSx_dux) + _outer(gy, dSy_dux))
-            J[:, P, Y] += _outer(gS, dtau_y) / rho + (tau / rho)[:, None, None] * (
-                _outer(gx, dSx_duy) + _outer(gy, dSy_duy))
-            J[:, P, P] += (tau / rho)[:, None, None] * (
-                _outer(gx, gx) + _outer(gy, gy))
-
-    _scatter_block(R, tri, dref, r, J, W)
+    np.add.at(R, dref, r * W[:, None])
+    if want_j:
+        _add_flow_blocks(tri, n, T, C, W, dofs)
 
 
 def _nitsche_gamma(ctx, params, blk, Uc):
@@ -338,7 +443,6 @@ def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, tri):
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
     dofs = blk.dofs
     nq = blk.nq
-    want_j = tri is not None
 
     _, _, _, ux, uy, p, uxx, uxy, uyx, uyy = _flow_fields(U, n, dofs, N, gx, gy)
     exy = 0.5 * (uxy + uyx)
@@ -364,32 +468,29 @@ def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, tri):
     # pressure adjoint (beta_p = -1)
     r[:, P] += bp * N * (nx * dux + ny * duy)[:, None]
 
-    J = None
-    if want_j:
-        J = np.zeros((nq, 12, 12))
-
-        # d(eps n)_x/dux_b = 0.5(gnN_b + nx gx_b); /duy_b = 0.5 ny gx_b
-        dex_dux = 0.5 * (gnN + nx[:, None] * gx)
-        dex_duy = 0.5 * ny[:, None] * gx
-        dey_dux = 0.5 * nx[:, None] * gy
-        dey_duy = 0.5 * (gnN + ny[:, None] * gy)
-
-        J[:, X, P] += _outer(N * nx[:, None], N)
-        J[:, Y, P] += _outer(N * ny[:, None], N)
-        J[:, X, X] += -2 * mu * _outer(N, dex_dux) \
-            - mu * (_outer(gnN, N) + nx[:, None, None] * _outer(gx, N)) \
-            + gamma[:, None, None] * _outer(N, N)
-        J[:, X, Y] += -2 * mu * _outer(N, dex_duy) \
-            - mu * nx[:, None, None] * _outer(gy, N)
-        J[:, Y, X] += -2 * mu * _outer(N, dey_dux) \
-            - mu * ny[:, None, None] * _outer(gx, N)
-        J[:, Y, Y] += -2 * mu * _outer(N, dey_duy) \
-            - mu * (_outer(gnN, N) + ny[:, None, None] * _outer(gy, N)) \
-            + gamma[:, None, None] * _outer(N, N)
-        J[:, P, X] += bp * _outer(N * nx[:, None], N)
-        J[:, P, Y] += bp * _outer(N * ny[:, None], N)
-
-    _scatter_block(R, tri, dref, r, J, blk.w)
+    np.add.at(R, dref, r * blk.w[:, None])
+    if tri is not None:
+        NT, gxT, gyT, T = _tests(N, gx, gy)
+        C = np.zeros((3, 3, 12, nq))
+        # -2 mu N_a d(eps n)/du_b: d(eps n)_x/dux_b = (gnN_b + nx gx_b) / 2,
+        # /duy_b = ny gx_b / 2, and so on
+        gnT = nx * gxT + ny * gyT
+        C[0, 0, X] += gamma * NT - mu * (gnT + nx * gxT)
+        C[0, 0, Y] -= mu * ny * gxT
+        C[0, 1, X] -= mu * nx * gyT
+        C[0, 1, Y] += gamma * NT - mu * (gnT + ny * gyT)
+        C[0, 0, P] += nx * NT
+        C[0, 1, P] += ny * NT
+        C[0, 2, X] += bp * nx * NT
+        C[0, 2, Y] += bp * ny * NT
+        # the viscous adjoint -mu (gnN_a du_i + n_i grad N_a . du)
+        C[1, 0, X] -= 2 * mu * nx * NT
+        C[2, 0, X] -= mu * ny * NT
+        C[2, 0, Y] -= mu * nx * NT
+        C[1, 1, X] -= mu * ny * NT
+        C[1, 1, Y] -= mu * nx * NT
+        C[2, 1, Y] -= 2 * mu * ny * NT
+        _add_flow_blocks(tri, n, T, C, blk.w, dofs)
 
 
 def _nitsche_symmetry(ctx, params, U, Uc, blk, R, tri):
@@ -401,7 +502,6 @@ def _nitsche_symmetry(ctx, params, U, Uc, blk, R, tri):
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
     dofs = blk.dofs
     nq = blk.nq
-    want_j = tri is not None
 
     _, _, _, ux, uy, p, uxx, uxy, uyx, uyy = _flow_fields(U, n, dofs, N, gx, gy)
     exy = 0.5 * (uxy + uyx)
@@ -420,24 +520,19 @@ def _nitsche_symmetry(ctx, params, U, Uc, blk, R, tri):
         + gamma[:, None] * N * (ny * un)[:, None]
     r[:, P] += bp * N * un[:, None]
 
-    J = None
-    if want_j:
-        J = np.zeros((nq, 12, 12))
-
-        dnen_dux = (nx * nx)[:, None] * gx + (nx * ny)[:, None] * gy
-        dnen_duy = (ny * ny)[:, None] * gy + (nx * ny)[:, None] * gx
-        for rows, nd in ((X, nx), (Y, ny)):
-            J[:, rows, P] += _outer(N * nd[:, None], N)
-            J[:, rows, X] += -2 * mu * _outer(N * nd[:, None], dnen_dux) \
-                - 2 * mu * _outer(nd[:, None] * gnN, N * nx[:, None]) \
-                + gamma[:, None, None] * _outer(N * nd[:, None], N * nx[:, None])
-            J[:, rows, Y] += -2 * mu * _outer(N * nd[:, None], dnen_duy) \
-                - 2 * mu * _outer(nd[:, None] * gnN, N * ny[:, None]) \
-                + gamma[:, None, None] * _outer(N * nd[:, None], N * ny[:, None])
-        J[:, P, X] += bp * _outer(N, N * nx[:, None])
-        J[:, P, Y] += bp * _outer(N, N * ny[:, None])
-
-    _scatter_block(R, tri, dref, r, J, blk.w)
+    np.add.at(R, dref, r * blk.w[:, None])
+    if tri is not None:
+        NT, gxT, gyT, T = _tests(N, gx, gy)
+        C = np.zeros((3, 3, 12, nq))
+        dnen = (nx * nx * gxT + nx * ny * gyT, ny * ny * gyT + nx * ny * gxT)
+        for b, nd, rows_b in ((0, nx, X), (1, ny, Y)):
+            C[0, b, P] += nd * NT
+            for rows, nc, dnen_du in ((X, nx, dnen[0]), (Y, ny, dnen[1])):
+                C[0, b, rows] += nd * (gamma * nc * NT - 2 * mu * dnen_du)
+                C[1, b, rows] -= 2 * mu * nd * nx * nc * NT  # -2 mu n_b gnN_a u.n
+                C[2, b, rows] -= 2 * mu * nd * ny * nc * NT
+            C[0, 2, rows_b] += bp * nd * NT
+        _add_flow_blocks(tri, n, T, C, blk.w, dofs)
 
 
 def _ghost_terms(ctx, params, U, Uc, R, tri):
@@ -491,46 +586,43 @@ def flow_time_matrix(ctx, params, state, slot=STEADY):
     n = ctx.n
     rho = params.rho
     tri = _Triplets()
-    if ctx.vol_w is not None and ctx.vol_w.shape[0]:
-        U = np.asarray(state, dtype=float)
-        N, gx, gy = ctx.vol_N, ctx.vol_gx, ctx.vol_gy
-        dofs = ctx.vol_dofs
-        W = ctx.vol_w
-        uxe = U[0:n][dofs]
-        uye = U[n:2 * n][dofs]
-        ux = (N * uxe).sum(1)
-        uy = (N * uye).sum(1)
+    nq = 0 if ctx.vol_w is None else ctx.vol_w.shape[0]
+    U = np.asarray(state, dtype=float)
+    for pts in _batches(nq, VOLUME_BATCH):
+        N, dofs = ctx.vol_N[pts], ctx.vol_dofs[pts]
+        NT, _, _, T = _tests(N, ctx.vol_gx[pts], ctx.vol_gy[pts])
+        ux = (N * U[0:n][dofs]).sum(1)
+        uy = (N * U[n:2 * n][dofs]).sum(1)
         tau, _ = _tau(params, slot, ux * ux + uy * uy, ctx.h)
-        udotgN = ux[:, None] * gx + uy[:, None] * gy
-        nq = W.shape[0]
-        J = np.zeros((nq, 12, 12))
-        X, Y, P = slice(0, 4), slice(4, 8), slice(8, 12)
-
-        galerkin = rho * _outer(N, N)
-        supg = rho * tau[:, None, None] * _outer(udotgN, N)
-        J[:, X, X] += galerkin + supg
-        J[:, Y, Y] += galerkin + supg
-        J[:, P, X] += tau[:, None, None] * _outer(gx, N)
-        J[:, P, Y] += tau[:, None, None] * _outer(gy, N)
-        dref = _block_dofs(dofs, n)
-        tri.add(dref, dref, J * W[:, None, None])
+        # Galerkin rho N_a N_b and SUPG rho tau (u.grad N_a) N_b on the
+        # velocity rows, PSPG tau grad N_a N_b on the pressure rows
+        C = np.zeros((3, 3, 12, NT.shape[1]))
+        X, Y = slice(0, 4), slice(4, 8)
+        for b, rows in ((0, X), (1, Y)):
+            C[0, b, rows] = rho * NT
+            C[1, b, rows] = rho * tau * ux * NT
+            C[2, b, rows] = rho * tau * uy * NT
+            C[1 + b, 2, rows] = tau * NT
+        _add_flow_blocks(tri, n, T, C, ctx.vol_w[pts], dofs)
     return tri.matrix(ctx, ("time",), (3 * n, 3 * n))
 
 
 def flow_indicator_jacobian(ctx, params, state, psi, indicator_params):
-    """d(flow residual)/d(psi): the pressure penalty's indicator coupling."""
+    """d(flow residual)/d(psi): the pressure penalty's indicator coupling,
+    k p proj'(psi) N_a N_b on the pressure rows."""
     n = ctx.n
     tri = _Triplets()
     if ctx.vol_w is not None and ctx.vol_w.shape[0] and params.k_pressure != 0.0:
         U = np.asarray(state, dtype=float)
-        psi_q = (ctx.vol_N * np.asarray(psi, dtype=float)[ctx.vol_dofs]).sum(1)
-        pe = U[2 * n:3 * n][ctx.vol_dofs]
-        p = (ctx.vol_N * pe).sum(1)
+        N, dofs = ctx.vol_N, ctx.vol_dofs
+        psi_q = (N * np.asarray(psi, dtype=float)[dofs]).sum(1)
+        p = (N * U[2 * n:3 * n][dofs]).sum(1)
         kw, kt, pinf = (indicator_params.k_sharpness, indicator_params.k_threshold,
                         indicator_params.psi_ref)
         th = np.tanh(kw * (psi_q - kt * pinf))
         dproj = 0.5 * kw * (1.0 - th * th)
-        vals = (params.k_pressure * p * dproj * ctx.vol_w)[:, None, None] \
-            * ctx.vol_N[:, :, None] * ctx.vol_N[:, None, :]
-        tri.add(ctx.vol_dofs + 2 * n, ctx.vol_dofs, vals)
+        NT = np.ascontiguousarray(N.T)
+        C = (params.k_pressure * p * dproj * NT)[None, None]
+        dofs, blocks = _piece_blocks(NT[None], C, ctx.vol_w, dofs)
+        tri.add(dofs + 2 * n, dofs, blocks)
     return tri.matrix(ctx, ("flow_indicator",), (3 * n, n))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import _outer, _scatter_block, _Triplets
+from .flow import _Triplets
 from .solve import factorize, lu_solve
 
 GALERKIN = "galerkin"
@@ -51,6 +51,20 @@ class IndicatorParams:
             raise ValueError("reaction and sharpness must be positive")
         if not 0.0 < self.k_threshold < 1.0:
             raise ValueError("projection threshold factor must be in (0, 1)")
+
+
+def _outer(a, b):
+    """Outer product of each row pair: (nq, m) and (nq, k) -> (nq, m, k)."""
+    return a[:, :, None] * b[:, None, :]
+
+
+def _scatter_block(R, tri, dref, r_local, j_local, w):
+    """Apply weights and scatter a local residual/Jacobian batch (j_local
+    is weighted in place)."""
+    np.add.at(R, dref, r_local * w[:, None])
+    if tri is not None and j_local is not None:
+        j_local *= w[:, None, None]
+        tri.add(dref, dref, j_local)
 
 
 def _tau_species(params, speed2, h):
