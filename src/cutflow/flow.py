@@ -597,8 +597,8 @@ def flow_time_matrix(ctx, params, state, slot=STEADY):
         # Galerkin rho N_a N_b and SUPG rho tau (u.grad N_a) N_b on the
         # velocity rows, PSPG tau grad N_a N_b on the pressure rows
         C = np.zeros((3, 3, 12, NT.shape[1]))
-        X, Y = slice(0, 4), slice(4, 8)
-        for b, rows in ((0, X), (1, Y)):
+        for b in (0, 1):
+            rows = slice(4 * b, 4 * b + 4)
             C[0, b, rows] = rho * NT
             C[1, b, rows] = rho * tau * ux * NT
             C[2, b, rows] = rho * tau * uy * NT
