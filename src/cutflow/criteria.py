@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .flow import _flow_fields
+from .flow import flow_fields
 
 # criteria that depend on the geometry alone, never on a flow or species state
 GEOMETRIC_KINDS = ("volume_fluid", "surface_area")
@@ -106,7 +106,7 @@ def criterion_terms(spec, ctx, params, flow_state=None, species_state=None,
 
     blk = _surface_block(ctx, spec)
     w, nx, ny = blk.w, blk.normal[:, 0], blk.normal[:, 1]
-    _, _, _, ux, uy, p, uxx, uxy, uyx, uyy = _flow_fields(
+    _, _, _, ux, uy, p, uxx, uxy, uyx, uyy = flow_fields(
         np.asarray(flow_state, dtype=float), n, blk.dofs, blk.N, blk.gx, blk.gy)
     if spec.kind == "mass_flow":
         return w * params.rho * (ux * nx + uy * ny), blk.dofs
@@ -167,7 +167,7 @@ def evaluate_criterion(spec, ctx, params, flow_state=None, species_state=None,
         np.add.at(d, dofs, N * (w * rho * nx)[:, None])
         np.add.at(d, dofs + n, N * (w * rho * ny)[:, None])
     elif spec.kind == "total_pressure":
-        _, _, _, ux, uy = _flow_fields(np.asarray(flow_state, dtype=float), n,
+        _, _, _, ux, uy = flow_fields(np.asarray(flow_state, dtype=float), n,
                                        dofs, N, gx, gy)[:5]
         np.add.at(d, dofs, N * (w * rho * ux)[:, None])
         np.add.at(d, dofs + n, N * (w * rho * uy)[:, None])

@@ -47,9 +47,6 @@ class PortPrimitive:
     rotation: np.ndarray = None
     face: str = ""
     slab_elements: int = 2
-    # which of (center_0, center_1, radius) are optimization variables
-    var_flags: tuple = (False, False, False)
-    var_bounds: tuple = ()
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)

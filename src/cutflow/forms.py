@@ -18,6 +18,12 @@ with the enrichment frozen: one stacked context in which each re-cut owns
 a disjoint block of dofs, which backs the semi-analytic geometric
 sensitivities. At the stored level set an element's rows are bitwise the
 global context's rows of that element.
+
+It also owns the one path from Jacobian terms to CSR: `piece_blocks` sums
+w_q T_q^T C_q per piece from a test table T and trial rows C,
+`ghost_jumps` is the face-oriented jump penalty of every field, and
+`Triplets` turns the blocks into a CSR matrix through a plan
+(`csr_plan`) cached per matrix kind in `IntegrationContext.csr_plans`.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cut import (FLUID, CutModel, cell_patterns, concat_ranges, decompose_cells,
                   fluid_covers)
@@ -149,7 +156,7 @@ class IntegrationContext:
     boundary: list = field(default_factory=list)  # list[SurfaceBlock]
     ghost: GhostBlock = None
     owner: np.ndarray = None  # stacked re-cut contexts: local dof -> batch row
-    # matrix kind -> CSR plan of its Jacobians on this context (flow._Triplets)
+    # matrix kind -> CSR plan of its Jacobians on this context (Triplets)
     csr_plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def boundary_block(self, name):
@@ -331,3 +338,174 @@ def element_context(cm: CutModel, elems, phi4s, regions=()):
     boundary = [(region, _boundary_chords(mesh, region, covers)) for region in regions]
     ctx = _assemble_context(mesh, scalar_ids, volume, interface, boundary, owner=owner)
     return ctx, invalid
+
+
+# -- Jacobian blocks -> CSR ----------------------------------------------------
+
+
+def basis_tables(N, gx, gy):
+    """Per-point basis values N, gx, gy (nq, b) as trial-side rows (b, nq),
+    and the test table T = [N; gx; gy] (3, b, nq) of piece_blocks."""
+    NT, gxT, gyT = (np.ascontiguousarray(a.T) for a in (N, gx, gy))
+    return NT, gxT, gyT, np.stack([NT, gxT, gyT])
+
+
+def piece_blocks(T, C, w, dofs):
+    """Per-piece sums of w_q T_q^T C_q over a batch of quadrature points.
+
+    T (k, b, nq) holds k test functions of b bases, C (k, m, c, nq) the
+    trial row that each test multiplies in each of m row blocks, c trial
+    entries long; C is weighted by w in place. A piece is a run of points
+    with equal dofs (nq, b): a volume piece, chords, or the points of one
+    ghost facet. The pieces with L points are one batched (b x kL) . (kL x mc)
+    matmul. Returns the pieces' dofs (pieces, b) and blocks (pieces, b m, c),
+    rows grouped by row block.
+    """
+    k, m, c, nq = C.shape
+    b = T.shape[1]
+    C *= w
+    new = np.ones(nq, dtype=bool)
+    new[1:] = (dofs[1:] != dofs[:-1]).any(1)
+    starts = np.flatnonzero(new)
+    count = np.diff(starts, append=nq)
+    # points-first views; the gathers below are the one transpose
+    Cq, Tq = C.reshape(k * m * c, nq).T, T.transpose(2, 0, 1)
+    out = np.empty((starts.shape[0], b, m * c))
+    for L in np.unique(count):
+        sel = np.flatnonzero(count == L)
+        pts = starts[sel, None] + np.arange(L)
+        A = Tq[pts].reshape(-1, L * k, b).transpose(0, 2, 1)
+        out[sel] = A @ Cq[pts].reshape(-1, L * k, m * c)
+    blocks = out.reshape(-1, b, m, c).transpose(0, 2, 1, 3).reshape(-1, b * m, c)
+    return dofs[starts], blocks
+
+
+def ghost_jumps(ctx, U, groups, R, tri):
+    """Face-oriented jump penalty gamma [[grad w . n]] [[grad u . n]] on the
+    ghost facets: residual into R, per-facet Jacobian blocks into tri (None:
+    residual only).
+
+    U holds fields of ctx.n dofs each, field f at f n; groups is
+    ((gamma, fields), ...), gamma a constant or one value per point
+    penalizing the jumps of each of its fields.
+    """
+    g, n = ctx.ghost, ctx.n
+    gvec = np.concatenate([g.gn1, -g.gn2], axis=1)  # (nq, 8)
+    dofs = np.concatenate([g.dofs1, g.dofs2], axis=1)
+    for gamma, fields in groups:
+        if tri is not None:
+            T = gvec.T[None]
+            facets, blocks = piece_blocks(T, (gamma * T)[None], g.w, dofs)
+        for f in fields:
+            u = U[f * n:(f + 1) * n]
+            jump = (g.gn1 * u[g.dofs1]).sum(1) - (g.gn2 * u[g.dofs2]).sum(1)
+            np.add.at(R, dofs + f * n, gvec * (gamma * jump)[:, None] * g.w[:, None])
+            if tri is not None:
+                tri.add(facets + f * n, facets + f * n, blocks)
+
+
+class Triplets:
+    """The Jacobian entries of one assembly pass, summed into CSR.
+
+    add(rows, cols, vals) puts vals[k, i, j] at (rows[k, i], cols[k, j]);
+    the assemblers add blocks already summed per piece (piece_blocks).
+    The first matrix of a kind on a context builds its CSR plan, each
+    triplet's slot in a fixed indptr/indices, and caches it on the context;
+    every later one is a single bincount into those slots.
+    """
+
+    def __init__(self):
+        self.blocks = []
+
+    def add(self, rows, cols, vals):
+        self.blocks.append((rows, cols, vals))
+
+    def add_pieces(self, T, C, w, dofs, n):
+        """Add the per-piece blocks of a trial table C (piece_blocks) of a
+        square block: row block f and its trial entries at dofs + f n."""
+        dofs, blocks = piece_blocks(T, C, w, dofs)
+        dref = np.concatenate([dofs + f * n for f in range(C.shape[1])], axis=1)
+        self.add(dref, dref, blocks)
+
+    def matrix(self, ctx, kind, shape):
+        """The CSR matrix of the triplets; kind names the matrix (and its
+        terms) among those assembled on ctx."""
+        if not self.blocks:
+            return sp.csr_matrix(shape)
+        vals = np.concatenate([v.ravel() for _, _, v in self.blocks])
+        plan = ctx.csr_plans.get(kind)
+        if plan is None or plan[0].shape[0] != vals.shape[0]:
+            plan = ctx.csr_plans[kind] = csr_plan(self.blocks, shape, ctx.n)
+        slot, indices, indptr = plan
+        data = np.bincount(slot, vals, minlength=indices.shape[0])
+        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=shape)
+
+
+def field_layout(dofs, n):
+    """(scalar dofs (k, p), fields) of dofs (k, f p) that are f chunks of the
+    same scalar dofs, each chunk in one field (dof = field n + scalar dof).
+    Raises ValueError for any other layout."""
+    field = dofs[0] // n
+    fields = field[np.flatnonzero(np.diff(field, prepend=-1))]
+    p = dofs.shape[1] // fields.shape[0]
+    scalar = dofs[:, :p] - fields[0] * n
+    if not np.array_equal(dofs, np.tile(scalar, fields.shape[0]) + np.repeat(fields * n, p)):
+        raise ValueError("block dofs are not chunks of scalar dofs, one field each")
+    return scalar, fields
+
+
+def csr_plan(blocks, shape, n):
+    """(slot, indices, indptr): the CSR pattern of the blocks' triplets,
+    with sorted column indices, and each triplet's position in it.
+
+    Every block is chunks of the same scalar dofs, one field per chunk
+    (field_layout), so the plan is a unique over scalar dof pairs (a, b), a
+    ninth of a flow matrix's triplets, each with the field pairs (f, g) it
+    couples: all nine in a [ux, uy, p] block, like fields in a ghost block.
+    """
+    if shape[0] % n or shape[1] % n:
+        raise ValueError(f"matrix shape {shape} is not in fields of {n} dofs")
+    blocks = [b for b in blocks if b[2].size]
+    layouts = [(field_layout(r, n), field_layout(c, n)) for r, c, _ in blocks]
+    key = np.int32 if n * n < 2**31 else np.int64
+    keys, pair = np.unique(np.concatenate([(a[:, :, None] * n + b[:, None, :]).ravel()
+                                           for (a, _), (b, _) in layouts]).astype(key),
+                           return_inverse=True)
+    cuts = np.cumsum([0] + [a.size * b.shape[1] for (a, _), (b, _) in layouts])
+    parts = [(pair[lo:hi], tuple((f, g) for f in F for g in G))
+             for ((_, F), (_, G)), lo, hi in zip(layouts, cuts, cuts[1:])]
+    fp = sorted({fg for _, fgs in parts for fg in fgs})  # the field pairs, row-major
+    col = {fg: j for j, fg in enumerate(fp)}
+    present = np.zeros((len(fp), keys.shape[0]), dtype=bool)
+    for fgs in {fgs for _, fgs in parts}:
+        mark = np.zeros(keys.shape[0], dtype=bool)
+        mark[np.concatenate([pr for pr, fgs2 in parts if fgs2 == fgs])] = True
+        present[[col[fg] for fg in fgs]] |= mark
+
+    # CSR row f n + a holds its pairs of field g = 0, 1, ... with b ascending
+    a, b = np.divmod(keys, n)
+    first = np.searchsorted(a, np.arange(n + 1))  # each scalar row's run of keys
+    rank = np.zeros((len(fp), keys.shape[0] + 1), dtype=np.int64)
+    np.cumsum(present, axis=1, out=rank[:, 1:])
+    count = rank[:, first[1:]] - rank[:, first[:-1]]  # (field pairs, n)
+    rowlen = np.zeros((shape[0] // n, n), dtype=np.int64)
+    offset = np.empty_like(count)  # entries of the row's lower fields g
+    for j, (f, _) in enumerate(fp):
+        offset[j] = rowlen[f]
+        rowlen[f] += count[j]
+    index = np.int32 if max(shape[1], int(rowlen.sum())) < 2**31 else np.int64
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(rowlen.ravel(), out=indptr[1:])
+    start = indptr[:-1].reshape(-1, n)[[f for f, _ in fp]] + offset - rank[:, first[:-1]]
+    table = np.take(start, a, axis=1) + rank[:, :-1]  # (field pairs, pairs) -> slot
+    indices = np.empty(int(indptr[-1]), dtype=index)
+    indices[table[present]] = (b + n * np.array([g for _, g in fp])[:, None])[present]
+    by_pair = table.T.copy()
+    slot = []
+    for (pr, fgs), ((rs, F), (cs, G)) in zip(parts, layouts):
+        s = np.take(by_pair, pr, axis=0)
+        if list(fgs) != fp:
+            s = s[:, [col[fg] for fg in fgs]]
+        slot.append(s.reshape(-1, rs.shape[1], cs.shape[1], F.shape[0], G.shape[0])
+                    .transpose(0, 3, 1, 4, 2).ravel())
+    return np.concatenate(slot), indices, indptr

@@ -31,12 +31,13 @@ class PhysicsConfig:
     indicator: transport_mod.IndicatorParams = field(
         default_factory=transport_mod.IndicatorParams
     )
-    pressure_penalty_scope: str = "indicator"  # 'indicator' | 'whole' | 'off'
+    pressure_penalty_scope: str = "indicator"  # 'indicator' | 'whole'
 
     def __post_init__(self):
-        if self.pressure_penalty_scope not in ("indicator", "whole", "off"):
+        if self.pressure_penalty_scope not in ("indicator", "whole"):
             raise ConfigurationError(
-                f"unknown pressure penalty scope {self.pressure_penalty_scope!r}"
+                f"unknown pressure penalty scope {self.pressure_penalty_scope!r} "
+                "(k_pressure = 0 switches the penalty off)"
             )
 
 
@@ -82,11 +83,10 @@ class ForwardModel:
     # -- indicator ----------------------------------------------------------
     def _indicator(self, ctx):
         """(psi, psibar, the indicator matrix's factors) of ctx."""
-        scope = self.physics.pressure_penalty_scope
-        if scope == "off" or self.physics.flow.k_pressure == 0.0:
+        if self.physics.flow.k_pressure == 0.0:
             return None, None, None
         psi = lu = None
-        if scope == "indicator":
+        if self.physics.pressure_penalty_scope == "indicator":
             psi, lu = transport_mod.solve_indicator(ctx, self.physics.indicator)
         return psi, self.penalty_weights(ctx, psi), lu
 

@@ -6,6 +6,11 @@ velocity component. Species transport is one-way coupled to the flow
 a linear diffusion-reaction solve whose solution relaxes to psi_ref in
 fluid regions with no path to a port and is pinned to zero at inlets and
 outlets, then projected by a sharp tanh into a binary switch.
+
+The Jacobians are built as in the flow module: each term is a trial row C
+that multiplies one of the tests N_a, d_x N_a, d_y N_a (the SUPG test
+u.grad N_a folds into the gradient rows), summed per piece by
+forms.piece_blocks; the ghost penalty is forms.ghost_jumps.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import _Triplets
+from .forms import Triplets, basis_tables, ghost_jumps, piece_blocks
 from .solve import factorize, lu_solve
 
 GALERKIN = "galerkin"
@@ -53,18 +58,12 @@ class IndicatorParams:
             raise ValueError("projection threshold factor must be in (0, 1)")
 
 
-def _outer(a, b):
-    """Outer product of each row pair: (nq, m) and (nq, k) -> (nq, m, k)."""
-    return a[:, :, None] * b[:, None, :]
-
-
-def _scatter_block(R, tri, dref, r_local, j_local, w):
-    """Apply weights and scatter a local residual/Jacobian batch (j_local
-    is weighted in place)."""
-    np.add.at(R, dref, r_local * w[:, None])
-    if tri is not None and j_local is not None:
-        j_local *= w[:, None, None]
-        tri.add(dref, dref, j_local)
+def _volume_fields(ctx, c, U):
+    """grad c (cx, cy) and the velocity (ux, uy) at the volume points."""
+    n, N, dofs = ctx.n, ctx.vol_N, ctx.vol_dofs
+    ce = c[dofs]
+    return ((ctx.vol_gx * ce).sum(1), (ctx.vol_gy * ce).sum(1),
+            (N * U[0:n][dofs]).sum(1), (N * U[n:2 * n][dofs]).sum(1))
 
 
 def _tau_species(params, speed2, h):
@@ -87,38 +86,39 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
     U = np.asarray(flow_state, dtype=float)
     k = params.diffusivity
     R = np.zeros(n)
-    tri = _Triplets() if want_matrix else None
+    tri = Triplets() if want_matrix else None
 
     if ctx.vol_w is not None and ctx.vol_w.shape[0]:
-        N, gx, gy = ctx.vol_N, ctx.vol_gx, ctx.vol_gy
-        dofs = ctx.vol_dofs
-        W = ctx.vol_w
-        nq = W.shape[0]
-        ce = c[dofs]
-        cx = (gx * ce).sum(1)
-        cy = (gy * ce).sum(1)
-        ux = (N * U[0:n][dofs]).sum(1)
-        uy = (N * U[n:2 * n][dofs]).sum(1)
+        N, gx, gy, dofs = ctx.vol_N, ctx.vol_gx, ctx.vol_gy, ctx.vol_dofs
+        cx, cy, ux, uy = _volume_fields(ctx, c, U)
         adv = ux * cx + uy * cy
         udotgN = ux[:, None] * gx + uy[:, None] * gy
 
-        r = np.zeros((nq, 4))
-        J = np.zeros((nq, 4, 4)) if want_matrix else None
+        r = np.zeros_like(N)
+        if want_matrix:
+            # trial rows of the tests N_a, d_x N_a, d_y N_a, the SUPG test
+            # u.grad N_a folded into the gradient rows
+            NT, gxT, gyT, T = basis_tables(N, gx, gy)
+            C = np.zeros((3, 1, 4, N.shape[0]))
+            uT = ux * gxT + uy * gyT  # u.grad N_b
         if GALERKIN in terms:
             r += N * (adv - params.source)[:, None] \
                 + k * (gx * cx[:, None] + gy * cy[:, None])
             if want_matrix:
-                J += N[:, :, None] * udotgN[:, None, :] \
-                    + k * (gx[:, :, None] * gx[:, None, :]
-                           + gy[:, :, None] * gy[:, None, :])
+                C[0, 0] += uT
+                C[1, 0] += k * gxT
+                C[2, 0] += k * gyT
         if STABILIZATION in terms:
             tau, _ = _tau_species(params, ux * ux + uy * uy, ctx.h)
             # strong diffusion term vanishes exactly for bilinear elements
             strong = adv - params.source
             r += tau[:, None] * udotgN * strong[:, None]
             if want_matrix:
-                J += tau[:, None, None] * udotgN[:, :, None] * udotgN[:, None, :]
-        _scatter_block(R, tri, dofs, r, J, W)
+                C[1, 0] += tau * ux * uT
+                C[2, 0] += tau * uy * uT
+        np.add.at(R, dofs, r * ctx.vol_w[:, None])
+        if want_matrix:
+            tri.add_pieces(T, C, ctx.vol_w, dofs, n)
 
     if NITSCHE in terms:
         for blk in ctx.boundary:
@@ -129,7 +129,7 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
                             chat=region.species_value)
 
     if GHOST in terms and ctx.ghost is not None and ctx.ghost.nq:
-        _scalar_ghost(ctx, R, tri, c, params.alpha_gp * ctx.h * k)
+        ghost_jumps(ctx, c, ((params.alpha_gp * ctx.h * k, (0,)),), R, tri)
 
     J = tri.matrix(ctx, ("species", terms), (n, n)) if want_matrix else None
     return R, J
@@ -146,24 +146,12 @@ def _scalar_nitsche(ctx, R, tri, blk, c, k, alpha, chat):
     dc = cv - chat
     pen = alpha / ctx.h
     r = -N * (k * cn)[:, None] + k * gnN * dc[:, None] + pen * N * dc[:, None]
-    J = None
+    np.add.at(R, blk.dofs, r * blk.w[:, None])
     if tri is not None:
-        J = (-k * N[:, :, None] * gnN[:, None, :]
-             + k * gnN[:, :, None] * N[:, None, :]
-             + pen * N[:, :, None] * N[:, None, :])
-    _scatter_block(R, tri, blk.dofs, r, J, blk.w)
-
-
-def _scalar_ghost(ctx, R, tri, c, gamma_eff):
-    """Facet jump penalty gamma_eff * [[grad w . n]] [[grad c . n]]."""
-    g = ctx.ghost
-    jump = (g.gn1 * c[g.dofs1]).sum(1) - (g.gn2 * c[g.dofs2]).sum(1)
-    gvec = np.concatenate([g.gn1, -g.gn2], axis=1)
-    dref = np.concatenate([g.dofs1, g.dofs2], axis=1)
-    np.add.at(R, dref, gvec * (gamma_eff * jump * g.w)[:, None])
-    if tri is not None:
-        vals = (gamma_eff * g.w)[:, None, None] * gvec[:, :, None] * gvec[:, None, :]
-        tri.add(dref, dref, vals)
+        # -k N_a grad N_b . n + k (grad N_a . n) N_b + pen N_a N_b
+        NT, gxT, gyT, T = basis_tables(N, gx, gy)
+        C = np.stack([pen * NT - k * (nx * gxT + ny * gyT), k * nx * NT, k * ny * NT])
+        tri.add_pieces(T, C[:, None], blk.w, blk.dofs, ctx.n)
 
 
 def species_flow_jacobian(ctx, params, state, flow_state):
@@ -171,33 +159,29 @@ def species_flow_jacobian(ctx, params, state, flow_state):
     n = ctx.n
     c = np.asarray(state, dtype=float)
     U = np.asarray(flow_state, dtype=float)
-    tri = _Triplets()
+    tri = Triplets()
     if ctx.vol_w is not None and ctx.vol_w.shape[0]:
-        N, gx, gy = ctx.vol_N, ctx.vol_gx, ctx.vol_gy
-        dofs = ctx.vol_dofs
-        W = ctx.vol_w
-        ce = c[dofs]
-        cx = (gx * ce).sum(1)
-        cy = (gy * ce).sum(1)
-        ux = (N * U[0:n][dofs]).sum(1)
-        uy = (N * U[n:2 * n][dofs]).sum(1)
+        N, gx, gy, dofs = ctx.vol_N, ctx.vol_gx, ctx.vol_gy, ctx.vol_dofs
+        cx, cy, ux, uy = _volume_fields(ctx, c, U)
         strong = ux * cx + uy * cy - params.source
-        udotgN = ux[:, None] * gx + uy[:, None] * gy
         tau, dtau_fac = _tau_species(params, ux * ux + uy * uy, ctx.h)
 
-        # galerkin advection + SUPG (test-op, tau, strong-residual chains)
-        JX = _outer(N, N) * cx[:, None, None] \
-            + _outer(udotgN * strong[:, None], N) * dtau_fac[:, None, None] * ux[:, None, None] \
-            + tau[:, None, None] * (_outer(gx, N) * strong[:, None, None]
-                                    + _outer(udotgN, N) * cx[:, None, None])
-        JY = _outer(N, N) * cy[:, None, None] \
-            + _outer(udotgN * strong[:, None], N) * dtau_fac[:, None, None] * uy[:, None, None] \
-            + tau[:, None, None] * (_outer(gy, N) * strong[:, None, None]
-                                    + _outer(udotgN, N) * cy[:, None, None])
-        JX *= W[:, None, None]
-        JY *= W[:, None, None]
-        tri.add(dofs, dofs, JX)
-        tri.add(dofs, dofs + n, JY)
+        # trial rows over [ux, uy] columns: galerkin advection N_a grad c on
+        # the N row; the SUPG test u.grad N_a times the tau and strong-residual
+        # chains, and its own derivative tau strong grad N_a, on the gradient rows
+        NT, _, _, T = basis_tables(N, gx, gy)
+        C = np.zeros((3, 1, 8, N.shape[0]))
+        X, Y = slice(0, 4), slice(4, 8)
+        Vx = strong * dtau_fac * ux + tau * cx
+        Vy = strong * dtau_fac * uy + tau * cy
+        C[0, 0, X] = cx * NT
+        C[0, 0, Y] = cy * NT
+        C[1, 0, X] = (ux * Vx + tau * strong) * NT
+        C[2, 0, X] = uy * Vx * NT
+        C[1, 0, Y] = ux * Vy * NT
+        C[2, 0, Y] = (uy * Vy + tau * strong) * NT
+        dofs, blocks = piece_blocks(T, C, ctx.vol_w, dofs)
+        tri.add(dofs, np.concatenate([dofs, dofs + n], axis=1), blocks)
     return tri.matrix(ctx, ("species_flow",), (n, 3 * n))
 
 
@@ -210,29 +194,28 @@ def assemble_indicator(ctx, params, state, want_matrix=True):
     n = ctx.n
     psi = np.asarray(state, dtype=float)
     R = np.zeros(n)
-    tri = _Triplets() if want_matrix else None
+    tri = Triplets() if want_matrix else None
     if ctx.vol_w is not None and ctx.vol_w.shape[0]:
         N, gx, gy = ctx.vol_N, ctx.vol_gx, ctx.vol_gy
         dofs = ctx.vol_dofs
-        W = ctx.vol_w
         pe = psi[dofs]
         pv = (N * pe).sum(1)
         px = (gx * pe).sum(1)
         py = (gy * pe).sum(1)
         r = gx * px[:, None] + gy * py[:, None] \
             - params.reaction * N * (pv - params.psi_ref)[:, None]
-        J = None
+        np.add.at(R, dofs, r * ctx.vol_w[:, None])
         if want_matrix:
-            J = (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
-                 - params.reaction * N[:, :, None] * N[:, None, :])
-        _scatter_block(R, tri, dofs, r, J, W)
+            NT, gxT, gyT, T = basis_tables(N, gx, gy)
+            C = np.stack([-params.reaction * NT, gxT, gyT])
+            tri.add_pieces(T, C[:, None], ctx.vol_w, dofs, n)
 
     for blk in ctx.boundary:
         if blk.nq and getattr(blk.region, "port", False):
             _scalar_nitsche(ctx, R, tri, blk, psi, 1.0, params.alpha_nitsche, chat=0.0)
 
     if ctx.ghost is not None and ctx.ghost.nq:
-        _scalar_ghost(ctx, R, tri, psi, params.alpha_gp * ctx.h)
+        ghost_jumps(ctx, psi, ((params.alpha_gp * ctx.h, (0,)),), R, tri)
 
     J = tri.matrix(ctx, ("indicator",), (n, n)) if want_matrix else None
     return R, J

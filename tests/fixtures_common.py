@@ -17,6 +17,23 @@ from cutflow.solve import SolveConfig
 from cutflow.transport import IndicatorParams, TransportParams
 
 
+def central_differences(f, x, step=1e-6):
+    """Dense central-difference matrix of f at x, column by column."""
+    cols = []
+    for j in range(x.shape[0]):
+        e = np.zeros(x.shape[0])
+        e[j] = step
+        cols.append((f(x + e) - f(x - e)) / (2 * step))
+    return np.stack(cols, axis=1)
+
+
+def assert_entrywise(J, fd):
+    """J matches fd entry by entry to 1e-7 of max |J|."""
+    scale = np.abs(J).max()
+    assert scale > 0
+    np.testing.assert_array_less(np.abs(J - fd), 1e-7 * scale)
+
+
 def perturb(phi, h):
     s = 1e-6 * h
     return np.where(np.abs(phi) < s, np.where(phi >= 0, s, -s), phi)

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from cutflow import flow as flow_mod
+from cutflow import forms
 from cutflow.conditions import BoundaryRegion, wall_regions
 from cutflow.cut import build_cut_model
 from cutflow.flow import (ALL_TERMS, GALERKIN, GHOST, NITSCHE, STABILIZATION,
@@ -50,7 +51,7 @@ def ctx(request):
 def built(monkeypatch):
     """(matrix, scipy's COO -> CSR of the same triplets) of every matrix."""
     seen = []
-    matrix = flow_mod._Triplets.matrix
+    matrix = forms.Triplets.matrix
 
     def recording(self, ctx, kind, shape):
         M = matrix(self, ctx, kind, shape)
@@ -62,7 +63,7 @@ def built(monkeypatch):
             shape=shape).tocsr()))
         return M
 
-    monkeypatch.setattr(flow_mod._Triplets, "matrix", recording)
+    monkeypatch.setattr(forms.Triplets, "matrix", recording)
     return seen
 
 
@@ -150,3 +151,50 @@ def test_batched_volume_jacobian_matches_one_batch(ctx, monkeypatch):
     assert R7.tobytes() == R.tobytes()
     np.testing.assert_array_equal(J7.indices, J.indices)
     assert abs(J7 - J).max() <= 1e-14 * abs(J).max()
+
+
+@pytest.fixture
+def added(monkeypatch):
+    """The (rows, cols) of every block the assemblers add to a Triplets."""
+    seen = []
+    add = forms.Triplets.add
+
+    def recording(self, rows, cols, vals):
+        seen.append((rows, cols))
+        add(self, rows, cols, vals)
+
+    monkeypatch.setattr(forms.Triplets, "add", recording)
+    return seen
+
+
+def _assemble(kind, ctx):
+    params = FlowParams(rho=1.0, mu=0.1)
+    U = _states(ctx, 3)[0]
+    c = _states(ctx, 1)[0]
+    psibar = np.linspace(0.0, 1.0, ctx.vol_w.shape[0])
+    bdf2 = bdf_slot(2, 0.1, [np.zeros(3 * ctx.n)] * 2)
+    species = TransportParams(diffusivity=0.05, source=0.5)
+    return {
+        "flow-steady": lambda: assemble_flow(ctx, params, U, coeff_state=U, psibar=psibar),
+        "flow-bdf2": lambda: assemble_flow(ctx, params, U, coeff_state=U, slot=bdf2,
+                                           psibar=psibar),
+        "time": lambda: flow_time_matrix(ctx, params, U, bdf2),
+        "flow-indicator": lambda: flow_indicator_jacobian(ctx, params, U, 0.99 + 0.001 * c,
+                                                          IndicatorParams()),
+        "species": lambda: assemble_species(ctx, species, c, U),
+        "species-flow": lambda: species_flow_jacobian(ctx, species, c, U),
+        "indicator": lambda: assemble_indicator(ctx, IndicatorParams(), c),
+    }[kind]()
+
+
+@pytest.mark.parametrize("kind", ["flow-steady", "flow-bdf2", "time", "flow-indicator",
+                                  "species", "species-flow", "indicator"])
+def test_blocks_come_summed_per_piece(ctx, added, kind):
+    # the collector sums nothing itself: no two consecutive blocks of one add
+    # have equal row and column dofs
+    _assemble(kind, ctx)
+    assert added
+    for rows, cols in added:
+        assert rows.shape[0] > 0
+        repeat = (rows[1:] == rows[:-1]).all(1) & (cols[1:] == cols[:-1]).all(1)
+        assert not repeat.any()

@@ -1,5 +1,5 @@
 """The CSR plan over scalar dof pairs against scipy's COO -> CSR, for every
-block layout the assemblers use and for a layout that is not in fields."""
+block layout the assemblers use; a layout that is not in fields raises."""
 
 from types import SimpleNamespace
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cutflow.flow import _Triplets
+from cutflow.forms import Triplets
 
 N = 7
 
@@ -39,10 +39,14 @@ def _blocks(rng, shape, mixed):
 def test_plan_matches_coo(shape, mixed):
     rng = np.random.default_rng(sum(shape) + mixed)
     blocks = _blocks(rng, shape, mixed)
-    tri = _Triplets()
+    tri = Triplets()
     for rows, cols, vals in blocks:
         tri.add(rows, cols, vals)
     ctx = SimpleNamespace(n=N, csr_plans={})
+    if mixed and max(shape) > N:  # on an N x N matrix every block is in one field
+        with pytest.raises(ValueError, match="not chunks of scalar dofs"):
+            tri.matrix(ctx, ("test",), shape)
+        return
     M = tri.matrix(ctx, ("test",), shape)
     C = sp.coo_matrix((np.concatenate([v.ravel() for _, _, v in blocks]),
                        (np.concatenate([np.broadcast_to(r[:, :, None], v.shape).ravel()

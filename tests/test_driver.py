@@ -9,6 +9,8 @@ from cutflow.cli import main as cli_main
 from cutflow.config import dump_config, parse_config
 from cutflow.driver import run_analysis, run_optimization, transfer_flow_state
 from cutflow.errors import CapacityError, ConfigurationError, SolverError
+from cutflow.flow import FlowParams
+from cutflow.pipeline import PhysicsConfig
 
 CHANNEL_CFG = """
 [mesh]
@@ -212,6 +214,15 @@ def test_cli_bad_config_values_exit_2(tmp_path, capsys, edit):
     path = _write(tmp_path, CHANNEL_CFG.replace(*edit))
     assert cli_main(["analyze", "--config", path]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_pressure_penalty_scope_off_points_to_k_pressure(tmp_path, capsys):
+    # k_pressure = 0 is the one off switch of the pressure penalty
+    with pytest.raises(ConfigurationError, match="k_pressure = 0"):
+        PhysicsConfig(flow=FlowParams(), pressure_penalty_scope="off")
+    path = _write(tmp_path, CHANNEL_CFG.replace("scope = indicator", "scope = off"))
+    assert cli_main(["analyze", "--config", path]) == 2
+    assert "k_pressure = 0" in capsys.readouterr().err
 
 
 def test_shipped_configs_parse_strictly_and_round_trip(tmp_path):

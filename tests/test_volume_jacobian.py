@@ -15,7 +15,7 @@ from cutflow.grid import build_mesh
 from cutflow.solve import TimeSlot, bdf_slot
 from cutflow.transport import IndicatorParams, indicator_at_volume_points
 
-from fixtures_common import bend_model, perturb
+from fixtures_common import assert_entrywise, bend_model, central_differences, perturb
 
 VOLUME_TERMS = (GALERKIN, STABILIZATION, PRESSURE_PENALTY)
 
@@ -49,22 +49,6 @@ def _slot(kind, n, rng):
     return bdf_slot(2, 0.05, [rng.normal(scale=0.3, size=3 * n) for _ in range(2)])
 
 
-def _central_differences(f, x, step=1e-6):
-    """Dense central-difference matrix of f at x, column by column."""
-    cols = []
-    for j in range(x.shape[0]):
-        e = np.zeros(x.shape[0])
-        e[j] = step
-        cols.append((f(x + e) - f(x - e)) / (2 * step))
-    return np.stack(cols, axis=1)
-
-
-def _assert_entrywise(J, fd):
-    scale = np.abs(J).max()
-    assert scale > 0
-    np.testing.assert_array_less(np.abs(J - fd), 1e-7 * scale)
-
-
 def _check_central_differences(ctx, terms, with_psibar, slot_kind):
     """The dense central-difference matrix of the residual matches J entry by
     entry; the coefficient state is held fixed, so J is its exact derivative."""
@@ -83,11 +67,11 @@ def _check_central_differences(ctx, terms, with_psibar, slot_kind):
 
     _, J = assemble_flow(ctx, params, U, coeff_state=Uc, slot=slot, psibar=psibar,
                          terms=terms)
-    fd = _central_differences(residual, U)
+    fd = central_differences(residual, U)
     if terms == {PRESSURE_PENALTY} and psibar is None:
         assert not J.toarray().any() and not fd.any()
     else:
-        _assert_entrywise(J.toarray(), fd)
+        assert_entrywise(J.toarray(), fd)
 
 
 @pytest.mark.parametrize("slot_kind", ["steady", "bdf2"])
@@ -126,7 +110,7 @@ def test_time_matrix_is_the_history_derivative(small_ctx, slot_kind):
                              want_matrix=False)[0]
 
     M = flow_time_matrix(ctx, params, U, TimeSlot(alpha=base.alpha, hist=base.hist, dt=dt))
-    _assert_entrywise(M.toarray(), _central_differences(residual, base.hist))
+    assert_entrywise(M.toarray(), central_differences(residual, base.hist))
 
 
 def test_indicator_jacobian_is_the_psi_derivative(small_ctx):
@@ -143,7 +127,7 @@ def test_indicator_jacobian_is_the_psi_derivative(small_ctx):
                              want_matrix=False)[0]
 
     K = flow_indicator_jacobian(ctx, params, U, psi, ind)
-    _assert_entrywise(K.toarray(), _central_differences(residual, psi))
+    assert_entrywise(K.toarray(), central_differences(residual, psi))
 
 
 @pytest.fixture(scope="module")
