@@ -20,7 +20,7 @@ import numpy as np
 
 from .conditions import BoundaryRegion, validate_regions, wall_regions
 from .criteria import ConstraintSpec, CriterionSpec, ObjectiveTerm, ProblemSpec
-from .design import DesignVector, LevelSetMap, PortPrimitive, build_filter
+from .design import DesignVector, LevelSetMap, Port, build_filter, port_columns
 from .errors import ConfigurationError
 from .flow import FlowParams
 from .gcmma import GcmmaConfig
@@ -28,38 +28,6 @@ from .grid import build_mesh
 from .pipeline import PhysicsConfig
 from .solve import SolveConfig
 from .transport import IndicatorParams, TransportParams
-
-_FACE_ROTATION = {
-    # in-plane port coordinate runs along the face; axis along the normal
-    "left": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "right": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "bottom": np.eye(2),
-    "top": np.eye(2),
-}
-# design-vector parameter index of the movable in-face center coordinate
-_FACE_CENTER_PARAM = {"left": 1, "right": 1, "bottom": 0, "top": 0}
-
-
-@dataclass
-class PortConfig:
-    name: str
-    face: str
-    center: tuple
-    radius: float
-    slab_elements: int = 2
-    optimize_center: bool = False
-    optimize_radius: bool = False
-    center_bounds: tuple = None
-    radius_bounds: tuple = None
-
-    def __post_init__(self):
-        for param in ("center", "radius"):
-            bounds = getattr(self, f"{param}_bounds")
-            if getattr(self, f"optimize_{param}") and (
-                    bounds is None or len(bounds) != 2 or bounds[0] > bounds[1]):
-                raise ValueError(f"optimize_{param} requires {param}_bounds = lo hi "
-                                 f"with lo <= hi, got {bounds!r}")
-
 
 @dataclass
 class DesignConfig:
@@ -123,19 +91,9 @@ class RunConfig:
         (x0, y0), (x1, y1) = self.extent
         return (x1 - x0) * (y1 - y0)
 
-    def build_ports(self):
-        ports = []
-        for pc in self.ports:
-            ports.append(PortPrimitive(
-                center=np.asarray(pc.center, dtype=float), radius=pc.radius,
-                rotation=_FACE_ROTATION[pc.face], face=pc.face,
-                slab_elements=pc.slab_elements,
-            ))
-        return ports
-
     def build_level_set_map(self, mesh):
         filt = build_filter(mesh, self.design.filter_radius_h * mesh.h)
-        return LevelSetMap(mesh=mesh, filt=filt, ports=self.build_ports())
+        return LevelSetMap(mesh=mesh, filt=filt, ports=list(self.ports))
 
     def initial_design(self, mesh):
         dc = self.design
@@ -179,27 +137,16 @@ class RunConfig:
         else:
             raise ConfigurationError(f"unknown initial design kind {dc.initial!r}")
 
-        lower = np.full(n, dc.lower)
-        upper = np.full(n, dc.upper)
-        values = [s]
-        lo_extra, up_extra, layout = [], [], []
-        for pi, pc in enumerate(self.ports):
-            if pc.optimize_center:
-                param = _FACE_CENTER_PARAM[pc.face]
-                layout.append((pi, param))
-                values.append([pc.center[param]])
-                lo_extra.append(pc.center_bounds[0])
-                up_extra.append(pc.center_bounds[1])
-            if pc.optimize_radius:
-                layout.append((pi, 2))
-                values.append([pc.radius])
-                lo_extra.append(pc.radius_bounds[0])
-                up_extra.append(pc.radius_bounds[1])
-        vals = np.concatenate([np.asarray(v, dtype=float) for v in values])
-        lo = np.concatenate([lower, np.asarray(lo_extra, dtype=float)])
-        up = np.concatenate([upper, np.asarray(up_extra, dtype=float)])
-        return DesignVector(values=vals, lower=lo, upper=up, n_nodal=n,
-                            port_layout=layout)
+        columns = [(self.ports[i], param) for i, param in port_columns(self.ports)]
+        extra = [port.center[port.axis] if param == "center" else port.radius
+                 for port, param in columns]
+        bounds = [getattr(port, f"{param}_bounds") for port, param in columns]
+        lo = np.array([b[0] for b in bounds], dtype=float)
+        up = np.array([b[1] for b in bounds], dtype=float)
+        return DesignVector(values=np.concatenate([s, np.array(extra, dtype=float)]),
+                            lower=np.concatenate([np.full(n, dc.lower), lo]),
+                            upper=np.concatenate([np.full(n, dc.upper), up]),
+                            n_nodal=n)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +260,7 @@ _SECTIONS = (
                 " ".join([op[0]] + [repr(float(v)) for v in op[1:]])
                 for op in shapes),)),
     }),
-    _Section("port", PortConfig, "ports", tagged=True),
+    _Section("port", Port, "ports", tagged=True),
     _Section("criterion", CriterionSpec, "criteria", tagged=True),
     _Section("objective", run_fields=("objective",), codecs={
         "objective": _Codec(("terms",), _read_terms, _write_terms),

@@ -15,9 +15,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .design import DesignVector
-from .errors import ConfigurationError, NonconvergenceError
-from .gcmma import GCMMA
+from .errors import ConfigurationError, NonconvergenceError, OutputError
+from .gcmma import GCMMA, GcmmaState
 from .output import (HistoryWriter, ensure_dir, read_checkpoint, write_checkpoint,
                      write_vtk_fields)
 from .pipeline import ForwardModel
@@ -99,8 +98,8 @@ def run_optimization(cfg, outdir=None, restart=None):
     first_feasible_Z = None
     if restart is not None:
         payload = read_checkpoint(restart)
+        _check_restart(payload, design.n, restart)
         design.values = np.asarray(payload["design"], dtype=float)
-        from .gcmma import GcmmaState
         if payload["optimizer"] is not None:
             state = GcmmaState.from_dict(payload["optimizer"])
         if payload["normalization"] is not None:
@@ -109,13 +108,13 @@ def run_optimization(cfg, outdir=None, restart=None):
         start_iter = payload["iteration"]
         extra = payload.get("extra") or {}
         if extra.get("warm_state") is not None and not transient:
-            warm_dv = DesignVector(
-                values=np.asarray(extra["warm_design"], dtype=float),
-                lower=design.lower, upper=design.upper, n_nodal=design.n_nodal,
-                port_layout=design.port_layout)
-            _, warm_cm, _ = model.geometry(warm_dv)
-            warm["cm"] = warm_cm
+            warm_dv = replace(design,
+                              values=np.asarray(extra["warm_design"], dtype=float))
+            warm["cm"], _ = model.geometry(warm_dv)
             warm["U"] = np.asarray(extra["warm_state"], dtype=float)
+            if warm["U"].shape != (3 * warm["cm"].n_dofs,):
+                raise OutputError(f"checkpoint {restart}: warm_state does not fit "
+                                  "the geometry of its warm_design")
         if extra.get("Z_prev") is not None:
             Z_prev = float(extra["Z_prev"])
         if extra.get("first_feasible_Z") is not None:
@@ -128,16 +127,13 @@ def run_optimization(cfg, outdir=None, restart=None):
 
     def forward(dv):
         if warm["cm"] is not None:  # steady runs only
-            phi, cm, ctx = model.geometry(dv)
+            cm, ctx = model.geometry(dv)
             w = transfer_flow_state(warm["cm"], cm, warm["U"])
-            return _steady_on_geometry(model, phi, cm, ctx, w)
+            return _steady_on_geometry(model, cm, ctx, w)
         return model.analyze(dv)
 
     def evaluate_values(x):
-        dv = DesignVector(values=np.array(x, dtype=float), lower=design.lower,
-                          upper=design.upper, n_nodal=design.n_nodal,
-                          port_layout=design.port_layout)
-        res = forward(dv)
+        res = forward(replace(design, values=np.array(x, dtype=float)))
         vals = res.crit_values
         Z = problem.objective_value(vals)
         g = np.array([con.evaluate(vals, area, it)[0] for con in problem.constraints])
@@ -222,10 +218,36 @@ def run_optimization(cfg, outdir=None, restart=None):
     return summary
 
 
-def _steady_on_geometry(model, phi, cm, ctx, warm_state):
+def _steady_on_geometry(model, cm, ctx, warm_state):
     """model.solve_steady on an already built geometry (bench/spans.py
     times the warm-started forward through this name)."""
-    return model.solve_steady(None, warm_state, geometry=(phi, cm, ctx))
+    return model.solve_steady(None, warm_state, geometry=(cm, ctx))
+
+
+def _check_restart(payload, n, path):
+    """OutputError, like an unreadable checkpoint, unless the checkpoint
+    payload holds every key a restart reads and each of its design-sized
+    vectors (design, warm_design, the optimizer's) has the configured n
+    entries."""
+    try:  # a missing key raises KeyError at its lookup
+        payload["iteration"], payload["normalization"]
+        vectors = {"design": payload["design"]}
+        opt = payload["optimizer"]
+        if opt is not None:
+            opt["iteration"]
+            vectors.update((f"optimizer {k}", opt[k])
+                           for k in ("x", "x_old1", "x_old2", "low", "upp"))
+        extra = payload.get("extra") or {}
+        if extra.get("warm_state") is not None:
+            vectors["warm_design"] = extra["warm_design"]
+        shapes = {k: np.shape(v) for k, v in vectors.items() if v is not None}
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise OutputError(f"checkpoint {path} is incomplete: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    for name, shape in shapes.items():
+        if shape != (n,):
+            raise OutputError(f"checkpoint {path}: {name} has shape {shape}, "
+                              f"the configured design has {n} entries")
 
 
 def run_gradcheck(cfg, outdir=None, n_vars=5, step=1e-5, seed=7):
@@ -255,9 +277,7 @@ def run_gradcheck(cfg, outdir=None, n_vars=5, step=1e-5, seed=7):
 
     rows = []
     for idx in pick:
-        dv = DesignVector(values=design.values.copy(), lower=design.lower,
-                          upper=design.upper, n_nodal=design.n_nodal,
-                          port_layout=design.port_layout)
+        dv = replace(design, values=design.values.copy())
         dv.values[idx] += step
         Zp = problem.objective_value(model.analyze(dv).crit_values)
         dv.values[idx] -= 2 * step

@@ -43,7 +43,6 @@ class PhysicsConfig:
 
 @dataclass
 class ForwardResult:
-    phi: object
     cm: object
     ctx: object
     psi: np.ndarray = None
@@ -73,12 +72,10 @@ class ForwardModel:
 
     # -- geometry -----------------------------------------------------------
     def geometry(self, design):
-        phi = self.lsmap.build(design)
-        cm = build_cut_model(self.mesh, phi.phi)
+        cm = build_cut_model(self.mesh, self.lsmap.build(design))
         if cm.n_dofs == 0:
             raise ConfigurationError("design produced an empty fluid domain")
-        ctx = build_context(cm, self.regions)
-        return phi, cm, ctx
+        return cm, build_context(cm, self.regions)
 
     # -- indicator ----------------------------------------------------------
     def _indicator(self, ctx):
@@ -128,8 +125,8 @@ class ForwardModel:
 
     def solve_steady(self, design, warm=None, geometry=None):
         """Steady analysis of design, or of its already built geometry
-        (phi, cm, ctx), from the warm flow state when its size fits."""
-        phi, cm, ctx = self.geometry(design) if geometry is None else geometry
+        (cm, ctx), from the warm flow state when its size fits."""
+        cm, ctx = self.geometry(design) if geometry is None else geometry
         psi, psibar, psi_lu = self._indicator(ctx)
         n = ctx.n
         if warm is None or warm.shape[0] != 3 * n:
@@ -137,8 +134,8 @@ class ForwardModel:
         make = self._flow_assemble_factory(ctx, psibar)
         U, trace, flow_lu = steady_solve(make, warm, self.solve_config)
         result = ForwardResult(
-            phi=phi, cm=cm, ctx=ctx, psi=psi, psibar_qp=psibar,
-            flow_state=U, newton_trace=trace, flow_factor=flow_lu,
+            cm=cm, ctx=ctx, psi=psi, psibar_qp=psibar, flow_state=U,
+            newton_trace=trace, flow_factor=flow_lu,
             indicator_factor=psi_lu,
         )
         if self._needs_species():
@@ -170,13 +167,13 @@ class ForwardModel:
             raise ConfigurationError(
                 "species transport is steady-only; transient runs cannot "
                 "evaluate ks_target criteria")
-        phi, cm, ctx = self.geometry(design)
+        cm, ctx = self.geometry(design)
         psi, psibar, psi_lu = self._indicator(ctx)
         n = ctx.n
         make = self._flow_assemble_factory(ctx, psibar)
         history, traces, flow_lu = march(make, np.zeros(3 * n), cfg)
         result = ForwardResult(
-            phi=phi, cm=cm, ctx=ctx, psi=psi, psibar_qp=psibar,
+            cm=cm, ctx=ctx, psi=psi, psibar_qp=psibar,
             flow_state=history[-1], flow_history=history,
             newton_trace=[t for tr in traces for t in tr],
             flow_factor=flow_lu, indicator_factor=psi_lu,

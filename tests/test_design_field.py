@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutflow.design import (DesignVector, LevelSetMap, PortPrimitive, apply_filter,
-                            build_filter, ks_min, port_signed_distance)
+from cutflow.design import (DesignVector, LevelSetMap, Port, build_filter, ks_min,
+                            port_distances)
 from cutflow.errors import ConfigurationError
 from cutflow.grid import build_mesh
 
@@ -21,13 +22,13 @@ def _mesh(n=4, L=1.0):
 def test_filter_identity_below_spacing():
     m = _mesh(3)
     f = build_filter(m, 0.2)  # spacing is 1/3
-    assert (f.weights - sp.eye(m.n_nodes)).nnz == 0
+    assert (f - sp.eye(m.n_nodes)).nnz == 0
 
 
 def test_filter_rows_sum_to_one():
     m = _mesh(5)
     f = build_filter(m, 0.55)
-    rowsum = np.asarray(f.weights.sum(axis=1)).ravel()
+    rowsum = np.asarray(f.sum(axis=1)).ravel()
     np.testing.assert_allclose(rowsum, 1.0, atol=1e-12)
 
 
@@ -38,7 +39,7 @@ def test_filter_corner_node_weights_by_hand():
     h = m.h
     r = 1.4 * h
     f = build_filter(m, r)
-    row = f.weights.getrow(0).toarray().ravel()
+    row = f.getrow(0).toarray().ravel()
     denom = r + 2 * (r - h)
     assert abs(row[0] - r / denom) < 1e-13
     assert abs(row[1] - (r - h) / denom) < 1e-13
@@ -49,7 +50,7 @@ def test_filter_corner_node_weights_by_hand():
 def test_filter_symmetry_pattern_and_nonnegative():
     m = _mesh(6)
     f = build_filter(m, 0.4)
-    W = f.weights
+    W = f
     assert W.min() >= 0
     pattern = (W != 0).astype(int)
     assert (pattern != pattern.T).nnz == 0
@@ -59,7 +60,7 @@ def test_filter_truncation_radius():
     m = _mesh(6)
     r = 0.35
     f = build_filter(m, r)
-    W = f.weights.tocoo()
+    W = f.tocoo()
     d = np.linalg.norm(m.nodes[W.row] - m.nodes[W.col], axis=1)
     assert np.all(d < r - 1e-12)
 
@@ -67,18 +68,17 @@ def test_filter_truncation_radius():
 def test_apply_filter_constant_preserved():
     m = _mesh(5)
     f = build_filter(m, 0.5)
-    phi = apply_filter(f, np.full(m.n_nodes, 0.37))
+    phi = f @ np.full(m.n_nodes, 0.37)
     np.testing.assert_allclose(phi, 0.37, atol=1e-13)
 
 
 def test_apply_filter_zero_and_unit_vector():
     m = _mesh(4)
     f = build_filter(m, 0.4)
-    assert np.all(apply_filter(f, np.zeros(m.n_nodes)) == 0)
+    assert np.all(f @ np.zeros(m.n_nodes) == 0)
     e7 = np.zeros(m.n_nodes)
     e7[7] = 1.0
-    np.testing.assert_allclose(apply_filter(f, e7),
-                               f.weights.toarray()[:, 7], atol=1e-15)
+    np.testing.assert_allclose(f @ e7, f.toarray()[:, 7], atol=1e-15)
 
 
 def test_apply_filter_matches_dense_oracle():
@@ -92,14 +92,17 @@ def test_apply_filter_matches_dense_oracle():
     D = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
     W = np.maximum(0.0, r - D)
     W /= W.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(apply_filter(f, s), W @ s, atol=1e-13)
+    np.testing.assert_allclose(f @ s, W @ s, atol=1e-13)
 
 
 def test_apply_filter_length_mismatch():
+    # the level set map refuses a nodal block that is not one value per node
     m = _mesh(3)
-    f = build_filter(m, 0.5)
+    lm = LevelSetMap(mesh=m, filt=build_filter(m, 0.5), ports=[])
+    d = DesignVector(values=np.zeros(5), lower=np.full(5, -1.0),
+                     upper=np.full(5, 1.0), n_nodal=5)
     with pytest.raises(ValueError):
-        apply_filter(f, np.zeros(5))
+        lm.build(d)
 
 
 def test_filter_bad_radius():
@@ -113,55 +116,44 @@ def test_filter_sup_norm_contraction(vals):
     m = _mesh(3)
     f = build_filter(m, 0.6)
     s = np.asarray(vals)
-    assert np.max(np.abs(apply_filter(f, s))) <= np.max(np.abs(s)) + 1e-12
+    assert np.max(np.abs(f @ s)) <= np.max(np.abs(s)) + 1e-12
 
 
 # --- ports and KS ----------------------------------------------------------
 
 def test_port_on_axis_and_interface():
-    p = PortPrimitive(center=np.array([0.0, 0.0]), radius=0.3)
-    assert abs(port_signed_distance(p, [0.0, 0.0]) + 0.3) < 1e-15
-    assert abs(port_signed_distance(p, [0.3, 0.0])) < 1e-15
-
-
-def test_port_rotated_axis_ignored():
-    # port axis rotated 30 degrees: displacement along the axis keeps -r
-    th = np.pi / 6
-    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    p = PortPrimitive(center=np.array([0.2, -0.1]), radius=0.25, rotation=rot)
-    axis = rot.T @ np.array([0.0, 1.0])  # local x2 direction in global frame
-    x = p.center + 0.7 * axis
-    assert abs(port_signed_distance(p, x) + 0.25) < 1e-12
+    # a bottom port's level set runs along x; the y coordinate is ignored
+    p = Port(name="p", face="bottom", center=(0.0, 0.0), radius=0.3)
+    x = np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.7], [-0.3, 0.4]])
+    d, v = port_distances([p], [], x)
+    np.testing.assert_array_equal(d[:, 0], [0.0, 0.3, 0.0, -0.3])
+    assert abs(v[0, 0] + 0.3) < 1e-15
+    assert abs(v[1, 0]) < 1e-15
+    assert abs(v[2, 0] + 0.3) < 1e-15
+    assert abs(v[3, 0]) < 1e-15
 
 
 def test_port_invalid():
     with pytest.raises(ConfigurationError):
-        PortPrimitive(center=np.zeros(2), radius=-0.1)
-    with pytest.raises(ConfigurationError):
-        PortPrimitive(center=np.zeros(2), radius=0.1,
-                      rotation=np.array([[1.0, 1.0], [0.0, 1.0]]))
+        Port(name="p", face="left", center=(0.0, 0.0), radius=-0.1)
+
+
+def _ks(values, beta):
+    return ks_min(np.asarray(values, dtype=float)[None, :], beta)[0][0]
 
 
 def test_ks_min_singleton_exact():
-    assert ks_min([3.7], 50.0) == pytest.approx(3.7, abs=1e-14)
+    assert _ks([3.7], 50.0) == pytest.approx(3.7, abs=1e-14)
 
 
 def test_ks_min_pair_closed_form():
     beta = 10.0
-    assert ks_min([2.0, 2.0], beta) == pytest.approx(2.0 - math.log(2) / beta,
-                                                     abs=1e-13)
+    assert _ks([2.0, 2.0], beta) == pytest.approx(2.0 - math.log(2) / beta, abs=1e-13)
 
 
 def test_ks_min_far_pair():
     # ks_min({0, 10}, beta=100) within ln(2)/100 < 0.007 of 0
-    assert abs(ks_min([0.0, 10.0], 100.0)) < 0.007
-
-
-def test_ks_min_errors():
-    with pytest.raises(ValueError):
-        ks_min([], 10.0)
-    with pytest.raises(ValueError):
-        ks_min([1.0], -1.0)
+    assert abs(_ks([0.0, 10.0], 100.0)) < 0.007
 
 
 @settings(max_examples=50, deadline=None)
@@ -169,19 +161,18 @@ def test_ks_min_errors():
        st.floats(0.01, 2.0))
 def test_ks_min_monotone_and_bounded(vals, idx, bump):
     beta = 25.0
-    base = ks_min(vals, beta)
+    base = _ks(vals, beta)
     n = len(vals)
     assert base <= min(vals) + math.log(n) / beta + 1e-9
     assert base >= min(vals) - math.log(n) / beta - 1e-9
     vals2 = list(vals)
     vals2[idx % n] += bump
-    assert ks_min(vals2, beta) >= base - 1e-9
+    assert _ks(vals2, beta) >= base - 1e-9
 
 
 # --- level set assembly -----------------------------------------------------
 
 def _lsmap(mesh, ports=()):
-    from cutflow.design import build_filter
     return LevelSetMap(mesh=mesh, filt=build_filter(mesh, 2.4 * mesh.h),
                        ports=list(ports))
 
@@ -193,7 +184,7 @@ def test_all_solid_design():
     d = DesignVector(values=np.full(m.n_nodes, up), lower=np.full(m.n_nodes, -up),
                      upper=np.full(m.n_nodes, up), n_nodal=m.n_nodes)
     phi = lm.build(d)
-    np.testing.assert_allclose(phi.phi, up, atol=1e-14)
+    np.testing.assert_allclose(phi, up, atol=1e-14)
 
 
 def test_zero_value_perturbed_to_solid_shift():
@@ -202,7 +193,7 @@ def test_zero_value_perturbed_to_solid_shift():
     d = DesignVector(values=np.zeros(m.n_nodes), lower=np.full(m.n_nodes, -1.0),
                      upper=np.full(m.n_nodes, 1.0), n_nodal=m.n_nodes)
     phi = lm.build(d)
-    np.testing.assert_allclose(phi.phi, 1e-6 * m.h, atol=1e-20)
+    np.testing.assert_allclose(phi, 1e-6 * m.h, atol=1e-20)
 
 
 def test_no_values_inside_shift_band():
@@ -213,14 +204,12 @@ def test_no_values_inside_shift_band():
                      lower=np.full(m.n_nodes, -1.0), upper=np.full(m.n_nodes, 1.0),
                      n_nodal=m.n_nodes)
     phi = lm.build(d)
-    assert np.all(np.abs(phi.phi) >= 1e-6 * m.h - 1e-20)
+    assert np.all(np.abs(phi) >= 1e-6 * m.h - 1e-20)
 
 
 def test_port_axis_node_value():
     m = _mesh(8)
-    port = PortPrimitive(center=np.array([1.0, 0.5]), radius=0.2,
-                         rotation=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                         face="right", slab_elements=2)
+    port = Port(name="p", face="right", center=(1.0, 0.5), radius=0.2, slab_elements=2)
     lm = _lsmap(m, [port])
     d = DesignVector(values=np.full(m.n_nodes, 0.01),
                      lower=np.full(m.n_nodes, -0.01),
@@ -229,11 +218,11 @@ def test_port_axis_node_value():
     # node on the port axis inside the slab: KS of a singleton is exact
     axis_node = np.nonzero((np.abs(m.nodes[:, 0] - 1.0) < 1e-12)
                            & (np.abs(m.nodes[:, 1] - 0.5) < 1e-12))[0][0]
-    assert phi.phi[axis_node] == pytest.approx(-0.2, abs=1e-9)
+    assert phi[axis_node] == pytest.approx(-0.2, abs=1e-9)
     # far from the slab the filtered field survives
     far_node = np.nonzero((np.abs(m.nodes[:, 0]) < 1e-12)
                           & (np.abs(m.nodes[:, 1] - 0.5) < 1e-12))[0][0]
-    assert phi.phi[far_node] == pytest.approx(0.01, abs=1e-12)
+    assert phi[far_node] == pytest.approx(0.01, abs=1e-12)
 
 
 def test_levelset_jacobian_nodal_rows_are_filter_rows():
@@ -243,13 +232,53 @@ def test_levelset_jacobian_nodal_rows_are_filter_rows():
                      lower=np.full(m.n_nodes, -0.02),
                      upper=np.full(m.n_nodes, 0.02), n_nodal=m.n_nodes)
     J = lm.jacobian(d)
-    np.testing.assert_allclose(J.toarray(), lm.filt.weights.toarray(), atol=1e-15)
+    np.testing.assert_allclose(J.toarray(), lm.filt.toarray(), atol=1e-15)
+
+
+def test_levelset_jacobian_transpose_product_is_filter_bitwise():
+    # without ports J is W in W's own index order, so the gradient
+    # contraction J^T g sums in the same order as W^T g
+    m = _mesh(12)
+    lm = _lsmap(m)
+    rng = np.random.default_rng(8)
+    d = DesignVector(values=rng.uniform(-0.02, 0.02, m.n_nodes),
+                     lower=np.full(m.n_nodes, -0.03),
+                     upper=np.full(m.n_nodes, 0.03), n_nodal=m.n_nodes)
+    g = rng.normal(size=m.n_nodes)
+    assert (lm.jacobian(d).T @ g).tobytes() == (lm.filt.T @ g).tobytes()
+
+
+def test_levelset_jacobian_nodal_rows_vanish_on_port_slabs():
+    m = _mesh(10)
+    h = m.h
+    ports = [Port(name="a", face="right", center=(1.0, 0.3), radius=0.08,
+                  optimize_center=True, optimize_radius=True,
+                  center_bounds=(0.15, 0.45), radius_bounds=(0.05, 0.15)),
+             Port(name="b", face="bottom", center=(0.6, 0.0), radius=0.1,
+                  slab_elements=1, optimize_radius=True, radius_bounds=(0.05, 0.15))]
+    lm = _lsmap(m, ports)
+    n = m.n_nodes
+    rng = np.random.default_rng(9)
+    d = DesignVector(values=np.concatenate([rng.uniform(-0.02, 0.02, n),
+                                            [0.3, 0.08, 0.1]]),
+                     lower=np.concatenate([np.full(n, -0.03), [0.15, 0.05, 0.05]]),
+                     upper=np.concatenate([np.full(n, 0.03), [0.45, 0.15, 0.15]]),
+                     n_nodal=n)
+    J = lm.jacobian(d).toarray()
+    assert J.shape == (n, n + 3)
+    x, y = m.nodes[:, 0], m.nodes[:, 1]
+    slab = (x >= 1.0 - 2.5 * h) | (y <= 1.5 * h)
+    assert np.all(J[slab, :n] == 0.0)
+    np.testing.assert_array_equal(J[~slab, :n], lm.filt.toarray()[~slab])
+    assert np.all(J[~slab, n:] == 0.0)
+    assert np.all(J[slab].any(axis=1))
 
 
 def test_levelset_jacobian_matches_fd():
     m = _mesh(10)
-    port = PortPrimitive(center=np.array([0.5, 0.0]), radius=0.15,
-                         rotation=np.eye(2), face="bottom", slab_elements=2)
+    port = Port(name="p", face="bottom", center=(0.5, 0.0), radius=0.15, slab_elements=2,
+                optimize_center=True, optimize_radius=True, center_bounds=(0.2, 0.8),
+                radius_bounds=(0.05, 0.4))
     lm = _lsmap(m, [port])
     rng = np.random.default_rng(4)
     n = m.n_nodes
@@ -257,17 +286,15 @@ def test_levelset_jacobian_matches_fd():
     d = DesignVector(values=vals,
                      lower=np.concatenate([np.full(n, -0.02), [0.2, 0.05]]),
                      upper=np.concatenate([np.full(n, 0.02), [0.8, 0.4]]),
-                     n_nodal=n, port_layout=[(0, 0), (0, 2)])
+                     n_nodal=n)
     J = lm.jacobian(d).toarray()
     step = 1e-6 * m.h
     for _ in range(10):
         ds = rng.normal(size=d.n)
         ds /= np.linalg.norm(ds)
-        dp = DesignVector(values=d.values + step * ds, lower=d.lower, upper=d.upper,
-                          n_nodal=n, port_layout=d.port_layout)
-        dm = DesignVector(values=d.values - step * ds, lower=d.lower, upper=d.upper,
-                          n_nodal=n, port_layout=d.port_layout)
-        fd = (lm.build(dp).phi - lm.build(dm).phi) / (2 * step)
+        dp = replace(d, values=d.values + step * ds)
+        dm = replace(d, values=d.values - step * ds)
+        fd = (lm.build(dp) - lm.build(dm)) / (2 * step)
         an = J @ ds
         denom = max(np.linalg.norm(fd), 1e-12)
         assert np.linalg.norm(fd - an) / denom < 1e-5
@@ -283,7 +310,7 @@ def test_levelset_build_unchanged_by_jacobian():
     d = DesignVector(values=rng.uniform(-0.02, 0.02, m.n_nodes),
                      lower=np.full(m.n_nodes, -0.03),
                      upper=np.full(m.n_nodes, 0.03), n_nodal=m.n_nodes)
-    before = lm.build(d).phi
+    before = lm.build(d)
     lm.jacobian(d)
-    after = lm.build(d).phi
+    after = lm.build(d)
     assert before.tobytes() == after.tobytes()

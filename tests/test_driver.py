@@ -1,6 +1,7 @@
 import os
 import pathlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -255,6 +256,20 @@ def test_cli_port_optimization_needs_bounds_exit_2(tmp_path, capsys, port):
     assert "_bounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("port,message", [
+    ("face = diagonal\ncenter = 1.6 0.2\nradius = 0.05", "'diagonal'"),
+    ("face = right\ncenter = 1.6 0.2 0.0\nradius = 0.05", "2 coordinates"),
+    ("face = right\ncenter = 1.6 0.2\nradius = -0.05", "positive"),
+], ids=["unknown_face", "three_coordinate_center", "negative_radius"])
+def test_cli_bad_port_exit_2(tmp_path, capsys, port, message):
+    text = CHANNEL_CFG.replace("[criterion.cd]", f"[port.x]\n{port}\n\n[criterion.cd]")
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigurationError, match="port.x"):
+        parse_config(path)
+    assert cli_main(["analyze", "--config", path]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigurationError):
         parse_config("/nonexistent/run.cfg")
@@ -366,6 +381,47 @@ def test_cli_truncated_checkpoint_is_output_error(tmp_path):
     rc = cli_main(["optimize", "--config", path, "--output", str(tmp_path / "b"),
                    "--restart", ckpt])
     assert rc == 4
+
+
+@pytest.mark.parametrize("damage", ["no_iteration", "short_design", "short_optimizer",
+                                    "short_warm_design", "short_warm_state",
+                                    "not_an_object"])
+def test_cli_restart_from_bad_checkpoint_is_output_error(tmp_path, capsys, damage):
+    # a checkpoint that lacks a key a restart reads, or holds a design-sized
+    # vector of another length, exits 4 like an unreadable one
+    import json
+
+    from cutflow.driver import build_model
+    from cutflow.gcmma import GCMMA
+    from cutflow.output import write_checkpoint
+    path = _write(tmp_path, OPT_CFG)
+    cfg = parse_config(path)
+    model, _ = build_model(cfg)
+    design = cfg.initial_design(model.mesh)
+    state = GCMMA(design.lower, design.upper).init_state(design.values)
+    cm, _ = model.geometry(design)
+    ckpt = str(tmp_path / "checkpoint.json")
+    write_checkpoint(ckpt, design, state, None, 1,
+                     extra={"warm_state": [0.0] * (3 * cm.n_dofs),
+                            "warm_design": design.values.tolist()})
+    payload = json.loads(pathlib.Path(ckpt).read_text())
+    if damage == "no_iteration":
+        del payload["iteration"]
+    elif damage == "short_design":
+        payload["design"] = payload["design"][:-5]
+    elif damage == "short_optimizer":
+        payload["optimizer"]["x"] = payload["optimizer"]["x"][:-5]
+    elif damage == "short_warm_design":
+        payload["extra"]["warm_design"] = payload["extra"]["warm_design"][:-5]
+    elif damage == "short_warm_state":
+        payload["extra"]["warm_state"] = payload["extra"]["warm_state"][:-3]
+    else:
+        payload = [payload]
+    pathlib.Path(ckpt).write_text(json.dumps(payload))
+    rc = cli_main(["optimize", "--config", path, "--output", str(tmp_path / "out"),
+                   "--restart", ckpt])
+    assert rc == 4
+    assert "checkpoint" in capsys.readouterr().err
 
 
 def test_optimization_runs_and_restart_reproduces(tmp_path):
@@ -561,7 +617,6 @@ def test_gradcheck_driver(tmp_path):
 def test_gradcheck_follows_bdf2_scheme(tmp_path):
     # a BDF2 config is checked against central differences of the march:
     # both the adjoint column and the FD column are transient derivatives
-    from cutflow.design import DesignVector
     from cutflow.driver import build_model, run_gradcheck
     # three short steps from rest stay far from the steady state (the
     # steady gradient differs by about 3%)
@@ -576,9 +631,7 @@ def test_gradcheck_follows_bdf2_scheme(tmp_path):
     problem.capture_normalization(model.solve_transient(design).crit_values)
     for idx, an, fd, rel in rows:
         assert rel < 1e-3
-        dv = DesignVector(values=design.values.copy(), lower=design.lower,
-                          upper=design.upper, n_nodal=design.n_nodal,
-                          port_layout=design.port_layout)
+        dv = replace(design, values=design.values.copy())
         dv.values[idx] += step
         Zp = problem.objective_value(model.solve_transient(dv).crit_values)
         dv.values[idx] -= 2 * step

@@ -100,7 +100,7 @@ def test_movable_two_port_fixture(tmp_path):
     design = cfg.initial_design(model.mesh)
     assert design.n == model.mesh.n_nodes + 4  # two ports x (center, radius)
     # the port level-set actually carves fluid at the right face
-    phi, cm, ctx = model.geometry(design)
+    cm, ctx = model.geometry(design)
     cover = [blk for blk in ctx.boundary if blk.region.side == "right" and blk.nq]
     assert cover  # fluid openings exist on the port face
     s = run_optimization(cfg, outdir=str(tmp_path / "out"))

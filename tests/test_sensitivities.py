@@ -507,11 +507,11 @@ def _volume_gradient_at(model, design, node, value):
     from cutflow.forms import build_context
     from cutflow.pipeline import ForwardResult
     from cutflow.sensitivities import FunctionalAdjoint, GradientReport
-    phi = model.lsmap.build(design).phi.copy()
+    phi = model.lsmap.build(design)
     phi[node] = value
     cm = build_cut_model(model.mesh, phi)
     ctx = build_context(cm, model.regions)
-    result = ForwardResult(phi=None, cm=cm, ctx=ctx, flow_state=np.zeros(3 * ctx.n),
+    result = ForwardResult(cm=cm, ctx=ctx, flow_state=np.zeros(3 * ctx.n),
                            crit_partials={})
     report = GradientReport()
     grad = geometry_gradient(model, result, [np.zeros((3 * ctx.n, 1))],
@@ -525,7 +525,7 @@ def _near_interface_node(model, design):
     Returns the node and the sign of its level set value.
     """
     mesh = model.mesh
-    phi = model.lsmap.build(design).phi
+    phi = model.lsmap.build(design)
     mx, my = mesh.divisions
     nx = mx + 1
     for j in range(1, my):
@@ -588,7 +588,7 @@ def _inclusion_bend():
     model, _, design = bend_model(
         divisions=(20, 20),
         inclusions=((0.0, 0.5, 0.15), (0.5, 0.0, 0.15), (0.6, 0.6, 0.1)))
-    _, cm, ctx = model.geometry(design)
+    cm, ctx = model.geometry(design)
     return model, cm, ctx
 
 
@@ -712,7 +712,7 @@ def test_recut_retries_only_failed_rows_and_flags_in_order():
     from cutflow.sensitivities import GradientReport
     model, _, design = bend_model(divisions=(20, 20))
     mesh = model.mesh
-    phi = model.lsmap.build(design).phi.copy()
+    phi = model.lsmap.build(design)
     cm0 = build_cut_model(mesh, phi)
     cut = np.nonzero(cm0.classification == CUT)[0]
     # two interior nodes of cut elements, picked from the last element back
@@ -727,7 +727,7 @@ def test_recut_retries_only_failed_rows_and_flags_in_order():
     for node in picks:
         phi[node] = np.sign(phi[node]) * 1e-12 * mesh.h
     cm = build_cut_model(mesh, phi)
-    result = ForwardResult(phi=None, cm=cm, ctx=None, crit_partials={})
+    result = ForwardResult(cm=cm, ctx=None, crit_partials={})
     batches = []
 
     def payload(elems, phi4s):

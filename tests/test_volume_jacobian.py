@@ -133,7 +133,7 @@ def test_indicator_jacobian_is_the_psi_derivative(small_ctx):
 @pytest.fixture(scope="module")
 def bend96_ctx():
     model, _, design = bend_model(divisions=(96, 96))
-    _, _, ctx = model.geometry(design)
+    _, ctx = model.geometry(design)
     assert ctx.vol_w.shape[0] > 2 * flow_mod.VOLUME_BATCH
     return model.physics.flow, ctx
 
