@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-_AXIS_OF_SIDE = {"left": 1, "right": 1, "bottom": 0, "top": 0}
+AXIS_OF_SIDE = {"left": 1, "right": 1, "bottom": 0, "top": 0}
 
 
 @dataclass
@@ -36,7 +36,7 @@ class BoundaryRegion:
     species_value: float = None  # species Dirichlet c-hat, if any
 
     def __post_init__(self):
-        if self.side not in _AXIS_OF_SIDE:
+        if self.side not in AXIS_OF_SIDE:
             raise ConfigurationError(f"unknown side {self.side!r} in region {self.name!r}")
         if self.kind not in ("velocity", "traction", "symmetry"):
             raise ConfigurationError(f"unknown condition kind {self.kind!r}")
@@ -51,15 +51,14 @@ class BoundaryRegion:
         return np.sin(self.frequency * t) if self.frequency > 0.0 else 1.0
 
     def velocity_at(self, x, t=0.0):
-        """Prescribed velocity at points x (nq, 2) and time t."""
+        """Prescribed velocity of a velocity region at points x (nq, 2) and
+        time t."""
         x = np.atleast_2d(x)
         nq = x.shape[0]
-        if self.kind != "velocity":
-            return np.zeros((nq, 2))
         mod = self._modulation(t)
         if self.profile == "uniform":
             return np.tile(np.asarray(self.velocity, dtype=float) * mod, (nq, 1))
-        axis = _AXIS_OF_SIDE[self.side]
+        axis = AXIS_OF_SIDE[self.side]
         lo, hi = self.span
         center = 0.5 * (lo + hi)
         width = hi - lo
@@ -76,20 +75,19 @@ class BoundaryRegion:
                        (x.shape[0], 1))
 
 
+def _side_spans(mesh, regions, side):
+    """(start, end) of a side along its axis and the sorted spans of its regions."""
+    axis = AXIS_OF_SIDE[side]
+    (x0, y0), (x1, y1) = mesh.extent
+    lo_all, hi_all = (x0, y0)[axis], (x1, y1)[axis]
+    return lo_all, hi_all, sorted(r.span if r.span is not None else (lo_all, hi_all)
+                                  for r in regions if r.side == side)
+
+
 def validate_regions(mesh, regions):
     """Every point of every side must fall in exactly one region."""
-    for side in ("left", "right", "bottom", "top"):
-        axis = _AXIS_OF_SIDE[side]
-        (x0, y0), (x1, y1) = mesh.extent
-        lo_all = (x0, y0)[axis]
-        hi_all = (x1, y1)[axis]
-        spans = []
-        for r in regions:
-            if r.side != side:
-                continue
-            spans.append(r.span if r.span is not None else (lo_all, hi_all))
-        spans.sort()
-        cursor = lo_all
+    for side in AXIS_OF_SIDE:
+        cursor, hi_all, spans = _side_spans(mesh, regions, side)
         for (lo, hi) in spans:
             if lo < cursor - 1e-12:
                 raise ConfigurationError(f"overlapping boundary regions on side {side}")
@@ -98,22 +96,17 @@ def validate_regions(mesh, regions):
             cursor = hi
         if cursor < hi_all - 1e-12:
             raise ConfigurationError(f"uncovered boundary on side {side} near {cursor}")
+        if cursor > hi_all + 1e-12:
+            raise ConfigurationError(f"boundary region past the end of side {side} "
+                                     f"at {hi_all}")
 
 
 def wall_regions(mesh, tagged, name_prefix="wall"):
     """Fill every untagged stretch of the boundary with no-slip walls."""
     out = list(tagged)
     count = 0
-    for side in ("left", "right", "bottom", "top"):
-        axis = _AXIS_OF_SIDE[side]
-        (x0, y0), (x1, y1) = mesh.extent
-        lo_all = (x0, y0)[axis]
-        hi_all = (x1, y1)[axis]
-        spans = sorted(
-            (r.span if r.span is not None else (lo_all, hi_all))
-            for r in tagged if r.side == side
-        )
-        cursor = lo_all
+    for side in AXIS_OF_SIDE:
+        cursor, hi_all, spans = _side_spans(mesh, tagged, side)
         for (lo, hi) in spans + [(hi_all, hi_all)]:
             if lo > cursor + 1e-12:
                 out.append(BoundaryRegion(

@@ -12,6 +12,7 @@ dump -> parse round-trips exactly (floats are written with repr).
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields
@@ -19,7 +20,8 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .conditions import BoundaryRegion, validate_regions, wall_regions
-from .criteria import ConstraintSpec, CriterionSpec, ObjectiveTerm, ProblemSpec
+from .criteria import (GEOMETRIC_KINDS, ConstraintSpec, CriterionSpec, ObjectiveTerm,
+                       ProblemSpec)
 from .design import DesignVector, LevelSetMap, Port, build_filter, port_columns
 from .errors import ConfigurationError
 from .flow import FlowParams
@@ -40,6 +42,10 @@ class DesignConfig:
     inclusions_radius: float = 0.0
     inclusions_margin: float = 0.0
     shapes: list = field(default_factory=list)  # [(op, params...)]
+
+
+# shape op -> its numbers: a box's corners x0 y0 x1 y1, a disk's centre and radius
+_SHAPE_ARITY = {"fluid_box": 4, "solid_box": 4, "fluid_disk": 3, "solid_disk": 3}
 
 
 @dataclass
@@ -82,6 +88,27 @@ class RunConfig:
             pressure_penalty_scope=self.pressure_penalty_scope,
         )
 
+    def check_names(self, regions):
+        """Every name the criteria, objective and constraints refer to
+        exists: a criterion surface is the interface or a region (walls
+        included), or for ks_target the volume; a criterion reference names
+        a criterion."""
+        surfaces = {"interface"} | {r.name for r in regions}
+        for c in self.criteria:
+            if c.kind not in GEOMETRIC_KINDS and c.surface not in (
+                    surfaces | {"volume"} if c.kind == "ks_target" else surfaces):
+                raise ConfigurationError(f"[criterion.{c.name}]: no surface {c.surface!r}")
+        refs = [("[objective]", name) for term in self.objective for _, name in term.parts]
+        for con in self.constraints:
+            used = [con.criterion] if con.kind in ("volume_frac", "mass_window_low",
+                                                   "mass_window_high") else []
+            refs += [(f"[constraint.{con.name}]", name)
+                     for name in used + list(con.inlets) + [name for _, name in con.parts]]
+        names = {c.name for c in self.criteria}
+        for where, name in refs:
+            if name not in names:
+                raise ConfigurationError(f"{where}: no criterion named {name!r}")
+
     def build_problem(self):
         return ProblemSpec(criteria=list(self.criteria),
                            objective=list(self.objective),
@@ -118,21 +145,20 @@ class RunConfig:
             s = np.full(n, dc.upper)  # all solid base
             for op in dc.shapes:
                 kind = op[0]
+                if _SHAPE_ARITY.get(kind) != len(op) - 1:
+                    raise ConfigurationError(f"shape op {kind!r} with {len(op) - 1} numbers "
+                                             f"(the ops and their counts: {_SHAPE_ARITY})")
                 if kind.endswith("_box"):
                     bx0, by0, bx1, by1 = op[1:]
                     v = np.maximum.reduce([bx0 - xy[:, 0], xy[:, 0] - bx1,
                                            by0 - xy[:, 1], xy[:, 1] - by1])
-                elif kind.endswith("_disk"):
+                else:
                     ccx, ccy, r = op[1:]
                     v = np.hypot(xy[:, 0] - ccx, xy[:, 1] - ccy) - r
-                else:
-                    raise ConfigurationError(f"unknown shape op {kind!r}")
                 if kind.startswith("fluid"):
                     s = np.minimum(s, v)
-                elif kind.startswith("solid"):
-                    s = np.maximum(s, -v)
                 else:
-                    raise ConfigurationError(f"unknown shape op {kind!r}")
+                    s = np.maximum(s, -v)
             s = np.clip(s, dc.lower, dc.upper)
         else:
             raise ConfigurationError(f"unknown initial design kind {dc.initial!r}")
@@ -153,8 +179,15 @@ class RunConfig:
 # the key table: parse_config, dump_config and the key checks all read it
 # ---------------------------------------------------------------------------
 
+def _finite(s):
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {s.strip()!r}")
+    return v
+
+
 def _floats(s):
-    return tuple(float(v) for v in s.split())
+    return tuple(_finite(v) for v in s.split())
 
 
 def _bool(s):
@@ -167,7 +200,7 @@ def _bool(s):
 
 
 # text -> value by the annotated field type; a tuple is whitespace-separated floats
-_READ = {"float": float, "int": int, "bool": _bool, "str": str, "tuple": _floats}
+_READ = {"float": _finite, "int": int, "bool": _bool, "str": str, "tuple": _floats}
 
 
 @dataclass(frozen=True)
@@ -216,7 +249,7 @@ def _read_terms(raw):
             if not tok:
                 raise ConfigurationError(f"bad objective term {part!r}")
             parts.append((coef, tok))
-        objective.append(ObjectiveTerm(weight=float(weight_s), parts=parts))
+        objective.append(ObjectiveTerm(weight=_finite(weight_s), parts=parts))
     return objective
 
 
@@ -237,8 +270,8 @@ _SECTIONS = (
     _Section("mesh", required=True, run_fields=("extent", "divisions"), codecs={
         "extent": _Codec(
             ("x0", "y0", "x1", "y1"),
-            lambda raw: ((float(raw["x0"]), float(raw["y0"])),
-                         (float(raw["x1"]), float(raw["y1"]))),
+            lambda raw: ((_finite(raw["x0"]), _finite(raw["y0"])),
+                         (_finite(raw["x1"]), _finite(raw["y1"]))),
             lambda extent: (*extent[0], *extent[1])),
         "divisions": _Codec(("nx", "ny"),
                             lambda raw: (int(raw["nx"]), int(raw["ny"])), tuple),
@@ -253,7 +286,7 @@ _SECTIONS = (
                              tuple),
         "shapes": _Codec(
             ("shapes",),
-            lambda raw: [(toks[0], *(float(v) for v in toks[1:]))
+            lambda raw: [(toks[0], *(_finite(v) for v in toks[1:]))
                          for toks in (p.split() for p in raw["shapes"].split("|"))
                          if toks],
             lambda shapes: (" | ".join(
@@ -270,7 +303,7 @@ _SECTIONS = (
                          lambda inlets: (" ".join(inlets),)),
         "parts": _Codec(
             ("parts",),
-            lambda raw: [(float(coef), crit.strip()) for coef, crit in
+            lambda raw: [(_finite(coef), crit.strip()) for coef, crit in
                          (tok.split(":") for tok in raw["parts"].split("|"))],
             lambda parts: (" | ".join(f"{float(coef)!r}: {name}"
                                       for coef, name in parts),)),

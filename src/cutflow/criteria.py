@@ -1,7 +1,7 @@
 """Design criteria and their composition into objectives and constraints.
 
-Every criterion is an integral over one of the context's quadrature
-blocks (interface, a tagged boundary region, or the fluid volume). One
+Every criterion is an integral over the fluid volume or over one slice
+of the context's surface table (the interface or a boundary region). One
 integrand, `criterion_terms`, gives its per-point terms: the global
 evaluation sums them, and the geometric sensitivities sum them per
 re-cut element of a stacked context. State partials are exact.
@@ -43,6 +43,9 @@ class CriterionSpec:
             raise ConfigurationError(f"unknown criterion kind {self.kind!r}")
         if self.kind == "drag" and (self.u_char <= 0 or self.l_char <= 0):
             raise ConfigurationError("drag normalization requires u_char, l_char > 0")
+        if self.kind == "drag" and not (len(self.direction) == 2
+                                        and np.hypot(*self.direction) > 0):
+            raise ConfigurationError("drag direction must be two numbers, not both zero")
         if self.kind == "ks_target" and self.beta_ks <= 0:
             raise ConfigurationError("ks_target requires beta_ks > 0")
 
@@ -55,17 +58,11 @@ class CriterionValue:
     aux: tuple = None  # ks_target: (max shift m, shifted integral T)
 
 
-def _surface_block(ctx, spec):
-    if spec.surface == "interface":
-        return ctx.interface
-    return ctx.boundary_block(spec.surface)
-
-
 def _ks_points(ctx, spec):
     """(N, dofs, w) of the block a ks_target criterion integrates over."""
     if spec.surface == "volume":
         return ctx.vol_N, ctx.vol_dofs, ctx.vol_w
-    blk = _surface_block(ctx, spec)
+    blk = ctx.surface_part(spec.surface)
     return blk.N, blk.dofs, blk.w
 
 
@@ -79,8 +76,9 @@ def criterion_scale(spec, params):
     """Factor between a criterion's value and the sum of its terms."""
     if spec.kind != "drag":
         return 1.0
-    ex, ey = spec.direction
-    return -2.0 * ex_ey_norm(ex, ey) / (params.rho * spec.u_char**2 * spec.l_char)
+    # the drag direction need not be a unit vector (CriterionSpec rejects zero)
+    unit = 1.0 / float(np.hypot(*spec.direction))
+    return -2.0 * unit / (params.rho * spec.u_char**2 * spec.l_char)
 
 
 def criterion_terms(spec, ctx, params, flow_state=None, species_state=None,
@@ -98,13 +96,14 @@ def criterion_terms(spec, ctx, params, flow_state=None, species_state=None,
     if spec.kind == "volume_fluid":
         return ctx.vol_w, ctx.vol_dofs
     if spec.kind == "surface_area":
-        return ctx.interface.w, ctx.interface.dofs
+        blk = ctx.surface_part("interface")
+        return blk.w, blk.dofs
     if spec.kind == "ks_target":
         N, dofs, w = _ks_points(ctx, spec)
         _, dev2 = _ks_deviation(spec, N, dofs, species_state)
         return w * np.exp(spec.beta_ks * (dev2 - shift)), dofs
 
-    blk = _surface_block(ctx, spec)
+    blk = ctx.surface_part(spec.surface)
     w, nx, ny = blk.w, blk.normal[:, 0], blk.normal[:, 1]
     _, _, _, ux, uy, p, uxx, uxy, uyx, uyy = flow_fields(
         np.asarray(flow_state, dtype=float), n, blk.dofs, blk.N, blk.gx, blk.gy)
@@ -150,7 +149,7 @@ def evaluate_criterion(spec, ctx, params, flow_state=None, species_state=None,
             out.d_species = ds
         return out
 
-    blk = _surface_block(ctx, spec)
+    blk = ctx.surface_part(spec.surface)
     if not blk.nq:
         raise ConfigurationError(f"criterion surface {spec.surface!r} is empty")
     q, _ = criterion_terms(spec, ctx, params, flow_state=flow_state)
@@ -187,12 +186,6 @@ def evaluate_criterion(spec, ctx, params, flow_state=None, species_state=None,
         np.add.at(d, dofs + 2 * n, -scale * N * (w * (ex * nx + ey * ny))[:, None])
     out.d_flow = d
     return out
-
-
-def ex_ey_norm(ex, ey):
-    # the drag direction is a unit vector; tolerate unnormalized input
-    nrm = float(np.hypot(ex, ey))
-    return 1.0 / nrm if nrm > 0 else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +271,6 @@ class ProblemSpec:
     objective: list  # list[ObjectiveTerm]
     constraints: list  # list[ConstraintSpec]
     normalization: dict = None  # term index -> |initial term value|
-
-    def criterion(self, name):
-        for c in self.criteria:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
     def term_raw(self, term, values):
         return sum(coef * values[name] for coef, name in term.parts)

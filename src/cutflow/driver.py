@@ -29,6 +29,7 @@ transient_total_gradient = total_design_gradient
 def build_model(cfg):
     mesh = cfg.build_mesh()
     regions = cfg.build_regions(mesh)
+    cfg.check_names(regions)
     lsmap = cfg.build_level_set_map(mesh)
     model = ForwardModel(mesh=mesh, lsmap=lsmap, regions=regions,
                          physics=cfg.build_physics(), criteria=cfg.criteria,
@@ -304,11 +305,15 @@ def run_sweep(cfg, parameter, values, outdir=None):
     repeated = sorted({d for d in dirs if dirs.count(d) > 1})
     if repeated:
         raise ConfigurationError(f"sweep values share a run directory: {', '.join(repeated)}")
+    try:
+        flows = [replace(cfg.flow, **{parameter: float(v)}) for v in values]
+    except ValueError as exc:
+        raise ConfigurationError(f"sweep value of {parameter}: {exc}") from exc
     outdir = outdir or cfg.output.directory
     ensure_dir(outdir)
     results = []
-    for v, d in zip(values, dirs):
-        sub = replace(cfg, flow=replace(cfg.flow, **{parameter: float(v)}))
+    for v, d, flow in zip(values, dirs, flows):
+        sub = replace(cfg, flow=flow)
         summary = run_analysis(sub, outdir=os.path.join(outdir, d))
         summary["parameter"] = float(v)
         results.append(summary)

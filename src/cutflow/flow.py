@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import Triplets, basis_tables, ghost_jumps, piece_blocks
+from .forms import Triplets, basis_tables, ghost_jumps, piece_blocks, prescribed
 from .solve import STEADY_SLOT
 
 GALERKIN = "galerkin"
@@ -61,10 +61,11 @@ class FlowParams:
     tau_time_term: bool = True
 
     def __post_init__(self):
-        if self.rho <= 0 or self.mu <= 0:
+        if not (self.rho > 0 and self.mu > 0):  # nan fails too
             raise ValueError("rho and mu must be positive")
-        for a in (self.alpha_nitsche, self.alpha_gp_mu, self.alpha_gp_p, self.alpha_gp_u):
-            if a < 0:
+        for a in (self.alpha_nitsche, self.alpha_gp_mu, self.alpha_gp_p, self.alpha_gp_u,
+                  self.k_pressure):
+            if not a >= 0:
                 raise ValueError("penalty constants must be nonnegative")
 
 
@@ -110,29 +111,21 @@ def assemble_flow(ctx, params, state, coeff_state=None, slot=STEADY,
         _volume_terms(ctx, params, U, hist, slot, psibar, terms, R, tri)
 
     if NITSCHE in terms:
-        blk = ctx.interface
-        if blk is not None and blk.nq:
-            uhat = np.zeros((blk.nq, 2))  # no-slip interface default
+        blk = ctx.conditions["velocity"]
+        if blk.nq:
+            uhat = prescribed(ctx, "velocity", slot.t)
             _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, tri)
-        for blk in ctx.boundary:
-            if not blk.nq:
-                continue
-            region = blk.region
-            if region.kind == "velocity":
-                uhat = region.velocity_at(blk.x, slot.t)
-                _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, tri)
-            elif region.kind == "symmetry":
-                _nitsche_symmetry(ctx, params, U, Uc, blk, R, tri)
+        blk = ctx.conditions["symmetry"]
+        if blk.nq:
+            _nitsche_symmetry(ctx, params, U, Uc, blk, R, tri)
 
-    if NEUMANN in terms:
-        for blk in ctx.boundary:
-            if blk.nq and blk.region.kind == "traction":
-                that = blk.region.traction_at(blk.x, slot.t)
-                dref = _block_dofs(blk.dofs, n)
-                r = np.zeros((blk.nq, 12))
-                r[:, 0:4] = -blk.N * that[:, 0:1]
-                r[:, 4:8] = -blk.N * that[:, 1:2]
-                np.add.at(R, dref, r * blk.w[:, None])
+    blk = ctx.conditions["traction"]
+    if NEUMANN in terms and blk.nq:
+        that = prescribed(ctx, "traction", slot.t)
+        r = np.zeros((blk.nq, 12))
+        r[:, 0:4] = -blk.N * that[:, 0:1]
+        r[:, 4:8] = -blk.N * that[:, 1:2]
+        np.add.at(R, _block_dofs(blk.dofs, n), r * blk.w[:, None])
 
     if GHOST in terms and ctx.ghost is not None and ctx.ghost.nq:
         gamma_vel, gamma_p = _ghost_gammas(ctx, params, Uc)
@@ -340,7 +333,7 @@ def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, tri):
         C[1, 1, X] -= mu * ny * NT
         C[1, 1, Y] -= mu * nx * NT
         C[2, 1, Y] -= 2 * mu * ny * NT
-        tri.add_pieces(T, C, blk.w, dofs, n)
+        tri.add_pieces(T, C, blk.w, dofs, n, blk.region)
 
 
 def _nitsche_symmetry(ctx, params, U, Uc, blk, R, tri):
@@ -382,7 +375,7 @@ def _nitsche_symmetry(ctx, params, U, Uc, blk, R, tri):
                 C[1, b, rows] -= 2 * mu * nd * nx * nc * NT  # -2 mu n_b gnN_a u.n
                 C[2, b, rows] -= 2 * mu * nd * ny * nc * NT
             C[0, 2, rows_b] += bp * nd * NT
-        tri.add_pieces(T, C, blk.w, dofs, n)
+        tri.add_pieces(T, C, blk.w, dofs, n, blk.region)
 
 
 def _ghost_gammas(ctx, params, Uc):

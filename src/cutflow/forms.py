@@ -11,7 +11,10 @@ This is the only module that knows a quadrature rule: uncut fluid
 elements take the tensor 2x2 Gauss rule, subcell triangles the 3-point
 edge-midpoint rule, and interface chords, boundary edge covers and ghost
 facets the 2-point Gauss rule. One routine, `_assemble_context`, turns
-quadrature rows, chords and ghost pairs into a context. `build_context`
+quadrature rows, chords and ghost pairs into a context, whose one surface
+table holds the interface chords and then each region's. This module
+alone maps regions to conditions (`IntegrationContext.conditions`,
+`prescribed`). `build_context`
 feeds it the whole cut model; `element_context` feeds it a batch of
 elements re-cut at perturbed corner values by one `decompose_cells` call,
 with the enrichment frozen: one stacked context in which each re-cut owns
@@ -28,11 +31,12 @@ w_q T_q^T C_q per piece from a test table T and trial rows C,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
 
+from .conditions import AXIS_OF_SIDE
 from .cut import (FLUID, CutModel, cell_patterns, concat_ranges, decompose_cells,
                   fluid_covers)
 
@@ -48,7 +52,6 @@ _SIDE_NORMAL = {
     "bottom": np.array([0.0, -1.0]),
     "top": np.array([0.0, 1.0]),
 }
-_SIDE_AXIS = {"left": 1, "right": 1, "bottom": 0, "top": 0}
 
 
 def shape_q1(mesh, elems, x):
@@ -97,9 +100,19 @@ def segment_rule(a, b):
     return pts.reshape(-1, 2), np.repeat(length / 2, 2)
 
 
+# the interface takes velocity (no slip) alone
+_CONDITIONS = ("velocity", "symmetry", "traction", "species", "port")
+
+
+def _takes(region, kind):
+    """Whether a boundary region takes a condition kind."""
+    return {"species": region.species_value is not None,
+            "port": region.port}.get(kind, region.kind == kind)
+
+
 @dataclass
 class SurfaceBlock:
-    """Batched surface quadrature with basis tables (boundary or interface)."""
+    """Batched surface quadrature with basis tables."""
 
     x: np.ndarray
     w: np.ndarray
@@ -109,11 +122,15 @@ class SurfaceBlock:
     N: np.ndarray
     gx: np.ndarray
     gy: np.ndarray
-    region: object = None  # BoundaryRegion for external blocks
+    region: np.ndarray  # per point: index into the context's regions, -1 on the interface
 
     @property
     def nq(self):
         return self.w.shape[0]
+
+    def take(self, rows):
+        """The block of the points rows (a slice or an index array)."""
+        return SurfaceBlock(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass
@@ -152,18 +169,38 @@ class IntegrationContext:
     vol_gx: np.ndarray = None
     vol_gy: np.ndarray = None
     vol_d2: np.ndarray = None
-    interface: SurfaceBlock = None
-    boundary: list = field(default_factory=list)  # list[SurfaceBlock]
+    surface: SurfaceBlock = None  # the interface, then each region in order
+    regions: tuple = ()  # BoundaryRegion per surface region index
+    conditions: dict = field(default_factory=dict)  # condition kind -> its surface points
     ghost: GhostBlock = None
     owner: np.ndarray = None  # stacked re-cut contexts: local dof -> batch row
     # matrix kind -> CSR plan of its Jacobians on this context (Triplets)
     csr_plans: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def boundary_block(self, name):
-        for blk in self.boundary:
-            if blk.region is not None and blk.region.name == name:
-                return blk
-        raise KeyError(f"no boundary region named {name!r}")
+    def surface_part(self, name):
+        """The slice of the surface table on the interface ('interface') or on
+        the boundary region of that name."""
+        names = ["interface"] + [r.name for r in self.regions]
+        if name not in names:
+            raise KeyError(f"no boundary region named {name!r}")
+        k = names.index(name) - 1  # region indices ascend along the table
+        return self.surface.take(slice(*np.searchsorted(self.surface.region, (k, k + 1))))
+
+
+def prescribed(ctx, kind, t=0.0):
+    """Per-point data of ctx.conditions[kind] at time t: each region's
+    velocity_at or traction_at (nq, 2), zero velocity on the interface, or
+    its species_value (nq,)."""
+    blk = ctx.conditions[kind]
+    out = np.zeros(blk.nq if kind == "species" else (blk.nq, 2))
+    for k, region in enumerate(ctx.regions):
+        lo, hi = np.searchsorted(blk.region, (k, k + 1))
+        if hi > lo:
+            x = blk.x[lo:hi]
+            out[lo:hi] = (region.velocity_at(x, t) if kind == "velocity" else
+                          region.traction_at(x, t) if kind == "traction" else
+                          region.species_value)
+    return out
 
 
 def _boundary_chords(mesh, region, covers):
@@ -186,7 +223,7 @@ def _boundary_chords(mesh, region, covers):
     s0, s1 = t[rows, 0], t[rows, 1]
     ends = mesh.boundary_edges[side][idx[rows]]
     a, b = mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]]
-    axis = _SIDE_AXIS[side]
+    axis = AXIS_OF_SIDE[side]
     lo = a[:, axis] + s0 * (b[:, axis] - a[:, axis])
     hi = a[:, axis] + s1 * (b[:, axis] - a[:, axis])
     if region.span is not None:
@@ -215,17 +252,6 @@ def _volume_rows(cm):
             cm.piece_elem[row], cm.piece_dofs[row])
 
 
-def _surface_block(mesh, chords, region=None):
-    """2-point Gauss block on chords (elem, dofs, a, b, normal), one row each."""
-    elem, dofs, a, b, normal = chords
-    x, w = segment_rule(a, b)
-    elem = np.repeat(elem, 2)
-    N, gx, gy, _ = shape_q1(mesh, elem, x)
-    return SurfaceBlock(x=x, w=w, elem=elem, dofs=np.repeat(dofs, 2, axis=0),
-                        normal=np.repeat(normal, 2, axis=0), N=N, gx=gx, gy=gy,
-                        region=region)
-
-
 def _ghost_block(mesh, facets, dofs):
     """2-point Gauss jump block on the full facets of ghost pairs with
     corner dofs (G, 2, 4) on the lower and upper element."""
@@ -242,25 +268,35 @@ def _ghost_block(mesh, facets, dofs):
                       N1=N1, N2=N2, gn1=gn1, gn2=gn2)
 
 
-def _assemble_context(mesh, scalar_ids, volume, interface, boundary, ghost=None,
-                      owner=None):
+def _assemble_context(mesh, scalar_ids, volume, interface, covers, regions,
+                      ghost=None, owner=None):
     """The one builder of an IntegrationContext.
 
-    volume holds the fluid quadrature rows (x, w, elem, dofs); interface
-    and each entry of boundary, a (region, chords) pair, hold chords
-    (elem, dofs, a, b, normal) that get the 2-point Gauss rule; ghost holds
-    the (facets, dofs) of the ghost pairs (none, or no pairs: no ghost block).
+    volume holds the fluid quadrature rows (x, w, elem, dofs); the surface
+    table takes the 2-point Gauss rule on the interface chords (elem, dofs,
+    a, b, normal) and then on each region's clip of the boundary covers
+    (elem, dofs, edge, t); ghost holds the (facets, dofs) of the ghost
+    pairs (none, or no pairs: no ghost block).
     Dofs are already in the context's numbering, scalar_ids[dof] being the
     global scalar dof.
     """
     ctx = IntegrationContext(mesh=mesh, n=len(scalar_ids), scalar_ids=scalar_ids,
-                             h=mesh.h, owner=owner)
+                             h=mesh.h, regions=tuple(regions), owner=owner)
     ctx.vol_x, ctx.vol_w, ctx.vol_elem, ctx.vol_dofs = volume
     ctx.vol_N, ctx.vol_gx, ctx.vol_gy, ctx.vol_d2 = shape_q1(mesh, ctx.vol_elem,
                                                              ctx.vol_x)
-    ctx.interface = _surface_block(mesh, interface)
-    ctx.boundary = [_surface_block(mesh, chords, region=region)
-                    for region, chords in boundary]
+    chords = [interface] + [_boundary_chords(mesh, region, covers) for region in regions]
+    region = np.repeat(np.arange(-1, len(regions)), [2 * c[0].shape[0] for c in chords])
+    elem, dofs, a, b, normal = (np.concatenate(part) for part in zip(*chords))
+    x, w = segment_rule(a, b)
+    elem = np.repeat(elem, 2)
+    ctx.surface = SurfaceBlock(x, w, elem, np.repeat(dofs, 2, axis=0),
+                               np.repeat(normal, 2, axis=0), *shape_q1(mesh, elem, x)[:3],
+                               region)
+    for kind in _CONDITIONS:
+        # indexed by region index; the last entry, -1, is the interface
+        member = np.array([_takes(r, kind) for r in regions] + [kind == "velocity"])
+        ctx.conditions[kind] = ctx.surface.take(np.flatnonzero(member[region]))
     if ghost is not None and ghost[0].size:
         ctx.ghost = _ghost_block(mesh, *ghost)
     return ctx
@@ -269,7 +305,8 @@ def _assemble_context(mesh, scalar_ids, volume, interface, boundary, ghost=None,
 def build_context(cm: CutModel, regions=()) -> IntegrationContext:
     """Global integration context: volume + interface + boundary + ghost data.
 
-    Every region gets a boundary block, empty when no fluid reaches it.
+    Every region gets a slice of the surface table, empty when no fluid
+    reaches it.
     """
     mesh, cuts = cm.mesh, cm.cuts
     seg = cm.cut_rows[cuts.seg_row]
@@ -277,9 +314,8 @@ def build_context(cm: CutModel, regions=()) -> IntegrationContext:
                  cuts.seg_normal)
     row, edge, t = fluid_covers(cuts, cm.piece_full)
     covers = (cm.piece_elem[row], cm.piece_dofs[row], edge, t)
-    boundary = [(region, _boundary_chords(mesh, region, covers)) for region in regions]
     return _assemble_context(mesh, np.arange(cm.n_dofs, dtype=np.int64), _volume_rows(cm),
-                             interface, boundary, (cm.pair_facet, cm.pair_dofs))
+                             interface, covers, regions, (cm.pair_facet, cm.pair_dofs))
 
 
 def element_context(cm: CutModel, elems, phi4s, regions=()):
@@ -289,8 +325,8 @@ def element_context(cm: CutModel, elems, phi4s, regions=()):
     values phi4s[i] with its enrichment frozen. Each row owns a disjoint
     block of local dofs, the element's scalar dofs in sorted order
     (ctx.owner maps a local dof to its row), and its quadrature rows come
-    in the order a one-row call gives them. Boundary blocks cover every
-    region, empty where no row's fluid reaches it; ghost terms are
+    in the order a one-row call gives them. The surface table has a slice for
+    every region, empty where no row's fluid reaches it; ghost terms are
     geometry-independent and excluded. Returns (ctx, invalid): invalid
     marks the rows whose re-cut changes the cut pattern (a corner sign or
     the phase of a saddle centre), which own no dofs and no quadrature.
@@ -335,8 +371,8 @@ def element_context(cm: CutModel, elems, phi4s, regions=()):
                  cuts.seg_b, cuts.seg_normal)
     cp, edge, t = fluid_covers(cuts, np.zeros(cuts.cell.shape[0], dtype=bool))
     covers = (elems[piece_row[cp]], piece_dofs[cp], edge, t)
-    boundary = [(region, _boundary_chords(mesh, region, covers)) for region in regions]
-    ctx = _assemble_context(mesh, scalar_ids, volume, interface, boundary, owner=owner)
+    ctx = _assemble_context(mesh, scalar_ids, volume, interface, covers, regions,
+                            owner=owner)
     return ctx, invalid
 
 
@@ -350,14 +386,15 @@ def basis_tables(N, gx, gy):
     return NT, gxT, gyT, np.stack([NT, gxT, gyT])
 
 
-def piece_blocks(T, C, w, dofs):
+def piece_blocks(T, C, w, dofs, seam=None):
     """Per-piece sums of w_q T_q^T C_q over a batch of quadrature points.
 
     T (k, b, nq) holds k test functions of b bases, C (k, m, c, nq) the
     trial row that each test multiplies in each of m row blocks, c trial
     entries long; C is weighted by w in place. A piece is a run of points
-    with equal dofs (nq, b): a volume piece, chords, or the points of one
-    ghost facet. The pieces with L points are one batched (b x kL) . (kL x mc)
+    with equal dofs (nq, b), and equal seam keys (nq,) when given: a volume
+    piece, the chords of one surface region in one element, or the points
+    of one ghost facet. The pieces with L points are one batched (b x kL) . (kL x mc)
     matmul. Returns the pieces' dofs (pieces, b) and blocks (pieces, b m, c),
     rows grouped by row block.
     """
@@ -366,6 +403,8 @@ def piece_blocks(T, C, w, dofs):
     C *= w
     new = np.ones(nq, dtype=bool)
     new[1:] = (dofs[1:] != dofs[:-1]).any(1)
+    if seam is not None:
+        new[1:] |= seam[1:] != seam[:-1]
     starts = np.flatnonzero(new)
     count = np.diff(starts, append=nq)
     # points-first views; the gathers below are the one transpose
@@ -420,10 +459,10 @@ class Triplets:
     def add(self, rows, cols, vals):
         self.blocks.append((rows, cols, vals))
 
-    def add_pieces(self, T, C, w, dofs, n):
+    def add_pieces(self, T, C, w, dofs, n, seam=None):
         """Add the per-piece blocks of a trial table C (piece_blocks) of a
         square block: row block f and its trial entries at dofs + f n."""
-        dofs, blocks = piece_blocks(T, C, w, dofs)
+        dofs, blocks = piece_blocks(T, C, w, dofs, seam)
         dref = np.concatenate([dofs + f * n for f in range(C.shape[1])], axis=1)
         self.add(dref, dref, blocks)
 

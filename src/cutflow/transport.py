@@ -19,15 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import Triplets, basis_tables, ghost_jumps, piece_blocks
+from .forms import Triplets, basis_tables, ghost_jumps, piece_blocks, prescribed
 from .solve import factorize, lu_solve
 
 GALERKIN = "galerkin"
 STABILIZATION = "stabilization"
 NITSCHE = "nitsche"
-NEUMANN = "neumann"
 GHOST = "ghost"
-ALL_TERMS = frozenset((GALERKIN, STABILIZATION, NITSCHE, NEUMANN, GHOST))
+ALL_TERMS = frozenset((GALERKIN, STABILIZATION, NITSCHE, GHOST))
 
 
 @dataclass
@@ -120,13 +119,10 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
         if want_matrix:
             tri.add_pieces(T, C, ctx.vol_w, dofs, n)
 
-    if NITSCHE in terms:
-        for blk in ctx.boundary:
-            region = blk.region
-            if not blk.nq or region.species_value is None:
-                continue
-            _scalar_nitsche(ctx, R, tri, blk, c, k, params.alpha_nitsche,
-                            chat=region.species_value)
+    blk = ctx.conditions["species"]
+    if NITSCHE in terms and blk.nq:
+        _scalar_nitsche(ctx, R, tri, blk, c, k, params.alpha_nitsche,
+                        chat=prescribed(ctx, "species"))
 
     if GHOST in terms and ctx.ghost is not None and ctx.ghost.nq:
         ghost_jumps(ctx, c, ((params.alpha_gp * ctx.h * k, (0,)),), R, tri)
@@ -136,7 +132,8 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
 
 
 def _scalar_nitsche(ctx, R, tri, blk, c, k, alpha, chat):
-    """Nitsche Dirichlet terms for a scalar diffusive field."""
+    """Nitsche Dirichlet terms for a scalar diffusive field, c = chat (a
+    constant or one value per point) on the points of blk."""
     N, gx, gy = blk.N, blk.gx, blk.gy
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
     ce = c[blk.dofs]
@@ -151,7 +148,7 @@ def _scalar_nitsche(ctx, R, tri, blk, c, k, alpha, chat):
         # -k N_a grad N_b . n + k (grad N_a . n) N_b + pen N_a N_b
         NT, gxT, gyT, T = basis_tables(N, gx, gy)
         C = np.stack([pen * NT - k * (nx * gxT + ny * gyT), k * nx * NT, k * ny * NT])
-        tri.add_pieces(T, C[:, None], blk.w, blk.dofs, ctx.n)
+        tri.add_pieces(T, C[:, None], blk.w, blk.dofs, ctx.n, blk.region)
 
 
 def species_flow_jacobian(ctx, params, state, flow_state):
@@ -210,9 +207,9 @@ def assemble_indicator(ctx, params, state, want_matrix=True):
             C = np.stack([-params.reaction * NT, gxT, gyT])
             tri.add_pieces(T, C[:, None], ctx.vol_w, dofs, n)
 
-    for blk in ctx.boundary:
-        if blk.nq and getattr(blk.region, "port", False):
-            _scalar_nitsche(ctx, R, tri, blk, psi, 1.0, params.alpha_nitsche, chat=0.0)
+    blk = ctx.conditions["port"]
+    if blk.nq:
+        _scalar_nitsche(ctx, R, tri, blk, psi, 1.0, params.alpha_nitsche, chat=0.0)
 
     if ctx.ghost is not None and ctx.ghost.nq:
         ghost_jumps(ctx, psi, ((params.alpha_gp * ctx.h, (0,)),), R, tri)

@@ -199,9 +199,10 @@ def test_acceptance_4_indicator_classification():
         psi, _ = solve_indicator(ctx, params)
         psibar = indicator_at_volume_points(ctx, psi, params)
         reachable = set()
-        for blk in ctx.boundary:
-            if not blk.region.port:
+        for region in ctx.regions:
+            if not region.port:
                 continue
+            blk = ctx.surface_part(region.name)
             for q in range(blk.nq):
                 e = int(blk.elem[q])
                 for row in np.flatnonzero(cm.piece_elem == e):

@@ -171,7 +171,7 @@ def test_ks_sandwich_bounds():
     spec = CriterionSpec(name="k", kind="ks_target", surface="outlet",
                          beta_ks=400.0, c_ref=0.5)
     v = evaluate_criterion(spec, ctx, _params(), species_state=c)
-    blk = ctx.boundary_block("outlet")
+    blk = ctx.surface_part("outlet")
     cq = (blk.N * c[blk.dofs]).sum(1)
     dev2 = (cq - 0.5) ** 2
     m = dev2.max()

@@ -38,7 +38,7 @@ def _context(cut):
     ])
     ctx = build_context(build_cut_model(mesh, phi), regions)
     assert (ctx.ghost is not None) == cut
-    assert (ctx.interface is not None and ctx.interface.nq > 0) == cut
+    assert (ctx.surface_part("interface").nq > 0) == cut
     return ctx
 
 

@@ -246,7 +246,8 @@ def test_quadrature_cut_weights_match_subcell_area():
     ctx = build_context(cm, ())
     for e in np.nonzero(cm.classification == CUT)[0]:
         wv = ctx.vol_w[ctx.vol_elem == e]
-        ws = ctx.interface.w[ctx.interface.elem == e]
+        interface = ctx.surface_part("interface")
+        ws = interface.w[interface.elem == e]
         fluid_area = cm.piece_area[(cm.piece_elem == e) & (cm.piece_phase == FLUID)].sum()
         assert abs(wv.sum() - fluid_area) < 1e-12
         seg_elem = cm.piece_elem[cm.cut_rows[cm.cuts.seg_row]]

@@ -270,6 +270,61 @@ def test_cli_bad_port_exit_2(tmp_path, capsys, port, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (("surface = interface\ndirection", "surface = nowhere\ndirection"), "'nowhere'"),
+    (("surface = interface\ndirection", "surface = volume\ndirection"), "'volume'"),
+    (("terms = 1.0: ti - to", "terms = 1.0: nothing"), "'nothing'"),
+    (("[solve]", "[constraint.c]\nkind = volume_frac\ncriterion = nothing\nfrac = 0.5\n\n"
+      "[solve]"), "'nothing'"),
+    (("[solve]", "[constraint.c]\nkind = mass_window_low\ncriterion = to\n"
+      "inlets = ti nothing\nfrac = 1.0\ntol = 0.1\n\n[solve]"), "'nothing'"),
+    (("[solve]", "[constraint.c]\nkind = pressure_cap\nparts = 1.0: ti | -1.0: nothing\n"
+      "reference = 1.0\n\n[solve]"), "'nothing'"),
+    (("solid_disk 0.3 0.2 0.08", "solid_disk 0.3 0.2"), "'solid_disk' with 2 numbers"),
+    (("solid_disk 0.3 0.2 0.08", "solid_disk 0.3 0.2 0.08 0.05"), "'solid_disk' with 4"),
+], ids=["surface_nowhere", "drag_on_volume", "objective_term", "constraint_criterion",
+        "constraint_inlets", "constraint_parts", "shape_too_few", "shape_too_many"])
+def test_cli_unknown_names_and_shape_arity_exit_2(tmp_path, capsys, edit, message):
+    # names are checked against the regions (walls included) and the
+    # criteria before any solve, in every command
+    path = _write(tmp_path, CHANNEL_CFG.replace(*edit))
+    for command in ("analyze", "optimize"):
+        assert cli_main([command, "--config", path,
+                         "--output", str(tmp_path / command)]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_criterion_surface_may_name_a_wall(tmp_path):
+    cfg = parse_config(_write(tmp_path, CHANNEL_CFG.replace(
+        "surface = outlet", "surface = wall_bottom_0")))
+    mesh = cfg.build_mesh()
+    cfg.check_names(cfg.build_regions(mesh))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("k_pressure = 1.0", "k_pressure = -1"), "nonnegative"),
+    (("direction = 1 0", "direction = 0 0"), "direction"),
+    (("span = 0.0 0.4", "span = 0.0 0.5"), "past the end of side left"),
+    (("amplitude = 0.3", "amplitude = nan"), "not a finite number"),
+    (("rho = 1.0", "rho = inf"), "not a finite number"),
+], ids=["k_pressure", "drag_direction", "span", "amplitude_nan", "rho_inf"])
+def test_cli_bad_values_exit_2_before_any_solve(tmp_path, capsys, edit, message):
+    path = _write(tmp_path, CHANNEL_CFG.replace(*edit))
+    assert cli_main(["analyze", "--config", path, "--output", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_sweep_bad_parameter_values_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, CHANNEL_CFG)
+    assert cli_main(["sweep", "--config", path, "--parameter", "k_pressure",
+                     "--values", "1.0,-1.0", "--output", str(tmp_path / "sw")]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+    assert cli_main(["sweep", "--config", path, "--parameter", "alpha_nitsche",
+                     "--values", "1.0,nan", "--output", str(tmp_path / "sw")]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "sw")
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigurationError):
         parse_config("/nonexistent/run.cfg")

@@ -101,7 +101,8 @@ def test_movable_two_port_fixture(tmp_path):
     assert design.n == model.mesh.n_nodes + 4  # two ports x (center, radius)
     # the port level-set actually carves fluid at the right face
     cm, ctx = model.geometry(design)
-    cover = [blk for blk in ctx.boundary if blk.region.side == "right" and blk.nq]
+    cover = [blk for blk in (ctx.surface_part(r.name) for r in ctx.regions
+                             if r.side == "right") if blk.nq]
     assert cover  # fluid openings exist on the port face
     s = run_optimization(cfg, outdir=str(tmp_path / "out"))
     assert s["iterations"] >= 1

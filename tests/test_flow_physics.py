@@ -410,10 +410,11 @@ def test_wall_velocity_error_decreases_with_nitsche_penalty():
             ctx, params, x, coeff_state=x, slot=slot))
         U, _, _ = steady_solve(make, np.zeros(3 * n), SolveConfig())
         err = 0.0
-        for blk in ctx.boundary:
-            if blk.region.kind != "velocity":
+        for region in ctx.regions:
+            if region.kind != "velocity":
                 continue
-            uhat = blk.region.velocity_at(blk.x)
+            blk = ctx.surface_part(region.name)
+            uhat = region.velocity_at(blk.x)
             ux = (blk.N * U[blk.dofs]).sum(1)
             uy = (blk.N * U[n + blk.dofs]).sum(1)
             err += float((blk.w * ((ux - uhat[:, 0]) ** 2

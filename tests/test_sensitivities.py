@@ -595,8 +595,10 @@ def _inclusion_bend():
 def _row_blocks(ctx, row):
     """(name, block, mask of one batch row's points) for each block."""
     yield "vol", ctx, ctx.owner[ctx.vol_dofs[:, 0]] == row
-    for blk in [ctx.interface] + ctx.boundary:
-        yield blk.region and blk.region.name, blk, ctx.owner[blk.dofs[:, 0]] == row
+    for region in (None,) + ctx.regions:
+        name = region and region.name
+        blk = ctx.surface_part(name or "interface")
+        yield name, blk, ctx.owner[blk.dofs[:, 0]] == row
 
 
 def test_element_context_matches_global_rows():
@@ -613,11 +615,12 @@ def test_element_context_matches_global_rows():
         for k in ("vol_x", "vol_w", "vol_N", "vol_gx", "vol_gy", "vol_d2"):
             assert _bitwise(getattr(loc, k), getattr(ctx, k)[rows])
         assert _bitwise(ids[loc.vol_dofs], ctx.vol_dofs[rows])
-        local_blocks = {blk.region.name: blk for blk in loc.boundary}
-        pairs = [(loc.interface, ctx.interface)]
-        for blk in ctx.boundary:
-            if blk.region.name in local_blocks:
-                pairs.append((local_blocks[blk.region.name], blk))
+        local_blocks = {r.name: loc.surface_part(r.name) for r in loc.regions}
+        pairs = [(loc.surface_part("interface"), ctx.surface_part("interface"))]
+        for region in ctx.regions:
+            blk = ctx.surface_part(region.name)
+            if region.name in local_blocks:
+                pairs.append((local_blocks[region.name], blk))
             else:
                 assert not np.any(blk.elem == e)
         for lb, gb in pairs:
@@ -625,7 +628,7 @@ def test_element_context_matches_global_rows():
             for k in ("x", "w", "normal", "N"):
                 assert _bitwise(getattr(lb, k), getattr(gb, k)[rows])
             assert _bitwise(ids[lb.dofs], gb.dofs[rows])
-        with_boundary += sum(1 for blk in loc.boundary if blk.nq)
+        with_boundary += sum(1 for blk in local_blocks.values() if blk.nq)
     assert with_boundary >= 1
 
 

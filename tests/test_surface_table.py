@@ -1,0 +1,72 @@
+"""The one surface table of a context: its named slices, its condition
+point sets, and the piece seams between regions."""
+
+import numpy as np
+import pytest
+
+from cutflow import flow as flow_mod
+from cutflow.conditions import BoundaryRegion, wall_regions
+from cutflow.cut import build_cut_model
+from cutflow.flow import FlowParams, assemble_flow
+from cutflow.forms import build_context, piece_blocks
+from cutflow.grid import build_mesh
+
+
+def test_piece_blocks_split_a_run_of_equal_dofs_at_a_seam():
+    rng = np.random.default_rng(3)
+    T = rng.normal(size=(3, 4, 4))
+    C = rng.normal(size=(3, 1, 4, 4))
+    w = rng.random(4)
+    dofs = np.tile(np.arange(4), (4, 1))
+    one_dofs, one = piece_blocks(T, C.copy(), w, dofs)
+    two_dofs, two = piece_blocks(T, C.copy(), w, dofs, np.array([0, 0, 1, 1]))
+    assert one.shape[0] == 1 and two.shape[0] == 2
+    assert np.array_equal(two_dofs, dofs[:2])
+    for blk, pts in zip(two, (slice(0, 2), slice(2, 4))):
+        _, alone = piece_blocks(T[:, :, pts], C[..., pts].copy(), w[pts], dofs[pts])
+        assert np.array_equal(blk, alone[0])
+    assert np.allclose(two.sum(0), one[0], rtol=1e-14, atol=1e-14)
+
+
+def test_region_slices_of_an_all_fluid_box_measure_their_spans():
+    mesh = build_mesh(((0.0, 0.0), (1.0, 1.0)), (4, 4))
+    regions = wall_regions(mesh, [
+        BoundaryRegion(name="inlet", side="left", kind="velocity", span=(0.1, 0.6)),
+        BoundaryRegion(name="outlet", side="right", kind="traction"),
+        BoundaryRegion(name="lid", side="top", kind="symmetry", span=(0.3, 0.8),
+                       port=True, species_value=0.5),
+    ])
+    ctx = build_context(build_cut_model(mesh, -np.ones(mesh.n_nodes)), regions)
+    assert ctx.surface_part("interface").nq == 0
+    for region in regions:
+        lo, hi = region.span if region.span is not None else (0.0, 1.0)
+        blk = ctx.surface_part(region.name)
+        assert np.all(blk.region == regions.index(region))
+        assert blk.w.sum() == pytest.approx(hi - lo, abs=1e-14)
+    nq = {r.name: ctx.surface_part(r.name).nq for r in regions}
+    velocity = sum(nq[r.name] for r in regions if r.kind == "velocity")
+    assert ctx.conditions["velocity"].nq == velocity
+    assert ctx.conditions["traction"].nq == nq["outlet"]
+    for kind in ("symmetry", "species", "port"):
+        assert np.array_equal(ctx.conditions[kind].x, ctx.surface_part("lid").x)
+    with pytest.raises(KeyError, match="nowhere"):
+        ctx.surface_part("nowhere")
+
+
+def test_mixer_flow_assembly_makes_one_velocity_nitsche_call(tmp_path, monkeypatch):
+    from cutflow.config import parse_config
+    from cutflow.driver import build_model
+    from test_fixtures import MIXER_CFG
+    path = tmp_path / "mix.cfg"
+    path.write_text(MIXER_CFG)
+    cfg = parse_config(str(path))
+    model, _ = build_model(cfg)
+    _, ctx = model.geometry(cfg.initial_design(model.mesh))
+    assert len(ctx.regions) == 10
+    calls = []
+    nitsche = flow_mod._nitsche_velocity
+    monkeypatch.setattr(flow_mod, "_nitsche_velocity",
+                        lambda *args: calls.append(1) or nitsche(*args))
+    U = np.random.default_rng(1).normal(scale=0.1, size=3 * ctx.n)
+    assemble_flow(ctx, FlowParams(), U)
+    assert len(calls) == 1

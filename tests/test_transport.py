@@ -199,9 +199,10 @@ def test_mixed_regions_classified_end_to_end():
     psibar = indicator_at_volume_points(ctx, psi, p)
     # flood-fill oracle: reachable regions = those whose pieces cover a port
     reachable = set()
-    for blk in ctx.boundary:
-        if not blk.region.port:
+    for region in ctx.regions:
+        if not region.port:
             continue
+        blk = ctx.surface_part(region.name)
         for q in range(blk.nq):
             e = int(blk.elem[q])
             for row in np.flatnonzero(cm.piece_elem == e):

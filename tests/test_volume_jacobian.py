@@ -35,7 +35,7 @@ def small_ctx():
         BoundaryRegion(name="lid", side="top", kind="symmetry"),
     ])
     ctx = build_context(build_cut_model(mesh, phi), regions)
-    assert ctx.interface.nq and ctx.ghost is not None
+    assert ctx.surface_part("interface").nq and ctx.ghost is not None
     new = np.ones(ctx.vol_w.shape[0], dtype=bool)
     new[1:] = (ctx.vol_dofs[1:] != ctx.vol_dofs[:-1]).any(1)
     sizes = set(np.diff(np.flatnonzero(np.append(new, True))).tolist())
