@@ -24,6 +24,10 @@ from .errors import SolverError
 ALBEFA = 0.1  # move-limit fraction of the distance to each asymptote
 RAA_EPS = 1e-6  # floor of the initial conservatism parameters
 SUBPROBLEM_NEWTON = 200  # Newton steps per barrier level of the subproblem
+# rounding noise of a subproblem residual row, in units of its terms' size
+ROUNDING = 4 * np.finfo(float).eps
+# a barrier level discounts rounding noise once it exceeds this share of epsi
+NOISE_SHARE = 0.01
 
 
 @dataclass
@@ -213,6 +217,13 @@ def _subsolve(m, n, low, upp, alfa, beta, p0, q0, P, Q, b, penalty):
     so the subproblem KKT conditions hold to < 1e-9; converged tells
     whether every barrier level met its residual target (max |residual|
     <= 0.9 epsi) within SUBPROBLEM_NEWTON steps.
+
+    A strongly conservative approximation (large rho) has terms near 1e9 in
+    the x rows, whose difference rounding leaves uncertain by about 1e-7.
+    Where that noise, estimated as each level starts, exceeds NOISE_SHARE
+    epsi, the x and lambda rows count only past their noise, in the target
+    and in the line search's merit; counted in full, it makes every Newton
+    step of the level stall in its line search.
     """
     if m == 0:
         # separable unconstrained case: stationary point per variable
@@ -231,7 +242,7 @@ def _subsolve(m, n, low, upp, alfa, beta, p0, q0, P, Q, b, penalty):
     mu = np.maximum(eem, 0.5 * c)
     s = eem.copy()
 
-    def residuals(x, y, lam, xsi, eta, mu, s, epsi):
+    def residuals(x, y, lam, xsi, eta, mu, s, epsi, noise):
         ux1 = upp - x
         xl1 = x - low
         plam = p0 + P.T @ lam
@@ -246,11 +257,30 @@ def _subsolve(m, n, low, upp, alfa, beta, p0, q0, P, Q, b, penalty):
         remu = mu * y - epsi
         res = lam * s - epsi
         flat = np.concatenate([rex, rey, relam, rexsi, reeta, remu, res])
+        if noise is not None:
+            # the x and lambda rows count only past their rounding noise
+            flat[:noise.size] = np.maximum(np.abs(flat[:noise.size]) - noise, 0.0)
         return float(np.sqrt(flat @ flat)), float(np.max(np.abs(flat)))
+
+    def rounding_noise(x, y, lam, xsi, eta, s):
+        # the rounding noise of the x and lambda rows: their terms' size,
+        # plus what one ulp of x changes them by
+        ux1 = upp - x
+        xl1 = x - low
+        pux = (p0 + P.T @ lam) / ux1**2
+        qxl = (q0 + Q.T @ lam) / xl1**2
+        ax = np.abs(x)
+        gvec = P @ (1.0 / ux1) + Q @ (1.0 / xl1)
+        return ROUNDING * np.concatenate([
+            pux + qxl + xsi + eta + 2 * ax * (pux / ux1 + qxl / xl1), np.zeros(m),
+            gvec + y + s + np.abs(b) + (P / ux1**2 + Q / xl1**2) @ ax])
 
     converged = True
     while epsi > 1e-10:
-        residunorm, residumax = residuals(x, y, lam, xsi, eta, mu, s, epsi)
+        noise = rounding_noise(x, y, lam, xsi, eta, s)
+        if noise.max() <= NOISE_SHARE * epsi:
+            noise = None  # negligible against this level's target
+        residunorm, residumax = residuals(x, y, lam, xsi, eta, mu, s, epsi, noise)
         for _ in range(SUBPROBLEM_NEWTON):
             if residumax <= 0.9 * epsi:
                 break
@@ -305,7 +335,7 @@ def _subsolve(m, n, low, upp, alfa, beta, p0, q0, P, Q, b, penalty):
                 eta = old[4] + steg * deta
                 mu = old[5] + steg * dmu
                 s = old[6] + steg * ds
-                resinew, residumax = residuals(x, y, lam, xsi, eta, mu, s, epsi)
+                resinew, residumax = residuals(x, y, lam, xsi, eta, mu, s, epsi, noise)
                 steg /= 2
             residunorm = resinew
         converged &= residumax <= 0.9 * epsi

@@ -232,3 +232,26 @@ def test_nan_gradient_rejected():
     with pytest.raises(ValueError):
         opt.step(state, 1.0, np.array([np.nan, 0.0]), np.zeros(0),
                  np.zeros((0, 2)))
+
+
+def test_subproblem_discounts_rounding_noise(monkeypatch):
+    # a strongly conservative approximation, as after the inner loop has
+    # grown rho: terms near 1e9 leave rounding noise near 1e-7 in the x
+    # rows, above the targets of the last barrier levels. Counted in full,
+    # that noise stalls each of those levels through all SUBPROBLEM_NEWTON
+    # steps without converging
+    n = 40
+    rng = np.random.default_rng(0)
+    x0 = rng.uniform(-0.04, 0.04, n)
+    p0 = 8e8 + rng.uniform(0.0, 1.0, n)
+    q0 = 8e8 + rng.uniform(0.0, 1.0, n)
+    P = np.full((1, n), 0.1)
+    steps = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda A, r: steps.append(1) or solve(A, r))
+    x, lam, converged = _subsolve(1, n, x0 - 1.0, x0 + 1.0, x0 - 0.004, x0 + 0.004,
+                                  p0, q0, P, P.copy(), np.array([10.0]), 100.0)
+    assert converged
+    assert len(steps) < 50  # ten barrier levels
+    assert np.all(x >= x0 - 0.004) and np.all(x <= x0 + 0.004)
+    assert 0.0 < lam[0] < 1e-9  # the constraint is slack
