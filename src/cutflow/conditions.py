@@ -42,6 +42,11 @@ class BoundaryRegion:
             raise ConfigurationError(f"unknown condition kind {self.kind!r}")
         if self.profile not in ("uniform", "parabola"):
             raise ConfigurationError(f"unknown profile {self.profile!r}")
+        for key in ("span", "velocity", "traction"):
+            value = getattr(self, key)
+            if value is not None and len(value) != 2:
+                raise ConfigurationError(f"{key} of region {self.name!r} needs 2 numbers, "
+                                         f"got {value!r}")
         if self.kind == "velocity" and self.profile == "parabola" and self.span is None:
             raise ConfigurationError(
                 f"parabola profile in region {self.name!r} requires an explicit span"

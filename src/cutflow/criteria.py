@@ -226,6 +226,12 @@ class ConstraintSpec:
     reference: float = 1.0
     parts: list = field(default_factory=list)  # pressure_cap / upper_bound
 
+    def __post_init__(self):
+        kinds = ("volume_frac", "mass_window_low", "mass_window_high", "pressure_cap",
+                 "upper_bound")
+        if self.kind not in kinds:
+            raise ConfigurationError(f"unknown constraint kind {self.kind!r}")
+
     def current_tol(self, iteration):
         if self.tol_initial is None or self.continuation_steps <= 0:
             return self.tol
@@ -256,11 +262,10 @@ class ConstraintSpec:
             for k in self.inlets:
                 d[k] = d.get(k, 0.0) + (m_out / (frac * m_in * m_in))
             return g, d
-        if self.kind in ("pressure_cap", "upper_bound"):
-            total = sum(coef * values[name] for coef, name in self.parts)
-            g = total / self.reference - 1.0
-            return g, {name: coef / self.reference for coef, name in self.parts}
-        raise ConfigurationError(f"unknown constraint kind {self.kind!r}")
+        # pressure_cap, upper_bound
+        total = sum(coef * values[name] for coef, name in self.parts)
+        g = total / self.reference - 1.0
+        return g, {name: coef / self.reference for coef, name in self.parts}
 
 
 @dataclass

@@ -98,28 +98,19 @@ def run_optimization(cfg, outdir=None, restart=None):
     Z_prev = None
     first_feasible_Z = None
     if restart is not None:
-        payload = read_checkpoint(restart)
-        _check_restart(payload, design.n, restart)
-        design.values = np.asarray(payload["design"], dtype=float)
-        if payload["optimizer"] is not None:
-            state = GcmmaState.from_dict(payload["optimizer"])
-        if payload["normalization"] is not None:
-            problem.normalization = {int(k): v for k, v in
-                                     payload["normalization"].items()}
-        start_iter = payload["iteration"]
-        extra = payload.get("extra") or {}
+        design.values, opt, normalization, start_iter, extra = _read_restart(
+            restart, design.n, len(problem.objective))
+        if opt is not None:
+            state = opt
+        if normalization is not None:
+            problem.normalization = normalization
         if extra.get("warm_state") is not None and not transient:
-            warm_dv = replace(design,
-                              values=np.asarray(extra["warm_design"], dtype=float))
-            warm["cm"], _ = model.geometry(warm_dv)
-            warm["U"] = np.asarray(extra["warm_state"], dtype=float)
+            warm["cm"], _ = model.geometry(replace(design, values=extra["warm_design"]))
+            warm["U"] = extra["warm_state"]
             if warm["U"].shape != (3 * warm["cm"].n_dofs,):
                 raise OutputError(f"checkpoint {restart}: warm_state does not fit "
                                   "the geometry of its warm_design")
-        if extra.get("Z_prev") is not None:
-            Z_prev = float(extra["Z_prev"])
-        if extra.get("first_feasible_Z") is not None:
-            first_feasible_Z = float(extra["first_feasible_Z"])
+        Z_prev, first_feasible_Z = extra.get("Z_prev"), extra.get("first_feasible_Z")
 
     names = [c.name for c in cfg.criteria]
     # a restart into the same directory keeps the rows before the checkpoint
@@ -225,30 +216,54 @@ def _steady_on_geometry(model, cm, ctx, warm_state):
     return model.solve_steady(None, warm_state, geometry=(cm, ctx))
 
 
-def _check_restart(payload, n, path):
-    """OutputError, like an unreadable checkpoint, unless the checkpoint
-    payload holds every key a restart reads and each of its design-sized
-    vectors (design, warm_design, the optimizer's) has the configured n
-    entries."""
-    try:  # a missing key raises KeyError at its lookup
-        payload["iteration"], payload["normalization"]
-        vectors = {"design": payload["design"]}
+def _read_restart(path, n, n_terms):
+    """(design values, optimizer state, normalization, iteration, extra) of
+    a checkpoint, converted for a restart (optimizer state and
+    normalization may be None). OutputError, like an unreadable checkpoint,
+    for a missing key, a value of the wrong type (the iteration a count,
+    vectors and Z values numbers), a number that is not finite, a
+    normalization without one positive value per objective term (n_terms),
+    or a design-sized vector (design, warm_design, the optimizer's) without
+    the configured n entries."""
+    payload = read_checkpoint(path)
+    try:  # a missing key fails at its lookup, a bad value at its conversion
+        iteration = payload["iteration"]
+        if type(iteration) is not int or iteration < 0:
+            raise ValueError(f"iteration {iteration!r} is not a count")
+        design = np.asarray(payload["design"], dtype=float)
         opt = payload["optimizer"]
-        if opt is not None:
-            opt["iteration"]
-            vectors.update((f"optimizer {k}", opt[k])
+        state = None if opt is None else GcmmaState.from_dict(opt)
+        normalization = payload["normalization"]
+        if normalization is not None:
+            normalization = {int(k): float(v) for k, v in normalization.items()}
+            if sorted(normalization) != list(range(n_terms)) or \
+                    not all(v > 0 for v in normalization.values()):
+                raise ValueError(f"normalization {normalization!r} is not one positive "
+                                 f"value per objective term")
+        extra = dict(payload.get("extra") or {})
+        for key in ("Z_prev", "first_feasible_Z"):
+            if extra.get(key) is not None:
+                extra[key] = float(extra[key])
+        vectors = {"design": design}
+        if state is not None:
+            vectors.update((f"optimizer {k}", getattr(state, k))
                            for k in ("x", "x_old1", "x_old2", "low", "upp"))
-        extra = payload.get("extra") or {}
         if extra.get("warm_state") is not None:
-            vectors["warm_design"] = extra["warm_design"]
-        shapes = {k: np.shape(v) for k, v in vectors.items() if v is not None}
+            extra["warm_state"] = np.asarray(extra["warm_state"], dtype=float)
+            vectors["warm_design"] = extra["warm_design"] = np.asarray(extra["warm_design"],
+                                                                        dtype=float)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise OutputError(f"checkpoint {path} is incomplete: "
+        raise OutputError(f"checkpoint {path} is incomplete or malformed: "
                           f"{type(exc).__name__}: {exc}") from exc
-    for name, shape in shapes.items():
-        if shape != (n,):
-            raise OutputError(f"checkpoint {path}: {name} has shape {shape}, "
+    for name, v in vectors.items():
+        if v is not None and v.shape != (n,):
+            raise OutputError(f"checkpoint {path}: {name} has shape {v.shape}, "
                               f"the configured design has {n} entries")
+    numbers = [*vectors.values(), *(normalization or {}).values(),
+               *(extra.get(k) for k in ("warm_state", "Z_prev", "first_feasible_Z"))]
+    if not all(np.isfinite(v).all() for v in numbers if v is not None):
+        raise OutputError(f"checkpoint {path} holds a number that is not finite")
+    return design, state, normalization, iteration, extra
 
 
 def run_gradcheck(cfg, outdir=None, n_vars=5, step=1e-5, seed=7):

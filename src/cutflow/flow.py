@@ -266,7 +266,7 @@ def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, pts):
 
     np.add.at(R, dref, r * W[:, None])
     if want_j:
-        tri.add_pieces(T, C, W, dofs, n)
+        tri.add_pieces(T, C, W, dofs)
 
 
 def _nitsche_gamma(ctx, params, blk, Uc):
@@ -333,7 +333,7 @@ def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, tri):
         C[1, 1, X] -= mu * ny * NT
         C[1, 1, Y] -= mu * nx * NT
         C[2, 1, Y] -= 2 * mu * ny * NT
-        tri.add_pieces(T, C, blk.w, dofs, n, blk.region)
+        tri.add_pieces(T, C, blk.w, dofs, blk.region)
 
 
 def _nitsche_symmetry(ctx, params, U, Uc, blk, R, tri):
@@ -375,7 +375,7 @@ def _nitsche_symmetry(ctx, params, U, Uc, blk, R, tri):
                 C[1, b, rows] -= 2 * mu * nd * nx * nc * NT  # -2 mu n_b gnN_a u.n
                 C[2, b, rows] -= 2 * mu * nd * ny * nc * NT
             C[0, 2, rows_b] += bp * nd * NT
-        tri.add_pieces(T, C, blk.w, dofs, n, blk.region)
+        tri.add_pieces(T, C, blk.w, dofs, blk.region)
 
 
 def _ghost_gammas(ctx, params, Uc):
@@ -426,7 +426,7 @@ def flow_time_matrix(ctx, params, state, slot=STEADY):
             C[1, b, rows] = rho * tau * ux * NT
             C[2, b, rows] = rho * tau * uy * NT
             C[1 + b, 2, rows] = tau * NT
-        tri.add_pieces(T, C, ctx.vol_w[pts], dofs, n)
+        tri.add_pieces(T, C, ctx.vol_w[pts], dofs)
     return tri.matrix(ctx, ("time",), (3 * n, 3 * n))
 
 
@@ -446,6 +446,5 @@ def flow_indicator_jacobian(ctx, params, state, psi, indicator_params):
         dproj = 0.5 * kw * (1.0 - th * th)
         NT = np.ascontiguousarray(N.T)
         C = (params.k_pressure * p * dproj * NT)[None, None]
-        dofs, blocks = piece_blocks(NT[None], C, ctx.vol_w, dofs)
-        tri.add(dofs + 2 * n, dofs, blocks)
+        tri.add(*piece_blocks(NT[None], C, ctx.vol_w, dofs), (2,), (0,))
     return tri.matrix(ctx, ("flow_indicator",), (3 * n, n))

@@ -25,8 +25,9 @@ global context's rows of that element.
 It also owns the one path from Jacobian terms to CSR: `piece_blocks` sums
 w_q T_q^T C_q per piece from a test table T and trial rows C,
 `ghost_jumps` is the face-oriented jump penalty of every field, and
-`Triplets` turns the blocks into a CSR matrix through a plan
-(`csr_plan`) cached per matrix kind in `IntegrationContext.csr_plans`.
+`Triplets` turns the blocks, each on scalar dofs and naming the fields it
+couples, into a CSR matrix through a plan (`csr_plan`) cached per matrix
+kind in `IntegrationContext.csr_plans`.
 """
 
 from __future__ import annotations
@@ -138,7 +139,6 @@ class GhostBlock:
     """Full-facet jump quadrature for the face-oriented penalties."""
 
     w: np.ndarray  # (nq,)
-    x: np.ndarray
     normal: np.ndarray  # (nq, 2)
     dofs1: np.ndarray  # (nq, 4)
     dofs2: np.ndarray
@@ -156,12 +156,10 @@ class GhostBlock:
 class IntegrationContext:
     """All quadrature/basis data one geometry needs for assembly."""
 
-    mesh: object
     n: int  # scalar dofs in this context's numbering
     scalar_ids: np.ndarray  # local -> global scalar dof (identity for global ctx)
     h: float
     # fluid volume
-    vol_x: np.ndarray = None
     vol_w: np.ndarray = None
     vol_elem: np.ndarray = None
     vol_dofs: np.ndarray = None
@@ -264,7 +262,7 @@ def _ghost_block(mesh, facets, dofs):
     N2, gx2, gy2, _ = shape_q1(mesh, e2, x)
     gn1 = gx1 * normal[:, :1] + gy1 * normal[:, 1:]
     gn2 = gx2 * normal[:, :1] + gy2 * normal[:, 1:]
-    return GhostBlock(w=w, x=x, normal=normal, dofs1=dofs1, dofs2=dofs2,
+    return GhostBlock(w=w, normal=normal, dofs1=dofs1, dofs2=dofs2,
                       N1=N1, N2=N2, gn1=gn1, gn2=gn2)
 
 
@@ -280,11 +278,10 @@ def _assemble_context(mesh, scalar_ids, volume, interface, covers, regions,
     Dofs are already in the context's numbering, scalar_ids[dof] being the
     global scalar dof.
     """
-    ctx = IntegrationContext(mesh=mesh, n=len(scalar_ids), scalar_ids=scalar_ids,
-                             h=mesh.h, regions=tuple(regions), owner=owner)
-    ctx.vol_x, ctx.vol_w, ctx.vol_elem, ctx.vol_dofs = volume
-    ctx.vol_N, ctx.vol_gx, ctx.vol_gy, ctx.vol_d2 = shape_q1(mesh, ctx.vol_elem,
-                                                             ctx.vol_x)
+    ctx = IntegrationContext(n=len(scalar_ids), scalar_ids=scalar_ids, h=mesh.h,
+                             regions=tuple(regions), owner=owner)
+    ctx.vol_w, ctx.vol_elem, ctx.vol_dofs = volume[1:]
+    ctx.vol_N, ctx.vol_gx, ctx.vol_gy, ctx.vol_d2 = shape_q1(mesh, ctx.vol_elem, volume[0])
     chords = [interface] + [_boundary_chords(mesh, region, covers) for region in regions]
     region = np.repeat(np.arange(-1, len(regions)), [2 * c[0].shape[0] for c in chords])
     elem, dofs, a, b, normal = (np.concatenate(part) for part in zip(*chords))
@@ -440,38 +437,38 @@ def ghost_jumps(ctx, U, groups, R, tri):
             jump = (g.gn1 * u[g.dofs1]).sum(1) - (g.gn2 * u[g.dofs2]).sum(1)
             np.add.at(R, dofs + f * n, gvec * (gamma * jump)[:, None] * g.w[:, None])
             if tri is not None:
-                tri.add(facets + f * n, facets + f * n, blocks)
+                tri.add(facets, blocks, (f,), (f,))
 
 
 class Triplets:
     """The Jacobian entries of one assembly pass, summed into CSR.
 
-    add(rows, cols, vals) puts vals[k, i, j] at (rows[k, i], cols[k, j]);
-    the assemblers add blocks already summed per piece (piece_blocks).
-    The first matrix of a kind on a context builds its CSR plan, each
-    triplet's slot in a fixed indptr/indices, and caches it on the context;
-    every later one is a single bincount into those slots.
+    add(dofs, vals, rows, cols) adds a batch of blocks on scalar dofs
+    (k, p) that couple the row fields rows to the column fields cols:
+    vals[k, i p + a, j p + b] goes to row rows[i] n + dofs[k, a] and column
+    cols[j] n + dofs[k, b]. The assemblers add blocks already summed per
+    piece (piece_blocks). The first matrix of a kind on a context builds its
+    CSR plan, each triplet's slot in a fixed indptr/indices, and caches it
+    on the context; every later one is a single bincount into those slots.
     """
 
     def __init__(self):
         self.blocks = []
 
-    def add(self, rows, cols, vals):
-        self.blocks.append((rows, cols, vals))
+    def add(self, dofs, vals, rows, cols):
+        self.blocks.append((dofs, vals, tuple(rows), tuple(cols)))
 
-    def add_pieces(self, T, C, w, dofs, n, seam=None):
+    def add_pieces(self, T, C, w, dofs, seam=None):
         """Add the per-piece blocks of a trial table C (piece_blocks) of a
-        square block: row block f and its trial entries at dofs + f n."""
-        dofs, blocks = piece_blocks(T, C, w, dofs, seam)
-        dref = np.concatenate([dofs + f * n for f in range(C.shape[1])], axis=1)
-        self.add(dref, dref, blocks)
+        square block: row block f and its trial entries on field f."""
+        self.add(*piece_blocks(T, C, w, dofs, seam), range(C.shape[1]), range(C.shape[1]))
 
     def matrix(self, ctx, kind, shape):
         """The CSR matrix of the triplets; kind names the matrix (and its
         terms) among those assembled on ctx."""
         if not self.blocks:
             return sp.csr_matrix(shape)
-        vals = np.concatenate([v.ravel() for _, _, v in self.blocks])
+        vals = np.concatenate([v.ravel() for _, v, _, _ in self.blocks])
         plan = ctx.csr_plans.get(kind)
         if plan is None or plan[0].shape[0] != vals.shape[0]:
             plan = ctx.csr_plans[kind] = csr_plan(self.blocks, shape, ctx.n)
@@ -480,71 +477,30 @@ class Triplets:
         return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=shape)
 
 
-def field_layout(dofs, n):
-    """(scalar dofs (k, p), fields) of dofs (k, f p) that are f chunks of the
-    same scalar dofs, each chunk in one field (dof = field n + scalar dof).
-    Raises ValueError for any other layout."""
-    field = dofs[0] // n
-    fields = field[np.flatnonzero(np.diff(field, prepend=-1))]
-    p = dofs.shape[1] // fields.shape[0]
-    scalar = dofs[:, :p] - fields[0] * n
-    if not np.array_equal(dofs, np.tile(scalar, fields.shape[0]) + np.repeat(fields * n, p)):
-        raise ValueError("block dofs are not chunks of scalar dofs, one field each")
-    return scalar, fields
-
-
 def csr_plan(blocks, shape, n):
-    """(slot, indices, indptr): the CSR pattern of the blocks' triplets,
-    with sorted column indices, and each triplet's position in it.
-
-    Every block is chunks of the same scalar dofs, one field per chunk
-    (field_layout), so the plan is a unique over scalar dof pairs (a, b), a
-    ninth of a flow matrix's triplets, each with the field pairs (f, g) it
-    couples: all nine in a [ux, uy, p] block, like fields in a ghost block.
-    """
-    if shape[0] % n or shape[1] % n:
-        raise ValueError(f"matrix shape {shape} is not in fields of {n} dofs")
-    blocks = [b for b in blocks if b[2].size]
-    layouts = [(field_layout(r, n), field_layout(c, n)) for r, c, _ in blocks]
-    key = np.int32 if n * n < 2**31 else np.int64
-    keys, pair = np.unique(np.concatenate([(a[:, :, None] * n + b[:, None, :]).ravel()
-                                           for (a, _), (b, _) in layouts]).astype(key),
-                           return_inverse=True)
-    cuts = np.cumsum([0] + [a.size * b.shape[1] for (a, _), (b, _) in layouts])
-    parts = [(pair[lo:hi], tuple((f, g) for f in F for g in G))
-             for ((_, F), (_, G)), lo, hi in zip(layouts, cuts, cuts[1:])]
-    fp = sorted({fg for _, fgs in parts for fg in fgs})  # the field pairs, row-major
-    col = {fg: j for j, fg in enumerate(fp)}
-    present = np.zeros((len(fp), keys.shape[0]), dtype=bool)
-    for fgs in {fgs for _, fgs in parts}:
-        mark = np.zeros(keys.shape[0], dtype=bool)
-        mark[np.concatenate([pr for pr, fgs2 in parts if fgs2 == fgs])] = True
-        present[[col[fg] for fg in fgs]] |= mark
-
-    # CSR row f n + a holds its pairs of field g = 0, 1, ... with b ascending
-    a, b = np.divmod(keys, n)
-    first = np.searchsorted(a, np.arange(n + 1))  # each scalar row's run of keys
-    rank = np.zeros((len(fp), keys.shape[0] + 1), dtype=np.int64)
-    np.cumsum(present, axis=1, out=rank[:, 1:])
-    count = rank[:, first[1:]] - rank[:, first[:-1]]  # (field pairs, n)
-    rowlen = np.zeros((shape[0] // n, n), dtype=np.int64)
-    offset = np.empty_like(count)  # entries of the row's lower fields g
-    for j, (f, _) in enumerate(fp):
-        offset[j] = rowlen[f]
-        rowlen[f] += count[j]
-    index = np.int32 if max(shape[1], int(rowlen.sum())) < 2**31 else np.int64
-    indptr = np.zeros(shape[0] + 1, dtype=index)
-    np.cumsum(rowlen.ravel(), out=indptr[1:])
-    start = indptr[:-1].reshape(-1, n)[[f for f, _ in fp]] + offset - rank[:, first[:-1]]
-    table = np.take(start, a, axis=1) + rank[:, :-1]  # (field pairs, pairs) -> slot
-    indices = np.empty(int(indptr[-1]), dtype=index)
-    indices[table[present]] = (b + n * np.array([g for _, g in fp])[:, None])[present]
-    by_pair = table.T.copy()
-    slot = []
-    for (pr, fgs), ((rs, F), (cs, G)) in zip(parts, layouts):
-        s = np.take(by_pair, pr, axis=0)
-        if list(fgs) != fp:
-            s = s[:, [col[fg] for fg in fgs]]
-        slot.append(s.reshape(-1, rs.shape[1], cs.shape[1], F.shape[0], G.shape[0])
-                    .transpose(0, 3, 1, 4, 2).ravel())
+    """(slot, indices, indptr): the CSR pattern of the blocks' triplets, with
+    sorted indices, and each triplet's position in it. Each field pair takes
+    every piece's scalar dof pairs, or those and every ghost pair's."""
+    nf, index = (shape[0] // n, shape[1] // n), np.int32 if np.prod(shape) < 2**31 else np.int64
+    pairs = [(d[:, :, None] * n + d[:, None, :]).astype(index).ravel() for d, *_ in blocks]
+    keys, pair = np.unique(np.concatenate(pairs), return_inverse=True)  # one unique per kind
+    pair, marks = np.split(pair, np.cumsum([p.size for p in pairs[:-1]])), {}
+    for pr, (*_, F, G) in zip(pair, blocks):  # each field tuple's pairs are marked once
+        marks.setdefault((F, G), np.zeros(keys.size, dtype=bool))[pr] = True
+    on = {(f, g): np.flatnonzero(sum(m for (F, G), m in marks.items() if f in F and g in G))
+          for f, g in np.ndindex(nf)}  # each field pair's pairs, in row-major order
+    count = {fg: np.bincount(keys[q] // n, minlength=n) for fg, q in on.items()}  # per row a
+    indptr = np.concatenate([[0]] + [sum(count[f, g] for g in range(nf[1]))
+                                     for f in range(nf[0])]).cumsum().astype(index)
+    start = indptr[:-1].reshape(nf[0], n).astype(np.int64)  # each CSR row's next free slot
+    by_pair = np.empty((keys.size,) + nf, dtype=np.int64)
+    indices = np.empty(indptr[-1], dtype=index)
+    for (f, g), c in count.items():  # a row's pairs on field g follow those on g - 1
+        slots = np.repeat(start[f] - np.cumsum(c) + c, c) + np.arange(on[f, g].size)
+        start[f] += c
+        by_pair[on[f, g], f, g], indices[slots] = slots, keys[on[f, g]] % n + g * n
+    table = {(F, G): by_pair if (F, G) == tuple(tuple(range(k)) for k in nf)
+             else by_pair.take(F, axis=1).take(G, axis=2) for F, G in marks}  # (pairs, F, G)
+    slot = [np.take(table[F, G], pr, axis=0).reshape(-1, d.shape[1], d.shape[1], len(F), len(G))
+            .transpose(0, 3, 1, 4, 2).ravel() for pr, (d, _, F, G) in zip(pair, blocks)]
     return np.concatenate(slot), indices, indptr

@@ -117,7 +117,7 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
                 C[2, 0] += tau * uy * uT
         np.add.at(R, dofs, r * ctx.vol_w[:, None])
         if want_matrix:
-            tri.add_pieces(T, C, ctx.vol_w, dofs, n)
+            tri.add_pieces(T, C, ctx.vol_w, dofs)
 
     blk = ctx.conditions["species"]
     if NITSCHE in terms and blk.nq:
@@ -148,7 +148,7 @@ def _scalar_nitsche(ctx, R, tri, blk, c, k, alpha, chat):
         # -k N_a grad N_b . n + k (grad N_a . n) N_b + pen N_a N_b
         NT, gxT, gyT, T = basis_tables(N, gx, gy)
         C = np.stack([pen * NT - k * (nx * gxT + ny * gyT), k * nx * NT, k * ny * NT])
-        tri.add_pieces(T, C[:, None], blk.w, blk.dofs, ctx.n, blk.region)
+        tri.add_pieces(T, C[:, None], blk.w, blk.dofs, blk.region)
 
 
 def species_flow_jacobian(ctx, params, state, flow_state):
@@ -177,8 +177,7 @@ def species_flow_jacobian(ctx, params, state, flow_state):
         C[2, 0, X] = uy * Vx * NT
         C[1, 0, Y] = ux * Vy * NT
         C[2, 0, Y] = (uy * Vy + tau * strong) * NT
-        dofs, blocks = piece_blocks(T, C, ctx.vol_w, dofs)
-        tri.add(dofs, np.concatenate([dofs, dofs + n], axis=1), blocks)
+        tri.add(*piece_blocks(T, C, ctx.vol_w, dofs), (0,), (0, 1))
     return tri.matrix(ctx, ("species_flow",), (n, 3 * n))
 
 
@@ -205,7 +204,7 @@ def assemble_indicator(ctx, params, state, want_matrix=True):
         if want_matrix:
             NT, gxT, gyT, T = basis_tables(N, gx, gy)
             C = np.stack([-params.reaction * NT, gxT, gyT])
-            tri.add_pieces(T, C[:, None], ctx.vol_w, dofs, n)
+            tri.add_pieces(T, C[:, None], ctx.vol_w, dofs)
 
     blk = ctx.conditions["port"]
     if blk.nq:

@@ -1,5 +1,6 @@
 """Jacobians through each context's cached CSR plan against scipy's
-COO -> CSR of the same triplets: the same pattern, the same entries."""
+COO -> CSR of the same triplets (the same pattern, the same entries) and
+against a plain unique over global keys (the same bytes)."""
 
 import numpy as np
 import pytest
@@ -47,20 +48,38 @@ def ctx(request):
     return _context(request.param == "cut")
 
 
+def _triplets(blocks, n):
+    """Global (rows, cols, vals) of Triplets blocks, in the order added."""
+    out = []
+    for dofs, vals, F, G in blocks:
+        rows = np.concatenate([dofs + f * n for f in F], axis=1)
+        cols = np.concatenate([dofs + g * n for g in G], axis=1)
+        out.append((np.broadcast_to(rows[:, :, None], vals.shape).ravel(),
+                    np.broadcast_to(cols[:, None, :], vals.shape).ravel(), vals.ravel()))
+    return [np.concatenate(part) for part in zip(*out)]
+
+
+def _reference(rows, cols, vals, shape):
+    """(indptr, indices, data) of triplets by a unique over global keys,
+    each entry summed in triplet order by bincount."""
+    keys, inverse = np.unique(rows * shape[1] + cols, return_inverse=True)
+    row, col = np.divmod(keys, shape[1])
+    indptr = np.searchsorted(row, np.arange(shape[0] + 1))
+    return indptr.astype(np.int32), col.astype(np.int32), np.bincount(inverse, vals)
+
+
 @pytest.fixture
 def built(monkeypatch):
-    """(matrix, scipy's COO -> CSR of the same triplets) of every matrix."""
+    """(matrix, scipy's COO -> CSR of the same triplets, the reference's
+    arrays) of every matrix."""
     seen = []
     matrix = forms.Triplets.matrix
 
     def recording(self, ctx, kind, shape):
         M = matrix(self, ctx, kind, shape)
-        rows = [np.broadcast_to(r[:, :, None], v.shape).ravel() for r, _, v in self.blocks]
-        cols = [np.broadcast_to(c[:, None, :], v.shape).ravel() for _, c, v in self.blocks]
-        vals = [v.ravel() for _, _, v in self.blocks]
-        seen.append((M, sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=shape).tocsr()))
+        rows, cols, vals = _triplets(self.blocks, ctx.n)
+        seen.append((M, sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr(),
+                     _reference(rows, cols, vals, shape)))
         return M
 
     monkeypatch.setattr(forms.Triplets, "matrix", recording)
@@ -74,18 +93,21 @@ def _states(ctx, blocks):
 
 def _check(ctx, built, kind, assemble, states):
     """The first state's matrix builds the plan, the second's reuses it;
-    both match scipy's conversion of their triplets."""
+    both match scipy's conversion of their triplets, and the reference's
+    arrays byte for byte."""
     ctx.csr_plans.pop(kind, None)
     assemble(states[0])
     plan = ctx.csr_plans[kind]
     assemble(states[1])
     assert ctx.csr_plans[kind] is plan
     assert len(built) == 2
-    for M, C in built:
+    for M, C, ref in built:
         assert C.nnz > 0
         np.testing.assert_array_equal(M.indptr, C.indptr)
         np.testing.assert_array_equal(M.indices, C.indices)
         assert abs(M - C).max() <= 1e-14 * abs(C).max()
+        assert [a.tobytes() for a in (M.indptr, M.indices, M.data)] == \
+            [a.tobytes() for a in ref]
 
 
 @pytest.mark.parametrize("terms", [ALL_TERMS, frozenset((GALERKIN, STABILIZATION)),
@@ -155,13 +177,14 @@ def test_batched_volume_jacobian_matches_one_batch(ctx, monkeypatch):
 
 @pytest.fixture
 def added(monkeypatch):
-    """The (rows, cols) of every block the assemblers add to a Triplets."""
+    """The scalar dofs of every batch of blocks the assemblers add to a
+    Triplets."""
     seen = []
     add = forms.Triplets.add
 
-    def recording(self, rows, cols, vals):
-        seen.append((rows, cols))
-        add(self, rows, cols, vals)
+    def recording(self, dofs, vals, rows, cols):
+        seen.append(dofs)
+        add(self, dofs, vals, rows, cols)
 
     monkeypatch.setattr(forms.Triplets, "add", recording)
     return seen
@@ -191,10 +214,9 @@ def _assemble(kind, ctx):
                                   "species", "species-flow", "indicator"])
 def test_blocks_come_summed_per_piece(ctx, added, kind):
     # the collector sums nothing itself: no two consecutive blocks of one add
-    # have equal row and column dofs
+    # have equal dofs
     _assemble(kind, ctx)
     assert added
-    for rows, cols in added:
-        assert rows.shape[0] > 0
-        repeat = (rows[1:] == rows[:-1]).all(1) & (cols[1:] == cols[:-1]).all(1)
-        assert not repeat.any()
+    for dofs in added:
+        assert dofs.shape[0] > 0
+        assert not (dofs[1:] == dofs[:-1]).all(1).any()

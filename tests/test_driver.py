@@ -11,7 +11,7 @@ from cutflow.config import dump_config, parse_config
 from cutflow.driver import run_analysis, run_optimization, transfer_flow_state
 from cutflow.errors import CapacityError, ConfigurationError, SolverError
 from cutflow.flow import FlowParams
-from cutflow.pipeline import PhysicsConfig
+from cutflow.pipeline import ForwardModel, PhysicsConfig
 
 CHANNEL_CFG = """
 [mesh]
@@ -294,6 +294,22 @@ def test_cli_unknown_names_and_shape_arity_exit_2(tmp_path, capsys, edit, messag
         assert message in capsys.readouterr().err
 
 
+def test_cli_unknown_constraint_kind_exit_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    # the kind is checked as the config is read: analyze, which never
+    # evaluates a constraint, rejects it too, and neither command builds a
+    # geometry first
+    def no_geometry(self, design):
+        raise AssertionError("a geometry was built")
+
+    monkeypatch.setattr(ForwardModel, "geometry", no_geometry)
+    path = _write(tmp_path, CHANNEL_CFG.replace(
+        "[solve]", "[constraint.c]\nkind = bogus\ncriterion = to\n\n[solve]"))
+    for command in ("analyze", "optimize"):
+        assert cli_main([command, "--config", path,
+                         "--output", str(tmp_path / command)]) == 2
+        assert "unknown constraint kind 'bogus'" in capsys.readouterr().err
+
+
 def test_criterion_surface_may_name_a_wall(tmp_path):
     cfg = parse_config(_write(tmp_path, CHANNEL_CFG.replace(
         "surface = outlet", "surface = wall_bottom_0")))
@@ -307,7 +323,8 @@ def test_criterion_surface_may_name_a_wall(tmp_path):
     (("span = 0.0 0.4", "span = 0.0 0.5"), "past the end of side left"),
     (("amplitude = 0.3", "amplitude = nan"), "not a finite number"),
     (("rho = 1.0", "rho = inf"), "not a finite number"),
-], ids=["k_pressure", "drag_direction", "span", "amplitude_nan", "rho_inf"])
+    (("span = 0.0 0.4", "span = 0.0"), "span of region 'inlet' needs 2 numbers"),
+], ids=["k_pressure", "drag_direction", "span", "amplitude_nan", "rho_inf", "span_one_number"])
 def test_cli_bad_values_exit_2_before_any_solve(tmp_path, capsys, edit, message):
     path = _write(tmp_path, CHANNEL_CFG.replace(*edit))
     assert cli_main(["analyze", "--config", path, "--output", str(tmp_path / "o")]) == 2
@@ -440,10 +457,13 @@ def test_cli_truncated_checkpoint_is_output_error(tmp_path):
 
 @pytest.mark.parametrize("damage", ["no_iteration", "short_design", "short_optimizer",
                                     "short_warm_design", "short_warm_state",
-                                    "not_an_object"])
+                                    "not_an_object", "text_iteration", "nan_warm_design",
+                                    "zero_normalization"])
 def test_cli_restart_from_bad_checkpoint_is_output_error(tmp_path, capsys, damage):
-    # a checkpoint that lacks a key a restart reads, or holds a design-sized
-    # vector of another length, exits 4 like an unreadable one
+    # a checkpoint that lacks a key a restart reads, holds a value of the
+    # wrong type, a number that is not finite, a normalization that is not
+    # positive, or a design-sized vector of another length, exits 4 like an
+    # unreadable one
     import json
 
     from cutflow.driver import build_model
@@ -470,6 +490,12 @@ def test_cli_restart_from_bad_checkpoint_is_output_error(tmp_path, capsys, damag
         payload["extra"]["warm_design"] = payload["extra"]["warm_design"][:-5]
     elif damage == "short_warm_state":
         payload["extra"]["warm_state"] = payload["extra"]["warm_state"][:-3]
+    elif damage == "text_iteration":
+        payload["iteration"] = "1"
+    elif damage == "nan_warm_design":
+        payload["extra"]["warm_design"][3] = float("nan")
+    elif damage == "zero_normalization":
+        payload["normalization"] = {"0": 0.0}
     else:
         payload = [payload]
     pathlib.Path(ckpt).write_text(json.dumps(payload))

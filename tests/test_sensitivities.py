@@ -612,7 +612,7 @@ def test_element_context_matches_global_rows():
         assert not invalid.any()
         ids = loc.scalar_ids
         rows = ctx.vol_elem == e
-        for k in ("vol_x", "vol_w", "vol_N", "vol_gx", "vol_gy", "vol_d2"):
+        for k in ("vol_w", "vol_N", "vol_gx", "vol_gy", "vol_d2"):
             assert _bitwise(getattr(loc, k), getattr(ctx, k)[rows])
         assert _bitwise(ids[loc.vol_dofs], ctx.vol_dofs[rows])
         local_blocks = {r.name: loc.surface_part(r.name) for r in loc.regions}
@@ -656,7 +656,8 @@ def test_stacked_context_rows_match_one_row_calls():
                                                             _row_blocks(one, 0)):
             assert name == name1 and rows1.all()
             prefix = "vol_" if name == "vol" else ""
-            for k in ("x", "w", "N") + (("normal",) if prefix == "" else ()):
+            # gx and gy pin each volume point's place in its element
+            for k in ("w", "N", "gx", "gy") + (("x", "normal") if prefix == "" else ()):
                 assert _bitwise(getattr(blk, prefix + k)[rows],
                                 getattr(blk1, prefix + k))
             dofs = "vol_dofs" if name == "vol" else "dofs"
