@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .grid import BackgroundMesh, build_mesh, node_support  # noqa: F401
+from .grid import BackgroundMesh, build_mesh  # noqa: F401
 from .design import DesignVector, LevelSetMap, Port, build_filter, ks_min  # noqa: F401
 from .cut import CutModel, build_cut_model, classify_elements  # noqa: F401
 from .flow import FlowParams, assemble_flow  # noqa: F401

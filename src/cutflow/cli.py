@@ -28,6 +28,19 @@ def _float_list(text):
             f"not a comma-separated list of numbers: {text!r}") from None
 
 
+def _positive(kind):
+    """argparse type: a positive finite number of the given kind."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"not a positive {kind.__name__}: {text!r}")
+        return value
+    return parse
+
+
 def _common(sub):
     sub.add_argument("--config", required=True, help="run configuration file")
     sub.add_argument("--output", default=None, help="output directory")
@@ -49,8 +62,9 @@ def main(argv=None):
 
     g = subs.add_parser("gradcheck", help="adjoint gradients vs finite differences")
     _common(g)
-    g.add_argument("--vars", type=int, default=5, help="number of design variables")
-    g.add_argument("--step", type=float, default=1e-5, help="FD step size")
+    g.add_argument("--vars", type=_positive(int), default=5,
+                   help="number of design variables")
+    g.add_argument("--step", type=_positive(float), default=1e-5, help="FD step size")
 
     s = subs.add_parser("sweep", help="parameter sweep of repeated analyses")
     _common(s)

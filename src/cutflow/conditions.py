@@ -3,9 +3,11 @@
 Each external boundary face of the fluid domain carries exactly one
 condition: a velocity Dirichlet region (walls, inflow profiles), a
 traction region (outlets; traction-free by default), or a symmetry
-region (zero normal velocity, free tangential traction). Regions marked
-as ports additionally pin the connectivity-indicator field to zero and
-may prescribe a species concentration.
+region (zero normal velocity, free tangential traction). A symmetry region
+is the velocity condition projected on its normal, so its velocity data is
+not read (forms.prescribed, forms.projector). Regions marked as ports
+additionally pin the connectivity-indicator field to zero and may
+prescribe a species concentration.
 """
 
 from __future__ import annotations

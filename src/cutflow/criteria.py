@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .flow import flow_fields
+from .flow import block_dofs, flow_fields, traction_rows
 
 # criteria that depend on the geometry alone, never on a flow or species state
 GEOMETRIC_KINDS = ("volume_fluid", "surface_area")
@@ -104,28 +104,32 @@ def criterion_terms(spec, ctx, params, flow_state=None, species_state=None,
         return w * np.exp(spec.beta_ks * (dev2 - shift)), dofs
 
     blk = ctx.surface_part(spec.surface)
+    U = np.asarray(flow_state, dtype=float)
+    if spec.kind == "drag":
+        rows = _drag_rows(spec, params, blk)
+        return blk.w * (rows * U[block_dofs(blk.dofs, n)].T).sum(0), blk.dofs
     w, nx, ny = blk.w, blk.normal[:, 0], blk.normal[:, 1]
-    _, _, _, ux, uy, p, uxx, uxy, uyx, uyy = flow_fields(
-        np.asarray(flow_state, dtype=float), n, blk.dofs, blk.N, blk.gx, blk.gy)
+    _, _, _, ux, uy, p = flow_fields(U, n, blk.dofs, blk.N, blk.gx, blk.gy)[:6]
     if spec.kind == "mass_flow":
         return w * params.rho * (ux * nx + uy * ny), blk.dofs
-    if spec.kind == "total_pressure":
-        return w * (p + 0.5 * params.rho * (ux * ux + uy * uy)), blk.dofs
-    # drag: traction along the drag direction
-    mu = params.mu
-    ex, ey = spec.direction
-    exy = 0.5 * (uxy + uyx)
-    tx = -p * nx + 2 * mu * (uxx * nx + exy * ny)
-    ty = -p * ny + 2 * mu * (exy * nx + uyy * ny)
-    return w * (ex * tx + ey * ty), blk.dofs
+    return w * (p + 0.5 * params.rho * (ux * ux + uy * uy)), blk.dofs  # total_pressure
+
+
+def _drag_rows(spec, params, blk):
+    """The traction along the drag direction as rows over the corner state
+    (12, nq) (flow.traction_rows)."""
+    rows = traction_rows(params.mu, blk)
+    return spec.direction[0] * rows[0] + spec.direction[1] * rows[1]
 
 
 def evaluate_criterion(spec, ctx, params, flow_state=None, species_state=None,
                        want_partials=False):
     """Evaluate one criterion on an integration context.
 
-    Raises ConfigurationError when a state-dependent criterion's surface
-    (or ks_target's volume) holds no quadrature points.
+    Raises ConfigurationError when a state-dependent criterion's boundary
+    region (or ks_target's surface or volume) holds no quadrature points.
+    On an empty interface (a design without an inclusion) a criterion is
+    the empty integral: 0.0, with zero partials.
     """
     n = ctx.n
     if spec.kind in GEOMETRIC_KINDS:
@@ -150,14 +154,14 @@ def evaluate_criterion(spec, ctx, params, flow_state=None, species_state=None,
         return out
 
     blk = ctx.surface_part(spec.surface)
-    if not blk.nq:
+    if not blk.nq and spec.surface != "interface":
         raise ConfigurationError(f"criterion surface {spec.surface!r} is empty")
     q, _ = criterion_terms(spec, ctx, params, flow_state=flow_state)
     scale = criterion_scale(spec, params)
-    out = CriterionValue(value=scale * float(q.sum()))
+    out = CriterionValue(value=scale * float(q.sum()) + 0.0)  # an empty sum is 0.0, not -0.0
     if not want_partials:
         return out
-    rho, mu = params.rho, params.mu
+    rho = params.rho
     N, gx, gy, w = blk.N, blk.gx, blk.gy, blk.w
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
     dofs = blk.dofs
@@ -172,18 +176,7 @@ def evaluate_criterion(spec, ctx, params, flow_state=None, species_state=None,
         np.add.at(d, dofs + n, N * (w * rho * uy)[:, None])
         np.add.at(d, dofs + 2 * n, N * w[:, None])
     else:  # drag
-        ex, ey = spec.direction
-        gnN = gx * nx[:, None] + gy * ny[:, None]
-        # d(eps n)_x / dux_b etc., as in the Nitsche kernel
-        dex_dux = 0.5 * (gnN + nx[:, None] * gx)
-        dex_duy = 0.5 * ny[:, None] * gx
-        dey_dux = 0.5 * nx[:, None] * gy
-        dey_duy = 0.5 * (gnN + ny[:, None] * gy)
-        np.add.at(d, dofs, 2 * mu * scale
-                  * (ex * dex_dux + ey * dey_dux) * w[:, None])
-        np.add.at(d, dofs + n, 2 * mu * scale
-                  * (ex * dex_duy + ey * dey_duy) * w[:, None])
-        np.add.at(d, dofs + 2 * n, -scale * N * (w * (ex * nx + ey * ny))[:, None])
+        np.add.at(d, block_dofs(dofs, n), (scale * w * _drag_rows(spec, params, blk)).T)
     out.d_flow = d
     return out
 

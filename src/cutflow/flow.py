@@ -2,10 +2,17 @@
 
 Dof layout for a context with n scalar dofs: [ux(0:n), uy(n:2n), p(2n:3n)],
 equal-order bilinear interpolation for all three fields. Contributions:
-volumetric Galerkin, SUPG/PSPG stabilization, Nitsche Dirichlet terms on
-external boundaries and on the immersed interface, Neumann tractions, the
-indicator-gated average-pressure penalty, and the viscous / pressure /
-convective ghost penalties on the facet set next to the interface.
+volumetric Galerkin, SUPG/PSPG stabilization, Nitsche terms, Neumann
+tractions, the indicator-gated average-pressure penalty, and the viscous /
+pressure / convective ghost penalties on the facet set next to the
+interface.
+
+One Nitsche kernel imposes P (u - uhat) = 0 on the interface and on the
+velocity and symmetry regions, with a projector P per point
+(forms.projector): the identity, or n n^T on a symmetry region, which
+prescribes u.n = 0 and leaves the tangential traction free (Freund and
+Stenberg 1995). Its Jacobian reads the traction -p n + 2 mu eps(u) n as rows
+over the corner state (traction_rows), which the drag criterion reads too.
 
 Every volume and Nitsche Jacobian term pairs one of three test functions,
 N_a, d_x N_a or d_y N_a, with a trial row: the SUPG test u.grad N_a and the
@@ -30,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import Triplets, basis_tables, ghost_jumps, piece_blocks, prescribed
+from .forms import (Triplets, basis_tables, ghost_jumps, piece_blocks, prescribed,
+                    projector)
 from .solve import STEADY_SLOT
 
 GALERKIN = "galerkin"
@@ -75,7 +83,7 @@ VOLUME_BATCH = 4096  # volume points per Jacobian batch (bounds its temporaries)
 BETA_PRESSURE = -1.0
 
 
-def _block_dofs(dofs, n):
+def block_dofs(dofs, n):
     """12-slot dof layout [ux, uy, p] for one quadrature batch (nq, 4)."""
     return np.concatenate([dofs, dofs + n, dofs + 2 * n], axis=1)
 
@@ -110,14 +118,10 @@ def assemble_flow(ctx, params, state, coeff_state=None, slot=STEADY,
     if ctx.vol_w is not None and ctx.vol_w.shape[0]:
         _volume_terms(ctx, params, U, hist, slot, psibar, terms, R, tri)
 
-    if NITSCHE in terms:
-        blk = ctx.conditions["velocity"]
-        if blk.nq:
-            uhat = prescribed(ctx, "velocity", slot.t)
-            _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, tri)
-        blk = ctx.conditions["symmetry"]
-        if blk.nq:
-            _nitsche_symmetry(ctx, params, U, Uc, blk, R, tri)
+    blk = ctx.conditions["velocity"]
+    if NITSCHE in terms and blk.nq:
+        _nitsche_velocity(ctx, params, U, Uc, blk, prescribed(ctx, "velocity", slot.t),
+                          projector(ctx), R, tri)
 
     blk = ctx.conditions["traction"]
     if NEUMANN in terms and blk.nq:
@@ -125,7 +129,7 @@ def assemble_flow(ctx, params, state, coeff_state=None, slot=STEADY,
         r = np.zeros((blk.nq, 12))
         r[:, 0:4] = -blk.N * that[:, 0:1]
         r[:, 4:8] = -blk.N * that[:, 1:2]
-        np.add.at(R, _block_dofs(blk.dofs, n), r * blk.w[:, None])
+        np.add.at(R, block_dofs(blk.dofs, n), r * blk.w[:, None])
 
     if GHOST in terms and ctx.ghost is not None and ctx.ghost.nq:
         gamma_vel, gamma_p = _ghost_gammas(ctx, params, Uc)
@@ -193,7 +197,7 @@ def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, pts):
     conv_y = ux * uyx + uy * uyy
     exy = 0.5 * (uxy + uyx)
 
-    dref = _block_dofs(dofs, n)
+    dref = block_dofs(dofs, n)
     X, Y, P = slice(0, 4), slice(4, 8), slice(8, 12)
     r = np.zeros((nq, 12))
     udotgN = ux[:, None] * gx + uy[:, None] * gy
@@ -278,103 +282,57 @@ def _nitsche_gamma(ctx, params, blk, Uc):
     return params.alpha_nitsche * (params.mu / ctx.h + params.rho * uinf / 6.0)
 
 
-def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, R, tri):
+def traction_rows(mu, blk):
+    """The traction -p n + 2 mu eps(u) n at the points of a surface block as
+    rows over the corner state: (2, 12, nq), row j its component j and entry
+    4 f + b its derivative by field f (ux, uy, p) at corner b. The traction
+    is linear in the state, so the rows give its value too."""
+    NT, gxT, gyT, _ = basis_tables(blk.N, blk.gx, blk.gy)
+    nx, ny = blk.normal[:, 0], blk.normal[:, 1]
+    gnT = nx * gxT + ny * gyT
+    # 2 mu d(eps n)_x/dux_b = mu (grad N_b . n + nx d_x N_b), /duy_b = mu ny d_x N_b, ...
+    return np.stack([np.concatenate([mu * (gnT + nx * gxT), mu * ny * gxT, -nx * NT]),
+                     np.concatenate([mu * nx * gyT, mu * (gnT + ny * gyT), -ny * NT])])
+
+
+def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, P, R, tri):
+    """Weak P (u - uhat) = 0 on the points of blk, P[i, j] (2, 2, nq) the
+    per-point projector (forms.projector): consistency, viscous adjoint
+    (beta_mu = +1), penalty and pressure adjoint (beta_p = -1) terms."""
     n = ctx.n
     mu = params.mu
     bp = BETA_PRESSURE
     N, gx, gy = blk.N, blk.gx, blk.gy
-    nx, ny = blk.normal[:, 0], blk.normal[:, 1]
+    nrm = blk.normal.T
+    nx, ny = nrm
     dofs = blk.dofs
-    nq = blk.nq
 
     _, _, _, ux, uy, p, uxx, uxy, uyx, uyy = flow_fields(U, n, dofs, N, gx, gy)
     exy = 0.5 * (uxy + uyx)
-    dux = ux - uhat[:, 0]
-    duy = uy - uhat[:, 1]
-    gamma = _nitsche_gamma(ctx, params, blk, Uc)
-
-    gnN = gx * nx[:, None] + gy * ny[:, None]
-    edotn_x = uxx * nx + exy * ny
-    edotn_y = exy * nx + uyy * ny
-    gdotdu = gx * dux[:, None] + gy * duy[:, None]
-
-    dref = _block_dofs(dofs, n)
-    X, Y, P = slice(0, 4), slice(4, 8), slice(8, 12)
-    r = np.zeros((nq, 12))
-    # standard consistency + viscous adjoint (beta_mu = +1) + penalty
-    r[:, X] += N * (p * nx - 2 * mu * edotn_x)[:, None] \
-        - mu * (gnN * dux[:, None] + nx[:, None] * gdotdu) \
-        + gamma[:, None] * N * dux[:, None]
-    r[:, Y] += N * (p * ny - 2 * mu * edotn_y)[:, None] \
-        - mu * (gnN * duy[:, None] + ny[:, None] * gdotdu) \
-        + gamma[:, None] * N * duy[:, None]
-    # pressure adjoint (beta_p = -1)
-    r[:, P] += bp * N * (nx * dux + ny * duy)[:, None]
-
-    np.add.at(R, dref, r * blk.w[:, None])
-    if tri is not None:
-        NT, gxT, gyT, T = basis_tables(N, gx, gy)
-        C = np.zeros((3, 3, 12, nq))
-        # -2 mu N_a d(eps n)/du_b: d(eps n)_x/dux_b = (gnN_b + nx gx_b) / 2,
-        # /duy_b = ny gx_b / 2, and so on
-        gnT = nx * gxT + ny * gyT
-        C[0, 0, X] += gamma * NT - mu * (gnT + nx * gxT)
-        C[0, 0, Y] -= mu * ny * gxT
-        C[0, 1, X] -= mu * nx * gyT
-        C[0, 1, Y] += gamma * NT - mu * (gnT + ny * gyT)
-        C[0, 0, P] += nx * NT
-        C[0, 1, P] += ny * NT
-        C[0, 2, X] += bp * nx * NT
-        C[0, 2, Y] += bp * ny * NT
-        # the viscous adjoint -mu (gnN_a du_i + n_i grad N_a . du)
-        C[1, 0, X] -= 2 * mu * nx * NT
-        C[2, 0, X] -= mu * ny * NT
-        C[2, 0, Y] -= mu * nx * NT
-        C[1, 1, X] -= mu * ny * NT
-        C[1, 1, Y] -= mu * nx * NT
-        C[2, 1, Y] -= 2 * mu * ny * NT
-        tri.add_pieces(T, C, blk.w, dofs, blk.region)
-
-
-def _nitsche_symmetry(ctx, params, U, Uc, blk, R, tri):
-    """Weak u.n = 0 with free tangential traction."""
-    n = ctx.n
-    mu = params.mu
-    bp = BETA_PRESSURE
-    N, gx, gy = blk.N, blk.gx, blk.gy
-    nx, ny = blk.normal[:, 0], blk.normal[:, 1]
-    dofs = blk.dofs
-    nq = blk.nq
-
-    _, _, _, ux, uy, p, uxx, uxy, uyx, uyy = flow_fields(U, n, dofs, N, gx, gy)
-    exy = 0.5 * (uxy + uyx)
-    un = ux * nx + uy * ny
-    nen = uxx * nx * nx + 2 * exy * nx * ny + uyy * ny * ny
+    # P (-sigma n) and P (u - uhat)
+    Ptn = (P * np.stack([p * nx - 2 * mu * (uxx * nx + exy * ny),
+                         p * ny - 2 * mu * (exy * nx + uyy * ny)])).sum(1)
+    Pdu = (P * (np.stack([ux, uy]) - uhat.T)).sum(1)
     gamma = _nitsche_gamma(ctx, params, blk, Uc)
     gnN = gx * nx[:, None] + gy * ny[:, None]
-
-    dref = _block_dofs(dofs, n)
-    X, Y, P = slice(0, 4), slice(4, 8), slice(8, 12)
-    r = np.zeros((nq, 12))
-    cons = p - 2 * mu * nen
-    r[:, X] += N * (nx * cons)[:, None] - 2 * mu * nx[:, None] * gnN * un[:, None] \
-        + gamma[:, None] * N * (nx * un)[:, None]
-    r[:, Y] += N * (ny * cons)[:, None] - 2 * mu * ny[:, None] * gnN * un[:, None] \
-        + gamma[:, None] * N * (ny * un)[:, None]
-    r[:, P] += bp * N * un[:, None]
-
-    np.add.at(R, dref, r * blk.w[:, None])
+    gdotdu = gx * Pdu[0][:, None] + gy * Pdu[1][:, None]
+    r = np.concatenate([N * Ptn[i][:, None]
+                        - mu * (gnN * Pdu[i][:, None] + nrm[i][:, None] * gdotdu)
+                        + gamma[:, None] * N * Pdu[i][:, None] for i in (0, 1)]
+                       + [bp * N * (nrm * Pdu).sum(0)[:, None]], axis=1)
+    np.add.at(R, block_dofs(dofs, n), r * blk.w[:, None])
     if tri is not None:
-        NT, gxT, gyT, T = basis_tables(N, gx, gy)
-        C = np.zeros((3, 3, 12, nq))
-        dnen = (nx * nx * gxT + nx * ny * gyT, ny * ny * gyT + nx * ny * gxT)
-        for b, nd, rows_b in ((0, nx, X), (1, ny, Y)):
-            C[0, b, P] += nd * NT
-            for rows, nc, dnen_du in ((X, nx, dnen[0]), (Y, ny, dnen[1])):
-                C[0, b, rows] += nd * (gamma * nc * NT - 2 * mu * dnen_du)
-                C[1, b, rows] -= 2 * mu * nd * nx * nc * NT  # -2 mu n_b gnN_a u.n
-                C[2, b, rows] -= 2 * mu * nd * ny * nc * NT
-            C[0, 2, rows_b] += bp * nd * NT
+        NT, _, _, T = basis_tables(N, gx, gy)
+        C = np.zeros((3, 3, 12, blk.nq))
+        # test N_a: consistency -(P sigma n)_i, penalty gamma (P u)_i and,
+        # on the pressure rows, the pressure adjoint bp n . P u
+        C[0, :2] = -(P[:, :, None] * traction_rows(mu, blk)).sum(1)
+        C[0, :2, :8] += ((gamma * P)[:, :, None] * NT).reshape(2, 8, -1)
+        C[0, 2, :8] = ((bp * (nrm[:, None] * P).sum(0))[:, None] * NT).reshape(8, -1)
+        # tests d_k N_a: the viscous adjoint -mu (grad N_a . n (P u)_i + n_i
+        # grad N_a . P u), whose trial rows are -mu (n_k P_ij + n_i P_kj) N_b
+        V = nrm[:, None, None] * P[None] + nrm[None, :, None] * P[:, None]
+        C[1:, :2, :8] = ((-mu * V)[:, :, :, None] * NT).reshape(2, 2, 8, -1)
         tri.add_pieces(T, C, blk.w, dofs, blk.region)
 
 

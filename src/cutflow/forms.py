@@ -14,7 +14,9 @@ facets the 2-point Gauss rule. One routine, `_assemble_context`, turns
 quadrature rows, chords and ghost pairs into a context, whose one surface
 table holds the interface chords and then each region's. This module
 alone maps regions to conditions (`IntegrationContext.conditions`,
-`prescribed`). `build_context`
+`prescribed`, `projector`): the condition kinds are velocity (the
+interface, velocity regions and symmetry regions, whose velocity condition
+is projected on the normal), traction, species and port. `build_context`
 feeds it the whole cut model; `element_context` feeds it a batch of
 elements re-cut at perturbed corner values by one `decompose_cells` call,
 with the enrichment frozen: one stacked context in which each re-cut owns
@@ -102,13 +104,14 @@ def segment_rule(a, b):
 
 
 # the interface takes velocity (no slip) alone
-_CONDITIONS = ("velocity", "symmetry", "traction", "species", "port")
+_CONDITIONS = ("velocity", "traction", "species", "port")
 
 
 def _takes(region, kind):
-    """Whether a boundary region takes a condition kind."""
-    return {"species": region.species_value is not None,
-            "port": region.port}.get(kind, region.kind == kind)
+    """Whether a boundary region takes a condition kind; a symmetry region
+    takes the velocity condition projected on its normal (projector)."""
+    return {"species": region.species_value is not None, "port": region.port,
+            "velocity": region.kind in ("velocity", "symmetry")}.get(kind, region.kind == kind)
 
 
 @dataclass
@@ -187,18 +190,29 @@ class IntegrationContext:
 
 def prescribed(ctx, kind, t=0.0):
     """Per-point data of ctx.conditions[kind] at time t: each region's
-    velocity_at or traction_at (nq, 2), zero velocity on the interface, or
-    its species_value (nq,)."""
+    velocity_at or traction_at (nq, 2), zero velocity on the interface and
+    on symmetry regions, or its species_value (nq,)."""
     blk = ctx.conditions[kind]
     out = np.zeros(blk.nq if kind == "species" else (blk.nq, 2))
     for k, region in enumerate(ctx.regions):
         lo, hi = np.searchsorted(blk.region, (k, k + 1))
         if hi > lo:
             x = blk.x[lo:hi]
-            out[lo:hi] = (region.velocity_at(x, t) if kind == "velocity" else
+            out[lo:hi] = (region.species_value if kind == "species" else
                           region.traction_at(x, t) if kind == "traction" else
-                          region.species_value)
+                          region.velocity_at(x, t) if region.kind == "velocity" else 0.0)
     return out
+
+
+def projector(ctx):
+    """Per-point projector P[i, j] (2, 2, nq) of ctx.conditions["velocity"],
+    which imposes P (u - uhat) = 0: n n^T on symmetry regions (zero normal
+    velocity, free tangential traction), the identity on velocity regions
+    and on the interface."""
+    blk = ctx.conditions["velocity"]
+    normal = np.array([r.kind == "symmetry" for r in ctx.regions] + [False])[blk.region]
+    nT = blk.normal.T
+    return np.where(normal, nT[:, None] * nT[None], np.eye(2)[:, :, None])
 
 
 def _boundary_chords(mesh, region, covers):

@@ -156,19 +156,3 @@ def build_mesh(extent, divisions) -> BackgroundMesh:
         arr.setflags(write=False)
     return mesh
 
-
-def node_support(mesh: BackgroundMesh, node) -> np.ndarray:
-    """Element ids whose connectivity contains the node (1, 2 or 4 in 2D)."""
-    node = int(node)
-    if node < 0 or node >= mesh.n_nodes:
-        raise ValueError(f"node id {node} out of range [0, {mesh.n_nodes})")
-    mx, my = mesh.divisions
-    nx = mx + 1
-    i, j = node % nx, node // nx
-    elems = []
-    for dj in (-1, 0):
-        for di in (-1, 0):
-            ei, ej = i + di, j + dj
-            if 0 <= ei < mx and 0 <= ej < my:
-                elems.append(ej * mx + ei)
-    return np.asarray(sorted(elems), dtype=np.int64)

@@ -60,8 +60,12 @@ class SolveConfig:
     def __post_init__(self):
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
+        if self.max_newton < 1:
+            raise ValueError("max_newton must be at least 1")
         if self.scheme == "bdf2" and (self.dt is None or self.dt <= 0):
             raise ValueError("transient mode requires a positive dt")
+        if self.scheme == "bdf2" and self.n_steps < 1:
+            raise ValueError("transient mode requires n_steps >= 1")
 
 
 def factorize(A):

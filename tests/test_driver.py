@@ -210,7 +210,10 @@ def test_config_rejects_unknown_keys_and_sections(tmp_path, edit, named):
     ("[output]", "[gcmma]\nasy_init = 0.3\n\n[output]"),
     ("max_newton = 25", "max_newton = abc"),
     ("max_newton = 25", "max_newton = 25\nscheme = bdf2"),
-], ids=["rho", "asy_init", "max_newton", "bdf2_without_dt"])
+    ("max_newton = 25", "max_newton = 25\nscheme = bdf2\ndt = 0.05\nn_steps = 0"),
+    ("max_newton = 25", "max_newton = -1"),
+], ids=["rho", "asy_init", "max_newton", "bdf2_without_dt", "bdf2_zero_steps",
+        "max_newton_negative"])
 def test_cli_bad_config_values_exit_2(tmp_path, capsys, edit):
     path = _write(tmp_path, CHANNEL_CFG.replace(*edit))
     assert cli_main(["analyze", "--config", path]) == 2
@@ -340,6 +343,31 @@ def test_cli_sweep_bad_parameter_values_exit_2(tmp_path, capsys):
                      "--values", "1.0,nan", "--output", str(tmp_path / "sw")]) == 2
     assert "nonnegative" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "sw")
+
+
+def _readme_channel(tmp_path, radius, extra=""):
+    """README's channel config on a 16x4 mesh with the given disk radius."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    for old, new in (("nx = 160", "nx = 16"), ("ny = 40", "ny = 4"),
+                     ("solid_disk 0.3 0.2 0.08", f"solid_disk 0.3 0.2 {radius}")):
+        assert old in text
+        text = text.replace(old, new)
+    return _write(tmp_path, text + extra)
+
+
+def test_cli_analyze_design_without_interface_reads_zero_drag(tmp_path, capsys):
+    # at radius 0.08 the filtered level set of the 16x4 mesh never crosses
+    # zero: the drag is the empty integral over the empty interface
+    path = _readme_channel(tmp_path, 0.08)
+    assert cli_main(["analyze", "--config", path, "--output", str(tmp_path / "a")]) == 0
+    assert "cd = 0.0\n" in capsys.readouterr().out
+
+
+def test_cli_optimize_survives_a_trial_design_that_loses_its_interface(tmp_path):
+    # a GCMMA trial design of this run dissolves the inclusion
+    path = _readme_channel(tmp_path, 0.12, "\n[gcmma]\nmax_outer = 1\n")
+    assert cli_main(["optimize", "--config", path, "--output", str(tmp_path / "o")]) == 0
 
 
 def test_missing_config_file():
@@ -682,6 +710,19 @@ def test_cli_sweep_non_numeric_values_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
     assert "'1,abc'" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "sw")
+
+
+@pytest.mark.parametrize("arg, value", [("--vars", "0"), ("--vars", "-1"),
+                                        ("--step", "0"), ("--step", "-1e-5"),
+                                        ("--step", "nan"), ("--step", "inf")])
+def test_cli_gradcheck_bad_arguments_exit_2(tmp_path, capsys, arg, value):
+    path = _write(tmp_path, CHANNEL_CFG)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["gradcheck", "--config", path, f"{arg}={value}",
+                  "--output", str(tmp_path / "gc")])
+    assert exc.value.code == 2
+    assert "not a positive" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "gc")
 
 
 def test_gradcheck_driver(tmp_path):

@@ -205,6 +205,57 @@ def test_nitsche_inlet_matches_independent_integration():
     assert np.max(np.abs(R_in - R2)) < 1e-12
 
 
+def test_nitsche_symmetry_matches_independent_integration():
+    """Weak u.n = 0 with free tangential traction on a fitted symmetry lid
+    over the middle of the top side. The lid's velocity data is not zero, to
+    show that a symmetry region ignores it."""
+    mesh = build_mesh(((0, 0), (2.0, 1.0)), (8, 4))
+    cm = build_cut_model(mesh, -np.ones(mesh.n_nodes))
+    lid = BoundaryRegion(name="lid", side="top", kind="symmetry", span=(0.5, 1.5),
+                         velocity=(0.3, -0.2))
+    ctx = build_context(cm, [lid])
+    n = ctx.n
+    U = np.random.default_rng(4).normal(scale=0.3, size=3 * n)
+    params = FlowParams(rho=1.0, mu=0.15, alpha_nitsche=37.0)
+    R, _ = assemble_flow(ctx, params, U, coeff_state=U,
+                         terms=frozenset({NITSCHE}), want_matrix=False)
+
+    # independent oracle on the same 2-point rule:
+    # N_a n_i (p - 2 mu n.eps.n) - 2 mu n_i (grad N_a . n)(u.n) + gamma N_a n_i (u.n)
+    # on the velocity rows, -N_a (u.n) on the pressure rows
+    R2 = np.zeros(3 * n)
+    gpts, gwts = np.polynomial.legendre.leggauss(2)
+    mu, nx, ny = params.mu, 0.0, 1.0
+    for idx in range(mesh.boundary_edges["top"].shape[0]):
+        na, nb = mesh.boundary_edges["top"][idx]
+        a, b = mesh.nodes[na], mesh.nodes[nb]
+        if not (0.5 - 1e-12 <= min(a[0], b[0]) and max(a[0], b[0]) <= 1.5 + 1e-12):
+            continue
+        e = int(mesh.boundary_edge_elems["top"][idx])
+        dofs = cm.piece_dofs[np.searchsorted(cm.piece_elem, e)]
+        for gp, gw in zip(gpts, gwts):
+            x = a + (0.5 + 0.5 * gp) * (b - a)
+            w = 0.5 * np.linalg.norm(b - a) * gw
+            N, gx, gy, _ = shape_q1(mesh, np.array([e]), x[None, :])
+            N, gx, gy = N[0], gx[0], gy[0]
+            ux, uy, p = N @ U[dofs], N @ U[n + dofs], N @ U[2 * n + dofs]
+            uxx, uxy = gx @ U[dofs], gy @ U[dofs]
+            uyx, uyy = gx @ U[n + dofs], gy @ U[n + dofs]
+            nen = uxx * nx * nx + (uxy + uyx) * nx * ny + uyy * ny * ny
+            un = ux * nx + uy * ny
+            gamma = params.alpha_nitsche * (mu / mesh.h + params.rho * max(abs(ux), abs(uy)) / 6)
+            gnN = gx * nx + gy * ny
+            for ai in range(4):
+                for f, ni in ((0, nx), (1, ny)):
+                    R2[f * n + dofs[ai]] += w * (N[ai] * ni * (p - 2 * mu * nen)
+                                                 - 2 * mu * ni * gnN[ai] * un
+                                                 + gamma * N[ai] * ni * un)
+                R2[2 * n + dofs[ai]] += w * (-N[ai] * un)
+
+    assert np.abs(R2).max() > 0.1
+    assert np.max(np.abs(R - R2)) < 1e-12
+
+
 # --- Neumann -----------------------------------------------------------------
 
 def test_neumann_zero_traction():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cutflow.errors import ConfigurationError
-from cutflow.grid import build_mesh, node_support
+from cutflow.grid import build_mesh
 
 
 def test_single_element():
@@ -32,15 +32,6 @@ def test_counts_general(mx, my):
     assert m.n_nodes == (mx + 1) * (my + 1)
     assert m.n_elems == mx * my
     assert m.n_facets == mx * (my - 1) + my * (mx - 1)
-
-
-def test_node_support_2x2():
-    m = build_mesh(((0, 0), (1, 1)), (2, 2))
-    assert list(node_support(m, 0)) == [0]  # corner
-    assert list(node_support(m, 4)) == [0, 1, 2, 3]  # center node
-    assert list(node_support(m, 1)) == [0, 1]  # edge midside
-    sizes = {len(node_support(m, k)) for k in range(m.n_nodes)}
-    assert sizes == {1, 2, 4}
 
 
 def test_facets_match_shared_edges_bruteforce():
@@ -88,8 +79,3 @@ def test_bad_configs():
     with pytest.raises(ConfigurationError):
         build_mesh(((0, 0), (2, 1)), (2, 2))  # anisotropic h
 
-
-def test_invalid_node_id():
-    m = build_mesh(((0, 0), (1, 1)), (2, 2))
-    with pytest.raises(ValueError):
-        node_support(m, 99)

@@ -9,7 +9,6 @@ from cutflow.criteria import CriterionSpec, ObjectiveTerm, ProblemSpec
 from cutflow.cut import CUT, FLUID
 from cutflow.design import DesignVector
 from cutflow.errors import SolverError
-from cutflow.grid import node_support
 from cutflow import flow as flow_mod
 from cutflow import transport as transport_mod
 from cutflow.forms import element_context
@@ -169,7 +168,7 @@ def test_residual_phi_sparsity_audit(bend):
         if col.nnz == 0:
             continue
         allowed = set()
-        for e in node_support(mesh, node):
+        for e in np.flatnonzero((mesh.elements == node).any(1)):
             fluid = (cm.piece_elem == e) & (cm.piece_phase == FLUID)
             allowed.update(cm.piece_dofs[fluid].ravel().tolist())
         for row in col.nonzero()[0]:

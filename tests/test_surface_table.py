@@ -8,7 +8,7 @@ from cutflow import flow as flow_mod
 from cutflow.conditions import BoundaryRegion, wall_regions
 from cutflow.cut import build_cut_model
 from cutflow.flow import FlowParams, assemble_flow
-from cutflow.forms import build_context, piece_blocks
+from cutflow.forms import build_context, piece_blocks, prescribed, projector
 from cutflow.grid import build_mesh
 
 
@@ -44,11 +44,18 @@ def test_region_slices_of_an_all_fluid_box_measure_their_spans():
         assert np.all(blk.region == regions.index(region))
         assert blk.w.sum() == pytest.approx(hi - lo, abs=1e-14)
     nq = {r.name: ctx.surface_part(r.name).nq for r in regions}
-    velocity = sum(nq[r.name] for r in regions if r.kind == "velocity")
+    velocity = sum(nq[r.name] for r in regions if r.kind in ("velocity", "symmetry"))
     assert ctx.conditions["velocity"].nq == velocity
     assert ctx.conditions["traction"].nq == nq["outlet"]
-    for kind in ("symmetry", "species", "port"):
+    assert "symmetry" not in ctx.conditions
+    for kind in ("species", "port"):
         assert np.array_equal(ctx.conditions[kind].x, ctx.surface_part("lid").x)
+    # the lid takes the velocity condition projected on its normal (0, 1)
+    lid = ctx.conditions["velocity"].region == regions.index(regions[2])
+    P = projector(ctx)
+    assert np.array_equal(P[:, :, lid].T, np.tile([[0.0, 0.0], [0.0, 1.0]], (nq["lid"], 1, 1)))
+    assert np.array_equal(P[:, :, ~lid].T, np.tile(np.eye(2), (velocity - nq["lid"], 1, 1)))
+    assert not prescribed(ctx, "velocity")[lid].any()
     with pytest.raises(KeyError, match="nowhere"):
         ctx.surface_part("nowhere")
 
