@@ -3,9 +3,12 @@
 Analysis runs solve one geometry and report criteria; optimization runs
 drive the GCMMA loop with warm-started forward solves, adjoint gradients,
 continuation on constraint tolerances, history CSV output and restartable
-checkpoints. The gradient-check mode compares adjoint design derivatives
-against global finite differences of the full pipeline; sweep mode reruns
-an analysis over a list of parameter values.
+checkpoints. An optimization keeps the result of the last GCMMA trial it
+solved; the inner loop accepts that trial's design, so the next outer
+iteration takes the kept result instead of solving the design again. The
+gradient-check mode compares adjoint design derivatives against global
+finite differences of the full pipeline; sweep mode reruns an analysis
+over a list of parameter values.
 """
 
 from __future__ import annotations
@@ -118,14 +121,26 @@ def run_optimization(cfg, outdir=None, restart=None):
                          len(cfg.constraints), keep_below=start_iter)
 
     def forward(dv):
-        if warm["cm"] is not None:  # steady runs only
-            cm, ctx = model.geometry(dv)
-            w = transfer_flow_state(warm["cm"], cm, warm["U"])
+        """The run's one forward: warm-started where a warm state is kept
+        (steady runs), with one cold retry on its geometry if that does not
+        converge."""
+        if warm["cm"] is None:
+            return model.analyze(dv)
+        cm, ctx = model.geometry(dv)
+        w = transfer_flow_state(warm["cm"], cm, warm["U"])
+        try:
             return _steady_on_geometry(model, cm, ctx, w)
-        return model.analyze(dv)
+        except NonconvergenceError:
+            return _steady_on_geometry(model, cm, ctx, None)
+
+    # the last trial's result under its design's bytes; warm changes only
+    # after an outer forward, so it is the result the outer loop would get
+    kept = {}
 
     def evaluate_values(x):
-        res = forward(replace(design, values=np.array(x, dtype=float)))
+        kept.clear()
+        dv = replace(design, values=np.array(x, dtype=float))
+        res = kept[dv.values.tobytes()] = forward(dv)
         vals = res.crit_values
         Z = problem.objective_value(vals)
         g = np.array([con.evaluate(vals, area, it)[0] for con in problem.constraints])
@@ -153,12 +168,9 @@ def run_optimization(cfg, outdir=None, restart=None):
     max_outer = cfg.gcmma.max_outer
     while it < max_outer:
         design.values = design.clipped(design.values)
-        try:
-            result = forward(design)
-        except NonconvergenceError:
-            if warm["cm"] is None:
-                raise
-            warm["cm"], warm["U"] = None, None  # cold retry once
+        result = kept.pop(design.values.tobytes(), None)
+        kept.clear()  # a trial of another design: the inner loop hit max_inner
+        if result is None:
             result = forward(design)
         warm_design_values = design.values.copy()
         if not transient:

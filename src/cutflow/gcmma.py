@@ -47,6 +47,8 @@ class GcmmaConfig:
             raise ValueError("asymptote adaptivities must satisfy min <= init <= max")
         if self.constraint_penalty <= 0 or self.move <= 0:
             raise ValueError("penalty and step size must be positive")
+        if self.max_outer < 0 or self.max_inner < 0:
+            raise ValueError("max_outer and max_inner must be nonnegative")
 
 
 @dataclass

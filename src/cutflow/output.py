@@ -145,7 +145,7 @@ def write_checkpoint(path, design, optimizer_state, normalization, iteration,
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w") as f:
-            json.dump(payload, f)
+            f.write(json.dumps(payload))  # json.dump runs the pure-Python encoder
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

@@ -212,8 +212,10 @@ def test_config_rejects_unknown_keys_and_sections(tmp_path, edit, named):
     ("max_newton = 25", "max_newton = 25\nscheme = bdf2"),
     ("max_newton = 25", "max_newton = 25\nscheme = bdf2\ndt = 0.05\nn_steps = 0"),
     ("max_newton = 25", "max_newton = -1"),
+    ("[output]", "[gcmma]\nmax_inner = -1\n\n[output]"),
+    ("[output]", "[gcmma]\nmax_outer = -1\n\n[output]"),
 ], ids=["rho", "asy_init", "max_newton", "bdf2_without_dt", "bdf2_zero_steps",
-        "max_newton_negative"])
+        "max_newton_negative", "max_inner_negative", "max_outer_negative"])
 def test_cli_bad_config_values_exit_2(tmp_path, capsys, edit):
     path = _write(tmp_path, CHANNEL_CFG.replace(*edit))
     assert cli_main(["analyze", "--config", path]) == 2
@@ -368,6 +370,23 @@ def test_cli_optimize_survives_a_trial_design_that_loses_its_interface(tmp_path)
     # a GCMMA trial design of this run dissolves the inclusion
     path = _readme_channel(tmp_path, 0.12, "\n[gcmma]\nmax_outer = 1\n")
     assert cli_main(["optimize", "--config", path, "--output", str(tmp_path / "o")]) == 0
+
+
+def test_cli_optimize_retries_a_trial_forward_cold(tmp_path, monkeypatch):
+    # the first trial forward starts from a NaN warm state, which cannot
+    # converge: it retries cold, as an outer forward does
+    import cutflow.driver as driver
+    transfer, calls = driver.transfer_flow_state, []
+
+    def nan_first(*args):
+        calls.append(args)
+        U = transfer(*args)
+        return np.full_like(U, np.nan) if len(calls) == 1 else U
+
+    monkeypatch.setattr(driver, "transfer_flow_state", nan_first)
+    path = _write(tmp_path, OPT_CFG.replace("max_outer = 3", "max_outer = 1"))
+    assert cli_main(["optimize", "--config", path, "--output", str(tmp_path / "o")]) == 0
+    assert calls
 
 
 def test_missing_config_file():
@@ -574,10 +593,10 @@ def test_interrupted_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
     path = str(tmp_path / "checkpoint.json")
     output.write_checkpoint(path, design, None, None, 1)
 
-    def dump_then_fail(payload, f):
-        f.write('{"iteration": ')
+    def fsync_fails(fd):
         raise OSError("no space left on device")
-    monkeypatch.setattr(output.json, "dump", dump_then_fail)
+    # the new payload is written to the temporary file, then fails to reach the disk
+    monkeypatch.setattr(output.os, "fsync", fsync_fails)
     with pytest.raises(OutputError):
         output.write_checkpoint(path, design, None, None, 2)
     assert output.read_checkpoint(path)["iteration"] == 1
@@ -614,6 +633,49 @@ def test_optimization_determinism_bitwise(tmp_path):
     run_optimization(parse_config(path), outdir=out2)
     assert open(os.path.join(out1, "history.csv"), "rb").read() == \
         open(os.path.join(out2, "history.csv"), "rb").read()
+
+
+def _forward_log(monkeypatch):
+    """Events of a run, in order: 'G' for each forward (each builds one
+    geometry), 'S' for each GCMMA step and 'T' for each trial it evaluates."""
+    from cutflow.gcmma import GCMMA
+    events, geometry, step = [], ForwardModel.geometry, GCMMA.step
+
+    def logged_geometry(self, design):
+        events.append("G")
+        return geometry(self, design)
+
+    def logged_step(self, state, f0, df0, fval, dfdx, evaluate=None):
+        events.append("S")
+
+        def logged_evaluate(x):
+            events.append("T")
+            return evaluate(x)
+        return step(self, state, f0, df0, fval, dfdx, evaluate=logged_evaluate)
+
+    monkeypatch.setattr(ForwardModel, "geometry", logged_geometry)
+    monkeypatch.setattr(GCMMA, "step", logged_step)
+    return events
+
+
+@pytest.mark.parametrize("scheme", ["", "[solve]\nscheme = bdf2\ndt = 0.05\nn_steps = 4\n"
+                                    "newton_tol = 1e-12\n\n"], ids=["steady", "bdf2"])
+def test_outer_iteration_takes_the_accepted_trial_forward(tmp_path, monkeypatch, scheme):
+    # the first iteration solves its design; every later one takes the
+    # forward of the trial its step accepted, and makes none of its own
+    events = _forward_log(monkeypatch)
+    cfg = parse_config(_write(tmp_path, OPT_CFG.replace("[output]", scheme + "[output]")))
+    assert run_optimization(cfg, outdir=str(tmp_path / "o"))["iterations"] == 3
+    assert re.fullmatch(r"G(S(TG)+){3}", "".join(events)), events
+
+
+def test_outer_iteration_solves_when_no_trial_is(tmp_path, monkeypatch):
+    # max_inner = 0: each step takes its first subproblem's point unsolved
+    events = _forward_log(monkeypatch)
+    cfg = parse_config(_write(tmp_path, OPT_CFG.replace(
+        "max_outer = 3", "max_outer = 3\nmax_inner = 0")))
+    assert run_optimization(cfg, outdir=str(tmp_path / "o"))["iterations"] == 3
+    assert "".join(events) == "GS" * 3
 
 
 def test_transfer_flow_state_between_geometries():
