@@ -4,9 +4,9 @@ One geometry evaluation runs: design vector -> nodal level set -> cut
 model -> integration context -> indicator solve (when the pressure
 penalty is indicator-gated) -> flow solve (steady or BDF2 transient) ->
 species solve (when any criterion needs it) -> criteria. The result
-bundle carries everything the adjoint needs, the factors of the last flow
-Jacobian Newton stepped from and of the indicator and species matrices
-included.
+bundle carries everything the adjoint needs: the flow Jacobian at the
+solution (the last step's, for a march) and the factor Newton kept, and
+the factors of the indicator and species matrices.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ class ForwardResult:
     crit_values: dict = None
     crit_partials: dict = None  # name -> CriterionValue (with partials)
     newton_trace: list = None
-    # SuperLU factors the adjoint reuses and then drops (None: none kept)
-    flow_factor: object = None  # the last Jacobian Newton stepped from
+    # what the adjoint reuses and then drops (None: none kept)
+    flow_jacobian: object = None  # J at flow_state, by the last Newton
+    flow_factor: object = None  # SuperLU factors that Newton kept
     indicator_factor: object = None
     species_factor: object = None
 
@@ -107,11 +108,9 @@ class ForwardModel:
         params = self.physics.flow
 
         def make(slot):
-            def assemble(x, want_matrix):
+            def assemble(x):
                 return flow_mod.assemble_flow(
-                    ctx, params, x, coeff_state=x, slot=slot, psibar=psibar,
-                    want_matrix=want_matrix,
-                )
+                    ctx, params, x, coeff_state=x, slot=slot, psibar=psibar)
             return assemble
 
         return make
@@ -132,10 +131,10 @@ class ForwardModel:
         if warm is None or warm.shape[0] != 3 * n:
             warm = np.zeros(3 * n)
         make = self._flow_assemble_factory(ctx, psibar)
-        U, trace, flow_lu = steady_solve(make, warm, self.solve_config)
+        U, trace, flow_lu, J = steady_solve(make, warm, self.solve_config)
         result = ForwardResult(
             cm=cm, ctx=ctx, psi=psi, psibar_qp=psibar, flow_state=U,
-            newton_trace=trace, flow_factor=flow_lu,
+            newton_trace=trace, flow_jacobian=J, flow_factor=flow_lu,
             indicator_factor=psi_lu,
         )
         if self._needs_species():
@@ -148,11 +147,10 @@ class ForwardModel:
         if tparams is None:
             raise ConfigurationError("species criterion present but transport disabled")
 
-        def assemble(c, want_matrix):
-            return transport_mod.assemble_species(ctx, tparams, c, U,
-                                                  want_matrix=want_matrix)
+        def assemble(c):
+            return transport_mod.assemble_species(ctx, tparams, c, U)
 
-        c, _, lu = newton_solve(
+        c, _, lu, _ = newton_solve(
             assemble, np.zeros(ctx.n),
             tol=self.solve_config.newton_tol,
             max_iter=self.solve_config.max_newton,
@@ -171,12 +169,12 @@ class ForwardModel:
         psi, psibar, psi_lu = self._indicator(ctx)
         n = ctx.n
         make = self._flow_assemble_factory(ctx, psibar)
-        history, traces, flow_lu = march(make, np.zeros(3 * n), cfg)
+        history, traces, flow_lu, J = march(make, np.zeros(3 * n), cfg)
         result = ForwardResult(
             cm=cm, ctx=ctx, psi=psi, psibar_qp=psibar,
             flow_state=history[-1], flow_history=history,
             newton_trace=[t for tr in traces for t in tr],
-            flow_factor=flow_lu, indicator_factor=psi_lu,
+            flow_jacobian=J, flow_factor=flow_lu, indicator_factor=psi_lu,
         )
         self._evaluate_criteria(result)
         return result

@@ -8,12 +8,13 @@ Adjoints are solved in reverse block order (species, flow, indicator),
 each block solving for all functionals at once. The flow has one
 backward sweep, `adjoint_transient`, which carries every functional as
 one column of a right-hand-side block; a steady run is a sweep of one
-step. The adjoints reuse the forward's factorizations and then drop them:
-the linear species and indicator systems solve on their forward LUs
-(trans='T'), and the last step's flow adjoint iteratively refines on
-J(x*)^T, preconditioned by Newton's last LU, to its rounding level. Only
-an earlier BDF2 step, a missing factor or a refinement that stalls
-factors a matrix here.
+step. The adjoints reuse what the forward kept and then drop it: the
+linear species and indicator systems solve on their forward LUs
+(trans='T'), and the last step's flow adjoint refines on J(x*)^T, the
+Jacobian Newton handed over, with the factor Newton kept
+(`solve.refined_solve`). Only an earlier BDF2 step, a missing factor or a
+refinement that stalls factors a matrix here, and only an earlier BDF2
+step or a missing Jacobian assembles one.
 
 Geometric partials of residuals and criteria are computed
 semi-analytically. One re-cut payload, in `geometry_gradient`, pairs each
@@ -51,7 +52,8 @@ from .criteria import (GEOMETRIC_KINDS, criterion_scale, criterion_terms,
                        evaluate_criterion)
 from .forms import element_context
 from .cut import CUT
-from .solve import EPS, STEADY_SLOT, TimeSlot, bdf_slot, linear_solve, lu_solve
+from .solve import (STEADY_SLOT, TimeSlot, bdf_slot, linear_solve, lu_solve,
+                    refined_solve)
 
 FD_STEP_FRACTION = 1e-4  # geometric FD step, as a fraction of h
 MAX_STEP_HALVINGS = 4
@@ -114,10 +116,11 @@ def solve_adjoints(model, result, chains):
     (lams, adjoints): lams[k] holds step k's flow adjoints, one column per
     functional, and each FunctionalAdjoint's lam_flow is its last-step column.
 
-    The blocks solve on the factors the forward kept (result's
-    *_factor fields; the module docstring says how) and take them off
-    result, so they go when this returns and a second call factors
-    afresh; a block without kept factors is assembled and factored here.
+    The blocks solve on the factors and the flow Jacobian the forward kept
+    (result's *_factor fields and flow_jacobian; the module docstring says
+    how) and take them off result, so they go when this returns and a
+    second call assembles and factors afresh; a block without kept factors
+    is assembled and factored here.
     A singular or non-finite adjoint raises SolverError.
     """
     ctx = result.ctx
@@ -126,9 +129,11 @@ def solve_adjoints(model, result, chains):
     steps = analysis_steps(model, result)
     last = len(steps) - 1
     specs = {spec.name: spec for spec in model.criteria}
-    flow_lu, psi_lu, species_lu = (result.flow_factor, result.indicator_factor,
-                                   result.species_factor)
-    result.flow_factor = result.indicator_factor = result.species_factor = None
+    flow_J, flow_lu, psi_lu, species_lu = (
+        result.flow_jacobian, result.flow_factor, result.indicator_factor,
+        result.species_factor)
+    result.flow_jacobian = result.flow_factor = None
+    result.indicator_factor = result.species_factor = None
 
     def chained(partials, weight, attr, rows):
         """Sum of w * sampling weight * partial, one column per functional."""
@@ -163,16 +168,19 @@ def solve_adjoints(model, result, chains):
         return rhs
 
     def solve_at(k):
+        nonlocal flow_J
         slot, state, _ = steps[k]
-        _, J = flow_mod.assemble_flow(ctx, params, state, coeff_state=state,
-                                      slot=slot, psibar=result.psibar_qp)
+        J, flow_J = flow_J, None  # the sweep starts at the last step
+        if J is None:
+            _, J = flow_mod.assemble_flow(ctx, params, state, coeff_state=state,
+                                          slot=slot, psibar=result.psibar_qp)
         if k < last or flow_lu is None:
             return lambda b: linear_solve(J.T, b)
 
         def solve(b):
             nonlocal flow_lu
             lu, flow_lu = flow_lu, None
-            lam = _refined_solve(J, lu, b)
+            lam = refined_solve(J, lu, b, trans="T")
             del lu  # gone before a fresh factorization
             return linear_solve(J.T, b) if lam is None else lam
         return solve
@@ -197,31 +205,6 @@ def solve_adjoints(model, result, chains):
         lam_species=None if lam_c is None else lam_c[:, k],
         lam_psi=None if lam_psi is None else lam_psi[:, k])
         for k, chain in enumerate(chains)]
-
-
-def _refined_solve(J, lu, b):
-    """Solve J^T x = b (a block, one column per functional) by iterative
-    refinement preconditioned by lu, the factors of a nearby matrix, through
-    trans='T'.
-
-    A column is done when its residual reaches the rounding level
-    eps * || |J^T| |x| ||. Returns None when a step fails to halve the
-    residual of a column that is not done.
-    """
-    JT = J.T
-    absJT = abs(JT)
-    x = lu_solve(lu, b, trans="T")
-    prev = np.full(x.shape[1], np.inf)
-    while True:
-        r = b - JT @ x
-        norm = np.linalg.norm(r, axis=0)
-        todo = ~(norm <= EPS * np.linalg.norm(absJT @ np.abs(x), axis=0))
-        if not todo.any():
-            return x
-        if not np.all(norm[todo] <= 0.5 * prev[todo]):
-            return None
-        prev = norm
-        x[:, todo] += lu_solve(lu, r[:, todo], trans="T")
 
 
 def _transposed_solve(lu, b, matrix):

@@ -5,9 +5,13 @@ Newton iterations with relative-residual control wrap a sparse direct
 pivoting, on a minimum-degree ordering of A + A^T (the flow, indicator and
 species matrices have a nonzero diagonal and a nearly symmetric pattern),
 and by SuperLU's COLAMD with partial pivoting when that factor meets a
-zero pivot or fails its check solve. Newton assembles a Jacobian only on
-the iterates it steps from (a converged check costs one residual), holds
-one LU at a time and returns its last, which the adjoint reuses.
+zero pivot or fails its check solve. A solve on a kept factor goes through
+`refined_solve`: iterative refinement on the factors of a nearby matrix,
+down to the rounding level; a matrix is factored afresh only when a sweep
+fails to halve the residual. Newton gets the residual and the Jacobian of
+every iterate in one call, factors its first Jacobian and refines every
+later step on the factor it holds, and returns that factor with the
+Jacobian at its solution, both of which the adjoint reuses.
 Transient problems march with BDF2 after a single backward-Euler startup
 step. The steady driver falls back to pseudo-transient continuation with a
 growing step when a cold Newton start diverges; a pseudo step that diverges
@@ -125,40 +129,68 @@ def linear_solve(A, b):
     return lu_solve(factorize(A), b)
 
 
+def refined_solve(J, lu, b, trans="N"):
+    """Solve J x = b (J^T x = b with trans='T') by iterative refinement on
+    lu, the factors of J or of a nearby matrix; b is one column or a block
+    with one column per right-hand side.
+
+    A column is done when its residual reaches the rounding level
+    eps * || |J| |x| ||. Returns None when a sweep fails to halve the
+    residual of a column that is not done: the caller then factors J
+    afresh.
+    """
+    A = J.T if trans == "T" else J
+    absA = abs(A)
+    b = np.asarray(b, dtype=float)
+    B = b.reshape(b.shape[0], -1)
+    x = lu_solve(lu, B, trans=trans)
+    prev = np.full(x.shape[1], np.inf)
+    while True:
+        r = B - A @ x
+        norm = np.linalg.norm(r, axis=0)
+        todo = ~(norm <= EPS * np.linalg.norm(absA @ np.abs(x), axis=0))
+        if not todo.any():
+            return x.reshape(b.shape)
+        if not np.all(norm[todo] <= 0.5 * prev[todo]):
+            return None
+        prev = norm
+        x[:, todo] += lu_solve(lu, r[:, todo], trans=trans)
+
+
 def newton_solve(assemble, x0, tol=1e-6, max_iter=30):
-    """Newton iteration on assemble(x, want_matrix) -> (R, J or None).
+    """Newton iteration on assemble(x) -> (R, J), the residual and its
+    Jacobian at x.
 
     Converges when ||R|| drops below tol * ||R0||, or below the rounding
     level eps * || |J| |x| || of the residual at x: no Newton step can take
-    ||R|| further down than that, whatever tol asks for. J is asked for
-    only when the first test fails (the first iterate gets R and J in one
-    call), so a converged check costs one residual. Each LU is freed
-    before the next is made.
-    Returns (x, trace, lu): trace holds the residual norms per iteration,
-    lu the factors of the Jacobian of the last step taken (None when x0
-    needed no step).
+    ||R|| further down than that, whatever tol asks for. The first step
+    factors J; each later step solves by refined_solve on the factor it
+    holds, so it is still an exact Newton step up to rounding, and factors
+    afresh (the old factor freed first) only when that refinement stalls.
+    Returns (x, trace, lu, J): trace holds the residual norms per
+    iteration, lu the factor held at the end (None when x0 needed no
+    step), J the Jacobian at x.
     """
     x = np.array(x0, dtype=float)
     trace = []
     r0 = None
     lu = None
     for _ in range(max_iter + 1):
-        R, J = assemble(x, r0 is None)
+        R, J = assemble(x)
         norm = float(np.linalg.norm(R))
         trace.append(norm)
         if r0 is None:
             r0 = norm
-        if norm <= tol * r0:
-            return x, trace, lu
-        if J is None:
-            J = assemble(x, True)[1]
-        if norm <= EPS * np.linalg.norm(abs(J) @ np.abs(x)):
-            return x, trace, lu
+        if norm <= tol * r0 or norm <= EPS * np.linalg.norm(abs(J) @ np.abs(x)):
+            return x, trace, lu, J
         if not np.isfinite(norm) or norm > 1e3 * max(r0, 1.0) + 1e12:
             raise NonconvergenceError("Newton diverged", trace=trace)
-        lu = None  # the previous factors go before the next are made
-        lu = factorize(J)
-        x -= lu_solve(lu, R)
+        d = None if lu is None else refined_solve(J, lu, R)
+        if d is None:
+            lu = None  # the previous factors go before the next are made
+            lu = factorize(J)
+            d = lu_solve(lu, R)
+        x -= d
     raise NonconvergenceError(
         f"Newton did not converge in {max_iter} iterations", trace=trace
     )
@@ -179,12 +211,12 @@ def bdf_slot(step, dt, states, t=None):
 
 
 def march(make_assemble, u0, config: SolveConfig):
-    """Time marching; returns (state history, per-step Newton traces, lu).
+    """Time marching; returns (state history, per-step Newton traces, lu, J).
 
-    make_assemble(slot) must return an assemble(x, want_matrix) callable
-    for that step's time slot, as newton_solve takes. History includes the
-    initial condition; lu is the last step's newton_solve factors (each
-    step's go before the next step starts).
+    make_assemble(slot) must return an assemble(x) callable for that step's
+    time slot, as newton_solve takes. History includes the initial
+    condition; lu and J are the last step's newton_solve factor and
+    Jacobian (each step's factor goes before the next step starts).
     """
     if config.dt is None or config.dt <= 0 or config.n_steps < 1:
         raise ValueError("march requires dt > 0 and n_steps >= 1")
@@ -192,9 +224,9 @@ def march(make_assemble, u0, config: SolveConfig):
     traces = []
     for step in range(1, config.n_steps + 1):
         slot = bdf_slot(step, config.dt, states)
-        lu = None
+        lu = J = None  # the last step's go before this step makes its own
         try:
-            u, trace, lu = newton_solve(
+            u, trace, lu, J = newton_solve(
                 make_assemble(slot), states[-1],
                 tol=config.newton_tol, max_iter=config.max_newton,
             )
@@ -206,15 +238,15 @@ def march(make_assemble, u0, config: SolveConfig):
             raise SolverError(f"time step {step} failed: {exc}", step=step) from exc
         states.append(u)
         traces.append(trace)
-    return states, traces, lu
+    return states, traces, lu, J
 
 
 def steady_solve(make_assemble, warm, config: SolveConfig):
     """Steady solve with optional pseudo-transient continuation fallback.
 
-    Returns (x, trace, lu) as newton_solve does; after a fallback, trace
-    joins the pseudo steps' traces and lu comes from the final steady
-    Newton.
+    Returns (x, trace, lu, J) as newton_solve does; after a fallback,
+    trace joins the pseudo steps' traces and lu and J come from the final
+    steady Newton.
     """
     try:
         return newton_solve(
@@ -239,11 +271,11 @@ def steady_solve(make_assemble, warm, config: SolveConfig):
             continue
         dt *= 2.0
     try:
-        x, trace, lu = newton_solve(
+        x, trace, lu, J = newton_solve(
             make_assemble(STEADY_SLOT), u,
             tol=config.newton_tol, max_iter=config.max_newton,
         )
-        return x, combined + trace, lu
+        return x, combined + trace, lu, J
     except NonconvergenceError as exc:
         raise NonconvergenceError(
             "steady solve failed after pseudo-transient continuation",

@@ -58,9 +58,9 @@ def _circle_solve(h, alpha):
     n = ctx.n
     params = FlowParams(rho=1.0, mu=1.6e-3, alpha_nitsche=alpha,
                         alpha_gp_mu=0.05, alpha_gp_p=0.005, alpha_gp_u=0.05)
-    make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
+    make = lambda slot: (lambda x: assemble_flow(
         ctx, params, x, coeff_state=x, slot=slot))
-    U, _, _ = steady_solve(make, np.zeros(3 * n),
+    U, _, _, _ = steady_solve(make, np.zeros(3 * n),
                         SolveConfig(newton_tol=1e-10, max_newton=40))
     gv = lambda kind, surf, **kw: evaluate_criterion(
         CriterionSpec(name="x", kind=kind, surface=surf, **kw), ctx, params,
@@ -139,9 +139,9 @@ def _bent_channel_mismatch(k_pressure, scope):
     else:
         psi, _ = solve_indicator(ctx, IndicatorParams())
         psibar = indicator_at_volume_points(ctx, psi, IndicatorParams())
-    make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
+    make = lambda slot: (lambda x: assemble_flow(
         ctx, params, x, coeff_state=x, slot=slot, psibar=psibar))
-    U, _, _ = steady_solve(make, np.zeros(3 * n),
+    U, _, _, _ = steady_solve(make, np.zeros(3 * n),
                         SolveConfig(newton_tol=1e-10, max_newton=40))
     gv = lambda surf: evaluate_criterion(
         CriterionSpec(name="m", kind="mass_flow", surface=surf), ctx, params,
@@ -362,9 +362,9 @@ def test_acceptance_7_bdf2_temporal_order():
     for dt in (0.05, 0.025, 0.0125):
         cfg = SolveConfig(scheme="bdf2", dt=dt, n_steps=round(T / dt),
                           newton_tol=1e-10, max_newton=40)
-        make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
+        make = lambda slot: (lambda x: assemble_flow(
             ctx, params, x, coeff_state=x, slot=slot))
-        states, _, _ = march(make, np.zeros(3 * n), cfg)
+        states, _, _, _ = march(make, np.zeros(3 * n), cfg)
         finals.append(states[-1])
     e1 = np.linalg.norm(finals[0] - finals[1])
     e2 = np.linalg.norm(finals[1] - finals[2])
@@ -375,9 +375,9 @@ def test_acceptance_7_bdf2_temporal_order():
     errs = []
     for dt in (0.1, 0.05):
         cfg = SolveConfig(dt=dt, n_steps=round(1.0 / dt), scheme="bdf2")
-        ode = lambda slot: (lambda x, want_matrix=True: (
+        ode = lambda slot: (lambda x: (
             slot.alpha * x + slot.hist + x, np.array([[slot.alpha + 1.0]])))
-        st, _, _ = march(ode, np.array([1.0]), cfg)
+        st, _, _, _ = march(ode, np.array([1.0]), cfg)
         errs.append(abs(st[-1][0] - math.exp(-1.0)))
     ode_order = np.log2(errs[0] / errs[1])
     _verdict(7, ok and 1.8 <= ode_order <= 2.2,

@@ -235,9 +235,9 @@ def test_poiseuille_total_pressure_drop_analytic():
     ctx = build_context(cm, regions)
     n = ctx.n
     params = FlowParams(rho=1.0, mu=1.0, alpha_nitsche=1000.0)
-    make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
+    make = lambda slot: (lambda x: assemble_flow(
         ctx, params, x, coeff_state=x, slot=slot))
-    U, _, _ = steady_solve(make, np.zeros(3 * n), SolveConfig())
+    U, _, _, _ = steady_solve(make, np.zeros(3 * n), SolveConfig())
     ti = evaluate_criterion(CriterionSpec(name="t", kind="total_pressure",
                                           surface="inlet"), ctx, params,
                             flow_state=U).value

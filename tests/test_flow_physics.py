@@ -457,9 +457,9 @@ def test_wall_velocity_error_decreases_with_nitsche_penalty():
         ctx = build_context(cm, regions)
         n = ctx.n
         params = FlowParams(rho=1.0, mu=0.1, alpha_nitsche=alpha)
-        make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
+        make = lambda slot: (lambda x: assemble_flow(
             ctx, params, x, coeff_state=x, slot=slot))
-        U, _, _ = steady_solve(make, np.zeros(3 * n), SolveConfig())
+        U, _, _, _ = steady_solve(make, np.zeros(3 * n), SolveConfig())
         err = 0.0
         for region in ctx.regions:
             if region.kind != "velocity":

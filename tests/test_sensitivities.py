@@ -209,6 +209,8 @@ def test_failed_adjoint_solve_raises_solver_error(bend, monkeypatch, case):
             return R, J * bad
 
         monkeypatch.setattr(flow_mod, "assemble_flow", broken)
+        # without the Jacobian Newton handed over, the adjoint assembles one
+        result = replace(result, flow_jacobian=None)
     with pytest.raises(SolverError):
         solve_adjoints(model, result, [{"ti": 1.0}])
 
@@ -323,6 +325,38 @@ def test_steady_gradient_factors_nothing_and_keeps_no_factor(monkeypatch):
     assert live.live == 0
     assert (result.flow_factor, result.indicator_factor, result.species_factor) == \
         (None, None, None)
+
+
+def test_gradient_on_the_kept_jacobian_matches_an_assembled_one(monkeypatch):
+    # the Jacobian Newton hands over is J(x*) byte for byte, so the gradient
+    # on it equals the gradient that assembles J(x*) again, bit for bit,
+    # on the same kept factor; only the latter assembles a flow Jacobian
+    model, problem, design = bend_model(divisions=(20, 20))
+    result = model.solve_steady(design)
+    problem.capture_normalization(result.crit_values)
+    assert result.flow_jacobian is not None and result.flow_factor is not None
+    U = result.flow_state
+    _, J = flow_mod.assemble_flow(result.ctx, model.physics.flow, U, coeff_state=U,
+                                  psibar=result.psibar_qp)
+    for attr in ("data", "indices", "indptr"):
+        assert (getattr(result.flow_jacobian, attr).tobytes()
+                == getattr(J, attr).tobytes())
+    assembled = []
+    assemble = flow_mod.assemble_flow
+
+    def counting(*args, **kwargs):
+        R, J = assemble(*args, **kwargs)
+        assembled.append(J is not None)
+        return R, J
+
+    monkeypatch.setattr(flow_mod, "assemble_flow", counting)
+    kept = replace(result)
+    dropped = replace(result, flow_jacobian=None)
+    dZ = total_design_gradient(model, kept, problem, design, 1.0)[2]
+    assert sum(assembled) == 0 and kept.flow_jacobian is None
+    dZ_assembled = total_design_gradient(model, dropped, problem, design, 1.0)[2]
+    assert sum(assembled) == 1
+    assert dZ.tobytes() == dZ_assembled.tobytes()
 
 
 def test_species_only_criterion_drives_flow_adjoint_through_cross_term():

@@ -23,20 +23,20 @@ def test_newton_linear_problem_one_iteration():
     A = np.array([[2.0, 1.0], [1.0, 3.0]])
     b = np.array([1.0, -2.0])
 
-    def assemble(x, want_matrix=True):
+    def assemble(x):
         return A @ x - b, A
 
-    x, trace, _ = newton_solve(assemble, np.zeros(2))
+    x, trace, _, _ = newton_solve(assemble, np.zeros(2))
     np.testing.assert_allclose(x, np.linalg.solve(A, b), atol=1e-12)
     assert len(trace) == 2  # initial residual + converged check
 
 
 def test_newton_scalar_quadratic():
     # x^2 - 4 = 0 from x0 = 3: quadratic convergence to 2
-    def assemble(x, want_matrix=True):
+    def assemble(x):
         return np.array([x[0] ** 2 - 4.0]), np.array([[2.0 * x[0]]])
 
-    x, trace, _ = newton_solve(assemble, np.array([3.0]), tol=1e-14)
+    x, trace, _, _ = newton_solve(assemble, np.array([3.0]), tol=1e-14)
     assert abs(x[0] - 2.0) < 1e-12
     assert len(trace) <= 6  # ~5 iterations for 1e-12
     # strictly decreasing residuals after the first iterate
@@ -50,11 +50,11 @@ def test_newton_stops_at_the_residual_rounding_level():
     c = 1.0e4
     b = c * np.array([math.pi, math.e, math.sqrt(2.0)])
 
-    def assemble(x, want_matrix=True):
+    def assemble(x):
         return c * (x ** 3 + x) - b, np.diag(c * (3.0 * x ** 2 + 1.0))
 
-    root, _, _ = newton_solve(assemble, np.ones(3), tol=1e-8)
-    x, trace, _ = newton_solve(assemble, root + 1e-3, tol=1e-14)
+    root, _, _, _ = newton_solve(assemble, np.ones(3), tol=1e-8)
+    x, trace, _, _ = newton_solve(assemble, root + 1e-3, tol=1e-14)
     assert len(trace) <= 5
     R, J = assemble(x)
     assert trace[-1] <= np.finfo(float).eps * np.linalg.norm(np.abs(J) @ np.abs(x))
@@ -62,12 +62,12 @@ def test_newton_stops_at_the_residual_rounding_level():
 
 
 def _eager_newton(assemble, x0, tol):
-    """Newton with R and J at every iterate, on the same LU solve."""
+    """Newton with a fresh LU solve at every step."""
     x = np.array(x0, dtype=float)
     trace = []
     r0 = None
     while True:
-        R, J = assemble(x, True)
+        R, J = assemble(x)
         norm = float(np.linalg.norm(R))
         trace.append(norm)
         if r0 is None:
@@ -79,55 +79,106 @@ def _eager_newton(assemble, x0, tol):
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-14], ids=["relative", "rounding-floor"])
-def test_newton_asks_for_the_jacobian_only_where_it_steps(tol):
+def test_newton_assembles_each_iterate_once(tol):
     # the same cubic system as above; at 1e-14 the last check needs the
-    # rounding floor, so J is also asked for at the converged iterate
+    # rounding floor, from the J assembled with the residual
     c = 1.0e4
     b = c * np.array([math.pi, math.e, math.sqrt(2.0)])
     calls = []
 
-    def assemble(x, want_matrix):
-        calls.append((x.tobytes(), want_matrix))
+    def assemble(x):
+        calls.append(x.tobytes())
         J = sp.diags(c * (3.0 * x ** 2 + 1.0)).tocsr()
-        return c * (x ** 3 + x) - b, J if want_matrix else None
+        return c * (x ** 3 + x) - b, J
 
     x0 = np.ones(3)
     if tol == 1e-14:  # a start near the root, as in the test above
         x0 = newton_solve(assemble, x0, tol=1e-8)[0] + 1e-3
         calls.clear()
-    x, trace, lu = newton_solve(assemble, x0, tol=tol)
-    lazy = calls[:]
+    x, trace, lu, J = newton_solve(assemble, x0, tol=tol)
+    assert calls == list(dict.fromkeys(calls)) and len(calls) == len(trace) > 1
+    assert calls[-1] == x.tobytes()
+    assert (trace[-1] > tol * trace[0]) == (tol == 1e-14)
+    # the returned Jacobian is J(x), byte for byte
+    J_x = assemble(x)[1]
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(J, attr).tobytes() == getattr(J_x, attr).tobytes()
+    # steps on the kept factor are Newton steps up to rounding
+    calls.clear()
     x_ref, trace_ref = _eager_newton(assemble, x0, tol)
-    assert x.tobytes() == x_ref.tobytes()
-    assert trace == trace_ref
-    iterates = list(dict.fromkeys(key for key, _ in lazy))
-    assert len(iterates) == len(trace) > 1
-    # J at every iterate Newton stepped from, and at the last one only when
-    # the relative test failed there and the rounding floor had to decide
-    floor_decided = trace[-1] > tol * trace[0]
-    assert floor_decided == (tol == 1e-14)
-    with_j = [key for key, want in lazy if want]
-    assert with_j == iterates[:-1] + iterates[-1:] * floor_decided
-    # one call per iterate, two where the residual check failed
-    assert len(lazy) == 2 * len(trace) - 1 - (not floor_decided)
+    assert len(trace) == len(trace_ref)
+    np.testing.assert_allclose(x, x_ref, rtol=4 * np.finfo(float).eps)
     assert lu is not None
+
+
+def _near_pair(n=60, seed=0):
+    """A sparse nonsymmetric J, and J0 within 5% of it entrywise."""
+    rng = np.random.default_rng(seed)
+    B = sp.random(n, n, density=0.1, random_state=seed, format="csr")
+    J = (B + sp.diags(rng.uniform(2.0, 3.0, n))).tocsr()
+    J0 = J.copy()
+    J0.data *= 1.0 + 0.05 * rng.uniform(-1.0, 1.0, J0.nnz)
+    return J, J0
+
+
+@pytest.mark.parametrize("trans", ["N", "T"])
+@pytest.mark.parametrize("cols", [None, 3], ids=["column", "block"])
+def test_refined_solve_on_a_stale_factor_reaches_the_rounding_level(trans, cols):
+    J, J0 = _near_pair()
+    b = np.random.default_rng(1).standard_normal(
+        (J.shape[0],) if cols is None else (J.shape[0], cols))
+    x = solve.refined_solve(J, factorize(J0), b, trans=trans)
+    assert x.shape == b.shape
+    A = J.T if trans == "T" else J
+    r = (b - A @ x).reshape(b.shape[0], -1)
+    level = np.finfo(float).eps * np.linalg.norm(
+        (abs(A) @ np.abs(x)).reshape(b.shape[0], -1), axis=0)
+    assert np.all(np.linalg.norm(r, axis=0) <= level)
+    # the stale factor's own solve is far from that
+    x0 = lu_solve(factorize(J0), b, trans=trans)
+    assert np.linalg.norm(b - A @ x0) > 1e6 * level.max()
+
+
+def test_newton_refactors_only_where_refinement_stalls(monkeypatch):
+    # x^2 - 4 from 30: the first factor (J = 60) serves the steps while
+    # the slope stays within a factor two of it, then refinement stalls
+    # and Newton factors afresh, so fewer factors than steps
+    live = LiveFactors(monkeypatch)
+    stalls = []
+    refined = solve.refined_solve
+
+    def recording(*args, **kwargs):
+        x = refined(*args, **kwargs)
+        stalls.append(x is None)
+        return x
+
+    monkeypatch.setattr(solve, "refined_solve", recording)
+
+    def assemble(x):
+        return np.array([x[0] ** 2 - 4.0]), np.array([[2.0 * x[0]]])
+
+    x, trace, lu, J = newton_solve(assemble, np.array([30.0]), tol=1e-14)
+    steps = len(trace) - 1
+    assert abs(x[0] - 2.0) < 1e-14 and steps == 8
+    assert len(stalls) == steps - 1 and any(stalls) and not all(stalls)
+    assert live.calls == 1 + sum(stalls) < steps
 
 
 def test_newton_holds_one_factorization_at_a_time(monkeypatch):
     live = LiveFactors(monkeypatch)
 
-    def assemble(x, want_matrix=True):
+    def assemble(x):
         return np.array([x[0] ** 2 - 4.0]), np.array([[2.0 * x[0]]])
 
-    x, trace, lu = newton_solve(assemble, np.array([30.0]), tol=1e-14)
-    assert live.calls == len(trace) - 1 >= 5
+    x, trace, lu, J = newton_solve(assemble, np.array([30.0]), tol=1e-14)
+    assert live.calls >= 2  # the kept factor was replaced on the way
     assert live.peak == 1 and live.live == 1
     del lu
     assert live.live == 0
 
 
 def test_newton_nonconvergence_carries_trace():
-    def assemble(x, want_matrix=True):
+    def assemble(x):
         return np.array([1.0]), np.array([[1e-30]])
 
     with pytest.raises(NonconvergenceError) as exc:
@@ -191,30 +242,32 @@ def test_newton_fallback_holds_one_factorization_at_a_time(monkeypatch):
     # the second is made
     live = LiveFactors(monkeypatch)
 
-    def assemble(x, want_matrix=True):
+    def assemble(x):
         R = np.array([x[1] ** 3 + x[1] - 2.0, x[0] ** 3 + x[0] - 2.0])
         return R, np.array([[0.0, 3.0 * x[1] ** 2 + 1.0],
                             [3.0 * x[0] ** 2 + 1.0, 0.0]])
 
     fallbacks = solve.lu_fallbacks
-    x, trace, lu = newton_solve(assemble, np.array([3.0, -2.0]), tol=1e-14)
+    x, trace, lu, J = newton_solve(assemble, np.array([3.0, -2.0]), tol=1e-14)
     np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-14)
-    steps = len(trace) - 1
-    assert steps >= 4 and solve.lu_fallbacks == fallbacks + steps
-    assert live.calls == 2 * steps
+    factors = solve.lu_fallbacks - fallbacks
+    assert len(trace) - 1 >= 4 and factors >= 2
+    assert live.calls == 2 * factors
     assert live.peak == 1 and live.live == 1
 
 
 def test_bend_fixture_factors_without_fallback(monkeypatch):
-    # the indicator, Newton and adjoint factors of a design and its gradient
-    # all keep the pivot-free LU: one splu call per factorization
+    # a cold solve of a design and its gradient factor twice, the indicator
+    # and the first Newton Jacobian, and both keep the pivot-free LU: the
+    # later Newton steps and the flow adjoint refine on the flow factor
     live = LiveFactors(monkeypatch)
     model, problem, design = bend_model(divisions=(16, 16))
     fallbacks = solve.lu_fallbacks
     result = model.solve_steady(design)
     problem.capture_normalization(result.crit_values)
     total_design_gradient(model, result, problem, design, 1.0)
-    assert live.calls >= 3 and solve.lu_fallbacks == fallbacks
+    assert len(result.newton_trace) >= 3
+    assert live.calls == 2 and solve.lu_fallbacks == fallbacks
 
 
 def test_re200_circle_jacobian_solves_accurately_or_falls_back():
@@ -224,7 +277,7 @@ def test_re200_circle_jacobian_solves_accurately_or_falls_back():
     U = np.zeros(3 * ctx.n)
     for re in (20.0, 50.0, 100.0, 200.0):
         params.mu = 1.6e-3 * 20.0 / re
-        make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
+        make = lambda slot: (lambda x: assemble_flow(
             ctx, params, x, coeff_state=x, slot=slot))
         U = steady_solve(make, U, SolveConfig(newton_tol=1e-10, max_newton=40))[0]
     J = assemble_flow(ctx, params, U, coeff_state=U)[1]
@@ -240,7 +293,7 @@ def test_re200_circle_jacobian_solves_accurately_or_falls_back():
 
 def _ode_make(slot):
     # du/dt = -u as a residual: alpha u + hist + u = 0
-    def assemble(x, want_matrix=True):
+    def assemble(x):
         return slot.alpha * x + slot.hist + x, np.array([[slot.alpha + 1.0]])
     return assemble
 
@@ -249,7 +302,7 @@ def test_march_matches_exponential_second_order():
     errs = []
     for dt in (0.1, 0.05, 0.025):
         cfg = SolveConfig(dt=dt, n_steps=round(1.0 / dt), scheme="bdf2")
-        states, traces, _ = march(_ode_make, np.array([1.0]), cfg)
+        states, traces, _, _ = march(_ode_make, np.array([1.0]), cfg)
         errs.append(abs(states[-1][0] - math.exp(-1.0)))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     for order in orders:
@@ -259,11 +312,11 @@ def test_march_matches_exponential_second_order():
 def test_march_constant_solution_exact():
     # du/dt = 0: residual alpha u + hist
     def make(slot):
-        return lambda x, want_matrix=True: (slot.alpha * x + slot.hist,
+        return lambda x: (slot.alpha * x + slot.hist,
                                             np.array([[slot.alpha]]))
 
     cfg = SolveConfig(dt=0.2, n_steps=7, scheme="bdf2")
-    states, _, _ = march(make, np.array([0.73]), cfg)
+    states, _, _, _ = march(make, np.array([0.73]), cfg)
     for s in states:
         assert s[0] == pytest.approx(0.73, abs=1e-14)
 
@@ -272,7 +325,7 @@ def test_march_abort_reports_step():
     calls = {"n": 0}
 
     def make(slot):
-        def assemble(x, want_matrix=True):
+        def assemble(x):
             calls["n"] += 1
             if slot.t > 0.25:  # third step fails
                 return np.array([1.0]), np.array([[1e-30]])
@@ -289,7 +342,7 @@ def test_march_singular_step_reports_step():
     # the third step's Jacobian is exactly singular: the SolverError names
     # the step, as a nonconverged step does
     def make(slot):
-        def assemble(x, want_matrix=True):
+        def assemble(x):
             if slot.t > 0.25:
                 return np.array([1.0]), np.array([[0.0]])
             return slot.alpha * x + slot.hist + x, np.array([[slot.alpha + 1.0]])
@@ -305,7 +358,7 @@ def test_march_singular_step_reports_step():
 def test_steady_solve_pseudo_transient_fallback():
     # arctan(x) = 0 from x0 = 2: plain Newton diverges, continuation converges
     def make(slot):
-        def assemble(x, want_matrix=True):
+        def assemble(x):
             with np.errstate(over="ignore"):  # divergent iterates overflow x^2
                 r = np.array([math.atan(x[0])])
                 j = np.array([[1.0 / (1.0 + x[0] ** 2)]])
@@ -317,7 +370,7 @@ def test_steady_solve_pseudo_transient_fallback():
 
     with pytest.raises((NonconvergenceError, SolverError)):
         newton_solve(make(TimeSlot()), np.array([2.0]), max_iter=20)
-    x, trace, _ = steady_solve(make, np.array([2.0]), SolveConfig(pseudo_dt0=0.5))
+    x, trace, _, _ = steady_solve(make, np.array([2.0]), SolveConfig(pseudo_dt0=0.5))
     assert abs(x[0]) < 1e-10
 
 
@@ -329,7 +382,7 @@ def test_steady_solve_retreats_from_singular_pseudo_step():
     steps = []
 
     def make(slot):
-        def assemble(x, want_matrix=True):
+        def assemble(x):
             r = np.array([x[0] ** 3 - 8.0])
             j = np.array([[3.0 * x[0] ** 2]])
             if slot.alpha:
@@ -344,7 +397,7 @@ def test_steady_solve_retreats_from_singular_pseudo_step():
     with pytest.raises(SolverError):
         linear_solve(j, r)
     steps.clear()
-    x, trace, _ = steady_solve(make, np.zeros(1), SolveConfig(pseudo_dt0=dt0))
+    x, trace, _, _ = steady_solve(make, np.zeros(1), SolveConfig(pseudo_dt0=dt0))
     assert abs(x[0] - 2.0) < 1e-10
     assert steps[0] == dt0 and dt0 * 0.25 in steps
 
@@ -364,9 +417,9 @@ def test_stokes_cavity_converges_in_a_couple_iterations():
     ctx = build_context(cm, regions)
     n = ctx.n
     params = FlowParams(rho=1.0, mu=10.0)
-    make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
+    make = lambda slot: (lambda x: assemble_flow(
         ctx, params, x, coeff_state=x, slot=slot))
-    U, trace, _ = steady_solve(make, np.zeros(3 * n), SolveConfig())
+    U, trace, _, _ = steady_solve(make, np.zeros(3 * n), SolveConfig())
     assert len(trace) <= 4  # residual evals: initial + <= 2 corrections + final
 
 
@@ -376,10 +429,10 @@ def test_warm_start_at_solution_converges_immediately():
     ctx = build_context(cm, channel_regions(mesh, 1.0))
     n = ctx.n
     params = FlowParams(rho=1.0, mu=0.5)
-    make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
+    make = lambda slot: (lambda x: assemble_flow(
         ctx, params, x, coeff_state=x, slot=slot))
-    U, t1, _ = steady_solve(make, np.zeros(3 * n), SolveConfig())
-    U2, t2, _ = steady_solve(make, U, SolveConfig())
+    U, t1, _, _ = steady_solve(make, np.zeros(3 * n), SolveConfig())
+    U2, t2, _, _ = steady_solve(make, U, SolveConfig())
     # warm start at the solution: at most a couple of corrections (the
     # convergence test is relative to the warm residual, so it polishes)
     assert len(t2) <= 3

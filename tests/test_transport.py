@@ -55,10 +55,10 @@ def test_linear_diffusion_profile_between_dirichlet_walls():
     params = TransportParams(diffusivity=0.3)
     U = np.zeros(3 * n)
 
-    def assemble(c, want_matrix=True):
+    def assemble(c):
         return assemble_species(ctx, params, c, U)
 
-    c, _, _ = newton_solve(assemble, np.zeros(n), tol=1e-12)
+    c, _, _, _ = newton_solve(assemble, np.zeros(n), tol=1e-12)
     xy = scalar_dof_coords(cm)
     np.testing.assert_allclose(c, xy[:, 0] / W, atol=1e-10)
 
@@ -136,11 +136,11 @@ def test_species_maximum_principle_envelope():
     ctx = build_context(cm, regions)
     n = ctx.n
     fparams = FlowParams(rho=1.0, mu=0.5)
-    make = lambda slot: (lambda x, want_matrix=True: assemble_flow(
+    make = lambda slot: (lambda x: assemble_flow(
         ctx, fparams, x, coeff_state=x, slot=slot))
-    U, _, _ = steady_solve(make, np.zeros(3 * n), SolveConfig())
+    U, _, _, _ = steady_solve(make, np.zeros(3 * n), SolveConfig())
     tparams = TransportParams(diffusivity=0.02)
-    c, _, _ = newton_solve(lambda c, want_matrix=True: assemble_species(ctx, tparams, c, U),
+    c, _, _, _ = newton_solve(lambda c: assemble_species(ctx, tparams, c, U),
                         np.zeros(n))
     assert c.min() > -0.05
     assert c.max() < 1.05
