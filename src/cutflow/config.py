@@ -219,7 +219,7 @@ class _Section:
     Its keys are the fields of `cls` (built into RunConfig.<attr>; a tagged
     family gives a list, with the tag as the `name` field), then the
     RunConfig fields in `run_fields`. Each field is one key named after it
-    unless `codecs` names its codec. Fields in `fixed` are not settable.
+    unless `codecs` names its codec.
     """
 
     name: str
@@ -229,7 +229,6 @@ class _Section:
     required: bool = False
     run_fields: tuple = ()
     codecs: dict = field(default_factory=dict)
-    fixed: tuple = ()
 
 
 def _read_terms(raw):
@@ -309,8 +308,7 @@ _SECTIONS = (
                                       for coef, name in parts),)),
     }),
     _Section("gcmma", GcmmaConfig, "gcmma"),
-    # the pseudo-transient start step is set by code only
-    _Section("solve", SolveConfig, "solve", fixed=("pseudo_dt0",)),
+    _Section("solve", SolveConfig, "solve"),
     _Section("output", OutputConfig, "output"),
 )
 
@@ -320,7 +318,7 @@ def _keys(spec):
     run = {f.name: f for f in fields(RunConfig)}
     own = [] if spec.cls is None else [
         (f, True) for f in fields(spec.cls)
-        if f.name not in spec.fixed and not (spec.tagged and f.name == "name")]
+        if not (spec.tagged and f.name == "name")]
     return [(f, is_own, spec.codecs.get(f.name) or _plain(f))
             for f, is_own in own + [(run[n], False) for n in spec.run_fields]]
 

@@ -59,9 +59,9 @@ def transfer_flow_state(old_cm, new_cm, U_old):
 def run_analysis(cfg, outdir=None):
     """Solve the configured geometry once and report the criteria."""
     outdir = outdir or cfg.output.directory
-    ensure_dir(outdir)
     model, problem = build_model(cfg)
     design = cfg.initial_design(model.mesh)
+    ensure_dir(outdir)  # a config error leaves no output directory behind
     result = model.analyze(design)
     write_vtk_fields(
         os.path.join(outdir, "fields_000000.vtk"), result.cm,
@@ -88,9 +88,9 @@ def run_analysis(cfg, outdir=None):
 def run_optimization(cfg, outdir=None, restart=None):
     """GCMMA optimization loop; returns a run summary dict."""
     outdir = outdir or cfg.output.directory
-    ensure_dir(outdir)
     model, problem = build_model(cfg)
     design = cfg.initial_design(model.mesh)
+    ensure_dir(outdir)
     area = cfg.domain_area()
     transient = cfg.solve.scheme == "bdf2"
 
@@ -285,9 +285,9 @@ def run_gradcheck(cfg, outdir=None, n_vars=5, step=1e-5, seed=7):
     with its transient adjoint.
     """
     outdir = outdir or cfg.output.directory
-    ensure_dir(outdir)
     model, problem = build_model(cfg)
     design = cfg.initial_design(model.mesh)
+    ensure_dir(outdir)
     area = cfg.domain_area()
     result = model.analyze(design)
     if problem.normalization is None:
@@ -337,13 +337,13 @@ def run_sweep(cfg, parameter, values, outdir=None):
     except ValueError as exc:
         raise ConfigurationError(f"sweep value of {parameter}: {exc}") from exc
     outdir = outdir or cfg.output.directory
-    ensure_dir(outdir)
     results = []
     for v, d, flow in zip(values, dirs, flows):
         sub = replace(cfg, flow=flow)
         summary = run_analysis(sub, outdir=os.path.join(outdir, d))
         summary["parameter"] = float(v)
         results.append(summary)
+    ensure_dir(outdir)  # after the first run, which checks the config
     path = os.path.join(outdir, "sweep.csv")
     with open(path, "w") as f:
         names = sorted(results[0]["criteria"]) if results else []

@@ -2,8 +2,11 @@
 
 One geometry evaluation runs: design vector -> nodal level set -> cut
 model -> integration context -> indicator solve (when the pressure
-penalty is indicator-gated) -> flow solve (steady or BDF2 transient) ->
-species solve (when any criterion needs it) -> criteria. The result
+penalty is indicator-gated) -> flow solve (steady Newton or BDF2
+transient) -> species solve (steady runs, when any criterion needs it) ->
+criteria. The indicator and species systems are linear, one solve each.
+A species criterion without a [transport] section, or in a transient
+run, is a configuration error when the model is built. The result
 bundle carries everything the adjoint needs: the flow Jacobian at the
 solution (the last step's, for a march) and the factor Newton kept, and
 the factors of the indicator and species matrices.
@@ -21,7 +24,9 @@ from .criteria import GEOMETRIC_KINDS, evaluate_criterion
 from .cut import build_cut_model
 from .errors import ConfigurationError
 from .forms import build_context
-from .solve import SolveConfig, march, newton_solve, steady_solve
+from .solve import SolveConfig, march, steady_solve
+# bench/spans.py wraps this name; it goes when stage timers replace the wrappers
+from .solve import newton_solve  # noqa: F401
 
 
 @dataclass
@@ -70,6 +75,14 @@ class ForwardModel:
         self.physics = physics
         self.criteria = list(criteria)
         self.solve_config = solve_config or SolveConfig()
+        if self._needs_species():
+            if physics.transport is None:
+                raise ConfigurationError(
+                    "species criterion present but transport disabled")
+            if self.solve_config.scheme == "bdf2":
+                raise ConfigurationError(
+                    "species transport is steady-only; transient runs cannot "
+                    "evaluate ks_target criteria")
 
     # -- geometry -----------------------------------------------------------
     def geometry(self, design):
@@ -138,33 +151,15 @@ class ForwardModel:
             indicator_factor=psi_lu,
         )
         if self._needs_species():
-            result.species_state, result.species_factor = self._solve_species(ctx, U)
+            result.species_state, result.species_factor = transport_mod.solve_species(
+                ctx, self.physics.transport, U)
         self._evaluate_criteria(result)
         return result
-
-    def _solve_species(self, ctx, U):
-        tparams = self.physics.transport
-        if tparams is None:
-            raise ConfigurationError("species criterion present but transport disabled")
-
-        def assemble(c):
-            return transport_mod.assemble_species(ctx, tparams, c, U)
-
-        c, _, lu, _ = newton_solve(
-            assemble, np.zeros(ctx.n),
-            tol=self.solve_config.newton_tol,
-            max_iter=self.solve_config.max_newton,
-        )
-        return c, lu
 
     def solve_transient(self, design):
         cfg = self.solve_config
         if cfg.scheme != "bdf2":
             raise ConfigurationError("transient solve requires scheme='bdf2'")
-        if self._needs_species():
-            raise ConfigurationError(
-                "species transport is steady-only; transient runs cannot "
-                "evaluate ks_target criteria")
         cm, ctx = self.geometry(design)
         psi, psibar, psi_lu = self._indicator(ctx)
         n = ctx.n

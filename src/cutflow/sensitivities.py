@@ -5,10 +5,12 @@ species -> criteria. Every analysis is a list of flow steps, each a time
 slot and a state (`analysis_steps`): a steady run is one step, a BDF2
 march its steps 1..N. One gradient, `total_design_gradient`, serves both.
 Adjoints are solved in reverse block order (species, flow, indicator),
-each block solving for all functionals at once. The flow has one
-backward sweep, `adjoint_transient`, which carries every functional as
-one column of a right-hand-side block; a steady run is a sweep of one
-step. The adjoints reuse what the forward kept and then drop it: the
+each block solving for all functionals at once: every adjoint is a
+column block, one column per functional, from its solve to the
+geometric contraction. The flow has one backward sweep,
+`adjoint_transient`, which makes one solve call per step on the step's
+right-hand-side block; a steady run is a sweep of one step. The adjoints
+reuse what the forward kept and then drop it: the
 linear species and indicator systems solve on their forward LUs
 (trans='T'), and the last step's flow adjoint refines on J(x*)^T, the
 Jacobian Newton handed over, with the factor Newton kept
@@ -33,6 +35,9 @@ first of these that succeeds:
 3. a one-sided full step away from the sign change; the node is flagged;
 4. none: the node is flagged and contributes nothing.
 
+The flagged nodes are returned, in the order first seen, and
+`total_design_gradient` reports them in its GradientReport.
+
 Ghost-penalty terms integrate over full facets and carry no geometric
 dependence, so they drop out of the partials. The velocity-dependent
 penalty factors are frozen identically in the forward linearization and
@@ -41,7 +46,7 @@ here, so each adjoint operator is the exact transpose of the forward one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -60,18 +65,8 @@ MAX_STEP_HALVINGS = 4
 
 
 @dataclass
-class FunctionalAdjoint:
-    """Adjoint vectors of one functional (objective or constraint)."""
-
-    dcrit: dict  # d(functional)/d(criterion value)
-    lam_flow: np.ndarray = None  # at the analysis's last (a steady run's only) step
-    lam_species: np.ndarray = None
-    lam_psi: np.ndarray = None
-
-
-@dataclass
 class GradientReport:
-    flagged_nodes: list = field(default_factory=list)
+    flagged_nodes: list  # nodes whose partial fell back (_recut_partials)
 
 
 class _Step(NamedTuple):
@@ -113,8 +108,9 @@ def solve_adjoints(model, result, chains):
     per functional, then the indicator adjoint from the sum over the steps
     of C_fpsi^T lam. The last step's criterion partials are the run's own;
     an earlier step evaluates only the criteria sampled there. Returns
-    (lams, adjoints): lams[k] holds step k's flow adjoints, one column per
-    functional, and each FunctionalAdjoint's lam_flow is its last-step column.
+    (lams, lam_c, lam_psi), each with one column per functional (the k-th
+    that of chains[k]): lams[k] holds step k's flow adjoints, lam_c the
+    species and lam_psi the indicator adjoints, None for an absent field.
 
     The blocks solve on the factors and the flow Jacobian the forward kept
     (result's *_factor fields and flow_jacobian; the module docstring says
@@ -167,23 +163,17 @@ def solve_adjoints(model, result, chains):
             rhs -= C_cu.T @ lam_c
         return rhs
 
-    def solve_at(k):
-        nonlocal flow_J
-        slot, state, _ = steps[k]
-        J, flow_J = flow_J, None  # the sweep starts at the last step
+    def solve_at(k, b):
+        nonlocal flow_J, flow_lu
+        # the sweep's first call, the last step, takes the kept J and factor
+        J, lu, flow_J, flow_lu = flow_J, flow_lu, None, None
         if J is None:
+            slot, state, _ = steps[k]
             _, J = flow_mod.assemble_flow(ctx, params, state, coeff_state=state,
                                           slot=slot, psibar=result.psibar_qp)
-        if k < last or flow_lu is None:
-            return lambda b: linear_solve(J.T, b)
-
-        def solve(b):
-            nonlocal flow_lu
-            lu, flow_lu = flow_lu, None
-            lam = refined_solve(J, lu, b, trans="T")
-            del lu  # gone before a fresh factorization
-            return linear_solve(J.T, b) if lam is None else lam
-        return solve
+        lam = None if lu is None else refined_solve(J, lu, b, trans="T")
+        del lu  # gone before a fresh factorization
+        return linear_solve(J.T, b) if lam is None else lam
 
     def time_matrix_at(k):
         return flow_mod.flow_time_matrix(ctx, params, steps[k].state, steps[k].slot)
@@ -200,11 +190,7 @@ def solve_adjoints(model, result, chains):
         lam_psi = _transposed_solve(
             psi_lu, -C_fpsi, lambda: transport_mod.assemble_indicator(
                 ctx, model.physics.indicator, result.psi)[1])
-    return lams, [FunctionalAdjoint(
-        dcrit=dict(chain), lam_flow=lams[last][:, k],
-        lam_species=None if lam_c is None else lam_c[:, k],
-        lam_psi=None if lam_psi is None else lam_psi[:, k])
-        for k, chain in enumerate(chains)]
+    return lams, lam_c, lam_psi
 
 
 def _transposed_solve(lu, b, matrix):
@@ -215,7 +201,7 @@ def _transposed_solve(lu, b, matrix):
     return lu_solve(lu, b, trans="T")
 
 
-def _recut_partials(model, result, payload, report=None):
+def _recut_partials(model, result, payload):
     """Partials of a re-cut payload w.r.t. every corner of every cut element.
 
     payload(elems, phi4s) evaluates a batch of cut elements, each re-cut at
@@ -225,10 +211,11 @@ def _recut_partials(model, result, payload, report=None):
     of step FD_STEP_FRACTION * h is evaluated in one batch. The pairs with
     an invalid side are halved and rerun alone, up to MAX_STEP_HALVINGS
     times; after that such a corner takes a one-sided step away from the
-    sign change and is flagged in report, once per node however many cut
-    elements share it. A corner whose one-sided step fails too is flagged
-    and gets no partial. Returns (elems, nodes, partials), one row per
-    corner that has a partial, in (element, corner) order.
+    sign change and is flagged, once per node however many cut elements
+    share it. A corner whose one-sided step fails too is flagged and gets
+    no partial. Returns (elems, nodes, partials, flagged): one row per
+    corner that has a partial, in (element, corner) order, and the flagged
+    nodes in the order first seen.
     """
     cm = result.cm
     mesh = model.mesh
@@ -268,24 +255,22 @@ def _recut_partials(model, result, payload, report=None):
         store(todo[ok], diff / (2 * delta[todo[ok]])[:, None])
         todo = todo[~ok]
         delta[todo] *= 0.5
+    flagged = list(dict.fromkeys(nodes[todo].tolist()))
     if todo.size:
-        if report is not None:
-            for node in nodes[todo].tolist():
-                if node not in report.flagged_nodes:
-                    report.flagged_nodes.append(node)
         sgn = np.where(base[todo, corner[todo]] > 0, 1.0, -1.0)
         diff, ok = differences(todo, sgn * step, np.zeros(todo.shape[0]))
         store(todo[ok], sgn[ok, None] * diff / step)
     rows = np.nonzero(found)[0]
     return elems[rows], nodes[rows], (np.zeros((0, 0)) if partials is None
-                                      else partials[rows])
+                                      else partials[rows]), flagged
 
 
-def geometry_gradient(model, result, lams, adjoints, report=None):
+def geometry_gradient(model, result, chains, lams, lam_c, lam_psi):
     """d(functionals)/d(nodal phi) over the flow states of an analysis.
 
-    lams[k] holds the flow adjoints of analysis step k, one column per
-    functional. Each re-cut element contributes, per functional, the flow
+    chains[k] holds functional k's criterion chain weights, and column k of
+    each adjoint block (solve_adjoints' lams, lam_c, lam_psi) its adjoints.
+    Each re-cut element contributes, per functional, the flow
     residual of every step paired with that step's flow adjoint, the
     species and indicator residuals paired with their adjoints, the
     geometric criteria once and every other criterion once per step with
@@ -294,7 +279,9 @@ def geometry_gradient(model, result, lams, adjoints, report=None):
     frozen global shift, chained through 1 / (beta * total). A batch of
     re-cuts is one stacked context: each kernel runs once on it, residual
     only, and the products with the adjoints and the criterion terms are
-    summed per re-cut. Returns an array (n_functionals, n_mesh_nodes).
+    summed per re-cut. Returns (grad, flagged): grad an array
+    (n_functionals, n_mesh_nodes), flagged the nodes _recut_partials
+    flagged, in the order first seen.
     """
     cm = result.cm
     n = result.ctx.n
@@ -354,16 +341,16 @@ def geometry_gradient(model, result, lams, adjoints, report=None):
             r_psi, _ = transport_mod.assemble_indicator(
                 ctx, model.physics.indicator, result.psi[ids], want_matrix=False)
 
-        values = np.zeros((m, len(adjoints)))
-        for k, adj in enumerate(adjoints):
+        values = np.zeros((m, len(chains)))
+        for k, chain in enumerate(chains):
             total = np.zeros(m)
             for lam, (r_f, _) in zip(lams, per_step):
                 total += per_row(lam[gids, k] * r_f, owner3)
-            if r_c is not None and adj.lam_species is not None:
-                total += per_row(adj.lam_species[ids] * r_c, owner)
-            if r_psi is not None and adj.lam_psi is not None:
-                total += per_row(adj.lam_psi[ids] * r_psi, owner)
-            for name, w in adj.dcrit.items():
+            if r_c is not None and lam_c is not None:
+                total += per_row(lam_c[ids, k] * r_c, owner)
+            if r_psi is not None and lam_psi is not None:
+                total += per_row(lam_psi[ids, k] * r_psi, owner)
+            for name, w in chain.items():
                 if name in crit_once:
                     total += w * crit_once[name]
                     continue
@@ -374,11 +361,11 @@ def geometry_gradient(model, result, lams, adjoints, report=None):
             values[:, k] = total
         return values, invalid
 
-    grad = np.zeros((len(adjoints), model.mesh.n_nodes))
-    _, nodes, partials = _recut_partials(model, result, payload, report)
+    grad = np.zeros((len(chains), model.mesh.n_nodes))
+    _, nodes, partials, flagged = _recut_partials(model, result, payload)
     for node, partial in zip(nodes.tolist(), partials):
         grad[:, node] += partial
-    return grad
+    return grad, flagged
 
 
 # bench/spans.py wraps this name; it goes when stage timers replace the wrappers
@@ -395,20 +382,19 @@ def total_design_gradient(model, result, problem, design, domain_area, iteration
     Returns (Z, g_values, dZ_ds, dg_ds, report).
     """
     values = result.crit_values
-    report = GradientReport()
     chains = [problem.objective_dcrit(values)]
     g_values = []
     for con in problem.constraints:
         g, dg = con.evaluate(values, domain_area, iteration)
         g_values.append(g)
         chains.append(dg)
-    lams, adjoints = solve_adjoints(model, result, chains)
-    dphi = geometry_gradient(model, result, lams, adjoints, report)
+    lams, lam_c, lam_psi = solve_adjoints(model, result, chains)
+    dphi, flagged = geometry_gradient(model, result, chains, lams, lam_c, lam_psi)
     J_s = model.lsmap.jacobian(design)  # (n_nodes, n_design)
     dZ_ds = J_s.T @ dphi[0]
     dg_ds = np.array([J_s.T @ dphi[1 + i] for i in range(len(problem.constraints))])
     return (problem.objective_value(values), np.asarray(g_values), dZ_ds, dg_ds,
-            report)
+            GradientReport(flagged))
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +407,10 @@ def adjoint_transient(slots, solve_at, time_matrix_at, rhs_at):
     slots[k] is the time slot of step k's residual R^k; a steady analysis
     is one step. Every step after the first is a BDF2 step, so u^k enters
     R^(k+1) through its history with -2/dt and R^(k+2) with 0.5/dt.
-    solve_at(k) -> transposed solve with dR^k/du^k; time_matrix_at(k) ->
-    dR^k/d(du/dt slot), a sparse matrix; rhs_at(k) -> minus the
+    solve_at(k, b) -> the lam of (dR^k/du^k)^T lam = b; time_matrix_at(k)
+    -> dR^k/d(du/dt slot), a sparse matrix; rhs_at(k) -> minus the
     functional's partial w.r.t. u^k, a vector or a block with one column
-    per functional. Each step factorizes once for the whole block.
+    per functional. Each step makes one solve_at call for the whole block.
     Returns [lam_0 .. lam_(N-1)], shaped like rhs_at's values.
     """
     n_steps = len(slots)
@@ -443,5 +429,5 @@ def adjoint_transient(slots, solve_at, time_matrix_at, rhs_at):
         if k + 2 < n_steps:
             rhs -= (0.5 / slots[k + 2].dt) * (M(k + 2).T @ lams[k + 2])
         mats.pop(k + 2, None)  # no earlier step couples to it
-        lams[k] = solve_at(k)(rhs)
+        lams[k] = solve_at(k, rhs)
     return lams

@@ -30,6 +30,7 @@ from .errors import NonconvergenceError, SolverError
 
 EPS = np.finfo(float).eps
 PSEUDO_STEPS = 8  # pseudo-transient continuation steps before the final solve
+PSEUDO_DT0 = 0.1  # the first pseudo-transient step
 BACKWARD_ERROR_BOUND = 1e-10  # largest accepted check-solve error, pivot-free LU
 lu_fallbacks = 0  # pivot-free factors rejected for COLAMD with pivoting
 
@@ -59,7 +60,6 @@ class SolveConfig:
     dt: float = None
     n_steps: int = 0
     scheme: str = "steady"  # 'steady' | 'bdf2'
-    pseudo_dt0: float = 0.1
 
     def __post_init__(self):
         if self.newton_tol <= 0:
@@ -256,7 +256,7 @@ def steady_solve(make_assemble, warm, config: SolveConfig):
     except (NonconvergenceError, SolverError):
         pass  # cold Newton diverged (possibly into a singular Jacobian)
     u = np.array(warm, dtype=float)
-    dt = config.pseudo_dt0
+    dt = PSEUDO_DT0
     combined = []
     for _ in range(PSEUDO_STEPS):
         slot = TimeSlot(alpha=1.0 / dt, hist=-u / dt, dt=dt)

@@ -1,11 +1,14 @@
 """Species advection-diffusion and the puddle-indicator diffusion problem.
 
 Both fields live in the same enriched scalar space as each pressure /
-velocity component. Species transport is one-way coupled to the flow
-(velocity enters as data); the indicator field depends only on geometry:
-a linear diffusion-reaction solve whose solution relaxes to psi_ref in
-fluid regions with no path to a port and is pinned to zero at inlets and
-outlets, then projected by a sharp tanh into a binary switch.
+velocity component, and both systems are linear, so each is solved once:
+assembled at zero, factored, one solve (`solve_species`,
+`solve_indicator`), the factors kept for the adjoint. Species transport is
+one-way coupled to the flow (velocity enters as data); the indicator field
+depends only on geometry: a diffusion-reaction solve whose solution
+relaxes to psi_ref in fluid regions with no path to a port and is pinned
+to zero at inlets and outlets, then projected by a sharp tanh into a
+binary switch.
 
 The Jacobians are built as in the flow module: each term is a trial row C
 that multiplies one of the tests N_a, d_x N_a, d_y N_a (the SUPG test
@@ -217,16 +220,28 @@ def assemble_indicator(ctx, params, state, want_matrix=True):
     return R, J
 
 
-def solve_indicator(ctx, params):
-    """Single linear solve for the nodal indicator field.
+def _linear_solve(assemble, n):
+    """Solve the linear system whose residual and Jacobian at x are
+    assemble(x): assembled once at zero, factored, x = 0 - J^-1 R(0).
 
-    Returns (psi, lu), lu the factors of the system's matrix, which the
-    adjoint reuses (the system is linear).
+    Returns (x, lu), lu the factors of J, which the adjoint reuses.
     """
-    psi0 = np.zeros(ctx.n)
-    R0, J = assemble_indicator(ctx, params, psi0, want_matrix=True)
+    x0 = np.zeros(n)
+    R0, J = assemble(x0)
     lu = factorize(J)
-    return psi0 - lu_solve(lu, R0), lu
+    return x0 - lu_solve(lu, R0), lu
+
+
+def solve_indicator(ctx, params):
+    """The nodal indicator field and its matrix's factors, (psi, lu)."""
+    return _linear_solve(lambda psi: assemble_indicator(ctx, params, psi), ctx.n)
+
+
+def solve_species(ctx, params, flow_state):
+    """The species field advected by flow_state and its matrix's factors,
+    (c, lu)."""
+    return _linear_solve(
+        lambda c: assemble_species(ctx, params, c, flow_state), ctx.n)
 
 
 def project_indicator(psi_values, params):

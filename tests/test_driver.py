@@ -222,13 +222,15 @@ def test_cli_bad_config_values_exit_2(tmp_path, capsys, edit):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_pressure_penalty_scope_off_points_to_k_pressure(tmp_path, capsys):
+def test_pressure_penalty_scope_off_points_to_k_pressure(tmp_path, capsys, monkeypatch):
     # k_pressure = 0 is the one off switch of the pressure penalty
     with pytest.raises(ConfigurationError, match="k_pressure = 0"):
         PhysicsConfig(flow=FlowParams(), pressure_penalty_scope="off")
+    monkeypatch.chdir(tmp_path)
     path = _write(tmp_path, CHANNEL_CFG.replace("scope = indicator", "scope = off"))
     assert cli_main(["analyze", "--config", path]) == 2
     assert "k_pressure = 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_shipped_configs_parse_strictly_and_round_trip(tmp_path):
@@ -313,6 +315,33 @@ def test_cli_unknown_constraint_kind_exit_2_before_any_solve(tmp_path, capsys, m
         assert cli_main([command, "--config", path,
                          "--output", str(tmp_path / command)]) == 2
         assert "unknown constraint kind 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("[transport]\ndiffusivity = 0.01\nalpha_nitsche = 1.0\nalpha_gp = 0.05\n\n", ""),
+     "transport disabled"),
+    (("[output]", "[solve]\nscheme = bdf2\ndt = 0.05\nn_steps = 2\n\n[output]"),
+     "steady-only"),
+], ids=["no_transport", "transient"])
+def test_cli_species_criterion_config_exit_2_before_any_solve(tmp_path, capsys,
+                                                               monkeypatch, edit, message):
+    # a ks_target criterion needs the steady species solve of a [transport]
+    # section; the model is refused as it is built, before a geometry or an
+    # output directory is made
+    from test_fixtures import MIXER_CFG
+
+    def no_geometry(self, design):
+        raise AssertionError("a geometry was built")
+
+    monkeypatch.setattr(ForwardModel, "geometry", no_geometry)
+    assert edit[0] in MIXER_CFG
+    path = _write(tmp_path, MIXER_CFG.replace(*edit))
+    for command, *args in (("analyze",), ("optimize",),
+                           ("sweep", "--parameter", "k_pressure", "--values", "1")):
+        outdir = tmp_path / command
+        assert cli_main([command, "--config", path, "--output", str(outdir), *args]) == 2
+        assert message in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 def test_criterion_surface_may_name_a_wall(tmp_path):

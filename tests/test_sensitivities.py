@@ -57,7 +57,7 @@ def residual_phi_matrix(model, result, block="flow"):
         return out.reshape(len(elems), -1), invalid
 
     rows, cols, vals = [], [], []
-    elems, nodes, partials = _recut_partials(model, result, payload)
+    elems, nodes, partials, _ = _recut_partials(model, result, payload)
     for e, node, partial in zip(elems.tolist(), nodes.tolist(), partials):
         ids = np.unique(cm.piece_dofs[(cm.piece_elem == e) & (cm.piece_phase == FLUID)])
         partial = partial.reshape(blocks, width)[:, :ids.shape[0]]
@@ -82,10 +82,10 @@ def bend():
 
 def test_state_independent_functional_has_zero_adjoints(bend):
     model, problem, design, result = bend
-    adj = solve_adjoints(model, result, [{"Vf": 1.0}])[1][0]
-    assert np.linalg.norm(adj.lam_flow) < 1e-12
-    if adj.lam_psi is not None:
-        assert np.linalg.norm(adj.lam_psi) < 1e-12
+    lams, _, lam_psi = solve_adjoints(model, result, [{"Vf": 1.0}])
+    assert np.linalg.norm(lams[-1][:, 0]) < 1e-12
+    if lam_psi is not None:
+        assert np.linalg.norm(lam_psi[:, 0]) < 1e-12
 
 
 def test_total_gradient_matches_global_fd(bend):
@@ -182,9 +182,9 @@ def test_adjoint_is_exact_transpose_of_forward_linearization(bend):
     ctx = result.ctx
     _, J = assemble_flow(ctx, model.physics.flow, result.flow_state,
                          coeff_state=result.flow_state, psibar=result.psibar_qp)
-    adj = solve_adjoints(model, result, [{"ti": 1.0}])[1][0]
+    lam_flow = solve_adjoints(model, result, [{"ti": 1.0}])[0][-1][:, 0]
     dflow = result.crit_partials["ti"].d_flow
-    resid = J.T @ adj.lam_flow + dflow
+    resid = J.T @ lam_flow + dflow
     assert np.linalg.norm(resid) / np.linalg.norm(dflow) < 1e-9
 
 
@@ -231,12 +231,14 @@ def _check_reuse_matches_fresh(model, problem, design, result):
     same on fresh factorizations (a copy of result without factors)."""
     fresh = _without_factors(result)
     chains = [problem.objective_dcrit(result.crit_values), {"Vf": 1.0, "ti": 0.5}]
-    _, reused = solve_adjoints(model, replace(result), chains)
-    _, again = solve_adjoints(model, fresh, chains)
-    for a, b in zip(reused, again):
-        for attr in ("lam_flow", "lam_psi", "lam_species"):
-            if getattr(b, attr) is not None:
-                _assert_close(getattr(a, attr), getattr(b, attr))
+    reused = solve_adjoints(model, replace(result), chains)
+    again = solve_adjoints(model, fresh, chains)
+    for k in range(len(chains)):
+        # the last-step flow, the indicator and the species columns
+        for a, b in zip((reused[0][-1], reused[2], reused[1]),
+                        (again[0][-1], again[2], again[1])):
+            if b is not None:
+                _assert_close(a[:, k], b[:, k])
     reuse = total_design_gradient(model, result, problem, design, 1.0)
     fresh = total_design_gradient(model, fresh, problem, design, 1.0)
     _assert_close(reuse[2], fresh[2])
@@ -254,9 +256,9 @@ def test_adjoints_on_forward_factors_match_fresh_ones(scope):
     problem.capture_normalization(result.crit_values)
     assert result.flow_factor is not None
     assert (result.indicator_factor is not None) == (scope == "indicator")
-    adjoints = _check_reuse_matches_fresh(model, problem, design, result)
+    _, _, lam_psi = _check_reuse_matches_fresh(model, problem, design, result)
     if scope == "indicator":
-        assert all(np.linalg.norm(adj.lam_psi) > 0 for adj in adjoints)
+        assert all(np.linalg.norm(lam_psi[:, k]) > 0 for k in range(lam_psi.shape[1]))
 
 
 def test_species_adjoint_on_forward_factors_matches_fresh_one(tmp_path):
@@ -273,10 +275,10 @@ def test_species_adjoint_on_forward_factors_matches_fresh_one(tmp_path):
     assert result.species_factor is not None and result.flow_factor is not None
     fresh = _without_factors(result)
     chains = [problem.objective_dcrit(result.crit_values)]
-    _, (reused,) = solve_adjoints(model, replace(result), chains)
-    _, (again,) = solve_adjoints(model, fresh, chains)
-    _assert_close(reused.lam_species, again.lam_species)
-    _assert_close(reused.lam_flow, again.lam_flow)
+    reused_flow, reused_c, _ = solve_adjoints(model, replace(result), chains)
+    again_flow, again_c, _ = solve_adjoints(model, fresh, chains)
+    _assert_close(reused_c[:, 0], again_c[:, 0])
+    _assert_close(reused_flow[-1][:, 0], again_flow[-1][:, 0])
     area = cfg.domain_area()
     reuse = total_design_gradient(model, result, problem, design, area)
     fresh = total_design_gradient(model, fresh, problem, design, area)
@@ -395,8 +397,8 @@ def test_species_only_criterion_drives_flow_adjoint_through_cross_term():
                           upper=np.full(mesh.n_nodes, 0.02),
                           n_nodal=mesh.n_nodes)
     result = model.solve_steady(design)
-    adj = solve_adjoints(model, result, [{"K": 1.0}])[1][0]
-    assert np.linalg.norm(adj.lam_species) > 0
+    lams, lam_c, _ = solve_adjoints(model, result, [{"K": 1.0}])
+    assert np.linalg.norm(lam_c[:, 0]) > 0
     # dF/du is identically zero for a species criterion: the flow adjoint
     # solves J_f^T lam_f = -C_cu^T lam_c exactly
     _, J_f = assemble_flow(result.ctx, physics.flow, result.flow_state,
@@ -404,8 +406,8 @@ def test_species_only_criterion_drives_flow_adjoint_through_cross_term():
                            psibar=result.psibar_qp)
     C = species_flow_jacobian(result.ctx, physics.transport,
                               result.species_state, result.flow_state)
-    expect = spla.splu(J_f.T.tocsc()).solve(-(C.T @ adj.lam_species))
-    np.testing.assert_allclose(adj.lam_flow, expect, atol=1e-12)
+    expect = spla.splu(J_f.T.tocsc()).solve(-(C.T @ lam_c[:, 0]))
+    np.testing.assert_allclose(lams[-1][:, 0], expect, atol=1e-12)
 
 
 # --- transient adjoint (generic single-block sweep) ---------------------------
@@ -437,10 +439,10 @@ def test_transient_adjoint_heat_toy_matches_bruteforce():
     cost = 0.5 * np.linalg.norm(states[-1] - target) ** 2
     slots = [bdf_slot(step, dt, states[:step]) for step in range(1, n_steps + 1)]
 
-    def solve_at(k):
+    def solve_at(k, b):
         A = (slots[k].alpha * sp.eye(n) + K).tocsc()
         lu = spla.splu(A.T.tocsc())
-        return lu.solve
+        return lu.solve(b)
 
     def time_matrix_at(k):
         return sp.eye(n).tocsc()
@@ -470,10 +472,10 @@ def test_transient_adjoint_terminal_only_source():
 
     slots = [bdf_slot(1, dt, states[:1])]
 
-    def solve_at(k):
+    def solve_at(k, b):
         A = (slots[k].alpha * sp.eye(n) + K).tocsc()
         lu = spla.splu(A.T.tocsc())
-        return lu.solve
+        return lu.solve(b)
 
     lams = adjoint_transient(slots, solve_at, lambda k: sp.eye(n).tocsc(),
                              lambda k: -np.ones(n))
@@ -539,17 +541,15 @@ def _volume_gradient_at(model, design, node, value):
     from cutflow.cut import build_cut_model
     from cutflow.forms import build_context
     from cutflow.pipeline import ForwardResult
-    from cutflow.sensitivities import FunctionalAdjoint, GradientReport
     phi = model.lsmap.build(design)
     phi[node] = value
     cm = build_cut_model(model.mesh, phi)
     ctx = build_context(cm, model.regions)
     result = ForwardResult(cm=cm, ctx=ctx, flow_state=np.zeros(3 * ctx.n),
                            crit_partials={})
-    report = GradientReport()
-    grad = geometry_gradient(model, result, [np.zeros((3 * ctx.n, 1))],
-                             [FunctionalAdjoint(dcrit={"Vf": 1.0})], report)
-    return grad[0], report.flagged_nodes, phi
+    grad, flagged = geometry_gradient(model, result, [{"Vf": 1.0}],
+                                      [np.zeros((3 * ctx.n, 1))], None, None)
+    return grad[0], flagged, phi
 
 
 def _near_interface_node(model, design):
@@ -700,7 +700,7 @@ def test_stacked_context_rows_match_one_row_calls():
     assert with_boundary >= 1
 
 
-def _capture_payload(monkeypatch, model, result, lams, adjoints):
+def _capture_payload(monkeypatch, model, result, chains, *adjoints):
     """The batched payload that geometry_gradient hands to _recut_partials."""
     import cutflow.sensitivities as sens
     original, seen = sens._recut_partials, []
@@ -710,7 +710,7 @@ def _capture_payload(monkeypatch, model, result, lams, adjoints):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sens, "_recut_partials", spy)
-    geometry_gradient(model, result, lams, adjoints)
+    geometry_gradient(model, result, chains, *adjoints)
     return seen[0]
 
 
@@ -720,7 +720,7 @@ def test_batched_payload_rows_do_not_leak(bend, monkeypatch):
     from cutflow.sensitivities import FD_STEP_FRACTION
     model, problem, design, result = bend
     chains = [problem.objective_dcrit(result.crit_values), {"Vf": 1.0, "S": 0.5}]
-    payload = _capture_payload(monkeypatch, model, result,
+    payload = _capture_payload(monkeypatch, model, result, chains,
                                *solve_adjoints(model, result, chains))
     cm = result.cm
     cut = np.nonzero(cm.classification == CUT)[0][:12]
@@ -746,7 +746,6 @@ def test_recut_retries_only_failed_rows_and_flags_in_order():
     # fallback flags them in (element, corner) order, once each
     from cutflow.cut import build_cut_model, cell_patterns
     from cutflow.pipeline import ForwardResult
-    from cutflow.sensitivities import GradientReport
     model, _, design = bend_model(divisions=(20, 20))
     mesh = model.mesh
     phi = model.lsmap.build(design)
@@ -772,8 +771,7 @@ def test_recut_retries_only_failed_rows_and_flags_in_order():
         return phi4s.sum(axis=1, keepdims=True), (
             cell_patterns(phi4s) != cell_patterns(cm.phi[mesh.elements[elems]]))
 
-    report = GradientReport()
-    elems, nodes, partials = _recut_partials(model, result, payload, report)
+    elems, nodes, partials, flagged = _recut_partials(model, result, payload)
     n_cut = np.count_nonzero(cm.classification == CUT)
     assert batches[0].shape[0] == 8 * n_cut
     touching = [e for e in np.nonzero(cm.classification == CUT)[0]
@@ -784,7 +782,7 @@ def test_recut_retries_only_failed_rows_and_flags_in_order():
         assert set(retry.tolist()) == set(touching)
     order = [int(node) for e in np.nonzero(cm.classification == CUT)[0]
              for node in mesh.elements[e] if node in picks]
-    assert report.flagged_nodes == list(dict.fromkeys(order))
+    assert flagged == list(dict.fromkeys(order))
     # the payload is linear in phi4s: every partial is one
     np.testing.assert_allclose(partials, 1.0, rtol=1e-6)
     assert nodes.shape[0] == 4 * n_cut

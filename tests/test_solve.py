@@ -355,7 +355,7 @@ def test_march_singular_step_reports_step():
     assert str(exc.value).startswith("time step 3 failed: ")
 
 
-def test_steady_solve_pseudo_transient_fallback():
+def test_steady_solve_pseudo_transient_fallback(monkeypatch):
     # arctan(x) = 0 from x0 = 2: plain Newton diverges, continuation converges
     def make(slot):
         def assemble(x):
@@ -370,7 +370,8 @@ def test_steady_solve_pseudo_transient_fallback():
 
     with pytest.raises((NonconvergenceError, SolverError)):
         newton_solve(make(TimeSlot()), np.array([2.0]), max_iter=20)
-    x, trace, _, _ = steady_solve(make, np.array([2.0]), SolveConfig(pseudo_dt0=0.5))
+    monkeypatch.setattr(solve, "PSEUDO_DT0", 0.5)
+    x, trace, _, _ = steady_solve(make, np.array([2.0]), SolveConfig())
     assert abs(x[0]) < 1e-10
 
 
@@ -378,7 +379,7 @@ def test_steady_solve_retreats_from_singular_pseudo_step():
     # x^3 = 8 from x0 = 0: the steady Jacobian 3 x^2 is singular at the
     # start, and the pseudo-time term (alpha - 1/dt0)(x - u) vanishes at the
     # first pseudo step, so that step is singular too; a smaller step works
-    dt0 = 0.1
+    dt0 = solve.PSEUDO_DT0
     steps = []
 
     def make(slot):
@@ -397,7 +398,7 @@ def test_steady_solve_retreats_from_singular_pseudo_step():
     with pytest.raises(SolverError):
         linear_solve(j, r)
     steps.clear()
-    x, trace, _, _ = steady_solve(make, np.zeros(1), SolveConfig(pseudo_dt0=dt0))
+    x, trace, _, _ = steady_solve(make, np.zeros(1), SolveConfig())
     assert abs(x[0] - 2.0) < 1e-10
     assert steps[0] == dt0 and dt0 * 0.25 in steps
 

@@ -11,7 +11,7 @@ from cutflow.grid import build_mesh
 from cutflow.solve import SolveConfig, newton_solve, steady_solve
 from cutflow.transport import (IndicatorParams, TransportParams, assemble_indicator,
                                assemble_species, indicator_at_volume_points,
-                               project_indicator, solve_indicator,
+                               project_indicator, solve_indicator, solve_species,
                                species_flow_jacobian)
 
 from fixtures_common import channel_regions, linear_flow_state, perturb, scalar_dof_coords
@@ -230,3 +230,56 @@ def test_indicator_linear_system_is_linear():
     R1, J = assemble_indicator(ctx, p, x1)
     R2, _ = assemble_indicator(ctx, p, x2, want_matrix=False)
     np.testing.assert_allclose(R1 - R2, J @ (x1 - x2), atol=1e-11)
+
+
+# --- the species forward: one linear solve ------------------------------------
+
+@pytest.fixture(scope="module")
+def mixer(tmp_path_factory):
+    from cutflow.config import parse_config
+    from cutflow.driver import build_model
+    from test_fixtures import MIXER_CFG
+    path = tmp_path_factory.mktemp("mixer") / "mix.cfg"
+    path.write_text(MIXER_CFG)
+    cfg = parse_config(str(path))
+    model, _ = build_model(cfg)
+    return model, cfg.initial_design(model.mesh)
+
+
+def test_species_forward_assembles_once_and_keeps_the_solves_factor(mixer, monkeypatch):
+    # the species system is linear in c: a forward assembles it once, at
+    # zero, with no converged check after the solve, and hands the adjoint
+    # the factor of that solve
+    import cutflow.transport as transport_mod
+    model, design = mixer
+    assemble, solve = transport_mod.assemble_species, transport_mod.solve_species
+    calls, factors = [], []
+
+    def counting(*args, **kwargs):
+        calls.append(np.array(args[2]))
+        return assemble(*args, **kwargs)
+
+    def keeping(*args, **kwargs):
+        c, lu = solve(*args, **kwargs)
+        factors.append(lu)
+        return c, lu
+
+    monkeypatch.setattr(transport_mod, "assemble_species", counting)
+    monkeypatch.setattr(transport_mod, "solve_species", keeping)
+    result = model.solve_steady(design)
+    assert len(calls) == 1 and not calls[0].any()
+    assert len(factors) == 1 and result.species_factor is factors[0]
+
+
+def test_species_solve_is_newtons_step_byte_for_byte(mixer):
+    # one solve from zero is the step Newton takes on the same assemble,
+    # and Newton stops after it
+    model, design = mixer
+    result = model.solve_steady(design)
+    ctx, params, U = result.ctx, model.physics.transport, result.flow_state
+    c, _ = solve_species(ctx, params, U)
+    x, trace, _, _ = newton_solve(lambda c: assemble_species(ctx, params, c, U),
+                                  np.zeros(ctx.n), tol=model.solve_config.newton_tol,
+                                  max_iter=model.solve_config.max_newton)
+    assert len(trace) == 2
+    assert c.tobytes() == x.tobytes() == result.species_state.tobytes()
