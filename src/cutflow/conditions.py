@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-
-AXIS_OF_SIDE = {"left": 1, "right": 1, "bottom": 0, "top": 0}
+from .grid import EDGE_NORMALS, SIDE_EDGE
 
 
 @dataclass
@@ -38,7 +37,7 @@ class BoundaryRegion:
     species_value: float = None  # species Dirichlet c-hat, if any
 
     def __post_init__(self):
-        if self.side not in AXIS_OF_SIDE:
+        if self.side not in SIDE_EDGE:
             raise ConfigurationError(f"unknown side {self.side!r} in region {self.name!r}")
         if self.kind not in ("velocity", "traction", "symmetry"):
             raise ConfigurationError(f"unknown condition kind {self.kind!r}")
@@ -65,15 +64,14 @@ class BoundaryRegion:
         mod = self._modulation(t)
         if self.profile == "uniform":
             return np.tile(np.asarray(self.velocity, dtype=float) * mod, (nq, 1))
-        axis = AXIS_OF_SIDE[self.side]
+        edge = SIDE_EDGE[self.side]
         lo, hi = self.span
         center = 0.5 * (lo + hi)
         width = hi - lo
-        s = x[:, axis]
+        s = x[:, edge % 2]
         shape = 1.0 - (2.0 * (s - center) / width) ** 2
         shape = np.maximum(shape, 0.0)
-        inward = {"left": (1, 0), "right": (-1, 0), "bottom": (0, 1), "top": (0, -1)}
-        n_in = np.asarray(inward[self.side], dtype=float)
+        n_in = 0.0 - EDGE_NORMALS[edge]  # not -normal, which has signed zeros
         return (self.amplitude * mod) * shape[:, None] * n_in[None, :]
 
     def traction_at(self, x, t=0.0):
@@ -84,7 +82,7 @@ class BoundaryRegion:
 
 def _side_spans(mesh, regions, side):
     """(start, end) of a side along its axis and the sorted spans of its regions."""
-    axis = AXIS_OF_SIDE[side]
+    axis = SIDE_EDGE[side] % 2
     (x0, y0), (x1, y1) = mesh.extent
     lo_all, hi_all = (x0, y0)[axis], (x1, y1)[axis]
     return lo_all, hi_all, sorted(r.span if r.span is not None else (lo_all, hi_all)
@@ -92,8 +90,15 @@ def _side_spans(mesh, regions, side):
 
 
 def validate_regions(mesh, regions):
-    """Every point of every side must fall in exactly one region."""
-    for side in AXIS_OF_SIDE:
+    """Region names are unique, and every point of every side falls in
+    exactly one region."""
+    seen = set()
+    for r in regions:
+        if r.name in seen:
+            raise ConfigurationError(f"two boundary regions are named {r.name!r} "
+                                     "(generated walls are named wall_<side>_<count>)")
+        seen.add(r.name)
+    for side in SIDE_EDGE:
         cursor, hi_all, spans = _side_spans(mesh, regions, side)
         for (lo, hi) in spans:
             if lo < cursor - 1e-12:
@@ -108,16 +113,17 @@ def validate_regions(mesh, regions):
                                      f"at {hi_all}")
 
 
-def wall_regions(mesh, tagged, name_prefix="wall"):
-    """Fill every untagged stretch of the boundary with no-slip walls."""
+def wall_regions(mesh, tagged):
+    """Fill every untagged stretch of the boundary with no-slip walls, named
+    wall_<side>_<count>."""
     out = list(tagged)
     count = 0
-    for side in AXIS_OF_SIDE:
+    for side in SIDE_EDGE:
         cursor, hi_all, spans = _side_spans(mesh, tagged, side)
         for (lo, hi) in spans + [(hi_all, hi_all)]:
             if lo > cursor + 1e-12:
                 out.append(BoundaryRegion(
-                    name=f"{name_prefix}_{side}_{count}", side=side,
+                    name=f"wall_{side}_{count}", side=side,
                     kind="velocity", span=(cursor, lo),
                 ))
                 count += 1

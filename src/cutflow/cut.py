@@ -21,10 +21,9 @@ holds classification, decomposition, enrichment and ghost pairs only;
 quadrature lives in `forms`.
 
 Conventions: phase -1 is fluid, +1 is solid; interface normals point
-toward the solid (phi increasing); element corners are counterclockwise
-from the lower-left, edge k runs from corner k to corner k+1; a boundary
-cover's parameters run along its edge's axis (x or y), so on edges 2 and 3
-they are 1 - t of the crossing parameter t.
+toward the solid (phi increasing); element corners and edges follow the
+table in `grid`; a boundary cover's parameters run along its edge's axis
+(x or y), so on edges 2 and 3 they are 1 - t of the crossing parameter t.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import CapacityError
-from .grid import BackgroundMesh
+from .grid import CORNERS, EDGE_CORNERS, FACET_EDGES, BackgroundMesh
 
 FLUID, SOLID, CUT = -1, 1, 0
 
@@ -72,9 +71,7 @@ def cell_patterns(phi4s):
 
 def _corner_coords(origins, h):
     """(m, 4, 2) corners of the cells with lower-left corners origins (m, 2)."""
-    x0, y0 = origins[:, 0], origins[:, 1]
-    return np.stack([np.stack(xy, axis=1) for xy in
-                     ((x0, y0), (x0 + h, y0), (x0 + h, y0 + h), (x0, y0 + h))], axis=1)
+    return origins[:, None] + CORNERS * h
 
 
 def _layout_table():
@@ -353,12 +350,11 @@ def build_cut_model(mesh: BackgroundMesh, phi) -> CutModel:
     lid = (np.cumsum(piece_phase == FLUID) - 1)[row]  # rank among the fluid pieces
     start = mesh.nodes[mesh.elements[piece_elem[row], 0], edge % 2]
     lo, hi = start + t[:, 0] * h, start + t[:, 1] * h
-    # pair the intervals on each facet's two sides: (right, left) or (top, bottom)
+    # pair the intervals on each facet's edges on its lower and upper element
     key = 4 * piece_elem[row] + edge
     order = np.argsort(key, kind="stable")
-    axis = mesh.facet_axis
-    sides = [4 * mesh.facet_elems[:, 0] + np.where(axis == 0, 1, 2),
-             4 * mesh.facet_elems[:, 1] + np.where(axis == 0, 3, 0)]
+    facet_edges = FACET_EDGES[mesh.facet_axis]
+    sides = list((4 * mesh.facet_elems + facet_edges).T)
     first = [np.searchsorted(key[order], s) for s in sides]
     count = [np.searchsorted(key[order], s, side="right") - f for s, f in zip(sides, first)]
     pairs = count[0] * count[1]
@@ -375,11 +371,12 @@ def build_cut_model(mesh: BackgroundMesh, phi) -> CutModel:
 
     n_regions, region = components(fluid.shape[0], a, b)
     # support graph: vertex 4 lid + c is piece lid seen from its corner c;
-    # the corners (lower element, upper element) of a facet's two nodes
-    shared = np.array([[[1, 0], [2, 3]], [[3, 0], [2, 1]]])[axis[facet]]
+    # a facet's two nodes are the corners of its lower and of its upper
+    # element's edge, in the same order
+    shared = EDGE_CORNERS[facet_edges[facet]]  # (facet, lower / upper, node)
     n_dofs, comp = components(4 * fluid.shape[0],
-                              (4 * a[:, None] + shared[:, :, 0]).ravel(),
-                              (4 * b[:, None] + shared[:, :, 1]).ravel())
+                              (4 * a[:, None] + shared[:, 0]).ravel(),
+                              (4 * b[:, None] + shared[:, 1]).ravel())
     comp_node = np.zeros(n_dofs, dtype=np.int64)
     comp_node[comp] = mesh.elements[piece_elem[fluid]].ravel()
     # dofs by node, then level: the levels of a node follow its smallest piece

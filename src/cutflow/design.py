@@ -17,14 +17,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError
-from .grid import BackgroundMesh
+from .grid import EDGE_NORMALS, SIDE_EDGE, BackgroundMesh
 
 # Shift applied to near-zero nodal values, as a fraction of h.
 PERTURBATION_FRACTION = 1e-6
 # KS sharpness of the port override, times h.
 KS_SHARPNESS = 100.0
-# The in-face axis of each mesh face: the coordinate a port centre moves along.
-FACE_AXIS = {"left": 1, "right": 1, "bottom": 0, "top": 0}
 
 
 @dataclass
@@ -33,7 +31,7 @@ class Port:
 
     Its level set is |x[a] - center[a]| - radius along the face's in-face
     axis a, negative (fluid) inside the port; it overrides the filtered
-    field in a slab slab_elements element layers deep from the face. The
+    field in a slab slab_elements >= 1 element layers deep from the face. The
     optimize_* flags make the in-face centre coordinate and the radius
     design variables, within their bounds.
     """
@@ -49,14 +47,17 @@ class Port:
     radius_bounds: tuple = None
 
     def __post_init__(self):
-        if self.face not in FACE_AXIS:
+        if self.face not in SIDE_EDGE:
             raise ConfigurationError(
-                f"port face {self.face!r} unknown (one of {', '.join(FACE_AXIS)})")
+                f"port face {self.face!r} unknown (one of {', '.join(SIDE_EDGE)})")
         if len(self.center) != 2:
             raise ConfigurationError(
                 f"port center needs 2 coordinates, got {self.center!r}")
         if self.radius <= 0:
             raise ConfigurationError(f"port radius must be positive, got {self.radius}")
+        if self.slab_elements < 1:
+            raise ConfigurationError(
+                f"port slab_elements must be at least 1, got {self.slab_elements}")
         for param in ("center", "radius"):
             bounds = getattr(self, f"{param}_bounds")
             if getattr(self, f"optimize_{param}") and (
@@ -67,7 +68,8 @@ class Port:
 
     @property
     def axis(self):
-        return FACE_AXIS[self.face]
+        """The in-face axis: the coordinate the port centre moves along."""
+        return SIDE_EDGE[self.face] % 2
 
 
 def port_columns(ports):
@@ -195,7 +197,7 @@ class LevelSetMap:
         for port in self.ports:
             depth = port.slab_elements * h + 1e-12 * h
             a = 1 - port.axis  # the face normal's axis
-            if port.face in ("left", "bottom"):
+            if EDGE_NORMALS[SIDE_EDGE[port.face], a] < 0:
                 mask |= nodes[:, a] <= low[a] + depth
             else:
                 mask |= nodes[:, a] >= high[a] - depth

@@ -278,7 +278,7 @@ def _read_restart(path, n, n_terms):
     return design, state, normalization, iteration, extra
 
 
-def run_gradcheck(cfg, outdir=None, n_vars=5, step=1e-5, seed=7):
+def run_gradcheck(cfg, outdir=None, n_vars=5, step=1e-5):
     """Adjoint gradients vs global central FD on random design variables.
 
     Both follow the configured scheme: a steady solve, or a BDF2 march
@@ -294,7 +294,7 @@ def run_gradcheck(cfg, outdir=None, n_vars=5, step=1e-5, seed=7):
         problem.capture_normalization(result.crit_values)
     Z, g, dZ, dg, report = total_design_gradient(model, result, problem, design, area)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)  # fixed: every check picks the same variables
     # prefer variables whose gradient is significant (near cut elements)
     mag = np.abs(dZ)
     candidates = np.nonzero(mag > 0.01 * mag.max())[0]

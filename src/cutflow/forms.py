@@ -39,22 +39,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.sparse as sp
 
-from .conditions import AXIS_OF_SIDE
 from .cut import (FLUID, CutModel, cell_patterns, concat_ranges, decompose_cells,
                   fluid_covers)
+from .grid import EDGE_NORMALS, SIDE_EDGE
 
 # Gauss points on [0,1]
 _G2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 # tensor 2x2 Gauss points on the unit square, x fastest
 _G2X2 = np.array([[gx, gy] for gy in _G2 for gx in _G2])
-
-_EDGE_OF_SIDE = {"bottom": 0, "right": 1, "top": 2, "left": 3}
-_SIDE_NORMAL = {
-    "left": np.array([-1.0, 0.0]),
-    "right": np.array([1.0, 0.0]),
-    "bottom": np.array([0.0, -1.0]),
-    "top": np.array([0.0, 1.0]),
-}
 
 
 def shape_q1(mesh, elems, x):
@@ -226,16 +218,17 @@ def _boundary_chords(mesh, region, covers):
     """
     elem, dofs, edge, t = covers
     side = region.side
+    side_edge = SIDE_EDGE[side]
     owners = mesh.boundary_edge_elems[side]
     edge_at = np.full(mesh.n_elems, -1)
     edge_at[owners] = np.arange(owners.shape[0])
     idx = edge_at[elem]
-    rows = np.nonzero((edge == _EDGE_OF_SIDE[side]) & (idx >= 0))[0]
+    rows = np.nonzero((edge == side_edge) & (idx >= 0))[0]
     rows = rows[np.argsort(idx[rows], kind="stable")]
     s0, s1 = t[rows, 0], t[rows, 1]
     ends = mesh.boundary_edges[side][idx[rows]]
     a, b = mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]]
-    axis = AXIS_OF_SIDE[side]
+    axis = side_edge % 2
     lo = a[:, axis] + s0 * (b[:, axis] - a[:, axis])
     hi = a[:, axis] + s1 * (b[:, axis] - a[:, axis])
     if region.span is not None:
@@ -243,7 +236,7 @@ def _boundary_chords(mesh, region, covers):
         keep = ~(hi - lo < 1e-14)
         rows, a, b, lo, hi = rows[keep], a[keep], b[keep], lo[keep], hi[keep]
     a[:, axis], b[:, axis] = lo, hi  # a and b are gathered copies
-    normal = np.broadcast_to(_SIDE_NORMAL[side], a.shape)
+    normal = np.broadcast_to(EDGE_NORMALS[side_edge], a.shape)
     return elem[rows], dofs[rows], a, b, normal
 
 

@@ -2,11 +2,20 @@
 
 The mesh never changes during an optimization run; geometry is immersed
 into it through the level set. Nodes and elements are numbered row-major
-(x fastest). Element connectivity is counterclockwise starting at the
-lower-left corner. Interior facets store their two adjacent elements in
+(x fastest). Interior facets store their two adjacent elements in
 increasing id order together with the shared edge's node pair; the facet
 normal points from the lower- to the higher-indexed element, which on
 this grid is always +x or +y.
+
+This module owns the local convention that cut, forms, conditions and
+design read. Element corners run counterclockwise from the lower left
+(CORNERS); edge e runs from corner e to corner e + 1 and lies along axis
+e % 2. EDGE_CORNERS lists an edge's corners in order along its axis (so
+edges 2 and 3 run against the corner order) and EDGE_NORMALS holds its
+outward normal. A facet normal to axis a is edge FACET_EDGES[a] of its
+(lower, upper) element. Each box side is one element edge (SIDE_EDGE),
+in the order left, right, bottom, top; a side's axis, the one its
+coordinate runs along, is its edge % 2.
 """
 
 from __future__ import annotations
@@ -16,6 +25,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
+
+# (x, y) of each element corner on the unit square, counterclockwise
+CORNERS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+# the corners of each element edge, in order along the edge's axis
+EDGE_CORNERS = np.array([[0, 1], [1, 2], [3, 2], [0, 3]])
+# the outward unit normal of each element edge
+EDGE_NORMALS = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+# the edges of a facet normal to axis a on its (lower, upper) element
+FACET_EDGES = np.array([[1, 3], [2, 0]])
+# the element edge that lies on each box side, in side order
+SIDE_EDGE = {"left": 3, "right": 1, "bottom": 0, "top": 2}
+for _table in (CORNERS, EDGE_CORNERS, EDGE_NORMALS, FACET_EDGES):
+    _table.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -90,53 +112,23 @@ def build_mesh(extent, divisions) -> BackgroundMesh:
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    def nid(i, j):
-        return j * nx + i
-
-    ii, jj = np.meshgrid(np.arange(mx), np.arange(my), indexing="xy")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    elements = np.column_stack(
-        [nid(ii, jj), nid(ii + 1, jj), nid(ii + 1, jj + 1), nid(ii, jj + 1)]
-    ).astype(np.int64)
-
-    def eid(i, j):
-        return j * mx + i
-
-    fe, fn, fnorm, fax = [], [], [], []
-    # vertical facets (normal +x): between (i, j) and (i+1, j)
-    for j in range(my):
-        for i in range(mx - 1):
-            fe.append((eid(i, j), eid(i + 1, j)))
-            fn.append((nid(i + 1, j), nid(i + 1, j + 1)))
-            fnorm.append((1.0, 0.0))
-            fax.append(0)
-    # horizontal facets (normal +y): between (i, j) and (i, j+1)
-    for j in range(my - 1):
-        for i in range(mx):
-            fe.append((eid(i, j), eid(i, j + 1)))
-            fn.append((nid(i, j + 1), nid(i + 1, j + 1)))
-            fnorm.append((0.0, 1.0))
-            fax.append(1)
-
-    def _edges(side):
-        if side == "left":
-            return [(nid(0, j), nid(0, j + 1)) for j in range(my)], [eid(0, j) for j in range(my)]
-        if side == "right":
-            return [(nid(mx, j), nid(mx, j + 1)) for j in range(my)], [
-                eid(mx - 1, j) for j in range(my)
-            ]
-        if side == "bottom":
-            return [(nid(i, 0), nid(i + 1, 0)) for i in range(mx)], [eid(i, 0) for i in range(mx)]
-        return [(nid(i, my), nid(i + 1, my)) for i in range(mx)], [
-            eid(i, my - 1) for i in range(mx)
-        ]
-
-    boundary_edges, boundary_edge_elems = {}, {}
-    for side in ("left", "right", "bottom", "top"):
-        edges, owners = _edges(side)
-        boundary_edges[side] = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        boundary_edge_elems[side] = np.asarray(owners, dtype=np.int64)
+    # each element is its lower-left node plus the corner offsets
+    lower_left = (np.arange(my)[:, None] * nx + np.arange(mx)).ravel()
+    elements = lower_left[:, None] + CORNERS @ np.array([1, nx])
+    # element ids as a (row, column) grid; facets normal to x, then to y,
+    # each pairing an element with its neighbour one step along the axis
+    ids = np.arange(mx * my).reshape(my, mx)
+    lower = np.concatenate([ids[:, :-1].ravel(), ids[:-1].ravel()])
+    facet_axis = np.repeat([0, 1], [my * (mx - 1), (my - 1) * mx])
+    facet_elems = np.column_stack([lower, lower + np.array([1, mx])[facet_axis]])
+    lower_edge = FACET_EDGES[facet_axis, 0]
+    # a side's owners are the first (lower side) or last (upper side) row or
+    # column of elements across it
+    boundary_edge_elems = {
+        side: np.take(ids, -1 if EDGE_NORMALS[e].sum() > 0 else 0, axis=e % 2)
+        for side, e in SIDE_EDGE.items()}
+    boundary_edges = {side: elements[boundary_edge_elems[side]][:, EDGE_CORNERS[e]]
+                      for side, e in SIDE_EDGE.items()}
 
     mesh = BackgroundMesh(
         extent=((float(x0), float(y0)), (float(x1), float(y1))),
@@ -144,10 +136,10 @@ def build_mesh(extent, divisions) -> BackgroundMesh:
         h=float(h),
         nodes=nodes,
         elements=elements,
-        facet_elems=np.asarray(fe, dtype=np.int64).reshape(-1, 2),
-        facet_nodes=np.asarray(fn, dtype=np.int64).reshape(-1, 2),
-        facet_normals=np.asarray(fnorm, dtype=np.float64).reshape(-1, 2),
-        facet_axis=np.asarray(fax, dtype=np.int64),
+        facet_elems=facet_elems,
+        facet_nodes=elements[lower[:, None], EDGE_CORNERS[lower_edge]],
+        facet_normals=EDGE_NORMALS[lower_edge],
+        facet_axis=facet_axis,
         boundary_edges=boundary_edges,
         boundary_edge_elems=boundary_edge_elems,
     )

@@ -196,10 +196,10 @@ def newton_solve(assemble, x0, tol=1e-6, max_iter=30):
     )
 
 
-def bdf_slot(step, dt, states, t=None):
-    """TimeSlot for the given step index (1-based); BE startup then BDF2."""
-    if t is None:
-        t = step * dt
+def bdf_slot(step, dt, states):
+    """TimeSlot for the given step index (1-based) at t = step * dt; BE
+    startup then BDF2."""
+    t = step * dt
     if step == 1:
         return TimeSlot(alpha=1.0 / dt, hist=-states[0] / dt, dt=dt, t=t)
     return TimeSlot(

@@ -75,3 +75,15 @@ def test_bad_region_configs():
         BoundaryRegion(name="x", side="left", kind="sticky")
     with pytest.raises(ConfigurationError):
         BoundaryRegion(name="x", side="left", kind="velocity", profile="parabola")
+
+
+def test_validation_rejects_a_tagged_region_named_like_a_generated_wall():
+    # the tagged wall_left_0 covers the lower half of the left side, and the
+    # generated wall above it takes the same name
+    m = build_mesh(((0, 0), (1, 1)), (8, 8))
+    tagged = [BoundaryRegion(name="wall_left_0", side="left", kind="velocity",
+                             span=(0.0, 0.5))]
+    regions = wall_regions(m, tagged)
+    assert [r.name for r in regions].count("wall_left_0") == 2
+    with pytest.raises(ConfigurationError, match="'wall_left_0'"):
+        validate_regions(m, regions)

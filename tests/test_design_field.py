@@ -133,9 +133,14 @@ def test_port_on_axis_and_interface():
     assert abs(v[3, 0]) < 1e-15
 
 
-def test_port_invalid():
+@pytest.mark.parametrize("bad", [{"radius": -0.1}, {"slab_elements": 0},
+                                 {"slab_elements": -1}],
+                         ids=["negative_radius", "slab_0", "slab_minus_1"])
+def test_port_invalid(bad):
+    # a slab of 0 layers holds only the face nodes, and one of -1 none, so
+    # the port and its design variables would be silently dropped
     with pytest.raises(ConfigurationError):
-        Port(name="p", face="left", center=(0.0, 0.0), radius=-0.1)
+        Port(**{"name": "p", "face": "left", "center": (0.0, 0.0), "radius": 0.1, **bad})
 
 
 def _ks(values, beta):

@@ -267,7 +267,8 @@ def test_cli_port_optimization_needs_bounds_exit_2(tmp_path, capsys, port):
     ("face = diagonal\ncenter = 1.6 0.2\nradius = 0.05", "'diagonal'"),
     ("face = right\ncenter = 1.6 0.2 0.0\nradius = 0.05", "2 coordinates"),
     ("face = right\ncenter = 1.6 0.2\nradius = -0.05", "positive"),
-], ids=["unknown_face", "three_coordinate_center", "negative_radius"])
+    ("face = right\ncenter = 1.6 0.2\nradius = 0.05\nslab_elements = 0", "at least 1"),
+], ids=["unknown_face", "three_coordinate_center", "negative_radius", "empty_slab"])
 def test_cli_bad_port_exit_2(tmp_path, capsys, port, message):
     text = CHANNEL_CFG.replace("[criterion.cd]", f"[port.x]\n{port}\n\n[criterion.cd]")
     path = _write(tmp_path, text)
@@ -341,6 +342,25 @@ def test_cli_species_criterion_config_exit_2_before_any_solve(tmp_path, capsys,
         outdir = tmp_path / command
         assert cli_main([command, "--config", path, "--output", str(outdir), *args]) == 2
         assert message in capsys.readouterr().err
+        assert not outdir.exists()
+
+
+def test_cli_region_named_like_a_generated_wall_exit_2_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    # a tagged wall_bottom_0 over part of the bottom leaves the rest to a
+    # generated wall of the same name, which a criterion on that name would
+    # silently skip
+    def no_geometry(self, design):
+        raise AssertionError("a geometry was built")
+
+    monkeypatch.setattr(ForwardModel, "geometry", no_geometry)
+    path = _write(tmp_path, CHANNEL_CFG.replace(
+        "[design]", "[boundary.wall_bottom_0]\nside = bottom\nkind = velocity\n"
+        "span = 0.0 0.8\n\n[design]"))
+    for command in ("analyze", "optimize"):
+        outdir = tmp_path / command
+        assert cli_main([command, "--config", path, "--output", str(outdir)]) == 2
+        assert "two boundary regions are named 'wall_bottom_0'" in capsys.readouterr().err
         assert not outdir.exists()
 
 
