@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .flow import block_dofs, flow_fields, traction_rows
+from .forms import Scatter
 
 # criteria that depend on the geometry alone, never on a flow or species state
 GEOMETRIC_KINDS = ("volume_fluid", "surface_area")
@@ -147,10 +148,10 @@ def evaluate_criterion(spec, ctx, params, flow_state=None, species_state=None,
         value = m + np.log(total) / spec.beta_ks
         out = CriterionValue(value=float(value), aux=(float(m), total))
         if want_partials:
-            ds = np.zeros(n)
             coef = q * 2.0 * (cq - spec.c_ref) / total
-            np.add.at(ds, dofs, N * coef[:, None])
-            out.d_species = ds
+            ds = Scatter(n)
+            ds.add(dofs, N * coef[:, None])
+            out.d_species = ds.total()
         return out
 
     blk = ctx.surface_part(spec.surface)
@@ -165,19 +166,19 @@ def evaluate_criterion(spec, ctx, params, flow_state=None, species_state=None,
     N, gx, gy, w = blk.N, blk.gx, blk.gy, blk.w
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
     dofs = blk.dofs
-    d = np.zeros(3 * n)
+    d = Scatter(3 * n)
     if spec.kind == "mass_flow":
-        np.add.at(d, dofs, N * (w * rho * nx)[:, None])
-        np.add.at(d, dofs + n, N * (w * rho * ny)[:, None])
+        d.add(dofs, N * (w * rho * nx)[:, None])
+        d.add(dofs + n, N * (w * rho * ny)[:, None])
     elif spec.kind == "total_pressure":
         _, _, _, ux, uy = flow_fields(np.asarray(flow_state, dtype=float), n,
                                        dofs, N, gx, gy)[:5]
-        np.add.at(d, dofs, N * (w * rho * ux)[:, None])
-        np.add.at(d, dofs + n, N * (w * rho * uy)[:, None])
-        np.add.at(d, dofs + 2 * n, N * w[:, None])
+        d.add(dofs, N * (w * rho * ux)[:, None])
+        d.add(dofs + n, N * (w * rho * uy)[:, None])
+        d.add(dofs + 2 * n, N * w[:, None])
     else:  # drag
-        np.add.at(d, block_dofs(dofs, n), (scale * w * _drag_rows(spec, params, blk)).T)
-    out.d_flow = d
+        d.add(block_dofs(dofs, n), (scale * w * _drag_rows(spec, params, blk)).T)
+    out.d_flow = d.total()
     return out
 
 

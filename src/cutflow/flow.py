@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import (Triplets, basis_tables, ghost_jumps, piece_blocks, prescribed,
-                    projector)
+from .forms import (Scatter, Triplets, basis_tables, ghost_jumps, piece_blocks,
+                    prescribed, projector)
 from .solve import STEADY_SLOT
 
 GALERKIN = "galerkin"
@@ -110,7 +110,7 @@ def assemble_flow(ctx, params, state, coeff_state=None, slot=STEADY,
     n = ctx.n
     U = np.asarray(state, dtype=float)
     Uc = U if coeff_state is None else np.asarray(coeff_state, dtype=float)
-    R = np.zeros(3 * n)
+    R = Scatter(3 * n)
     tri = Triplets() if want_matrix else None
 
     hist = slot.hist if slot.hist is not None else np.zeros(3 * n)
@@ -129,14 +129,14 @@ def assemble_flow(ctx, params, state, coeff_state=None, slot=STEADY,
         r = np.zeros((blk.nq, 12))
         r[:, 0:4] = -blk.N * that[:, 0:1]
         r[:, 4:8] = -blk.N * that[:, 1:2]
-        np.add.at(R, block_dofs(blk.dofs, n), r * blk.w[:, None])
+        R.add(block_dofs(blk.dofs, n), r * blk.w[:, None])
 
     if GHOST in terms and ctx.ghost is not None and ctx.ghost.nq:
         gamma_vel, gamma_p = _ghost_gammas(ctx, params, Uc)
         ghost_jumps(ctx, U, ((gamma_vel, (0, 1)), (gamma_p, (2,))), R, tri)
 
-    J = tri.matrix(ctx, ("flow", terms), (3 * n, 3 * n)) if want_matrix else None
-    return R, J
+    J = tri.matrix(ctx, (3 * n, 3 * n)) if want_matrix else None
+    return R.total(), J
 
 
 def flow_fields(U, n, dofs, N, gx, gy):
@@ -268,9 +268,9 @@ def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, pts):
             C[1, 2, P] += tau / rho * gxT
             C[2, 2, P] += tau / rho * gyT
 
-    np.add.at(R, dref, r * W[:, None])
+    R.add(dref, r * W[:, None])
     if want_j:
-        tri.add_pieces(T, C, W, dofs)
+        tri.add_pieces(T, C, W, "volume", ctx.vol_run[pts])
 
 
 def _nitsche_gamma(ctx, params, blk, Uc):
@@ -320,7 +320,7 @@ def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, P, R, tri):
                         - mu * (gnN * Pdu[i][:, None] + nrm[i][:, None] * gdotdu)
                         + gamma[:, None] * N * Pdu[i][:, None] for i in (0, 1)]
                        + [bp * N * (nrm * Pdu).sum(0)[:, None]], axis=1)
-    np.add.at(R, block_dofs(dofs, n), r * blk.w[:, None])
+    R.add(block_dofs(dofs, n), r * blk.w[:, None])
     if tri is not None:
         NT, _, _, T = basis_tables(N, gx, gy)
         C = np.zeros((3, 3, 12, blk.nq))
@@ -333,7 +333,7 @@ def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, P, R, tri):
         # grad N_a . P u), whose trial rows are -mu (n_k P_ij + n_i P_kj) N_b
         V = nrm[:, None, None] * P[None] + nrm[None, :, None] * P[:, None]
         C[1:, :2, :8] = ((-mu * V)[:, :, :, None] * NT).reshape(2, 2, 8, -1)
-        tri.add_pieces(T, C, blk.w, dofs, blk.region)
+        tri.add_pieces(T, C, blk.w, "surface", blk.run)
 
 
 def _ghost_gammas(ctx, params, Uc):
@@ -384,8 +384,8 @@ def flow_time_matrix(ctx, params, state, slot=STEADY):
             C[1, b, rows] = rho * tau * ux * NT
             C[2, b, rows] = rho * tau * uy * NT
             C[1 + b, 2, rows] = tau * NT
-        tri.add_pieces(T, C, ctx.vol_w[pts], dofs)
-    return tri.matrix(ctx, ("time",), (3 * n, 3 * n))
+        tri.add_pieces(T, C, ctx.vol_w[pts], "volume", ctx.vol_run[pts])
+    return tri.matrix(ctx, (3 * n, 3 * n))
 
 
 def flow_indicator_jacobian(ctx, params, state, psi, indicator_params):
@@ -404,5 +404,5 @@ def flow_indicator_jacobian(ctx, params, state, psi, indicator_params):
         dproj = 0.5 * kw * (1.0 - th * th)
         NT = np.ascontiguousarray(N.T)
         C = (params.k_pressure * p * dproj * NT)[None, None]
-        tri.add(*piece_blocks(NT[None], C, ctx.vol_w, dofs), (2,), (0,))
-    return tri.matrix(ctx, ("flow_indicator",), (3 * n, n))
+        tri.add("volume", *piece_blocks(NT[None], C, ctx.vol_w, ctx.vol_run), (2,), (0,))
+    return tri.matrix(ctx, (3 * n, n))

@@ -24,16 +24,23 @@ a disjoint block of dofs, which backs the semi-analytic geometric
 sensitivities. At the stored level set an element's rows are bitwise the
 global context's rows of that element.
 
-It also owns the one path from Jacobian terms to CSR: `piece_blocks` sums
-w_q T_q^T C_q per piece from a test table T and trial rows C,
-`ghost_jumps` is the face-oriented jump penalty of every field, and
-`Triplets` turns the blocks, each on scalar dofs and naming the fields it
-couples, into a CSR matrix through a plan (`csr_plan`) cached per matrix
-kind in `IntegrationContext.csr_plans`.
+It also owns the one path from terms to vectors and CSR matrices. Each
+context numbers the runs of its point tables once (a run is a piece: the
+points of one volume piece, the chords of one surface region in one
+element, the points of one ghost facet) and builds its scalar sparsity
+once (`Sparsity`): the dof pairs of every run, counted into CSR order
+without a sort, since cut numbers dofs by node, then level, and every
+pair lies within a 5x5 node stencil. `piece_blocks` sums w_q T_q^T C_q
+per run from a test table T and trial rows C, `ghost_jumps` is the
+face-oriented jump penalty of every field, `Triplets` turns the blocks,
+each naming the fields it couples, into a CSR matrix whose structure and
+triplet slots are index arithmetic on the sparsity, and `Scatter` sums a
+residual's terms by one bincount.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -119,6 +126,7 @@ class SurfaceBlock:
     gx: np.ndarray
     gy: np.ndarray
     region: np.ndarray  # per point: index into the context's regions, -1 on the interface
+    run: np.ndarray = None  # per point: its run in the context's surface runs
 
     @property
     def nq(self):
@@ -135,12 +143,14 @@ class GhostBlock:
 
     w: np.ndarray  # (nq,)
     normal: np.ndarray  # (nq, 2)
-    dofs1: np.ndarray  # (nq, 4)
+    dofs: np.ndarray  # (nq, 8) the lower element's corner dofs, then the upper's
+    dofs1: np.ndarray  # (nq, 4) views of dofs
     dofs2: np.ndarray
     N1: np.ndarray
     N2: np.ndarray
     gn1: np.ndarray  # (nq, 4) normal gradient of side-1 bases
     gn2: np.ndarray
+    run: np.ndarray = None  # per point: its ghost run (one per facet pair)
 
     @property
     def nq(self):
@@ -162,13 +172,13 @@ class IntegrationContext:
     vol_gx: np.ndarray = None
     vol_gy: np.ndarray = None
     vol_d2: np.ndarray = None
+    vol_run: np.ndarray = None  # per point: its run in the context's volume runs
     surface: SurfaceBlock = None  # the interface, then each region in order
     regions: tuple = ()  # BoundaryRegion per surface region index
     conditions: dict = field(default_factory=dict)  # condition kind -> its surface points
     ghost: GhostBlock = None
     owner: np.ndarray = None  # stacked re-cut contexts: local dof -> batch row
-    # matrix kind -> CSR plan of its Jacobians on this context (Triplets)
-    csr_plans: dict = field(default_factory=dict, repr=False, compare=False)
+    sparsity: Sparsity = field(default=None, repr=False, compare=False)  # built with it
 
     def surface_part(self, name):
         """The slice of the surface table on the interface ('interface') or on
@@ -264,16 +274,91 @@ def _ghost_block(mesh, facets, dofs):
     x, w = segment_rule(mesh.nodes[ends[:, 0]], mesh.nodes[ends[:, 1]])
     normal = np.repeat(mesh.facet_normals[facets], 2, axis=0)
     e1, e2 = (np.repeat(mesh.facet_elems[facets, k], 2) for k in (0, 1))
-    dofs1, dofs2 = (np.repeat(dofs[:, k], 2, axis=0) for k in (0, 1))
+    dofs = np.repeat(dofs.reshape(-1, 8), 2, axis=0)
     N1, gx1, gy1, _ = shape_q1(mesh, e1, x)
     N2, gx2, gy2, _ = shape_q1(mesh, e2, x)
     gn1 = gx1 * normal[:, :1] + gy1 * normal[:, 1:]
     gn2 = gx2 * normal[:, :1] + gy2 * normal[:, 1:]
-    return GhostBlock(w=w, normal=normal, dofs1=dofs1, dofs2=dofs2,
+    return GhostBlock(w=w, normal=normal, dofs=dofs, dofs1=dofs[:, :4], dofs2=dofs[:, 4:],
                       N1=N1, N2=N2, gn1=gn1, gn2=gn2)
 
 
-def _assemble_context(mesh, scalar_ids, volume, interface, covers, regions,
+def _runs(dofs, seam=None):
+    """Per point, its run id: a run is a stretch of points with equal dofs
+    (nq, b), and equal seam keys (nq,) when given. Returns (run, dofs of
+    each run)."""
+    new = np.ones(dofs.shape[0], dtype=bool)
+    new[1:] = (dofs[1:] != dofs[:-1]).any(1)
+    if seam is not None:
+        new[1:] |= seam[1:] != seam[:-1]
+    return np.cumsum(new) - 1, dofs[new]
+
+
+@dataclass
+class Runs:
+    """The runs of one point table: each run's dofs (R, b) and the position
+    of each of its dof pairs (a, b) among the context's scalar pairs
+    (R, b, b)."""
+
+    dofs: np.ndarray
+    pairs: np.ndarray
+
+
+@dataclass
+class Sparsity:
+    """The scalar CSR pattern of a context, built once with it: every dof
+    pair of a volume, surface or ghost run, rows sorted, columns sorted per
+    row, with bits that say which pairs lie in a volume run and which come
+    from a ghost facet. Triplets.matrix takes the structure of every matrix
+    from it."""
+
+    indptr: np.ndarray  # (n + 1,)
+    indices: np.ndarray  # (K,) column of each pair
+    volume: np.ndarray  # (K,) the pair lies in a volume run
+    ghost: np.ndarray  # (K,) the pair comes from a ghost facet
+    runs: dict  # point table ('volume', 'surface', 'ghost') -> its Runs
+    # the layouts Triplets.matrix derived, by the structure of their blocks
+    layouts: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def count(cls, node, level, nx, runs):
+        """The pattern of the runs (point table -> each run's dofs) of a
+        context whose dofs sit at node (ids row-major, nx per row) and
+        enrichment level.
+
+        The dofs of a context ascend by node, then level (also within each
+        re-cut's block), and every pair lies within the 5x5 node stencil of
+        its row. So a key of a pair, its row times the stencil's (node,
+        level) slots plus its column's slot, orders the pairs as CSR does,
+        and a presence table over the keys counts them in order: no sort.
+        """
+        n = node.shape[0]
+        iy, ix = np.divmod(node, nx)
+        levels = int(level.max()) + 1 if n else 1
+        width = 25 * levels
+        # the key of (a, b) is a width + ((5 dy + dx + 12) levels + level[b]),
+        # with (dx, dy) the offset of b's node from a's
+        slot = (5 * iy + ix) * levels
+        row, col = np.arange(n) * width - slot + 12 * levels, slot + level
+        keys = {name: row[d][:, :, None] + col[d][:, None, :] for name, d in runs.items()}
+        present = np.zeros(n * width, dtype=bool)
+        for k in keys.values():
+            present[k] = True
+        key = np.flatnonzero(present)
+        at = np.empty(n * width, dtype=np.int64)
+        at[key] = np.arange(key.shape[0])
+        runs = {name: Runs(d, at[keys[name]]) for name, d in runs.items()}
+        indices = np.empty(key.shape[0], dtype=np.int64)
+        for r in runs.values():
+            indices[r.pairs] = r.dofs[:, None, :]
+        volume, ghost = np.zeros((2, key.shape[0]), dtype=bool)
+        volume[runs["volume"].pairs] = True
+        ghost[runs["ghost"].pairs] = True
+        indptr = np.searchsorted(key, np.arange(n + 1) * width)
+        return cls(indptr, indices, volume, ghost, runs)
+
+
+def _assemble_context(cm, scalar_ids, volume, interface, covers, regions,
                       ghost=None, owner=None):
     """The one builder of an IntegrationContext.
 
@@ -283,8 +368,10 @@ def _assemble_context(mesh, scalar_ids, volume, interface, covers, regions,
     (elem, dofs, edge, t); ghost holds the (facets, dofs) of the ghost
     pairs (none, or no pairs: no ghost block).
     Dofs are already in the context's numbering, scalar_ids[dof] being the
-    global scalar dof.
+    global scalar dof of cm. The runs of each point table and the scalar
+    sparsity are built here, once.
     """
+    mesh = cm.mesh
     ctx = IntegrationContext(n=len(scalar_ids), scalar_ids=scalar_ids, h=mesh.h,
                              regions=tuple(regions), owner=owner)
     ctx.vol_w, ctx.vol_elem, ctx.vol_dofs = volume[1:]
@@ -294,15 +381,22 @@ def _assemble_context(mesh, scalar_ids, volume, interface, covers, regions,
     elem, dofs, a, b, normal = (np.concatenate(part) for part in zip(*chords))
     x, w = segment_rule(a, b)
     elem = np.repeat(elem, 2)
-    ctx.surface = SurfaceBlock(x, w, elem, np.repeat(dofs, 2, axis=0),
-                               np.repeat(normal, 2, axis=0), *shape_q1(mesh, elem, x)[:3],
-                               region)
+    dofs = np.repeat(dofs, 2, axis=0)
+    ctx.surface = SurfaceBlock(x, w, elem, dofs, np.repeat(normal, 2, axis=0),
+                               *shape_q1(mesh, elem, x)[:3], region)
+    runs = {}
+    ctx.vol_run, runs["volume"] = _runs(ctx.vol_dofs)
+    ctx.surface.run, runs["surface"] = _runs(dofs, region)
     for kind in _CONDITIONS:
         # indexed by region index; the last entry, -1, is the interface
         member = np.array([_takes(r, kind) for r in regions] + [kind == "velocity"])
         ctx.conditions[kind] = ctx.surface.take(np.flatnonzero(member[region]))
+    runs["ghost"] = np.zeros((0, 8), dtype=np.int64)
     if ghost is not None and ghost[0].size:
         ctx.ghost = _ghost_block(mesh, *ghost)
+        ctx.ghost.run, runs["ghost"] = _runs(ctx.ghost.dofs)
+    ctx.sparsity = Sparsity.count(cm.dof_node[scalar_ids], cm.dof_level[scalar_ids],
+                                  mesh.divisions[0] + 1, runs)
     return ctx
 
 
@@ -318,7 +412,7 @@ def build_context(cm: CutModel, regions=()) -> IntegrationContext:
                  cuts.seg_normal)
     row, edge, t = fluid_covers(cuts, cm.piece_full)
     covers = (cm.piece_elem[row], cm.piece_dofs[row], edge, t)
-    return _assemble_context(mesh, np.arange(cm.n_dofs, dtype=np.int64), _volume_rows(cm),
+    return _assemble_context(cm, np.arange(cm.n_dofs, dtype=np.int64), _volume_rows(cm),
                              interface, covers, regions, (cm.pair_facet, cm.pair_dofs))
 
 
@@ -375,7 +469,7 @@ def element_context(cm: CutModel, elems, phi4s, regions=()):
                  cuts.seg_b, cuts.seg_normal)
     cp, edge, t = fluid_covers(cuts, np.zeros(cuts.cell.shape[0], dtype=bool))
     covers = (elems[piece_row[cp]], piece_dofs[cp], edge, t)
-    ctx = _assemble_context(mesh, scalar_ids, volume, interface, covers, regions,
+    ctx = _assemble_context(cm, scalar_ids, volume, interface, covers, regions,
                             owner=owner)
     return ctx, invalid
 
@@ -390,43 +484,42 @@ def basis_tables(N, gx, gy):
     return NT, gxT, gyT, np.stack([NT, gxT, gyT])
 
 
-def piece_blocks(T, C, w, dofs, seam=None):
-    """Per-piece sums of w_q T_q^T C_q over a batch of quadrature points.
+def piece_blocks(T, C, w, run):
+    """Per-run sums of w_q T_q^T C_q over a batch of quadrature points.
 
     T (k, b, nq) holds k test functions of b bases, C (k, m, c, nq) the
-    trial row that each test multiplies in each of m row blocks, c trial
-    entries long; C is weighted by w in place. A piece is a run of points
-    with equal dofs (nq, b), and equal seam keys (nq,) when given: a volume
-    piece, the chords of one surface region in one element, or the points
-    of one ghost facet. The pieces with L points are one batched (b x kL) . (kL x mc)
-    matmul. Returns the pieces' dofs (pieces, b) and blocks (pieces, b m, c),
-    rows grouped by row block.
+    trial row that each test multiplies in each of m row blocks, c = g b
+    trial entries long (g trial fields of b bases); C is weighted by w in
+    place. run (nq,) holds each point's run id in its context's point
+    table (a run ends where the id changes, so a batch that splits a run
+    gives a block for each part). The runs with L points are one batched
+    (b x kL) . (kL x mc) matmul. Returns the runs' ids (runs,) and blocks
+    (m, g, runs, b, b): blocks[i, j, r] couples row block i to trial field
+    j on run r.
     """
     k, m, c, nq = C.shape
     b = T.shape[1]
     C *= w
     new = np.ones(nq, dtype=bool)
-    new[1:] = (dofs[1:] != dofs[:-1]).any(1)
-    if seam is not None:
-        new[1:] |= seam[1:] != seam[:-1]
+    new[1:] = run[1:] != run[:-1]
     starts = np.flatnonzero(new)
     count = np.diff(starts, append=nq)
     # points-first views; the gathers below are the one transpose
     Cq, Tq = C.reshape(k * m * c, nq).T, T.transpose(2, 0, 1)
     out = np.empty((starts.shape[0], b, m * c))
-    for L in np.unique(count):
+    for L in np.flatnonzero(np.bincount(count)):
         sel = np.flatnonzero(count == L)
         pts = starts[sel, None] + np.arange(L)
         A = Tq[pts].reshape(-1, L * k, b).transpose(0, 2, 1)
         out[sel] = A @ Cq[pts].reshape(-1, L * k, m * c)
-    blocks = out.reshape(-1, b, m, c).transpose(0, 2, 1, 3).reshape(-1, b * m, c)
-    return dofs[starts], blocks
+    blocks = out.reshape(-1, b, m, c // b, b).transpose(2, 3, 0, 1, 4).copy()
+    return run[starts], blocks
 
 
 def ghost_jumps(ctx, U, groups, R, tri):
     """Face-oriented jump penalty gamma [[grad w . n]] [[grad u . n]] on the
-    ghost facets: residual into R, per-facet Jacobian blocks into tri (None:
-    residual only).
+    ghost facets: residual terms into the Scatter R, per-facet Jacobian
+    blocks into tri (None: residual only).
 
     U holds fields of ctx.n dofs each, field f at f n; groups is
     ((gamma, fields), ...), gamma a constant or one value per point
@@ -434,80 +527,130 @@ def ghost_jumps(ctx, U, groups, R, tri):
     """
     g, n = ctx.ghost, ctx.n
     gvec = np.concatenate([g.gn1, -g.gn2], axis=1)  # (nq, 8)
-    dofs = np.concatenate([g.dofs1, g.dofs2], axis=1)
     for gamma, fields in groups:
         if tri is not None:
             T = gvec.T[None]
-            facets, blocks = piece_blocks(T, (gamma * T)[None], g.w, dofs)
+            facets, blocks = piece_blocks(T, (gamma * T)[None], g.w, g.run)
         for f in fields:
             u = U[f * n:(f + 1) * n]
             jump = (g.gn1 * u[g.dofs1]).sum(1) - (g.gn2 * u[g.dofs2]).sum(1)
-            np.add.at(R, dofs + f * n, gvec * (gamma * jump)[:, None] * g.w[:, None])
+            R.add(g.dofs + f * n, gvec * (gamma * jump)[:, None] * g.w[:, None])
             if tri is not None:
-                tri.add(facets, blocks, (f,), (f,))
+                tri.add("ghost", facets, blocks, (f,), (f,))
+
+
+class Scatter:
+    """The terms of one vector of size entries (a residual or a criterion
+    partial), summed by one np.bincount in the order added. The vector
+    starts at zero, so every entry is the sum, in the same order, that
+    np.add.at of each term in turn would give."""
+
+    def __init__(self, size):
+        self.size, self.index, self.values = size, [], []
+
+    def add(self, index, values):
+        """Add values[...] at index[...] (arrays of one shape)."""
+        self.index.append(index.ravel())
+        self.values.append(values.ravel())
+
+    def total(self):
+        if not self.index:
+            return np.zeros(self.size)
+        return np.bincount(np.concatenate(self.index), np.concatenate(self.values),
+                           minlength=self.size)
 
 
 class Triplets:
     """The Jacobian entries of one assembly pass, summed into CSR.
 
-    add(dofs, vals, rows, cols) adds a batch of blocks on scalar dofs
-    (k, p) that couple the row fields rows to the column fields cols:
-    vals[k, i p + a, j p + b] goes to row rows[i] n + dofs[k, a] and column
-    cols[j] n + dofs[k, b]. The assemblers add blocks already summed per
-    piece (piece_blocks). The first matrix of a kind on a context builds its
-    CSR plan, each triplet's slot in a fixed indptr/indices, and caches it
-    on the context; every later one is a single bincount into those slots.
+    add(table, runs, vals, rows, cols) adds blocks on runs of one of the
+    context's point tables ('volume', 'surface', 'ghost'), laid out as
+    piece_blocks returns them: vals[i, j, r, a, b] goes to row
+    rows[i] n + d[a] and column cols[j] n + d[b], d the dofs of run
+    runs[r]. The assemblers add blocks already summed per run, and the
+    volume and ghost tables whole. matrix takes the CSR structure and
+    every triplet's slot from the context's Sparsity by index arithmetic:
+    field pair (f, g) holds the pairs of the volume table, of the ghost
+    table and of the surface runs added on it, and the entries are one
+    bincount.
     """
 
     def __init__(self):
         self.blocks = []
 
-    def add(self, dofs, vals, rows, cols):
-        self.blocks.append((dofs, vals, tuple(rows), tuple(cols)))
+    def add(self, table, runs, vals, rows, cols):
+        self.blocks.append((table, runs, vals, tuple(rows), tuple(cols)))
 
-    def add_pieces(self, T, C, w, dofs, seam=None):
-        """Add the per-piece blocks of a trial table C (piece_blocks) of a
+    def add_pieces(self, T, C, w, table, run):
+        """Add the per-run blocks of a trial table C (piece_blocks) of a
         square block: row block f and its trial entries on field f."""
-        self.add(*piece_blocks(T, C, w, dofs, seam), range(C.shape[1]), range(C.shape[1]))
+        self.add(table, *piece_blocks(T, C, w, run), range(C.shape[1]), range(C.shape[1]))
 
-    def matrix(self, ctx, kind, shape):
-        """The CSR matrix of the triplets; kind names the matrix (and its
-        terms) among those assembled on ctx."""
+    def matrix(self, ctx, shape):
+        """The CSR matrix (shape a multiple of ctx.n) of the triplets."""
         if not self.blocks:
             return sp.csr_matrix(shape)
-        vals = np.concatenate([v.ravel() for _, v, _, _ in self.blocks])
-        plan = ctx.csr_plans.get(kind)
-        if plan is None or plan[0].shape[0] != vals.shape[0]:
-            plan = ctx.csr_plans[kind] = csr_plan(self.blocks, shape, ctx.n)
-        slot, indices, indptr = plan
-        data = np.bincount(slot, vals, minlength=indices.shape[0])
+        key = (shape,) + tuple((table, runs.tobytes(), F, G)
+                               for table, runs, _, F, G in self.blocks)
+        layout = ctx.sparsity.layouts.get(key)
+        if layout is None:
+            layout = ctx.sparsity.layouts[key] = self._layout(ctx.sparsity, ctx.n, shape)
+        slot, indices, indptr = layout
+        data = np.bincount(slot, np.concatenate([v.ravel() for _, _, v, _, _ in self.blocks]),
+                           minlength=indices.shape[0])
         return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=shape)
 
-
-def csr_plan(blocks, shape, n):
-    """(slot, indices, indptr): the CSR pattern of the blocks' triplets, with
-    sorted indices, and each triplet's position in it. Each field pair takes
-    every piece's scalar dof pairs, or those and every ghost pair's."""
-    nf, index = (shape[0] // n, shape[1] // n), np.int32 if np.prod(shape) < 2**31 else np.int64
-    pairs = [(d[:, :, None] * n + d[:, None, :]).astype(index).ravel() for d, *_ in blocks]
-    keys, pair = np.unique(np.concatenate(pairs), return_inverse=True)  # one unique per kind
-    pair, marks = np.split(pair, np.cumsum([p.size for p in pairs[:-1]])), {}
-    for pr, (*_, F, G) in zip(pair, blocks):  # each field tuple's pairs are marked once
-        marks.setdefault((F, G), np.zeros(keys.size, dtype=bool))[pr] = True
-    on = {(f, g): np.flatnonzero(sum(m for (F, G), m in marks.items() if f in F and g in G))
-          for f, g in np.ndindex(nf)}  # each field pair's pairs, in row-major order
-    count = {fg: np.bincount(keys[q] // n, minlength=n) for fg, q in on.items()}  # per row a
-    indptr = np.concatenate([[0]] + [sum(count[f, g] for g in range(nf[1]))
-                                     for f in range(nf[0])]).cumsum().astype(index)
-    start = indptr[:-1].reshape(nf[0], n).astype(np.int64)  # each CSR row's next free slot
-    by_pair = np.empty((keys.size,) + nf, dtype=np.int64)
-    indices = np.empty(indptr[-1], dtype=index)
-    for (f, g), c in count.items():  # a row's pairs on field g follow those on g - 1
-        slots = np.repeat(start[f] - np.cumsum(c) + c, c) + np.arange(on[f, g].size)
-        start[f] += c
-        by_pair[on[f, g], f, g], indices[slots] = slots, keys[on[f, g]] % n + g * n
-    table = {(F, G): by_pair if (F, G) == tuple(tuple(range(k)) for k in nf)
-             else by_pair.take(F, axis=1).take(G, axis=2) for F, G in marks}  # (pairs, F, G)
-    slot = [np.take(table[F, G], pr, axis=0).reshape(-1, d.shape[1], d.shape[1], len(F), len(G))
-            .transpose(0, 3, 1, 4, 2).ravel() for pr, (d, _, F, G) in zip(pair, blocks)]
-    return np.concatenate(slot), indices, indptr
+    def _layout(self, s, n, shape):
+        """(slot, indices, indptr): the CSR structure of the blocks on the
+        sparsity s and each triplet's slot in it, by index arithmetic."""
+        nf = (shape[0] // n, shape[1] // n)
+        index = np.int32 if np.prod(shape) < 2**31 else np.int64
+        # a field pair's pattern: the pairs of the tables added whole on it
+        # (volume, ghost) and of the surface runs added on it
+        sources = {}
+        for i, (table, _, _, F, G) in enumerate(self.blocks):
+            for fg in itertools.product(F, G):
+                sources.setdefault(fg, set()).add(i if table == "surface" else table)
+        patterns = {}
+        which = np.full(nf, -1)  # each field pair's pattern, -1 where it has none
+        for fg, src in sources.items():
+            which[fg] = patterns.setdefault(frozenset(src), len(patterns))
+        on = np.zeros((len(patterns), s.indices.shape[0]), dtype=bool)
+        for key, c in patterns.items():
+            for src in key:
+                if src in ("volume", "ghost"):
+                    on[c] |= getattr(s, src)
+                else:
+                    on[c, s.runs["surface"].pairs[self.blocks[src][1]]] = True
+        rank = np.cumsum(on, axis=1) - 1  # a pair's rank in each pattern
+        before = np.concatenate([np.zeros((len(patterns), 1), dtype=np.int64), rank + 1],
+                                axis=1)[:, s.indptr]  # pattern pairs before each row
+        per_row = np.diff(before, axis=1)
+        count = np.where(which[..., None] < 0, 0, per_row[which])
+        indptr = np.concatenate([[0], count.sum(1).ravel().cumsum()])
+        # field pair (f, g) puts the pair of rank q in its pattern, in row a,
+        # at slot q + shift[f, g, a]
+        shift = (indptr[:-1].reshape(nf[0], 1, n) + np.cumsum(count, axis=1) - count
+                 - before[which, :-1])
+        indices = np.empty(indptr[-1], dtype=index)
+        for c in range(len(patterns)):
+            f, g = np.nonzero(which == c)
+            cols = s.indices[on[c]]
+            at = np.arange(cols.shape[0]) + np.repeat(shift[f, g], per_row[c], axis=1)
+            indices[at] = cols + (g * n)[:, None]
+        # each block's triplets in its (i, j, run, a, b) order, so that each
+        # slot sums its triplets in the order they were added
+        slot = np.empty(sum(v.size for _, _, v, _, _ in self.blocks), dtype=np.intp)
+        start = 0
+        for table, runs, v, F, G in self.blocks:
+            r = s.runs[table]
+            d, pairs = r.dofs[runs], r.pairs[runs]
+            out = slot[start:start + v.size].reshape((-1,) + pairs.shape)
+            ranks = {}
+            for i, (f, g) in enumerate(itertools.product(F, G)):
+                c = which[f, g]
+                if c not in ranks:
+                    ranks[c] = rank[c, pairs]
+                np.add(shift[f, g, d][..., None], ranks[c], out=out[i])
+            start += v.size
+        return slot, indices, indptr.astype(index)

@@ -8,10 +8,12 @@ and by SuperLU's COLAMD with partial pivoting when that factor meets a
 zero pivot or fails its check solve. A solve on a kept factor goes through
 `refined_solve`: iterative refinement on the factors of a nearby matrix,
 down to the rounding level; a matrix is factored afresh only when a sweep
-fails to halve the residual. Newton gets the residual and the Jacobian of
-every iterate in one call, factors its first Jacobian and refines every
-later step on the factor it holds, and returns that factor with the
-Jacobian at its solution, both of which the adjoint reuses.
+fails to halve the residual. `lu_solve` skips a right-hand-side column that
+is all zero, such as the adjoint of a state-independent functional. Newton
+gets the residual and the Jacobian of every iterate in one call, factors
+its first Jacobian and refines every later step on the factor it holds,
+and returns that factor with the Jacobian at its solution, both of which
+the adjoint reuses.
 Transient problems march with BDF2 after a single backward-Euler startup
 step. The steady driver falls back to pseudo-transient continuation with a
 growing step when a cold Newton start diverges; a pseudo step that diverges
@@ -114,11 +116,21 @@ def _pivot_free_lu(A):
 
 
 def lu_solve(lu, b, trans="N"):
-    """Solve A x = b (A^T x = b with trans='T') on A's factors lu.
+    """Solve A x = b (A^T x = b with trans='T') on A's factors lu; b is one
+    column or a block of columns. A column of b that is all zero is not
+    solved: its x is +0.0.
 
     Raises SolverError when x is not finite (a singular system).
     """
-    x = lu.solve(np.asarray(b, dtype=float), trans=trans)
+    b = np.asarray(b, dtype=float)
+    B = b.reshape(b.shape[0], -1)
+    live = B.any(axis=0)
+    if live.all():
+        x = lu.solve(b, trans=trans)
+    else:
+        x = np.zeros(b.shape)
+        if live.any():
+            x.reshape(B.shape)[:, live] = lu.solve(B[:, live], trans=trans)
     if not np.all(np.isfinite(x)):
         raise SolverError("sparse LU produced non-finite values (singular system)")
     return x

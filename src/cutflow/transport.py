@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import Triplets, basis_tables, ghost_jumps, piece_blocks, prescribed
+from .forms import Scatter, Triplets, basis_tables, ghost_jumps, piece_blocks, prescribed
 from .solve import factorize, lu_solve
 
 GALERKIN = "galerkin"
@@ -87,7 +87,7 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
     c = np.asarray(state, dtype=float)
     U = np.asarray(flow_state, dtype=float)
     k = params.diffusivity
-    R = np.zeros(n)
+    R = Scatter(n)
     tri = Triplets() if want_matrix else None
 
     if ctx.vol_w is not None and ctx.vol_w.shape[0]:
@@ -118,9 +118,9 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
             if want_matrix:
                 C[1, 0] += tau * ux * uT
                 C[2, 0] += tau * uy * uT
-        np.add.at(R, dofs, r * ctx.vol_w[:, None])
+        R.add(dofs, r * ctx.vol_w[:, None])
         if want_matrix:
-            tri.add_pieces(T, C, ctx.vol_w, dofs)
+            tri.add_pieces(T, C, ctx.vol_w, "volume", ctx.vol_run)
 
     blk = ctx.conditions["species"]
     if NITSCHE in terms and blk.nq:
@@ -130,8 +130,8 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
     if GHOST in terms and ctx.ghost is not None and ctx.ghost.nq:
         ghost_jumps(ctx, c, ((params.alpha_gp * ctx.h * k, (0,)),), R, tri)
 
-    J = tri.matrix(ctx, ("species", terms), (n, n)) if want_matrix else None
-    return R, J
+    J = tri.matrix(ctx, (n, n)) if want_matrix else None
+    return R.total(), J
 
 
 def _scalar_nitsche(ctx, R, tri, blk, c, k, alpha, chat):
@@ -146,12 +146,12 @@ def _scalar_nitsche(ctx, R, tri, blk, c, k, alpha, chat):
     dc = cv - chat
     pen = alpha / ctx.h
     r = -N * (k * cn)[:, None] + k * gnN * dc[:, None] + pen * N * dc[:, None]
-    np.add.at(R, blk.dofs, r * blk.w[:, None])
+    R.add(blk.dofs, r * blk.w[:, None])
     if tri is not None:
         # -k N_a grad N_b . n + k (grad N_a . n) N_b + pen N_a N_b
         NT, gxT, gyT, T = basis_tables(N, gx, gy)
         C = np.stack([pen * NT - k * (nx * gxT + ny * gyT), k * nx * NT, k * ny * NT])
-        tri.add_pieces(T, C[:, None], blk.w, blk.dofs, blk.region)
+        tri.add_pieces(T, C[:, None], blk.w, "surface", blk.run)
 
 
 def species_flow_jacobian(ctx, params, state, flow_state):
@@ -180,8 +180,8 @@ def species_flow_jacobian(ctx, params, state, flow_state):
         C[2, 0, X] = uy * Vx * NT
         C[1, 0, Y] = ux * Vy * NT
         C[2, 0, Y] = (uy * Vy + tau * strong) * NT
-        tri.add(*piece_blocks(T, C, ctx.vol_w, dofs), (0,), (0, 1))
-    return tri.matrix(ctx, ("species_flow",), (n, 3 * n))
+        tri.add("volume", *piece_blocks(T, C, ctx.vol_w, ctx.vol_run), (0,), (0, 1))
+    return tri.matrix(ctx, (n, 3 * n))
 
 
 def assemble_indicator(ctx, params, state, want_matrix=True):
@@ -192,7 +192,7 @@ def assemble_indicator(ctx, params, state, want_matrix=True):
     """
     n = ctx.n
     psi = np.asarray(state, dtype=float)
-    R = np.zeros(n)
+    R = Scatter(n)
     tri = Triplets() if want_matrix else None
     if ctx.vol_w is not None and ctx.vol_w.shape[0]:
         N, gx, gy = ctx.vol_N, ctx.vol_gx, ctx.vol_gy
@@ -203,11 +203,11 @@ def assemble_indicator(ctx, params, state, want_matrix=True):
         py = (gy * pe).sum(1)
         r = gx * px[:, None] + gy * py[:, None] \
             - params.reaction * N * (pv - params.psi_ref)[:, None]
-        np.add.at(R, dofs, r * ctx.vol_w[:, None])
+        R.add(dofs, r * ctx.vol_w[:, None])
         if want_matrix:
             NT, gxT, gyT, T = basis_tables(N, gx, gy)
             C = np.stack([-params.reaction * NT, gxT, gyT])
-            tri.add_pieces(T, C[:, None], ctx.vol_w, dofs)
+            tri.add_pieces(T, C[:, None], ctx.vol_w, "volume", ctx.vol_run)
 
     blk = ctx.conditions["port"]
     if blk.nq:
@@ -216,8 +216,8 @@ def assemble_indicator(ctx, params, state, want_matrix=True):
     if ctx.ghost is not None and ctx.ghost.nq:
         ghost_jumps(ctx, psi, ((params.alpha_gp * ctx.h, (0,)),), R, tri)
 
-    J = tri.matrix(ctx, ("indicator",), (n, n)) if want_matrix else None
-    return R, J
+    J = tri.matrix(ctx, (n, n)) if want_matrix else None
+    return R.total(), J
 
 
 def _linear_solve(assemble, n):

@@ -1,46 +1,66 @@
-"""The CSR plan over scalar dof pairs against scipy's COO -> CSR, for every
-block layout the assemblers use and for field tuples in any order."""
-
-from types import SimpleNamespace
+"""Triplets.matrix against scipy's COO -> CSR and a plain unique over
+global keys, for every block layout the assemblers use and for field
+tuples in any order: random blocks on the runs of a context's point tables
+(the volume and ghost tables whole, surface runs in part)."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cutflow.forms import Triplets
+from cutflow.conditions import BoundaryRegion, wall_regions
+from cutflow.cut import build_cut_model
+from cutflow.forms import Triplets, build_context
+from cutflow.grid import build_mesh
 
-N = 7
+from csr_reference import sorted_reference, triplets, unique_reference
+from fixtures_common import perturb
 
 
-def _blocks(rng, shape, reordered):
-    fr, fc = shape[0] // N, shape[1] // N
+@pytest.fixture(scope="module")
+def ctx():
+    mesh = build_mesh(((0, 0), (1, 1)), (6, 6))
+    xy = mesh.nodes
+    phi = perturb(0.25 - np.hypot(xy[:, 0] - 0.45, xy[:, 1] - 0.5), mesh.h)
+    regions = wall_regions(mesh, [
+        BoundaryRegion(name="inlet", side="left", kind="velocity", port=True),
+        BoundaryRegion(name="outlet", side="right", kind="traction", port=True),
+    ])
+    ctx = build_context(build_cut_model(mesh, phi), regions)
+    assert ctx.ghost is not None
+    return ctx
+
+
+def _blocks(ctx, rng, nf, reordered):
+    fr, fc = nf
+    runs = {name: r.dofs.shape[0] for name, r in ctx.sparsity.runs.items()}
+    surface = np.sort(rng.choice(runs["surface"], runs["surface"] // 2, replace=False))
     blocks = []
-    for k, p, F, G in ((6, 4, range(fr), range(fc)),  # a [ux, uy, p] block
-                       (3, 8, [fr - 1], [fc - 1]),  # a ghost block in one field
-                       (4, 4, [fr - 1], [0]),  # one row field, one column field
-                       (5, 4, [0], range(fc))):
-        F, G = (list(F)[::-1], list(G)[::-1]) if reordered else (F, G)
-        dofs = rng.integers(0, N, size=(k, p))
-        blocks.append((dofs, rng.normal(size=(k, len(F) * p, len(G) * p)), F, G))
+    for table, ids, F, G in (("volume", np.arange(runs["volume"]), range(fr), range(fc)),
+                             ("ghost", np.arange(runs["ghost"]), [fr - 1], [fc - 1]),
+                             ("surface", surface, [fr - 1], [0]),
+                             ("surface", surface[::2], [0], range(fc))):
+        F, G = (tuple(F)[::-1], tuple(G)[::-1]) if reordered else (tuple(F), tuple(G))
+        p = ctx.sparsity.runs[table].dofs.shape[1]
+        blocks.append((table, ids, rng.normal(size=(len(F), len(G), ids.shape[0], p, p)),
+                       F, G))
     return blocks
 
 
 @pytest.mark.parametrize("reordered", [False, True], ids=["fields", "reordered"])
-@pytest.mark.parametrize("shape", [(3 * N, 3 * N), (3 * N, N), (N, 3 * N), (N, N)])
-def test_plan_matches_coo(shape, reordered):
+@pytest.mark.parametrize("shape", [(3, 3), (3, 1), (1, 3), (1, 1)])
+def test_plan_matches_coo(ctx, shape, reordered):
     rng = np.random.default_rng(sum(shape) + reordered)
-    blocks = _blocks(rng, shape, reordered)
+    blocks = _blocks(ctx, rng, shape, reordered)
     tri = Triplets()
-    for dofs, vals, F, G in blocks:
-        tri.add(dofs, vals, F, G)
-    M = tri.matrix(SimpleNamespace(n=N, csr_plans={}), ("test",), shape)
-    rows, cols = ([np.concatenate([d + f * N for f in F], axis=1) for d, _, F, _ in blocks],
-                  [np.concatenate([d + g * N for g in G], axis=1) for d, _, _, G in blocks])
-    C = sp.coo_matrix((np.concatenate([v.ravel() for _, v, _, _ in blocks]),
-                       (np.concatenate([np.broadcast_to(r[:, :, None], b[1].shape).ravel()
-                                        for r, b in zip(rows, blocks)]),
-                        np.concatenate([np.broadcast_to(c[:, None, :], b[1].shape).ravel()
-                                        for c, b in zip(cols, blocks)]))), shape=shape).tocsr()
+    for block in blocks:
+        tri.add(*block)
+    shape = (shape[0] * ctx.n, shape[1] * ctx.n)
+    M = tri.matrix(ctx, shape)
+    rows, cols, vals = triplets(ctx, tri.blocks)
+    C = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
     np.testing.assert_array_equal(M.indptr, C.indptr)
     np.testing.assert_array_equal(M.indices, C.indices)
     assert abs(M - C).max() <= 1e-14 * abs(C).max()
+    got = [a.tobytes() for a in (M.indptr, M.indices, M.data)]
+    assert got == [a.tobytes() for a in unique_reference(rows, cols, vals, shape)]
+    assert got == [a.tobytes() for a in sorted_reference(ctx, tri.blocks, shape)]

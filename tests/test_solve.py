@@ -139,6 +139,37 @@ def test_refined_solve_on_a_stale_factor_reaches_the_rounding_level(trans, cols)
     assert np.linalg.norm(b - A @ x0) > 1e6 * level.max()
 
 
+class _CountingFactor:
+    """Factors whose solve records the columns of each right-hand side."""
+
+    def __init__(self, lu):
+        self.lu, self.columns = lu, []
+
+    def solve(self, b, trans="N"):
+        self.columns.append(1 if b.ndim == 1 else b.shape[1])
+        return self.lu.solve(b, trans=trans)
+
+
+@pytest.mark.parametrize("trans", ["N", "T"])
+def test_zero_columns_are_not_solved(trans):
+    # a state-independent functional's adjoint column is exactly zero: the
+    # factors never see it, it comes back +0.0, and the other columns are
+    # those of a solve without it, byte for byte
+    J, J0 = _near_pair()
+    b = np.random.default_rng(2).standard_normal((J.shape[0], 3))
+    b[:, 1] = 0.0
+    lu = _CountingFactor(factorize(J0))
+    x = solve.refined_solve(J, lu, b, trans=trans)
+    assert lu.columns[0] == 2 and max(lu.columns) == 2
+    assert x[:, 1].tobytes() == np.zeros(J.shape[0]).tobytes()
+    alone = solve.refined_solve(J, factorize(J0), b[:, [0, 2]], trans=trans)
+    assert x[:, [0, 2]].tobytes() == alone.tobytes()
+    lu.columns.clear()
+    assert lu_solve(lu, np.zeros(J.shape[0]), trans=trans).tobytes() == \
+        np.zeros(J.shape[0]).tobytes()
+    assert lu.columns == []
+
+
 def test_newton_refactors_only_where_refinement_stalls(monkeypatch):
     # x^2 - 4 from 30: the first factor (J = 60) serves the steps while
     # the slope stays within a factor two of it, then refinement stalls

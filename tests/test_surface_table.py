@@ -13,19 +13,20 @@ from cutflow.grid import build_mesh
 
 
 def test_piece_blocks_split_a_run_of_equal_dofs_at_a_seam():
+    # points with equal dofs on two runs (two regions' chords in one
+    # element) give a block per run
     rng = np.random.default_rng(3)
     T = rng.normal(size=(3, 4, 4))
     C = rng.normal(size=(3, 1, 4, 4))
     w = rng.random(4)
-    dofs = np.tile(np.arange(4), (4, 1))
-    one_dofs, one = piece_blocks(T, C.copy(), w, dofs)
-    two_dofs, two = piece_blocks(T, C.copy(), w, dofs, np.array([0, 0, 1, 1]))
-    assert one.shape[0] == 1 and two.shape[0] == 2
-    assert np.array_equal(two_dofs, dofs[:2])
-    for blk, pts in zip(two, (slice(0, 2), slice(2, 4))):
-        _, alone = piece_blocks(T[:, :, pts], C[..., pts].copy(), w[pts], dofs[pts])
-        assert np.array_equal(blk, alone[0])
-    assert np.allclose(two.sum(0), one[0], rtol=1e-14, atol=1e-14)
+    one_runs, one = piece_blocks(T, C.copy(), w, np.zeros(4, dtype=np.int64))
+    two_runs, two = piece_blocks(T, C.copy(), w, np.array([5, 5, 6, 6]))
+    assert one.shape[2] == 1 and two.shape[2] == 2
+    assert np.array_equal(two_runs, [5, 6])
+    for r, pts in enumerate((slice(0, 2), slice(2, 4))):
+        _, alone = piece_blocks(T[:, :, pts], C[..., pts].copy(), w[pts], np.zeros(2, dtype=int))
+        assert np.array_equal(two[:, :, r], alone[:, :, 0])
+    assert np.allclose(two.sum(2), one[:, :, 0], rtol=1e-14, atol=1e-14)
 
 
 def test_region_slices_of_an_all_fluid_box_measure_their_spans():
