@@ -60,16 +60,13 @@ class CriterionValue:
 
 
 def _ks_points(ctx, spec):
-    """(N, dofs, w) of the block a ks_target criterion integrates over."""
-    if spec.surface == "volume":
-        return ctx.vol_N, ctx.vol_dofs, ctx.vol_w
-    blk = ctx.surface_part(spec.surface)
-    return blk.N, blk.dofs, blk.w
+    """The point table a ks_target criterion integrates over."""
+    return ctx.volume if spec.surface == "volume" else ctx.surface_part(spec.surface)
 
 
-def _ks_deviation(spec, N, dofs, species_state):
+def _ks_deviation(spec, blk, species_state):
     """Concentration and its squared deviation from c_ref at each point."""
-    cq = (N * np.asarray(species_state, dtype=float)[dofs]).sum(1)
+    cq = blk.at(np.asarray(species_state, dtype=float), blk.N)[0]
     return cq, (cq - spec.c_ref) ** 2
 
 
@@ -95,14 +92,14 @@ def criterion_terms(spec, ctx, params, flow_state=None, species_state=None,
     """
     n = ctx.n
     if spec.kind == "volume_fluid":
-        return ctx.vol_w, ctx.vol_dofs
+        return ctx.volume.w, ctx.volume.dofs
     if spec.kind == "surface_area":
         blk = ctx.surface_part("interface")
         return blk.w, blk.dofs
     if spec.kind == "ks_target":
-        N, dofs, w = _ks_points(ctx, spec)
-        _, dev2 = _ks_deviation(spec, N, dofs, species_state)
-        return w * np.exp(spec.beta_ks * (dev2 - shift)), dofs
+        blk = _ks_points(ctx, spec)
+        _, dev2 = _ks_deviation(spec, blk, species_state)
+        return blk.w * np.exp(spec.beta_ks * (dev2 - shift)), blk.dofs
 
     blk = ctx.surface_part(spec.surface)
     U = np.asarray(flow_state, dtype=float)
@@ -110,7 +107,7 @@ def criterion_terms(spec, ctx, params, flow_state=None, species_state=None,
         rows = _drag_rows(spec, params, blk)
         return blk.w * (rows * U[block_dofs(blk.dofs, n)].T).sum(0), blk.dofs
     w, nx, ny = blk.w, blk.normal[:, 0], blk.normal[:, 1]
-    _, _, _, ux, uy, p = flow_fields(U, n, blk.dofs, blk.N, blk.gx, blk.gy)[:6]
+    (ux,), (uy,), (p,) = flow_fields(U, n, blk, blk.N)
     if spec.kind == "mass_flow":
         return w * params.rho * (ux * nx + uy * ny), blk.dofs
     return w * (p + 0.5 * params.rho * (ux * ux + uy * uy)), blk.dofs  # total_pressure
@@ -138,10 +135,10 @@ def evaluate_criterion(spec, ctx, params, flow_state=None, species_state=None,
         return CriterionValue(value=float(q.sum()))
 
     if spec.kind == "ks_target":
-        N, dofs, w = _ks_points(ctx, spec)
-        if not w.shape[0]:
+        blk = _ks_points(ctx, spec)
+        if not blk.nq:
             raise ConfigurationError(f"ks_target over an empty {spec.surface!r}")
-        cq, dev2 = _ks_deviation(spec, N, dofs, species_state)
+        cq, dev2 = _ks_deviation(spec, blk, species_state)
         m = dev2.max()
         q, _ = criterion_terms(spec, ctx, params, species_state=species_state, shift=m)
         total = float(q.sum())
@@ -150,7 +147,7 @@ def evaluate_criterion(spec, ctx, params, flow_state=None, species_state=None,
         if want_partials:
             coef = q * 2.0 * (cq - spec.c_ref) / total
             ds = Scatter(n)
-            ds.add(dofs, N * coef[:, None])
+            ds.add(blk.dofs, blk.N * coef[:, None])
             out.d_species = ds.total()
         return out
 
@@ -163,7 +160,7 @@ def evaluate_criterion(spec, ctx, params, flow_state=None, species_state=None,
     if not want_partials:
         return out
     rho = params.rho
-    N, gx, gy, w = blk.N, blk.gx, blk.gy, blk.w
+    N, w = blk.N, blk.w
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
     dofs = blk.dofs
     d = Scatter(3 * n)
@@ -171,8 +168,7 @@ def evaluate_criterion(spec, ctx, params, flow_state=None, species_state=None,
         d.add(dofs, N * (w * rho * nx)[:, None])
         d.add(dofs + n, N * (w * rho * ny)[:, None])
     elif spec.kind == "total_pressure":
-        _, _, _, ux, uy = flow_fields(np.asarray(flow_state, dtype=float), n,
-                                       dofs, N, gx, gy)[:5]
+        (ux,), (uy,), _ = flow_fields(np.asarray(flow_state, dtype=float), n, blk, N)
         d.add(dofs, N * (w * rho * ux)[:, None])
         d.add(dofs + n, N * (w * rho * uy)[:, None])
         d.add(dofs + 2 * n, N * w[:, None])

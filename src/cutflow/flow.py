@@ -22,7 +22,10 @@ and C_q the trial rows (3 tests x 3 row blocks [ux, uy, p] x 12 trial
 entries), and the block of a piece (or of a run of chords with equal dofs)
 is sum_q w_q T_q^T C_q, which forms.piece_blocks sums for every assembler.
 The ghost penalties go through forms.ghost_jumps, the species and indicator
-ghost's kernel too. No per-point block is formed.
+ghost's kernel too. No per-point block is formed. Every term reads its
+points from one of the context's point tables (a volume batch is a take of
+the volume table, a condition set one of the surface table), and every
+field value at the points comes from the table (forms.field_at).
 
 The stabilization time scale tau is evaluated from the current state and
 differentiated exactly. The velocity-dependent penalty factors (Nitsche
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import (Scatter, Triplets, basis_tables, ghost_jumps, piece_blocks,
-                    prescribed, projector)
+from .forms import (Scatter, Triplets, basis_tables, field_at, ghost_jumps, prescribed,
+                    projector)
 from .solve import STEADY_SLOT
 
 GALERKIN = "galerkin"
@@ -115,7 +118,7 @@ def assemble_flow(ctx, params, state, coeff_state=None, slot=STEADY,
 
     hist = slot.hist if slot.hist is not None else np.zeros(3 * n)
 
-    if ctx.vol_w is not None and ctx.vol_w.shape[0]:
+    if ctx.volume.nq:
         _volume_terms(ctx, params, U, hist, slot, psibar, terms, R, tri)
 
     blk = ctx.conditions["velocity"]
@@ -131,7 +134,7 @@ def assemble_flow(ctx, params, state, coeff_state=None, slot=STEADY,
         r[:, 4:8] = -blk.N * that[:, 1:2]
         R.add(block_dofs(blk.dofs, n), r * blk.w[:, None])
 
-    if GHOST in terms and ctx.ghost is not None and ctx.ghost.nq:
+    if GHOST in terms and ctx.ghost.nq:
         gamma_vel, gamma_p = _ghost_gammas(ctx, params, Uc)
         ghost_jumps(ctx, U, ((gamma_vel, (0, 1)), (gamma_p, (2,))), R, tri)
 
@@ -139,32 +142,30 @@ def assemble_flow(ctx, params, state, coeff_state=None, slot=STEADY,
     return R.total(), J
 
 
-def flow_fields(U, n, dofs, N, gx, gy):
-    """Element values (ux, uy, p) and, at the points, ux, uy, p and the
-    velocity gradient (d_x ux, d_y ux, d_x uy, d_y uy)."""
-    uxe = U[0:n][dofs]
-    uye = U[n:2 * n][dofs]
-    pe = U[2 * n:3 * n][dofs]
-    return (uxe, uye, pe, (N * uxe).sum(1), (N * uye).sum(1), (N * pe).sum(1),
-            (gx * uxe).sum(1), (gy * uxe).sum(1), (gx * uye).sum(1), (gy * uye).sum(1))
+def flow_fields(U, n, blk, *bases):
+    """ux, uy and p at the points of a point table, each a tuple of its
+    values under the basis tables bases (default N, d_x N, d_y N: its
+    values and gradient)."""
+    return tuple(blk.at(U[f * n:(f + 1) * n], *bases) for f in range(3))
 
 
 def _volume_terms(ctx, params, U, hist, slot, psibar, terms, R, tri):
     """Volume terms, with the Jacobian in batches of VOLUME_BATCH points
     (its trial rows C and their per-piece gathers are the largest arrays of
     an assembly); the residual alone takes one batch."""
-    nq = ctx.vol_w.shape[0]
+    nq = ctx.volume.nq
     for pts in _batches(nq, nq if tri is None else VOLUME_BATCH):
         _volume_batch(ctx, params, U, hist, slot,
-                      None if psibar is None else psibar[pts], terms, R, tri, pts)
+                      None if psibar is None else psibar[pts], terms, R, tri,
+                      ctx.volume.take(pts))
 
 
 def _batches(nq, step):
     return (slice(start, start + step) for start in range(0, nq, step))
 
 
-def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, pts):
-    """Volume residual and Jacobian of one batch of points.
+def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, blk):
+    """Volume residual and Jacobian of one batch of points, blk.
 
     Every Jacobian term pairs a test function N_a, d_x N_a or d_y N_a with a
     trial row (the SUPG test u.grad N_a and the PSPG test grad N_a . S fold
@@ -175,20 +176,17 @@ def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, pts):
     """
     n = ctx.n
     rho, mu = params.rho, params.mu
-    N, gx, gy, d2 = ctx.vol_N[pts], ctx.vol_gx[pts], ctx.vol_gy[pts], ctx.vol_d2[pts]
-    dofs = ctx.vol_dofs[pts]
-    W = ctx.vol_w[pts]
-    nq = W.shape[0]
+    N, gx, gy, dofs, W = blk.N, blk.gx, blk.gy, blk.dofs, blk.w
+    d2 = np.array([1.0, -1.0, 1.0, -1.0]) / (ctx.h * ctx.h)  # d2N/dxdy, one row
+    nq = blk.nq
     want_j = tri is not None
 
-    uxe, uye, pe, ux, uy, p, uxx, uxy, uyx, uyy = flow_fields(U, n, dofs, N, gx, gy)
-    px = (gx * pe).sum(1)
-    py = (gy * pe).sum(1)
-    d2x = (d2 * uxe).sum(1)  # d2(ux)/dxdy
-    d2y = (d2 * uye).sum(1)
+    ux, uxx, uxy, d2x = blk.at(U[0:n], N, gx, gy, d2)  # d2x = d2(ux)/dxdy
+    uy, uyx, uyy, d2y = blk.at(U[n:2 * n], N, gx, gy, d2)
+    p, px, py = blk.at(U[2 * n:3 * n])
 
-    hx = (N * hist[0:n][dofs]).sum(1)
-    hy = (N * hist[n:2 * n][dofs]).sum(1)
+    hx = blk.at(hist[0:n], N)[0]
+    hy = blk.at(hist[n:2 * n], N)[0]
     alpha = slot.alpha
     utx = alpha * ux + hx
     uty = alpha * uy + hy
@@ -203,7 +201,7 @@ def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, pts):
     udotgN = ux[:, None] * gx + uy[:, None] * gy
     if want_j:
         # trial rows with the points last: C[test, row block, trial entry]
-        NT, gxT, gyT, T = basis_tables(N, gx, gy)
+        NT, gxT, gyT, T = basis_tables(blk)
         C = np.zeros((3, 3, 12, nq))
         aN = alpha * NT + ux * gxT + uy * gyT  # (alpha + u.grad) N_b
         dSx_dux = rho * (aN + uxx * NT)
@@ -245,7 +243,7 @@ def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, pts):
         r[:, Y] += tau[:, None] * udotgN * Sy[:, None]
         r[:, P] += (tau / rho)[:, None] * (gx * Sx[:, None] + gy * Sy[:, None])
         if want_j:
-            d2T = np.ascontiguousarray(d2.T)
+            d2T = d2[:, None]
             dSx_duy = rho * uxy * NT - mu * d2T
             dSy_dux = rho * uyx * NT - mu * d2T
             dtau_x = dtau_fac * ux * NT
@@ -270,14 +268,14 @@ def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, pts):
 
     R.add(dref, r * W[:, None])
     if want_j:
-        tri.add_pieces(T, C, W, "volume", ctx.vol_run[pts])
+        tri.add_pieces(T, C, blk)
 
 
 def _nitsche_gamma(ctx, params, blk, Uc):
     """Frozen Nitsche velocity penalty at surface quadrature points."""
     n = ctx.n
-    ucx = (blk.N * Uc[0:n][blk.dofs]).sum(1)
-    ucy = (blk.N * Uc[n:2 * n][blk.dofs]).sum(1)
+    ucx = blk.at(Uc[0:n], blk.N)[0]
+    ucy = blk.at(Uc[n:2 * n], blk.N)[0]
     uinf = np.maximum(np.abs(ucx), np.abs(ucy))
     return params.alpha_nitsche * (params.mu / ctx.h + params.rho * uinf / 6.0)
 
@@ -287,7 +285,7 @@ def traction_rows(mu, blk):
     rows over the corner state: (2, 12, nq), row j its component j and entry
     4 f + b its derivative by field f (ux, uy, p) at corner b. The traction
     is linear in the state, so the rows give its value too."""
-    NT, gxT, gyT, _ = basis_tables(blk.N, blk.gx, blk.gy)
+    NT, gxT, gyT, _ = basis_tables(blk)
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
     gnT = nx * gxT + ny * gyT
     # 2 mu d(eps n)_x/dux_b = mu (grad N_b . n + nx d_x N_b), /duy_b = mu ny d_x N_b, ...
@@ -307,7 +305,7 @@ def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, P, R, tri):
     nx, ny = nrm
     dofs = blk.dofs
 
-    _, _, _, ux, uy, p, uxx, uxy, uyx, uyy = flow_fields(U, n, dofs, N, gx, gy)
+    (ux, uxx, uxy), (uy, uyx, uyy), (p, _, _) = flow_fields(U, n, blk)
     exy = 0.5 * (uxy + uyx)
     # P (-sigma n) and P (u - uhat)
     Ptn = (P * np.stack([p * nx - 2 * mu * (uxx * nx + exy * ny),
@@ -322,7 +320,7 @@ def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, P, R, tri):
                        + [bp * N * (nrm * Pdu).sum(0)[:, None]], axis=1)
     R.add(block_dofs(dofs, n), r * blk.w[:, None])
     if tri is not None:
-        NT, _, _, T = basis_tables(N, gx, gy)
+        NT, _, _, T = basis_tables(blk)
         C = np.zeros((3, 3, 12, blk.nq))
         # test N_a: consistency -(P sigma n)_i, penalty gamma (P u)_i and,
         # on the pressure rows, the pressure adjoint bp n . P u
@@ -333,7 +331,7 @@ def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, P, R, tri):
         # grad N_a . P u), whose trial rows are -mu (n_k P_ij + n_i P_kj) N_b
         V = nrm[:, None, None] * P[None] + nrm[None, :, None] * P[:, None]
         C[1:, :2, :8] = ((-mu * V)[:, :, :, None] * NT).reshape(2, 2, 8, -1)
-        tri.add_pieces(T, C, blk.w, "surface", blk.run)
+        tri.add_pieces(T, C, blk)
 
 
 def _ghost_gammas(ctx, params, Uc):
@@ -342,13 +340,10 @@ def _ghost_gammas(ctx, params, Uc):
     n = ctx.n
     g = ctx.ghost
     h = ctx.h
-    # frozen convective / inf-norm velocities from the coefficient state
-    uc1x = (g.N1 * Uc[0:n][g.dofs1]).sum(1)
-    uc1y = (g.N1 * Uc[n:2 * n][g.dofs1]).sum(1)
-    uc2x = (g.N2 * Uc[0:n][g.dofs2]).sum(1)
-    uc2y = (g.N2 * Uc[n:2 * n][g.dofs2]).sum(1)
-    ucx = 0.5 * (uc1x + uc2x)
-    ucy = 0.5 * (uc1y + uc2y)
+    # frozen convective / inf-norm velocities from the coefficient state,
+    # the mean of both sides
+    ucx, ucy = (0.5 * (field_at(u, g.dofs1, g.N1)[0] + field_at(u, g.dofs2, g.N2)[0])
+                for u in (Uc[0:n], Uc[n:2 * n]))
     un = ucx * g.normal[:, 0] + ucy * g.normal[:, 1]
     uinf = np.maximum(np.abs(ucx), np.abs(ucy))
 
@@ -367,13 +362,12 @@ def flow_time_matrix(ctx, params, state, slot=STEADY):
     n = ctx.n
     rho = params.rho
     tri = Triplets()
-    nq = 0 if ctx.vol_w is None else ctx.vol_w.shape[0]
     U = np.asarray(state, dtype=float)
-    for pts in _batches(nq, VOLUME_BATCH):
-        N, dofs = ctx.vol_N[pts], ctx.vol_dofs[pts]
-        NT, _, _, T = basis_tables(N, ctx.vol_gx[pts], ctx.vol_gy[pts])
-        ux = (N * U[0:n][dofs]).sum(1)
-        uy = (N * U[n:2 * n][dofs]).sum(1)
+    for pts in _batches(ctx.volume.nq, VOLUME_BATCH):
+        blk = ctx.volume.take(pts)
+        NT, _, _, T = basis_tables(blk)
+        ux = blk.at(U[0:n], blk.N)[0]
+        uy = blk.at(U[n:2 * n], blk.N)[0]
         tau, _ = _tau(params, slot, ux * ux + uy * uy, ctx.h)
         # Galerkin rho N_a N_b and SUPG rho tau (u.grad N_a) N_b on the
         # velocity rows, PSPG tau grad N_a N_b on the pressure rows
@@ -384,7 +378,7 @@ def flow_time_matrix(ctx, params, state, slot=STEADY):
             C[1, b, rows] = rho * tau * ux * NT
             C[2, b, rows] = rho * tau * uy * NT
             C[1 + b, 2, rows] = tau * NT
-        tri.add_pieces(T, C, ctx.vol_w[pts], "volume", ctx.vol_run[pts])
+        tri.add_pieces(T, C, blk)
     return tri.matrix(ctx, (3 * n, 3 * n))
 
 
@@ -393,16 +387,15 @@ def flow_indicator_jacobian(ctx, params, state, psi, indicator_params):
     k p proj'(psi) N_a N_b on the pressure rows."""
     n = ctx.n
     tri = Triplets()
-    if ctx.vol_w is not None and ctx.vol_w.shape[0]:
-        U = np.asarray(state, dtype=float)
-        N, dofs = ctx.vol_N, ctx.vol_dofs
-        psi_q = (N * np.asarray(psi, dtype=float)[dofs]).sum(1)
-        p = (N * U[2 * n:3 * n][dofs]).sum(1)
+    vol = ctx.volume
+    if vol.nq:
+        psi_q = vol.at(np.asarray(psi, dtype=float), vol.N)[0]
+        p = vol.at(np.asarray(state, dtype=float)[2 * n:3 * n], vol.N)[0]
         kw, kt, pinf = (indicator_params.k_sharpness, indicator_params.k_threshold,
                         indicator_params.psi_ref)
         th = np.tanh(kw * (psi_q - kt * pinf))
         dproj = 0.5 * kw * (1.0 - th * th)
-        NT = np.ascontiguousarray(N.T)
+        NT = np.ascontiguousarray(vol.N.T)
         C = (params.k_pressure * p * dproj * NT)[None, None]
-        tri.add("volume", *piece_blocks(NT[None], C, ctx.vol_w, ctx.vol_run), (2,), (0,))
+        tri.add_pieces(NT[None], C, vol, (2,), (0,))
     return tri.matrix(ctx, (3 * n, n))

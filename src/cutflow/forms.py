@@ -11,37 +11,47 @@ This is the only module that knows a quadrature rule: uncut fluid
 elements take the tensor 2x2 Gauss rule, subcell triangles the 3-point
 edge-midpoint rule, and interface chords, boundary edge covers and ghost
 facets the 2-point Gauss rule. One routine, `_assemble_context`, turns
-quadrature rows, chords and ghost pairs into a context, whose one surface
-table holds the interface chords and then each region's. This module
-alone maps regions to conditions (`IntegrationContext.conditions`,
-`prescribed`, `projector`): the condition kinds are velocity (the
-interface, velocity regions and symmetry regions, whose velocity condition
-is projected on the normal), traction, species and port. `build_context`
-feeds it the whole cut model; `element_context` feeds it a batch of
-elements re-cut at perturbed corner values by one `decompose_cells` call,
-with the enrichment frozen: one stacked context in which each re-cut owns
-a disjoint block of dofs, which backs the semi-analytic geometric
+quadrature rows, chords and ghost pairs into a context with three point
+tables, each possibly empty: the volume and surface tables are one type,
+`PointTable` (per point its weight, element, dofs, N, d_x N, d_y N and
+run; on the surface also its position, normal and region), and the ghost
+facets a two-sided `GhostBlock`. The surface table holds the interface
+chords and then each region's; its region slices (`surface_part`), its
+condition sets and the volume batches of an assembly are all `take`s of
+a table. A field's values and gradients at a table's points come from
+one routine, `field_at` (`PointTable.at`): one gather of the field, then
+(basis * u[dofs]).sum(1) per basis table. This module alone maps regions
+to conditions (`IntegrationContext.conditions`, `prescribed`,
+`projector`): the condition kinds are velocity (the interface, velocity
+regions and symmetry regions, whose velocity condition is projected on
+the normal), traction, species and port. `build_context` feeds it the
+whole cut model; `element_context` feeds it a batch of elements re-cut at
+perturbed corner values by one `decompose_cells` call, with the
+enrichment frozen: one stacked context in which each re-cut owns a
+disjoint block of dofs, which backs the semi-analytic geometric
 sensitivities. At the stored level set an element's rows are bitwise the
 global context's rows of that element.
 
 It also owns the one path from terms to vectors and CSR matrices. Each
-context numbers the runs of its point tables once (a run is a piece: the
-points of one volume piece, the chords of one surface region in one
-element, the points of one ghost facet) and builds its scalar sparsity
-once (`Sparsity`): the dof pairs of every run, counted into CSR order
-without a sort, since cut numbers dofs by node, then level, and every
-pair lies within a 5x5 node stencil. `piece_blocks` sums w_q T_q^T C_q
-per run from a test table T and trial rows C, `ghost_jumps` is the
-face-oriented jump penalty of every field, `Triplets` turns the blocks,
-each naming the fields it couples, into a CSR matrix whose structure and
-triplet slots are index arithmetic on the sparsity, and `Scatter` sums a
-residual's terms by one bincount.
+table numbers its runs once (a run is a piece: the points of one volume
+piece, the chords of one surface region in one element, the points of
+one ghost facet), and a context counts its scalar sparsity on its first
+matrix (`Sparsity`; a stacked context that only assembles residuals never
+does): the dof pairs of every run, counted into CSR order without a sort,
+since cut numbers dofs by node, then level, and every pair lies within a
+5x5 node stencil. `piece_blocks` sums w_q T_q^T C_q per run from a test
+table T and trial rows C, `ghost_jumps` is the face-oriented jump penalty
+of every field, `Triplets` turns the blocks, each naming the table and
+fields it couples, into a CSR matrix whose structure and triplet slots
+are index arithmetic on the sparsity, and `Scatter` sums a residual's
+terms by one bincount.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,7 +67,7 @@ _G2X2 = np.array([[gx, gy] for gy in _G2 for gx in _G2])
 
 
 def shape_q1(mesh, elems, x):
-    """N, dN/dx, dN/dy, d2N/dxdy of the 4 corner bases at physical points.
+    """N, dN/dx, dN/dy of the 4 corner bases at physical points.
 
     Valid also outside the element (polynomial extension).
     """
@@ -66,12 +76,10 @@ def shape_q1(mesh, elems, x):
     h = mesh.h
     xi = (x[:, 0] - origin[:, 0]) / h
     eta = (x[:, 1] - origin[:, 1]) / h
-    one = np.ones_like(xi)
     N = np.stack([(1 - xi) * (1 - eta), xi * (1 - eta), xi * eta, (1 - xi) * eta], axis=1)
     gx = np.stack([-(1 - eta), (1 - eta), eta, -eta], axis=1) / h
     gy = np.stack([-(1 - xi), -xi, xi, (1 - xi)], axis=1) / h
-    d2 = np.stack([one, -one, one, -one], axis=1) / (h * h)
-    return N, gx, gy, d2
+    return N, gx, gy
 
 
 def triangle_rule(tris):
@@ -113,34 +121,54 @@ def _takes(region, kind):
             "velocity": region.kind in ("velocity", "symmetry")}.get(kind, region.kind == kind)
 
 
-@dataclass
-class SurfaceBlock:
-    """Batched surface quadrature with basis tables."""
+def field_at(u, dofs, *bases):
+    """The one evaluation of a field at quadrature points: u (one value per
+    dof) gathered once at the points' corner dofs (nq, b), then
+    (B * u[dofs]).sum(1) for each basis table B (nq, b) or constant row
+    (b,)."""
+    ue = u[dofs]
+    return tuple((B * ue).sum(1) for B in bases)
 
-    x: np.ndarray
-    w: np.ndarray
-    elem: np.ndarray
-    dofs: np.ndarray
-    normal: np.ndarray
-    N: np.ndarray
+
+@dataclass
+class PointTable:
+    """A batch of quadrature points with their basis tables: a context's
+    volume or surface table, or a take of one (a condition set, a region's
+    slice, a batch of volume points)."""
+
+    name: str  # the sparsity table its runs number: 'volume' or 'surface'
+    w: np.ndarray  # (nq,)
+    elem: np.ndarray  # (nq,)
+    dofs: np.ndarray  # (nq, 4) corner dofs in the context's numbering
+    N: np.ndarray  # (nq, 4) bases, and their x and y derivatives
     gx: np.ndarray
     gy: np.ndarray
-    region: np.ndarray  # per point: index into the context's regions, -1 on the interface
-    run: np.ndarray = None  # per point: its run in the context's surface runs
+    run: np.ndarray  # per point: its run in the table's runs
+    x: np.ndarray = None  # (nq, 2) on the surface, which prescribed data read
+    normal: np.ndarray = None  # (nq, 2) on the surface
+    # per surface point: index into the context's regions, -1 on the interface
+    region: np.ndarray = None
 
     @property
     def nq(self):
         return self.w.shape[0]
 
     def take(self, rows):
-        """The block of the points rows (a slice or an index array)."""
-        return SurfaceBlock(*(getattr(self, f.name)[rows] for f in fields(self)))
+        """The table of the points rows (a slice or an index array)."""
+        return PointTable(*(v if v is None or isinstance(v, str) else v[rows]
+                            for v in (getattr(self, f.name) for f in fields(self))))
+
+    def at(self, u, *bases):
+        """u (one value per dof) at the points under each basis table, by
+        default N, d_x N and d_y N: its values and gradient (field_at)."""
+        return field_at(u, self.dofs, *(bases or (self.N, self.gx, self.gy)))
 
 
 @dataclass
 class GhostBlock:
     """Full-facet jump quadrature for the face-oriented penalties."""
 
+    name: str  # 'ghost', the sparsity table its runs number
     w: np.ndarray  # (nq,)
     normal: np.ndarray  # (nq, 2)
     dofs: np.ndarray  # (nq, 8) the lower element's corner dofs, then the upper's
@@ -150,7 +178,7 @@ class GhostBlock:
     N2: np.ndarray
     gn1: np.ndarray  # (nq, 4) normal gradient of side-1 bases
     gn2: np.ndarray
-    run: np.ndarray = None  # per point: its ghost run (one per facet pair)
+    run: np.ndarray  # per point: its ghost run (one per facet pair)
 
     @property
     def nq(self):
@@ -159,26 +187,30 @@ class GhostBlock:
 
 @dataclass
 class IntegrationContext:
-    """All quadrature/basis data one geometry needs for assembly."""
+    """All quadrature/basis data one geometry needs for assembly: three
+    point tables, each possibly empty."""
 
     n: int  # scalar dofs in this context's numbering
     scalar_ids: np.ndarray  # local -> global scalar dof (identity for global ctx)
     h: float
-    # fluid volume
-    vol_w: np.ndarray = None
-    vol_elem: np.ndarray = None
-    vol_dofs: np.ndarray = None
-    vol_N: np.ndarray = None
-    vol_gx: np.ndarray = None
-    vol_gy: np.ndarray = None
-    vol_d2: np.ndarray = None
-    vol_run: np.ndarray = None  # per point: its run in the context's volume runs
-    surface: SurfaceBlock = None  # the interface, then each region in order
+    volume: PointTable  # the fluid volume
+    surface: PointTable  # the interface, then each region in order
+    ghost: GhostBlock  # the ghost facets
     regions: tuple = ()  # BoundaryRegion per surface region index
     conditions: dict = field(default_factory=dict)  # condition kind -> its surface points
-    ghost: GhostBlock = None
     owner: np.ndarray = None  # stacked re-cut contexts: local dof -> batch row
-    sparsity: Sparsity = field(default=None, repr=False, compare=False)  # built with it
+    cm: CutModel = field(default=None, repr=False, compare=False)  # whose dofs scalar_ids names
+
+    @cached_property
+    def sparsity(self):
+        """The scalar CSR pattern of the runs of the three tables, counted
+        on the context's first matrix: a context whose assemblies are all
+        residuals never counts it."""
+        cm, ids = self.cm, self.scalar_ids
+        runs = {t.name: t.dofs[_run_starts(t.run)] for t in (self.volume, self.surface,
+                                                                self.ghost)}
+        return Sparsity.count(cm.dof_node[ids], cm.dof_level[ids], cm.mesh.divisions[0] + 1,
+                              runs)
 
     def surface_part(self, name):
         """The slice of the surface table on the interface ('interface') or on
@@ -275,23 +307,29 @@ def _ghost_block(mesh, facets, dofs):
     normal = np.repeat(mesh.facet_normals[facets], 2, axis=0)
     e1, e2 = (np.repeat(mesh.facet_elems[facets, k], 2) for k in (0, 1))
     dofs = np.repeat(dofs.reshape(-1, 8), 2, axis=0)
-    N1, gx1, gy1, _ = shape_q1(mesh, e1, x)
-    N2, gx2, gy2, _ = shape_q1(mesh, e2, x)
+    N1, gx1, gy1 = shape_q1(mesh, e1, x)
+    N2, gx2, gy2 = shape_q1(mesh, e2, x)
     gn1 = gx1 * normal[:, :1] + gy1 * normal[:, 1:]
     gn2 = gx2 * normal[:, :1] + gy2 * normal[:, 1:]
-    return GhostBlock(w=w, normal=normal, dofs=dofs, dofs1=dofs[:, :4], dofs2=dofs[:, 4:],
-                      N1=N1, N2=N2, gn1=gn1, gn2=gn2)
+    return GhostBlock("ghost", w, normal, dofs, dofs[:, :4], dofs[:, 4:], N1, N2, gn1, gn2,
+                      _runs(dofs))
 
 
 def _runs(dofs, seam=None):
     """Per point, its run id: a run is a stretch of points with equal dofs
-    (nq, b), and equal seam keys (nq,) when given. Returns (run, dofs of
-    each run)."""
+    (nq, b), and equal seam keys (nq,) when given."""
     new = np.ones(dofs.shape[0], dtype=bool)
     new[1:] = (dofs[1:] != dofs[:-1]).any(1)
     if seam is not None:
         new[1:] |= seam[1:] != seam[:-1]
-    return np.cumsum(new) - 1, dofs[new]
+    return np.cumsum(new) - 1
+
+
+def _run_starts(run):
+    """The first point of each run (or part of a run) in run ids (nq,)."""
+    new = np.ones(run.shape[0], dtype=bool)
+    new[1:] = run[1:] != run[:-1]
+    return np.flatnonzero(new)
 
 
 @dataclass
@@ -306,7 +344,7 @@ class Runs:
 
 @dataclass
 class Sparsity:
-    """The scalar CSR pattern of a context, built once with it: every dof
+    """The scalar CSR pattern of a context, counted once: every dof
     pair of a volume, surface or ghost run, rows sorted, columns sorted per
     row, with bits that say which pairs lie in a volume run and which come
     from a ghost facet. Triplets.matrix takes the structure of every matrix
@@ -358,45 +396,35 @@ class Sparsity:
         return cls(indptr, indices, volume, ghost, runs)
 
 
-def _assemble_context(cm, scalar_ids, volume, interface, covers, regions,
-                      ghost=None, owner=None):
+def _assemble_context(cm, scalar_ids, volume, interface, covers, regions, ghost,
+                      owner=None):
     """The one builder of an IntegrationContext.
 
     volume holds the fluid quadrature rows (x, w, elem, dofs); the surface
     table takes the 2-point Gauss rule on the interface chords (elem, dofs,
     a, b, normal) and then on each region's clip of the boundary covers
     (elem, dofs, edge, t); ghost holds the (facets, dofs) of the ghost
-    pairs (none, or no pairs: no ghost block).
-    Dofs are already in the context's numbering, scalar_ids[dof] being the
-    global scalar dof of cm. The runs of each point table and the scalar
-    sparsity are built here, once.
+    pairs, possibly none. Dofs are already in the context's numbering,
+    scalar_ids[dof] being the global scalar dof of cm. The runs of each
+    point table are numbered here, once.
     """
     mesh = cm.mesh
-    ctx = IntegrationContext(n=len(scalar_ids), scalar_ids=scalar_ids, h=mesh.h,
-                             regions=tuple(regions), owner=owner)
-    ctx.vol_w, ctx.vol_elem, ctx.vol_dofs = volume[1:]
-    ctx.vol_N, ctx.vol_gx, ctx.vol_gy, ctx.vol_d2 = shape_q1(mesh, ctx.vol_elem, volume[0])
+    x, w, elem, dofs = volume
+    volume = PointTable("volume", w, elem, dofs, *shape_q1(mesh, elem, x), _runs(dofs))
     chords = [interface] + [_boundary_chords(mesh, region, covers) for region in regions]
     region = np.repeat(np.arange(-1, len(regions)), [2 * c[0].shape[0] for c in chords])
     elem, dofs, a, b, normal = (np.concatenate(part) for part in zip(*chords))
     x, w = segment_rule(a, b)
     elem = np.repeat(elem, 2)
     dofs = np.repeat(dofs, 2, axis=0)
-    ctx.surface = SurfaceBlock(x, w, elem, dofs, np.repeat(normal, 2, axis=0),
-                               *shape_q1(mesh, elem, x)[:3], region)
-    runs = {}
-    ctx.vol_run, runs["volume"] = _runs(ctx.vol_dofs)
-    ctx.surface.run, runs["surface"] = _runs(dofs, region)
+    surface = PointTable("surface", w, elem, dofs, *shape_q1(mesh, elem, x),
+                         _runs(dofs, region), x, np.repeat(normal, 2, axis=0), region)
+    ctx = IntegrationContext(len(scalar_ids), scalar_ids, mesh.h, volume, surface,
+                             _ghost_block(mesh, *ghost), tuple(regions), owner=owner, cm=cm)
     for kind in _CONDITIONS:
         # indexed by region index; the last entry, -1, is the interface
         member = np.array([_takes(r, kind) for r in regions] + [kind == "velocity"])
-        ctx.conditions[kind] = ctx.surface.take(np.flatnonzero(member[region]))
-    runs["ghost"] = np.zeros((0, 8), dtype=np.int64)
-    if ghost is not None and ghost[0].size:
-        ctx.ghost = _ghost_block(mesh, *ghost)
-        ctx.ghost.run, runs["ghost"] = _runs(ctx.ghost.dofs)
-    ctx.sparsity = Sparsity.count(cm.dof_node[scalar_ids], cm.dof_level[scalar_ids],
-                                  mesh.divisions[0] + 1, runs)
+        ctx.conditions[kind] = surface.take(np.flatnonzero(member[region]))
     return ctx
 
 
@@ -469,7 +497,8 @@ def element_context(cm: CutModel, elems, phi4s, regions=()):
                  cuts.seg_b, cuts.seg_normal)
     cp, edge, t = fluid_covers(cuts, np.zeros(cuts.cell.shape[0], dtype=bool))
     covers = (elems[piece_row[cp]], piece_dofs[cp], edge, t)
-    ctx = _assemble_context(cm, scalar_ids, volume, interface, covers, regions,
+    no_pairs = (np.zeros(0, dtype=np.int64), np.zeros((0, 2, 4), dtype=np.int64))
+    ctx = _assemble_context(cm, scalar_ids, volume, interface, covers, regions, no_pairs,
                             owner=owner)
     return ctx, invalid
 
@@ -477,10 +506,10 @@ def element_context(cm: CutModel, elems, phi4s, regions=()):
 # -- Jacobian blocks -> CSR ----------------------------------------------------
 
 
-def basis_tables(N, gx, gy):
-    """Per-point basis values N, gx, gy (nq, b) as trial-side rows (b, nq),
-    and the test table T = [N; gx; gy] (3, b, nq) of piece_blocks."""
-    NT, gxT, gyT = (np.ascontiguousarray(a.T) for a in (N, gx, gy))
+def basis_tables(blk):
+    """The basis values N, gx, gy (nq, b) of a point table as trial-side rows
+    (b, nq), and the test table T = [N; gx; gy] (3, b, nq) of piece_blocks."""
+    NT, gxT, gyT = (np.ascontiguousarray(a.T) for a in (blk.N, blk.gx, blk.gy))
     return NT, gxT, gyT, np.stack([NT, gxT, gyT])
 
 
@@ -500,9 +529,7 @@ def piece_blocks(T, C, w, run):
     k, m, c, nq = C.shape
     b = T.shape[1]
     C *= w
-    new = np.ones(nq, dtype=bool)
-    new[1:] = run[1:] != run[:-1]
-    starts = np.flatnonzero(new)
+    starts = _run_starts(run)
     count = np.diff(starts, append=nq)
     # points-first views; the gathers below are the one transpose
     Cq, Tq = C.reshape(k * m * c, nq).T, T.transpose(2, 0, 1)
@@ -533,10 +560,10 @@ def ghost_jumps(ctx, U, groups, R, tri):
             facets, blocks = piece_blocks(T, (gamma * T)[None], g.w, g.run)
         for f in fields:
             u = U[f * n:(f + 1) * n]
-            jump = (g.gn1 * u[g.dofs1]).sum(1) - (g.gn2 * u[g.dofs2]).sum(1)
+            jump = field_at(u, g.dofs1, g.gn1)[0] - field_at(u, g.dofs2, g.gn2)[0]
             R.add(g.dofs + f * n, gvec * (gamma * jump)[:, None] * g.w[:, None])
             if tri is not None:
-                tri.add("ghost", facets, blocks, (f,), (f,))
+                tri.add(g.name, facets, blocks, (f,), (f,))
 
 
 class Scatter:
@@ -581,10 +608,13 @@ class Triplets:
     def add(self, table, runs, vals, rows, cols):
         self.blocks.append((table, runs, vals, tuple(rows), tuple(cols)))
 
-    def add_pieces(self, T, C, w, table, run):
-        """Add the per-run blocks of a trial table C (piece_blocks) of a
-        square block: row block f and its trial entries on field f."""
-        self.add(table, *piece_blocks(T, C, w, run), range(C.shape[1]), range(C.shape[1]))
+    def add_pieces(self, T, C, blk, rows=None, cols=None):
+        """Add the per-run blocks (piece_blocks) of a trial table C on the
+        points of a point table: row blocks rows and trial fields cols, by
+        default the square block of C's row blocks."""
+        square = range(C.shape[1])
+        self.add(blk.name, *piece_blocks(T, C, blk.w, blk.run), rows or square,
+                 cols or square)
 
     def matrix(self, ctx, shape):
         """The CSR matrix (shape a multiple of ctx.n) of the triplets."""

@@ -108,7 +108,7 @@ class ForwardModel:
         indicator psi (scalar dofs of ctx), and no psi means no penalty.
         """
         if self.physics.pressure_penalty_scope == "whole":
-            return np.ones(ctx.vol_w.shape[0])
+            return np.ones(ctx.volume.nq)
         if psi is None:
             return None
         return transport_mod.indicator_at_volume_points(ctx, psi, self.physics.indicator)

@@ -13,7 +13,10 @@ binary switch.
 The Jacobians are built as in the flow module: each term is a trial row C
 that multiplies one of the tests N_a, d_x N_a, d_y N_a (the SUPG test
 u.grad N_a folds into the gradient rows), summed per piece by
-forms.piece_blocks; the ghost penalty is forms.ghost_jumps.
+forms.piece_blocks; the ghost penalty is forms.ghost_jumps. The volume
+terms read the context's volume table, the Nitsche terms a condition set
+of its surface table, and every field value at the points (c, psi, the
+advecting velocity) comes from the table (forms.field_at).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import Scatter, Triplets, basis_tables, ghost_jumps, piece_blocks, prescribed
+from .forms import Scatter, Triplets, basis_tables, ghost_jumps, prescribed
 from .solve import factorize, lu_solve
 
 GALERKIN = "galerkin"
@@ -40,8 +43,9 @@ class TransportParams:
     source: float = 0.0  # volumetric species source
 
     def __post_init__(self):
-        if self.diffusivity <= 0:
+        if not self.diffusivity > 0:  # nan fails too
             raise ValueError("diffusivity must be positive")
+        _check_penalties(self)
 
 
 @dataclass
@@ -54,18 +58,20 @@ class IndicatorParams:
     k_threshold: float = 0.99
 
     def __post_init__(self):
-        if self.reaction <= 0 or self.k_sharpness <= 0:
+        if not (self.reaction > 0 and self.k_sharpness > 0):  # nan fails too
             raise ValueError("reaction and sharpness must be positive")
         if not 0.0 < self.k_threshold < 1.0:
             raise ValueError("projection threshold factor must be in (0, 1)")
+        # the projection threshold k_threshold psi_ref must lie above the
+        # zero that the ports pin
+        if not self.psi_ref > 0:
+            raise ValueError("psi_ref must be positive")
+        _check_penalties(self)
 
 
-def _volume_fields(ctx, c, U):
-    """grad c (cx, cy) and the velocity (ux, uy) at the volume points."""
-    n, N, dofs = ctx.n, ctx.vol_N, ctx.vol_dofs
-    ce = c[dofs]
-    return ((ctx.vol_gx * ce).sum(1), (ctx.vol_gy * ce).sum(1),
-            (N * U[0:n][dofs]).sum(1), (N * U[n:2 * n][dofs]).sum(1))
+def _check_penalties(params):
+    if not (params.alpha_nitsche >= 0 and params.alpha_gp >= 0):  # nan fails too
+        raise ValueError("penalty constants must be nonnegative")
 
 
 def _tau_species(params, speed2, h):
@@ -90,9 +96,11 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
     R = Scatter(n)
     tri = Triplets() if want_matrix else None
 
-    if ctx.vol_w is not None and ctx.vol_w.shape[0]:
-        N, gx, gy, dofs = ctx.vol_N, ctx.vol_gx, ctx.vol_gy, ctx.vol_dofs
-        cx, cy, ux, uy = _volume_fields(ctx, c, U)
+    vol = ctx.volume
+    if vol.nq:
+        N, gx, gy = vol.N, vol.gx, vol.gy
+        cx, cy = vol.at(c, gx, gy)
+        ux, uy = vol.at(U[0:n], N)[0], vol.at(U[n:2 * n], N)[0]
         adv = ux * cx + uy * cy
         udotgN = ux[:, None] * gx + uy[:, None] * gy
 
@@ -100,8 +108,8 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
         if want_matrix:
             # trial rows of the tests N_a, d_x N_a, d_y N_a, the SUPG test
             # u.grad N_a folded into the gradient rows
-            NT, gxT, gyT, T = basis_tables(N, gx, gy)
-            C = np.zeros((3, 1, 4, N.shape[0]))
+            NT, gxT, gyT, T = basis_tables(vol)
+            C = np.zeros((3, 1, 4, vol.nq))
             uT = ux * gxT + uy * gyT  # u.grad N_b
         if GALERKIN in terms:
             r += N * (adv - params.source)[:, None] \
@@ -118,16 +126,16 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
             if want_matrix:
                 C[1, 0] += tau * ux * uT
                 C[2, 0] += tau * uy * uT
-        R.add(dofs, r * ctx.vol_w[:, None])
+        R.add(vol.dofs, r * vol.w[:, None])
         if want_matrix:
-            tri.add_pieces(T, C, ctx.vol_w, "volume", ctx.vol_run)
+            tri.add_pieces(T, C, vol)
 
     blk = ctx.conditions["species"]
     if NITSCHE in terms and blk.nq:
         _scalar_nitsche(ctx, R, tri, blk, c, k, params.alpha_nitsche,
                         chat=prescribed(ctx, "species"))
 
-    if GHOST in terms and ctx.ghost is not None and ctx.ghost.nq:
+    if GHOST in terms and ctx.ghost.nq:
         ghost_jumps(ctx, c, ((params.alpha_gp * ctx.h * k, (0,)),), R, tri)
 
     J = tri.matrix(ctx, (n, n)) if want_matrix else None
@@ -139,9 +147,8 @@ def _scalar_nitsche(ctx, R, tri, blk, c, k, alpha, chat):
     constant or one value per point) on the points of blk."""
     N, gx, gy = blk.N, blk.gx, blk.gy
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
-    ce = c[blk.dofs]
-    cv = (N * ce).sum(1)
-    cn = ((gx * ce).sum(1) * nx + (gy * ce).sum(1) * ny)  # grad c . n
+    cv, cx, cy = blk.at(c)
+    cn = cx * nx + cy * ny  # grad c . n
     gnN = gx * nx[:, None] + gy * ny[:, None]
     dc = cv - chat
     pen = alpha / ctx.h
@@ -149,9 +156,9 @@ def _scalar_nitsche(ctx, R, tri, blk, c, k, alpha, chat):
     R.add(blk.dofs, r * blk.w[:, None])
     if tri is not None:
         # -k N_a grad N_b . n + k (grad N_a . n) N_b + pen N_a N_b
-        NT, gxT, gyT, T = basis_tables(N, gx, gy)
+        NT, gxT, gyT, T = basis_tables(blk)
         C = np.stack([pen * NT - k * (nx * gxT + ny * gyT), k * nx * NT, k * ny * NT])
-        tri.add_pieces(T, C[:, None], blk.w, "surface", blk.run)
+        tri.add_pieces(T, C[:, None], blk)
 
 
 def species_flow_jacobian(ctx, params, state, flow_state):
@@ -160,17 +167,18 @@ def species_flow_jacobian(ctx, params, state, flow_state):
     c = np.asarray(state, dtype=float)
     U = np.asarray(flow_state, dtype=float)
     tri = Triplets()
-    if ctx.vol_w is not None and ctx.vol_w.shape[0]:
-        N, gx, gy, dofs = ctx.vol_N, ctx.vol_gx, ctx.vol_gy, ctx.vol_dofs
-        cx, cy, ux, uy = _volume_fields(ctx, c, U)
+    vol = ctx.volume
+    if vol.nq:
+        cx, cy = vol.at(c, vol.gx, vol.gy)
+        ux, uy = vol.at(U[0:n], vol.N)[0], vol.at(U[n:2 * n], vol.N)[0]
         strong = ux * cx + uy * cy - params.source
         tau, dtau_fac = _tau_species(params, ux * ux + uy * uy, ctx.h)
 
         # trial rows over [ux, uy] columns: galerkin advection N_a grad c on
         # the N row; the SUPG test u.grad N_a times the tau and strong-residual
         # chains, and its own derivative tau strong grad N_a, on the gradient rows
-        NT, _, _, T = basis_tables(N, gx, gy)
-        C = np.zeros((3, 1, 8, N.shape[0]))
+        NT, _, _, T = basis_tables(vol)
+        C = np.zeros((3, 1, 8, vol.nq))
         X, Y = slice(0, 4), slice(4, 8)
         Vx = strong * dtau_fac * ux + tau * cx
         Vy = strong * dtau_fac * uy + tau * cy
@@ -180,7 +188,7 @@ def species_flow_jacobian(ctx, params, state, flow_state):
         C[2, 0, X] = uy * Vx * NT
         C[1, 0, Y] = ux * Vy * NT
         C[2, 0, Y] = (uy * Vy + tau * strong) * NT
-        tri.add("volume", *piece_blocks(T, C, ctx.vol_w, ctx.vol_run), (0,), (0, 1))
+        tri.add_pieces(T, C, vol, (0,), (0, 1))
     return tri.matrix(ctx, (n, 3 * n))
 
 
@@ -194,26 +202,23 @@ def assemble_indicator(ctx, params, state, want_matrix=True):
     psi = np.asarray(state, dtype=float)
     R = Scatter(n)
     tri = Triplets() if want_matrix else None
-    if ctx.vol_w is not None and ctx.vol_w.shape[0]:
-        N, gx, gy = ctx.vol_N, ctx.vol_gx, ctx.vol_gy
-        dofs = ctx.vol_dofs
-        pe = psi[dofs]
-        pv = (N * pe).sum(1)
-        px = (gx * pe).sum(1)
-        py = (gy * pe).sum(1)
+    vol = ctx.volume
+    if vol.nq:
+        N, gx, gy = vol.N, vol.gx, vol.gy
+        pv, px, py = vol.at(psi)
         r = gx * px[:, None] + gy * py[:, None] \
             - params.reaction * N * (pv - params.psi_ref)[:, None]
-        R.add(dofs, r * ctx.vol_w[:, None])
+        R.add(vol.dofs, r * vol.w[:, None])
         if want_matrix:
-            NT, gxT, gyT, T = basis_tables(N, gx, gy)
+            NT, gxT, gyT, T = basis_tables(vol)
             C = np.stack([-params.reaction * NT, gxT, gyT])
-            tri.add_pieces(T, C[:, None], ctx.vol_w, "volume", ctx.vol_run)
+            tri.add_pieces(T, C[:, None], vol)
 
     blk = ctx.conditions["port"]
     if blk.nq:
         _scalar_nitsche(ctx, R, tri, blk, psi, 1.0, params.alpha_nitsche, chat=0.0)
 
-    if ctx.ghost is not None and ctx.ghost.nq:
+    if ctx.ghost.nq:
         ghost_jumps(ctx, psi, ((params.alpha_gp * ctx.h, (0,)),), R, tri)
 
     J = tri.matrix(ctx, (n, n)) if want_matrix else None
@@ -253,7 +258,5 @@ def project_indicator(psi_values, params):
 
 def indicator_at_volume_points(ctx, psi, params):
     """Projected indicator evaluated at the context's volume points."""
-    if ctx.vol_w is None or not ctx.vol_w.shape[0]:
-        return np.zeros(0)
-    psi_q = (ctx.vol_N * np.asarray(psi, dtype=float)[ctx.vol_dofs]).sum(1)
-    return project_indicator(psi_q, params)
+    vol = ctx.volume
+    return project_indicator(vol.at(np.asarray(psi, dtype=float), vol.N)[0], params)

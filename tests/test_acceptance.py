@@ -133,7 +133,7 @@ def _bent_channel_mismatch(k_pressure, scope):
     n = ctx.n
     params = FlowParams(rho=1.0, mu=1.0, alpha_nitsche=100.0,
                         k_pressure=k_pressure)
-    nq = ctx.vol_w.shape[0]
+    nq = ctx.volume.nq
     if scope == "whole":
         psibar = np.ones(nq)
     else:
@@ -209,11 +209,11 @@ def test_acceptance_4_indicator_classification():
                     if cm.piece_phase[row] == FLUID and np.array_equal(
                             cm.piece_dofs[row], blk.dofs[q]):
                         reachable.add(int(cm.piece_region[row]))
-        for q in range(ctx.vol_w.shape[0]):
-            e = int(ctx.vol_elem[q])
+        for q in range(ctx.volume.nq):
+            e = int(ctx.volume.elem[q])
             row = next(r for r in np.flatnonzero(cm.piece_elem == e)
                        if cm.piece_phase[r] == FLUID
-                       and np.array_equal(cm.piece_dofs[r], ctx.vol_dofs[q]))
+                       and np.array_equal(cm.piece_dofs[r], ctx.volume.dofs[q]))
             count += 1
             if cm.piece_region[row] in reachable:
                 failures += psibar[q] > 0.001

@@ -65,7 +65,7 @@ def _context(kind):
         assert not invalid.any() and ctx.owner is not None
         return ctx
     ctx = build_context(cm, _regions(mesh))
-    assert (ctx.ghost is not None) == (kind != "uncut")
+    assert (ctx.ghost.nq > 0) == (kind != "uncut")
     s = ctx.sparsity
     if kind == "sliver":
         # fluid pieces too small for quadrature keep their chords, whose
@@ -159,7 +159,7 @@ def _check(ctx, built, no_sort, assemble, states):
                          ids=["all", "volume", "nitsche-ghost"])
 def test_flow_jacobian_plan(ctx, built, no_sort, terms):
     params = FlowParams(rho=1.0, mu=0.1)
-    psibar = np.linspace(0.0, 1.0, ctx.vol_w.shape[0])
+    psibar = np.linspace(0.0, 1.0, ctx.volume.nq)
     slot = bdf_slot(2, 0.1, [np.zeros(3 * ctx.n)] * 2)
     _check(ctx, built, no_sort, lambda U: assemble_flow(
         ctx, params, U, coeff_state=U, slot=slot, psibar=psibar, terms=terms),
@@ -204,7 +204,7 @@ def test_batched_volume_jacobian_matches_one_batch(ctx, monkeypatch):
     # the Jacobian's volume points go in batches of VOLUME_BATCH; batches
     # that split pieces give the same matrix and a bitwise equal residual
     params = FlowParams(rho=1.0, mu=0.1)
-    psibar = np.linspace(0.0, 1.0, ctx.vol_w.shape[0])
+    psibar = np.linspace(0.0, 1.0, ctx.volume.nq)
     U = _states(ctx, 3)[0]
 
     def assemble():
@@ -237,7 +237,7 @@ def _assemblers(ctx):
     params = FlowParams(rho=1.0, mu=0.1)
     U = _states(ctx, 3)[0]
     c = _states(ctx, 1)[0]
-    psibar = np.linspace(0.0, 1.0, ctx.vol_w.shape[0])
+    psibar = np.linspace(0.0, 1.0, ctx.volume.nq)
     bdf2 = bdf_slot(2, 0.1, [np.zeros(3 * ctx.n)] * 2)
     species = TransportParams(diffusivity=0.05, source=0.5)
     return {

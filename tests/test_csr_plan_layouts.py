@@ -26,7 +26,7 @@ def ctx():
         BoundaryRegion(name="outlet", side="right", kind="traction", port=True),
     ])
     ctx = build_context(build_cut_model(mesh, phi), regions)
-    assert ctx.ghost is not None
+    assert ctx.ghost.nq
     return ctx
 
 

@@ -237,7 +237,7 @@ def _circle_model(n=8, r=0.22):
 def test_quadrature_uncut_weights():
     m = _mesh(2)
     ctx = build_context(build_cut_model(m, -np.ones(m.n_nodes)), ())
-    wv = ctx.vol_w[ctx.vol_elem == 0]
+    wv = ctx.volume.w[ctx.volume.elem == 0]
     assert wv.sum() == pytest.approx(0.25, abs=1e-14)  # element area (h=1/2)
 
 
@@ -245,7 +245,7 @@ def test_quadrature_cut_weights_match_subcell_area():
     m, cm = _circle_model()
     ctx = build_context(cm, ())
     for e in np.nonzero(cm.classification == CUT)[0]:
-        wv = ctx.vol_w[ctx.vol_elem == e]
+        wv = ctx.volume.w[ctx.volume.elem == e]
         interface = ctx.surface_part("interface")
         ws = interface.w[interface.elem == e]
         fluid_area = cm.piece_area[(cm.piece_elem == e) & (cm.piece_phase == FLUID)].sum()
@@ -257,7 +257,7 @@ def test_quadrature_cut_weights_match_subcell_area():
 
 def test_global_fluid_volume_matches_quadrature():
     m, cm = _circle_model()
-    vol_w = build_context(cm, ()).vol_w
+    vol_w = build_context(cm, ()).volume.w
     assert abs(vol_w.sum() - cm.fluid_volume()) < 1e-12 * cm.fluid_volume()
 
 
@@ -275,7 +275,7 @@ def test_interface_normals_unit_and_toward_solid():
 def test_partition_of_unity_at_fluid_points():
     m, cm = _circle_model()
     ctx = build_context(cm, ())
-    np.testing.assert_allclose(ctx.vol_N.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(ctx.volume.N.sum(axis=1), 1.0, atol=1e-12)
 
 
 # --- enrichment ---------------------------------------------------------------

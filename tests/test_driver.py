@@ -378,7 +378,15 @@ def test_criterion_surface_may_name_a_wall(tmp_path):
     (("amplitude = 0.3", "amplitude = nan"), "not a finite number"),
     (("rho = 1.0", "rho = inf"), "not a finite number"),
     (("span = 0.0 0.4", "span = 0.0"), "span of region 'inlet' needs 2 numbers"),
-], ids=["k_pressure", "drag_direction", "span", "amplitude_nan", "rho_inf", "span_one_number"])
+    (("[design]", "[transport]\nalpha_gp = -1.0\n\n[design]"), "nonnegative"),
+    (("[design]", "[transport]\nalpha_nitsche = -5.0\n\n[design]"), "nonnegative"),
+    (("[design]", "[indicator]\nalpha_gp = -1.0\n\n[design]"), "nonnegative"),
+    (("[design]", "[indicator]\nalpha_nitsche = -2.0\n\n[design]"), "nonnegative"),
+    (("[design]", "[indicator]\npsi_ref = -1.0\n\n[design]"), "psi_ref must be positive"),
+    (("[design]", "[indicator]\npsi_ref = 0.0\n\n[design]"), "psi_ref must be positive"),
+], ids=["k_pressure", "drag_direction", "span", "amplitude_nan", "rho_inf", "span_one_number",
+        "transport_alpha_gp", "transport_alpha_nitsche", "indicator_alpha_gp",
+        "indicator_alpha_nitsche", "indicator_psi_ref", "indicator_psi_ref_zero"])
 def test_cli_bad_values_exit_2_before_any_solve(tmp_path, capsys, edit, message):
     path = _write(tmp_path, CHANNEL_CFG.replace(*edit))
     assert cli_main(["analyze", "--config", path, "--output", str(tmp_path / "o")]) == 2

@@ -63,10 +63,10 @@ def test_volume_galerkin_matches_independent_reintegration():
     # independent per-point quadrature of the same weak form
     R2 = np.zeros(3 * n)
     rho, mu = params.rho, params.mu
-    for q in range(ctx.vol_w.shape[0]):
-        N, gx, gy = ctx.vol_N[q], ctx.vol_gx[q], ctx.vol_gy[q]
-        d = ctx.vol_dofs[q]
-        w = ctx.vol_w[q]
+    for q in range(ctx.volume.nq):
+        N, gx, gy = ctx.volume.N[q], ctx.volume.gx[q], ctx.volume.gy[q]
+        d = ctx.volume.dofs[q]
+        w = ctx.volume.w[q]
         ux, uy, p = N @ U[d], N @ U[n + d], N @ U[2 * n + d]
         uxx, uxy = gx @ U[d], gy @ U[d]
         uyx, uyy = gx @ U[n + d], gy @ U[n + d]
@@ -173,7 +173,7 @@ def test_nitsche_inlet_matches_independent_integration():
         for gp, gw in zip(gpts, gwts):
             x = a + (0.5 + 0.5 * gp) * (b - a)
             w = 0.5 * np.linalg.norm(b - a) * gw
-            N, gx, gy, _ = shape_q1(mesh, np.array([e]), x[None, :])
+            N, gx, gy = shape_q1(mesh, np.array([e]), x[None, :])
             N, gx, gy = N[0], gx[0], gy[0]
             nx, ny = -1.0, 0.0
             ux, uy, p = N @ U[dofs], N @ U[n + dofs], N @ U[2 * n + dofs]
@@ -236,7 +236,7 @@ def test_nitsche_symmetry_matches_independent_integration():
         for gp, gw in zip(gpts, gwts):
             x = a + (0.5 + 0.5 * gp) * (b - a)
             w = 0.5 * np.linalg.norm(b - a) * gw
-            N, gx, gy, _ = shape_q1(mesh, np.array([e]), x[None, :])
+            N, gx, gy = shape_q1(mesh, np.array([e]), x[None, :])
             N, gx, gy = N[0], gx[0], gy[0]
             ux, uy, p = N @ U[dofs], N @ U[n + dofs], N @ U[2 * n + dofs]
             uxx, uxy = gx @ U[dofs], gy @ U[dofs]
@@ -313,7 +313,7 @@ def test_neumann_linear_traction_exact_edge_integral():
 def test_pressure_penalty_terms():
     mesh, cm, ctx, _ = _channel_ctx()
     n = ctx.n
-    nq = ctx.vol_w.shape[0]
+    nq = ctx.volume.nq
     P = 2.0
     U = linear_flow_state(cm, (0, 0, 0), (0, 0, 0), (P, 0, 0))
     params = FlowParams(rho=1, mu=0.1, k_pressure=0.7)
@@ -379,8 +379,8 @@ def test_ghost_single_facet_hand_integral():
         y = 0.5 + 0.5 * t
         w = 0.5 * wgt  # facet length 1
         x = np.array([[1.0, y]])
-        N1, gx1, _, _ = shape_q1(mesh, np.array([e1]), x)
-        N2, gx2, _, _ = shape_q1(mesh, np.array([e2]), x)
+        N1, gx1, _ = shape_q1(mesh, np.array([e1]), x)
+        N2, gx2, _ = shape_q1(mesh, np.array([e2]), x)
         g1, g2 = gx1[0], gx2[0]  # normal = +x
         uc = 0.5 * (N1[0] @ U[d1] + N2[0] @ U[d2]), \
             0.5 * (N1[0] @ U[n + d1] + N2[0] @ U[n + d2])

@@ -30,7 +30,7 @@ def ctx():
         BoundaryRegion(name="lid", side="top", kind="symmetry", species_value=0.5),
     ])
     ctx = build_context(build_cut_model(mesh, phi), regions)
-    assert ctx.surface_part("interface").nq and ctx.ghost is not None
+    assert ctx.surface_part("interface").nq and ctx.ghost.nq
     return ctx
 
 

@@ -10,6 +10,7 @@ from cutflow.cut import CUT, FLUID
 from cutflow.design import DesignVector
 from cutflow.errors import SolverError
 from cutflow import flow as flow_mod
+from cutflow import forms
 from cutflow import transport as transport_mod
 from cutflow.forms import element_context
 from cutflow.sensitivities import (_recut_partials, adjoint_transient,
@@ -105,6 +106,27 @@ def test_total_gradient_matches_global_fd(bend):
         Zm = problem.objective_value(model.solve_steady(dv).crit_values)
         fd = (Zp - Zm) / (2 * step)
         assert abs(fd - dZ[idx]) / max(abs(fd), abs(dZ[idx])) < 1e-3
+
+
+def test_stacked_contexts_count_no_sparsity(bend, monkeypatch):
+    # the geometric partials assemble residuals alone on their stacked
+    # re-cut contexts, so none of them counts a sparsity (the forward's
+    # matrices counted the global context's)
+    import cutflow.sensitivities as sens
+    model, problem, design, result = bend
+    stacked, counted = [], []
+    build, count = sens.element_context, forms.Sparsity.count.__func__
+
+    def recording(*args, **kwargs):
+        out = build(*args, **kwargs)
+        stacked.append(out[0])
+        return out
+
+    monkeypatch.setattr(sens, "element_context", recording)
+    monkeypatch.setattr(forms.Sparsity, "count", classmethod(
+        lambda cls, *args: counted.append(args[0].shape[0]) or count(cls, *args)))
+    total_design_gradient(model, result, problem, design, 1.0)
+    assert stacked and counted == []
 
 
 def test_constraint_gradient_matches_global_fd(bend):
@@ -625,13 +647,27 @@ def _inclusion_bend():
     return model, cm, ctx
 
 
-def _row_blocks(ctx, row):
-    """(name, block, mask of one batch row's points) for each block."""
-    yield "vol", ctx, ctx.owner[ctx.vol_dofs[:, 0]] == row
-    for region in (None,) + ctx.regions:
-        name = region and region.name
-        blk = ctx.surface_part(name or "interface")
-        yield name, blk, ctx.owner[blk.dofs[:, 0]] == row
+# the per-point arrays of a point table, where it has them
+_POINT_ARRAYS = ("x", "w", "N", "gx", "gy", "normal")
+
+
+def _assert_same_points(a, ids_a, b, ids_b):
+    """Tables a and b hold bitwise the same points, with the same global
+    dofs (ids_a, ids_b map each one's dofs to global ones)."""
+    assert a.name == b.name
+    for k in _POINT_ARRAYS:
+        assert (getattr(a, k) is None) == (getattr(b, k) is None)
+        if getattr(a, k) is not None:
+            assert _bitwise(getattr(a, k), getattr(b, k)), k
+    assert _bitwise(ids_a[a.dofs], ids_b[b.dofs])
+
+
+def _tables(ctx):
+    """(name, table) of the volume table and of each slice of the surface
+    table."""
+    yield "volume", ctx.volume
+    for name in ["interface"] + [r.name for r in ctx.regions]:
+        yield name, ctx.surface_part(name)
 
 
 def test_element_context_matches_global_rows():
@@ -643,25 +679,16 @@ def test_element_context_matches_global_rows():
         loc, invalid = element_context(cm, [e], cm.phi[model.mesh.elements[e]],
                                        model.regions)
         assert not invalid.any()
-        ids = loc.scalar_ids
-        rows = ctx.vol_elem == e
-        for k in ("vol_w", "vol_N", "vol_gx", "vol_gy", "vol_d2"):
-            assert _bitwise(getattr(loc, k), getattr(ctx, k)[rows])
-        assert _bitwise(ids[loc.vol_dofs], ctx.vol_dofs[rows])
-        local_blocks = {r.name: loc.surface_part(r.name) for r in loc.regions}
-        pairs = [(loc.surface_part("interface"), ctx.surface_part("interface"))]
-        for region in ctx.regions:
-            blk = ctx.surface_part(region.name)
-            if region.name in local_blocks:
-                pairs.append((local_blocks[region.name], blk))
+        local = dict(_tables(loc))
+        for name, table in _tables(ctx):
+            rows = table.elem == e
+            if name in local:
+                _assert_same_points(local[name], loc.scalar_ids, table.take(rows),
+                                    ctx.scalar_ids)
             else:
-                assert not np.any(blk.elem == e)
-        for lb, gb in pairs:
-            rows = gb.elem == e
-            for k in ("x", "w", "normal", "N"):
-                assert _bitwise(getattr(lb, k), getattr(gb, k)[rows])
-            assert _bitwise(ids[lb.dofs], gb.dofs[rows])
-        with_boundary += sum(1 for blk in local_blocks.values() if blk.nq)
+                assert not rows.any()
+        with_boundary += sum(1 for name, t in local.items()
+                             if name not in ("volume", "interface") and t.nq)
     assert with_boundary >= 1
 
 
@@ -685,18 +712,13 @@ def test_stacked_context_rows_match_one_row_calls():
         one, bad = element_context(cm, elems[i:i + 1], phi4s[i], model.regions)
         assert not bad.any()
         assert _bitwise(ctx.scalar_ids[ctx.owner == i], one.scalar_ids)
-        for (name, blk, rows), (name1, blk1, rows1) in zip(_row_blocks(ctx, i),
-                                                            _row_blocks(one, 0)):
-            assert name == name1 and rows1.all()
-            prefix = "vol_" if name == "vol" else ""
+        for (name, table), (name1, table1) in zip(_tables(ctx), _tables(one)):
+            assert name == name1
+            assert (one.owner[table1.dofs[:, 0]] == 0).all()
             # gx and gy pin each volume point's place in its element
-            for k in ("w", "N", "gx", "gy") + (("x", "normal") if prefix == "" else ()):
-                assert _bitwise(getattr(blk, prefix + k)[rows],
-                                getattr(blk1, prefix + k))
-            dofs = "vol_dofs" if name == "vol" else "dofs"
-            assert _bitwise(ctx.scalar_ids[getattr(blk, dofs)[rows]],
-                            one.scalar_ids[getattr(blk1, dofs)])
-            with_boundary += name not in ("vol", None) and rows.any()
+            rows = ctx.owner[table.dofs[:, 0]] == i
+            _assert_same_points(table.take(rows), ctx.scalar_ids, table1, one.scalar_ids)
+            with_boundary += name not in ("volume", "interface") and rows.any()
     assert with_boundary >= 1
 
 

@@ -210,11 +210,11 @@ def test_mixed_regions_classified_end_to_end():
                                                                    blk.dofs[q]):
                     reachable.add(int(cm.piece_region[row]))
     assert reachable == {1} or reachable == {0}
-    for q in range(ctx.vol_w.shape[0]):
-        e = int(ctx.vol_elem[q])
+    for q in range(ctx.volume.nq):
+        e = int(ctx.volume.elem[q])
         row = next(r for r in np.flatnonzero(cm.piece_elem == e)
                    if cm.piece_phase[r] == FLUID
-                   and np.array_equal(cm.piece_dofs[r], ctx.vol_dofs[q]))
+                   and np.array_equal(cm.piece_dofs[r], ctx.volume.dofs[q]))
         if cm.piece_region[row] in reachable:
             assert psibar[q] <= 0.001
         else:

@@ -35,9 +35,9 @@ def small_ctx():
         BoundaryRegion(name="lid", side="top", kind="symmetry"),
     ])
     ctx = build_context(build_cut_model(mesh, phi), regions)
-    assert ctx.surface_part("interface").nq and ctx.ghost is not None
-    new = np.ones(ctx.vol_w.shape[0], dtype=bool)
-    new[1:] = (ctx.vol_dofs[1:] != ctx.vol_dofs[:-1]).any(1)
+    assert ctx.surface_part("interface").nq and ctx.ghost.nq
+    new = np.ones(ctx.volume.nq, dtype=bool)
+    new[1:] = (ctx.volume.dofs[1:] != ctx.volume.dofs[:-1]).any(1)
     sizes = set(np.diff(np.flatnonzero(np.append(new, True))).tolist())
     assert {3, 4, 6} <= sizes
     return ctx
@@ -57,7 +57,7 @@ def _check_central_differences(ctx, terms, with_psibar, slot_kind):
     params = FlowParams(rho=1.0, mu=0.1, k_pressure=2.0)
     U = rng.normal(scale=0.3, size=3 * n)
     Uc = rng.normal(scale=0.3, size=3 * n)
-    psibar = rng.random(ctx.vol_w.shape[0]) if with_psibar else None
+    psibar = rng.random(ctx.volume.nq) if with_psibar else None
     slot = _slot(slot_kind, n, rng)
     terms = frozenset(terms)
 
@@ -102,7 +102,7 @@ def test_time_matrix_is_the_history_derivative(small_ctx, slot_kind):
     U = rng.normal(scale=0.3, size=3 * ctx.n)
     base = bdf_slot(2, 0.05, [rng.normal(scale=0.3, size=3 * ctx.n) for _ in range(2)])
     dt = None if slot_kind == "steady" else base.dt
-    psibar = rng.random(ctx.vol_w.shape[0])
+    psibar = rng.random(ctx.volume.nq)
 
     def residual(hist):
         slot = TimeSlot(alpha=base.alpha, hist=hist, dt=dt)
@@ -134,7 +134,7 @@ def test_indicator_jacobian_is_the_psi_derivative(small_ctx):
 def bend96_ctx():
     model, _, design = bend_model(divisions=(96, 96))
     _, ctx = model.geometry(design)
-    assert ctx.vol_w.shape[0] > 2 * flow_mod.VOLUME_BATCH
+    assert ctx.volume.nq > 2 * flow_mod.VOLUME_BATCH
     return model.physics.flow, ctx
 
 
@@ -146,7 +146,7 @@ def test_residual_is_bitwise_independent_of_want_matrix(bend96_ctx, slot_kind):
     params, ctx = bend96_ctx
     rng = np.random.default_rng(11)
     U = rng.normal(scale=0.5, size=3 * ctx.n)
-    psibar = rng.random(ctx.vol_w.shape[0])
+    psibar = rng.random(ctx.volume.nq)
     slot = _slot(slot_kind, ctx.n, rng)
     R, J = assemble_flow(ctx, params, U, coeff_state=U, slot=slot, psibar=psibar)
     R0, J0 = assemble_flow(ctx, params, U, coeff_state=U, slot=slot, psibar=psibar,
