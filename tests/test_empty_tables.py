@@ -6,10 +6,11 @@ row is invalid has no volume."""
 import numpy as np
 import pytest
 
+from cutflow import forms
 from cutflow.conditions import BoundaryRegion, wall_regions
 from cutflow.cut import CUT, build_cut_model
 from cutflow.flow import FlowParams, assemble_flow, flow_indicator_jacobian, flow_time_matrix
-from cutflow.forms import GhostBlock, PointTable, build_context, element_context
+from cutflow.forms import build_context, element_context
 from cutflow.grid import build_mesh
 from cutflow.solve import bdf_slot
 from cutflow.transport import (IndicatorParams, TransportParams, assemble_indicator,
@@ -43,10 +44,10 @@ def _context(kind):
 @pytest.fixture(scope="module", params=["channel", "all-invalid"])
 def ctx(request):
     ctx = _context(request.param)
-    assert isinstance(ctx.volume, PointTable) and isinstance(ctx.surface, PointTable)
-    assert all(isinstance(t, PointTable) for t in ctx.conditions.values())
-    assert isinstance(ctx.ghost, GhostBlock)
     assert ctx.ghost.nq == 0
+    assert isinstance(ctx.ghost, forms.GhostBlock)
+    tables = [ctx.volume, ctx.surface, *ctx.conditions.values()]
+    assert all(isinstance(t, forms.PointTable) for t in tables)
     if request.param == "channel":
         assert ctx.volume.nq and not ctx.surface_part("interface").nq
     else:
