@@ -66,7 +66,7 @@ def _ks_points(ctx, spec):
 
 def _ks_deviation(spec, blk, species_state):
     """Concentration and its squared deviation from c_ref at each point."""
-    cq = blk.at(np.asarray(species_state, dtype=float), blk.N)[0]
+    cq = blk.at(np.asarray(species_state, dtype=float), 1)[0]
     return cq, (cq - spec.c_ref) ** 2
 
 
@@ -107,7 +107,7 @@ def criterion_terms(spec, ctx, params, flow_state=None, species_state=None,
         rows = _drag_rows(spec, params, blk)
         return blk.w * (rows * U[block_dofs(blk.dofs, n)].T).sum(0), blk.dofs
     w, nx, ny = blk.w, blk.normal[:, 0], blk.normal[:, 1]
-    (ux,), (uy,), (p,) = flow_fields(U, n, blk, blk.N)
+    (ux,), (uy,), (p,) = flow_fields(U, n, blk, 1)
     if spec.kind == "mass_flow":
         return w * params.rho * (ux * nx + uy * ny), blk.dofs
     return w * (p + 0.5 * params.rho * (ux * ux + uy * uy)), blk.dofs  # total_pressure
@@ -168,7 +168,7 @@ def evaluate_criterion(spec, ctx, params, flow_state=None, species_state=None,
         d.add(dofs, N * (w * rho * nx)[:, None])
         d.add(dofs + n, N * (w * rho * ny)[:, None])
     elif spec.kind == "total_pressure":
-        (ux,), (uy,), _ = flow_fields(np.asarray(flow_state, dtype=float), n, blk, N)
+        (ux,), (uy,), _ = flow_fields(np.asarray(flow_state, dtype=float), n, blk, 1)
         d.add(dofs, N * (w * rho * ux)[:, None])
         d.add(dofs + n, N * (w * rho * uy)[:, None])
         d.add(dofs + 2 * n, N * w[:, None])

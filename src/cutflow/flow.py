@@ -24,8 +24,13 @@ is sum_q w_q T_q^T C_q, which forms.piece_blocks sums for every assembler.
 The ghost penalties go through forms.ghost_jumps, the species and indicator
 ghost's kernel too. No per-point block is formed. Every term reads its
 points from one of the context's point tables (a volume batch is a take of
-the volume table, a condition set one of the surface table), and every
-field value at the points comes from the table (forms.field_at).
+the volume table, kept with it; a condition set one of the surface table),
+its test rows NT, gxT, gyT from the table's test table and its per-run
+sums from the table's plan, both built once per table, and every field
+value at the points comes from the table (forms.field_at). The Nitsche
+Jacobian's trial rows but the penalty's depend on the geometry and mu
+alone, so a context keeps them, and each assembly adds gamma P N to a
+copy.
 
 The stabilization time scale tau is evaluated from the current state and
 differentiated exactly. The velocity-dependent penalty factors (Nitsche
@@ -40,8 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import (Scatter, Triplets, basis_tables, field_at, ghost_jumps, prescribed,
-                    projector)
+from .forms import Scatter, Triplets, field_at, ghost_jumps, kept, prescribed, projector
 from .solve import STEADY_SLOT
 
 GALERKIN = "galerkin"
@@ -142,26 +146,20 @@ def assemble_flow(ctx, params, state, coeff_state=None, slot=STEADY,
     return R.total(), J
 
 
-def flow_fields(U, n, blk, *bases):
-    """ux, uy and p at the points of a point table, each a tuple of its
-    values under the basis tables bases (default N, d_x N, d_y N: its
-    values and gradient)."""
-    return tuple(blk.at(U[f * n:(f + 1) * n], *bases) for f in range(3))
+def flow_fields(U, n, blk, k=3):
+    """ux, uy and p at the points of a point table (3, k, nq): each field's
+    values under the first k of N, d_x N, d_y N (its values and gradient)."""
+    return blk.at(U.reshape(3, n), k)
 
 
 def _volume_terms(ctx, params, U, hist, slot, psibar, terms, R, tri):
     """Volume terms, with the Jacobian in batches of VOLUME_BATCH points
     (its trial rows C and their per-piece gathers are the largest arrays of
     an assembly); the residual alone takes one batch."""
-    nq = ctx.volume.nq
-    for pts in _batches(nq, nq if tri is None else VOLUME_BATCH):
+    vol = ctx.volume
+    for pts, blk in vol.batches(vol.nq if tri is None else VOLUME_BATCH):
         _volume_batch(ctx, params, U, hist, slot,
-                      None if psibar is None else psibar[pts], terms, R, tri,
-                      ctx.volume.take(pts))
-
-
-def _batches(nq, step):
-    return (slice(start, start + step) for start in range(0, nq, step))
+                      None if psibar is None else psibar[pts], terms, R, tri, blk)
 
 
 def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, blk):
@@ -176,17 +174,15 @@ def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, blk):
     """
     n = ctx.n
     rho, mu = params.rho, params.mu
-    N, gx, gy, dofs, W = blk.N, blk.gx, blk.gy, blk.dofs, blk.w
-    d2 = np.array([1.0, -1.0, 1.0, -1.0]) / (ctx.h * ctx.h)  # d2N/dxdy, one row
+    dofs, W = blk.dofs, blk.w
+    # test rows with the points last, which the residual rows take too
+    NT, gxT, gyT = blk.tests
+    d2T = np.array([1.0, -1.0, 1.0, -1.0])[:, None] / (ctx.h * ctx.h)  # d2N/dxdy, one row
     nq = blk.nq
     want_j = tri is not None
 
-    ux, uxx, uxy, d2x = blk.at(U[0:n], N, gx, gy, d2)  # d2x = d2(ux)/dxdy
-    uy, uyx, uyy, d2y = blk.at(U[n:2 * n], N, gx, gy, d2)
-    p, px, py = blk.at(U[2 * n:3 * n])
-
-    hx = blk.at(hist[0:n], N)[0]
-    hy = blk.at(hist[n:2 * n], N)[0]
+    (ux, uxx, uxy), (uy, uyx, uyy), (p, px, py) = flow_fields(U, n, blk)
+    hx, hy = blk.at(hist.reshape(3, n)[:2], 1)[:, 0]
     alpha = slot.alpha
     utx = alpha * ux + hx
     uty = alpha * uy + hy
@@ -195,24 +191,19 @@ def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, blk):
     conv_y = ux * uyx + uy * uyy
     exy = 0.5 * (uxy + uyx)
 
-    dref = block_dofs(dofs, n)
     X, Y, P = slice(0, 4), slice(4, 8), slice(8, 12)
-    r = np.zeros((nq, 12))
-    udotgN = ux[:, None] * gx + uy[:, None] * gy
+    r = np.zeros((12, nq))  # the residual rows [ux, uy, p] x 4 corners, points last
     if want_j:
-        # trial rows with the points last: C[test, row block, trial entry]
-        NT, gxT, gyT, T = basis_tables(blk)
+        # trial rows: C[test, row block, trial entry]
         C = np.zeros((3, 3, 12, nq))
         aN = alpha * NT + ux * gxT + uy * gyT  # (alpha + u.grad) N_b
         dSx_dux = rho * (aN + uxx * NT)
         dSy_duy = rho * (aN + uyy * NT)
 
     if GALERKIN in terms:
-        r[:, X] += N * (rho * (utx + conv_x))[:, None] \
-            + 2 * mu * (uxx[:, None] * gx + exy[:, None] * gy) - p[:, None] * gx
-        r[:, Y] += N * (rho * (uty + conv_y))[:, None] \
-            + 2 * mu * (exy[:, None] * gx + uyy[:, None] * gy) - p[:, None] * gy
-        r[:, P] += N * (uxx + uyy)[:, None]
+        r[X] += NT * (rho * (utx + conv_x)) + 2 * mu * (uxx * gxT + exy * gyT) - p * gxT
+        r[Y] += NT * (rho * (uty + conv_y)) + 2 * mu * (exy * gxT + uyy * gyT) - p * gyT
+        r[P] += NT * (uxx + uyy)
         if want_j:
             C[0, 0, X] += dSx_dux
             C[0, 0, Y] += rho * uxy * NT
@@ -231,19 +222,20 @@ def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, blk):
 
     if PRESSURE_PENALTY in terms and psibar is not None:
         kp = params.k_pressure
-        r[:, P] += (kp * psibar * p)[:, None] * N
+        r[P] += (kp * psibar * p) * NT
         if want_j:
             C[0, 2, P] += kp * psibar * NT
 
     if STABILIZATION in terms:
+        d2x, d2y = field_at(U.reshape(3, n)[:2], dofs, d2T[None])[:, 0]  # d2(u)/dxdy
         tau, dtau_fac = _tau(params, slot, ux * ux + uy * uy, ctx.h)
         Sx = rho * (utx + conv_x) + px - mu * d2y
         Sy = rho * (uty + conv_y) + py - mu * d2x
-        r[:, X] += tau[:, None] * udotgN * Sx[:, None]
-        r[:, Y] += tau[:, None] * udotgN * Sy[:, None]
-        r[:, P] += (tau / rho)[:, None] * (gx * Sx[:, None] + gy * Sy[:, None])
+        udotgN = ux * gxT + uy * gyT
+        r[X] += tau * udotgN * Sx
+        r[Y] += tau * udotgN * Sy
+        r[P] += (tau / rho) * (gxT * Sx + gyT * Sy)
         if want_j:
-            d2T = d2[:, None]
             dSx_duy = rho * uxy * NT - mu * d2T
             dSy_dux = rho * uyx * NT - mu * d2T
             dtau_x = dtau_fac * ux * NT
@@ -266,16 +258,14 @@ def _volume_batch(ctx, params, U, hist, slot, psibar, terms, R, tri, blk):
             C[1, 2, P] += tau / rho * gxT
             C[2, 2, P] += tau / rho * gyT
 
-    R.add(dref, r * W[:, None])
+    R.add(block_dofs(dofs, n), (r * W).T)
     if want_j:
-        tri.add_pieces(T, C, blk)
+        tri.add_pieces(blk, C)
 
 
 def _nitsche_gamma(ctx, params, blk, Uc):
     """Frozen Nitsche velocity penalty at surface quadrature points."""
-    n = ctx.n
-    ucx = blk.at(Uc[0:n], blk.N)[0]
-    ucy = blk.at(Uc[n:2 * n], blk.N)[0]
+    ucx, ucy = blk.at(Uc.reshape(3, ctx.n)[:2], 1)[:, 0]
     uinf = np.maximum(np.abs(ucx), np.abs(ucy))
     return params.alpha_nitsche * (params.mu / ctx.h + params.rho * uinf / 6.0)
 
@@ -285,7 +275,7 @@ def traction_rows(mu, blk):
     rows over the corner state: (2, 12, nq), row j its component j and entry
     4 f + b its derivative by field f (ux, uy, p) at corner b. The traction
     is linear in the state, so the rows give its value too."""
-    NT, gxT, gyT, _ = basis_tables(blk)
+    NT, gxT, gyT = blk.tests
     nx, ny = blk.normal[:, 0], blk.normal[:, 1]
     gnT = nx * gxT + ny * gyT
     # 2 mu d(eps n)_x/dux_b = mu (grad N_b . n + nx d_x N_b), /duy_b = mu ny d_x N_b, ...
@@ -320,30 +310,40 @@ def _nitsche_velocity(ctx, params, U, Uc, blk, uhat, P, R, tri):
                        + [bp * N * (nrm * Pdu).sum(0)[:, None]], axis=1)
     R.add(block_dofs(dofs, n), r * blk.w[:, None])
     if tri is not None:
-        NT, _, _, T = basis_tables(blk)
-        C = np.zeros((3, 3, 12, blk.nq))
-        # test N_a: consistency -(P sigma n)_i, penalty gamma (P u)_i and,
-        # on the pressure rows, the pressure adjoint bp n . P u
-        C[0, :2] = -(P[:, :, None] * traction_rows(mu, blk)).sum(1)
-        C[0, :2, :8] += ((gamma * P)[:, :, None] * NT).reshape(2, 8, -1)
-        C[0, 2, :8] = ((bp * (nrm[:, None] * P).sum(0))[:, None] * NT).reshape(8, -1)
-        # tests d_k N_a: the viscous adjoint -mu (grad N_a . n (P u)_i + n_i
-        # grad N_a . P u), whose trial rows are -mu (n_k P_ij + n_i P_kj) N_b
-        V = nrm[:, None, None] * P[None] + nrm[None, :, None] * P[:, None]
-        C[1:, :2, :8] = ((-mu * V)[:, :, :, None] * NT).reshape(2, 2, 8, -1)
-        tri.add_pieces(T, C, blk)
+        C = kept(ctx, ("nitsche", mu), lambda: _nitsche_rows(mu, blk, P)).copy()
+        # test N_a: the penalty gamma (P u)_i
+        C[0, :2, :8] += ((gamma * P)[:, :, None] * blk.tests[0]).reshape(2, 8, -1)
+        tri.add_pieces(blk, C)
+
+
+def _nitsche_rows(mu, blk, P):
+    """The Nitsche Jacobian's trial rows (3, 3, 12, nq) but the penalty's,
+    which depend on the geometry and mu alone."""
+    NT = blk.tests[0]
+    nrm = blk.normal.T
+    bp = BETA_PRESSURE
+    C = np.zeros((3, 3, 12, blk.nq))
+    # test N_a: consistency -(P sigma n)_i and, on the pressure rows, the
+    # pressure adjoint bp n . P u
+    C[0, :2] = -(P[:, :, None] * traction_rows(mu, blk)).sum(1)
+    C[0, 2, :8] = ((bp * (nrm[:, None] * P).sum(0))[:, None] * NT).reshape(8, -1)
+    # tests d_k N_a: the viscous adjoint -mu (grad N_a . n (P u)_i + n_i
+    # grad N_a . P u), whose trial rows are -mu (n_k P_ij + n_i P_kj) N_b
+    V = nrm[:, None, None] * P[None] + nrm[None, :, None] * P[:, None]
+    C[1:, :2, :8] = ((-mu * V)[:, :, :, None] * NT).reshape(2, 2, 8, -1)
+    return C
 
 
 def _ghost_gammas(ctx, params, Uc):
     """The per-point ghost penalty factors (gamma_vel, gamma_p), frozen at
     the coefficient state."""
-    n = ctx.n
     g = ctx.ghost
     h = ctx.h
     # frozen convective / inf-norm velocities from the coefficient state,
     # the mean of both sides
-    ucx, ucy = (0.5 * (field_at(u, g.dofs1, g.N1)[0] + field_at(u, g.dofs2, g.N2)[0])
-                for u in (Uc[0:n], Uc[n:2 * n]))
+    u = Uc.reshape(3, ctx.n)[:2]
+    ucx, ucy = 0.5 * (field_at(u, g.dofs1, g.N1.T[None])
+                      + field_at(u, g.dofs2, g.N2.T[None]))[:, 0]
     un = ucx * g.normal[:, 0] + ucy * g.normal[:, 1]
     uinf = np.maximum(np.abs(ucx), np.abs(ucy))
 
@@ -363,11 +363,9 @@ def flow_time_matrix(ctx, params, state, slot=STEADY):
     rho = params.rho
     tri = Triplets()
     U = np.asarray(state, dtype=float)
-    for pts in _batches(ctx.volume.nq, VOLUME_BATCH):
-        blk = ctx.volume.take(pts)
-        NT, _, _, T = basis_tables(blk)
-        ux = blk.at(U[0:n], blk.N)[0]
-        uy = blk.at(U[n:2 * n], blk.N)[0]
+    for _, blk in ctx.volume.batches(VOLUME_BATCH):
+        NT = blk.tests[0]
+        ux, uy = blk.at(U.reshape(3, n)[:2], 1)[:, 0]
         tau, _ = _tau(params, slot, ux * ux + uy * uy, ctx.h)
         # Galerkin rho N_a N_b and SUPG rho tau (u.grad N_a) N_b on the
         # velocity rows, PSPG tau grad N_a N_b on the pressure rows
@@ -378,7 +376,7 @@ def flow_time_matrix(ctx, params, state, slot=STEADY):
             C[1, b, rows] = rho * tau * ux * NT
             C[2, b, rows] = rho * tau * uy * NT
             C[1 + b, 2, rows] = tau * NT
-        tri.add_pieces(T, C, blk)
+        tri.add_pieces(blk, C)
     return tri.matrix(ctx, (3 * n, 3 * n))
 
 
@@ -389,13 +387,12 @@ def flow_indicator_jacobian(ctx, params, state, psi, indicator_params):
     tri = Triplets()
     vol = ctx.volume
     if vol.nq:
-        psi_q = vol.at(np.asarray(psi, dtype=float), vol.N)[0]
-        p = vol.at(np.asarray(state, dtype=float)[2 * n:3 * n], vol.N)[0]
+        psi_q = vol.at(np.asarray(psi, dtype=float), 1)[0]
+        p = vol.at(np.asarray(state, dtype=float)[2 * n:3 * n], 1)[0]
         kw, kt, pinf = (indicator_params.k_sharpness, indicator_params.k_threshold,
                         indicator_params.psi_ref)
         th = np.tanh(kw * (psi_q - kt * pinf))
         dproj = 0.5 * kw * (1.0 - th * th)
-        NT = np.ascontiguousarray(vol.N.T)
-        C = (params.k_pressure * p * dproj * NT)[None, None]
-        tri.add_pieces(NT[None], C, vol, (2,), (0,))
+        C = (params.k_pressure * p * dproj * vol.tests[0])[None, None]
+        tri.add_pieces(vol, C, (2,), (0,))
     return tri.matrix(ctx, (3 * n, n))

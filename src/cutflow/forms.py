@@ -18,13 +18,25 @@ run; on the surface also its position, normal and region), and the ghost
 facets a two-sided `GhostBlock`. The surface table holds the interface
 chords and then each region's; its region slices (`surface_part`), its
 condition sets and the volume batches of an assembly are all `take`s of
-a table. A field's values and gradients at a table's points come from
-one routine, `field_at` (`PointTable.at`): one gather of the field, then
-(basis * u[dofs]).sum(1) per basis table. This module alone maps regions
-to conditions (`IntegrationContext.conditions`, `prescribed`,
-`projector`): the condition kinds are velocity (the interface, velocity
-regions and symmetry regions, whose velocity condition is projected on
-the normal), traction, species and port. `build_context` feeds it the
+a table.
+
+An assembly's geometry part is built once, on first use, and kept with
+what owns it (`kept`): each table's test table T = [N; d_x N; d_y N]
+(3, b, nq), the points last, and its run plan (`Plan`); the volume
+batches; a context's region slices, prescribed data per time, velocity
+projector and Nitsche trial rows. So every later assembly on a context
+does only the state-dependent arithmetic, and `IntegrationContext.release`
+drops what it keeps. A field's values and gradients at a table's points
+come from one routine, `field_at` (`PointTable.at`): one gather of the
+fields, one multiply by the test table and one sum over the bases, the
+four products of each point added in the order (basis * u[dofs]).sum(1)
+adds them.
+
+This module alone maps regions to conditions
+(`IntegrationContext.conditions`, `prescribed`, `projector`): the
+condition kinds are velocity (the interface, velocity regions and
+symmetry regions, whose velocity condition is projected on the normal),
+traction, species and port. `build_context` feeds it the
 whole cut model; `element_context` feeds it a batch of elements re-cut at
 perturbed corner values by one `decompose_cells` call, with the
 enrichment frozen: one stacked context in which each re-cut owns a
@@ -39,12 +51,12 @@ one ghost facet), and a context counts its scalar sparsity on its first
 matrix (`Sparsity`; a stacked context that only assembles residuals never
 does): the dof pairs of every run, counted into CSR order without a sort,
 since cut numbers dofs by node, then level, and every pair lies within a
-5x5 node stencil. `piece_blocks` sums w_q T_q^T C_q per run from a test
-table T and trial rows C, `ghost_jumps` is the face-oriented jump penalty
-of every field, `Triplets` turns the blocks, each naming the table and
-fields it couples, into a CSR matrix whose structure and triplet slots
-are index arithmetic on the sparsity, and `Scatter` sums a residual's
-terms by one bincount.
+5x5 node stencil. `piece_blocks` sums w_q T_q^T C_q per run from a
+table's test table and trial rows C on the table's plan, `ghost_jumps` is
+the face-oriented jump penalty of every field, `Triplets` turns the
+blocks, each naming the table and fields it couples, into a CSR matrix
+whose structure and triplet slots are index arithmetic on the sparsity,
+and `Scatter` sums a residual's terms by one bincount.
 """
 
 from __future__ import annotations
@@ -121,17 +133,62 @@ def _takes(region, kind):
             "velocity": region.kind in ("velocity", "symmetry")}.get(kind, region.kind == kind)
 
 
-def field_at(u, dofs, *bases):
-    """The one evaluation of a field at quadrature points: u (one value per
-    dof) gathered once at the points' corner dofs (nq, b), then
-    (B * u[dofs]).sum(1) for each basis table B (nq, b) or constant row
-    (b,)."""
-    ue = u[dofs]
-    return tuple((B * ue).sum(1) for B in bases)
+def field_at(u, dofs, tests):
+    """The one evaluation of fields at quadrature points: u (..., n), one
+    value per dof of each field, gathered once at the points' corner dofs
+    (nq, b) with the bases first, multiplied by the test tables tests
+    (k, b, nq) (N, d_x N, d_y N or constant rows (k, b, 1)) and summed over
+    the bases by one .sum(-2): (..., k, nq). Each point adds its b = 4
+    products in order, the sum (B * u[dofs]).sum(1) gives for a basis
+    table B (nq, b)."""
+    return (tests * np.take(u, dofs.T, axis=-1)[..., None, :, :]).sum(-2)
+
+
+def kept(owner, key, build):
+    """build(), made once per key and kept on owner (a point table or a
+    context), which it goes with. An array is kept read-only: every later
+    caller gets the same one."""
+    memo = owner.__dict__.setdefault("_memo", {})
+    if key not in memo:
+        value = memo[key] = build()
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return memo[key]
 
 
 @dataclass
-class PointTable:
+class Plan:
+    """How a point table's points sum per run (piece_blocks), planned once:
+    the first point of each run (or part of a run) and its id, and the runs
+    with L points grouped, each group's positions among the runs (sel) and
+    points (R_L, L)."""
+
+    starts: np.ndarray
+    runs: np.ndarray  # (R,) run ids
+    key: bytes  # the bytes of runs, which key the CSR layouts
+    groups: list  # (sel, pts) per point count L, L ascending
+
+
+class _Planned:
+    """A point table whose run plan is made on first use and kept with it
+    (piece_blocks); the table provides run."""
+
+    @property
+    def plan(self):
+        def build():
+            starts = _run_starts(self.run)
+            count = np.diff(starts, append=self.run.shape[0])
+            runs = self.run[starts]
+            groups = []
+            for L in np.flatnonzero(np.bincount(count)):
+                sel = np.flatnonzero(count == L)
+                groups.append((sel, starts[sel, None] + np.arange(L)))
+            return Plan(starts, runs, runs.tobytes(), groups)
+        return kept(self, "plan", build)
+
+
+@dataclass
+class PointTable(_Planned):
     """A batch of quadrature points with their basis tables: a context's
     volume or surface table, or a take of one (a condition set, a region's
     slice, a batch of volume points)."""
@@ -153,19 +210,42 @@ class PointTable:
     def nq(self):
         return self.w.shape[0]
 
+    @property
+    def tests(self):
+        """The test table T = [N; d_x N; d_y N] (3, b, nq), the points last,
+        whose rows NT, gxT, gyT the trial rows are built from."""
+        return kept(self, "tests", lambda: np.stack([self.N.T, self.gx.T, self.gy.T]))
+
     def take(self, rows):
         """The table of the points rows (a slice or an index array)."""
         return PointTable(*(v if v is None or isinstance(v, str) else v[rows]
                             for v in (getattr(self, f.name) for f in fields(self))))
 
-    def at(self, u, *bases):
-        """u (one value per dof) at the points under each basis table, by
-        default N, d_x N and d_y N: its values and gradient (field_at)."""
-        return field_at(u, self.dofs, *(bases or (self.N, self.gx, self.gy)))
+    def batches(self, step):
+        """(points, table) per batch of step points, made once per step: the
+        table itself when one batch holds every point. The batches' test
+        tables are views of this table's."""
+        if 0 < self.nq <= step:
+            return [(slice(0, self.nq), self)]
+
+        def build():
+            out = []
+            for start in range(0, self.nq, step):
+                pts = slice(start, start + step)
+                part = self.take(pts)
+                kept(part, "tests", lambda: self.tests[:, :, pts])
+                out.append((pts, part))
+            return out
+        return kept(self, ("batches", step), build)
+
+    def at(self, u, k=3):
+        """Fields u (..., n) at the points under the first k of N, d_x N,
+        d_y N: (..., k, nq), their values and gradients (field_at)."""
+        return field_at(u, self.dofs, self.tests[:k])
 
 
 @dataclass
-class GhostBlock:
+class GhostBlock(_Planned):
     """Full-facet jump quadrature for the face-oriented penalties."""
 
     name: str  # 'ghost', the sparsity table its runs number
@@ -183,6 +263,16 @@ class GhostBlock:
     @property
     def nq(self):
         return self.w.shape[0]
+
+    @property
+    def gvec(self):
+        """The jump [[grad N . n]] of the 8 bases per point (nq, 8)."""
+        return kept(self, "gvec", lambda: np.concatenate([self.gn1, -self.gn2], axis=1))
+
+    @property
+    def tests(self):
+        """The one test, the jump, as a test table (1, 8, nq)."""
+        return self.gvec.T[None]
 
 
 @dataclass
@@ -207,46 +297,58 @@ class IntegrationContext:
         on the context's first matrix: a context whose assemblies are all
         residuals never counts it."""
         cm, ids = self.cm, self.scalar_ids
-        runs = {t.name: t.dofs[_run_starts(t.run)] for t in (self.volume, self.surface,
-                                                                self.ghost)}
+        runs = {t.name: t.dofs[t.plan.starts] for t in (self.volume, self.surface, self.ghost)}
         return Sparsity.count(cm.dof_node[ids], cm.dof_level[ids], cm.mesh.divisions[0] + 1,
                               runs)
 
+    def release(self):
+        """Drop what the context and its tables keep (kept): their test
+        tables, run plans, batches, region slices and state-free terms. A
+        later assembly builds them again."""
+        for owner in (self, self.volume, self.surface, self.ghost, *self.conditions.values()):
+            owner.__dict__.pop("_memo", None)
+
     def surface_part(self, name):
         """The slice of the surface table on the interface ('interface') or on
-        the boundary region of that name."""
+        the boundary region of that name, made once per name."""
         names = ["interface"] + [r.name for r in self.regions]
         if name not in names:
             raise KeyError(f"no boundary region named {name!r}")
         k = names.index(name) - 1  # region indices ascend along the table
-        return self.surface.take(slice(*np.searchsorted(self.surface.region, (k, k + 1))))
+        return kept(self, ("part", name), lambda: self.surface.take(
+            slice(*np.searchsorted(self.surface.region, (k, k + 1)))))
 
 
 def prescribed(ctx, kind, t=0.0):
     """Per-point data of ctx.conditions[kind] at time t: each region's
     velocity_at or traction_at (nq, 2), zero velocity on the interface and
-    on symmetry regions, or its species_value (nq,)."""
-    blk = ctx.conditions[kind]
-    out = np.zeros(blk.nq if kind == "species" else (blk.nq, 2))
-    for k, region in enumerate(ctx.regions):
-        lo, hi = np.searchsorted(blk.region, (k, k + 1))
-        if hi > lo:
-            x = blk.x[lo:hi]
-            out[lo:hi] = (region.species_value if kind == "species" else
-                          region.traction_at(x, t) if kind == "traction" else
-                          region.velocity_at(x, t) if region.kind == "velocity" else 0.0)
-    return out
+    on symmetry regions, or its species_value (nq,). Made once per kind and
+    t on the context; read only."""
+    def build():
+        blk = ctx.conditions[kind]
+        out = np.zeros(blk.nq if kind == "species" else (blk.nq, 2))
+        for k, region in enumerate(ctx.regions):
+            lo, hi = np.searchsorted(blk.region, (k, k + 1))
+            if hi > lo:
+                x = blk.x[lo:hi]
+                out[lo:hi] = (region.species_value if kind == "species" else
+                              region.traction_at(x, t) if kind == "traction" else
+                              region.velocity_at(x, t) if region.kind == "velocity" else 0.0)
+        return out
+    return kept(ctx, ("prescribed", kind, t), build)
 
 
 def projector(ctx):
     """Per-point projector P[i, j] (2, 2, nq) of ctx.conditions["velocity"],
     which imposes P (u - uhat) = 0: n n^T on symmetry regions (zero normal
     velocity, free tangential traction), the identity on velocity regions
-    and on the interface."""
-    blk = ctx.conditions["velocity"]
-    normal = np.array([r.kind == "symmetry" for r in ctx.regions] + [False])[blk.region]
-    nT = blk.normal.T
-    return np.where(normal, nT[:, None] * nT[None], np.eye(2)[:, :, None])
+    and on the interface. Made once per context; read only."""
+    def build():
+        blk = ctx.conditions["velocity"]
+        normal = np.array([r.kind == "symmetry" for r in ctx.regions] + [False])[blk.region]
+        nT = blk.normal.T
+        return np.where(normal, nT[:, None] * nT[None], np.eye(2)[:, :, None])
+    return kept(ctx, "projector", build)
 
 
 def _boundary_chords(mesh, region, covers):
@@ -506,41 +608,33 @@ def element_context(cm: CutModel, elems, phi4s, regions=()):
 # -- Jacobian blocks -> CSR ----------------------------------------------------
 
 
-def basis_tables(blk):
-    """The basis values N, gx, gy (nq, b) of a point table as trial-side rows
-    (b, nq), and the test table T = [N; gx; gy] (3, b, nq) of piece_blocks."""
-    NT, gxT, gyT = (np.ascontiguousarray(a.T) for a in (blk.N, blk.gx, blk.gy))
-    return NT, gxT, gyT, np.stack([NT, gxT, gyT])
+def piece_blocks(table, C):
+    """Per-run sums of w_q T_q^T C_q over the points of a point table.
 
-
-def piece_blocks(T, C, w, run):
-    """Per-run sums of w_q T_q^T C_q over a batch of quadrature points.
-
-    T (k, b, nq) holds k test functions of b bases, C (k, m, c, nq) the
-    trial row that each test multiplies in each of m row blocks, c = g b
-    trial entries long (g trial fields of b bases); C is weighted by w in
-    place. run (nq,) holds each point's run id in its context's point
-    table (a run ends where the id changes, so a batch that splits a run
-    gives a block for each part). The runs with L points are one batched
-    (b x kL) . (kL x mc) matmul. Returns the runs' ids (runs,) and blocks
-    (m, g, runs, b, b): blocks[i, j, r] couples row block i to trial field
-    j on run r.
+    T (k, b, nq) holds the table's first k tests of b bases (k = 3: N,
+    d_x N, d_y N; k = 1: N, or the jump on a ghost table), C (k, m, c, nq)
+    the trial row that each test multiplies in each of m row blocks,
+    c = g b trial entries long (g trial fields of b bases); C is weighted
+    by the table's w in place. A run ends where the table's run id changes,
+    so a batch that splits a run gives a block for each part. The runs
+    with L points are one batched (b x kL) . (kL x mc) matmul, on groups
+    the table plans once (table.plan). Returns the blocks (m, g, runs, b, b)
+    in the order of table.plan.runs: blocks[i, j, r] couples row block i to
+    trial field j on run r.
     """
     k, m, c, nq = C.shape
+    plan = table.plan
+    T = table.tests[:k]
     b = T.shape[1]
-    C *= w
-    starts = _run_starts(run)
-    count = np.diff(starts, append=nq)
+    C *= table.w
     # points-first views; the gathers below are the one transpose
     Cq, Tq = C.reshape(k * m * c, nq).T, T.transpose(2, 0, 1)
-    out = np.empty((starts.shape[0], b, m * c))
-    for L in np.flatnonzero(np.bincount(count)):
-        sel = np.flatnonzero(count == L)
-        pts = starts[sel, None] + np.arange(L)
+    out = np.empty((plan.runs.shape[0], b, m * c))
+    for sel, pts in plan.groups:
+        L = pts.shape[1]
         A = Tq[pts].reshape(-1, L * k, b).transpose(0, 2, 1)
         out[sel] = A @ Cq[pts].reshape(-1, L * k, m * c)
-    blocks = out.reshape(-1, b, m, c // b, b).transpose(2, 3, 0, 1, 4).copy()
-    return run[starts], blocks
+    return out.reshape(-1, b, m, c // b, b).transpose(2, 3, 0, 1, 4).copy()
 
 
 def ghost_jumps(ctx, U, groups, R, tri):
@@ -553,17 +647,17 @@ def ghost_jumps(ctx, U, groups, R, tri):
     penalizing the jumps of each of its fields.
     """
     g, n = ctx.ghost, ctx.n
-    gvec = np.concatenate([g.gn1, -g.gn2], axis=1)  # (nq, 8)
+    gvec = g.gvec
+    U = U.reshape(-1, n)
     for gamma, fields in groups:
         if tri is not None:
-            T = gvec.T[None]
-            facets, blocks = piece_blocks(T, (gamma * T)[None], g.w, g.run)
-        for f in fields:
-            u = U[f * n:(f + 1) * n]
-            jump = field_at(u, g.dofs1, g.gn1)[0] - field_at(u, g.dofs2, g.gn2)[0]
+            blocks = piece_blocks(g, (gamma * g.tests)[None])
+        u = U[list(fields)]
+        jumps = (field_at(u, g.dofs1, g.gn1.T[None]) - field_at(u, g.dofs2, g.gn2.T[None]))[:, 0]
+        for f, jump in zip(fields, jumps):
             R.add(g.dofs + f * n, gvec * (gamma * jump)[:, None] * g.w[:, None])
             if tri is not None:
-                tri.add(g.name, facets, blocks, (f,), (f,))
+                tri.add(g.name, g.plan.runs, blocks, (f,), (f,), g.plan.key)
 
 
 class Scatter:
@@ -590,43 +684,42 @@ class Scatter:
 class Triplets:
     """The Jacobian entries of one assembly pass, summed into CSR.
 
-    add(table, runs, vals, rows, cols) adds blocks on runs of one of the
-    context's point tables ('volume', 'surface', 'ghost'), laid out as
+    add(table, runs, vals, rows, cols, key) adds blocks on runs of one of
+    the context's point tables ('volume', 'surface', 'ghost'), laid out as
     piece_blocks returns them: vals[i, j, r, a, b] goes to row
     rows[i] n + d[a] and column cols[j] n + d[b], d the dofs of run
-    runs[r]. The assemblers add blocks already summed per run, and the
-    volume and ghost tables whole. matrix takes the CSR structure and
-    every triplet's slot from the context's Sparsity by index arithmetic:
-    field pair (f, g) holds the pairs of the volume table, of the ghost
-    table and of the surface runs added on it, and the entries are one
-    bincount.
+    runs[r]; key is the bytes of runs (a table's plan holds both). The
+    assemblers add blocks already summed per run, and the volume and ghost
+    tables whole. matrix takes the CSR structure and every triplet's slot
+    from the context's Sparsity by index arithmetic: field pair (f, g)
+    holds the pairs of the volume table, of the ghost table and of the
+    surface runs added on it, and the entries are one bincount.
     """
 
     def __init__(self):
         self.blocks = []
 
-    def add(self, table, runs, vals, rows, cols):
-        self.blocks.append((table, runs, vals, tuple(rows), tuple(cols)))
+    def add(self, table, runs, vals, rows, cols, key):
+        self.blocks.append((table, runs, vals, tuple(rows), tuple(cols), key))
 
-    def add_pieces(self, T, C, blk, rows=None, cols=None):
+    def add_pieces(self, table, C, rows=None, cols=None):
         """Add the per-run blocks (piece_blocks) of a trial table C on the
         points of a point table: row blocks rows and trial fields cols, by
         default the square block of C's row blocks."""
         square = range(C.shape[1])
-        self.add(blk.name, *piece_blocks(T, C, blk.w, blk.run), rows or square,
-                 cols or square)
+        self.add(table.name, table.plan.runs, piece_blocks(table, C), rows or square,
+                 cols or square, table.plan.key)
 
     def matrix(self, ctx, shape):
         """The CSR matrix (shape a multiple of ctx.n) of the triplets."""
         if not self.blocks:
             return sp.csr_matrix(shape)
-        key = (shape,) + tuple((table, runs.tobytes(), F, G)
-                               for table, runs, _, F, G in self.blocks)
+        key = (shape,) + tuple((table, k, F, G) for table, _, _, F, G, k in self.blocks)
         layout = ctx.sparsity.layouts.get(key)
         if layout is None:
             layout = ctx.sparsity.layouts[key] = self._layout(ctx.sparsity, ctx.n, shape)
         slot, indices, indptr = layout
-        data = np.bincount(slot, np.concatenate([v.ravel() for _, _, v, _, _ in self.blocks]),
+        data = np.bincount(slot, np.concatenate([v.ravel() for _, _, v, *_ in self.blocks]),
                            minlength=indices.shape[0])
         return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=shape)
 
@@ -638,7 +731,7 @@ class Triplets:
         # a field pair's pattern: the pairs of the tables added whole on it
         # (volume, ghost) and of the surface runs added on it
         sources = {}
-        for i, (table, _, _, F, G) in enumerate(self.blocks):
+        for i, (table, _, _, F, G, _) in enumerate(self.blocks):
             for fg in itertools.product(F, G):
                 sources.setdefault(fg, set()).add(i if table == "surface" else table)
         patterns = {}
@@ -670,9 +763,9 @@ class Triplets:
             indices[at] = cols + (g * n)[:, None]
         # each block's triplets in its (i, j, run, a, b) order, so that each
         # slot sums its triplets in the order they were added
-        slot = np.empty(sum(v.size for _, _, v, _, _ in self.blocks), dtype=np.intp)
+        slot = np.empty(sum(v.size for _, _, v, *_ in self.blocks), dtype=np.intp)
         start = 0
-        for table, runs, v, F, G in self.blocks:
+        for table, runs, v, F, G, _ in self.blocks:
             r = s.runs[table]
             d, pairs = r.dofs[runs], r.pairs[runs]
             out = slot[start:start + v.size].reshape((-1,) + pairs.shape)

@@ -16,7 +16,9 @@ linear species and indicator systems solve on their forward LUs
 Jacobian Newton handed over, with the factor Newton kept
 (`solve.refined_solve`). Only an earlier BDF2 step, a missing factor or a
 refinement that stalls factors a matrix here, and only an earlier BDF2
-step or a missing Jacobian assembles one.
+step or a missing Jacobian assembles one. The context's kept tables go
+with the factors (`IntegrationContext.release`): the geometric partials
+run on re-cut contexts of their own.
 
 Geometric partials of residuals and criteria are computed
 semi-analytically. One re-cut payload, in `geometry_gradient`, pairs each
@@ -116,7 +118,8 @@ def solve_adjoints(model, result, chains):
     (result's *_factor fields and flow_jacobian; the module docstring says
     how) and take them off result, so they go when this returns and a
     second call assembles and factors afresh; a block without kept factors
-    is assembled and factored here.
+    is assembled and factored here. The context releases its kept tables
+    on return, so they do not outlive the factors.
     A singular or non-finite adjoint raises SolverError.
     """
     ctx = result.ctx
@@ -190,6 +193,7 @@ def solve_adjoints(model, result, chains):
         lam_psi = _transposed_solve(
             psi_lu, -C_fpsi, lambda: transport_mod.assemble_indicator(
                 ctx, model.physics.indicator, result.psi)[1])
+    ctx.release()
     return lams, lam_c, lam_psi
 
 

@@ -141,18 +141,19 @@ def linear_solve(A, b):
     return lu_solve(factorize(A), b)
 
 
-def refined_solve(J, lu, b, trans="N"):
+def refined_solve(J, lu, b, trans="N", absJ=None):
     """Solve J x = b (J^T x = b with trans='T') by iterative refinement on
     lu, the factors of J or of a nearby matrix; b is one column or a block
-    with one column per right-hand side.
+    with one column per right-hand side. absJ is |J| when the caller holds
+    it.
 
     A column is done when its residual reaches the rounding level
     eps * || |J| |x| ||. Returns None when a sweep fails to halve the
     residual of a column that is not done: the caller then factors J
     afresh.
     """
-    A = J.T if trans == "T" else J
-    absA = abs(A)
+    absJ = abs(J) if absJ is None else absJ
+    A, absA = (J.T, absJ.T) if trans == "T" else (J, absJ)
     b = np.asarray(b, dtype=float)
     B = b.reshape(b.shape[0], -1)
     x = lu_solve(lu, B, trans=trans)
@@ -189,15 +190,17 @@ def newton_solve(assemble, x0, tol=1e-6, max_iter=30):
     lu = None
     for _ in range(max_iter + 1):
         R, J = assemble(x)
+        absJ = abs(J)  # the rounding floor's and the refinement's
         norm = float(np.linalg.norm(R))
         trace.append(norm)
         if r0 is None:
             r0 = norm
-        if norm <= tol * r0 or norm <= EPS * np.linalg.norm(abs(J) @ np.abs(x)):
+        if norm <= tol * r0 or norm <= EPS * np.linalg.norm(absJ @ np.abs(x)):
             return x, trace, lu, J
         if not np.isfinite(norm) or norm > 1e3 * max(r0, 1.0) + 1e12:
             raise NonconvergenceError("Newton diverged", trace=trace)
-        d = None if lu is None else refined_solve(J, lu, R)
+        d = None if lu is None else refined_solve(J, lu, R, absJ=absJ)
+        absJ = None  # gone before the next assembly or factorization
         if d is None:
             lu = None  # the previous factors go before the next are made
             lu = factorize(J)

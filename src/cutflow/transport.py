@@ -15,8 +15,11 @@ that multiplies one of the tests N_a, d_x N_a, d_y N_a (the SUPG test
 u.grad N_a folds into the gradient rows), summed per piece by
 forms.piece_blocks; the ghost penalty is forms.ghost_jumps. The volume
 terms read the context's volume table, the Nitsche terms a condition set
-of its surface table, and every field value at the points (c, psi, the
-advecting velocity) comes from the table (forms.field_at).
+of its surface table, each with the test table and run plan the table
+keeps (the indicator, which runs first on a context, builds the volume
+table's, which the flow and species assemblies then reuse), and every
+field value at the points (c, psi, the advecting velocity) comes from the
+table (forms.field_at).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import Scatter, Triplets, basis_tables, ghost_jumps, prescribed
+from .forms import Scatter, Triplets, ghost_jumps, prescribed
 from .solve import factorize, lu_solve
 
 GALERKIN = "galerkin"
@@ -98,22 +101,20 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
 
     vol = ctx.volume
     if vol.nq:
-        N, gx, gy = vol.N, vol.gx, vol.gy
-        cx, cy = vol.at(c, gx, gy)
-        ux, uy = vol.at(U[0:n], N)[0], vol.at(U[n:2 * n], N)[0]
+        # test rows with the points last, which the residual rows take too
+        NT, gxT, gyT = vol.tests
+        cx, cy = vol.at(c)[1:]
+        ux, uy = vol.at(U.reshape(3, n)[:2], 1)[:, 0]
         adv = ux * cx + uy * cy
-        udotgN = ux[:, None] * gx + uy[:, None] * gy
+        uT = ux * gxT + uy * gyT  # u.grad N_b
 
-        r = np.zeros_like(N)
+        r = np.zeros_like(NT)
         if want_matrix:
             # trial rows of the tests N_a, d_x N_a, d_y N_a, the SUPG test
             # u.grad N_a folded into the gradient rows
-            NT, gxT, gyT, T = basis_tables(vol)
             C = np.zeros((3, 1, 4, vol.nq))
-            uT = ux * gxT + uy * gyT  # u.grad N_b
         if GALERKIN in terms:
-            r += N * (adv - params.source)[:, None] \
-                + k * (gx * cx[:, None] + gy * cy[:, None])
+            r += NT * (adv - params.source) + k * (gxT * cx + gyT * cy)
             if want_matrix:
                 C[0, 0] += uT
                 C[1, 0] += k * gxT
@@ -122,13 +123,13 @@ def assemble_species(ctx, params, state, flow_state, terms=ALL_TERMS,
             tau, _ = _tau_species(params, ux * ux + uy * uy, ctx.h)
             # strong diffusion term vanishes exactly for bilinear elements
             strong = adv - params.source
-            r += tau[:, None] * udotgN * strong[:, None]
+            r += tau * uT * strong
             if want_matrix:
                 C[1, 0] += tau * ux * uT
                 C[2, 0] += tau * uy * uT
-        R.add(vol.dofs, r * vol.w[:, None])
+        R.add(vol.dofs, (r * vol.w).T)
         if want_matrix:
-            tri.add_pieces(T, C, vol)
+            tri.add_pieces(vol, C)
 
     blk = ctx.conditions["species"]
     if NITSCHE in terms and blk.nq:
@@ -156,9 +157,9 @@ def _scalar_nitsche(ctx, R, tri, blk, c, k, alpha, chat):
     R.add(blk.dofs, r * blk.w[:, None])
     if tri is not None:
         # -k N_a grad N_b . n + k (grad N_a . n) N_b + pen N_a N_b
-        NT, gxT, gyT, T = basis_tables(blk)
+        NT, gxT, gyT = blk.tests
         C = np.stack([pen * NT - k * (nx * gxT + ny * gyT), k * nx * NT, k * ny * NT])
-        tri.add_pieces(T, C[:, None], blk)
+        tri.add_pieces(blk, C[:, None])
 
 
 def species_flow_jacobian(ctx, params, state, flow_state):
@@ -169,15 +170,15 @@ def species_flow_jacobian(ctx, params, state, flow_state):
     tri = Triplets()
     vol = ctx.volume
     if vol.nq:
-        cx, cy = vol.at(c, vol.gx, vol.gy)
-        ux, uy = vol.at(U[0:n], vol.N)[0], vol.at(U[n:2 * n], vol.N)[0]
+        cx, cy = vol.at(c)[1:]
+        ux, uy = vol.at(U.reshape(3, n)[:2], 1)[:, 0]
         strong = ux * cx + uy * cy - params.source
         tau, dtau_fac = _tau_species(params, ux * ux + uy * uy, ctx.h)
 
         # trial rows over [ux, uy] columns: galerkin advection N_a grad c on
         # the N row; the SUPG test u.grad N_a times the tau and strong-residual
         # chains, and its own derivative tau strong grad N_a, on the gradient rows
-        NT, _, _, T = basis_tables(vol)
+        NT = vol.tests[0]
         C = np.zeros((3, 1, 8, vol.nq))
         X, Y = slice(0, 4), slice(4, 8)
         Vx = strong * dtau_fac * ux + tau * cx
@@ -188,7 +189,7 @@ def species_flow_jacobian(ctx, params, state, flow_state):
         C[2, 0, X] = uy * Vx * NT
         C[1, 0, Y] = ux * Vy * NT
         C[2, 0, Y] = (uy * Vy + tau * strong) * NT
-        tri.add_pieces(T, C, vol, (0,), (0, 1))
+        tri.add_pieces(vol, C, (0,), (0, 1))
     return tri.matrix(ctx, (n, 3 * n))
 
 
@@ -204,15 +205,13 @@ def assemble_indicator(ctx, params, state, want_matrix=True):
     tri = Triplets() if want_matrix else None
     vol = ctx.volume
     if vol.nq:
-        N, gx, gy = vol.N, vol.gx, vol.gy
+        NT, gxT, gyT = vol.tests
         pv, px, py = vol.at(psi)
-        r = gx * px[:, None] + gy * py[:, None] \
-            - params.reaction * N * (pv - params.psi_ref)[:, None]
-        R.add(vol.dofs, r * vol.w[:, None])
+        r = gxT * px + gyT * py - params.reaction * NT * (pv - params.psi_ref)
+        R.add(vol.dofs, (r * vol.w).T)
         if want_matrix:
-            NT, gxT, gyT, T = basis_tables(vol)
             C = np.stack([-params.reaction * NT, gxT, gyT])
-            tri.add_pieces(T, C[:, None], vol)
+            tri.add_pieces(vol, C[:, None])
 
     blk = ctx.conditions["port"]
     if blk.nq:
@@ -259,4 +258,4 @@ def project_indicator(psi_values, params):
 def indicator_at_volume_points(ctx, psi, params):
     """Projected indicator evaluated at the context's volume points."""
     vol = ctx.volume
-    return project_indicator(vol.at(np.asarray(psi, dtype=float), vol.N)[0], params)
+    return project_indicator(vol.at(np.asarray(psi, dtype=float), 1)[0], params)

@@ -9,7 +9,7 @@ import numpy as np
 def triplets(ctx, blocks):
     """Global (rows, cols, vals) of Triplets blocks, in the order added."""
     n, out = ctx.n, []
-    for table, runs, vals, F, G in blocks:
+    for table, runs, vals, F, G, _ in blocks:
         d = ctx.sparsity.runs[table].dofs[runs]
         rows = np.array(F)[:, None, None, None, None] * n + d[None, None, :, :, None]
         cols = np.array(G)[None, :, None, None, None] * n + d[None, None, :, None, :]
@@ -29,7 +29,7 @@ def unique_reference(rows, cols, vals, shape):
 def sorted_reference(ctx, blocks, shape):
     """(indptr, indices, data) of the blocks by the sort-based planner."""
     old = []
-    for table, runs, vals, F, G in blocks:
+    for table, runs, vals, F, G, _ in blocks:
         d = ctx.sparsity.runs[table].dofs[runs]
         k, p = d.shape
         old.append((d, vals.transpose(2, 0, 3, 1, 4).reshape(k, len(F) * p, len(G) * p), F, G))

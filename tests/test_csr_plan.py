@@ -225,9 +225,10 @@ def added(monkeypatch):
     seen = []
     add = forms.Triplets.add
 
-    def recording(self, table, runs, vals, rows, cols):
+    def recording(self, table, runs, vals, rows, cols, key):
         seen.append((table, runs))
-        add(self, table, runs, vals, rows, cols)
+        assert key == runs.tobytes()
+        add(self, table, runs, vals, rows, cols, key)
 
     monkeypatch.setattr(forms.Triplets, "add", recording)
     return seen

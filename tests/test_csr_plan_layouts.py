@@ -42,7 +42,7 @@ def _blocks(ctx, rng, nf, reordered):
         F, G = (tuple(F)[::-1], tuple(G)[::-1]) if reordered else (tuple(F), tuple(G))
         p = ctx.sparsity.runs[table].dofs.shape[1]
         blocks.append((table, ids, rng.normal(size=(len(F), len(G), ids.shape[0], p, p)),
-                       F, G))
+                       F, G, ids.tobytes()))
     return blocks
 
 

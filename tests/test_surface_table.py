@@ -8,8 +8,15 @@ from cutflow import flow as flow_mod
 from cutflow.conditions import BoundaryRegion, wall_regions
 from cutflow.cut import build_cut_model
 from cutflow.flow import FlowParams, assemble_flow
-from cutflow.forms import build_context, piece_blocks, prescribed, projector
+from cutflow.forms import PointTable, build_context, piece_blocks, prescribed, projector
 from cutflow.grid import build_mesh
+
+
+def _table(T, w, run):
+    """A point table of the test table T (3, b, nq), weights w and run ids."""
+    nq = w.shape[0]
+    return PointTable("surface", w, np.zeros(nq, dtype=np.int64),
+                      np.zeros((nq, 4), dtype=np.int64), *T.transpose(0, 2, 1), run)
 
 
 def test_piece_blocks_split_a_run_of_equal_dofs_at_a_seam():
@@ -19,12 +26,14 @@ def test_piece_blocks_split_a_run_of_equal_dofs_at_a_seam():
     T = rng.normal(size=(3, 4, 4))
     C = rng.normal(size=(3, 1, 4, 4))
     w = rng.random(4)
-    one_runs, one = piece_blocks(T, C.copy(), w, np.zeros(4, dtype=np.int64))
-    two_runs, two = piece_blocks(T, C.copy(), w, np.array([5, 5, 6, 6]))
+    one_table = _table(T, w, np.zeros(4, dtype=np.int64))
+    two_table = _table(T, w, np.array([5, 5, 6, 6]))
+    one, two = piece_blocks(one_table, C.copy()), piece_blocks(two_table, C.copy())
     assert one.shape[2] == 1 and two.shape[2] == 2
-    assert np.array_equal(two_runs, [5, 6])
+    assert np.array_equal(two_table.plan.runs, [5, 6])
     for r, pts in enumerate((slice(0, 2), slice(2, 4))):
-        _, alone = piece_blocks(T[:, :, pts], C[..., pts].copy(), w[pts], np.zeros(2, dtype=int))
+        alone = piece_blocks(_table(T[:, :, pts], w[pts], np.zeros(2, dtype=int)),
+                             C[..., pts].copy())
         assert np.array_equal(two[:, :, r], alone[:, :, 0])
     assert np.allclose(two.sum(2), one[:, :, 0], rtol=1e-14, atol=1e-14)
 
