@@ -5,7 +5,10 @@ drive the GCMMA loop with warm-started forward solves, adjoint gradients,
 continuation on constraint tolerances, history CSV output and restartable
 checkpoints. An optimization keeps the result of the last GCMMA trial it
 solved; the inner loop accepts that trial's design, so the next outer
-iteration takes the kept result instead of solving the design again. The
+iteration takes the kept result instead of solving the design again. A
+trial whose forward fails (SolverError, or NonconvergenceError after its
+cold retry) is a rejected trial, which GCMMA answers with a more
+conservative subproblem; an outer forward's failure ends the run. The
 gradient-check mode compares adjoint design derivatives against global
 finite differences of the full pipeline; sweep mode reruns an analysis
 over a list of parameter values.
@@ -18,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigurationError, NonconvergenceError, OutputError
+from .errors import ConfigurationError, NonconvergenceError, OutputError, SolverError
 from .gcmma import GCMMA, GcmmaState
 from .output import (HistoryWriter, ensure_dir, read_checkpoint, write_checkpoint,
                      write_vtk_fields)
@@ -138,9 +141,14 @@ def run_optimization(cfg, outdir=None, restart=None):
     kept = {}
 
     def evaluate_values(x):
+        """(Z, g) of a GCMMA trial design, or None when its forward fails:
+        GCMMA rejects that trial and solves a more conservative subproblem."""
         kept.clear()
         dv = replace(design, values=np.array(x, dtype=float))
-        res = kept[dv.values.tobytes()] = forward(dv)
+        try:
+            res = kept[dv.values.tobytes()] = forward(dv)
+        except (SolverError, NonconvergenceError):
+            return None
         vals = res.crit_values
         Z = problem.objective_value(vals)
         g = np.array([con.evaluate(vals, area, it)[0] for con in problem.constraints])

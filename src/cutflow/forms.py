@@ -26,11 +26,24 @@ what owns it (`kept`): each table's test table T = [N; d_x N; d_y N]
 batches; a context's region slices, prescribed data per time, velocity
 projector and Nitsche trial rows. So every later assembly on a context
 does only the state-dependent arithmetic, and `IntegrationContext.release`
-drops what it keeps. A field's values and gradients at a table's points
-come from one routine, `field_at` (`PointTable.at`): one gather of the
-fields, one multiply by the test table and one sum over the bases, the
-four products of each point added in the order (basis * u[dofs]).sum(1)
-adds them.
+drops what it keeps.
+
+What is a pure function of exact arrays is a context's `Structure`, kept
+under the bytes it is a function of: its sparsity with the CSR layouts
+derived on it (the dofs' nodes and levels and each table's run dofs), the
+run plan of each table and take (its run ids) and the ghost block (the
+ghost pairs' facets and dofs). `build_context` takes the structure of an
+earlier context (`ForwardModel.geometry` hands it its last one's), and
+the new context takes over each part whose key bytes are equal and builds
+the rest as a context of its own would: a forward on an unchanged cut
+topology derives no sparsity, layout, plan or ghost table. `release`
+drops the structure's plans but leaves its sparsity and ghost block; a
+context that took a part over keeps its own reference.
+
+A field's values and gradients at a table's points come from one
+routine, `field_at` (`PointTable.at`): one gather of the fields, one
+multiply by the test table and one sum over the bases, the four products
+of each point added in the order (basis * u[dofs]).sum(1) adds them.
 
 This module alone maps regions to conditions
 (`IntegrationContext.conditions`, `prescribed`, `projector`): the
@@ -48,21 +61,22 @@ It also owns the one path from terms to vectors and CSR matrices. Each
 table numbers its runs once (a run is a piece: the points of one volume
 piece, the chords of one surface region in one element, the points of
 one ghost facet), and a context counts its scalar sparsity on its first
-matrix (`Sparsity`; a stacked context that only assembles residuals never
-does): the dof pairs of every run, counted into CSR order without a sort,
-since cut numbers dofs by node, then level, and every pair lies within a
-5x5 node stencil. `piece_blocks` sums w_q T_q^T C_q per run from a
-table's test table and trial rows C on the table's plan, `ghost_jumps` is
-the face-oriented jump penalty of every field, `Triplets` turns the
-blocks, each naming the table and fields it couples, into a CSR matrix
-whose structure and triplet slots are index arithmetic on the sparsity,
-and `Scatter` sums a residual's terms by one bincount.
+matrix, unless its structure took it over (`Sparsity`; a stacked context
+that only assembles residuals never counts it): the dof pairs of every
+run, counted into CSR order without a sort, since cut numbers dofs by
+node, then level, and every pair lies within a 5x5 node stencil.
+`piece_blocks` sums w_q T_q^T C_q per run from a table's test table and
+trial rows C on the table's plan, `ghost_jumps` is the face-oriented jump
+penalty of every field, `Triplets` turns the blocks, each naming the
+table and fields it couples, into a CSR matrix whose structure and
+triplet slots are index arithmetic on the sparsity, and `Scatter` sums a
+residual's terms by one bincount.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -161,30 +175,82 @@ class Plan:
     """How a point table's points sum per run (piece_blocks), planned once:
     the first point of each run (or part of a run) and its id, and the runs
     with L points grouped, each group's positions among the runs (sel) and
-    points (R_L, L)."""
+    points (R_L, L). A pure function of the table's run ids, shared by every
+    table of equal run ids (Structure); read only."""
 
     starts: np.ndarray
     runs: np.ndarray  # (R,) run ids
     key: bytes  # the bytes of runs, which key the CSR layouts
     groups: list  # (sel, pts) per point count L, L ascending
 
+    @classmethod
+    def of(cls, run):
+        starts = _run_starts(run)
+        count = np.diff(starts, append=run.shape[0])
+        runs = run[starts]
+        groups = []
+        for L in np.flatnonzero(np.bincount(count)):
+            sel = np.flatnonzero(count == L)
+            groups.append((sel, starts[sel, None] + np.arange(L)))
+        _read_only(starts, runs, *itertools.chain(*groups))
+        return cls(starts, runs, runs.tobytes(), groups)
+
+
+class Structure:
+    """The parts of a context that are pure functions of exact arrays, each
+    kept under the bytes it is a function of: the sparsity with its CSR
+    layouts (key: the dofs' nodes and levels and each table's run dofs),
+    the run plan of every table and take (key: its run ids) and the ghost
+    block (key: the ghost pairs' facets and dofs).
+
+    A context built on the structure of the last one (build_context's
+    last) takes over, when it first asks for a part, the last one's part
+    of an equal key, and builds the others as a context of its own would.
+    The offer passes on once: a structure built on last ends last's own
+    offer, so only the parts of two contexts are ever reachable from one;
+    a released context's structure keeps no plans (release). It holds no
+    context, no volume or surface geometry and no state.
+    """
+
+    def __init__(self, last=None):
+        self.parts = {}  # name -> (key, part) of each part this context asked for
+        self.offered = {}
+        if last is not None:
+            self.offered, last.offered = dict(last.parts), {}
+
+    def part(self, name, key, build):
+        """The part name of this context, a pure function of key (one key
+        per name): the offered part when its key is equal, else build()."""
+        if name not in self.parts:
+            old_key, part = self.offered.pop(name, (None, None))
+            if old_key != key:
+                part = None  # not held while its successor is built
+                part = build()
+            self.parts[name] = (key, part)
+        return self.parts[name][1]
+
+    def plan(self, run):
+        """The Plan of the run ids run, named by their bytes."""
+        key = (run.dtype.str, run.tobytes())
+        return self.part(key, key, lambda: Plan.of(run))
+
+    def release(self):
+        """Drop the run plans, which a later assembly makes again, and what
+        is left of the last structure's offer. The sparsity and the ghost
+        block stay: the context holds them anyway, and the next context on
+        its topology takes them over."""
+        self.parts = {name: part for name, part in self.parts.items()
+                      if name in ("sparsity", "ghost")}
+        self.offered = {}
+
 
 class _Planned:
-    """A point table whose run plan is made on first use and kept with it
-    (piece_blocks); the table provides run."""
+    """A point table whose run plan, its structure's for its run ids, is
+    kept with it (piece_blocks); the table provides run and structure."""
 
     @property
     def plan(self):
-        def build():
-            starts = _run_starts(self.run)
-            count = np.diff(starts, append=self.run.shape[0])
-            runs = self.run[starts]
-            groups = []
-            for L in np.flatnonzero(np.bincount(count)):
-                sel = np.flatnonzero(count == L)
-                groups.append((sel, starts[sel, None] + np.arange(L)))
-            return Plan(starts, runs, runs.tobytes(), groups)
-        return kept(self, "plan", build)
+        return kept(self, "plan", lambda: self.structure.plan(self.run))
 
 
 @dataclass
@@ -205,6 +271,7 @@ class PointTable(_Planned):
     normal: np.ndarray = None  # (nq, 2) on the surface
     # per surface point: index into the context's regions, -1 on the interface
     region: np.ndarray = None
+    structure: Structure = field(default_factory=Structure, repr=False, compare=False)
 
     @property
     def nq(self):
@@ -218,7 +285,7 @@ class PointTable(_Planned):
 
     def take(self, rows):
         """The table of the points rows (a slice or an index array)."""
-        return PointTable(*(v if v is None or isinstance(v, str) else v[rows]
+        return PointTable(*(v if v is None or isinstance(v, (str, Structure)) else v[rows]
                             for v in (getattr(self, f.name) for f in fields(self))))
 
     def batches(self, step):
@@ -259,15 +326,12 @@ class GhostBlock(_Planned):
     gn1: np.ndarray  # (nq, 4) normal gradient of side-1 bases
     gn2: np.ndarray
     run: np.ndarray  # per point: its ghost run (one per facet pair)
+    gvec: np.ndarray  # (nq, 8) the jump [[grad N . n]] of the 8 bases; read only
+    structure: Structure = field(default_factory=Structure, repr=False, compare=False)
 
     @property
     def nq(self):
         return self.w.shape[0]
-
-    @property
-    def gvec(self):
-        """The jump [[grad N . n]] of the 8 bases per point (nq, 8)."""
-        return kept(self, "gvec", lambda: np.concatenate([self.gn1, -self.gn2], axis=1))
 
     @property
     def tests(self):
@@ -290,23 +354,29 @@ class IntegrationContext:
     conditions: dict = field(default_factory=dict)  # condition kind -> its surface points
     owner: np.ndarray = None  # stacked re-cut contexts: local dof -> batch row
     cm: CutModel = field(default=None, repr=False, compare=False)  # whose dofs scalar_ids names
+    structure: Structure = field(default_factory=Structure, repr=False, compare=False)
 
     @cached_property
     def sparsity(self):
-        """The scalar CSR pattern of the runs of the three tables, counted
-        on the context's first matrix: a context whose assemblies are all
+        """The scalar CSR pattern of the runs of the three tables, its
+        structure's for the dofs' nodes and levels and the run dofs, made on
+        the context's first matrix: a context whose assemblies are all
         residuals never counts it."""
         cm, ids = self.cm, self.scalar_ids
         runs = {t.name: t.dofs[t.plan.starts] for t in (self.volume, self.surface, self.ghost)}
-        return Sparsity.count(cm.dof_node[ids], cm.dof_level[ids], cm.mesh.divisions[0] + 1,
-                              runs)
+        node, level, nx = cm.dof_node[ids], cm.dof_level[ids], cm.mesh.divisions[0] + 1
+        key = (nx, node.tobytes(), level.tobytes(), *(d.tobytes() for d in runs.values()))
+        return self.structure.part("sparsity", key,
+                                   lambda: Sparsity.count(node, level, nx, runs))
 
     def release(self):
         """Drop what the context and its tables keep (kept): their test
-        tables, run plans, batches, region slices and state-free terms. A
-        later assembly builds them again."""
+        tables, run plans, batches, region slices and state-free terms, and
+        the plans its structure holds (Structure.release). A later assembly
+        builds them again. A context that shares a part keeps its own."""
         for owner in (self, self.volume, self.surface, self.ghost, *self.conditions.values()):
             owner.__dict__.pop("_memo", None)
+        self.structure.release()
 
     def surface_part(self, name):
         """The slice of the surface table on the interface ('interface') or on
@@ -413,8 +483,16 @@ def _ghost_block(mesh, facets, dofs):
     N2, gx2, gy2 = shape_q1(mesh, e2, x)
     gn1 = gx1 * normal[:, :1] + gy1 * normal[:, 1:]
     gn2 = gx2 * normal[:, :1] + gy2 * normal[:, 1:]
+    gvec = np.concatenate([gn1, -gn2], axis=1)
+    run = _runs(dofs)
+    _read_only(w, normal, dofs, N1, N2, gn1, gn2, run, gvec)  # contexts share it (Structure)
     return GhostBlock("ghost", w, normal, dofs, dofs[:, :4], dofs[:, 4:], N1, N2, gn1, gn2,
-                      _runs(dofs))
+                      run, gvec)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def _runs(dofs, seam=None):
@@ -495,11 +573,13 @@ class Sparsity:
         volume[runs["volume"].pairs] = True
         ghost[runs["ghost"].pairs] = True
         indptr = np.searchsorted(key, np.arange(n + 1) * width)
+        _read_only(indptr, indices, volume, ghost, *(a for r in runs.values()
+                                                      for a in (r.dofs, r.pairs)))
         return cls(indptr, indices, volume, ghost, runs)
 
 
 def _assemble_context(cm, scalar_ids, volume, interface, covers, regions, ghost,
-                      owner=None):
+                      owner=None, last=None):
     """The one builder of an IntegrationContext.
 
     volume holds the fluid quadrature rows (x, w, elem, dofs); the surface
@@ -508,11 +588,14 @@ def _assemble_context(cm, scalar_ids, volume, interface, covers, regions, ghost,
     (elem, dofs, edge, t); ghost holds the (facets, dofs) of the ghost
     pairs, possibly none. Dofs are already in the context's numbering,
     scalar_ids[dof] being the global scalar dof of cm. The runs of each
-    point table are numbered here, once.
+    point table are numbered here, once. The context's Structure is built
+    on last's (None: on nothing), and the ghost block is its part.
     """
     mesh = cm.mesh
+    structure = Structure(last)
     x, w, elem, dofs = volume
-    volume = PointTable("volume", w, elem, dofs, *shape_q1(mesh, elem, x), _runs(dofs))
+    volume = PointTable("volume", w, elem, dofs, *shape_q1(mesh, elem, x), _runs(dofs),
+                        structure=structure)
     chords = [interface] + [_boundary_chords(mesh, region, covers) for region in regions]
     region = np.repeat(np.arange(-1, len(regions)), [2 * c[0].shape[0] for c in chords])
     elem, dofs, a, b, normal = (np.concatenate(part) for part in zip(*chords))
@@ -520,9 +603,14 @@ def _assemble_context(cm, scalar_ids, volume, interface, covers, regions, ghost,
     elem = np.repeat(elem, 2)
     dofs = np.repeat(dofs, 2, axis=0)
     surface = PointTable("surface", w, elem, dofs, *shape_q1(mesh, elem, x),
-                         _runs(dofs, region), x, np.repeat(normal, 2, axis=0), region)
+                         _runs(dofs, region), x, np.repeat(normal, 2, axis=0), region,
+                         structure)
+    facets, pairs = ghost
+    shared = structure.part("ghost", (facets.tobytes(), pairs.tobytes()),
+                            lambda: _ghost_block(mesh, facets, pairs))
     ctx = IntegrationContext(len(scalar_ids), scalar_ids, mesh.h, volume, surface,
-                             _ghost_block(mesh, *ghost), tuple(regions), owner=owner, cm=cm)
+                             replace(shared, structure=structure), tuple(regions),
+                             owner=owner, cm=cm, structure=structure)
     for kind in _CONDITIONS:
         # indexed by region index; the last entry, -1, is the interface
         member = np.array([_takes(r, kind) for r in regions] + [kind == "velocity"])
@@ -530,11 +618,13 @@ def _assemble_context(cm, scalar_ids, volume, interface, covers, regions, ghost,
     return ctx
 
 
-def build_context(cm: CutModel, regions=()) -> IntegrationContext:
+def build_context(cm: CutModel, regions=(), last=None) -> IntegrationContext:
     """Global integration context: volume + interface + boundary + ghost data.
 
     Every region gets a slice of the surface table, empty when no fluid
-    reaches it.
+    reaches it. last is the Structure of an earlier context on the same mesh
+    (ForwardModel passes its last one's): the context takes over each of its
+    parts whose key bytes are equal.
     """
     mesh, cuts = cm.mesh, cm.cuts
     seg = cm.cut_rows[cuts.seg_row]
@@ -543,7 +633,8 @@ def build_context(cm: CutModel, regions=()) -> IntegrationContext:
     row, edge, t = fluid_covers(cuts, cm.piece_full)
     covers = (cm.piece_elem[row], cm.piece_dofs[row], edge, t)
     return _assemble_context(cm, np.arange(cm.n_dofs, dtype=np.int64), _volume_rows(cm),
-                             interface, covers, regions, (cm.pair_facet, cm.pair_dofs))
+                             interface, covers, regions, (cm.pair_facet, cm.pair_dofs),
+                             last=last)
 
 
 def element_context(cm: CutModel, elems, phi4s, regions=()):

@@ -4,7 +4,8 @@ Outer iterations adapt the asymptotes from the two-iteration oscillation
 history; each outer iteration builds conservative convex separable
 rational approximations whose conservatism parameters grow in an inner
 loop until the approximations bound the true functions at the trial
-point. Subproblems are solved by a primal-dual interior point method on
+point, or by the largest bump (10x) when the trial's forward failed.
+Subproblems are solved by a primal-dual interior point method on
 the standard extended formulation (elastic variables y with linear
 penalty weights, a single z variable).
 
@@ -143,7 +144,9 @@ class GCMMA:
         f0, df0: objective value/gradient. fval, dfdx: constraint values
         (m,) and gradients (m, n). evaluate(x) -> (f0, fval) enables the
         inner conservatism loop; with evaluate=None a plain MMA step is
-        taken. Returns (new state, diagnostics dict).
+        taken. evaluate returns None when its forward at x failed: the trial
+        is rejected and every rho grows by the largest bump, 10x. Returns
+        (new state, diagnostics dict).
         """
         if np.any(~np.isfinite(df0)) or np.any(~np.isfinite(dfdx)):
             raise ValueError("non-finite gradients passed to the optimizer")
@@ -181,7 +184,13 @@ class GCMMA:
                 if inner == cfg.max_inner:
                     diagnostics["conservative"] = False
                 break
-            f0_t, fval_t = evaluate(x_new)
+            values = evaluate(x_new)
+            if values is None:  # the trial's forward failed: the largest bump
+                rho = 10.0 * rho
+                diagnostics["rho_increased"] = True
+                diagnostics["inner_iterations"] = inner + 1
+                continue
+            f0_t, fval_t = values
             trial = np.concatenate([[f0_t / scale], fval_t]) if m else \
                 np.array([f0_t / scale])
             approx = self._approx(p, q, low, upp, r, x_new)
@@ -244,18 +253,26 @@ def _subsolve(m, n, low, upp, alfa, beta, p0, q0, P, Q, b, penalty):
     mu = np.maximum(eem, 0.5 * c)
     s = eem.copy()
 
-    def residuals(x, y, lam, xsi, eta, mu, s, epsi, noise):
+    def terms(x, lam):
+        # the state-only terms at (x, lam), which the residuals, the rounding
+        # noise and the next Newton step all read
         ux1 = upp - x
         xl1 = x - low
+        ux2 = ux1**2
+        xl2 = xl1**2
         plam = p0 + P.T @ lam
         qlam = q0 + Q.T @ lam
         gvec = P @ (1.0 / ux1) + Q @ (1.0 / xl1)
-        dpsidx = plam / ux1**2 - qlam / xl1**2
+        return (ux1, xl1, ux2, xl2, x - alfa, beta - x, plam, qlam, gvec,
+                plam / ux2 - qlam / xl2)
+
+    def residuals(t, y, lam, xsi, eta, mu, s, epsi, noise):
+        _, _, _, _, xa, bx, _, _, gvec, dpsidx = t
         rex = dpsidx - xsi + eta
         rey = c + y - mu - lam
         relam = gvec - y + s - b
-        rexsi = xsi * (x - alfa) - epsi
-        reeta = eta * (beta - x) - epsi
+        rexsi = xsi * xa - epsi
+        reeta = eta * bx - epsi
         remu = mu * y - epsi
         res = lam * s - epsi
         flat = np.concatenate([rex, rey, relam, rexsi, reeta, remu, res])
@@ -264,42 +281,35 @@ def _subsolve(m, n, low, upp, alfa, beta, p0, q0, P, Q, b, penalty):
             flat[:noise.size] = np.maximum(np.abs(flat[:noise.size]) - noise, 0.0)
         return float(np.sqrt(flat @ flat)), float(np.max(np.abs(flat)))
 
-    def rounding_noise(x, y, lam, xsi, eta, s):
+    def rounding_noise(t, x, y, xsi, eta, s):
         # the rounding noise of the x and lambda rows: their terms' size,
         # plus what one ulp of x changes them by
-        ux1 = upp - x
-        xl1 = x - low
-        pux = (p0 + P.T @ lam) / ux1**2
-        qxl = (q0 + Q.T @ lam) / xl1**2
+        ux1, xl1, ux2, xl2, _, _, plam, qlam, gvec, _ = t
+        pux = plam / ux2
+        qxl = qlam / xl2
         ax = np.abs(x)
-        gvec = P @ (1.0 / ux1) + Q @ (1.0 / xl1)
         return ROUNDING * np.concatenate([
             pux + qxl + xsi + eta + 2 * ax * (pux / ux1 + qxl / xl1), np.zeros(m),
-            gvec + y + s + np.abs(b) + (P / ux1**2 + Q / xl1**2) @ ax])
+            gvec + y + s + np.abs(b) + (P / ux2 + Q / xl2) @ ax])
 
     converged = True
+    t = terms(x, lam)  # always the terms at the current (x, lam)
     while epsi > 1e-10:
-        noise = rounding_noise(x, y, lam, xsi, eta, s)
+        noise = rounding_noise(t, x, y, xsi, eta, s)
         if noise.max() <= NOISE_SHARE * epsi:
             noise = None  # negligible against this level's target
-        residunorm, residumax = residuals(x, y, lam, xsi, eta, mu, s, epsi, noise)
+        residunorm, residumax = residuals(t, y, lam, xsi, eta, mu, s, epsi, noise)
         for _ in range(SUBPROBLEM_NEWTON):
             if residumax <= 0.9 * epsi:
                 break
-            ux1 = upp - x
-            xl1 = x - low
-            ux2 = ux1**2
-            xl2 = xl1**2
-            plam = p0 + P.T @ lam
-            qlam = q0 + Q.T @ lam
-            gvec = P @ (1.0 / ux1) + Q @ (1.0 / xl1)
+            ux1, xl1, ux2, xl2, xa, bx, plam, qlam, gvec, dpsidx = t
+            ea = epsi / xa
+            eb = epsi / bx
             GG = P / ux2[None, :] - Q / xl2[None, :]
-            dpsidx = plam / ux2 - qlam / xl2
-            delx = dpsidx - epsi / (x - alfa) + epsi / (beta - x)
+            delx = dpsidx - ea + eb
             dely = c + y - lam - epsi / y
             dellam = gvec - y - b + epsi / lam
-            diagx = 2 * (plam / (ux2 * ux1) + qlam / (xl2 * xl1)) \
-                + xsi / (x - alfa) + eta / (beta - x)
+            diagx = 2 * (plam / (ux2 * ux1) + qlam / (xl2 * xl1)) + xsi / xa + eta / bx
             diagy = 1.0 + mu / y
             diaglamyi = s / lam + 1.0 / diagy
 
@@ -312,20 +322,20 @@ def _subsolve(m, n, low, upp, alfa, beta, p0, q0, P, Q, b, penalty):
                 raise SolverError(f"subproblem Newton system singular: {exc}") from exc
             dx = -delx / diagx - (GG.T @ dlam) / diagx
             dy = -dely / diagy + dlam / diagy
-            dxsi = -xsi + epsi / (x - alfa) - (xsi * dx) / (x - alfa)
-            deta = -eta + epsi / (beta - x) + (eta * dx) / (beta - x)
+            dxsi = -xsi + ea - (xsi * dx) / xa
+            deta = -eta + eb + (eta * dx) / bx
             dmu = -mu + epsi / y - (mu * dy) / y
             ds = -s + epsi / lam - (s * dlam) / lam
 
             xx = np.concatenate([y, lam, xsi, eta, mu, s])
             dxx = np.concatenate([dy, dlam, dxsi, deta, dmu, ds])
             stepxx = np.max(-1.01 * dxx / xx)
-            stepalfa = np.max(-1.01 * dx / (x - alfa))
-            stepbeta = np.max(1.01 * dx / (beta - x))
+            stepalfa = np.max(-1.01 * dx / xa)
+            stepbeta = np.max(1.01 * dx / bx)
             steg = 1.0 / max(stepxx, stepalfa, stepbeta, 1.0)
 
-            old = (x.copy(), y.copy(), lam.copy(), xsi.copy(), eta.copy(),
-                   mu.copy(), s.copy())
+            # the state arrays are rebound below, never written in place
+            old = (x, y, lam, xsi, eta, mu, s)
             resinew = 2 * residunorm
             for _ in range(50):
                 if resinew <= residunorm:
@@ -337,7 +347,8 @@ def _subsolve(m, n, low, upp, alfa, beta, p0, q0, P, Q, b, penalty):
                 eta = old[4] + steg * deta
                 mu = old[5] + steg * dmu
                 s = old[6] + steg * ds
-                resinew, residumax = residuals(x, y, lam, xsi, eta, mu, s, epsi, noise)
+                t = terms(x, lam)
+                resinew, residumax = residuals(t, y, lam, xsi, eta, mu, s, epsi, noise)
                 steg /= 2
             residunorm = resinew
         converged &= residumax <= 0.9 * epsi

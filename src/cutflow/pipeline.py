@@ -10,6 +10,11 @@ run, is a configuration error when the model is built. The result
 bundle carries everything the adjoint needs: the flow Jacobian at the
 solution (the last step's, for a march) and the factor Newton kept, and
 the factors of the indicator and species matrices.
+
+The model keeps the structure of the last context it built
+(forms.Structure) and builds the next context on it, so a forward on the
+last one's cut topology takes over its sparsity, CSR layouts, run plans
+and ghost block. It keeps no context, geometry, state, result or factor.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ class ForwardModel:
         self.physics = physics
         self.criteria = list(criteria)
         self.solve_config = solve_config or SolveConfig()
+        self._structure = None  # the Structure of the last context built
         if self._needs_species():
             if physics.transport is None:
                 raise ConfigurationError(
@@ -86,10 +92,14 @@ class ForwardModel:
 
     # -- geometry -----------------------------------------------------------
     def geometry(self, design):
+        """(cut model, context) of design; the context takes over the parts
+        of the last context's structure whose key bytes are equal."""
         cm = build_cut_model(self.mesh, self.lsmap.build(design))
         if cm.n_dofs == 0:
             raise ConfigurationError("design produced an empty fluid domain")
-        return cm, build_context(cm, self.regions)
+        ctx = build_context(cm, self.regions, self._structure)
+        self._structure = ctx.structure
+        return cm, ctx
 
     # -- indicator ----------------------------------------------------------
     def _indicator(self, ctx):

@@ -446,6 +446,28 @@ def test_cli_optimize_retries_a_trial_forward_cold(tmp_path, monkeypatch):
     assert calls
 
 
+def test_cli_optimize_rejects_a_failed_trial_forward(tmp_path, monkeypatch):
+    # the first trial forward raises SolverError: GCMMA rejects the trial
+    # and solves a more conservative subproblem, and the run goes on
+    import cutflow.driver as driver
+    from cutflow.errors import SolverError
+    steady, calls = driver._steady_on_geometry, []
+
+    def fail_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise SolverError("injected trial failure")
+        return steady(*args)
+
+    monkeypatch.setattr(driver, "_steady_on_geometry", fail_first)
+    path = _write(tmp_path, OPT_CFG)
+    out = tmp_path / "o"
+    assert cli_main(["optimize", "--config", path, "--output", str(out)]) == 0
+    assert len(calls) > 1
+    rows = (out / "history.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigurationError):
         parse_config("/nonexistent/run.cfg")

@@ -142,6 +142,53 @@ def test_inner_loop_behavior():
     assert diag["inner_iterations"] == 0
 
 
+def test_failed_trial_is_rejected_with_the_largest_bump(monkeypatch):
+    # evaluate returns None for the first trial: every rho grows 10x and the
+    # subproblem is solved again, closer to x; the second trial is accepted
+    import cutflow.gcmma as gcmma
+    subsolve, coeffs = gcmma._subsolve, []
+
+    def recording(*args):
+        coeffs.append(args[6])  # p0 = (upp - x)^2 (1.001 g+ + 0.001 g- + rho/span)
+        return subsolve(*args)
+
+    monkeypatch.setattr(gcmma, "_subsolve", recording)
+    n = 3
+    tgt = np.array([0.2, -0.1, 0.05])
+    opt = GCMMA(-np.ones(n), np.ones(n), GcmmaConfig(move=0.5))
+    state = opt.init_state(np.array([0.6, -0.5, 0.4]))
+    f = lambda x: float(((x - tgt) ** 2).sum())
+    df0 = 2 * (state.x - tgt)
+    trials = []
+
+    def evaluate(x):
+        trials.append(x.copy())
+        return None if len(trials) == 1 else (f(x), np.zeros(0))
+
+    new, diag = opt.step(state, f(state.x), df0, np.zeros(0), np.zeros((0, n)),
+                         evaluate=evaluate)
+    assert diag["inner_iterations"] == 1 and diag["rho_increased"]
+    assert diag["conservative"]
+    assert len(trials) == 2
+    np.testing.assert_array_equal(new.x, trials[1])
+    assert np.all(np.abs(trials[1] - state.x) < np.abs(trials[0] - state.x))
+    g = df0 / np.abs(df0).max()
+    ux2 = (diag["asymptote_upp"] - state.x) ** 2
+    rho = [2.0 * (p0 / ux2 - 1.001 * np.maximum(g, 0) - 0.001 * np.maximum(-g, 0))
+           for p0 in coeffs]  # rho per call, span = 2
+    np.testing.assert_allclose(rho[1], 10.0 * rho[0], rtol=1e-9)
+
+    # every trial fails: max_inner rounds, then the last subproblem's point,
+    # unevaluated, as before
+    trials.clear()
+    opt = GCMMA(-np.ones(n), np.ones(n), GcmmaConfig(move=0.5, max_inner=3))
+    new, diag = opt.step(state, f(state.x), df0, np.zeros(0), np.zeros((0, n)),
+                         evaluate=lambda x: trials.append(x.copy()))
+    assert diag["inner_iterations"] == 3 and not diag["conservative"]
+    assert len(trials) == 3
+    assert np.all(np.abs(new.x - state.x) < np.abs(trials[-1] - state.x))
+
+
 def test_subproblem_stationary_point_hand_algebra():
     # single variable, no constraints: minimizer of p/(u-y) + q/(y-l)
     low, upp = np.array([-1.0]), np.array([1.0])
